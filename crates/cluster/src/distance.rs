@@ -9,13 +9,18 @@
 //! [`crate::merge`]).
 
 use crate::cost::CostModel;
-use ramiel_ir::topo::topo_sort;
+use ramiel_ir::graph::Adjacency;
+use ramiel_ir::topo::topo_sort_with;
 use ramiel_ir::Graph;
 
 /// Distance from each node to the end of the graph (indexed by node id).
 pub fn distance_to_end(graph: &Graph, cost: &dyn CostModel) -> Vec<u64> {
-    let adj = graph.adjacency();
-    let order = topo_sort(graph).expect("distance pass requires an acyclic graph");
+    distance_to_end_with(graph, &graph.adjacency(), cost)
+}
+
+/// [`distance_to_end`] over an adjacency snapshot the caller already holds.
+pub fn distance_to_end_with(graph: &Graph, adj: &Adjacency<'_>, cost: &dyn CostModel) -> Vec<u64> {
+    let order = topo_sort_with(graph, adj).expect("distance pass requires an acyclic graph");
     let mut dist = vec![0u64; graph.num_nodes()];
     for &u in order.iter().rev() {
         let own = cost.node_cost(graph, &graph.nodes[u]);

@@ -15,14 +15,20 @@
 //! partition the node set (the properties the proptest suite pins down).
 
 use crate::types::{Cluster, Clustering};
-use ramiel_ir::{Graph, NodeId};
+use ramiel_ir::graph::Adjacency;
+use ramiel_ir::Graph;
 
 /// Run Linear Clustering. `dist` is the distance-to-end table from
 /// [`crate::distance::distance_to_end`].
 pub fn linear_clustering(graph: &Graph, dist: &[u64]) -> Clustering {
-    let n = graph.num_nodes();
+    linear_clustering_with(&graph.adjacency(), dist)
+}
+
+/// [`linear_clustering`] over an adjacency snapshot the caller already holds
+/// (the algorithm reads nothing else of the graph).
+pub fn linear_clustering_with(adj: &Adjacency<'_>, dist: &[u64]) -> Clustering {
+    let n = adj.succs.len();
     assert_eq!(dist.len(), n, "distance table size mismatch");
-    let adj = graph.adjacency();
     // Mutable remainder-graph adjacency. Vec<bool> edge presence keyed by
     // (u, index into adj.succs[u]) keeps this O(V+E) overall.
     let mut out_alive: Vec<Vec<bool>> = adj.succs.iter().map(|s| vec![true; s.len()]).collect();
@@ -30,15 +36,6 @@ pub fn linear_clustering(graph: &Graph, dist: &[u64]) -> Clustering {
     let mut clustered = vec![false; n];
     let mut remaining = n;
     let mut clusters = Vec::new();
-
-    // Position of u in adj.preds[v], to decrement indegree when edges die.
-    let pred_index = |u: NodeId, v: NodeId| -> usize {
-        adj.preds[v]
-            .iter()
-            .position(|&p| p == u)
-            .expect("edge bookkeeping out of sync")
-    };
-    let _ = pred_index; // (kept for clarity; indegree is tracked directly)
 
     while remaining > 0 {
         // readyL ← unclustered nodes with no incoming live edges.

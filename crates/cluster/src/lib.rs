@@ -29,14 +29,15 @@ pub mod verify_view;
 pub use baselines::{level_clustering, round_robin, single_cluster};
 pub use cost::{CostModel, FlopCost, MeasuredCost, StaticCost};
 pub use critical_path::{critical_path, parallelism_report, ParallelismReport};
-pub use distance::distance_to_end;
+pub use distance::{distance_to_end, distance_to_end_with};
 pub use dsc::dsc_clustering;
 pub use hyper::{hypercluster, switched_hypercluster, HyperClustering};
-pub use lc::linear_clustering;
+pub use lc::{linear_clustering, linear_clustering_with};
 pub use merge::{merge_clusters_fixpoint, merge_clusters_once};
 pub use types::{Cluster, Clustering};
 pub use verify_view::{clustering_view, hyper_view, stealing_view};
 
+use ramiel_ir::graph::Adjacency;
 use ramiel_ir::Graph;
 
 /// Run the full batch-1 clustering pipeline: distances → LC → merge.
@@ -44,8 +45,14 @@ use ramiel_ir::Graph;
 /// Debug builds re-verify the partition, ordering and deadlock-freedom
 /// invariants after each stage via `ramiel-verify`.
 pub fn cluster_graph(graph: &Graph, cost: &dyn CostModel) -> Clustering {
-    let dist = distance_to_end(graph, cost);
-    let lc = linear_clustering(graph, &dist);
+    cluster_graph_with(graph, &graph.adjacency(), cost)
+}
+
+/// [`cluster_graph`] over an adjacency snapshot the caller already holds:
+/// the distance pass and LC share it instead of each rebuilding their own.
+pub fn cluster_graph_with(graph: &Graph, adj: &Adjacency<'_>, cost: &dyn CostModel) -> Clustering {
+    let dist = distance_to_end_with(graph, adj, cost);
+    let lc = linear_clustering_with(adj, &dist);
     #[cfg(debug_assertions)]
     ramiel_verify::assert_schedule_invariants(
         graph,

@@ -113,10 +113,13 @@ impl Clustering {
     /// the generated parallel code).
     pub fn cross_cluster_edges(&self, graph: &Graph) -> usize {
         let assign = self.assignment();
+        let adj = graph.adjacency();
         graph
-            .edges()
+            .nodes
             .iter()
-            .filter(|(u, v, _)| assign.get(u) != assign.get(v))
+            .flat_map(|n| n.inputs.iter().map(move |t| (n.id, t)))
+            .filter_map(|(v, t)| adj.producer_of.get(t).map(|&u| (u, v)))
+            .filter(|(u, v)| assign.get(u) != assign.get(v))
             .count()
     }
 }

@@ -992,11 +992,14 @@ fn cmd_serve(model: &str, f: &Flags) -> Result<(), String> {
     // the registry so the bytes are content-addressed and the pin verified;
     // anything else takes the plain built-in/file path.
     let g = if model.contains("://") || f.sha256.is_some() {
-        let pulled = registry
-            .pull(model, f.sha256.as_deref())
-            .map_err(|e| format!("[{}] {e}", e.code()))?;
+        // Decode the buffer the registry hashed: the blob is never re-read.
+        let registry_err = |e: ramiel_serve::RegistryError| format!("[{}] {e}", e.code());
+        let fetched = registry
+            .fetch(model, f.sha256.as_deref())
+            .map_err(registry_err)?;
+        let pulled = registry.admit(&fetched).map_err(registry_err)?;
         println!("pulled {} (sha256 {})", pulled.source, pulled.sha256);
-        ramiel_onnx::load_model(&pulled.path).map_err(|e| e.to_string())?
+        ramiel_onnx::load_model_bytes(fetched.data()).map_err(|e| e.to_string())?
     } else {
         parse_model(model, &cfg)?
     };
@@ -1031,11 +1034,11 @@ fn cmd_serve(model: &str, f: &Flags) -> Result<(), String> {
     // Hand the already-compiled clustering and initializer table to the
     // plan cache so `load` doesn't redo pipeline work.
     let spec = PlanSpec {
-        clustering: Some(prepared.compiled.clustering.clone()),
+        clustering: Some(prepared.compiled.clustering),
         switched: f.switched,
         batch_sizes: vec![f.max_batch],
-        init_values: Some(Arc::clone(&prepared.init_values)),
-        ..PlanSpec::new(prepared.compiled.graph.clone())
+        init_values: Some(prepared.init_values),
+        ..PlanSpec::new(prepared.compiled.graph)
     };
     let server = Arc::new(Server::new(serve_cfg));
     server.load(model, spec).map_err(|e| e.to_string())?;

@@ -41,8 +41,8 @@ pub mod diag;
 use ramiel_cluster::cost::{CostModel, FlopCost, StaticCost};
 use ramiel_cluster::hyper::HyperClustering;
 use ramiel_cluster::{
-    distance_to_end, hypercluster, linear_clustering, merge_clusters_fixpoint, parallelism_report,
-    switched_hypercluster, Clustering, ParallelismReport,
+    distance_to_end_with, hypercluster, linear_clustering_with, merge_clusters_fixpoint,
+    parallelism_report, switched_hypercluster, Clustering, ParallelismReport,
 };
 use ramiel_codegen::CodegenOptions;
 use ramiel_ir::Graph;
@@ -262,14 +262,17 @@ pub fn compile_with_obs(
     }
     let nodes_after_cloning = graph.num_nodes();
 
+    // One adjacency snapshot for the distance pass and LC (the graph is not
+    // mutated past this point).
+    let adj = graph.adjacency();
     let distances = {
         let _span = obs.span(0, "distance-to-end pass", "compile");
-        distance_to_end(&graph, cost.as_ref())
+        distance_to_end_with(&graph, &adj, cost.as_ref())
     };
     let (clusters_before_merge, clustering) = match opts.scheduler {
         Scheduler::LcMerge => {
             let mut span = obs.span(0, "linear clustering", "compile");
-            let lc = linear_clustering(&graph, &distances);
+            let lc = linear_clustering_with(&adj, &distances);
             let before = lc.num_clusters();
             span.set_args(serde_json::json!({ "clusters": before }));
             span.finish();
@@ -288,6 +291,7 @@ pub fn compile_with_obs(
             (c.num_clusters(), c)
         }
     };
+    drop(adj);
 
     #[cfg(debug_assertions)]
     ramiel_verify::assert_schedule_invariants(

@@ -31,9 +31,10 @@ impl TensorInfo {
         }
     }
 
-    /// Total number of elements.
+    /// Total number of elements (saturating: an inferred shape can be
+    /// arbitrarily large without any data behind it).
     pub fn numel(&self) -> usize {
-        self.shape.iter().product()
+        crate::shape::saturating_numel(&self.shape)
     }
 }
 
@@ -67,19 +68,87 @@ pub struct Graph {
     pub value_info: BTreeMap<String, TensorInfo>,
 }
 
-/// Precomputed adjacency for a graph snapshot. Build once per pass with
-/// [`Graph::adjacency`]; any structural mutation invalidates it.
+/// A tensor-name-keyed table whose keys borrow from the graph's nodes
+/// instead of cloning one `String` per tensor use. Lookups accept anything
+/// string-like — the `&String` of a node's input list as well as a `&str`.
 #[derive(Debug, Clone)]
-pub struct Adjacency {
+pub struct NameMap<'g, V>(HashMap<&'g str, V>);
+
+impl<V> NameMap<'_, V> {
+    pub fn get(&self, tensor: impl AsRef<str>) -> Option<&V> {
+        self.0.get(tensor.as_ref())
+    }
+
+    pub fn contains_key(&self, tensor: impl AsRef<str>) -> bool {
+        self.0.contains_key(tensor.as_ref())
+    }
+}
+
+impl<V> std::ops::Index<&str> for NameMap<'_, V> {
+    type Output = V;
+
+    fn index(&self, tensor: &str) -> &V {
+        &self.0[tensor]
+    }
+}
+
+/// Precomputed adjacency for a graph snapshot. Build once per pass with
+/// [`Graph::adjacency`] and hand it down: the tensor-name keys borrow from
+/// the graph's nodes, so the snapshot cannot outlive (or survive a mutation
+/// of) the structure it describes.
+#[derive(Debug, Clone)]
+pub struct Adjacency<'g> {
     /// Tensor name → producing node.
-    pub producer_of: HashMap<String, NodeId>,
+    pub producer_of: NameMap<'g, NodeId>,
     /// Tensor name → consuming nodes (in node order, may repeat if a node
     /// consumes the same tensor twice).
-    pub consumers_of: HashMap<String, Vec<NodeId>>,
+    pub consumers_of: NameMap<'g, Vec<NodeId>>,
     /// Unique predecessor node ids per node.
     pub preds: Vec<Vec<NodeId>>,
     /// Unique successor node ids per node.
     pub succs: Vec<Vec<NodeId>>,
+}
+
+impl<'g> Adjacency<'g> {
+    /// The adjacency of a node list. Borrows only the nodes, so a caller
+    /// that owns the [`Graph`] can still fill its `value_info` while the
+    /// snapshot is alive.
+    pub fn of(nodes: &'g [Node]) -> Adjacency<'g> {
+        let mut producer_of = HashMap::with_capacity(nodes.len());
+        let mut consumers_of: HashMap<&str, Vec<NodeId>> = HashMap::new();
+        for n in nodes {
+            for out in &n.outputs {
+                producer_of.insert(out.as_str(), n.id);
+            }
+        }
+        for n in nodes {
+            for inp in &n.inputs {
+                consumers_of.entry(inp.as_str()).or_default().push(n.id);
+            }
+        }
+        let mut preds = vec![Vec::new(); nodes.len()];
+        let mut succs = vec![Vec::new(); nodes.len()];
+        for n in nodes {
+            for inp in &n.inputs {
+                if let Some(&p) = producer_of.get(inp.as_str()) {
+                    if !preds[n.id].contains(&p) {
+                        preds[n.id].push(p);
+                    }
+                    // Nodes are visited in id order, so a repeat of this
+                    // edge can only be the entry pushed last.
+                    if succs[p].last() != Some(&n.id) {
+                        succs[p].push(n.id);
+                    }
+                }
+            }
+        }
+        Adjacency {
+            producer_of: NameMap(producer_of),
+            consumers_of: NameMap(consumers_of),
+            preds,
+            succs,
+        }
+    }
 }
 
 impl Graph {
@@ -109,7 +178,7 @@ impl Graph {
             .map(|n| {
                 n.inputs
                     .iter()
-                    .filter(|t| adj.producer_of.contains_key(*t))
+                    .filter(|t| adj.producer_of.contains_key(t))
                     .count()
             })
             .sum()
@@ -167,39 +236,8 @@ impl Graph {
     }
 
     /// Build the adjacency snapshot for the current structure.
-    pub fn adjacency(&self) -> Adjacency {
-        let mut producer_of = HashMap::with_capacity(self.nodes.len());
-        let mut consumers_of: HashMap<String, Vec<NodeId>> = HashMap::new();
-        for n in &self.nodes {
-            for out in &n.outputs {
-                producer_of.insert(out.clone(), n.id);
-            }
-        }
-        for n in &self.nodes {
-            for inp in &n.inputs {
-                consumers_of.entry(inp.clone()).or_default().push(n.id);
-            }
-        }
-        let mut preds = vec![Vec::new(); self.nodes.len()];
-        let mut succs = vec![Vec::new(); self.nodes.len()];
-        for n in &self.nodes {
-            for inp in &n.inputs {
-                if let Some(&p) = producer_of.get(inp) {
-                    if !preds[n.id].contains(&p) {
-                        preds[n.id].push(p);
-                    }
-                    if !succs[p].contains(&n.id) {
-                        succs[p].push(n.id);
-                    }
-                }
-            }
-        }
-        Adjacency {
-            producer_of,
-            consumers_of,
-            preds,
-            succs,
-        }
+    pub fn adjacency(&self) -> Adjacency<'_> {
+        Adjacency::of(&self.nodes)
     }
 
     /// The node producing `tensor`, if any.
@@ -239,9 +277,8 @@ impl Graph {
             live.extend(n.outputs.iter().map(String::as_str));
         }
         live.extend(self.outputs.iter().map(String::as_str));
-        let live: std::collections::HashSet<String> = live.iter().map(|s| s.to_string()).collect();
-        self.initializers.retain(|k, _| live.contains(k));
-        self.value_info.retain(|k, _| live.contains(k));
+        self.initializers.retain(|k, _| live.contains(k.as_str()));
+        self.value_info.retain(|k, _| live.contains(k.as_str()));
     }
 
     /// All (producer, consumer, tensor) dependence triples.

@@ -63,7 +63,7 @@ impl PoolSpec {
             0 => (self.kernel.0, self.stride.0, self.pads.0),
             _ => (self.kernel.1, self.stride.1, self.pads.1),
         };
-        let padded = n + 2 * p;
+        let padded = p.saturating_mul(2).saturating_add(n);
         if padded < k || s == 0 {
             return 0;
         }

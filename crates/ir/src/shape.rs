@@ -7,10 +7,25 @@
 //! relies on onnxruntime to make these operands foldable.
 
 use crate::error::IrError;
-use crate::graph::{Graph, Node, TensorInfo};
+use crate::graph::{Graph, NameMap, Node, NodeId, TensorInfo};
 use crate::op::{DType, OpKind};
-use crate::topo::topo_sort;
+use crate::topo::topo_sort_with;
 use crate::Result;
+use std::collections::HashMap;
+
+/// Element count of `shape`, or `None` when the product does not fit a
+/// `usize`. Shapes reach this crate from `.onnx` files and wire requests, so
+/// anything that sizes or compares by element count goes through here: a
+/// wrapped product could otherwise match a short payload.
+pub fn checked_numel(shape: &[usize]) -> Option<usize> {
+    shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d))
+}
+
+/// [`checked_numel`] for statistics that must stay total: saturates at
+/// `usize::MAX` instead of wrapping.
+pub fn saturating_numel(shape: &[usize]) -> usize {
+    checked_numel(shape).unwrap_or(usize::MAX)
+}
 
 /// Numpy-style broadcast of two shapes.
 pub fn broadcast(a: &[usize], b: &[usize]) -> Option<Vec<usize>> {
@@ -58,19 +73,45 @@ fn err(node: &Node, reason: impl Into<String>) -> IrError {
     }
 }
 
-/// Run shape inference over the whole graph, filling `value_info` for every
-/// node output. Existing entries are overwritten.
-pub fn infer_shapes(graph: &mut Graph) -> Result<()> {
-    let order = topo_sort(graph)?;
-    let nodes: Vec<Node> = order.iter().map(|&i| graph.nodes[i].clone()).collect();
-    for node in &nodes {
-        let infos = infer_node(graph, node)?;
-        if infos.len() != node.outputs.len() {
-            return Err(err(node, "internal: output arity mismatch"));
+/// What inference reads while it walks a graph: the graph, the infos derived
+/// earlier in the same walk — consulted before `graph.value_info`, so a walk
+/// writes into a side table instead of into (a clone of) the graph — and the
+/// producer index that constant-operand evaluation follows.
+pub struct ShapeScope<'a> {
+    graph: &'a Graph,
+    producer_of: &'a NameMap<'a, NodeId>,
+    derived: HashMap<&'a str, TensorInfo>,
+}
+
+impl<'a> ShapeScope<'a> {
+    /// A scope with nothing derived yet. `producer_of` is
+    /// [`crate::graph::Adjacency::producer_of`] for `graph`.
+    pub fn new(graph: &'a Graph, producer_of: &'a NameMap<'a, NodeId>) -> Self {
+        ShapeScope {
+            graph,
+            producer_of,
+            derived: HashMap::with_capacity(graph.num_nodes()),
         }
+    }
+
+    /// [`Graph::tensor_info`] with this walk's results ahead of the graph's
+    /// recorded `value_info`.
+    pub fn tensor_info(&self, tensor: &str) -> Option<TensorInfo> {
+        if let Some(i) = self.graph.inputs.iter().find(|i| i.name == tensor) {
+            return Some(i.clone());
+        }
+        match self.derived.get(tensor) {
+            Some(info) => Some(info.clone()),
+            None => self.graph.tensor_info(tensor),
+        }
+    }
+
+    /// Record what [`infer_node`] returned for `node` (one info per output;
+    /// each is given its output's name).
+    pub fn record(&mut self, node: &'a Node, infos: Vec<TensorInfo>) {
         for (out, info) in node.outputs.iter().zip(infos) {
-            graph.value_info.insert(
-                out.clone(),
+            self.derived.insert(
+                out,
                 TensorInfo {
                     name: out.clone(),
                     ..info
@@ -78,17 +119,55 @@ pub fn infer_shapes(graph: &mut Graph) -> Result<()> {
             );
         }
     }
+
+    /// Everything derived, in no particular order.
+    pub fn into_infos(self) -> Vec<TensorInfo> {
+        self.derived.into_values().collect()
+    }
+}
+
+/// Run shape inference over the whole graph, filling `value_info` for every
+/// node output. Existing entries are overwritten.
+pub fn infer_shapes(graph: &mut Graph) -> Result<()> {
+    let infos = {
+        let adj = graph.adjacency();
+        let order = topo_sort_with(graph, &adj)?;
+        infer_in_order(graph, &order, &adj.producer_of)?
+    };
+    graph
+        .value_info
+        .extend(infos.into_iter().map(|i| (i.name.clone(), i)));
     Ok(())
 }
 
+/// The inference walk of [`infer_shapes`] as a function of an unmodified
+/// graph: the info of every node output, for a caller that already holds the
+/// topological `order` and the producer index and installs the result itself.
+pub fn infer_in_order(
+    graph: &Graph,
+    order: &[NodeId],
+    producer_of: &NameMap<'_, NodeId>,
+) -> Result<Vec<TensorInfo>> {
+    let mut scope = ShapeScope::new(graph, producer_of);
+    for &id in order {
+        let node = &graph.nodes[id];
+        let infos = infer_node(&scope, node)?;
+        if infos.len() != node.outputs.len() {
+            return Err(err(node, "internal: output arity mismatch"));
+        }
+        scope.record(node, infos);
+    }
+    Ok(scope.into_infos())
+}
+
 /// Look up the info of one node input.
-fn input_info(graph: &Graph, node: &Node, idx: usize) -> Result<TensorInfo> {
+fn input_info(scope: &ShapeScope<'_>, node: &Node, idx: usize) -> Result<TensorInfo> {
     let name = node.inputs.get(idx).ok_or_else(|| IrError::Arity {
         node: node.name.clone(),
         expected: idx + 1,
         got: node.inputs.len(),
     })?;
-    graph
+    scope
         .tensor_info(name)
         .ok_or_else(|| IrError::UnknownTensor(name.clone()))
 }
@@ -98,13 +177,13 @@ fn input_info(graph: &Graph, node: &Node, idx: usize) -> Result<TensorInfo> {
 /// `Shape`/`Gather`/`Concat`/… nodes — the pattern ONNX exporters emit
 /// around `Reshape`, which onnxruntime (and our constant-propagation pass)
 /// folds away.
-fn const_i64_operand(graph: &Graph, node: &Node, idx: usize) -> Result<Vec<i64>> {
+fn const_i64_operand(scope: &ShapeScope<'_>, node: &Node, idx: usize) -> Result<Vec<i64>> {
     let name = node.inputs.get(idx).ok_or_else(|| IrError::Arity {
         node: node.name.clone(),
         expected: idx + 1,
         got: node.inputs.len(),
     })?;
-    const_eval_i64(graph, name, 64).ok_or_else(|| {
+    const_eval_i64(scope, name, 64).ok_or_else(|| {
         err(
             node,
             format!("operand `{name}` must be a constant i64 tensor"),
@@ -119,24 +198,25 @@ fn const_i64_operand(graph: &Graph, node: &Node, idx: usize) -> Result<Vec<i64>>
 /// over shape vectors, i64 arithmetic, `Cast` to i64 and `Identity`. Returns
 /// `None` when the expression depends on runtime data. `fuel` bounds the
 /// recursion.
-pub fn const_eval_i64(graph: &Graph, tensor: &str, fuel: usize) -> Option<Vec<i64>> {
+pub fn const_eval_i64(scope: &ShapeScope<'_>, tensor: &str, fuel: usize) -> Option<Vec<i64>> {
     if fuel == 0 {
         return None;
     }
+    let graph = scope.graph;
     if let Some(init) = graph.initializers.get(tensor) {
         return init.as_i64().map(|s| s.to_vec());
     }
-    let producer = graph.producer(tensor)?;
+    let producer = *scope.producer_of.get(tensor)?;
     let node = &graph.nodes[producer];
     let arg = |i: usize| -> Option<Vec<i64>> {
         node.inputs
             .get(i)
-            .and_then(|t| const_eval_i64(graph, t, fuel - 1))
+            .and_then(|t| const_eval_i64(scope, t, fuel - 1))
     };
     match &node.op {
         OpKind::Shape => {
             let input = node.inputs.first()?;
-            let info = graph.tensor_info(input)?;
+            let info = scope.tensor_info(input)?;
             Some(info.shape.iter().map(|&d| d as i64).collect())
         }
         OpKind::Gather { axis: 0 } => {
@@ -195,10 +275,10 @@ pub fn const_eval_i64(graph: &Graph, tensor: &str, fuel: usize) -> Option<Vec<i6
                 .map(|i| {
                     let (x, y) = (pick(&a, i), pick(&b, i));
                     match &node.op {
-                        OpKind::Add => Some(x + y),
-                        OpKind::Sub => Some(x - y),
-                        OpKind::Mul => Some(x * y),
-                        OpKind::Div => (y != 0).then(|| x / y),
+                        OpKind::Add => x.checked_add(y),
+                        OpKind::Sub => x.checked_sub(y),
+                        OpKind::Mul => x.checked_mul(y),
+                        OpKind::Div => x.checked_div(y),
                         _ => unreachable!(),
                     }
                 })
@@ -212,15 +292,15 @@ pub fn const_eval_i64(graph: &Graph, tensor: &str, fuel: usize) -> Option<Vec<i6
     }
 }
 
-/// Infer output infos for a single node given the surrounding graph.
-pub fn infer_node(graph: &Graph, node: &Node) -> Result<Vec<TensorInfo>> {
-    let unary = |graph: &Graph| -> Result<Vec<TensorInfo>> {
-        let x = input_info(graph, node, 0)?;
+/// Infer output infos for a single node given the surrounding scope.
+pub fn infer_node(scope: &ShapeScope<'_>, node: &Node) -> Result<Vec<TensorInfo>> {
+    let unary = |scope: &ShapeScope<'_>| -> Result<Vec<TensorInfo>> {
+        let x = input_info(scope, node, 0)?;
         Ok(vec![x])
     };
-    let binary_bcast = |graph: &Graph, dtype: Option<DType>| -> Result<Vec<TensorInfo>> {
-        let a = input_info(graph, node, 0)?;
-        let b = input_info(graph, node, 1)?;
+    let binary_bcast = |scope: &ShapeScope<'_>, dtype: Option<DType>| -> Result<Vec<TensorInfo>> {
+        let a = input_info(scope, node, 0)?;
+        let b = input_info(scope, node, 1)?;
         let shape = broadcast(&a.shape, &b.shape).ok_or_else(|| {
             err(
                 node,
@@ -237,14 +317,14 @@ pub fn infer_node(graph: &Graph, node: &Node) -> Result<Vec<TensorInfo>> {
             pads,
             groups,
         } => {
-            let x = input_info(graph, node, 0)?;
-            let w = input_info(graph, node, 1)?;
+            let x = input_info(scope, node, 0)?;
+            let w = input_info(scope, node, 1)?;
             if x.shape.len() != 4 || w.shape.len() != 4 {
                 return Err(err(node, "Conv expects NCHW input and OIHW weight"));
             }
             let (n, c, h, wd) = (x.shape[0], x.shape[1], x.shape[2], x.shape[3]);
             let (m, cg) = (w.shape[0], w.shape[1]);
-            if c != cg * groups {
+            if cg.checked_mul(*groups) != Some(c) {
                 return Err(err(
                     node,
                     format!("Conv channels {c} != weight in-channels {cg} × groups {groups}"),
@@ -261,12 +341,12 @@ pub fn infer_node(graph: &Graph, node: &Node) -> Result<Vec<TensorInfo>> {
                 // graph that skipped validation errors instead of panicking.
                 return Err(err(node, format!("Conv stride {stride:?} must be nonzero")));
             }
-            let ho = (h + 2 * pads.0)
-                .checked_sub(kernel.0)
-                .map(|v| v / stride.0 + 1);
-            let wo = (wd + 2 * pads.1)
-                .checked_sub(kernel.1)
-                .map(|v| v / stride.1 + 1);
+            let out_extent = |n: usize, pad: usize, k: usize, s: usize| {
+                let padded = pad.checked_mul(2)?.checked_add(n)?;
+                Some(padded.checked_sub(k)? / s + 1)
+            };
+            let ho = out_extent(h, pads.0, kernel.0, stride.0);
+            let wo = out_extent(wd, pads.1, kernel.1, stride.1);
             match (ho, wo) {
                 (Some(ho), Some(wo)) => {
                     Ok(vec![TensorInfo::new("", DType::F32, vec![n, m, ho, wo])])
@@ -275,8 +355,8 @@ pub fn infer_node(graph: &Graph, node: &Node) -> Result<Vec<TensorInfo>> {
             }
         }
         OpKind::MatMul => {
-            let a = input_info(graph, node, 0)?;
-            let b = input_info(graph, node, 1)?;
+            let a = input_info(scope, node, 0)?;
+            let b = input_info(scope, node, 1)?;
             if a.shape.len() < 2 || b.shape.len() < 2 {
                 return Err(err(node, "MatMul operands must have rank >= 2"));
             }
@@ -293,8 +373,8 @@ pub fn infer_node(graph: &Graph, node: &Node) -> Result<Vec<TensorInfo>> {
             Ok(vec![TensorInfo::new("", DType::F32, shape)])
         }
         OpKind::Gemm { trans_b } => {
-            let x = input_info(graph, node, 0)?;
-            let w = input_info(graph, node, 1)?;
+            let x = input_info(scope, node, 0)?;
+            let w = input_info(scope, node, 1)?;
             if x.shape.len() != 2 || w.shape.len() != 2 {
                 return Err(err(node, "Gemm operands must be 2-D"));
             }
@@ -321,22 +401,22 @@ pub fn infer_node(graph: &Graph, node: &Node) -> Result<Vec<TensorInfo>> {
         | OpKind::Clip { .. }
         | OpKind::Dropout
         | OpKind::Identity
-        | OpKind::Softmax { .. } => unary(graph),
+        | OpKind::Softmax { .. } => unary(scope),
         OpKind::Add | OpKind::Sub | OpKind::Mul | OpKind::Div | OpKind::Pow => {
-            binary_bcast(graph, None)
+            binary_bcast(scope, None)
         }
-        OpKind::Equal => binary_bcast(graph, Some(DType::Bool)),
+        OpKind::Equal => binary_bcast(scope, Some(DType::Bool)),
         OpKind::Where => {
-            let c = input_info(graph, node, 0)?;
-            let a = input_info(graph, node, 1)?;
-            let b = input_info(graph, node, 2)?;
+            let c = input_info(scope, node, 0)?;
+            let a = input_info(scope, node, 1)?;
+            let b = input_info(scope, node, 2)?;
             let s1 = broadcast(&c.shape, &a.shape)
                 .and_then(|s| broadcast(&s, &b.shape))
                 .ok_or_else(|| err(node, "Where operands do not broadcast"))?;
             Ok(vec![TensorInfo::new("", a.dtype, s1)])
         }
         OpKind::BatchNorm { .. } => {
-            let x = input_info(graph, node, 0)?;
+            let x = input_info(scope, node, 0)?;
             if node.inputs.len() != 5 {
                 return Err(IrError::Arity {
                     node: node.name.clone(),
@@ -346,9 +426,9 @@ pub fn infer_node(graph: &Graph, node: &Node) -> Result<Vec<TensorInfo>> {
             }
             Ok(vec![x])
         }
-        OpKind::LayerNorm { .. } => unary(graph),
+        OpKind::LayerNorm { .. } => unary(scope),
         OpKind::ReduceMean { axes, keepdims } => {
-            let x = input_info(graph, node, 0)?;
+            let x = input_info(scope, node, 0)?;
             let rank = x.shape.len();
             let mut drop = vec![false; rank];
             for &a in axes {
@@ -367,7 +447,7 @@ pub fn infer_node(graph: &Graph, node: &Node) -> Result<Vec<TensorInfo>> {
             Ok(vec![TensorInfo::new("", x.dtype, shape)])
         }
         OpKind::MaxPool(p) | OpKind::AveragePool(p) => {
-            let x = input_info(graph, node, 0)?;
+            let x = input_info(scope, node, 0)?;
             if x.shape.len() != 4 {
                 return Err(err(node, "pooling expects NCHW input"));
             }
@@ -383,7 +463,7 @@ pub fn infer_node(graph: &Graph, node: &Node) -> Result<Vec<TensorInfo>> {
             )])
         }
         OpKind::GlobalAveragePool => {
-            let x = input_info(graph, node, 0)?;
+            let x = input_info(scope, node, 0)?;
             if x.shape.len() != 4 {
                 return Err(err(node, "GlobalAveragePool expects NCHW input"));
             }
@@ -394,12 +474,12 @@ pub fn infer_node(graph: &Graph, node: &Node) -> Result<Vec<TensorInfo>> {
             )])
         }
         OpKind::Concat { axis } => {
-            let first = input_info(graph, node, 0)?;
+            let first = input_info(scope, node, 0)?;
             let rank = first.shape.len();
             let ax = norm_axis(*axis, rank)?;
             let mut shape = first.shape.clone();
             for i in 1..node.inputs.len() {
-                let t = input_info(graph, node, i)?;
+                let t = input_info(scope, node, i)?;
                 if t.shape.len() != rank {
                     return Err(err(node, "Concat rank mismatch"));
                 }
@@ -408,14 +488,17 @@ pub fn infer_node(graph: &Graph, node: &Node) -> Result<Vec<TensorInfo>> {
                         return Err(err(node, format!("Concat dim {d} mismatch: {a} vs {b}")));
                     }
                 }
-                shape[ax] += t.shape[ax];
+                shape[ax] = shape[ax]
+                    .checked_add(t.shape[ax])
+                    .ok_or_else(|| err(node, "Concat extent overflows"))?;
             }
             Ok(vec![TensorInfo::new("", first.dtype, shape)])
         }
         OpKind::Split { axis, parts } => {
-            let x = input_info(graph, node, 0)?;
+            let x = input_info(scope, node, 0)?;
             let ax = norm_axis(*axis, x.shape.len())?;
-            if parts.iter().sum::<usize>() != x.shape[ax] {
+            let total = parts.iter().try_fold(0usize, |n, &p| n.checked_add(p));
+            if total != Some(x.shape[ax]) {
                 return Err(err(node, "Split parts do not sum to the axis extent"));
             }
             Ok(parts
@@ -433,7 +516,7 @@ pub fn infer_node(graph: &Graph, node: &Node) -> Result<Vec<TensorInfo>> {
             ends,
             steps,
         } => {
-            let x = input_info(graph, node, 0)?;
+            let x = input_info(scope, node, 0)?;
             let mut shape = x.shape.clone();
             if axes.len() != starts.len() || starts.len() != ends.len() || ends.len() != steps.len()
             {
@@ -450,14 +533,15 @@ pub fn infer_node(graph: &Graph, node: &Node) -> Result<Vec<TensorInfo>> {
                     v.clamp(0, dim)
                 };
                 let (s, e) = (clamp(start), clamp(end.min(dim)));
-                let extent = if e > s { (e - s + step - 1) / step } else { 0 };
+                // ceil((e - s) / step) without forming `e - s + step`.
+                let extent = if e > s { (e - s - 1) / step + 1 } else { 0 };
                 shape[ax] = extent as usize;
             }
             Ok(vec![TensorInfo::new("", x.dtype, shape)])
         }
         OpKind::Gather { axis } => {
-            let data = input_info(graph, node, 0)?;
-            let idx = input_info(graph, node, 1)?;
+            let data = input_info(scope, node, 0)?;
+            let idx = input_info(scope, node, 1)?;
             let ax = norm_axis(*axis, data.shape.len())?;
             let mut shape = Vec::new();
             shape.extend_from_slice(&data.shape[..ax]);
@@ -466,9 +550,10 @@ pub fn infer_node(graph: &Graph, node: &Node) -> Result<Vec<TensorInfo>> {
             Ok(vec![TensorInfo::new("", data.dtype, shape)])
         }
         OpKind::Reshape => {
-            let x = input_info(graph, node, 0)?;
-            let spec = const_i64_operand(graph, node, 1)?;
-            let numel: usize = x.shape.iter().product();
+            let x = input_info(scope, node, 0)?;
+            let spec = const_i64_operand(scope, node, 1)?;
+            let overflow = || err(node, "Reshape element count overflows");
+            let numel = checked_numel(&x.shape).ok_or_else(overflow)?;
             let mut shape: Vec<usize> = Vec::with_capacity(spec.len());
             let mut infer_at = None;
             for (i, &d) in spec.iter().enumerate() {
@@ -489,7 +574,7 @@ pub fn infer_node(graph: &Graph, node: &Node) -> Result<Vec<TensorInfo>> {
                     _ => return Err(err(node, "Reshape dims must be -1, 0 or positive")),
                 }
             }
-            let partial: usize = shape.iter().product();
+            let partial = checked_numel(&shape).ok_or_else(overflow)?;
             if let Some(i) = infer_at {
                 if partial == 0 || !numel.is_multiple_of(partial) {
                     return Err(err(node, "Reshape cannot infer -1 dimension"));
@@ -504,7 +589,7 @@ pub fn infer_node(graph: &Graph, node: &Node) -> Result<Vec<TensorInfo>> {
             Ok(vec![TensorInfo::new("", x.dtype, shape)])
         }
         OpKind::Transpose { perm } => {
-            let x = input_info(graph, node, 0)?;
+            let x = input_info(scope, node, 0)?;
             if perm.len() != x.shape.len() {
                 return Err(err(node, "Transpose perm rank mismatch"));
             }
@@ -512,18 +597,21 @@ pub fn infer_node(graph: &Graph, node: &Node) -> Result<Vec<TensorInfo>> {
             Ok(vec![TensorInfo::new("", x.dtype, shape)])
         }
         OpKind::Flatten { axis } => {
-            let x = input_info(graph, node, 0)?;
+            let x = input_info(scope, node, 0)?;
             let ax = if *axis == x.shape.len() as isize {
                 x.shape.len()
             } else {
                 norm_axis(*axis, x.shape.len())?
             };
-            let lead: usize = x.shape[..ax].iter().product();
-            let tail: usize = x.shape[ax..].iter().product();
-            Ok(vec![TensorInfo::new("", x.dtype, vec![lead, tail])])
+            match (checked_numel(&x.shape[..ax]), checked_numel(&x.shape[ax..])) {
+                (Some(lead), Some(tail)) => {
+                    Ok(vec![TensorInfo::new("", x.dtype, vec![lead, tail])])
+                }
+                _ => Err(err(node, "Flatten element count overflows")),
+            }
         }
         OpKind::Unsqueeze { axes } => {
-            let x = input_info(graph, node, 0)?;
+            let x = input_info(scope, node, 0)?;
             let out_rank = x.shape.len() + axes.len();
             let mut at = vec![false; out_rank];
             for &a in axes {
@@ -537,7 +625,7 @@ pub fn infer_node(graph: &Graph, node: &Node) -> Result<Vec<TensorInfo>> {
             Ok(vec![TensorInfo::new("", x.dtype, shape)])
         }
         OpKind::Squeeze { axes } => {
-            let x = input_info(graph, node, 0)?;
+            let x = input_info(scope, node, 0)?;
             let rank = x.shape.len();
             let mut drop = vec![false; rank];
             for &a in axes {
@@ -557,63 +645,68 @@ pub fn infer_node(graph: &Graph, node: &Node) -> Result<Vec<TensorInfo>> {
             Ok(vec![TensorInfo::new("", x.dtype, shape)])
         }
         OpKind::Expand => {
-            let x = input_info(graph, node, 0)?;
-            let spec = const_i64_operand(graph, node, 1)?;
+            let x = input_info(scope, node, 0)?;
+            let spec = const_i64_operand(scope, node, 1)?;
             let target: Vec<usize> = spec.iter().map(|&d| d.max(0) as usize).collect();
             let shape = broadcast(&x.shape, &target)
                 .ok_or_else(|| err(node, "Expand target does not broadcast"))?;
             Ok(vec![TensorInfo::new("", x.dtype, shape)])
         }
         OpKind::Resize { scale } => {
-            let x = input_info(graph, node, 0)?;
+            let x = input_info(scope, node, 0)?;
             if x.shape.len() != 4 {
                 return Err(err(node, "Resize expects NCHW input"));
             }
-            Ok(vec![TensorInfo::new(
-                "",
-                x.dtype,
-                vec![
-                    x.shape[0],
-                    x.shape[1],
-                    x.shape[2] * scale.0,
-                    x.shape[3] * scale.1,
-                ],
-            )])
+            match (
+                x.shape[2].checked_mul(scale.0),
+                x.shape[3].checked_mul(scale.1),
+            ) {
+                (Some(h), Some(w)) => Ok(vec![TensorInfo::new(
+                    "",
+                    x.dtype,
+                    vec![x.shape[0], x.shape[1], h, w],
+                )]),
+                _ => Err(err(node, "Resize extent overflows")),
+            }
         }
         OpKind::Pad { pads } => {
-            let x = input_info(graph, node, 0)?;
+            let x = input_info(scope, node, 0)?;
             if x.shape.len() != 4 {
                 return Err(err(node, "Pad expects NCHW input"));
             }
-            Ok(vec![TensorInfo::new(
-                "",
-                x.dtype,
-                vec![
-                    x.shape[0],
-                    x.shape[1],
-                    x.shape[2] + pads.0 + pads.2,
-                    x.shape[3] + pads.1 + pads.3,
-                ],
-            )])
+            let padded =
+                |n: usize, before: usize, after: usize| n.checked_add(before)?.checked_add(after);
+            match (
+                padded(x.shape[2], pads.0, pads.2),
+                padded(x.shape[3], pads.1, pads.3),
+            ) {
+                (Some(h), Some(w)) => Ok(vec![TensorInfo::new(
+                    "",
+                    x.dtype,
+                    vec![x.shape[0], x.shape[1], h, w],
+                )]),
+                _ => Err(err(node, "Pad extent overflows")),
+            }
         }
         OpKind::Cast { to } => {
-            let x = input_info(graph, node, 0)?;
+            let x = input_info(scope, node, 0)?;
             Ok(vec![TensorInfo::new("", *to, x.shape)])
         }
         OpKind::Constant => {
             let out = &node.outputs[0];
-            let data = graph
+            let data = scope
+                .graph
                 .initializers
                 .get(out)
                 .ok_or_else(|| err(node, "Constant payload missing from initializers"))?;
             Ok(vec![TensorInfo::new("", data.dtype(), data.shape.clone())])
         }
         OpKind::Shape => {
-            let x = input_info(graph, node, 0)?;
+            let x = input_info(scope, node, 0)?;
             Ok(vec![TensorInfo::new("", DType::I64, vec![x.shape.len()])])
         }
         OpKind::ConstantOfShape { .. } => {
-            let spec = const_i64_operand(graph, node, 0)?;
+            let spec = const_i64_operand(scope, node, 0)?;
             let shape: Vec<usize> = spec.iter().map(|&d| d.max(0) as usize).collect();
             Ok(vec![TensorInfo::new("", DType::F32, shape)])
         }
@@ -831,7 +924,9 @@ mod tests {
         // instead: just assert the const evaluation itself.
         b.output(&spec);
         let g = b.finish().unwrap();
-        assert_eq!(const_eval_i64(&g, &spec, 64), Some(vec![3, 8]));
+        let adj = g.adjacency();
+        let scope = ShapeScope::new(&g, &adj.producer_of);
+        assert_eq!(const_eval_i64(&scope, &spec, 64), Some(vec![3, 8]));
     }
 
     #[test]
@@ -841,7 +936,67 @@ mod tests {
         let y = b.op("id", OpKind::Identity, vec![x]);
         b.output(&y);
         let g = b.finish().unwrap();
-        assert_eq!(const_eval_i64(&g, &y, 64), None);
+        let adj = g.adjacency();
+        let scope = ShapeScope::new(&g, &adj.producer_of);
+        assert_eq!(const_eval_i64(&scope, &y, 64), None);
+    }
+
+    #[test]
+    fn element_counts_are_checked_not_wrapped() {
+        assert_eq!(checked_numel(&[]), Some(1));
+        assert_eq!(checked_numel(&[2, 3, 4]), Some(24));
+        assert_eq!(checked_numel(&[1 << 33, 1 << 33]), None);
+        // (2^62 + 1) * 4 wraps to 4.
+        assert_eq!(checked_numel(&[(1 << 62) + 1, 4]), None);
+        assert_eq!(saturating_numel(&[(1 << 62) + 1, 4]), usize::MAX);
+    }
+
+    #[test]
+    fn hostile_extents_are_shape_errors_not_overflows() {
+        // Each graph multiplies or adds its way past usize::MAX during
+        // inference; built by hand because `finish` would run inference.
+        let big = 1usize << 62;
+        let infer = |op: OpKind, inputs: Vec<(&str, Vec<usize>)>| {
+            let mut g = Graph::new("hostile");
+            for (name, shape) in &inputs {
+                g.inputs
+                    .push(TensorInfo::new(*name, DType::F32, shape.clone()));
+            }
+            g.initializers
+                .insert("spec".into(), TensorData::vec_i64(vec![i64::MAX, 4]));
+            let mut names: Vec<String> = inputs.iter().map(|(n, _)| n.to_string()).collect();
+            if matches!(op, OpKind::Reshape) {
+                names.push("spec".into());
+            }
+            g.push_node("n", op, names, vec!["y".into()]);
+            g.outputs.push("y".into());
+            infer_shapes(&mut g)
+        };
+        let cases = [
+            (OpKind::Reshape, vec![("x", vec![8])]),
+            (OpKind::Flatten { axis: 1 }, vec![("x", vec![2, big, 8])]),
+            (
+                OpKind::Concat { axis: 0 },
+                vec![("a", vec![usize::MAX]), ("b", vec![2])],
+            ),
+            (
+                OpKind::Resize { scale: (big, 1) },
+                vec![("x", vec![1, 1, 8, 8])],
+            ),
+            (
+                OpKind::Pad {
+                    pads: (usize::MAX, 0, 1, 0),
+                },
+                vec![("x", vec![1, 1, 8, 8])],
+            ),
+        ];
+        for (op, inputs) in cases {
+            let name = op.name();
+            assert!(
+                matches!(infer(op, inputs), Err(IrError::Shape { .. })),
+                "{name} must report a shape error"
+            );
+        }
     }
 
     #[test]

@@ -70,9 +70,10 @@ impl TensorData {
         }
     }
 
-    /// Total number of elements.
+    /// Total number of elements (saturating; equals the payload length for
+    /// every tensor built through a checked constructor).
     pub fn numel(&self) -> usize {
-        self.shape.iter().product()
+        crate::shape::saturating_numel(&self.shape)
     }
 
     /// Borrow the i64 payload, if this is an integer tensor.

@@ -1,7 +1,7 @@
 //! Topological ordering and level (ASAP) computation.
 
 use crate::error::IrError;
-use crate::graph::{Graph, NodeId};
+use crate::graph::{Adjacency, Graph, NodeId};
 use crate::Result;
 use std::collections::VecDeque;
 
@@ -11,7 +11,12 @@ use std::collections::VecDeque;
 /// follow construction order — which matters for reproducible clustering and
 /// codegen.
 pub fn topo_sort(graph: &Graph) -> Result<Vec<NodeId>> {
-    let adj = graph.adjacency();
+    topo_sort_with(graph, &graph.adjacency())
+}
+
+/// [`topo_sort`] over an adjacency snapshot the caller already holds, so a
+/// stage that needs both builds the snapshot once.
+pub fn topo_sort_with(graph: &Graph, adj: &Adjacency<'_>) -> Result<Vec<NodeId>> {
     let n = graph.num_nodes();
     let mut indegree: Vec<usize> = (0..n).map(|i| adj.preds[i].len()).collect();
     // BinaryHeap of Reverse would give smallest-id-first; with a VecDeque we
@@ -41,7 +46,7 @@ pub fn topo_sort(graph: &Graph) -> Result<Vec<NodeId>> {
 /// baseline) and for DOT ranking.
 pub fn levels(graph: &Graph) -> Result<Vec<usize>> {
     let adj = graph.adjacency();
-    let order = topo_sort(graph)?;
+    let order = topo_sort_with(graph, &adj)?;
     let mut level = vec![0usize; graph.num_nodes()];
     for &u in &order {
         for &p in &adj.preds[u] {

@@ -5,8 +5,8 @@
 //! enforce this after each pipeline stage.
 
 use crate::error::IrError;
-use crate::graph::Graph;
-use crate::topo::topo_sort;
+use crate::graph::{Adjacency, Graph, NodeId};
+use crate::topo::topo_sort_with;
 use crate::Result;
 use std::collections::HashSet;
 
@@ -26,6 +26,13 @@ use std::collections::HashSet;
 ///    kernel extents and group counts ([`IrError::Attr`], RV0002) — so the
 ///    kernels' output-size arithmetic can never divide by zero.
 pub fn validate(graph: &Graph) -> Result<()> {
+    validate_with(graph, &graph.adjacency()).map(drop)
+}
+
+/// [`validate`] over an adjacency snapshot the caller already holds. Returns
+/// the topological order that check 5 computes, so a stage that validates
+/// and then walks the graph sorts it once.
+pub fn validate_with(graph: &Graph, adj: &Adjacency<'_>) -> Result<Vec<NodeId>> {
     let mut defined: HashSet<&str> = HashSet::new();
     for inp in &graph.inputs {
         if !defined.insert(&inp.name) {
@@ -116,8 +123,7 @@ pub fn validate(graph: &Graph) -> Result<()> {
             return Err(IrError::UnknownTensor(out.clone()));
         }
     }
-    topo_sort(graph)?;
-    Ok(())
+    topo_sort_with(graph, adj)
 }
 
 /// Attribute sanity for spatial operators (check 8). A model file with

@@ -11,11 +11,14 @@
 //!
 //! Anything outside the subset fails with a structured [`OnnxError`] naming
 //! the operator and node. Every successful import is pushed through
-//! `ir::validate`, `ir::shape::infer_shapes` and `ramiel_verify::verify_graph`,
-//! so an imported file meets exactly the invariants natively built graphs do.
+//! `ir::validate`, `ir::shape` inference and `ramiel_verify` — once each, over
+//! one adjacency snapshot and one topological order — so an imported file
+//! meets exactly the invariants natively built graphs do.
 
 use crate::proto::{attr_type, data_type, AttributeProto, Dim, ModelProto, NodeProto, TensorProto};
 use crate::{OnnxError, Result};
+use ramiel_ir::graph::Adjacency;
+use ramiel_ir::shape::checked_numel;
 use ramiel_ir::tensor_data::Payload;
 use ramiel_ir::{DType, Graph, OpKind, PoolSpec, TensorData, TensorInfo};
 use ramiel_verify::Severity;
@@ -136,13 +139,19 @@ pub fn import_graph(model: &ModelProto) -> Result<Graph> {
     // annotations in the file cannot skew the pipeline.)
     graph.prune_dangling_metadata();
 
-    ramiel_ir::validate::validate(&graph).map_err(|e| OnnxError::Validate {
+    // The snapshot borrows `graph.nodes` only, which leaves `value_info`
+    // free to be filled while it is alive.
+    let adj = Adjacency::of(&graph.nodes);
+    let invalid = |e: ramiel_ir::IrError| OnnxError::Validate {
         reason: e.to_string(),
-    })?;
-    ramiel_ir::shape::infer_shapes(&mut graph).map_err(|e| OnnxError::Validate {
-        reason: e.to_string(),
-    })?;
-    let errors: Vec<_> = ramiel_verify::verify_graph(&graph)
+    };
+    let order = ramiel_ir::validate::validate_with(&graph, &adj).map_err(invalid)?;
+    let infos =
+        ramiel_ir::shape::infer_in_order(&graph, &order, &adj.producer_of).map_err(invalid)?;
+    graph
+        .value_info
+        .extend(infos.into_iter().map(|i| (i.name.clone(), i)));
+    let errors: Vec<_> = ramiel_verify::lint_validated_graph(&graph, &adj, &order)
         .into_iter()
         .filter(|d| d.severity == Severity::Error)
         .collect();
@@ -183,7 +192,10 @@ fn dtype_of(elem: i64, context: &str) -> Result<DType> {
 }
 
 /// Decode a `TensorProto` into a checked [`TensorData`] (no panicking
-/// constructors — every mismatch is a structured `ONNX-TENSOR` error).
+/// constructors — every mismatch is a structured `ONNX-TENSOR` error). The
+/// element count and the byte size it implies are computed with checked
+/// arithmetic: dims whose product wraps must be refused, not matched against
+/// a payload of the wrapped size.
 pub(crate) fn tensor_data(t: &TensorProto) -> Result<TensorData> {
     let err = |reason: String| OnnxError::Tensor {
         name: if t.name.is_empty() {
@@ -195,68 +207,46 @@ pub(crate) fn tensor_data(t: &TensorProto) -> Result<TensorData> {
     };
     let mut shape = Vec::with_capacity(t.dims.len());
     for &d in &t.dims {
-        if d < 0 {
-            return Err(err(format!("negative dimension {d}")));
-        }
-        shape.push(d as usize);
+        let d = usize::try_from(d).map_err(|_| err(format!("negative dimension {d}")))?;
+        shape.push(d);
     }
-    let numel: usize = shape.iter().product();
+    let numel = checked_numel(&shape)
+        .ok_or_else(|| err(format!("element count of shape {shape:?} overflows")))?;
     let dtype = dtype_of(t.data_type, "initializer")?;
+    // `raw_data` as exactly `numel` little-endian elements of `width` bytes.
+    let raw_elems = |width: usize| -> Result<std::slice::ChunksExact<'_, u8>> {
+        let need = numel
+            .checked_mul(width)
+            .ok_or_else(|| err(format!("byte size of shape {shape:?} overflows")))?;
+        if t.raw_data.len() != need {
+            return Err(err(format!(
+                "raw_data holds {} bytes, shape {:?} needs {need}",
+                t.raw_data.len(),
+                shape
+            )));
+        }
+        Ok(t.raw_data.chunks_exact(width))
+    };
+    let count_err = |got: usize, what: &str| {
+        err(format!(
+            "{got} {what} element(s) for shape {shape:?} ({numel} expected)"
+        ))
+    };
     let payload = match dtype {
-        DType::F32 => {
-            let data: Vec<f32> = if !t.raw_data.is_empty() {
-                if t.raw_data.len() != numel * 4 {
-                    return Err(err(format!(
-                        "raw_data holds {} bytes, shape {:?} needs {}",
-                        t.raw_data.len(),
-                        shape,
-                        numel * 4
-                    )));
-                }
-                t.raw_data
-                    .chunks_exact(4)
-                    .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-                    .collect()
-            } else {
-                t.float_data.clone()
-            };
-            if data.len() != numel {
-                return Err(err(format!(
-                    "{} float element(s) for shape {:?} ({} expected)",
-                    data.len(),
-                    shape,
-                    numel
-                )));
-            }
-            Payload::F32(data)
-        }
-        DType::I64 => {
-            let data: Vec<i64> = if !t.raw_data.is_empty() {
-                if t.raw_data.len() != numel * 8 {
-                    return Err(err(format!(
-                        "raw_data holds {} bytes, shape {:?} needs {}",
-                        t.raw_data.len(),
-                        shape,
-                        numel * 8
-                    )));
-                }
-                t.raw_data
-                    .chunks_exact(8)
-                    .map(|c| i64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-                    .collect()
-            } else {
-                t.int64_data.clone()
-            };
-            if data.len() != numel {
-                return Err(err(format!(
-                    "{} int64 element(s) for shape {:?} ({} expected)",
-                    data.len(),
-                    shape,
-                    numel
-                )));
-            }
-            Payload::I64(data)
-        }
+        DType::F32 if !t.raw_data.is_empty() => Payload::F32(
+            raw_elems(4)?
+                .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+                .collect(),
+        ),
+        DType::F32 if t.float_data.len() == numel => Payload::F32(t.float_data.clone()),
+        DType::F32 => return Err(count_err(t.float_data.len(), "float")),
+        DType::I64 if !t.raw_data.is_empty() => Payload::I64(
+            raw_elems(8)?
+                .map(|c| i64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+                .collect(),
+        ),
+        DType::I64 if t.int64_data.len() == numel => Payload::I64(t.int64_data.clone()),
+        DType::I64 => return Err(count_err(t.int64_data.len(), "int64")),
         DType::Bool => {
             // Bools arrive as raw bytes or (per the proto comments) packed
             // into int32_data.
@@ -266,12 +256,7 @@ pub(crate) fn tensor_data(t: &TensorProto) -> Result<TensorData> {
                 t.int32_data.iter().map(|&b| b != 0).collect()
             };
             if data.len() != numel {
-                return Err(err(format!(
-                    "{} bool element(s) for shape {:?} ({} expected)",
-                    data.len(),
-                    shape,
-                    numel
-                )));
+                return Err(count_err(data.len(), "bool"));
             }
             Payload::Bool(data)
         }

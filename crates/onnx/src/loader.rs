@@ -63,12 +63,22 @@ pub fn load_model(path: impl AsRef<Path>) -> Result<Graph, LoadError> {
     let is_onnx_ext = path
         .extension()
         .is_some_and(|e| e.eq_ignore_ascii_case("onnx"));
-    // 0x08 is the `ir_version` field key — the ONNX magic in practice, and
-    // a control byte no JSON/text model starts with.
-    if is_onnx_ext || bytes.first() == Some(&0x08) {
+    if is_onnx_ext {
         return Ok(import_model(&bytes)?);
     }
-    match std::str::from_utf8(&bytes) {
+    load_model_bytes(&bytes)
+}
+
+/// [`load_model`] for content already in memory (the registry hands over the
+/// bytes it fetched and hashed, so nothing is read twice): dispatch by
+/// content alone, as for a file without the `.onnx` extension.
+pub fn load_model_bytes(bytes: &[u8]) -> Result<Graph, LoadError> {
+    // 0x08 is the `ir_version` field key — the ONNX magic in practice, and
+    // a control byte no JSON/text model starts with.
+    if bytes.first() == Some(&0x08) {
+        return Ok(import_model(bytes)?);
+    }
+    match std::str::from_utf8(bytes) {
         Ok(text) if text.trim_start().starts_with('{') => {
             ramiel_ir::model_file::from_json(text).map_err(LoadError::Native)
         }
@@ -76,7 +86,7 @@ pub fn load_model(path: impl AsRef<Path>) -> Result<Graph, LoadError> {
         // Binary under a non-.onnx name: protobuf is the only binary
         // encoding we have, so route it to the importer (whose ONNX-WIRE
         // errors identify junk files precisely).
-        Err(_) => Ok(import_model(&bytes)?),
+        Err(_) => Ok(import_model(bytes)?),
     }
 }
 

@@ -85,14 +85,16 @@ fn clone_sweep(
     let max_level = lvl.iter().copied().max().unwrap_or(0);
     let level_cutoff = ((max_level as f64) * cfg.top_fraction) as usize;
 
-    let adj = graph.adjacency();
+    // Only the successor lists are needed, and they own their data — the
+    // graph is mutated below while they are still in use.
+    let succs = graph.adjacency().succs;
     // Candidates: cheap, pure, single-output, top-of-graph, fan-out > 1.
     let mut candidates: Vec<usize> = (0..original_nodes)
         .filter(|&id| {
             let node = &graph.nodes[id];
             node.op.is_pure()
                 && node.outputs.len() == 1
-                && adj.succs[id].len() > 1
+                && succs[id].len() > 1
                 && cost.node_cost(graph, node) <= cfg.max_node_cost
                 && lvl[id] <= level_cutoff
         })
@@ -107,8 +109,7 @@ fn clone_sweep(
         let node = graph.nodes[id].clone();
         let out = node.outputs[0].clone();
         // Unique consumer node ids beyond the first keep the original.
-        let consumers = adj.succs[id].clone();
-        for &cons in consumers.iter().skip(1) {
+        for &cons in succs[id].iter().skip(1) {
             if added >= budget {
                 break;
             }

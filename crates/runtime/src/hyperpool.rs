@@ -31,6 +31,7 @@ use crate::reuse::{charge_bytes, Liveness};
 use crate::{value_bytes, Env, Result, RuntimeError};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
 use ramiel_cluster::hyper::{HyperClustering, HyperOp};
+use ramiel_ir::graph::Adjacency;
 use ramiel_ir::{Graph, OpKind};
 use ramiel_obs::{ChannelEdgeStats, ChannelMeter, Obs};
 use ramiel_passes::{inplace_marks, InPlaceMarks};
@@ -47,6 +48,7 @@ type Key = (u64, String, usize);
 /// Built once per (clustering, batch size) and shared — via `Arc` — by
 /// every job that executes at that batch size, so the per-job cost of a
 /// different batch size is a pointer swap, not a recompute.
+#[derive(Debug, PartialEq)]
 pub struct PlannedBatch {
     hc: HyperClustering,
     /// For every produced tensor instance `(name, batch)`, the remote
@@ -58,13 +60,22 @@ impl PlannedBatch {
     /// Precompute ownership and routing for `hc` over `graph`. Fails fast
     /// (RT-SETUP) on schedules that reference unassigned producers.
     pub fn new(graph: &Graph, hc: HyperClustering) -> Result<PlannedBatch> {
+        PlannedBatch::with_adjacency(graph, &graph.adjacency(), hc)
+    }
+
+    /// [`PlannedBatch::new`] over an adjacency snapshot the caller already
+    /// holds (a plan build shares one with the clustering passes).
+    pub fn with_adjacency(
+        graph: &Graph,
+        adj: &Adjacency<'_>,
+        hc: HyperClustering,
+    ) -> Result<PlannedBatch> {
         let mut owner: HashMap<(usize, usize), usize> = HashMap::new();
         for (w, ops) in hc.hyperclusters.iter().enumerate() {
             for op in ops {
                 owner.insert((op.batch, op.node), w);
             }
         }
-        let adj = graph.adjacency();
         let mut consumers: HashMap<(String, usize), Vec<usize>> = HashMap::new();
         for (w, ops) in hc.hyperclusters.iter().enumerate() {
             for op in ops {
@@ -157,17 +168,27 @@ impl HyperPool {
             return Err(RuntimeError::Setup("pool needs at least one worker".into()));
         }
         let ctx = &opts.apply_backend(ctx);
-        let graph = Arc::new(graph.clone());
         let recv_timeout = opts.recv_timeout.unwrap_or_else(default_recv_timeout);
         let init_values = match &opts.init_values {
             Some(iv) => Arc::clone(iv),
-            None => crate::initializer_values(&graph)?,
+            None => crate::initializer_values(graph)?,
         };
         let graph_outputs = graph.outputs.clone();
         let marks = Arc::new(if opts.reuse {
-            inplace_marks(&graph)
+            inplace_marks(graph)
         } else {
             InPlaceMarks::empty()
+        });
+        // Workers read structure and shapes; weights reach them through
+        // `init_values`. Their copy of the graph therefore leaves the
+        // initializer payloads behind instead of duplicating every weight.
+        let graph = Arc::new(Graph {
+            name: graph.name.clone(),
+            nodes: graph.nodes.clone(),
+            inputs: graph.inputs.clone(),
+            outputs: graph.outputs.clone(),
+            initializers: Default::default(),
+            value_info: graph.value_info.clone(),
         });
 
         // Worker inboxes are bounded (capacity from `limits`, shared with

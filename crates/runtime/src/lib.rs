@@ -65,7 +65,7 @@ pub fn value_bytes(v: &Value) -> u64 {
         ramiel_ir::DType::I64 => 8,
         ramiel_ir::DType::Bool => 1,
     };
-    v.numel() as u64 * elem
+    (v.numel() as u64).saturating_mul(elem)
 }
 
 /// Bytes actually copied when a `Value` crosses a channel: the enum header

@@ -49,7 +49,7 @@ fn dtype_bytes(d: DType) -> usize {
 pub fn tensor_bytes(graph: &Graph, tensor: &str) -> usize {
     graph
         .tensor_info(tensor)
-        .map(|i| i.numel() * dtype_bytes(i.dtype))
+        .map(|i| i.numel().saturating_mul(dtype_bytes(i.dtype)))
         .unwrap_or(0)
 }
 
@@ -57,8 +57,8 @@ fn static_bytes(graph: &Graph) -> usize {
     graph
         .initializers
         .values()
-        .map(|t| t.numel() * dtype_bytes(t.dtype()))
-        .sum()
+        .map(|t| t.numel().saturating_mul(dtype_bytes(t.dtype())))
+        .fold(0, usize::saturating_add)
 }
 
 /// Shared walker: feed it node executions in schedule order; it refcounts

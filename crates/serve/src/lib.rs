@@ -42,8 +42,8 @@ pub mod trace;
 mod tests;
 
 pub use plan::{CompiledPlan, PlanCache, PlanSpec};
-pub use registry::{ManifestEntry, Pulled, Registry, RegistryError};
+pub use registry::{Fetched, ManifestEntry, Pulled, Registry, RegistryError};
 pub use server::{OverflowPolicy, ServeConfig, ServeError, ServeExecutor, Server, Ticket};
-pub use stats::{BatchBucket, ServeStats, StatsSnapshot};
+pub use stats::{BatchBucket, LoadSummary, ServeStats, StatsSnapshot};
 pub use tcp::{run_tcp, run_tcp_with_registry};
 pub use trace::{RequestTrace, TraceRing};

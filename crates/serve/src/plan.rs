@@ -12,7 +12,10 @@
 
 use crate::server::ServeError;
 use parking_lot::Mutex;
-use ramiel_cluster::{cluster_graph, hypercluster, switched_hypercluster, Clustering, StaticCost};
+use ramiel_cluster::{
+    cluster_graph_with, hypercluster, switched_hypercluster, Clustering, HyperClustering,
+    StaticCost,
+};
 use ramiel_ir::Graph;
 use ramiel_runtime::{PlannedBatch, StealPlan};
 use ramiel_tensor::{ExecCtx, Value};
@@ -97,7 +100,26 @@ impl CompiledPlan {
             batch_sizes,
             init_values,
         } = spec;
-        let clustering = clustering.unwrap_or_else(|| cluster_graph(&graph, &StaticCost));
+        // One adjacency snapshot serves the clustering passes and every
+        // load-time schedule's routing table.
+        let (clustering, schedules) = {
+            let adj = graph.adjacency();
+            let clustering =
+                clustering.unwrap_or_else(|| cluster_graph_with(&graph, &adj, &StaticCost));
+            let mut schedules = BTreeMap::new();
+            for b in batch_sizes.into_iter().chain([1]) {
+                if b == 0 {
+                    return Err(ServeError::Internal("batch size 0".into()));
+                }
+                if let std::collections::btree_map::Entry::Vacant(slot) = schedules.entry(b) {
+                    let hc = hyper_schedule(&clustering, switched, b);
+                    let planned = PlannedBatch::with_adjacency(&graph, &adj, hc)
+                        .map_err(ServeError::Runtime)?;
+                    slot.insert(Arc::new(planned));
+                }
+            }
+            (clustering, schedules)
+        };
         let init_values = match init_values {
             Some(iv) => iv,
             None => ramiel_runtime::initializer_values(&graph).map_err(ServeError::Runtime)?,
@@ -107,7 +129,7 @@ impl CompiledPlan {
         } else {
             ExecCtx::sequential()
         };
-        let plan = CompiledPlan {
+        Ok(CompiledPlan {
             name: name.to_string(),
             version,
             graph,
@@ -115,15 +137,9 @@ impl CompiledPlan {
             switched,
             init_values,
             ctx,
-            schedules: Mutex::new(BTreeMap::new()),
+            schedules: Mutex::new(schedules),
             steal_plans: Mutex::new(BTreeMap::new()),
-        };
-        let mut sizes = batch_sizes;
-        sizes.push(1);
-        for b in sizes {
-            plan.schedule_for(b)?;
-        }
-        Ok(plan)
+        })
     }
 
     /// The schedule (plus routing table) for `batch` samples — precompiled
@@ -137,11 +153,7 @@ impl CompiledPlan {
         if let Some(p) = schedules.get(&batch) {
             return Ok(Arc::clone(p));
         }
-        let hc = if self.switched {
-            switched_hypercluster(&self.clustering, batch)
-        } else {
-            hypercluster(&self.clustering, batch)
-        };
+        let hc = hyper_schedule(&self.clustering, self.switched, batch);
         let planned = Arc::new(PlannedBatch::new(&self.graph, hc).map_err(ServeError::Runtime)?);
         schedules.insert(batch, Arc::clone(&planned));
         Ok(planned)
@@ -161,11 +173,7 @@ impl CompiledPlan {
         let plan = if batch == 1 {
             StealPlan::new(&self.graph, &self.clustering, 1)
         } else {
-            let hc = if self.switched {
-                switched_hypercluster(&self.clustering, batch)
-            } else {
-                hypercluster(&self.clustering, batch)
-            };
+            let hc = hyper_schedule(&self.clustering, self.switched, batch);
             StealPlan::from_hyper(&self.graph, &hc)
         }
         .map_err(ServeError::Runtime)?;
@@ -182,6 +190,15 @@ impl CompiledPlan {
     /// Batch sizes with a planned schedule (load-time + lazily added).
     pub fn planned_batches(&self) -> Vec<usize> {
         self.schedules.lock().keys().copied().collect()
+    }
+}
+
+/// Plain (Fig. 8) or switched (Fig. 9) hyperclustering of `clustering`.
+fn hyper_schedule(clustering: &Clustering, switched: bool, batch: usize) -> HyperClustering {
+    if switched {
+        switched_hypercluster(clustering, batch)
+    } else {
+        hypercluster(clustering, batch)
     }
 }
 

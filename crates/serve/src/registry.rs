@@ -24,6 +24,9 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// Structured registry failure; `code()` is the stable machine-readable
 /// class.
@@ -108,6 +111,80 @@ pub struct Pulled {
     pub bytes: u64,
     /// True when the pinned digest was already cached and no fetch ran.
     pub cache_hit: bool,
+    /// Time spent hashing the bytes (zero on a cache hit: a content address
+    /// is trusted, not re-hashed).
+    pub hash: Duration,
+    /// Time spent writing the blob and its manifest row (zero on a hit).
+    pub store: Duration,
+}
+
+impl Pulled {
+    fn hit(pin: &str, path: PathBuf, reference: &str, bytes: u64) -> Pulled {
+        Pulled {
+            sha256: pin.to_string(),
+            path,
+            source: reference.to_string(),
+            bytes,
+            cache_hit: true,
+            hash: Duration::ZERO,
+            store: Duration::ZERO,
+        }
+    }
+}
+
+/// The bytes behind a reference, in memory once: what [`Registry::fetch`]
+/// read and [`Registry::admit`] hashes and stores, so a caller that goes on
+/// to decode the model never reads the file a second time.
+///
+/// Fields are private: `admit` trusts `cache_hit`, so only `fetch` may set it.
+pub struct Fetched {
+    data: Vec<u8>,
+    source: String,
+    cache_hit: bool,
+    fetch: Duration,
+    /// The validated, lowercased pin.
+    pin: Option<String>,
+}
+
+impl Fetched {
+    pub fn data(&self) -> &[u8] {
+        &self.data
+    }
+
+    /// True when the bytes are the cached blob of the pinned digest
+    /// (admitted when first stored, so [`Registry::admit`] has nothing left
+    /// to do).
+    pub fn cache_hit(&self) -> bool {
+        self.cache_hit
+    }
+
+    /// Time spent reading the blob or fetching the source.
+    pub fn fetch_time(&self) -> Duration {
+        self.fetch
+    }
+}
+
+/// Serialises manifest read-modify-write cycles. Process-wide rather than
+/// per [`Registry`], so two registries opened on one root are covered too.
+static MANIFEST_LOCK: Mutex<()> = Mutex::new(());
+
+/// Makes temp-file names unique per call, not just per process: connection
+/// threads pull concurrently.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+fn tmp_name(stem: &str) -> String {
+    format!(
+        ".tmp-{}-{}-{stem}",
+        std::process::id(),
+        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+    )
+}
+
+fn io_err(path: &Path, e: std::io::Error) -> RegistryError {
+    RegistryError::Io {
+        path: path.display().to_string(),
+        reason: e.to_string(),
+    }
 }
 
 /// The on-disk content-addressed model cache.
@@ -152,37 +229,73 @@ impl Registry {
     /// Resolve `reference` into the cache, verifying against `pin` when
     /// given. `file://<path>` and plain paths read the local filesystem;
     /// `http://host[:port]/path` fetches over TCP. A pinned pull whose
-    /// digest is already cached returns without fetching.
+    /// digest is already cached returns without fetching — or reading the
+    /// blob: callers that want the bytes use [`fetch`](Self::fetch) and
+    /// [`admit`](Self::admit).
     pub fn pull(&self, reference: &str, pin: Option<&str>) -> Result<Pulled, RegistryError> {
-        let pin = match pin {
-            Some(p) => {
-                let p = p.to_ascii_lowercase();
-                if p.len() != 64 || !p.bytes().all(|b| b.is_ascii_hexdigit()) {
-                    return Err(RegistryError::Scheme {
-                        reference: reference.to_string(),
-                        reason: format!("`{p}` is not a 64-hex-digit sha256"),
-                    });
-                }
-                Some(p)
-            }
-            None => None,
-        };
+        let pin = checked_pin(reference, pin)?;
         if let Some(pin) = &pin {
             if let Some(path) = self.lookup(pin) {
                 let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                return Ok(Pulled {
-                    sha256: pin.clone(),
-                    path,
-                    source: reference.to_string(),
-                    bytes,
-                    cache_hit: true,
-                });
+                return Ok(Pulled::hit(pin, path, reference, bytes));
             }
         }
+        self.admit(&self.fetch_uncached(reference, pin)?)
+    }
 
-        let data = fetch(reference)?;
-        let digest = sha256::hex_digest(&data);
-        if let Some(pin) = &pin {
+    /// The bytes behind `reference`, read exactly once: the cached blob when
+    /// `pin` is already cached, the source otherwise. Nothing is trusted or
+    /// written yet — that is [`admit`](Self::admit).
+    pub fn fetch(&self, reference: &str, pin: Option<&str>) -> Result<Fetched, RegistryError> {
+        let pin = checked_pin(reference, pin)?;
+        let start = Instant::now();
+        if let Some(path) = pin.as_ref().and_then(|p| self.lookup(p)) {
+            let data = std::fs::read(&path).map_err(|e| io_err(&path, e))?;
+            return Ok(Fetched {
+                data,
+                source: reference.to_string(),
+                cache_hit: true,
+                fetch: start.elapsed(),
+                pin,
+            });
+        }
+        self.fetch_uncached(reference, pin)
+    }
+
+    fn fetch_uncached(
+        &self,
+        reference: &str,
+        pin: Option<String>,
+    ) -> Result<Fetched, RegistryError> {
+        let start = Instant::now();
+        let data = fetch_source(reference)?;
+        Ok(Fetched {
+            data,
+            source: reference.to_string(),
+            cache_hit: false,
+            fetch: start.elapsed(),
+            pin,
+        })
+    }
+
+    /// Hash fetched bytes, refuse them if they miss the pin — *before*
+    /// anything is written — and otherwise store them under their digest and
+    /// record the manifest row. A cache hit was admitted when it was first
+    /// stored and passes straight through.
+    pub fn admit(&self, fetched: &Fetched) -> Result<Pulled, RegistryError> {
+        let bytes = fetched.data.len() as u64;
+        if let (true, Some(pin)) = (fetched.cache_hit, &fetched.pin) {
+            return Ok(Pulled::hit(
+                pin,
+                self.blob_path(pin),
+                &fetched.source,
+                bytes,
+            ));
+        }
+        let start = Instant::now();
+        let digest = sha256::hex_digest(&fetched.data);
+        let hash = start.elapsed();
+        if let Some(pin) = &fetched.pin {
             if *pin != digest {
                 return Err(RegistryError::Checksum {
                     expected: pin.clone(),
@@ -190,37 +303,41 @@ impl Registry {
                 });
             }
         }
-        let path = self.store(&digest, &data)?;
-        self.record(&digest, reference, data.len() as u64)?;
+        let start = Instant::now();
+        let path = self.store(&digest, &fetched.data)?;
+        self.record(&digest, &fetched.source, bytes)?;
         Ok(Pulled {
             sha256: digest,
             path,
-            source: reference.to_string(),
-            bytes: data.len() as u64,
+            source: fetched.source.clone(),
+            bytes,
             cache_hit: false,
+            hash,
+            store: start.elapsed(),
         })
     }
 
     /// Write `data` under its digest via temp-file + rename.
     fn store(&self, digest: &str, data: &[u8]) -> Result<PathBuf, RegistryError> {
         let blob_dir = self.root.join("sha256");
-        let io_err = |path: &Path, e: std::io::Error| RegistryError::Io {
-            path: path.display().to_string(),
-            reason: e.to_string(),
-        };
         std::fs::create_dir_all(&blob_dir).map_err(|e| io_err(&blob_dir, e))?;
         let dest = blob_dir.join(digest);
         if dest.is_file() {
             return Ok(dest); // immutable by construction: same digest, same bytes
         }
-        let tmp = blob_dir.join(format!(".tmp-{}-{digest}", std::process::id()));
+        let tmp = blob_dir.join(tmp_name(digest));
         std::fs::write(&tmp, data).map_err(|e| io_err(&tmp, e))?;
         std::fs::rename(&tmp, &dest).map_err(|e| io_err(&dest, e))?;
         Ok(dest)
     }
 
-    /// Merge one entry into the manifest.
+    /// Merge one entry into the manifest. The whole read-modify-write runs
+    /// under [`MANIFEST_LOCK`]: two concurrent pulls would otherwise both
+    /// read the old manifest and the later rename would drop the other's row.
     fn record(&self, digest: &str, source: &str, bytes: u64) -> Result<(), RegistryError> {
+        // The guarded data is `()`: a panic while holding the lock cannot
+        // leave it inconsistent, so a poisoned lock is still usable.
+        let _guard = MANIFEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut manifest = self.manifest()?;
         let fetched_unix = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -241,13 +358,7 @@ impl Registry {
                 reason: e.to_string(),
             }
         })?;
-        let tmp = self
-            .root
-            .join(format!(".manifest-tmp-{}", std::process::id()));
-        let io_err = |p: &Path, e: std::io::Error| RegistryError::Io {
-            path: p.display().to_string(),
-            reason: e.to_string(),
-        };
+        let tmp = self.root.join(tmp_name("manifest"));
         std::fs::write(&tmp, body).map_err(|e| io_err(&tmp, e))?;
         std::fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
         Ok(())
@@ -259,12 +370,7 @@ impl Registry {
         let body = match std::fs::read_to_string(&path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(BTreeMap::new()),
-            Err(e) => {
-                return Err(RegistryError::Io {
-                    path: path.display().to_string(),
-                    reason: e.to_string(),
-                })
-            }
+            Err(e) => return Err(io_err(&path, e)),
         };
         serde_json::from_str::<Manifest>(&body)
             .map(|m| m.models)
@@ -275,8 +381,22 @@ impl Registry {
     }
 }
 
+/// A pin as the cache keys it: 64 lowercase hex digits. A malformed pin is
+/// a bad argument (`RG-SCHEME`), not a digest mismatch.
+fn checked_pin(reference: &str, pin: Option<&str>) -> Result<Option<String>, RegistryError> {
+    let Some(pin) = pin else { return Ok(None) };
+    let pin = pin.to_ascii_lowercase();
+    if pin.len() != 64 || !pin.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return Err(RegistryError::Scheme {
+            reference: reference.to_string(),
+            reason: format!("`{pin}` is not a 64-hex-digit sha256"),
+        });
+    }
+    Ok(Some(pin))
+}
+
 /// Fetch the raw bytes behind a reference.
-fn fetch(reference: &str) -> Result<Vec<u8>, RegistryError> {
+fn fetch_source(reference: &str) -> Result<Vec<u8>, RegistryError> {
     if let Some(rest) = reference.strip_prefix("file://") {
         return std::fs::read(rest).map_err(|e| RegistryError::Io {
             path: rest.to_string(),

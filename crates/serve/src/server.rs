@@ -4,9 +4,10 @@
 
 use crate::batcher::{Lane, Request};
 use crate::plan::{CompiledPlan, PlanCache, PlanSpec};
-use crate::stats::{ServeStats, StatsSnapshot};
+use crate::stats::{LoadSummary, ServeStats, StatsSnapshot};
 use crate::trace::TraceRing;
 use crossbeam::channel::{unbounded, Receiver};
+use ramiel_obs::metrics::{CounterHandle, HistHandle};
 use ramiel_obs::{Metrics, Obs};
 use ramiel_runtime::{Env, FaultInjector, RuntimeError, StealPool, SupervisorConfig};
 use std::collections::HashMap;
@@ -221,6 +222,78 @@ impl Ticket {
     }
 }
 
+/// Handles into the metric registry for the load path, resolved once per
+/// server: where a `load` spends its time (`ramiel_load_phase_ns`), how the
+/// registry answered (`ramiel_registry_pulls_total`) and how often the plan
+/// cache evicted (`ramiel_plan_evictions_total`). One branch per record when
+/// the registry is disabled. The TCP `load` verb records the phases that run
+/// before [`Server::load`] (fetch, hash, store, import); `Server::load`
+/// records its own (compile, swap).
+pub(crate) struct LoadMetrics {
+    pub fetch: HistHandle,
+    pub hash: HistHandle,
+    pub store: HistHandle,
+    pub import: HistHandle,
+    compile: HistHandle,
+    swap: HistHandle,
+    pub pull_hit: CounterHandle,
+    pub pull_miss: CounterHandle,
+    pub pull_checksum_refused: CounterHandle,
+    evictions: CounterHandle,
+}
+
+impl LoadMetrics {
+    fn new(m: &Metrics) -> LoadMetrics {
+        let phase = |p: &str| {
+            m.histogram(
+                "ramiel_load_phase_ns",
+                "model load time by phase, nanoseconds",
+                &[("phase", p)],
+            )
+        };
+        let pulls = |r: &str| {
+            m.counter(
+                "ramiel_registry_pulls_total",
+                "registry pulls by result",
+                &[("result", r)],
+            )
+        };
+        LoadMetrics {
+            fetch: phase("fetch"),
+            hash: phase("hash"),
+            store: phase("store"),
+            import: phase("import"),
+            compile: phase("compile"),
+            swap: phase("swap"),
+            pull_hit: pulls("hit"),
+            pull_miss: pulls("miss"),
+            pull_checksum_refused: pulls("checksum_refused"),
+            evictions: m.counter(
+                "ramiel_plan_evictions_total",
+                "plans evicted from the LRU plan cache",
+                &[],
+            ),
+        }
+    }
+
+    fn summary(&self) -> LoadSummary {
+        let mean_ms = |h: &HistHandle| h.snapshot().mean() / 1e6;
+        LoadSummary {
+            loads: self.compile.snapshot().count,
+            pulls_hit: self.pull_hit.get(),
+            pulls_miss: self.pull_miss.get(),
+            pulls_checksum_refused: self.pull_checksum_refused.get(),
+            plan_evictions: self.evictions.get(),
+            fetch_mean_ms: mean_ms(&self.fetch),
+            hash_mean_ms: mean_ms(&self.hash),
+            store_mean_ms: mean_ms(&self.store),
+            import_mean_ms: mean_ms(&self.import),
+            compile_mean_ms: mean_ms(&self.compile),
+            swap_mean_ms: mean_ms(&self.swap),
+        }
+    }
+}
+
 /// Multi-model inference server. Thread-safe: share it behind an `Arc` and
 /// call [`submit`](Self::submit)/[`infer`](Self::infer) from any number of
 /// client threads.
@@ -229,6 +302,7 @@ pub struct Server {
     cache: PlanCache,
     lanes: parking_lot::Mutex<HashMap<String, Lane>>,
     stats: Arc<ServeStats>,
+    load_metrics: LoadMetrics,
     shutting_down: AtomicBool,
     /// Bounded per-request trace ring, shared by all lanes.
     trace: Option<Arc<TraceRing>>,
@@ -247,6 +321,7 @@ impl Server {
             None
         };
         Server {
+            load_metrics: LoadMetrics::new(&cfg.metrics),
             cfg,
             cache,
             lanes: parking_lot::Mutex::new(HashMap::new()),
@@ -266,7 +341,11 @@ impl Server {
         if self.shutting_down.load(Ordering::SeqCst) {
             return Err(ServeError::ShuttingDown);
         }
+        let start = Instant::now();
         let (plan, evicted) = self.cache.load(name, spec, self.cfg.intra_op)?;
+        self.load_metrics.compile.record_duration(start.elapsed());
+        self.load_metrics.evictions.add(evicted.len() as u64);
+        let start = Instant::now();
         // Tear down evicted lanes *outside* the map lock (drain can block).
         let mut torn_down: Vec<Lane> = Vec::new();
         {
@@ -293,7 +372,12 @@ impl Server {
         for mut lane in torn_down {
             lane.shutdown();
         }
+        self.load_metrics.swap.record_duration(start.elapsed());
         Ok(plan)
+    }
+
+    pub(crate) fn load_metrics(&self) -> &LoadMetrics {
+        &self.load_metrics
     }
 
     /// The compiled plan for `name`, if loaded (marks it recently used).
@@ -362,7 +446,10 @@ impl Server {
 
     /// Point-in-time serving counters (leaves the current window running).
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        StatsSnapshot {
+            load: self.load_metrics.summary(),
+            ..self.stats.snapshot()
+        }
     }
 
     /// Serving counters with interval-delta semantics: per-window gauges
@@ -370,7 +457,10 @@ impl Server {
     /// each window's high-water mark instead of the lifetime high. Used by
     /// the TCP `stats` op.
     pub fn stats_and_reset_window(&self) -> StatsSnapshot {
-        self.stats.snapshot_and_reset_window()
+        StatsSnapshot {
+            load: self.load_metrics.summary(),
+            ..self.stats.snapshot_and_reset_window()
+        }
     }
 
     /// The per-model metric registry this server records into.

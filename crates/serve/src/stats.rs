@@ -111,6 +111,7 @@ impl ServeStats {
             latency_p90_ms: ms(latency.percentile(0.9)),
             latency_p99_ms: ms(latency.percentile(0.99)),
             latency_max_ms: ms(latency.max),
+            load: LoadSummary::default(),
             batch_histogram: self
                 .batch_sizes
                 .snapshot()
@@ -123,6 +124,27 @@ impl ServeStats {
                 .collect(),
         }
     }
+}
+
+/// The load path, summarised from the metric registry's
+/// `ramiel_load_phase_ns`, `ramiel_registry_pulls_total` and
+/// `ramiel_plan_evictions_total` series (all zero when the registry is
+/// disabled): enough to answer "why was this `load` slow" from `stats`.
+#[derive(Debug, Clone, Default, Serialize)]
+pub struct LoadSummary {
+    /// Plans compiled by `Server::load` (first loads and hot swaps).
+    pub loads: u64,
+    pub pulls_hit: u64,
+    pub pulls_miss: u64,
+    pub pulls_checksum_refused: u64,
+    pub plan_evictions: u64,
+    /// Mean time per phase, milliseconds, over the loads that ran it.
+    pub fetch_mean_ms: f64,
+    pub hash_mean_ms: f64,
+    pub store_mean_ms: f64,
+    pub import_mean_ms: f64,
+    pub compile_mean_ms: f64,
+    pub swap_mean_ms: f64,
 }
 
 /// One bucket of the achieved-batch-size histogram.
@@ -164,4 +186,7 @@ pub struct StatsSnapshot {
     pub latency_p99_ms: f64,
     pub latency_max_ms: f64,
     pub batch_histogram: Vec<BatchBucket>,
+    /// Filled by [`crate::Server::stats`]; default from [`ServeStats`] alone,
+    /// which does not see the metric registry.
+    pub load: LoadSummary,
 }

@@ -27,7 +27,7 @@
 //! and defaults to the model the server was started with.
 
 use crate::plan::PlanSpec;
-use crate::registry::Registry;
+use crate::registry::{Registry, RegistryError};
 use crate::server::{ServeError, Server};
 use ramiel_ir::TensorData;
 use ramiel_runtime::Env;
@@ -321,6 +321,11 @@ fn handle_request(
 /// loader, and hot-swap it in as `name`. Returns the new plan's version and
 /// the content digest, or a ready-to-send error response (registry failures
 /// keep their `RG-*` codes, importer failures their `ONNX-*`/parse codes).
+///
+/// The model bytes are read once: the registry hashes and stores the buffer
+/// it fetched and the importer decodes that same buffer. Each phase lands in
+/// `ramiel_load_phase_ns`; a refused pin stops before anything is cached,
+/// imported or installed.
 fn load_from_registry(
     server: &Server,
     registry: &Registry,
@@ -329,10 +334,25 @@ fn load_from_registry(
     pin: Option<&str>,
     id: u64,
 ) -> Result<(u64, String), Box<WireResponse>> {
-    let pulled = registry
-        .pull(source, pin)
-        .map_err(|e| Box::new(WireResponse::err_code(id, e.code(), e.to_string())))?;
-    let graph = ramiel_onnx::load_model(&pulled.path).map_err(|e| {
+    let metrics = server.load_metrics();
+    let registry_err = |e: RegistryError| {
+        if matches!(e, RegistryError::Checksum { .. }) {
+            metrics.pull_checksum_refused.inc();
+        }
+        Box::new(WireResponse::err_code(id, e.code(), e.to_string()))
+    };
+    let fetched = registry.fetch(source, pin).map_err(registry_err)?;
+    metrics.fetch.record_duration(fetched.fetch_time());
+    let pulled = registry.admit(&fetched).map_err(registry_err)?;
+    if pulled.cache_hit {
+        metrics.pull_hit.inc();
+    } else {
+        metrics.pull_miss.inc();
+        metrics.hash.record_duration(pulled.hash);
+        metrics.store.record_duration(pulled.store);
+    }
+    let start = Instant::now();
+    let graph = ramiel_onnx::load_model_bytes(fetched.data()).map_err(|e| {
         let code = match &e {
             ramiel_onnx::LoadError::Onnx(oe) => oe.code(),
             ramiel_onnx::LoadError::Io { .. } => "RG-IO",
@@ -340,6 +360,8 @@ fn load_from_registry(
         };
         Box::new(WireResponse::err_code(id, code, e.to_string()))
     })?;
+    drop(fetched);
+    metrics.import.record_duration(start.elapsed());
     let plan = server
         .load(name, PlanSpec::new(graph))
         .map_err(|e| Box::new(WireResponse::err(id, &e)))?;

@@ -23,18 +23,25 @@ pub struct Tensor<T> {
     data: Arc<Vec<T>>,
 }
 
+/// `shape` must describe exactly `len` elements. Shapes arrive from the
+/// serve socket, so the product is checked: a wrapped element count must not
+/// match a short buffer.
+fn check_len(shape: &[usize], len: usize) -> Result<()> {
+    match ramiel_ir::shape::checked_numel(shape) {
+        Some(numel) if numel == len => Ok(()),
+        Some(numel) => exec_err(format!(
+            "tensor shape {shape:?} wants {numel} elements, got {len}"
+        )),
+        None => exec_err(format!(
+            "tensor shape {shape:?} overflows the element count, got {len}"
+        )),
+    }
+}
+
 impl<T: Copy + Default> Tensor<T> {
     /// Build a tensor from shape and data; errors on a size mismatch.
     pub fn new(shape: Vec<usize>, data: Vec<T>) -> Result<Self> {
-        let numel: usize = shape.iter().product();
-        if numel != data.len() {
-            return exec_err(format!(
-                "tensor shape {:?} wants {} elements, got {}",
-                shape,
-                numel,
-                data.len()
-            ));
-        }
+        check_len(&shape, data.len())?;
         Ok(Tensor {
             shape,
             data: Arc::new(data),
@@ -44,15 +51,7 @@ impl<T: Copy + Default> Tensor<T> {
     /// Build a tensor that shares an existing buffer; errors on a size
     /// mismatch. The zero-copy counterpart of [`Tensor::new`].
     pub fn from_shared(shape: Vec<usize>, data: Arc<Vec<T>>) -> Result<Self> {
-        let numel: usize = shape.iter().product();
-        if numel != data.len() {
-            return exec_err(format!(
-                "tensor shape {:?} wants {} elements, got {}",
-                shape,
-                numel,
-                data.len()
-            ));
-        }
+        check_len(&shape, data.len())?;
         Ok(Tensor { shape, data })
     }
 
@@ -206,6 +205,10 @@ mod tests {
         assert_eq!(t.numel(), 6);
         assert_eq!(t.strides(), vec![3, 1]);
         assert!(Tensor::<f32>::new(vec![2, 3], vec![0.0; 5]).is_err());
+        // (2^62 + 1) * 4 wraps to 4: a wrapped count must not match 4 elements.
+        let wrapping = vec![(1usize << 62) + 1, 4];
+        assert!(Tensor::<f32>::new(wrapping.clone(), vec![0.0; 4]).is_err());
+        assert!(Tensor::<f32>::from_shared(wrapping, Arc::new(vec![0.0; 4])).is_err());
         let s = Tensor::scalar(7i64);
         assert_eq!(s.rank(), 0);
         assert_eq!(s.item().unwrap(), 7);

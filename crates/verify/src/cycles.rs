@@ -16,11 +16,11 @@
 
 use crate::diag::{codes, Diagnostic, Span};
 use crate::schedule::{ExecPolicy, ScheduleView};
+use ramiel_ir::graph::Adjacency;
 use ramiel_ir::Graph;
 
-pub fn check_cycles(graph: &Graph, view: &ScheduleView) -> Vec<Diagnostic> {
+pub fn check_cycles(graph: &Graph, adj: &Adjacency<'_>, view: &ScheduleView) -> Vec<Diagnostic> {
     let n = graph.num_nodes();
-    let adj = graph.adjacency();
     let mut diags = Vec::new();
 
     // ---- schedule graph -------------------------------------------------
@@ -197,7 +197,7 @@ mod tests {
         // worker 0: a, p, j — worker 1: q. Quotient: 0→1 (a→q), 1→0 (q→j):
         // a quotient cycle, but the schedule graph is acyclic.
         let v = ScheduleView::single_batch(vec![vec![0, 1, 3], vec![2]], ExecPolicy::InOrder);
-        let diags = check_cycles(&g, &v);
+        let diags = check_cycles(&g, &g.adjacency(), &v);
         assert!(diags.iter().all(|d| d.code != codes::SCHEDULE_CYCLE));
         assert!(diags.iter().any(|d| d.code == codes::QUOTIENT_CYCLE));
     }
@@ -208,7 +208,7 @@ mod tests {
         // worker 0: j before p — j needs p (same worker, later) ⇒ cycle
         // through the program-order edge j→p and dependence edge p→j.
         let v = ScheduleView::single_batch(vec![vec![0, 3, 1], vec![2]], ExecPolicy::InOrder);
-        let diags = check_cycles(&g, &v);
+        let diags = check_cycles(&g, &g.adjacency(), &v);
         let cyc: Vec<_> = diags
             .iter()
             .filter(|d| d.code == codes::SCHEDULE_CYCLE)
@@ -223,7 +223,7 @@ mod tests {
         // Same inverted list, but first-ready replay skips past j until p is
         // done — no schedule cycle.
         let v = ScheduleView::single_batch(vec![vec![0, 3, 1], vec![2]], ExecPolicy::FirstReady);
-        let diags = check_cycles(&g, &v);
+        let diags = check_cycles(&g, &g.adjacency(), &v);
         assert!(diags.iter().all(|d| d.code != codes::SCHEDULE_CYCLE));
     }
 
@@ -231,6 +231,6 @@ mod tests {
     fn single_worker_has_no_quotient_edges() {
         let g = diamond();
         let v = ScheduleView::single_batch(vec![vec![0, 1, 2, 3]], ExecPolicy::InOrder);
-        assert!(check_cycles(&g, &v).is_empty());
+        assert!(check_cycles(&g, &g.adjacency(), &v).is_empty());
     }
 }

@@ -17,11 +17,11 @@
 
 use crate::diag::{codes, Diagnostic, Span};
 use crate::schedule::{ExecPolicy, ScheduleView};
+use ramiel_ir::graph::Adjacency;
 use ramiel_ir::Graph;
 
-pub fn check_execution(graph: &Graph, view: &ScheduleView) -> Vec<Diagnostic> {
+pub fn check_execution(graph: &Graph, adj: &Adjacency<'_>, view: &ScheduleView) -> Vec<Diagnostic> {
     let n = graph.num_nodes();
-    let adj = graph.adjacency();
     let total: usize = view.num_ops();
     let mut executed = vec![false; n * view.batch];
     // next-op cursor per worker (InOrder) / remaining flags (FirstReady)
@@ -160,7 +160,7 @@ mod tests {
     fn valid_two_worker_schedule_drains() {
         let g = diamond();
         let v = ScheduleView::single_batch(vec![vec![0, 1, 3], vec![2]], ExecPolicy::InOrder);
-        assert!(check_execution(&g, &v).is_empty());
+        assert!(check_execution(&g, &g.adjacency(), &v).is_empty());
     }
 
     #[test]
@@ -168,7 +168,7 @@ mod tests {
         let g = diamond();
         // worker 0 wants j before p: blocks receiving p's output forever.
         let v = ScheduleView::single_batch(vec![vec![0, 3, 1], vec![2]], ExecPolicy::InOrder);
-        let diags = check_execution(&g, &v);
+        let diags = check_execution(&g, &g.adjacency(), &v);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, codes::CHANNEL_DEADLOCK);
         assert!(diags[0].message.contains("`p_1`"), "{}", diags[0].message);
@@ -179,7 +179,7 @@ mod tests {
     fn first_ready_tolerates_the_same_inversion() {
         let g = diamond();
         let v = ScheduleView::single_batch(vec![vec![0, 3, 1], vec![2]], ExecPolicy::FirstReady);
-        assert!(check_execution(&g, &v).is_empty());
+        assert!(check_execution(&g, &g.adjacency(), &v).is_empty());
     }
 
     #[test]
@@ -208,7 +208,7 @@ mod tests {
             ],
             policy: ExecPolicy::InOrder,
         };
-        let diags = check_execution(&g, &v);
+        let diags = check_execution(&g, &g.adjacency(), &v);
         assert_eq!(diags.len(), 2);
         assert!(diags.iter().all(|d| d.code == codes::CHANNEL_DEADLOCK));
     }
@@ -229,6 +229,6 @@ mod tests {
             workers: vec![w0, w1],
             policy: ExecPolicy::FirstReady,
         };
-        assert!(check_execution(&g, &v).is_empty());
+        assert!(check_execution(&g, &g.adjacency(), &v).is_empty());
     }
 }

@@ -35,42 +35,77 @@ mod shapes;
 pub use diag::{codes, Diagnostic, Report, Severity, Span};
 pub use schedule::{ExecPolicy, Op, ScheduleView};
 
-use ramiel_ir::Graph;
+use ramiel_ir::graph::Adjacency;
+use ramiel_ir::{Graph, NodeId};
 
 /// Graph-only verification: structural validity, shape/dtype abstract
 /// interpretation, and graph-level lints.
 pub fn verify_graph(graph: &Graph) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    if let Err(e) = ramiel_ir::validate::validate(graph) {
-        diags.push(match &e {
-            // Attribute findings get their own code and a node span so
-            // `ramiel check` points at the offending operator.
-            ramiel_ir::IrError::Attr { node, reason } => {
-                let span = graph
-                    .nodes
-                    .iter()
-                    .find(|n| &n.name == node)
-                    .map(|n| Span::Node {
-                        id: n.id,
-                        name: n.name.clone(),
-                    })
-                    .unwrap_or(Span::Graph);
-                Diagnostic::error(codes::ATTR_INVALID, span, reason.clone())
-            }
-            _ => Diagnostic::error(
-                codes::GRAPH_INVALID,
-                Span::Graph,
-                format!("ir::validate failed: {e}"),
-            ),
-        });
+    graph_findings(graph, &graph.adjacency())
+}
+
+/// [`verify_graph`] over an adjacency the caller already built: one
+/// validation, one topological sort and one shape walk feed every check.
+fn graph_findings(graph: &Graph, adj: &Adjacency<'_>) -> Vec<Diagnostic> {
+    let order = match ramiel_ir::validate::validate_with(graph, adj) {
+        Ok(order) => order,
         // Structurally broken graphs make the remaining analyses
         // meaningless; report the root cause alone.
-        return diags;
-    }
-    diags.extend(shapes::check_shapes(graph));
-    diags.extend(lints::lint_foldable_consts(graph));
-    diags.extend(lints::lint_unfused_bn(graph));
+        Err(e) => return vec![invalid_graph(graph, &e)],
+    };
+    let mut diags = shapes::check_shapes(graph, adj, &order);
+    diags.extend(graph_lints(graph, adj, &order));
     diags
+}
+
+fn graph_lints(graph: &Graph, adj: &Adjacency<'_>, order: &[NodeId]) -> Vec<Diagnostic> {
+    let mut diags = lints::lint_foldable_consts(graph, order);
+    diags.extend(lints::lint_unfused_bn(graph, adj));
+    diags
+}
+
+fn invalid_graph(graph: &Graph, e: &ramiel_ir::IrError) -> Diagnostic {
+    match e {
+        // Attribute findings get their own code and a node span so
+        // `ramiel check` points at the offending operator.
+        ramiel_ir::IrError::Attr { node, reason } => {
+            let span = graph
+                .nodes
+                .iter()
+                .find(|n| &n.name == node)
+                .map(|n| Span::Node {
+                    id: n.id,
+                    name: n.name.clone(),
+                })
+                .unwrap_or(Span::Graph);
+            Diagnostic::error(codes::ATTR_INVALID, span, reason.clone())
+        }
+        _ => Diagnostic::error(
+            codes::GRAPH_INVALID,
+            Span::Graph,
+            format!("ir::validate failed: {e}"),
+        ),
+    }
+}
+
+/// What [`verify_graph`] can still find on a graph its caller has just put
+/// through `ir::validate::validate_with` (which returned `order` for `adj`)
+/// and whose `value_info` is the output of `ir::shape::infer_in_order` on
+/// that same pair: the graph lints. RV0001/RV0002 cannot fire on a graph
+/// that validated, and RV05xx compares the recorded shapes with a fresh
+/// inference — which here would be the walk that recorded them. Debug
+/// builds re-run that walk and assert it is clean.
+pub fn lint_validated_graph(
+    graph: &Graph,
+    adj: &Adjacency<'_>,
+    order: &[NodeId],
+) -> Vec<Diagnostic> {
+    debug_assert!(
+        shapes::check_shapes(graph, adj, order).is_empty(),
+        "value_info of `{}` is not what shape inference derives",
+        graph.name
+    );
+    graph_lints(graph, adj, order)
 }
 
 /// Schedule verification against `graph`. Assumes nothing about the
@@ -78,24 +113,29 @@ pub fn verify_graph(graph: &Graph) -> Vec<Diagnostic> {
 /// abstract execution) because those assume every dependence resolves to a
 /// scheduled instance.
 pub fn verify_schedule(graph: &Graph, view: &ScheduleView) -> Vec<Diagnostic> {
+    schedule_findings(graph, &graph.adjacency(), view)
+}
+
+fn schedule_findings(graph: &Graph, adj: &Adjacency<'_>, view: &ScheduleView) -> Vec<Diagnostic> {
     let mut diags = coverage::check_coverage(graph, view);
     if diags.iter().any(|d| d.severity == Severity::Error) {
         return diags;
     }
-    diags.extend(cycles::check_cycles(graph, view));
-    diags.extend(order::check_order(graph, view));
-    diags.extend(exec::check_execution(graph, view));
-    diags.extend(lints::lint_clone_candidates(graph, view));
+    diags.extend(cycles::check_cycles(graph, adj, view));
+    diags.extend(order::check_order(graph, adj, view));
+    diags.extend(exec::check_execution(graph, adj, view));
+    diags.extend(lints::lint_clone_candidates(graph, adj, view));
     diags
 }
 
 /// Full verification of a graph and (optionally) a schedule for it.
 pub fn verify(graph: &Graph, view: Option<&ScheduleView>) -> Report {
-    let mut diags = verify_graph(graph);
+    let adj = graph.adjacency();
+    let mut diags = graph_findings(graph, &adj);
     if let Some(v) = view {
         // Schedule checks only make sense against a structurally valid graph.
         if !diags.iter().any(|d| d.code == codes::GRAPH_INVALID) {
-            diags.extend(verify_schedule(graph, v));
+            diags.extend(schedule_findings(graph, &adj, v));
         }
     }
     Report::new(diags)

@@ -4,19 +4,18 @@
 
 use crate::diag::{codes, Diagnostic, Span};
 use crate::schedule::ScheduleView;
-use ramiel_ir::{Graph, OpKind};
+use ramiel_ir::graph::Adjacency;
+use ramiel_ir::{Graph, NodeId, OpKind};
 use std::collections::HashSet;
 
 /// RV0601: nodes whose every operand is a compile-time constant — the
 /// prune pipeline (`passes::prune`) would fold them away. Aggregated into a
-/// single finding with a count and one example.
-pub fn lint_foldable_consts(graph: &Graph) -> Vec<Diagnostic> {
+/// single finding with a count and one example. `order` is a topological
+/// order of `graph`.
+pub fn lint_foldable_consts(graph: &Graph, order: &[NodeId]) -> Vec<Diagnostic> {
     let mut static_tensors: HashSet<&str> = graph.initializers.keys().map(String::as_str).collect();
     let mut foldable: Vec<&str> = Vec::new();
-    let Ok(order) = ramiel_ir::topo::topo_sort(graph) else {
-        return Vec::new();
-    };
-    for id in order {
+    for &id in order {
         let node = &graph.nodes[id];
         // `Shape` of any statically-described tensor also folds, matching
         // constfold's "horizontal branch reduction".
@@ -54,8 +53,7 @@ pub fn lint_foldable_consts(graph: &Graph) -> Vec<Diagnostic> {
 
 /// RV0602: a `BatchNormalization` applied directly to a `Conv` output —
 /// `passes::fold_batch_norms` would fuse it into the conv weights.
-pub fn lint_unfused_bn(graph: &Graph) -> Vec<Diagnostic> {
-    let adj = graph.adjacency();
+pub fn lint_unfused_bn(graph: &Graph, adj: &Adjacency<'_>) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     for node in &graph.nodes {
         if !matches!(node.op, OpKind::BatchNorm { .. }) {
@@ -89,9 +87,12 @@ pub fn lint_unfused_bn(graph: &Graph) -> Vec<Diagnostic> {
 /// RV0603: cheap fan-out nodes (elementwise / shape ops) whose output
 /// crosses to other workers — task cloning (`passes::clone_nodes`) would
 /// duplicate them and delete the cross-worker messages. Aggregated.
-pub fn lint_clone_candidates(graph: &Graph, view: &ScheduleView) -> Vec<Diagnostic> {
+pub fn lint_clone_candidates(
+    graph: &Graph,
+    adj: &Adjacency<'_>,
+    view: &ScheduleView,
+) -> Vec<Diagnostic> {
     let n = graph.num_nodes();
-    let adj = graph.adjacency();
     let worker_of = view.worker_of(n);
     let mut candidates: Vec<&str> = Vec::new();
     for node in &graph.nodes {
@@ -135,6 +136,7 @@ pub fn lint_clone_candidates(graph: &Graph, view: &ScheduleView) -> Vec<Diagnost
 mod tests {
     use super::*;
     use crate::schedule::ExecPolicy;
+    use ramiel_ir::topo::topo_sort;
     use ramiel_ir::{DType, GraphBuilder, TensorData};
 
     #[test]
@@ -147,7 +149,7 @@ mod tests {
         let s = b.op("s", OpKind::Add, vec![x, c2]);
         b.output(&s);
         let g = b.finish().unwrap();
-        let diags = lint_foldable_consts(&g);
+        let diags = lint_foldable_consts(&g, &topo_sort(&g).unwrap());
         assert_eq!(diags.len(), 1);
         assert!(diags[0].message.contains("2 node(s)"));
         assert!(diags[0].message.contains("`c_0`"));
@@ -160,7 +162,7 @@ mod tests {
         let r = b.op("r", OpKind::Relu, vec![x]);
         b.output(&r);
         let g = b.finish().unwrap();
-        assert!(lint_foldable_consts(&g).is_empty());
+        assert!(lint_foldable_consts(&g, &topo_sort(&g).unwrap()).is_empty());
     }
 
     #[test]
@@ -171,7 +173,7 @@ mod tests {
         let bn = b.batch_norm(&y, 4);
         b.output(&bn);
         let g = b.finish().unwrap();
-        let diags = lint_unfused_bn(&g);
+        let diags = lint_unfused_bn(&g, &g.adjacency());
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, codes::LINT_UNFUSED_BN);
     }
@@ -188,11 +190,12 @@ mod tests {
         let g = b.finish().unwrap();
         // fan-out node `a` (id 0) feeds q on the other worker → candidate
         let split = ScheduleView::single_batch(vec![vec![0, 1, 3], vec![2]], ExecPolicy::InOrder);
-        let diags = lint_clone_candidates(&g, &split);
+        let adj = g.adjacency();
+        let diags = lint_clone_candidates(&g, &adj, &split);
         assert_eq!(diags.len(), 1);
         assert!(diags[0].message.contains("`a_0`"));
         // everything on one worker → no candidate
         let mono = ScheduleView::single_batch(vec![vec![0, 1, 2, 3]], ExecPolicy::InOrder);
-        assert!(lint_clone_candidates(&g, &mono).is_empty());
+        assert!(lint_clone_candidates(&g, &adj, &mono).is_empty());
     }
 }

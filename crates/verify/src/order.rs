@@ -8,14 +8,14 @@
 
 use crate::diag::{codes, Diagnostic, Span};
 use crate::schedule::{ExecPolicy, ScheduleView};
+use ramiel_ir::graph::Adjacency;
 use ramiel_ir::Graph;
 use std::collections::HashMap;
 
-pub fn check_order(graph: &Graph, view: &ScheduleView) -> Vec<Diagnostic> {
+pub fn check_order(graph: &Graph, adj: &Adjacency<'_>, view: &ScheduleView) -> Vec<Diagnostic> {
     if view.policy != ExecPolicy::InOrder {
         return Vec::new();
     }
-    let adj = graph.adjacency();
     let n = graph.num_nodes();
     let mut diags = Vec::new();
     for (w, ops) in view.workers.iter().enumerate() {
@@ -79,14 +79,14 @@ mod tests {
     fn correct_order_is_clean() {
         let g = chain3();
         let v = ScheduleView::single_batch(vec![vec![0, 1, 2]], ExecPolicy::InOrder);
-        assert!(check_order(&g, &v).is_empty());
+        assert!(check_order(&g, &g.adjacency(), &v).is_empty());
     }
 
     #[test]
     fn swapped_pair_reported_with_positions() {
         let g = chain3();
         let v = ScheduleView::single_batch(vec![vec![0, 2, 1]], ExecPolicy::InOrder);
-        let diags = check_order(&g, &v);
+        let diags = check_order(&g, &g.adjacency(), &v);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, codes::ORDER_VIOLATION);
         assert!(diags[0].message.contains("producer `c_1`"));
@@ -96,13 +96,13 @@ mod tests {
     fn first_ready_skips_the_check() {
         let g = chain3();
         let v = ScheduleView::single_batch(vec![vec![0, 2, 1]], ExecPolicy::FirstReady);
-        assert!(check_order(&g, &v).is_empty());
+        assert!(check_order(&g, &g.adjacency(), &v).is_empty());
     }
 
     #[test]
     fn cross_worker_split_is_fine() {
         let g = chain3();
         let v = ScheduleView::single_batch(vec![vec![0, 2], vec![1]], ExecPolicy::InOrder);
-        assert!(check_order(&g, &v).is_empty());
+        assert!(check_order(&g, &g.adjacency(), &v).is_empty());
     }
 }

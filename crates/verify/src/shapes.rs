@@ -1,41 +1,40 @@
 //! Abstract shape/dtype interpretation (RV0501, RV0502).
 //!
 //! Walks the graph in topological order re-running `ir::shape::infer_node`
-//! on a scratch clone, so inference failures surface as diagnostics instead
-//! of panics or hard errors. Tensors whose shape could not be derived are
-//! *poisoned*: every downstream failure caused only by a poisoned input is
-//! suppressed, leaving just the root cause in the report.
+//! with the derived shapes kept in a side table ([`ShapeScope`]), so
+//! inference failures surface as diagnostics instead of panics or hard
+//! errors and the graph — weights included — is never copied. Tensors whose
+//! shape could not be derived are *poisoned*: every downstream failure
+//! caused only by a poisoned input is suppressed, leaving just the root
+//! cause in the report.
 //!
 //! Where inference succeeds, the inferred `TensorInfo` is compared against
 //! what the graph already records in `value_info`; a mismatch means some
 //! pass rewrote the graph without keeping the metadata honest (RV0502).
 
 use crate::diag::{codes, Diagnostic, Span};
-use ramiel_ir::{shape, topo, Graph};
+use ramiel_ir::graph::Adjacency;
+use ramiel_ir::shape::{self, ShapeScope};
+use ramiel_ir::{Graph, NodeId};
 use std::collections::HashSet;
 
-pub fn check_shapes(graph: &Graph) -> Vec<Diagnostic> {
-    let Ok(order) = topo::topo_sort(graph) else {
-        return Vec::new(); // cyclic graph: RV0001 already covers it
-    };
-    let mut scratch = graph.clone();
-    let mut poisoned: HashSet<String> = HashSet::new();
+/// `order` is a topological order of `graph` and `adj` its adjacency (the
+/// pair `ir::validate::validate_with` hands back).
+pub fn check_shapes(graph: &Graph, adj: &Adjacency<'_>, order: &[NodeId]) -> Vec<Diagnostic> {
+    let mut scope = ShapeScope::new(graph, &adj.producer_of);
+    let mut poisoned: HashSet<&str> = HashSet::new();
     let mut diags = Vec::new();
 
-    for id in order {
-        let node = graph.nodes[id].clone();
-        match shape::infer_node(&scratch, &node) {
+    for &id in order {
+        let node = &graph.nodes[id];
+        match shape::infer_node(&scope, node) {
             Ok(infos) => {
-                // infer_node leaves names empty; pair infos with outputs
-                for (out, mut info) in node.outputs.iter().zip(infos) {
-                    info.name = out.clone();
+                for (out, info) in node.outputs.iter().zip(&infos) {
                     if let Some(recorded) = graph.value_info.get(out) {
                         if recorded.dtype != info.dtype || recorded.shape != info.shape {
                             diags.push(Diagnostic::error(
                                 codes::SHAPE_CONFLICT,
-                                Span::Tensor {
-                                    name: info.name.clone(),
-                                },
+                                Span::Tensor { name: out.clone() },
                                 format!(
                                     "recorded as {:?}{:?} but `{}` ({}) infers {:?}{:?}",
                                     recorded.dtype,
@@ -48,11 +47,11 @@ pub fn check_shapes(graph: &Graph) -> Vec<Diagnostic> {
                             ));
                         }
                     }
-                    scratch.value_info.insert(out.clone(), info);
                 }
+                scope.record(node, infos);
             }
             Err(e) => {
-                let caused_by_poison = node.inputs.iter().any(|t| poisoned.contains(t));
+                let caused_by_poison = node.inputs.iter().any(|t| poisoned.contains(t.as_str()));
                 if !caused_by_poison {
                     diags.push(
                         Diagnostic::warning(
@@ -66,7 +65,7 @@ pub fn check_shapes(graph: &Graph) -> Vec<Diagnostic> {
                         .with_suggestion("downstream shapes derived from this node are unchecked"),
                     );
                 }
-                poisoned.extend(node.outputs.iter().cloned());
+                poisoned.extend(node.outputs.iter().map(String::as_str));
             }
         }
     }
@@ -77,6 +76,12 @@ pub fn check_shapes(graph: &Graph) -> Vec<Diagnostic> {
 mod tests {
     use super::*;
     use ramiel_ir::{DType, Graph, GraphBuilder, OpKind, TensorInfo};
+
+    fn check_shapes(graph: &Graph) -> Vec<Diagnostic> {
+        let adj = graph.adjacency();
+        let order = ramiel_ir::topo::topo_sort_with(graph, &adj).unwrap();
+        super::check_shapes(graph, &adj, &order)
+    }
 
     fn add_graph() -> Graph {
         let mut b = GraphBuilder::new("g");

@@ -12,8 +12,8 @@ cargo fmt --check
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets --offline -- -D warnings
 
-echo "==> cargo test"
-cargo test --offline
+echo "==> cargo test (--no-fail-fast: one red binary must not hide the ones after it)"
+cargo test --offline --no-fail-fast
 
 # Liveness gate: the differential + chaos suites exercise every executor's
 # failure paths (worker panics, dropped messages, timeouts). Their contract

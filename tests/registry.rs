@@ -182,3 +182,65 @@ fn sha256_matches_the_nist_vector_through_the_public_api() {
         "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
     );
 }
+
+#[test]
+fn concurrent_pulls_keep_every_blob_and_every_manifest_row() {
+    // Eight connection threads pulling at once used to name their manifest
+    // temp file by pid alone and race its read-modify-write: rows were lost
+    // and renames failed. Small files keep the pulls short, so released
+    // together from a barrier their manifest updates collide; fresh caches
+    // over several rounds make the collision near-certain without a sleep.
+    const N: usize = 8;
+    const ROUNDS: usize = 25;
+    let dir = scratch("concurrent");
+    let files: Vec<(PathBuf, String)> = (0..N)
+        .map(|i| {
+            let bytes: Vec<u8> = (0..1024).map(|j| (i * 31 + j % 251) as u8).collect();
+            let path = dir.join(format!("model-{i}.bin"));
+            std::fs::write(&path, &bytes).unwrap();
+            (path, sha256::hex_digest(&bytes))
+        })
+        .collect();
+
+    for round in 0..ROUNDS {
+        let registry = Registry::new(dir.join(format!("cache-{round}")));
+        let barrier = std::sync::Barrier::new(N);
+        std::thread::scope(|s| {
+            for (path, digest) in &files {
+                // Clones share the root, as the server's connection threads do.
+                let (registry, barrier) = (registry.clone(), &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    let pulled = registry
+                        .pull(&format!("file://{}", path.display()), Some(digest))
+                        .unwrap_or_else(|e| panic!("round {round}: {e}"));
+                    assert_eq!(&pulled.sha256, digest);
+                });
+            }
+        });
+
+        let manifest = registry.manifest().unwrap();
+        assert_eq!(manifest.len(), N, "round {round}: manifest rows lost");
+        let blobs: Vec<_> = std::fs::read_dir(registry.root().join("sha256"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(
+            blobs.len(),
+            N,
+            "round {round}: stray or missing blobs: {blobs:?}"
+        );
+        for (_, digest) in &files {
+            assert!(
+                manifest.contains_key(digest),
+                "round {round}: no row for {digest}"
+            );
+            let blob = std::fs::read(registry.lookup(digest).expect("blob")).unwrap();
+            assert_eq!(
+                &sha256::hex_digest(&blob),
+                digest,
+                "round {round}: torn blob"
+            );
+        }
+    }
+}
