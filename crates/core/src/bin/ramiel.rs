@@ -1200,14 +1200,23 @@ struct TopRow {
 fn cmd_top(f: &Flags) -> Result<(), String> {
     use std::collections::BTreeMap;
 
-    let parse_frame = |text: &str| -> (BTreeMap<String, TopRow>, f64, f64) {
+    let parse_frame = |text: &str| -> (BTreeMap<String, TopRow>, f64, f64, [f64; 4]) {
         let samples = ramiel::obs::parse_prometheus(text);
         let mut rows: BTreeMap<String, TopRow> = BTreeMap::new();
         let (mut steals, mut tasks) = (0.0, 0.0);
+        // Lifetime lane totals over all models: windows opened / skipped,
+        // pool builds and their summed duration (ns).
+        let mut lanes = [0.0f64; 4];
         for s in &samples {
             if let Some(model) = s.label("model") {
                 let row = rows.entry(model.to_string()).or_default();
                 match s.name.as_str() {
+                    "ramiel_batch_window_total" => match s.label("decision") {
+                        Some("opened") => lanes[0] += s.value,
+                        _ => lanes[1] += s.value,
+                    },
+                    "ramiel_lane_build_ns_count" => lanes[2] += s.value,
+                    "ramiel_lane_build_ns_sum" => lanes[3] += s.value,
                     "ramiel_requests_total" => match s.label("outcome") {
                         Some("completed") => row.completed += s.value,
                         Some(o) if o.starts_with("shed") => row.shed += s.value,
@@ -1236,7 +1245,7 @@ fn cmd_top(f: &Flags) -> Result<(), String> {
             row.latency
                 .sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
         }
-        (rows, steals, tasks)
+        (rows, steals, tasks, lanes)
     };
 
     let interval = std::time::Duration::from_millis(f.interval_ms.max(50));
@@ -1248,7 +1257,7 @@ fn cmd_top(f: &Flags) -> Result<(), String> {
             .get("metrics")
             .and_then(|m| m.as_str())
             .ok_or("metrics response has no `metrics` field")?;
-        let (rows, steals, tasks) = parse_frame(text);
+        let (rows, steals, tasks, lanes) = parse_frame(text);
         let dt = interval.as_secs_f64();
 
         // Live terminal mode clears between frames; single-frame mode
@@ -1297,6 +1306,13 @@ fn cmd_top(f: &Flags) -> Result<(), String> {
             None => (0.0, 0.0),
         };
         println!("steal pool: {task_rate:.0} tasks/s, {steal_rate:.0} steals/s");
+        println!(
+            "lanes: batch windows {:.0} opened / {:.0} skipped, {:.0} pool builds (mean {:.2} ms)",
+            lanes[0],
+            lanes[1],
+            lanes[2],
+            lanes[3] / lanes[2].max(1.0) / 1e6
+        );
 
         prev = Some((rows, steals, tasks));
         frame += 1;

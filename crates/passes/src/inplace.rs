@@ -11,6 +11,7 @@
 //! messages in flight, caller-held handles) that no static analysis of the
 //! graph can see.
 
+use ramiel_ir::graph::Adjacency;
 use ramiel_ir::{Graph, NodeId, OpKind};
 use std::collections::{HashMap, HashSet};
 
@@ -68,7 +69,11 @@ impl InPlaceMarks {
 /// Mark every op whose input buffer is provably dead after the op reads it
 /// and whose kernel can write the result over that operand.
 pub fn inplace_marks(graph: &Graph) -> InPlaceMarks {
-    let adj = graph.adjacency();
+    inplace_marks_with(graph, &graph.adjacency())
+}
+
+/// [`inplace_marks`] over an adjacency snapshot the caller already holds.
+pub fn inplace_marks_with(graph: &Graph, adj: &Adjacency<'_>) -> InPlaceMarks {
     let outputs: HashSet<&str> = graph.outputs.iter().map(String::as_str).collect();
     let mut slots = HashMap::new();
     for node in &graph.nodes {

@@ -33,7 +33,7 @@ pub use clone::{clone_nodes, CloneConfig};
 pub use constfold::constant_fold;
 pub use dce::dead_code_elimination;
 pub use identity::eliminate_identities;
-pub use inplace::{inplace_marks, InPlaceMarks};
+pub use inplace::{inplace_marks, inplace_marks_with, InPlaceMarks};
 
 use ramiel_ir::Graph;
 

@@ -9,11 +9,24 @@
 //! consecutive jobs can run at different batch sizes without respawning
 //! threads or recomputing routing tables.
 //!
-//! Workers execute their op list **first-ready-first**, exactly like the
-//! per-run executor in [`crate::parallel`] — load-bearing for *switched*
-//! hyperclusters, where strict in-order execution can deadlock on
-//! cross-batch wait cycles. Messages are tagged `(job, tensor, batch)` so
-//! back-to-back jobs cannot cross-talk.
+//! ## Worker programs
+//!
+//! A [`PlannedBatch`] is compiled, not interpreted: on top of the shared
+//! [`GraphProgram`] (names → base slots, once per graph) every worker gets
+//! a `WorkerProgram` — dense *local* slot ids for each tensor instance
+//! `(tensor, batch)` it produces or receives, per-op operand sources,
+//! output slots with their remote consumers as `(worker, that worker's
+//! slot)`, the per-job read-count template and, per slot, the ops waiting
+//! on it. Running a job is then index work: a message is `(job, slot)`,
+//! its arrival decrements the waiting ops' missing-operand counters, and
+//! an op whose counter reaches zero joins the ready set. Only graph inputs
+//! and initializers are still looked up by name.
+//!
+//! Workers execute their op list **first-ready-first** (lowest ready index
+//! first), exactly like the per-run executor in [`crate::parallel`] —
+//! load-bearing for *switched* hyperclusters, where strict in-order
+//! execution can deadlock on cross-batch wait cycles. Messages are tagged
+//! with the job id so back-to-back jobs cannot cross-talk.
 //!
 //! ## Failure semantics
 //!
@@ -27,33 +40,85 @@
 
 use crate::fault::{panic_to_error, FaultInjector, FaultKind, InjectedPanic, INJECT_MARKER};
 use crate::parallel::{default_recv_timeout, RunOptions};
-use crate::reuse::{charge_bytes, Liveness};
+use crate::program::{GraphProgram, InSrc};
+use crate::reuse::charge_bytes;
 use crate::{value_bytes, Env, Result, RuntimeError};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
-use ramiel_cluster::hyper::{HyperClustering, HyperOp};
+use ramiel_cluster::hyper::HyperClustering;
 use ramiel_ir::graph::Adjacency;
 use ramiel_ir::{Graph, OpKind};
 use ramiel_obs::{ChannelEdgeStats, ChannelMeter, Obs};
-use ramiel_passes::{inplace_marks, InPlaceMarks};
-use ramiel_tensor::{eval_op, eval_op_inplace, ExecCtx, Value};
-use std::collections::{HashMap, HashSet};
+use ramiel_tensor::{eval_op, eval_op_inplace, ExecCtx, MemGauge, Value};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// A tensor instance: (job id, tensor name, batch element).
-type Key = (u64, String, usize);
+/// "No local slot": an instance a worker has not been given one for yet
+/// (while compiling), or an operand that is not a slot at all.
+const UNASSIGNED: u32 = u32::MAX;
 
-/// A hypercluster schedule plus its precomputed message-routing table.
-/// Built once per (clustering, batch size) and shared — via `Arc` — by
-/// every job that executes at that batch size, so the per-job cost of a
-/// different batch size is a pointer swap, not a recompute.
+/// One produced output of a scheduled op.
+#[derive(Debug, PartialEq)]
+struct OutSpec {
+    /// Local slot the value lands in on the producing worker.
+    slot: u32,
+    /// Base slot in the [`GraphProgram`] (names the tensor).
+    base: u32,
+    graph_output: bool,
+    /// Range into `WorkerProgram::sends`: the remote consumers.
+    sends: (u32, u32),
+}
+
+/// One schedule entry, resolved: which node, which batch element, where
+/// its operands and outputs live.
+#[derive(Debug, PartialEq)]
+struct ProgOp {
+    /// Node index in the [`GraphProgram`].
+    node: u32,
+    batch: u32,
+    /// Range into `WorkerProgram::operands`, one entry per input position
+    /// of the node.
+    ins: (u32, u32),
+    /// Range into `WorkerProgram::outs`, one entry per output.
+    outs: (u32, u32),
+    /// Slot-sourced operand positions: the op is ready once that many
+    /// slot arrivals have been counted.
+    missing: u32,
+}
+
+/// What one worker executes for one schedule: its op list with every
+/// tensor instance resolved to a dense local slot. Flat tables, so a
+/// program is a handful of allocations whatever the batch size.
+#[derive(Debug, PartialEq, Default)]
+struct WorkerProgram {
+    ops: Vec<ProgOp>,
+    /// Local slot per operand position; [`UNASSIGNED`] where the node reads
+    /// a graph input or initializer (fetched by the name the
+    /// [`GraphProgram`] node keeps at that position).
+    operands: Vec<u32>,
+    outs: Vec<OutSpec>,
+    /// `(consumer worker, the consumer's local slot)` per cross-worker edge.
+    sends: Vec<(u32, u32)>,
+    /// Per local slot: reads by this worker's ops, plus one pin for graph
+    /// outputs produced here (the per-job liveness template).
+    reads: Vec<u32>,
+    /// Per local slot `s`, `waiters[waiter_start[s]..waiter_start[s + 1]]`
+    /// are the ops reading it, one entry per consuming input position.
+    waiter_start: Vec<u32>,
+    waiters: Vec<u32>,
+}
+
+/// A hypercluster schedule compiled into per-worker programs. Built once
+/// per (clustering, batch size) and shared — via `Arc` — by every job that
+/// executes at that batch size, so the per-job cost of a different batch
+/// size is a pointer swap, not a recompute.
 #[derive(Debug, PartialEq)]
 pub struct PlannedBatch {
     hc: HyperClustering,
-    /// For every produced tensor instance `(name, batch)`, the remote
-    /// workers that consume it.
-    consumers: HashMap<(String, usize), Vec<usize>>,
+    prog: Arc<GraphProgram>,
+    workers: Vec<WorkerProgram>,
 }
 
 impl PlannedBatch {
@@ -70,32 +135,142 @@ impl PlannedBatch {
         adj: &Adjacency<'_>,
         hc: HyperClustering,
     ) -> Result<PlannedBatch> {
-        let mut owner: HashMap<(usize, usize), usize> = HashMap::new();
+        let prog = Arc::new(GraphProgram::with_adjacency(graph, adj)?);
+        PlannedBatch::with_program(&prog, hc)
+    }
+
+    /// Compile `hc` over an already-resolved graph: names were resolved
+    /// once in `prog`, so planning another batch size is integer work only.
+    pub fn with_program(prog: &Arc<GraphProgram>, hc: HyperClustering) -> Result<PlannedBatch> {
+        let nn = prog.nodes.len();
+        let ns = prog.slot_names.len();
+        let batch = hc.batch.max(1);
+        let mut owner = vec![UNASSIGNED; batch * nn];
         for (w, ops) in hc.hyperclusters.iter().enumerate() {
             for op in ops {
-                owner.insert((op.batch, op.node), w);
+                if op.node >= nn || op.batch >= batch {
+                    return Err(RuntimeError::Setup(format!(
+                        "schedule entry (batch {}, node {}) is outside the graph",
+                        op.batch, op.node
+                    )));
+                }
+                owner[op.batch * nn + op.node] = w as u32;
             }
         }
-        let mut consumers: HashMap<(String, usize), Vec<usize>> = HashMap::new();
+
+        // Pass 1, per worker: local slots for everything it produces, then
+        // for everything it reads from a peer — each such read is one
+        // cross-worker edge `(instance, consumer, consumer's slot)`.
+        let mut local = vec![UNASSIGNED; batch * ns];
+        let mut touched: Vec<usize> = Vec::new();
+        let mut edges: Vec<(u32, u32, u32)> = Vec::new();
+        let mut workers: Vec<WorkerProgram> = Vec::with_capacity(hc.hyperclusters.len());
         for (w, ops) in hc.hyperclusters.iter().enumerate() {
+            let mut wp = WorkerProgram::default();
             for op in ops {
-                let node = &graph.nodes[op.node];
-                for inp in &node.inputs {
-                    if let Some(&p) = adj.producer_of.get(inp) {
-                        let pw = owner
-                            .get(&(op.batch, p))
-                            .ok_or_else(|| RuntimeError::Setup(format!("node {p} unassigned")))?;
-                        if *pw != w {
-                            let entry = consumers.entry((inp.clone(), op.batch)).or_default();
-                            if !entry.contains(&w) {
-                                entry.push(w);
-                            }
-                        }
+                let outs_start = wp.outs.len() as u32;
+                for &base in &prog.nodes[op.node].out_slots {
+                    let inst = op.batch * ns + base as usize;
+                    if local[inst] != UNASSIGNED {
+                        return Err(RuntimeError::Setup(format!(
+                            "node {} (batch {}) is scheduled twice on worker {w}",
+                            op.node, op.batch
+                        )));
                     }
+                    local[inst] = wp.reads.len() as u32;
+                    touched.push(inst);
+                    let graph_output = prog.slot_is_output[base as usize];
+                    wp.outs.push(OutSpec {
+                        slot: wp.reads.len() as u32,
+                        base,
+                        graph_output,
+                        sends: (0, 0),
+                    });
+                    wp.reads.push(u32::from(graph_output));
+                }
+                wp.ops.push(ProgOp {
+                    node: op.node as u32,
+                    batch: op.batch as u32,
+                    ins: (0, 0),
+                    outs: (outs_start, wp.outs.len() as u32),
+                    missing: 0,
+                });
+            }
+            // (slot, op) per slot-sourced operand position, in op order.
+            let mut reads_of: Vec<(u32, u32)> = Vec::new();
+            for (i, op) in ops.iter().enumerate() {
+                let ins_start = wp.operands.len() as u32;
+                for src in &prog.nodes[op.node].inputs {
+                    let InSrc::Slot(base) = src else {
+                        wp.operands.push(UNASSIGNED);
+                        continue;
+                    };
+                    let inst = op.batch * ns + *base as usize;
+                    if local[inst] == UNASSIGNED {
+                        let p = prog.slot_producer[*base as usize] as usize;
+                        if owner[op.batch * nn + p] == UNASSIGNED {
+                            return Err(RuntimeError::Setup(format!("node {p} unassigned")));
+                        }
+                        local[inst] = wp.reads.len() as u32;
+                        touched.push(inst);
+                        edges.push((inst as u32, w as u32, local[inst]));
+                        wp.reads.push(0);
+                    }
+                    let slot = local[inst];
+                    wp.reads[slot as usize] += 1;
+                    wp.operands.push(slot);
+                    reads_of.push((slot, i as u32));
+                    wp.ops[i].missing += 1;
+                }
+                wp.ops[i].ins = (ins_start, wp.operands.len() as u32);
+            }
+            // Waiter lists, grouped by slot (stable: op order within one).
+            wp.waiter_start = vec![0; wp.reads.len() + 1];
+            for &(slot, _) in &reads_of {
+                wp.waiter_start[slot as usize + 1] += 1;
+            }
+            for s in 0..wp.reads.len() {
+                wp.waiter_start[s + 1] += wp.waiter_start[s];
+            }
+            let mut cursor = wp.waiter_start.clone();
+            wp.waiters = vec![0; reads_of.len()];
+            for &(slot, op) in &reads_of {
+                wp.waiters[cursor[slot as usize] as usize] = op;
+                cursor[slot as usize] += 1;
+            }
+            for inst in touched.drain(..) {
+                local[inst] = UNASSIGNED;
+            }
+            workers.push(wp);
+        }
+
+        // Pass 2: hand every producer the consumers of its outputs. Sorted,
+        // so one instance's edges are contiguous and in worker order.
+        edges.sort_unstable();
+        for wp in &mut workers {
+            let WorkerProgram {
+                ops, outs, sends, ..
+            } = wp;
+            for op in ops.iter() {
+                for out in &mut outs[op.outs.0 as usize..op.outs.1 as usize] {
+                    let inst = (op.batch as usize * ns + out.base as usize) as u32;
+                    let start = sends.len() as u32;
+                    let first = edges.partition_point(|e| e.0 < inst);
+                    sends.extend(
+                        edges[first..]
+                            .iter()
+                            .take_while(|e| e.0 == inst)
+                            .map(|e| (e.1, e.2)),
+                    );
+                    out.sends = (start, sends.len() as u32);
                 }
             }
         }
-        Ok(PlannedBatch { hc, consumers })
+        Ok(PlannedBatch {
+            hc,
+            prog: Arc::clone(prog),
+            workers,
+        })
     }
 
     /// Batch size this schedule executes.
@@ -120,17 +295,25 @@ enum PoolMsg {
         inputs: Arc<Vec<Env>>,
         plan: Arc<PlannedBatch>,
     },
-    /// Tensor plus the sending worker (for per-edge channel metrics).
-    Tensor(Key, Value, usize),
+    /// A tensor for the receiver's local `slot` in job `job`, plus the
+    /// sending worker (for per-edge channel metrics).
+    Tensor {
+        job: u64,
+        slot: u32,
+        value: Value,
+        from: usize,
+    },
     /// A peer failed this job: stop waiting for its tensors.
     JobAbort(u64),
     Stop,
 }
 
+/// `(batch element, base slot, value)` per graph output a worker produced.
+type Produced = Vec<(usize, u32, Value)>;
+
 struct PoolDone {
     job: u64,
-    /// (batch element, tensor name, value) graph outputs this worker made.
-    outputs: Vec<(usize, String, Value)>,
+    outputs: Produced,
     error: Option<RuntimeError>,
 }
 
@@ -157,7 +340,10 @@ impl HyperPool {
     }
 
     /// [`HyperPool::new`] with explicit [`RunOptions`] (shared initializer
-    /// table, fault injection, recv timeout, obs sink).
+    /// table, fault injection, recv timeout, obs sink). Workers take what
+    /// they execute from each job's [`PlannedBatch`], so this is channel
+    /// set-up plus thread spawns: nothing of `graph` is copied but its
+    /// output names (and its weights, when `opts` brings no shared table).
     pub fn with_options(
         graph: &Graph,
         workers: usize,
@@ -173,23 +359,6 @@ impl HyperPool {
             Some(iv) => Arc::clone(iv),
             None => crate::initializer_values(graph)?,
         };
-        let graph_outputs = graph.outputs.clone();
-        let marks = Arc::new(if opts.reuse {
-            inplace_marks(graph)
-        } else {
-            InPlaceMarks::empty()
-        });
-        // Workers read structure and shapes; weights reach them through
-        // `init_values`. Their copy of the graph therefore leaves the
-        // initializer payloads behind instead of duplicating every weight.
-        let graph = Arc::new(Graph {
-            name: graph.name.clone(),
-            nodes: graph.nodes.clone(),
-            inputs: graph.inputs.clone(),
-            outputs: graph.outputs.clone(),
-            initializers: Default::default(),
-            value_info: graph.value_info.clone(),
-        });
 
         // Worker inboxes are bounded (capacity from `limits`, shared with
         // the ramiel-analyze RA0401 lint); the done channel stays unbounded
@@ -205,18 +374,15 @@ impl HyperPool {
         for (w, (_, rx)) in channels.iter().enumerate() {
             let rx = rx.clone();
             let peer_txs = worker_txs.clone();
-            let graph = Arc::clone(&graph);
             let init_values = Arc::clone(&init_values);
             let done_tx = done_tx.clone();
             let ctx = ctx.clone();
             let injector = opts.injector.clone();
             let meter = Arc::clone(&meter);
             let obs = opts.obs.clone();
-            let marks = Arc::clone(&marks);
             let reuse = opts.reuse;
             handles.push(std::thread::spawn(move || {
                 worker_main(WorkerState {
-                    graph: &graph,
                     me: w,
                     init_values: &init_values,
                     rx,
@@ -227,7 +393,6 @@ impl HyperPool {
                     recv_timeout,
                     meter: &meter,
                     obs,
-                    marks: &marks,
                     reuse,
                 });
             }));
@@ -239,7 +404,7 @@ impl HyperPool {
             handles,
             next_job: 0,
             workers,
-            graph_outputs,
+            graph_outputs: graph.outputs.clone(),
             init_values,
             recv_timeout,
             meter,
@@ -319,8 +484,8 @@ impl HyperPool {
             if let Some(e) = done.error {
                 errors.push(e);
             }
-            for (b, name, v) in done.outputs {
-                outs[b].insert(name, v);
+            for (b, base, v) in done.outputs {
+                outs[b].insert(plan.prog.slot_names[base as usize].clone(), v);
             }
         }
         // Report the root cause, not a peer's secondary abort error.
@@ -358,7 +523,6 @@ impl Drop for HyperPool {
 }
 
 struct WorkerState<'a> {
-    graph: &'a Graph,
     me: usize,
     init_values: &'a HashMap<String, Value>,
     rx: Receiver<PoolMsg>,
@@ -369,8 +533,92 @@ struct WorkerState<'a> {
     recv_timeout: Duration,
     meter: &'a ChannelMeter,
     obs: Obs,
-    marks: &'a InPlaceMarks,
     reuse: bool,
+}
+
+/// A worker's per-job tensor state, indexed by its program's local slots.
+/// Lives across jobs so a job allocates nothing for it once the vectors
+/// have grown to the largest schedule seen.
+#[derive(Default)]
+struct JobState {
+    vals: Vec<Option<Value>>,
+    /// Reads remaining per slot before the value is dead (graph outputs
+    /// produced here carry one extra pin so they stay charged for the
+    /// whole job, matching the static estimate).
+    remaining: Vec<u32>,
+    /// Gauge-charged bytes per slot (all zero when no gauge is attached).
+    charged: Vec<u64>,
+    /// Slot arrivals each op still waits for.
+    missing: Vec<u32>,
+    /// Ops whose operands have all arrived; lowest index runs first.
+    ready: BinaryHeap<Reverse<u32>>,
+}
+
+impl JobState {
+    fn begin(&mut self, wp: &WorkerProgram) {
+        self.vals.clear();
+        self.vals.resize(wp.reads.len(), None);
+        self.remaining.clear();
+        self.remaining.extend_from_slice(&wp.reads);
+        self.charged.clear();
+        self.charged.resize(wp.reads.len(), 0);
+        self.missing.clear();
+        self.missing.extend(wp.ops.iter().map(|op| op.missing));
+        self.ready.clear();
+    }
+
+    /// A value materialized in `slot` (produced here or received): charge
+    /// `bytes` to the gauge and release the ops it was the last missing
+    /// operand of.
+    fn fill(
+        &mut self,
+        wp: &WorkerProgram,
+        gauge: Option<&Arc<MemGauge>>,
+        slot: u32,
+        v: Value,
+        bytes: u64,
+    ) {
+        let s = slot as usize;
+        if let Some(g) = gauge {
+            g.alloc(bytes as usize);
+            // Re-materializing a slot must not leak the previous charge.
+            g.free(self.charged[s] as usize);
+            self.charged[s] = bytes;
+        }
+        self.vals[s] = Some(v);
+        for &op in &wp.waiters[wp.waiter_start[s] as usize..wp.waiter_start[s + 1] as usize] {
+            let m = &mut self.missing[op as usize];
+            if *m > 0 {
+                *m -= 1;
+                if *m == 0 {
+                    self.ready.push(Reverse(op));
+                }
+            }
+        }
+    }
+
+    /// The value in `slot` is dead: drop it and release its gauge charge.
+    fn evict(&mut self, gauge: Option<&Arc<MemGauge>>, slot: u32) {
+        let s = slot as usize;
+        self.vals[s] = None;
+        if let Some(g) = gauge {
+            g.free(self.charged[s] as usize);
+            self.charged[s] = 0;
+        }
+    }
+
+    /// Job over (success, error or panic): free every remaining charge —
+    /// pinned graph outputs, values kept alive by `reuse: false`, anything
+    /// live on an error path — so a gauge shared across jobs doesn't
+    /// accumulate phantom live bytes, and drop the values.
+    fn end(&mut self, gauge: Option<&Arc<MemGauge>>) {
+        if let Some(g) = gauge {
+            for c in self.charged.drain(..) {
+                g.free(c as usize);
+            }
+        }
+        self.vals.clear();
+    }
 }
 
 fn job_abort_error(me: usize) -> RuntimeError {
@@ -381,18 +629,24 @@ fn job_abort_error(me: usize) -> RuntimeError {
 }
 
 fn worker_main(st: WorkerState<'_>) {
-    let graph_outputs: HashSet<&str> = st.graph.outputs.iter().map(String::as_str).collect();
-    // Tensors that arrived before their job started on this worker.
-    let mut stash: HashMap<Key, Value> = HashMap::new();
+    // Tensors that arrived before their job started on this worker:
+    // (job, local slot in that job's program, value).
+    let mut stash: Vec<(u64, u32, Value)> = Vec::new();
     // Jobs a peer aborted before we started (or finished) them.
     let mut aborted: HashSet<u64> = HashSet::new();
+    let mut state = JobState::default();
 
     while let Ok(msg) = st.rx.recv() {
         let (job, inputs, plan) = match msg {
             PoolMsg::Stop => return,
-            PoolMsg::Tensor(key, v, from) => {
+            PoolMsg::Tensor {
+                job,
+                slot,
+                value,
+                from,
+            } => {
                 st.meter.on_recv(from, st.me, 0);
-                stash.insert(key, v);
+                stash.push((job, slot, value));
                 continue;
             }
             PoolMsg::JobAbort(j) => {
@@ -410,7 +664,7 @@ fn worker_main(st: WorkerState<'_>) {
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 run_job(
                     &st,
-                    &graph_outputs,
+                    &mut state,
                     &mut stash,
                     &mut aborted,
                     job,
@@ -418,6 +672,7 @@ fn worker_main(st: WorkerState<'_>) {
                     &plan,
                 )
             }));
+            state.end(st.ctx.mem_gauge());
             match r {
                 Ok(pair) => pair,
                 Err(payload) => (Vec::new(), Some(panic_to_error(Some(st.me), payload))),
@@ -436,7 +691,7 @@ fn worker_main(st: WorkerState<'_>) {
         }
         // Jobs finish in submission order: stale stash/abort entries for
         // this or earlier jobs can never be read again.
-        stash.retain(|(j, _, _), _| *j > job);
+        stash.retain(|(j, _, _)| *j > job);
         aborted.retain(|j| *j > job);
 
         if st
@@ -455,85 +710,55 @@ fn worker_main(st: WorkerState<'_>) {
 
 /// Execute one job's hypercluster ops on this worker, first-ready-first.
 /// Returns the graph outputs this worker produced and the first error.
-#[allow(clippy::type_complexity)]
 fn run_job(
     st: &WorkerState<'_>,
-    graph_outputs: &HashSet<&str>,
-    stash: &mut HashMap<Key, Value>,
+    state: &mut JobState,
+    stash: &mut Vec<(u64, u32, Value)>,
     aborted: &mut HashSet<u64>,
     job: u64,
     inputs: &[Env],
     plan: &PlannedBatch,
-) -> (Vec<(usize, String, Value)>, Option<RuntimeError>) {
+) -> (Produced, Option<RuntimeError>) {
     let me = st.me;
-    let ops: &[HyperOp] = &plan.hc.hyperclusters[me];
-    // Tensor instances of *this* job available to this worker.
-    let mut env: HashMap<(String, usize), Value> = HashMap::new();
-    // Per-job liveness: reads remaining per tensor instance on this worker
-    // (graph outputs produced here get one extra pin so they stay charged
-    // for the whole job, matching the static estimate).
-    let mut live = {
-        let mut uses: HashMap<(String, usize), usize> = HashMap::new();
-        for op in ops {
-            let node = &st.graph.nodes[op.node];
-            for t in &node.inputs {
-                *uses.entry((t.clone(), op.batch)).or_insert(0) += 1;
-            }
-            for name in &node.outputs {
-                if graph_outputs.contains(name.as_str()) {
-                    *uses.entry((name.clone(), op.batch)).or_insert(0) += 1;
-                }
-            }
-        }
-        Liveness::new(uses, st.ctx.mem_gauge().cloned())
-    };
+    let prog = &*plan.prog;
+    let wp = &plan.workers[me];
+    let gauge = st.ctx.mem_gauge();
+    state.begin(wp);
     // Move stashed early arrivals for this job in.
-    let mine: Vec<Key> = stash
-        .keys()
-        .filter(|(j, _, _)| *j == job)
-        .cloned()
-        .collect();
-    for key in mine {
-        if let Some(v) = stash.remove(&key) {
-            live.charge((key.1.clone(), key.2), value_bytes(&v));
-            env.insert((key.1, key.2), v);
+    let mut k = 0;
+    while k < stash.len() {
+        if stash[k].0 == job {
+            let (_, slot, v) = stash.swap_remove(k);
+            let bytes = value_bytes(&v);
+            state.fill(wp, gauge, slot, v, bytes);
+        } else {
+            k += 1;
         }
     }
-    let mut remaining: Vec<bool> = vec![true; ops.len()];
-    let mut left = ops.len();
-    let mut outputs: Vec<(usize, String, Value)> = Vec::new();
+    for (i, op) in wp.ops.iter().enumerate() {
+        if op.missing == 0 {
+            state.ready.push(Reverse(i as u32));
+        }
+    }
+    let mut left = wp.ops.len();
+    let mut outputs: Produced = Vec::new();
 
-    let available = |env: &HashMap<(String, usize), Value>, tensor: &str, batch: usize| -> bool {
-        env.contains_key(&(tensor.to_string(), batch))
-            || st.init_values.contains_key(tensor)
-            || inputs[batch].contains_key(tensor)
-    };
-    let fetch =
-        |env: &HashMap<(String, usize), Value>, tensor: &str, batch: usize| -> Result<Value> {
-            if let Some(v) = env.get(&(tensor.to_string(), batch)) {
-                return Ok(v.clone());
-            }
-            if let Some(v) = inputs[batch].get(tensor) {
-                return Ok(v.clone());
-            }
-            if let Some(v) = st.init_values.get(tensor) {
-                return Ok(v.clone());
-            }
-            Err(RuntimeError::Setup(format!(
-                "worker {me}: tensor `{tensor}` (batch {batch}) unavailable"
-            )))
-        };
     // Route an inbox message; returns an error to surface, if any.
     macro_rules! take_msg {
         ($msg:expr) => {
             match $msg {
-                PoolMsg::Tensor((j, name, b), v, from) => {
+                PoolMsg::Tensor {
+                    job: j,
+                    slot,
+                    value,
+                    from,
+                } => {
                     st.meter.on_recv(from, me, 0);
                     if j == job {
-                        live.charge((name.clone(), b), value_bytes(&v));
-                        env.insert((name, b), v);
+                        let bytes = value_bytes(&value);
+                        state.fill(wp, gauge, slot, value, bytes);
                     } else if j > job {
-                        stash.insert((j, name, b), v);
+                        stash.push((j, slot, value));
                     } // j < job: stale, drop
                 }
                 PoolMsg::JobAbort(j) => {
@@ -571,15 +796,8 @@ fn run_job(
                 }
             }
         }
-        // First op whose operands are all available.
-        let next = ops.iter().enumerate().position(|(i, op)| {
-            remaining[i]
-                && st.graph.nodes[op.node]
-                    .inputs
-                    .iter()
-                    .all(|t| available(&env, t, op.batch))
-        });
-        let Some(i) = next else {
+        // Lowest-index op whose operands have all arrived.
+        let Some(Reverse(i)) = state.ready.pop() else {
             // Block for the next message (bounded, so schedule bugs surface
             // as errors instead of hangs).
             match st.rx.recv_timeout(st.recv_timeout) {
@@ -600,14 +818,16 @@ fn run_job(
             continue;
         };
 
-        remaining[i] = false;
         left -= 1;
-        let op = &ops[i];
-        let node = &st.graph.nodes[op.node];
+        let op = &wp.ops[i as usize];
+        let node = &prog.nodes[op.node as usize];
+        let batch = op.batch as usize;
+        let operands = &wp.operands[op.ins.0 as usize..op.ins.1 as usize];
+        let out_specs = &wp.outs[op.outs.0 as usize..op.outs.1 as usize];
 
         // Fault injection: arm this execution's faults, if any.
         let armed = match st.injector {
-            Some(inj) => inj.begin_node(op.node, op.batch),
+            Some(inj) => inj.begin_node(node.id, batch),
             None => Vec::new(),
         };
         let mut kernel_fault = false;
@@ -618,12 +838,12 @@ fn run_job(
                 me as u32,
                 format!("fault:{}", kind.name()),
                 "fault",
-                serde_json::json!({ "node": op.node, "batch": op.batch, "job": job }),
+                serde_json::json!({ "node": node.id, "batch": batch, "job": job }),
             );
             match kind {
                 FaultKind::KernelError => kernel_fault = true,
                 FaultKind::WorkerPanic => std::panic::panic_any(InjectedPanic {
-                    node: op.node,
+                    node: node.id,
                     cluster: Some(me),
                 }),
                 FaultKind::SendDelay { millis } => {
@@ -642,7 +862,7 @@ fn run_job(
                     outputs,
                     Some(RuntimeError::Injected {
                         cluster: Some(me),
-                        node: op.node,
+                        node: node.id,
                         kind: FaultKind::KernelError,
                     }),
                 );
@@ -650,37 +870,54 @@ fn run_job(
             // A Constant's payload is already in the shared initializer
             // table under its output name — share it, don't re-convert.
             st.init_values
-                .get(&node.outputs[0])
+                .get(&prog.slot_names[node.out_slots[0] as usize])
                 .ok_or_else(|| {
                     ramiel_tensor::ExecError(format!("Constant `{}` missing payload", node.name))
                 })
                 .map(|v| vec![v.clone()])
         } else {
             // A node marked by the in-place pass takes its dying operand
-            // *out* of the env (sole remaining read), so the kernel's
+            // *out* of its slot (sole remaining read), so the kernel's
             // `Arc::get_mut` gate can overwrite the buffer in place.
-            let mark = st.marks.slot(op.node);
+            let mark = if st.reuse { node.mark } else { None };
             let mut owned_slot = None;
-            let mut ins: Vec<Value> = Vec::with_capacity(node.inputs.len());
-            for (slot, t) in node.inputs.iter().enumerate() {
-                if mark == Some(slot) {
-                    let key = (t.clone(), op.batch);
-                    if live.remaining(&key) == 1 {
-                        if let Some(v) = env.remove(&key) {
-                            owned_slot = Some(slot);
-                            ins.push(v);
-                            continue;
+            let mut ins: Vec<Value> = Vec::with_capacity(operands.len());
+            for (pos, (src, &slot)) in node.inputs.iter().zip(operands).enumerate() {
+                let (found, tensor) = match src {
+                    InSrc::Slot(base) => {
+                        let s = slot as usize;
+                        if mark == Some(pos) && state.remaining[s] == 1 {
+                            if let Some(v) = state.vals[s].take() {
+                                owned_slot = Some(pos);
+                                ins.push(v);
+                                continue;
+                            }
                         }
+                        (state.vals[s].clone(), &prog.slot_names[*base as usize])
                     }
-                }
-                match fetch(&env, t, op.batch) {
-                    Ok(v) => ins.push(v),
-                    Err(e) => return (outputs, Some(e)),
+                    InSrc::External(name) => (
+                        inputs[batch]
+                            .get(name)
+                            .or_else(|| st.init_values.get(name))
+                            .cloned(),
+                        name,
+                    ),
+                };
+                match found {
+                    Some(v) => ins.push(v),
+                    None => {
+                        return (
+                            outputs,
+                            Some(RuntimeError::Setup(format!(
+                                "worker {me}: tensor `{tensor}` (batch {batch}) unavailable"
+                            ))),
+                        );
+                    }
                 }
             }
             let hooked;
             let eval_ctx = if kernel_fault {
-                hooked = FaultInjector::kernel_fault_ctx(st.ctx, Some(me), op.node);
+                hooked = FaultInjector::kernel_fault_ctx(st.ctx, Some(me), node.id);
                 &hooked
             } else {
                 st.ctx
@@ -696,13 +933,13 @@ fn run_job(
                 let err = if e.0.starts_with(INJECT_MARKER) {
                     RuntimeError::Injected {
                         cluster: Some(me),
-                        node: op.node,
+                        node: node.id,
                         kind: FaultKind::KernelError,
                     }
                 } else {
                     RuntimeError::Kernel {
                         cluster: Some(me),
-                        node: Some(op.node),
+                        node: Some(node.id),
                         msg: format!("{}: {}", node.name, e.0),
                     }
                 };
@@ -712,52 +949,52 @@ fn run_job(
         if let Some(d) = send_delay {
             std::thread::sleep(d);
         }
-        for (name, v) in node.outputs.iter().zip(outs) {
+        for (spec, v) in out_specs.iter().zip(outs) {
             if !drop_msgs {
-                if let Some(targets) = plan.consumers.get(&(name.clone(), op.batch)) {
-                    for &t in targets {
-                        st.meter
-                            .on_send(me, t, value_bytes(&v), crate::value_copied_bytes(&v));
-                        if st.peer_txs[t]
-                            .send(PoolMsg::Tensor(
-                                (job, name.clone(), op.batch),
-                                v.clone(),
-                                me,
-                            ))
-                            .is_err()
-                        {
-                            return (
-                                outputs,
-                                Some(RuntimeError::ChannelClosed {
-                                    cluster: Some(me),
-                                    detail: "peer worker hung up".into(),
-                                }),
-                            );
-                        }
+                for &(t, slot) in &wp.sends[spec.sends.0 as usize..spec.sends.1 as usize] {
+                    let t = t as usize;
+                    st.meter
+                        .on_send(me, t, value_bytes(&v), crate::value_copied_bytes(&v));
+                    if st.peer_txs[t]
+                        .send(PoolMsg::Tensor {
+                            job,
+                            slot,
+                            value: v.clone(),
+                            from: me,
+                        })
+                        .is_err()
+                    {
+                        return (
+                            outputs,
+                            Some(RuntimeError::ChannelClosed {
+                                cluster: Some(me),
+                                detail: "peer worker hung up".into(),
+                            }),
+                        );
                     }
                 }
             }
-            if graph_outputs.contains(name.as_str()) {
-                outputs.push((op.batch, name.clone(), v.clone()));
+            if spec.graph_output {
+                outputs.push((batch, spec.base, v.clone()));
             }
-            live.charge((name.clone(), op.batch), charge_bytes(&node.op, &v));
-            env.insert((name.clone(), op.batch), v);
+            let bytes = charge_bytes(&node.op, &v);
+            state.fill(wp, gauge, spec.slot, v, bytes);
         }
         if st.reuse {
             // Inputs whose last local read this was — and outputs with no
             // local reader (already shipped/recorded above) — die here.
-            for t in &node.inputs {
-                let key = (t.clone(), op.batch);
-                if live.consume(&key) {
-                    env.remove(&key);
-                    live.discharge(&key);
+            for &s in operands.iter().filter(|&&s| s != UNASSIGNED) {
+                let r = &mut state.remaining[s as usize];
+                if *r > 0 {
+                    *r -= 1;
+                    if *r == 0 {
+                        state.evict(gauge, s);
+                    }
                 }
             }
-            for name in &node.outputs {
-                let key = (name.clone(), op.batch);
-                if live.remaining(&key) == 0 {
-                    env.remove(&key);
-                    live.discharge(&key);
+            for spec in out_specs {
+                if state.remaining[spec.slot as usize] == 0 {
+                    state.evict(gauge, spec.slot);
                 }
             }
         }

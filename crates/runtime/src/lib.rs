@@ -22,6 +22,7 @@ pub mod parallel;
 pub mod pool;
 pub mod predict;
 pub mod profile;
+pub mod program;
 pub mod reuse;
 pub mod sim;
 pub mod stealing;
@@ -38,6 +39,7 @@ pub use parallel::{
 pub use pool::ClusterPool;
 pub use predict::{predict_report, ClusterPrediction, KindPrediction, PredictionReport};
 pub use profile::{OpRecord, ProfileDb, SlackReport, WorkerSpan};
+pub use program::GraphProgram;
 pub use ramiel_tensor::KernelBackend;
 pub use sim::{
     simulate_clustering, simulate_hyper, simulate_sequential, SimConfig, SimEvent, SimResult,

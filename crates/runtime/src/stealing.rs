@@ -44,6 +44,7 @@
 
 use crate::fault::{panic_to_error, FaultInjector, FaultKind, InjectedPanic, INJECT_MARKER};
 use crate::parallel::{default_recv_timeout, RunOptions};
+use crate::program::{GraphProgram, InSrc};
 use crate::reuse::charge_bytes;
 use crate::{Env, Result, RuntimeError};
 use parking_lot::Mutex;
@@ -52,7 +53,6 @@ use ramiel_cluster::Clustering;
 use ramiel_ir::{Graph, OpKind};
 use ramiel_obs::metrics::{render_histogram_text, Histogram, HistogramSnapshot, PeakGauge};
 use ramiel_obs::Obs;
-use ramiel_passes::{inplace_marks, InPlaceMarks};
 use ramiel_tensor::{eval_op, eval_op_inplace, ExecCtx, MemGauge, Value};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -82,50 +82,17 @@ pub struct StealChaos {
     pub max_stall_us: u64,
 }
 
-/// Where one input operand of a node comes from.
-enum InSrc {
-    /// Produced by another node: per-batch slot base index.
-    Slot(u32),
-    /// Graph input or initializer, fetched by name.
-    External(String),
-}
-
-/// One graph node, pre-resolved for slot-based execution. Owns copies of
-/// the op and names so tasks can outlive the borrowed `Graph` (a worker may
-/// still be draining an abandoned job after its caller returned).
-struct PlanNode {
-    id: usize,
-    name: String,
-    op: OpKind,
-    inputs: Vec<InSrc>,
-    /// Base slot per produced output.
-    out_slots: Vec<u32>,
-    /// Number of slot-sourced input positions (the readiness count).
-    preds: u32,
-    /// Consumer node ids, one entry per consuming input position.
-    succs: Vec<u32>,
-}
-
 /// A dependency-resolved execution plan for one (graph, batch) pair:
 /// everything [`StealPool::run_plan`] needs, fully owned. Build once and
 /// reuse across runs — construction converts the weights unless the run
 /// supplies `RunOptions::init_values`.
 pub struct StealPlan {
     batch: usize,
-    nodes: Vec<PlanNode>,
-    /// Per base slot: produced tensor name.
-    slot_names: Vec<String>,
-    /// Per base slot: remaining-read count (graph outputs carry one extra
-    /// pin so they stay resident — and charged — to the end).
-    slot_reads: Vec<u32>,
-    slot_is_output: Vec<bool>,
-    /// All graph output names (for the degenerate input-is-output backfill).
-    graph_outputs: Vec<String>,
-    /// Node ids with zero slot-sourced inputs.
-    roots: Vec<u32>,
+    /// The slot-resolved graph (shared with the hypercluster pool's
+    /// [`crate::PlannedBatch`] when both come from one plan build).
+    prog: Arc<GraphProgram>,
     /// Locality hint (cluster id) per task `b * nodes.len() + n`.
     hints: Vec<u32>,
-    marks: InPlaceMarks,
     init_values: Arc<HashMap<String, Value>>,
 }
 
@@ -157,84 +124,16 @@ impl StealPlan {
         if batch == 0 {
             return Err(RuntimeError::Setup("steal plan needs batch >= 1".into()));
         }
-        let mut slot_of: HashMap<&str, u32> = HashMap::new();
-        let mut slot_names = Vec::new();
-        for node in &graph.nodes {
-            for out in &node.outputs {
-                if slot_of
-                    .insert(out.as_str(), slot_names.len() as u32)
-                    .is_some()
-                {
-                    return Err(RuntimeError::Setup(format!(
-                        "tensor `{out}` has multiple producers"
-                    )));
-                }
-                slot_names.push(out.clone());
-            }
-        }
-        let mut slot_reads = vec![0u32; slot_names.len()];
-        let mut slot_is_output = vec![false; slot_names.len()];
-        for out in &graph.outputs {
-            if let Some(&s) = slot_of.get(out.as_str()) {
-                slot_is_output[s as usize] = true;
-                slot_reads[s as usize] += 1; // the pin
-            }
-        }
-        let mut nodes: Vec<PlanNode> = graph
-            .nodes
-            .iter()
-            .map(|n| PlanNode {
-                id: n.id,
-                name: n.name.clone(),
-                op: n.op.clone(),
-                inputs: Vec::with_capacity(n.inputs.len()),
-                out_slots: n.outputs.iter().map(|o| slot_of[o.as_str()]).collect(),
-                preds: 0,
-                succs: Vec::new(),
-            })
-            .collect();
-        let adj = graph.adjacency();
-        for (i, n) in graph.nodes.iter().enumerate() {
-            for inp in &n.inputs {
-                if let Some(&s) = slot_of.get(inp.as_str()) {
-                    nodes[i].preds += 1;
-                    slot_reads[s as usize] += 1;
-                    let p = adj.producer_of[inp.as_str()];
-                    nodes[p].succs.push(i as u32);
-                } else {
-                    nodes[i].inputs.push(InSrc::External(inp.clone()));
-                }
-            }
-            // Re-walk to keep input positions in operator order (the loop
-            // above appended only externals; rebuild properly).
-            nodes[i].inputs.clear();
-            for inp in &n.inputs {
-                nodes[i].inputs.push(match slot_of.get(inp.as_str()) {
-                    Some(&s) => InSrc::Slot(s),
-                    None => InSrc::External(inp.clone()),
-                });
-            }
-        }
-        let roots = nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.preds == 0)
-            .map(|(i, _)| i as u32)
-            .collect();
+        let prog = Arc::new(GraphProgram::new(graph)?);
+        let nn = prog.nodes.len();
         let hints = (0..batch)
-            .flat_map(|b| (0..nodes.len()).map(move |n| (b, n)))
+            .flat_map(|b| (0..nn).map(move |n| (b, n)))
             .map(|(b, n)| hint(b, n))
             .collect();
         Ok(StealPlan {
             batch,
-            nodes,
-            slot_names,
-            slot_reads,
-            slot_is_output,
-            graph_outputs: graph.outputs.clone(),
-            roots,
+            prog,
             hints,
-            marks: inplace_marks(graph),
             init_values: crate::initializer_values(graph)?,
         })
     }
@@ -244,7 +143,7 @@ impl StealPlan {
     }
 
     pub fn num_tasks(&self) -> usize {
-        self.batch * self.nodes.len()
+        self.batch * self.prog.nodes.len()
     }
 
     /// The plan's own pre-converted weight table (shared across runs unless
@@ -308,11 +207,11 @@ impl JobInner {
     ) -> JobInner {
         let ctx = &opts.apply_backend(ctx);
         let pending = (0..plan.batch)
-            .flat_map(|_| plan.nodes.iter().map(|n| AtomicU32::new(n.preds)))
+            .flat_map(|_| plan.prog.nodes.iter().map(|n| AtomicU32::new(n.preds)))
             .collect();
         let slots = (0..plan.batch)
             .flat_map(|_| {
-                plan.slot_reads.iter().map(|&r| {
+                plan.prog.slot_reads.iter().map(|&r| {
                     Mutex::new(Slot {
                         val: None,
                         charged: 0,
@@ -339,7 +238,7 @@ impl JobInner {
             slots,
             out_envs: Mutex::new(vec![Env::new(); batch]),
             completed: AtomicUsize::new(0),
-            total: batch * plan.nodes.len(),
+            total: batch * plan.prog.nodes.len(),
             deadline,
             done: AtomicBool::new(false),
             dead: AtomicBool::new(false),
@@ -351,7 +250,7 @@ impl JobInner {
     }
 
     fn slot(&self, batch: usize, base: u32) -> &Mutex<Slot> {
-        &self.slots[batch * self.plan.slot_names.len() + base as usize]
+        &self.slots[batch * self.plan.prog.slot_names.len() + base as usize]
     }
 
     fn notify(&self) {
@@ -668,7 +567,7 @@ impl PoolShared {
         if job.dead.load(Ordering::SeqCst) {
             return;
         }
-        let nn = job.plan.nodes.len();
+        let nn = job.plan.prog.nodes.len();
         let (b, n) = ((t.task as usize) / nn, (t.task as usize) % nn);
         let exec_idx = me.unwrap_or(self.deques.len());
         let h = job.chaos.map(|c| mix64(c.seed ^ u64::from(t.task)));
@@ -702,7 +601,7 @@ impl PoolShared {
         // Release successors whose last dependency this was, newly-ready
         // tasks going LIFO to the executor's own deque.
         let mut ready: Vec<u32> = Vec::new();
-        for &s in &job.plan.nodes[n].succs {
+        for &s in &job.plan.prog.nodes[n].succs {
             let st = (b * nn + s as usize) as u32;
             if job.pending[st as usize].fetch_sub(1, Ordering::SeqCst) == 1 {
                 ready.push(st);
@@ -771,7 +670,7 @@ fn bounded_stall(job: &JobInner, d: Duration) -> Result<()> {
 /// evaluate, publish outputs to slots, consume inputs. Mirrors
 /// `parallel::worker_loop` minus the channels.
 fn run_node(job: &JobInner, b: usize, n: usize, exec_idx: usize) -> Result<()> {
-    let plan = &*job.plan;
+    let plan = &*job.plan.prog;
     let node = &plan.nodes[n];
     let init_values = &*job.init;
 
@@ -819,11 +718,7 @@ fn run_node(job: &JobInner, b: usize, n: usize, exec_idx: usize) -> Result<()> {
         // A node marked by the in-place pass takes its dying operand *out*
         // of its slot (sole remaining read), so the kernel's `Arc::get_mut`
         // gate can overwrite the buffer in place.
-        let mark = if job.reuse {
-            plan.marks.slot(node.id)
-        } else {
-            None
-        };
+        let mark = if job.reuse { node.mark } else { None };
         let mut owned_slot = None;
         let ins: Result<Vec<Value>> = node
             .inputs
@@ -1126,7 +1021,7 @@ impl StealPool {
             // Outputs that are direct inputs/initializers (degenerate but
             // legal).
             for (b, env) in outs.iter_mut().enumerate() {
-                for name in &plan.graph_outputs {
+                for name in &plan.prog.graph_outputs {
                     if !env.contains_key(name) {
                         if let Some(v) = inputs[b].get(name).or_else(|| init_values.get(name)) {
                             env.insert(name.clone(), v.clone());
@@ -1135,7 +1030,7 @@ impl StealPool {
                 }
             }
         };
-        if plan.nodes.is_empty() {
+        if plan.prog.nodes.is_empty() {
             let mut outs = vec![Env::new(); plan.batch];
             backfill(&mut outs);
             return Ok(outs);
@@ -1154,10 +1049,10 @@ impl StealPool {
         let me = self.shared.free_caller_slots.lock().pop();
         // Seed roots by locality hint: cluster 0 (the longest chain) stays
         // on the caller's deque, other clusters round-robin over workers.
-        let nn = plan.nodes.len();
+        let nn = plan.prog.nodes.len();
         let mut seeded_remote = false;
         for b in 0..plan.batch {
-            for &r in &plan.roots {
+            for &r in &plan.prog.roots {
                 let tid = (b * nn + r as usize) as u32;
                 let hint = plan.hints[tid as usize];
                 let t = Task {

@@ -3,25 +3,54 @@
 //! Each loaded model gets one *lane*: a bounded submission queue
 //! (`std::sync::Mutex` + `Condvar` — the vendored `parking_lot` has no
 //! condvar) drained by a dedicated collector thread. The collector blocks
-//! for the first request, then coalesces follow-ups until it has
-//! `max_batch` of them or `max_delay` has elapsed since the first —
-//! whichever comes first — and executes the batch as ONE hypercluster job
-//! on a persistent [`HyperPool`] whose workers live as long as the lane.
+//! for the first request, takes whatever else is already queued, and then
+//! — only if the lane has evidence of a second caller — holds the batch
+//! open until it has `max_batch` requests or `max_delay` has elapsed since
+//! the first. The batch executes as ONE hypercluster job on a persistent
+//! [`HyperPool`] whose workers live as long as the lane's plan version.
 //! Per-sample outputs scatter back to per-request one-shot channels.
+//!
+//! ## The batch window opens only for company
+//!
+//! Waiting `max_delay` buys nothing when nobody else is calling, and it is
+//! the largest part of a small model's latency. So the window opens iff
+//! the lane itself has seen concurrency:
+//!
+//! 1. the previous batch coalesced more than one request, **or**
+//! 2. this batch's first request was enqueued before the previous batch
+//!    stopped executing (it arrived during execution; the caller being
+//!    served then was still waiting for its reply), **or**
+//! 3. the immediate drain of the queue already found more than one.
+//!
+//! Otherwise the batch runs at once. A window that expires with a single
+//! request clears (1), so a caller that leaves costs the one who stays at
+//! most one wasted wait, and a caller that joins goes un-coalesced for at
+//! most one batch: two closed-loop callers phase-lock into batch-2 runs (A
+//! runs alone, B arrives during A's execution, B's window catches A's next
+//! request). `max_delay` keeps its meaning as the window's upper bound.
+//!
+//! ## Lane lifecycle
+//!
+//! The collector builds its pool when the lane is spawned — before any
+//! request, overlapping the `load` reply — and rebuilds it when
+//! [`Lane::swap_plan`] wakes it with a new plan version. A request that
+//! races a swap still finds the rebuild on its path; that time is recorded
+//! under `ramiel_lane_build_ns` and counted as execution, not batch-wait.
 //!
 //! ## State machine (per collector iteration)
 //!
 //! ```text
-//!        ┌─────────── idle: wait(not_empty) ───────────┐
-//!        ▼                                             │
-//!   pop first ──▶ gather: pop until max_batch,         │
-//!        │        or wait_timeout(max_delay) expires    │
-//!        ▼                                             │
-//!   drop dead-on-arrival (deadline passed in queue)    │
-//!        ▼                                             │
-//!   run batch on HyperPool ──retry (retryable, ≤N)──┐  │
-//!        │                                          │  │
-//!        ├── ok: scatter per-sample outputs ────────┼──┘
+//!        ┌──── idle: sync pool to plan version, wait(not_empty) ────┐
+//!        ▼                                                          │
+//!   pop first + everything queued ──▶ company? ──yes──▶ window: pop │
+//!        │                               │no            until max_batch
+//!        │◀──────────────────────────────┘              or max_delay │
+//!        ▼                                                          │
+//!   drop dead-on-arrival (deadline passed in queue)                 │
+//!        ▼                                                          │
+//!   run batch on HyperPool ──retry (retryable, ≤N)──┐               │
+//!        │                                          │               │
+//!        ├── ok: scatter per-sample outputs ────────┼───────────────┘
 //!        └── still failing: per-request sequential
 //!            fallback (isolates a poisoned sample) ─┘
 //! ```
@@ -78,6 +107,9 @@ pub(crate) struct LaneMetrics {
     rejected_shutdown: CounterHandle,
     queue_depth: GaugeHandle,
     queue_peak: PeakHandle,
+    window_opened: CounterHandle,
+    window_skipped: CounterHandle,
+    lane_build: HistHandle,
 }
 
 impl LaneMetrics {
@@ -99,6 +131,13 @@ impl LaneMetrics {
                 "ramiel_requests_total",
                 "requests by final outcome",
                 &[("model", model), ("outcome", o)],
+            )
+        };
+        let window = |d: &str| {
+            m.counter(
+                "ramiel_batch_window_total",
+                "batches by whether the collector held them open for company",
+                &[("model", model), ("decision", d)],
             )
         };
         LaneMetrics {
@@ -136,6 +175,13 @@ impl LaneMetrics {
                 "queue-depth high-water mark (per scrape window)",
                 &[("model", model)],
             ),
+            window_opened: window("opened"),
+            window_skipped: window("skipped"),
+            lane_build: m.histogram(
+                "ramiel_lane_build_ns",
+                "time to (re)build a lane's worker pool, nanoseconds",
+                &[("model", model)],
+            ),
         }
     }
 }
@@ -149,8 +195,8 @@ pub(crate) struct LaneShared {
     /// Set under the queue lock by `shutdown`, read under it by admission
     /// and the collector's exit check.
     draining: AtomicBool,
-    /// Swapped on hot reload; the collector rebuilds its pool when the
-    /// version changes.
+    /// Swapped on hot reload; [`Lane::swap_plan`] wakes the collector,
+    /// which rebuilds its pool for the new version.
     plan: parking_lot::Mutex<Arc<CompiledPlan>>,
     cfg: LaneConfig,
     stats: Arc<ServeStats>,
@@ -188,6 +234,7 @@ impl Lane {
             metrics,
         });
         let collector_shared = Arc::clone(&shared);
+        shared.stats.live_lanes.fetch_add(1, Ordering::SeqCst);
         let handle = std::thread::Builder::new()
             .name("ramiel-serve-lane".into())
             .spawn(move || collector(collector_shared))
@@ -198,23 +245,41 @@ impl Lane {
         }
     }
 
-    /// Drain and stop: reject new work, execute everything queued, join
-    /// the collector (which drops the pool's workers). Idempotent.
-    pub fn shutdown(&mut self) {
+    /// Reject new work and tell the collector to finish what is queued and
+    /// exit. Does not wait for it: every admitted request is still
+    /// answered, by the collector, on its own time.
+    pub fn begin_drain(&self) {
         {
             let _q = lock(&self.shared.queue);
             self.shared.draining.store(true, Ordering::SeqCst);
         }
         self.shared.not_empty.notify_all();
         self.shared.space.notify_all();
+    }
+
+    /// Whether the collector (and with it the pool's workers) has exited.
+    pub fn is_finished(&self) -> bool {
+        self.handle.as_ref().is_none_or(JoinHandle::is_finished)
+    }
+
+    /// Drain and stop: reject new work, execute everything queued, join
+    /// the collector (which drops the pool's workers). Idempotent.
+    pub fn shutdown(&mut self) {
+        self.begin_drain();
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
     }
 
-    /// Swap in a reloaded plan; picked up at the next batch boundary.
+    /// Swap in a reloaded plan and wake the collector so it rebuilds its
+    /// pool now, not inside the next request. A batch already gathered
+    /// runs on whichever plan it reads at its execution boundary.
     pub fn swap_plan(&self, plan: Arc<CompiledPlan>) {
         *self.shared.plan.lock() = plan;
+        // Through the queue lock, so a collector that has compared versions
+        // but not parked yet cannot miss the wake.
+        drop(lock(&self.shared.queue));
+        self.shared.not_empty.notify_all();
     }
 }
 
@@ -225,6 +290,21 @@ impl Drop for Lane {
 }
 
 impl LaneShared {
+    /// What every execution on this lane runs with (pool workers at build
+    /// time, the stealing pool and the sequential fallback per batch).
+    fn run_opts(&self, plan: &CompiledPlan) -> RunOptions {
+        RunOptions {
+            injector: self.cfg.injector.clone(),
+            recv_timeout: self.cfg.recv_timeout,
+            obs: self.cfg.obs.clone(),
+            init_values: Some(Arc::clone(&plan.init_values)),
+            reuse: true,
+            steal_chaos: None,
+            request_ids: None,
+            backend: self.cfg.backend,
+        }
+    }
+
     /// Admission: enforce the bounded queue per the overflow policy, then
     /// enqueue and wake the collector.
     pub fn enqueue(&self, req: Request) -> Result<(), ServeError> {
@@ -344,58 +424,135 @@ impl LaneShared {
     }
 }
 
-/// The collector thread: idle-wait → gather → execute, until drained.
+/// The lane's standing pool and the plan version it was last built for
+/// (0 = never). `pool` is `None` while no build for `version` succeeded;
+/// the next batch then retries and reports the failure as its own.
+struct LanePool {
+    version: u64,
+    pool: Option<HyperPool>,
+}
+
+impl LanePool {
+    /// Bring the pool to `plan`'s version. A version change means new
+    /// graph/weights, so the standing workers are rebuilt (old ones join
+    /// first). The stealing executor has no per-model workers — its shared
+    /// pool outlives plans — so there is nothing to build.
+    fn sync(&mut self, sh: &LaneShared, plan: &CompiledPlan) -> Result<(), RuntimeError> {
+        if sh.cfg.executor == ServeExecutor::Stealing
+            || (self.version == plan.version && self.pool.is_some())
+        {
+            return Ok(());
+        }
+        let start = Instant::now();
+        self.pool = None;
+        self.version = plan.version;
+        let built = HyperPool::with_options(
+            &plan.graph,
+            plan.num_clusters(),
+            &plan.ctx,
+            &sh.run_opts(plan),
+        );
+        let took = start.elapsed();
+        sh.stats.lane_build_ns.record(took.as_nanos() as u64);
+        sh.metrics.lane_build.record_duration(took);
+        self.pool = Some(built?);
+        Ok(())
+    }
+}
+
+/// Decrements the live-lane gauge when the collector thread unwinds or
+/// returns — declared first, so it runs after the pool's workers joined.
+struct LiveLane<'a>(&'a ServeStats);
+
+impl Drop for LiveLane<'_> {
+    fn drop(&mut self) {
+        self.0.live_lanes.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// The collector thread: sync pool → idle-wait → gather → execute, until
+/// drained.
 fn collector(sh: Arc<LaneShared>) {
-    // (plan version, pool): rebuilt whenever a hot reload changes the
-    // version. Kept across batches — that's the whole point.
-    let mut pool: Option<(u64, HyperPool)> = None;
+    let _live = LiveLane(&sh.stats);
+    let mut pool = LanePool {
+        version: 0,
+        pool: None,
+    };
+    // Evidence of a second caller (see the module docs): the previous
+    // batch coalesced, or a request was enqueued before it stopped
+    // executing — which its own caller, still waiting for the reply then,
+    // cannot have done.
+    let mut coalesced = false;
+    let mut busy_until: Option<Instant> = None;
     loop {
-        // Idle: block for the first request of the next batch.
-        let first = {
+        // Off the request path: at spawn, and when a swap woke us. A failed
+        // build is retried — and reported — by the next batch.
+        let _ = pool.sync(&sh, &Arc::clone(&sh.plan.lock()));
+        let mut batch: Vec<Request> = Vec::new();
+        let take = |q: &mut VecDeque<Request>, batch: &mut Vec<Request>| {
+            while batch.len() < sh.cfg.max_batch {
+                let Some(mut r) = q.pop_front() else { break };
+                r.popped = Some(Instant::now());
+                sh.metrics.queue_depth.set(q.len() as u64);
+                sh.space.notify_one();
+                batch.push(r);
+            }
+        };
+        {
+            // Idle: block for the first request of the next batch, and take
+            // whatever queued up behind it.
             let mut q = lock(&sh.queue);
             loop {
-                if let Some(mut r) = q.pop_front() {
-                    r.popped = Some(Instant::now());
-                    sh.metrics.queue_depth.set(q.len() as u64);
-                    sh.space.notify_one();
-                    break r;
+                take(&mut q, &mut batch);
+                if !batch.is_empty() {
+                    break;
                 }
                 if sh.draining.load(Ordering::SeqCst) {
                     return; // drained: queue empty and no new admissions
                 }
+                if sh.cfg.executor == ServeExecutor::Hyper && sh.plan.lock().version != pool.version
+                {
+                    break; // hot swap: rebuild before the next request
+                }
                 q = sh.not_empty.wait(q).unwrap_or_else(|e| e.into_inner());
             }
-        };
-        // Gather: coalesce until max_batch or max_delay after the first.
-        let batch_deadline = Instant::now() + sh.cfg.max_delay;
-        let mut batch = vec![first];
-        loop {
-            let mut q = lock(&sh.queue);
-            while batch.len() < sh.cfg.max_batch {
-                match q.pop_front() {
-                    Some(mut r) => {
-                        r.popped = Some(Instant::now());
-                        sh.metrics.queue_depth.set(q.len() as u64);
-                        sh.space.notify_one();
-                        batch.push(r);
-                    }
-                    None => break,
-                }
-            }
-            if batch.len() >= sh.cfg.max_batch || sh.draining.load(Ordering::SeqCst) {
-                break;
-            }
-            let now = Instant::now();
-            if now >= batch_deadline {
-                break;
-            }
-            let (guard, _timeout) = sh
-                .not_empty
-                .wait_timeout(q, batch_deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            drop(guard);
         }
-        execute_batch(&sh, &mut pool, batch);
+        if batch.is_empty() {
+            continue;
+        }
+        // Gather: hold the batch open — up to max_batch, up to max_delay
+        // after the first — only for company.
+        let arrived_during_execution = busy_until.is_some_and(|t| batch[0].enqueued < t);
+        let company = coalesced || arrived_during_execution || batch.len() > 1;
+        let full = |batch: &Vec<Request>| {
+            batch.len() >= sh.cfg.max_batch || sh.draining.load(Ordering::SeqCst)
+        };
+        if company && !full(&batch) {
+            sh.stats.windows_opened.fetch_add(1, Ordering::Relaxed);
+            sh.metrics.window_opened.inc();
+            let batch_deadline = Instant::now() + sh.cfg.max_delay;
+            let mut q = lock(&sh.queue);
+            loop {
+                take(&mut q, &mut batch);
+                if full(&batch) {
+                    break;
+                }
+                let now = Instant::now();
+                if now >= batch_deadline {
+                    break;
+                }
+                q = sh
+                    .not_empty
+                    .wait_timeout(q, batch_deadline - now)
+                    .unwrap_or_else(|e| e.into_inner())
+                    .0;
+            }
+        } else {
+            sh.stats.windows_skipped.fetch_add(1, Ordering::Relaxed);
+            sh.metrics.window_skipped.inc();
+        }
+        coalesced = batch.len() > 1;
+        busy_until = Some(execute_batch(&sh, &mut pool, batch));
     }
 }
 
@@ -422,10 +579,13 @@ fn fail_all(
     }
 }
 
-/// Execute one gathered batch: deadline-filter, (re)build the pool if the
-/// plan changed, run with supervised retries, degrade to per-request
-/// sequential execution if the batch stays poisoned, scatter results.
-fn execute_batch(sh: &LaneShared, pool_slot: &mut Option<(u64, HyperPool)>, batch: Vec<Request>) {
+/// Execute one gathered batch: deadline-filter, rebuild the pool if a hot
+/// swap raced this batch, run with supervised retries, degrade to
+/// per-request sequential execution if the batch stays poisoned, scatter
+/// results. Returns when the batch stopped executing (before any reply
+/// went out): a request enqueued earlier than that arrived while the lane
+/// was busy.
+fn execute_batch(sh: &LaneShared, pool: &mut LanePool, batch: Vec<Request>) -> Instant {
     let obs = &sh.cfg.obs;
     // Dead-on-arrival filter: reject expired work *before* spending any
     // execution on it.
@@ -444,35 +604,28 @@ fn execute_batch(sh: &LaneShared, pool_slot: &mut Option<(u64, HyperPool)>, batc
         }
     }
     if live.is_empty() {
-        return;
+        return now;
     }
 
     let plan = Arc::clone(&sh.plan.lock());
     let ids: Arc<Vec<u64>> = Arc::new(live.iter().map(|r| r.id).collect());
     let run_opts = RunOptions {
-        injector: sh.cfg.injector.clone(),
-        recv_timeout: sh.cfg.recv_timeout,
-        obs: obs.clone(),
-        init_values: Some(Arc::clone(&plan.init_values)),
-        reuse: true,
-        steal_chaos: None,
         request_ids: Some(Arc::clone(&ids)),
-        backend: sh.cfg.backend,
+        ..sh.run_opts(&plan)
     };
     let stealing = sh.cfg.executor == ServeExecutor::Stealing;
-    // Hot reload boundary: a version change means new graph/weights, so
-    // the standing workers are rebuilt (old ones join first). The stealing
-    // executor has no per-model workers — its shared pool outlives plans,
-    // and a reload simply compiles a fresh StealPlan.
-    if !stealing && pool_slot.as_ref().map(|(v, _)| *v) != Some(plan.version) {
-        *pool_slot = None;
-        match HyperPool::with_options(&plan.graph, plan.num_clusters(), &plan.ctx, &run_opts) {
-            Ok(p) => *pool_slot = Some((plan.version, p)),
-            Err(e) => {
-                let t = Instant::now();
-                fail_all(sh, live, &ServeError::Runtime(e), t, t);
-                return;
-            }
+    // Hot reload boundary. The idle collector already rebuilt for every
+    // swap it was woken for; only a swap that raced this batch leaves work
+    // here. That rebuild is execution set-up, not waiting for batch-mates:
+    // the execution window starts before it.
+    let mut exec_start = None;
+    if !stealing && (pool.version != plan.version || pool.pool.is_none()) {
+        let t = Instant::now();
+        exec_start = Some(t);
+        if let Err(e) = pool.sync(sh, &plan) {
+            let failed = Instant::now();
+            fail_all(sh, live, &ServeError::Runtime(e), t, failed);
+            return failed;
         }
     }
 
@@ -504,7 +657,7 @@ fn execute_batch(sh: &LaneShared, pool_slot: &mut Option<(u64, HyperPool)>, batc
             Err(e) => {
                 let t = Instant::now();
                 fail_all(sh, live, &e, t, t);
-                return;
+                return t;
             }
         }
     } else {
@@ -513,7 +666,7 @@ fn execute_batch(sh: &LaneShared, pool_slot: &mut Option<(u64, HyperPool)>, batc
             Err(e) => {
                 let t = Instant::now();
                 fail_all(sh, live, &e, t, t);
-                return;
+                return t;
             }
         }
     };
@@ -525,11 +678,11 @@ fn execute_batch(sh: &LaneShared, pool_slot: &mut Option<(u64, HyperPool)>, batc
     // (backoff sleeps included) — that is the latency callers actually saw.
     let sup = &sh.cfg.supervisor;
     let mut attempt = 0u32;
-    let exec_start = Instant::now();
+    let exec_start = exec_start.unwrap_or_else(Instant::now);
     let result: Result<Vec<Env>, RuntimeError> = loop {
         let attempt_result = match &exec {
             BatchExec::Hyper(sched) => {
-                let (_, pool) = pool_slot.as_mut().expect("hyper pool built above");
+                let pool = pool.pool.as_mut().expect("hyper pool synced above");
                 pool.run_batch(sched, &inputs)
             }
             BatchExec::Stealing(splan) => {
@@ -603,4 +756,5 @@ fn execute_batch(sh: &LaneShared, pool_slot: &mut Option<(u64, HyperPool)>, batc
             fail_all(sh, live, &ServeError::Runtime(e), exec_start, exec_end);
         }
     }
+    exec_end
 }

@@ -1,7 +1,8 @@
 //! Model registry and plan cache.
 //!
-//! `load()` pays every per-model cost exactly once — clustering,
-//! hypercluster schedules (plus routing tables) at the batch sizes the
+//! `load()` pays every per-model cost exactly once — clustering, the
+//! slot-resolved graph program with its in-place marks, hypercluster
+//! schedules compiled to per-worker programs at the batch sizes the
 //! micro-batcher will actually hit, the shared initializer table, and a
 //! per-plan [`ExecCtx`] whose packed-weight cache persists across requests
 //! — and shares the result as an [`Arc<CompiledPlan>`]. The cache is
@@ -17,7 +18,7 @@ use ramiel_cluster::{
     StaticCost,
 };
 use ramiel_ir::Graph;
-use ramiel_runtime::{PlannedBatch, StealPlan};
+use ramiel_runtime::{GraphProgram, PlannedBatch, StealPlan};
 use ramiel_tensor::{ExecCtx, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,7 +69,12 @@ pub struct CompiledPlan {
     /// Per-plan execution context: its packed-weight cache warms up on the
     /// first request and is reused by every later one (clones share it).
     pub ctx: ExecCtx,
-    /// Hypercluster schedules + routing tables, keyed by batch size.
+    /// The graph with every tensor name resolved to a slot (and the
+    /// in-place marks): built once here, shared by every schedule below and
+    /// through them by the lane's pool workers.
+    program: Arc<GraphProgram>,
+    /// Hypercluster schedules compiled to per-worker programs, keyed by
+    /// batch size.
     schedules: Mutex<BTreeMap<usize, Arc<PlannedBatch>>>,
     /// Work-stealing plans, keyed by batch size (built lazily — only lanes
     /// running [`crate::server::ServeExecutor::Stealing`] pay for them).
@@ -100,12 +106,15 @@ impl CompiledPlan {
             batch_sizes,
             init_values,
         } = spec;
-        // One adjacency snapshot serves the clustering passes and every
-        // load-time schedule's routing table.
-        let (clustering, schedules) = {
+        // One adjacency snapshot serves the clustering passes and the slot
+        // resolution; every load-time schedule then compiles from that one
+        // resolution, whatever its batch size.
+        let (clustering, program, schedules) = {
             let adj = graph.adjacency();
             let clustering =
                 clustering.unwrap_or_else(|| cluster_graph_with(&graph, &adj, &StaticCost));
+            let program =
+                Arc::new(GraphProgram::with_adjacency(&graph, &adj).map_err(ServeError::Runtime)?);
             let mut schedules = BTreeMap::new();
             for b in batch_sizes.into_iter().chain([1]) {
                 if b == 0 {
@@ -113,12 +122,12 @@ impl CompiledPlan {
                 }
                 if let std::collections::btree_map::Entry::Vacant(slot) = schedules.entry(b) {
                     let hc = hyper_schedule(&clustering, switched, b);
-                    let planned = PlannedBatch::with_adjacency(&graph, &adj, hc)
-                        .map_err(ServeError::Runtime)?;
+                    let planned =
+                        PlannedBatch::with_program(&program, hc).map_err(ServeError::Runtime)?;
                     slot.insert(Arc::new(planned));
                 }
             }
-            (clustering, schedules)
+            (clustering, program, schedules)
         };
         let init_values = match init_values {
             Some(iv) => iv,
@@ -137,6 +146,7 @@ impl CompiledPlan {
             switched,
             init_values,
             ctx,
+            program,
             schedules: Mutex::new(schedules),
             steal_plans: Mutex::new(BTreeMap::new()),
         })
@@ -154,7 +164,8 @@ impl CompiledPlan {
             return Ok(Arc::clone(p));
         }
         let hc = hyper_schedule(&self.clustering, self.switched, batch);
-        let planned = Arc::new(PlannedBatch::new(&self.graph, hc).map_err(ServeError::Runtime)?);
+        let planned =
+            Arc::new(PlannedBatch::with_program(&self.program, hc).map_err(ServeError::Runtime)?);
         schedules.insert(batch, Arc::clone(&planned));
         Ok(planned)
     }

@@ -301,6 +301,10 @@ pub struct Server {
     cfg: ServeConfig,
     cache: PlanCache,
     lanes: parking_lot::Mutex<HashMap<String, Lane>>,
+    /// Evicted lanes, told to drain but not yet joined: `load` never waits
+    /// for a drain. Reaped once their collector has exited (next `load`),
+    /// all joined by `shutdown`.
+    retired: parking_lot::Mutex<Vec<Lane>>,
     stats: Arc<ServeStats>,
     load_metrics: LoadMetrics,
     shutting_down: AtomicBool,
@@ -325,6 +329,7 @@ impl Server {
             cfg,
             cache,
             lanes: parking_lot::Mutex::new(HashMap::new()),
+            retired: parking_lot::Mutex::new(Vec::new()),
             stats: Arc::new(ServeStats::default()),
             shutting_down: AtomicBool::new(false),
             trace,
@@ -334,9 +339,12 @@ impl Server {
     }
 
     /// Compile `spec` under `name` and start (or hot-reload) its lane.
-    /// Reloading an existing name swaps the plan at the next batch
-    /// boundary; loading past the plan-cache capacity drains and removes
-    /// the least-recently-used model's lane.
+    /// Reloading an existing name swaps the plan and wakes the lane to
+    /// rebuild its workers; loading past the plan-cache capacity retires
+    /// the least-recently-used model's lane. Either way the new lane's
+    /// workers are being built when this returns, and nothing here waits
+    /// for a retired lane: it answers what it had admitted and exits on
+    /// its own, and a later `load` (or `shutdown`) collects it.
     pub fn load(&self, name: &str, spec: PlanSpec) -> Result<Arc<CompiledPlan>, ServeError> {
         if self.shutting_down.load(Ordering::SeqCst) {
             return Err(ServeError::ShuttingDown);
@@ -346,13 +354,12 @@ impl Server {
         self.load_metrics.compile.record_duration(start.elapsed());
         self.load_metrics.evictions.add(evicted.len() as u64);
         let start = Instant::now();
-        // Tear down evicted lanes *outside* the map lock (drain can block).
-        let mut torn_down: Vec<Lane> = Vec::new();
+        let mut retiring: Vec<Lane> = Vec::new();
         {
             let mut lanes = self.lanes.lock();
             for old in &evicted {
                 if let Some(lane) = lanes.remove(&old.name) {
-                    torn_down.push(lane);
+                    retiring.push(lane);
                 }
             }
             match lanes.get(name) {
@@ -369,8 +376,16 @@ impl Server {
                 }
             }
         }
-        for mut lane in torn_down {
-            lane.shutdown();
+        for lane in &retiring {
+            lane.begin_drain();
+        }
+        // Reap: retired lanes whose collector already exited drop here
+        // (joining a finished thread does not block); the rest keep
+        // draining.
+        {
+            let mut retired = self.retired.lock();
+            retired.append(&mut retiring);
+            retired.retain(|lane| !lane.is_finished());
         }
         self.load_metrics.swap.record_duration(start.elapsed());
         Ok(plan)
@@ -504,14 +519,17 @@ impl Server {
     }
 
     /// Graceful drain: reject new submissions, execute everything already
-    /// admitted, stop every lane's workers. Idempotent; also runs on drop.
+    /// admitted, stop every lane's workers — retired lanes included.
+    /// Idempotent; also runs on drop.
     pub fn shutdown(&self) {
         self.shutting_down.store(true, Ordering::SeqCst);
-        let drained: Vec<Lane> = {
-            let mut lanes = self.lanes.lock();
-            lanes.drain().map(|(_, lane)| lane).collect()
-        };
-        for mut lane in drained {
+        let mut lanes: Vec<Lane> = self.lanes.lock().drain().map(|(_, lane)| lane).collect();
+        lanes.append(&mut self.retired.lock());
+        // All drain concurrently; then wait for each.
+        for lane in &lanes {
+            lane.begin_drain();
+        }
+        for mut lane in lanes {
             lane.shutdown();
         }
     }

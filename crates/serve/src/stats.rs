@@ -32,6 +32,15 @@ pub struct ServeStats {
     pub retries: AtomicU64,
     /// Batches that degraded to per-request sequential execution.
     pub fallbacks: AtomicU64,
+    /// Batches the collector held open for company (the `max_delay`
+    /// window) vs. batches it ran at once.
+    pub windows_opened: AtomicU64,
+    pub windows_skipped: AtomicU64,
+    /// Lane collector threads alive: serving, or retired and still
+    /// draining. A collector exits only after its pool's workers joined.
+    pub live_lanes: AtomicU64,
+    /// Time to (re)build a lane's worker pool, nanoseconds.
+    pub(crate) lane_build_ns: Histogram,
     /// Deepest queue observed at admission (per-window + lifetime).
     peak_depth: PeakGauge,
     /// Achieved batch sizes (exact buckets below 16, so `max_batch <= 15`
@@ -80,6 +89,7 @@ impl ServeStats {
         let queue = self.queue_wait_ns.snapshot();
         let latency = self.latency_ns.snapshot();
         let execute = self.execute_ns.snapshot();
+        let lane_build = self.lane_build_ns.snapshot();
         let ms = |ns: u64| ns as f64 / 1e6;
         StatsSnapshot {
             submitted: self.submitted.load(Ordering::Relaxed),
@@ -91,6 +101,11 @@ impl ServeStats {
             batches,
             retries: self.retries.load(Ordering::Relaxed),
             fallbacks: self.fallbacks.load(Ordering::Relaxed),
+            windows_opened: self.windows_opened.load(Ordering::Relaxed),
+            windows_skipped: self.windows_skipped.load(Ordering::Relaxed),
+            live_lanes: self.live_lanes.load(Ordering::SeqCst),
+            lane_builds: lane_build.count,
+            lane_build_mean_ms: lane_build.mean() / 1e6,
             peak_queue_depth: self.peak_depth.lifetime(),
             window_peak_queue_depth: if reset_windows {
                 self.peak_depth.take_window()
@@ -167,6 +182,14 @@ pub struct StatsSnapshot {
     pub batches: u64,
     pub retries: u64,
     pub fallbacks: u64,
+    /// Batches held open for company vs. run at once (the window rule).
+    pub windows_opened: u64,
+    pub windows_skipped: u64,
+    /// Lane collector threads alive (serving, or retired and draining).
+    pub live_lanes: u64,
+    /// Worker-pool (re)builds, and their mean duration.
+    pub lane_builds: u64,
+    pub lane_build_mean_ms: f64,
     /// Lifetime queue-depth high-water mark.
     pub peak_queue_depth: u64,
     /// Queue-depth high-water mark since the last window reset

@@ -354,3 +354,235 @@ fn disabled_metrics_and_trace_still_serve() {
     // Process-wide ServeStats histograms record regardless of the registry.
     assert!(server.stats().latency_max_ms > 0.0);
 }
+
+// ---- the batch window opens only for company --------------------------------
+
+/// `(opened, skipped)` from the registry's `ramiel_batch_window_total`.
+fn window_counts(server: &Server, model: &str) -> (u64, u64) {
+    let samples = ramiel_obs::parse_prometheus(&server.metrics().render_prometheus(false));
+    let count = |decision: &str| {
+        samples
+            .iter()
+            .find(|s| {
+                s.name == "ramiel_batch_window_total"
+                    && s.label("model") == Some(model)
+                    && s.label("decision") == Some(decision)
+            })
+            .map_or(0, |s| s.value as u64)
+    };
+    (count("opened"), count("skipped"))
+}
+
+/// A server whose first execution of node 0 stalls for `millis`: whatever
+/// is submitted meanwhile is queued before the collector comes back.
+fn server_with_first_run_stalled(cfg: ServeConfig, millis: u64) -> Server {
+    use ramiel_runtime::{Fault, FaultInjector, FaultKind, FaultPlan};
+    Server::new(ServeConfig {
+        injector: Some(FaultInjector::new(FaultPlan {
+            seed: 0,
+            faults: vec![Fault {
+                node: 0,
+                batch: 0,
+                exec_index: 0,
+                kind: FaultKind::RecvDelay { millis },
+            }],
+        })),
+        ..cfg
+    })
+}
+
+#[test]
+fn lone_caller_never_opens_the_window() {
+    let g = synthetic::fork_join(2, 2, 2);
+    let window = Duration::from_millis(200);
+    let server = Server::new(ServeConfig {
+        max_delay: window,
+        ..small_cfg()
+    });
+    server.load("fj", PlanSpec::new(g.clone())).unwrap();
+    let start = Instant::now();
+    for seed in 0..10u64 {
+        server.infer("fj", synth_inputs(&g, seed)).unwrap();
+    }
+    let elapsed = start.elapsed();
+    assert_eq!(window_counts(&server, "fj"), (0, 10));
+    let snap = server.stats();
+    assert_eq!((snap.windows_opened, snap.windows_skipped), (0, 10));
+    assert_eq!(snap.mean_batch, 1.0);
+    assert!(
+        elapsed < window,
+        "ten lone requests took {elapsed:?}: one of them waited for company"
+    );
+}
+
+#[test]
+fn two_callers_phase_lock_and_a_leaver_costs_one_window() {
+    let g = synthetic::fork_join(2, 2, 2);
+    let server = Arc::new(Server::new(ServeConfig {
+        max_batch: 2,
+        max_delay: Duration::from_millis(200),
+        ..ServeConfig::default()
+    }));
+    server.load("fj", PlanSpec::new(g.clone())).unwrap();
+    let rounds = 50u64;
+    let callers: Vec<_> = (0..2u64)
+        .map(|t| {
+            let server = Arc::clone(&server);
+            let g = g.clone();
+            std::thread::spawn(move || {
+                for i in 0..rounds {
+                    server.infer("fj", synth_inputs(&g, t * 1000 + i)).unwrap();
+                }
+            })
+        })
+        .collect();
+    for c in callers {
+        c.join().unwrap();
+    }
+    let snap = server.stats();
+    assert_eq!(snap.completed, 2 * rounds);
+    assert!(
+        snap.mean_batch >= 1.8,
+        "two closed-loop callers must coalesce: mean batch {}",
+        snap.mean_batch
+    );
+    assert!(snap.windows_opened > 0, "no window ever opened for company");
+
+    // One caller is gone. The survivor pays at most one expired window
+    // before the lane stops waiting for a partner that left.
+    let (opened_before, _) = window_counts(&server, "fj");
+    for seed in 0..5u64 {
+        server.infer("fj", synth_inputs(&g, 9000 + seed)).unwrap();
+    }
+    let (opened_after, _) = window_counts(&server, "fj");
+    assert!(
+        opened_after - opened_before <= 1,
+        "survivor waited {} times for a caller that left",
+        opened_after - opened_before
+    );
+}
+
+#[test]
+fn queued_burst_still_coalesces_to_max_batch() {
+    let g = synthetic::chain(3);
+    let server = server_with_first_run_stalled(
+        ServeConfig {
+            max_batch: 4,
+            max_delay: Duration::from_millis(1),
+            ..ServeConfig::default()
+        },
+        300,
+    );
+    server.load("c", PlanSpec::new(g.clone())).unwrap();
+    // The first request runs alone and stalls; the burst queues behind it.
+    let first = server.submit("c", synth_inputs(&g, 0)).unwrap();
+    while server.stats().batches == 0 {
+        std::thread::yield_now();
+    }
+    let burst: Vec<_> = (1..=16u64)
+        .map(|seed| server.submit("c", synth_inputs(&g, seed)).unwrap())
+        .collect();
+    first.wait().unwrap();
+    for t in burst {
+        t.wait().unwrap();
+    }
+    let snap = server.stats();
+    let of_size = |n: usize| {
+        snap.batch_histogram
+            .iter()
+            .find(|b| b.size == n)
+            .map_or(0, |b| b.count)
+    };
+    assert_eq!(
+        (of_size(1), of_size(4)),
+        (1, 4),
+        "{:?}",
+        snap.batch_histogram
+    );
+    assert_eq!(snap.windows_opened, 0, "a full batch never waits");
+}
+
+// ---- lane lifecycle ----------------------------------------------------------
+
+/// Poll `stats().lane_builds` until it reaches `want` (bounded).
+fn await_lane_builds(server: &Server, want: u64) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while server.stats().lane_builds < want {
+        assert!(
+            Instant::now() < deadline,
+            "lane pool was never built: {} of {want} builds",
+            server.stats().lane_builds
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn lane_pool_is_built_at_load_and_rebuilt_at_swap_without_requests() {
+    let g = synthetic::fork_join(2, 2, 2);
+    let server = Server::new(small_cfg());
+    server.load("m", PlanSpec::new(g.clone())).unwrap();
+    await_lane_builds(&server, 1);
+    server.load("m", PlanSpec::new(g.clone())).unwrap();
+    await_lane_builds(&server, 2);
+    assert_eq!(server.stats().submitted, 0, "no request was ever submitted");
+    let text = server.metrics().render_prometheus(false);
+    let builds = ramiel_obs::parse_prometheus(&text)
+        .into_iter()
+        .find(|s| s.name == "ramiel_lane_build_ns_count" && s.label("model") == Some("m"))
+        .expect("ramiel_lane_build_ns series for m");
+    assert_eq!(builds.value as u64, 2);
+    // Requests find the workers standing: nothing is built on their path.
+    server.infer("m", synth_inputs(&g, 1)).unwrap();
+    assert_eq!(server.stats().lane_builds, 2);
+}
+
+#[test]
+fn evicted_lane_answers_its_requests_after_load_returned() {
+    let g = synthetic::chain(3);
+    let server = server_with_first_run_stalled(
+        ServeConfig {
+            plan_capacity: 1,
+            ..small_cfg()
+        },
+        300,
+    );
+    server.load("a", PlanSpec::new(g.clone())).unwrap();
+    // One request stalls in execution, five more queue behind it.
+    let first = server.submit("a", synth_inputs(&g, 0)).unwrap();
+    while server.stats().batches == 0 {
+        std::thread::yield_now();
+    }
+    let mut tickets = vec![first];
+    tickets.extend((1..6u64).map(|seed| server.submit("a", synth_inputs(&g, seed)).unwrap()));
+
+    // Evicts `a` while all six are unanswered — and does not wait for them.
+    server
+        .load("b", PlanSpec::new(synthetic::chain(4)))
+        .unwrap();
+    assert_eq!(
+        server.stats().completed,
+        0,
+        "`load` returned only after the evicted lane drained"
+    );
+    assert_eq!(
+        server.infer("a", synth_inputs(&g, 9)).unwrap_err().code(),
+        "SV-MODEL"
+    );
+
+    let ctx = ExecCtx::sequential();
+    for (seed, t) in tickets.into_iter().enumerate() {
+        let out = t
+            .wait_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|e| panic!("request {seed} admitted to the evicted lane: {e}"));
+        assert_eq!(
+            run_sequential(&g, &synth_inputs(&g, seed as u64), &ctx).unwrap(),
+            out
+        );
+    }
+    assert!(server.stats().live_lanes >= 1);
+    server.shutdown();
+    // Collectors exit only after their pool's workers joined, and shutdown
+    // joined every collector — the retired one included.
+    assert_eq!(server.stats().live_lanes, 0);
+}

@@ -185,6 +185,20 @@ wait "$SWAP_PID"
 kill "$FS_PID" 2>/dev/null || true
 wait "$FS_PID" 2>/dev/null || true
 
+# Benchmark process-boundary gate: `benchmark/run.sh --smoke` builds the
+# release `ramiel` binary and the benchmark package (its own workspace,
+# same target directory), spawns `ramiel serve` with default flags and
+# drives all four workloads over loopback TCP for about a second each.
+# Every reply is verified against benchmark/golden.json and the metric
+# names are checked against BENCHMARK.json, so a change that breaks what
+# the benchmark uses of the program — a flag, a wire field, a scraped
+# series, a public signature in benchmark/src/layers.rs — fails here and
+# not in the benchmark driver (exit 1 on a wrong reply, 2 on a broken
+# run). About 15 s after the build.
+echo "==> benchmark smoke (4 workloads over TCP, replies vs golden.json)"
+CARGO_TARGET_DIR="$PWD/target" timeout --kill-after=30s 600s \
+    bash benchmark/run.sh --smoke > target/ci-benchmark-smoke.log
+
 # Bench guards, release profile: bench_json exits nonzero if any of its
 # embedded regression guards trip — notably the batch-1 work-stealing guard
 # (stealing must beat sequential on every model; min-of-iters on both sides
