@@ -13,11 +13,12 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ramiel::{compile, PipelineOptions};
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_runtime::{
-    run_parallel, run_parallel_opts, run_sequential, run_sequential_opts, run_supervised,
-    synth_inputs, FaultInjector, FaultPlan, RunOptions, SupervisorConfig,
+    run, run_sequential, run_sequential_opts, synth_inputs, FaultInjector, FaultPlan, RunOptions,
+    SupervisorConfig,
 };
 use ramiel_tensor::ExecCtx;
 use std::hint::black_box;
+use std::slice::from_ref;
 
 fn bench_sequential_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("fault_overhead_sequential");
@@ -53,41 +54,43 @@ fn bench_parallel_overhead(c: &mut Criterion) {
     let ctx = ExecCtx::sequential();
     group.bench_function(BenchmarkId::from_parameter("baseline"), |b| {
         b.iter(|| {
-            run_parallel(
+            run(
                 black_box(&compiled.graph),
                 &compiled.clustering,
-                &inputs,
+                from_ref(&inputs),
                 &ctx,
+                &RunOptions::default(),
             )
+            .single()
             .expect("par")
         });
     });
     let empty = RunOptions::with_injector(FaultInjector::new(FaultPlan::none()));
     group.bench_function(BenchmarkId::from_parameter("empty_plan"), |b| {
         b.iter(|| {
-            run_parallel_opts(
+            run(
                 black_box(&compiled.graph),
                 &compiled.clustering,
-                &inputs,
+                from_ref(&inputs),
                 &ctx,
                 &empty,
             )
+            .single()
             .expect("par")
         });
     });
-    let cfg = SupervisorConfig::default();
+    let supervised = RunOptions::default().supervisor(SupervisorConfig::default());
     group.bench_function(BenchmarkId::from_parameter("supervised"), |b| {
         b.iter(|| {
-            let (res, report) = run_supervised(
+            let r = run(
                 black_box(&compiled.graph),
                 &compiled.clustering,
-                &inputs,
+                from_ref(&inputs),
                 &ctx,
-                None,
-                &cfg,
+                &supervised,
             );
-            assert_eq!(report.attempts, 1);
-            res.expect("supervised")
+            assert_eq!(r.report.attempts, 1);
+            r.single().expect("supervised")
         });
     });
     group.finish();

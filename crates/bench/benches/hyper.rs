@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ramiel::{compile, PipelineOptions};
 use ramiel_cluster::{hypercluster, switched_hypercluster};
 use ramiel_models::{build, ModelConfig, ModelKind};
-use ramiel_runtime::{run_hyper, run_sequential, synth_inputs, Env};
+use ramiel_runtime::{run, run_sequential, synth_inputs, Env, RunOptions};
 use ramiel_tensor::ExecCtx;
 use std::hint::black_box;
 
@@ -60,7 +60,11 @@ fn bench_fig13_execution(c: &mut Criterion) {
             BenchmarkId::new("hyperclustered", batch),
             &inputs,
             |b, inputs| {
-                b.iter(|| run_hyper(&compiled.graph, &hc, inputs, &ctx).expect("hyper"));
+                b.iter(|| {
+                    run(&compiled.graph, &hc, inputs, &ctx, &RunOptions::default())
+                        .outputs
+                        .expect("hyper")
+                });
             },
         );
     }
@@ -79,10 +83,30 @@ fn bench_fig14_switched(c: &mut Criterion) {
         let plain = hypercluster(&compiled.clustering, batch);
         let switched = switched_hypercluster(&compiled.clustering, batch);
         group.bench_with_input(BenchmarkId::new("plain", batch), &inputs, |b, inputs| {
-            b.iter(|| run_hyper(&compiled.graph, &plain, inputs, &ctx).expect("hyper"));
+            b.iter(|| {
+                run(
+                    &compiled.graph,
+                    &plain,
+                    inputs,
+                    &ctx,
+                    &RunOptions::default(),
+                )
+                .outputs
+                .expect("hyper")
+            });
         });
         group.bench_with_input(BenchmarkId::new("switched", batch), &inputs, |b, inputs| {
-            b.iter(|| run_hyper(&compiled.graph, &switched, inputs, &ctx).expect("hyper"));
+            b.iter(|| {
+                run(
+                    &compiled.graph,
+                    &switched,
+                    inputs,
+                    &ctx,
+                    &RunOptions::default(),
+                )
+                .outputs
+                .expect("hyper")
+            });
         });
     }
     group.finish();

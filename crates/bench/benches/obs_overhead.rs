@@ -13,11 +13,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ramiel::obs::Obs;
 use ramiel::{compile, compile_with_obs, PipelineOptions};
 use ramiel_models::{build, ModelConfig, ModelKind};
-use ramiel_runtime::{
-    run_parallel, run_parallel_opts, run_parallel_profiled_opts, synth_inputs, RunOptions,
-};
+use ramiel_runtime::{run, synth_inputs, RunOptions};
 use ramiel_tensor::ExecCtx;
 use std::hint::black_box;
+use std::slice::from_ref;
 
 fn bench_parallel_obs_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_overhead_parallel");
@@ -31,12 +30,14 @@ fn bench_parallel_obs_overhead(c: &mut Criterion) {
     let ctx = ExecCtx::sequential();
     group.bench_function(BenchmarkId::from_parameter("baseline"), |b| {
         b.iter(|| {
-            run_parallel(
+            run(
                 black_box(&compiled.graph),
                 &compiled.clustering,
-                &inputs,
+                from_ref(&inputs),
                 &ctx,
+                &RunOptions::default(),
             )
+            .single()
             .expect("par")
         });
     });
@@ -44,31 +45,32 @@ fn bench_parallel_obs_overhead(c: &mut Criterion) {
     let disabled = RunOptions::default().obs(Obs::disabled());
     group.bench_function(BenchmarkId::from_parameter("disabled"), |b| {
         b.iter(|| {
-            run_parallel_opts(
+            run(
                 black_box(&compiled.graph),
                 &compiled.clustering,
-                &inputs,
+                from_ref(&inputs),
                 &ctx,
                 &disabled,
             )
+            .single()
             .expect("par")
         });
     });
     group.bench_function(BenchmarkId::from_parameter("enabled_profiled"), |b| {
         b.iter(|| {
             let obs = Obs::enabled();
-            let opts = RunOptions::default().obs(obs.clone());
-            let (out, db) = run_parallel_profiled_opts(
+            let opts = RunOptions::default().obs(obs.clone()).profile(true);
+            let r = run(
                 black_box(&compiled.graph),
                 &compiled.clustering,
-                &inputs,
+                from_ref(&inputs),
                 &ctx,
                 &opts,
-            )
-            .expect("par");
+            );
+            let db = r.profile.as_ref().expect("profiled run");
             db.export_to_obs(&obs, &compiled.graph);
             assert!(!obs.is_empty());
-            out
+            r.single().expect("par")
         });
     });
     group.finish();

@@ -9,11 +9,16 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ramiel::{compile, PipelineOptions};
-use ramiel_cluster::StaticCost;
+use ramiel_cluster::{hypercluster, StaticCost};
 use ramiel_models::{build, ModelConfig, ModelKind};
-use ramiel_runtime::{run_parallel, run_sequential, simulate_clustering, synth_inputs, SimConfig};
+use ramiel_runtime::{
+    run, run_sequential, simulate_clustering, synth_inputs, HyperPool, PlannedBatch, RunOptions,
+    SimConfig,
+};
 use ramiel_tensor::ExecCtx;
 use std::hint::black_box;
+use std::slice::from_ref;
+use std::sync::Arc;
 
 /// Table IV models kept to the quicker half so the bench suite stays snappy;
 /// the `tables` binary covers all eight.
@@ -62,7 +67,15 @@ fn bench_parallel_execution(c: &mut Criterion) {
             &compiled,
             |b, c| {
                 b.iter(|| {
-                    run_parallel(black_box(&c.graph), &c.clustering, &inputs, &ctx).expect("par")
+                    run(
+                        black_box(&c.graph),
+                        &c.clustering,
+                        from_ref(&inputs),
+                        &ctx,
+                        &RunOptions::default(),
+                    )
+                    .single()
+                    .expect("par")
                 });
             },
         );
@@ -106,7 +119,17 @@ fn bench_pruned_execution(c: &mut Criterion) {
             let inputs = synth_inputs(&compiled.graph, 42);
             let ctx = ExecCtx::sequential();
             group.bench_with_input(BenchmarkId::new(label, kind.name()), &compiled, |b, c| {
-                b.iter(|| run_parallel(&c.graph, &c.clustering, &inputs, &ctx).expect("par"));
+                b.iter(|| {
+                    run(
+                        &c.graph,
+                        &c.clustering,
+                        from_ref(&inputs),
+                        &ctx,
+                        &RunOptions::default(),
+                    )
+                    .single()
+                    .expect("par")
+                });
             });
         }
     }
@@ -142,8 +165,8 @@ fn bench_simulator(c: &mut Criterion) {
 }
 
 fn bench_pool_vs_spawn(c: &mut Criterion) {
-    // serving-shape ablation: standing ClusterPool (the paper's long-lived
-    // processes) vs spawn-per-inference run_parallel
+    // serving-shape ablation: a standing batch-1 HyperPool (the paper's
+    // long-lived processes) vs the same pool spawned per inference
     let compiled = compile(
         build(ModelKind::Squeezenet, &ModelConfig::full()),
         &PipelineOptions::default(),
@@ -154,12 +177,25 @@ fn bench_pool_vs_spawn(c: &mut Criterion) {
     let mut group = c.benchmark_group("pool_vs_spawn");
     group.sample_size(20);
     group.bench_function("spawn_per_inference", |b| {
-        b.iter(|| run_parallel(&compiled.graph, &compiled.clustering, &inputs, &ctx).expect("par"));
+        b.iter(|| {
+            run(
+                &compiled.graph,
+                &compiled.clustering,
+                from_ref(&inputs),
+                &ctx,
+                &RunOptions::default(),
+            )
+            .single()
+            .expect("par")
+        });
     });
-    let mut pool = ramiel_runtime::ClusterPool::new(&compiled.graph, &compiled.clustering, &ctx)
-        .expect("pool");
+    let plan = PlannedBatch::new(&compiled.graph, hypercluster(&compiled.clustering, 1))
+        .map(Arc::new)
+        .expect("plan");
+    let mut pool = HyperPool::new(&compiled.graph, plan.num_workers(), &ctx).expect("pool");
+    let one = Arc::new(vec![inputs.clone()]);
     group.bench_function("standing_pool", |b| {
-        b.iter(|| pool.run(&inputs).expect("pool run"));
+        b.iter(|| pool.run_batch(&plan, &one).expect("pool run"));
     });
     group.finish();
 }

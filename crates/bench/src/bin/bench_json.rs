@@ -15,11 +15,12 @@ use ramiel::{compile, PipelineOptions};
 use ramiel_cluster::{distance_to_end, linear_clustering, merge_clusters_fixpoint};
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_runtime::{
-    run_parallel, run_parallel_opts, run_parallel_profiled, run_sequential, run_sequential_opts,
-    simulate_clustering, synth_inputs, RunOptions, SimConfig,
+    run, run_sequential, run_sequential_opts, simulate_clustering, synth_inputs, RunOptions,
+    SimConfig,
 };
 use ramiel_tensor::{ExecCtx, MemGauge};
 use serde::Serialize;
+use std::slice::from_ref;
 use std::time::Instant;
 
 #[derive(Serialize)]
@@ -258,7 +259,15 @@ fn main() {
             run_sequential(&c.graph, &inputs, &ctx).expect("seq");
         });
         let par_ms = time_ms(iters, || {
-            run_parallel(&c.graph, &c.clustering, &inputs, &ctx).expect("par");
+            run(
+                &c.graph,
+                &c.clustering,
+                from_ref(&inputs),
+                &ctx,
+                &RunOptions::default(),
+            )
+            .single()
+            .expect("par");
         });
         models.push(ModelRow {
             model: kind.name().to_string(),
@@ -498,16 +507,27 @@ fn main() {
     .expect("pipeline");
     let inputs = synth_inputs(&c.graph, 42);
     let baseline_ms = time_ms(iters, || {
-        run_parallel(&c.graph, &c.clustering, &inputs, &ctx).expect("par");
+        run(
+            &c.graph,
+            &c.clustering,
+            from_ref(&inputs),
+            &ctx,
+            &RunOptions::default(),
+        )
+        .single()
+        .expect("par");
     });
     let disabled = RunOptions::default().obs(Obs::disabled());
     let disabled_obs_ms = time_ms(iters, || {
-        run_parallel_opts(&c.graph, &c.clustering, &inputs, &ctx, &disabled).expect("par");
+        run(&c.graph, &c.clustering, from_ref(&inputs), &ctx, &disabled)
+            .single()
+            .expect("par");
     });
     let enabled_obs_ms = time_ms(iters, || {
         let obs = Obs::enabled();
-        let opts = RunOptions::default().obs(obs.clone());
-        ramiel_runtime::run_parallel_profiled_opts(&c.graph, &c.clustering, &inputs, &ctx, &opts)
+        let opts = RunOptions::default().obs(obs.clone()).profile(true);
+        run(&c.graph, &c.clustering, from_ref(&inputs), &ctx, &opts)
+            .single()
             .expect("par");
     });
     let obs_overhead = ObsOverhead {
@@ -576,7 +596,10 @@ fn main() {
     }
 
     // Fig. 10 feedback loop: measured profile → MeasuredCost → recluster.
-    let (_, db) = run_parallel_profiled(&c.graph, &c.clustering, &inputs, &ctx).expect("profiled");
+    let profiled = RunOptions::default().profile(true);
+    let db = run(&c.graph, &c.clustering, from_ref(&inputs), &ctx, &profiled)
+        .profile
+        .expect("profiled");
     let measured = db.measured_cost(&c.graph);
     let dist = distance_to_end(&c.graph, &measured);
     let tuned = merge_clusters_fixpoint(&linear_clustering(&c.graph, &dist), &dist);
@@ -618,8 +641,10 @@ fn main() {
         let c =
             compile(build(ModelKind::Bert, &cfg), &PipelineOptions::default()).expect("pipeline");
         let inputs = synth_inputs(&c.graph, 42);
-        let (_, db) =
-            run_parallel_profiled(&c.graph, &c.clustering, &inputs, &ctx).expect("profiled");
+        let profiled = RunOptions::default().profile(true);
+        let db = run(&c.graph, &c.clustering, from_ref(&inputs), &ctx, &profiled)
+            .profile
+            .expect("profiled");
         let channel_bytes: u64 = db.channels().iter().map(|e| e.bytes).sum();
         let channel_copied_bytes: u64 = db.channels().iter().map(|e| e.copied_bytes).sum();
         ZeroCopy {

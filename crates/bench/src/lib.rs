@@ -16,10 +16,11 @@ use ramiel_cluster::{hypercluster, switched_hypercluster, StaticCost};
 use ramiel_ios::{ios_makespan, ios_schedule, IosConfig};
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_runtime::{
-    clustering_peak_memory, run_hyper, run_parallel, run_sequential, sequential_peak_memory,
-    simulate_clustering, simulate_hyper, simulate_sequential, synth_inputs, Env, SimConfig,
+    clustering_peak_memory, run, run_sequential, sequential_peak_memory, simulate_clustering,
+    simulate_hyper, simulate_sequential, synth_inputs, Env, RunOptions, SimConfig,
 };
 use ramiel_tensor::ExecCtx;
+use std::slice::from_ref;
 use std::time::{Duration, Instant};
 
 /// Simulator configuration used across tables. A communication latency of 4
@@ -87,7 +88,15 @@ pub fn measured_times(c: &CompiledModel, iters: usize, intra_op: usize) -> (f64,
         run_sequential(&c.graph, &inputs, &ctx).expect("sequential run");
     });
     let par = time_ms(iters, || {
-        run_parallel(&c.graph, &c.clustering, &inputs, &ctx).expect("parallel run");
+        run(
+            &c.graph,
+            &c.clustering,
+            from_ref(&inputs),
+            &ctx,
+            &RunOptions::default(),
+        )
+        .single()
+        .expect("parallel run");
     });
     (seq, par)
 }
@@ -299,10 +308,26 @@ pub fn table6(iters: usize) -> Vec<Table6Row> {
                 run_sequential(&plain.graph, &inputs, &ctx).expect("seq");
             });
             let par_ms = time_ms(iters, || {
-                run_parallel(&plain.graph, &plain.clustering, &inputs, &ctx).expect("par");
+                run(
+                    &plain.graph,
+                    &plain.clustering,
+                    from_ref(&inputs),
+                    &ctx,
+                    &RunOptions::default(),
+                )
+                .single()
+                .expect("par");
             });
             let par_pruned_ms = time_ms(iters, || {
-                run_parallel(&pruned.graph, &pruned.clustering, &inputs, &ctx).expect("par");
+                run(
+                    &pruned.graph,
+                    &pruned.clustering,
+                    from_ref(&inputs),
+                    &ctx,
+                    &RunOptions::default(),
+                )
+                .single()
+                .expect("par");
             });
             Table6Row {
                 model: k.name().into(),
@@ -506,7 +531,9 @@ pub fn hyper_row(
         }
     });
     let par_ms = time_ms(iters, || {
-        run_hyper(&c.graph, &hc, &inputs, &ctx).expect("hyper");
+        run(&c.graph, &hc, &inputs, &ctx, &RunOptions::default())
+            .outputs
+            .expect("hyper");
     });
     let sim = simulate_hyper(&c.graph, &hc, &StaticCost, &sim_config()).expect("sim");
     let seq_sim = simulate_sequential(&c.graph, &StaticCost, batch);
@@ -713,7 +740,15 @@ pub fn per_request_load(
                 let seed = t * 100_000 + i;
                 let inputs = synth_inputs(&graph, seed);
                 let start = Instant::now();
-                match run_parallel(&graph, &clustering, &inputs, &ctx) {
+                match run(
+                    &graph,
+                    &*clustering,
+                    from_ref(&inputs),
+                    &ctx,
+                    &RunOptions::default(),
+                )
+                .single()
+                {
                     Ok(out) => {
                         latencies_ms.push(start.elapsed().as_secs_f64() * 1e3);
                         completed += 1;

@@ -5,7 +5,7 @@
 //! ramiel report                          Table-I-style parallelism metrics
 //! ramiel compile <model> [flags]         run the pipeline, emit Python code
 //! ramiel run <model> [flags]             execute seq/parallel and time it
-//! ramiel profile <model> [flags]         profiled run on all four executors,
+//! ramiel profile <model> [flags]         profiled run on four executor lanes,
 //!                                        emits a Chrome/Perfetto trace plus
 //!                                        cost-model accuracy + reclustering
 //! ramiel check <model|all> [flags]       statically verify the schedule
@@ -34,8 +34,10 @@
 //!
 //! Flags: `--prune` (const-prop + DCE), `--clone` (task cloning),
 //! `--batch N` + `--switched` (hyperclustering), `--intra-op N` (rayon
-//! intra-op threads), `--iters N`, `--out DIR`, `--tiny` (reduced model),
-//! `--deny-warnings` (`check`: warnings also fail the run).
+//! intra-op threads), `--iters N`, `--mode <seq|par|both>` (`run`: which
+//! side to time; with `--batch N` both sides run N samples and report
+//! ms/sample), `--out DIR`, `--tiny` (reduced model), `--deny-warnings`
+//! (`check`: warnings also fail the run).
 //!
 //! Serving flags (`serve`): `--port N` (default 7878, 0 = ephemeral),
 //! `--max-batch N` (micro-batch bound, default 8), `--max-delay-ms N`
@@ -79,13 +81,15 @@
 //! pipelines.
 
 use ramiel::diag::Gate;
-use ramiel::{compile, CompiledModel, HyperMode, PipelineOptions, PreparedModel, Scheduler};
+use ramiel::{compile, CompiledModel, HyperMode, PipelineOptions, Scheduler};
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_runtime::{
-    run_parallel, run_parallel_opts, run_sequential, run_sequential_opts, synth_inputs,
+    run, run_sequential, run_sequential_opts, synth_inputs, Engine, Env, RunOptions, Schedule,
 };
 use ramiel_tensor::{ExecCtx, KernelBackend};
 use std::process::ExitCode;
+use std::slice::from_ref;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn parse_model(name: &str, cfg: &ModelConfig) -> Result<ramiel_ir::Graph, String> {
@@ -234,7 +238,12 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                     .map_err(|e| format!("--max-retries: {e}"))?
             }
             "--out" => f.out = Some(value("--out")?),
-            "--mode" => f.mode = value("--mode")?,
+            "--mode" => {
+                f.mode = match value("--mode")?.as_str() {
+                    m @ ("seq" | "par" | "both") => m.to_string(),
+                    other => return Err(format!("unknown mode `{other}` (seq|par|both)")),
+                }
+            }
             "--shed" => f.shed = true,
             "--port" => {
                 f.port = value("--port")?
@@ -427,15 +436,25 @@ fn cmd_run(model: &str, f: &Flags) -> Result<(), String> {
     let prepared = ramiel::prepare(g, &options(f)).map_err(|e| e.to_string())?;
     let c = &prepared.compiled;
     summarize(c);
-    let inputs = synth_inputs(&c.graph, 42);
+    // What was compiled is what runs: the hyperclustering over `--batch`
+    // samples when there is one, the clustering over a single sample
+    // otherwise.
+    let schedule = match &c.hyper {
+        Some(hc) => Schedule::Hyper(hc),
+        None => Schedule::Clusters(&c.clustering),
+    };
+    let batch = c.hyper.as_ref().map_or(1, |hc| hc.batch);
+    let inputs: Vec<Env> = (0..batch)
+        .map(|b| synth_inputs(&c.graph, 42 + b as u64))
+        .collect();
     let ctx = ExecCtx::with_intra_op(f.intra_op);
+    let mut run_opts = prepared.run_options();
+    run_opts.backend = f.backend;
 
     if let Some(seed) = f.chaos_seed {
-        return cmd_run_chaos(&prepared, &inputs, &ctx, seed, f);
+        return cmd_run_chaos(c, schedule, &inputs, &ctx, run_opts, seed, f);
     }
-    let mut run_opts = prepared.run_options();
     if let Some(b) = f.backend {
-        run_opts = run_opts.backend(b);
         println!("kernel backend: {b}");
     }
 
@@ -445,43 +464,45 @@ fn cmd_run(model: &str, f: &Flags) -> Result<(), String> {
         for _ in 0..f.iters {
             body()?;
         }
+        let ms = start.elapsed().as_secs_f64() * 1e3 / f.iters as f64;
         println!(
-            "{label}: {:.2} ms/iter over {} iters",
-            start.elapsed().as_secs_f64() * 1e3 / f.iters as f64,
-            f.iters
+            "{label}: {ms:.2} ms/iter over {} iters (batch {batch}, {:.2} ms/sample)",
+            f.iters,
+            ms / batch as f64
         );
         Ok(())
     };
-
-    if f.mode == "seq" || f.mode == "both" {
-        time_it("sequential", &|| {
-            run_sequential_opts(&c.graph, &inputs, &ctx, &run_opts)
-                .map(|_| ())
+    let time_engine = |label: &str, engine: Engine| {
+        let opts = run_opts.clone().engine(engine);
+        time_it(label, &|| {
+            run(&c.graph, schedule, &inputs, &ctx, &opts)
+                .outputs
+                .map(drop)
                 .map_err(|e| e.to_string())
-        })?;
+        })
+    };
+
+    if f.mode != "par" {
+        time_engine("sequential", Engine::Sequential)?;
     }
-    if f.mode == "par" || f.mode == "both" {
+    if f.mode != "seq" {
         if f.stealing {
             // Plan once (it is reusable and what a serving deployment would
             // cache); time only the pool executions.
-            let plan = std::sync::Arc::new(
-                ramiel_runtime::StealPlan::new(&c.graph, &c.clustering, 1)
-                    .map_err(|e| e.to_string())?,
-            );
+            let plan = match schedule {
+                Schedule::Hyper(hc) => ramiel_runtime::StealPlan::from_hyper(&c.graph, hc),
+                Schedule::Clusters(cl) => ramiel_runtime::StealPlan::new(&c.graph, cl, 1),
+            };
+            let plan = Arc::new(plan.map_err(|e| e.to_string())?);
             let pool = ramiel_runtime::StealPool::global();
-            let one = vec![inputs.clone()];
             time_it("stealing  ", &|| {
-                pool.run_plan(&plan, &one, &ctx, &run_opts)
-                    .map(|_| ())
+                pool.run_plan(&plan, &inputs, &ctx, &run_opts)
+                    .map(drop)
                     .map_err(|e| e.to_string())
             })?;
             println!("{}", pool.stats().text_summary());
         } else {
-            time_it("parallel  ", &|| {
-                run_parallel_opts(&c.graph, &c.clustering, &inputs, &ctx, &run_opts)
-                    .map(|_| ())
-                    .map_err(|e| e.to_string())
-            })?;
+            time_engine("parallel  ", Engine::Channels)?;
         }
     }
     Ok(())
@@ -490,18 +511,16 @@ fn cmd_run(model: &str, f: &Flags) -> Result<(), String> {
 /// `ramiel run --chaos-seed N`: execute one supervised parallel inference
 /// under a deterministic fault plan and report what the supervisor did.
 fn cmd_run_chaos(
-    prepared: &PreparedModel,
-    inputs: &ramiel_runtime::Env,
+    c: &CompiledModel,
+    schedule: Schedule<'_>,
+    inputs: &[Env],
     ctx: &ExecCtx,
+    base_opts: RunOptions,
     seed: u64,
     f: &Flags,
 ) -> Result<(), String> {
-    use ramiel_runtime::{
-        run_stealing_supervised_opts, run_supervised_opts, FaultInjector, FaultPlan,
-        SupervisorConfig,
-    };
-    let c = &prepared.compiled;
-    let plan = FaultPlan::random(seed, c.graph.num_nodes(), 1, f.chaos_faults);
+    use ramiel_runtime::{FaultInjector, FaultPlan, SupervisorConfig};
+    let plan = FaultPlan::random(seed, c.graph.num_nodes(), inputs.len(), f.chaos_faults);
     println!("chaos plan (seed {seed}):");
     for fault in &plan.faults {
         println!(
@@ -509,57 +528,54 @@ fn cmd_run_chaos(
             fault.node, fault.exec_index, fault.kind
         );
     }
-    let mut opts = prepared.run_options();
-    opts.backend = f.backend;
+    let mut opts = base_opts
+        .clone()
+        .engine(if f.stealing {
+            Engine::Stealing
+        } else {
+            Engine::Channels
+        })
+        .supervisor(SupervisorConfig {
+            max_retries: f.max_retries,
+            fallback: f.fallback,
+            ..Default::default()
+        });
     opts.injector = Some(FaultInjector::new(plan));
-    let cfg = SupervisorConfig {
-        max_retries: f.max_retries,
-        fallback: f.fallback,
-        ..Default::default()
-    };
     let start = Instant::now();
-    let (res, report) = if f.stealing {
-        run_stealing_supervised_opts(&c.graph, &c.clustering, inputs, ctx, &opts, &cfg)
-    } else {
-        run_supervised_opts(&c.graph, &c.clustering, inputs, ctx, &opts, &cfg)
-    };
+    let r = run(&c.graph, schedule, inputs, ctx, &opts);
     let elapsed = start.elapsed();
-    println!("attempts:              {}", report.attempts);
-    println!("fell back:             {}", report.fell_back);
-    println!("faults fired:          {}", report.faults_fired.len());
-    for e in &report.errors {
+    println!("attempts:              {}", r.report.attempts);
+    println!("fell back:             {}", r.report.fell_back);
+    println!("faults fired:          {}", r.report.faults_fired.len());
+    for e in &r.report.errors {
         println!("    [{}] {e}", e.code());
     }
-    match res {
-        Ok(out) => {
-            // Baseline with the same backend (and no injector): QuantI8
-            // output legitimately differs from scalar f32, so comparing
-            // across backends would be a false divergence.
-            let mut base_opts = prepared.run_options();
-            base_opts.backend = f.backend;
-            let baseline = run_sequential_opts(&c.graph, inputs, ctx, &base_opts)
-                .map_err(|e| e.to_string())?;
-            if baseline == out {
-                println!("outcome:               ok in {elapsed:.2?} (matches sequential)");
-                Ok(())
-            } else {
-                Err("supervised run diverged from the sequential baseline".into())
-            }
+    let outs = r.outputs.map_err(|e| format!("[{}] {e}", e.code()))?;
+    // Baseline with the same backend (and no injector): QuantI8 output
+    // legitimately differs from scalar f32, so comparing across backends
+    // would be a false divergence.
+    for (inp, out) in inputs.iter().zip(&outs) {
+        let baseline =
+            run_sequential_opts(&c.graph, inp, ctx, &base_opts).map_err(|e| e.to_string())?;
+        if baseline != *out {
+            return Err("supervised run diverged from the sequential baseline".into());
         }
-        Err(e) => Err(format!("[{}] {e}", e.code())),
     }
+    println!("outcome:               ok in {elapsed:.2?} (matches sequential)");
+    Ok(())
 }
 
 /// `ramiel profile <model>`: compile with stage tracing, run the model on
-/// all four executors with profiling on, merge everything onto one
-/// Chrome/Perfetto trace, and print a cost-model prediction-accuracy table
-/// plus a profile-guided reclustering comparison.
+/// four lanes with profiling on (sequential; the channel engine per run at
+/// batch 1 and over the hyperclustering; a standing pool), merge
+/// everything onto one Chrome/Perfetto trace, and print a cost-model
+/// prediction-accuracy table plus a profile-guided reclustering comparison.
 fn cmd_profile(model: &str, f: &Flags) -> Result<(), String> {
     use ramiel::obs::{validate_chrome_trace, Obs};
     use ramiel_cluster::{distance_to_end, linear_clustering, merge_clusters_fixpoint};
     use ramiel_runtime::{
-        predict_report, run_hyper_profiled_opts, run_parallel_profiled_opts,
-        run_sequential_profiled, simulate_clustering, ClusterPool, SimConfig,
+        predict_report, run_sequential_profiled, simulate_clustering, HyperPool, PlannedBatch,
+        SimConfig,
     };
 
     let cfg = if f.tiny {
@@ -588,7 +604,7 @@ fn cmd_profile(model: &str, f: &Flags) -> Result<(), String> {
 
     let ctx = ExecCtx::with_intra_op(f.intra_op);
     let inputs = synth_inputs(&c.graph, 42);
-    // All four executors profile under the same backend, so the divergence
+    // All four lanes profile under the same backend, so the divergence
     // checks compare like for like (i8 is deterministic across executors).
     let with_backend = |o: ramiel_runtime::RunOptions| match f.backend {
         Some(b) => o.backend(b),
@@ -600,12 +616,18 @@ fn cmd_profile(model: &str, f: &Flags) -> Result<(), String> {
         .map_err(|e| format!("sequential: {e}"))?;
     seq_db.export_to_obs(&obs.with_pid(2), &c.graph);
 
-    let par_opts = with_backend(prepared.run_options().obs(obs.with_pid(3)));
-    let (par_out, par_db) =
-        run_parallel_profiled_opts(&c.graph, &c.clustering, &inputs, &ctx, &par_opts)
-            .map_err(|e| format!("parallel: {e}"))?;
-    par_db.export_to_obs(&obs.with_pid(3), &c.graph);
-    if par_out != seq_out {
+    // A profiled one-shot channel run: outputs plus its ProfileDb.
+    let profiled = |label: &str, schedule: Schedule<'_>, inputs: &[Env], pid: u32| {
+        let opts = with_backend(prepared.run_options().obs(obs.with_pid(pid))).profile(true);
+        let r = run(&c.graph, schedule, inputs, &ctx, &opts);
+        let outs = r.outputs.map_err(|e| format!("{label}: {e}"))?;
+        let db = r.profile.expect("a profiled channel run returns its db");
+        db.export_to_obs(&obs.with_pid(pid), &c.graph);
+        Ok::<_, String>((outs, db))
+    };
+
+    let (par_out, par_db) = profiled("parallel", (&c.clustering).into(), from_ref(&inputs), 3)?;
+    if par_out[0] != seq_out {
         return Err("parallel output diverged from sequential".into());
     }
 
@@ -616,19 +638,20 @@ fn cmd_profile(model: &str, f: &Flags) -> Result<(), String> {
     let batch_inputs: Vec<_> = (0..hc.batch)
         .map(|b| synth_inputs(&c.graph, 42 + b as u64))
         .collect();
-    let hyper_opts = with_backend(prepared.run_options().obs(obs.with_pid(4)));
-    let (_, hyper_db) = run_hyper_profiled_opts(&c.graph, &hc, &batch_inputs, &ctx, &hyper_opts)
-        .map_err(|e| format!("hyper: {e}"))?;
-    hyper_db.export_to_obs(&obs.with_pid(4), &c.graph);
+    profiled("hyper", (&hc).into(), &batch_inputs, 4)?;
 
+    // The standing pool: one profiled job on workers that outlive it.
     let pool_opts = with_backend(prepared.run_options().obs(obs.with_pid(5)));
-    let mut pool = ClusterPool::with_options(&c.graph, &c.clustering, &ctx, &pool_opts)
+    let plan1 = PlannedBatch::new(&c.graph, ramiel_cluster::hypercluster(&c.clustering, 1))
+        .map(Arc::new)
+        .map_err(|e| format!("pool: {e}"))?;
+    let mut pool = HyperPool::with_options(&c.graph, plan1.num_workers(), &ctx, &pool_opts)
         .map_err(|e| format!("pool: {e}"))?;
     let (pool_out, pool_db) = pool
-        .run_profiled(&inputs)
+        .run_batch_profiled(&plan1, &Arc::new(vec![inputs.clone()]))
         .map_err(|e| format!("pool: {e}"))?;
     pool_db.export_to_obs(&obs.with_pid(5), &c.graph);
-    if pool_out != seq_out {
+    if pool_out[0] != seq_out {
         return Err("pool output diverged from sequential".into());
     }
     drop(pool);
@@ -753,8 +776,15 @@ fn cmd_fuzz(f: &Flags) -> Result<(), String> {
         c.clustering
             .check_partition(&c.graph)
             .map_err(|e| format!("seed {seed}: partition: {e}"))?;
-        let par = run_parallel(&c.graph, &c.clustering, &inputs, &ctx)
-            .map_err(|e| format!("seed {seed}: parallel: {e}"))?;
+        let par = run(
+            &c.graph,
+            &c.clustering,
+            from_ref(&inputs),
+            &ctx,
+            &RunOptions::default(),
+        )
+        .single()
+        .map_err(|e| format!("seed {seed}: parallel: {e}"))?;
         for (k, a) in &baseline {
             let b = par
                 .get(k)

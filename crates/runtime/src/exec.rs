@@ -1,14 +1,14 @@
 //! Reference sequential executor.
 
-use crate::fault::{FaultInjector, FaultKind, InjectedPanic, INJECT_MARKER};
-use crate::parallel::RunOptions;
+use crate::fault::{node_error, Armed, FaultInjector, INJECT_MARKER};
 use crate::profile::{OpRecord, ProfileDb, WorkerSpan};
 use crate::reuse::{charge_bytes, Liveness};
+use crate::run::RunOptions;
 use crate::{Env, Result, RuntimeError};
 use ramiel_ir::topo::topo_sort;
 use ramiel_ir::{Graph, OpKind};
 use ramiel_passes::{inplace_marks, InPlaceMarks};
-use ramiel_tensor::{eval_op, eval_op_inplace, ExecCtx, Value};
+use ramiel_tensor::{eval_op, eval_op_inplace, ExecCtx, ExecError, Value};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -21,9 +21,10 @@ pub fn run_sequential(graph: &Graph, inputs: &Env, ctx: &ExecCtx) -> Result<Env>
 
 /// [`run_sequential`] with [`RunOptions`] — the fault injector applies its
 /// node-keyed faults here too (kernel errors via the kernel hook, delays as
-/// sleeps, panics via [`InjectedPanic`]); channel faults (`DropMessage`)
-/// have no transport to act on and are no-ops. This is what lets the
-/// supervisor's sequential fallback stay subject to the same fault plan.
+/// sleeps, panics via [`crate::fault::InjectedPanic`]); channel faults
+/// (`DropMessage`) have no transport to act on and are no-ops. This is what
+/// lets the supervisor's sequential fallback stay subject to the same fault
+/// plan.
 pub fn run_sequential_opts(
     graph: &Graph,
     inputs: &Env,
@@ -43,24 +44,53 @@ pub fn run_sequential_profiled(
     ctx: &ExecCtx,
     opts: &RunOptions,
 ) -> Result<(Env, ProfileDb)> {
-    let mut db = ProfileDb::new(1, 1);
-    db.set_epoch_offset_ns(opts.obs.now_ns());
-    let out = run_sequential_inner(graph, inputs, ctx, opts, Some(&mut db))?;
-    Ok((out, db))
+    let (mut outs, db) =
+        run_sequential_batch(graph, std::slice::from_ref(inputs), ctx, opts, true)?;
+    Ok((
+        outs.pop().expect("one env in, one env out"),
+        db.expect("profiled run builds a db"),
+    ))
 }
 
+/// The sequential engine of [`crate::run`]: each batch element walked in
+/// turn on the calling thread, onto one profile timeline when `profile`.
+pub(crate) fn run_sequential_batch(
+    graph: &Graph,
+    inputs: &[Env],
+    ctx: &ExecCtx,
+    opts: &RunOptions,
+    profile: bool,
+) -> Result<(Vec<Env>, Option<ProfileDb>)> {
+    let mut db = profile.then(|| {
+        let mut db = ProfileDb::new(1, inputs.len());
+        db.set_epoch_offset_ns(opts.obs.now_ns());
+        db
+    });
+    let epoch = Instant::now();
+    let outs = inputs
+        .iter()
+        .enumerate()
+        .map(|(b, env)| {
+            run_sequential_inner(graph, env, ctx, opts, db.as_mut().map(|db| (db, b, epoch)))
+        })
+        .collect::<Result<_>>()?;
+    Ok((outs, db))
+}
+
+/// `profile` carries the db to record into, the batch element this walk is
+/// and the epoch its timestamps count from.
 fn run_sequential_inner(
     graph: &Graph,
     inputs: &Env,
     ctx: &ExecCtx,
     opts: &RunOptions,
-    mut profile: Option<&mut ProfileDb>,
+    mut profile: Option<(&mut ProfileDb, usize, Instant)>,
 ) -> Result<Env> {
     let ctx = &opts.apply_backend(ctx);
-    if let Some(db) = profile.as_deref_mut() {
+    let walk_start = Instant::now();
+    if let Some((db, _, _)) = profile.as_mut() {
         db.set_backend(ctx.backend().name());
     }
-    let epoch = Instant::now();
     let order = topo_sort(graph).map_err(|e| RuntimeError::Setup(e.to_string()))?;
     let mut env: HashMap<&str, Value> = HashMap::with_capacity(graph.num_nodes() * 2);
     for (name, v) in inputs {
@@ -112,38 +142,20 @@ fn run_sequential_inner(
 
     for &id in &order {
         let node = &graph.nodes[id];
+        // Channel faults (`DropMessage`) have no transport to act on here.
         let armed = match &opts.injector {
-            Some(inj) => inj.begin_node(id, 0),
-            None => Vec::new(),
+            Some(inj) => Armed::new(&inj.begin_node(id, 0), &opts.obs, None, id, 0),
+            None => Armed::default(),
         };
-        let mut kernel_fault = false;
-        for kind in &armed {
-            opts.obs.instant(
-                0,
-                format!("fault:{}", kind.name()),
-                "fault",
-                serde_json::json!({ "node": id }),
-            );
-            match kind {
-                FaultKind::KernelError => kernel_fault = true,
-                FaultKind::WorkerPanic => std::panic::panic_any(InjectedPanic {
-                    node: id,
-                    cluster: None,
-                }),
-                FaultKind::SendDelay { millis } | FaultKind::RecvDelay { millis } => {
-                    std::thread::sleep(std::time::Duration::from_millis(*millis))
-                }
-                FaultKind::DropMessage => {} // no channels to drop from
-            }
+        let delay = armed.recv_delay + armed.send_delay;
+        if !delay.is_zero() {
+            std::thread::sleep(delay);
         }
         let op_start = profile.is_some().then(Instant::now);
         let outputs = if matches!(node.op, OpKind::Constant) {
-            if kernel_fault {
-                return Err(RuntimeError::Injected {
-                    cluster: None,
-                    node: id,
-                    kind: FaultKind::KernelError,
-                });
+            if armed.kernel_fault {
+                let e = ExecError(INJECT_MARKER.into());
+                return Err(node_error(None, id, &node.name, e));
             }
             let v = init_values.get(&node.outputs[0]).ok_or_else(|| {
                 RuntimeError::Setup(format!("Constant `{}` missing payload", node.name))
@@ -170,40 +182,23 @@ fn run_sequential_inner(
                     fetch(&env, t)
                 })
                 .collect();
-            let hooked;
-            let eval_ctx = if kernel_fault {
-                hooked = FaultInjector::kernel_fault_ctx(ctx, None, id);
-                &hooked
-            } else {
-                ctx
-            };
+            let hooked = armed
+                .kernel_fault
+                .then(|| FaultInjector::kernel_fault_ctx(ctx, None, id));
+            let eval_ctx = hooked.as_ref().unwrap_or(ctx);
             match owned_slot {
                 Some(s) => eval_op_inplace(eval_ctx, &node.op, ins?, s),
                 None => eval_op(eval_ctx, &node.op, &ins?),
             }
-            .map_err(|e| {
-                if e.0.starts_with(INJECT_MARKER) {
-                    RuntimeError::Injected {
-                        cluster: None,
-                        node: id,
-                        kind: FaultKind::KernelError,
-                    }
-                } else {
-                    RuntimeError::Kernel {
-                        cluster: None,
-                        node: Some(id),
-                        msg: format!("{}: {}", node.name, e.0),
-                    }
-                }
-            })?
+            .map_err(|e| node_error(None, id, &node.name, e))?
         };
-        if let Some(db) = profile.as_deref_mut() {
+        if let Some((db, batch, epoch)) = profile.as_mut() {
             let start = op_start.expect("op_start is set whenever profiling");
             db.extend(vec![OpRecord {
                 worker: 0,
-                batch: 0,
+                batch: *batch,
                 node: id,
-                start_ns: (start - epoch).as_nanos() as u64,
+                start_ns: (start - *epoch).as_nanos() as u64,
                 end_ns: epoch.elapsed().as_nanos() as u64,
                 slack_after_ns: 0,
             }]);
@@ -229,10 +224,10 @@ fn run_sequential_inner(
             }
         }
     }
-    if let Some(db) = profile {
+    if let Some((db, _, epoch)) = profile {
         db.push_worker_span(WorkerSpan {
             worker: 0,
-            start_ns: 0,
+            start_ns: (walk_start - epoch).as_nanos() as u64,
             end_ns: epoch.elapsed().as_nanos() as u64,
         });
     }
@@ -247,7 +242,7 @@ fn run_sequential_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{Fault, FaultPlan};
+    use crate::fault::{Fault, FaultKind, FaultPlan};
     use crate::synth_inputs;
     use ramiel_ir::{DType, GraphBuilder};
     use ramiel_models::{build, ModelConfig, ModelKind};

@@ -17,10 +17,13 @@
 //! → executor error mapping). With no injector installed the executors pay a
 //! single `Option` check per node; with an empty plan, one `HashMap` lookup.
 
+use crate::RuntimeError;
 use parking_lot::Mutex;
-use ramiel_tensor::ExecCtx;
+use ramiel_obs::Obs;
+use ramiel_tensor::{ExecCtx, ExecError};
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Marker prefix carried by injected kernel faults through the tensor layer,
 /// so executors can tell an injected `ExecError` from a genuine one.
@@ -243,6 +246,81 @@ impl FaultInjector {
     }
 }
 
+/// What one node execution has to do about the faults armed for it: the
+/// part of fault handling every engine shares. Delays and dropped messages
+/// come back as data because each engine applies them where its transport
+/// sits (and the stealing engine bounds its sleeps by the job deadline).
+#[derive(Debug, Default)]
+pub(crate) struct Armed {
+    pub kernel_fault: bool,
+    pub drop_msgs: bool,
+    /// Summed over the armed faults; zero when none.
+    pub send_delay: Duration,
+    pub recv_delay: Duration,
+}
+
+impl Armed {
+    /// Fold the kinds [`FaultInjector::begin_node`] armed for this
+    /// execution of `(node, batch)` on `worker` (`None`: the calling
+    /// thread): one obs instant per fault, and an armed panic raised here.
+    pub(crate) fn new(
+        kinds: &[FaultKind],
+        obs: &Obs,
+        worker: Option<usize>,
+        node: usize,
+        batch: usize,
+    ) -> Armed {
+        let mut armed = Armed::default();
+        for kind in kinds {
+            obs.instant(
+                worker.unwrap_or(0) as u32,
+                format!("fault:{}", kind.name()),
+                "fault",
+                serde_json::json!({ "node": node, "batch": batch }),
+            );
+            match kind {
+                FaultKind::KernelError => armed.kernel_fault = true,
+                FaultKind::WorkerPanic => std::panic::panic_any(InjectedPanic {
+                    node,
+                    cluster: worker,
+                }),
+                FaultKind::SendDelay { millis } => {
+                    armed.send_delay += Duration::from_millis(*millis)
+                }
+                FaultKind::RecvDelay { millis } => {
+                    armed.recv_delay += Duration::from_millis(*millis)
+                }
+                FaultKind::DropMessage => armed.drop_msgs = true,
+            }
+        }
+        armed
+    }
+}
+
+/// The structured error for a failed evaluation of node `node` (`name`):
+/// an injected kernel fault (recognised by [`INJECT_MARKER`]) or a genuine
+/// kernel failure carrying the node-name-prefixed message.
+pub(crate) fn node_error(
+    cluster: Option<usize>,
+    node: usize,
+    name: &str,
+    e: ExecError,
+) -> RuntimeError {
+    if e.0.starts_with(INJECT_MARKER) {
+        RuntimeError::Injected {
+            cluster,
+            node,
+            kind: FaultKind::KernelError,
+        }
+    } else {
+        RuntimeError::Kernel {
+            cluster,
+            node: Some(node),
+            msg: format!("{name}: {}", e.0),
+        }
+    }
+}
+
 /// Convert a caught panic payload into a structured [`crate::RuntimeError`]:
 /// injected panics (thrown as [`InjectedPanic`]) become `Injected`, anything
 /// else becomes `WorkerPanic` with the stringified payload.
@@ -278,6 +356,20 @@ impl std::fmt::Debug for FaultInjector {
             .field("fired", &self.fired.lock().len())
             .finish()
     }
+}
+
+/// Keep injected panics out of test output: they are the expected chaos.
+#[cfg(test)]
+pub(crate) fn quiet_injected_panics() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if info.payload().downcast_ref::<InjectedPanic>().is_none() {
+                prev(info);
+            }
+        }));
+    });
 }
 
 #[cfg(test)]

@@ -1,13 +1,15 @@
-//! Persistent *hypercluster* worker pool — the serving-path executor.
+//! The channel executor: one standing worker per (hyper)cluster, one inbox
+//! message per cross-cluster tensor — the paper's runtime, and the only
+//! channel worker loop in the crate.
 //!
-//! [`crate::ClusterPool`] keeps workers alive across batch-1 inferences;
-//! a serving layer that coalesces requests into hypercluster batches needs
-//! the same shape for batch > 1, with the batch size varying job to job
-//! (whatever the micro-batcher managed to collect before its delay budget
-//! ran out). [`HyperPool`] is that executor: one standing worker per
-//! cluster, each job shipping an [`Arc`]'d schedule ([`PlannedBatch`]) so
-//! consecutive jobs can run at different batch sizes without respawning
-//! threads or recomputing routing tables.
+//! [`HyperPool`] keeps the workers alive across jobs, each job shipping an
+//! [`Arc`]'d schedule ([`PlannedBatch`]) so consecutive jobs can run at
+//! different batch sizes (whatever the serving micro-batcher collected
+//! before its delay budget ran out) without respawning threads or
+//! recomputing routing tables. Batch 1 is a hyperclustering of width 1.
+//! The per-run placement the generated Python mirrors — threads spawned for
+//! one inference and joined at its end — is the same pool built, used for
+//! one job and dropped ([`crate::run`] with [`crate::Engine::Channels`]).
 //!
 //! ## Worker programs
 //!
@@ -23,37 +25,53 @@
 //! and initializers are still looked up by name.
 //!
 //! Workers execute their op list **first-ready-first** (lowest ready index
-//! first), exactly like the per-run executor in [`crate::parallel`] —
-//! load-bearing for *switched* hyperclusters, where strict in-order
-//! execution can deadlock on cross-batch wait cycles. Messages are tagged
-//! with the job id so back-to-back jobs cannot cross-talk.
+//! first). For linear/merged clusters (ordered by decreasing
+//! `distance_to_end`) this degenerates to strict in-order execution; for
+//! *switched* hyperclusters it is load-bearing — a strict in-order worker
+//! can deadlock on cross-batch wait cycles, which is why the paper calls
+//! automatic switched hyperclustering "complex" and hand-tunes it for
+//! larger models. Messages are tagged with the job id so back-to-back jobs
+//! cannot cross-talk.
 //!
 //! ## Failure semantics
 //!
-//! Same contract as [`crate::ClusterPool`]: a failing or panicking job must
-//! not kill the pool. Workers catch panics per job, report a structured
-//! [`RuntimeError`] through the done channel, and broadcast `JobAbort` so
-//! peers blocked on that job's tensors give up immediately. The pool stays
+//! A failing or panicking job must not kill the pool. Workers catch panics
+//! per job, report a structured [`RuntimeError`] through the done channel,
+//! and broadcast `JobAbort` so peers blocked on that job's tensors give up
+//! immediately instead of waiting out the recv timeout; the collector then
+//! reports the *root cause* (kernel error, panic, injected fault, timeout)
+//! rather than a peer's secondary teardown error. The pool stays
 //! serviceable for the next job — which is what lets the serving layer
 //! retry a poisoned batch (or degrade it to per-request sequential
-//! execution) without tearing the server down.
+//! execution) without tearing the server down. Fault injection
+//! ([`crate::fault`]) and the recv timeout come from [`RunOptions`].
+//!
+//! ## Profiling
+//!
+//! A job submitted through [`HyperPool::run_batch_profiled`] returns a
+//! [`ProfileDb`]: one [`OpRecord`] per executed op (time blocked in `recv`
+//! charged as slack to the op before the wait), one [`WorkerSpan`] per
+//! worker, the pool's cumulative per-edge channel statistics. Unprofiled
+//! jobs pay one untaken branch per op and per blocking wait.
 
-use crate::fault::{panic_to_error, FaultInjector, FaultKind, InjectedPanic, INJECT_MARKER};
-use crate::parallel::{default_recv_timeout, RunOptions};
+use crate::fault::{node_error, panic_to_error, Armed, FaultInjector, INJECT_MARKER};
+use crate::limits::default_recv_timeout;
+use crate::profile::{OpRecord, ProfileDb, WorkerSpan};
 use crate::program::{GraphProgram, InSrc};
 use crate::reuse::charge_bytes;
+use crate::run::RunOptions;
 use crate::{value_bytes, Env, Result, RuntimeError};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
 use ramiel_cluster::hyper::HyperClustering;
 use ramiel_ir::graph::Adjacency;
 use ramiel_ir::{Graph, OpKind};
 use ramiel_obs::{ChannelEdgeStats, ChannelMeter, Obs};
-use ramiel_tensor::{eval_op, eval_op_inplace, ExecCtx, MemGauge, Value};
+use ramiel_tensor::{eval_op, eval_op_inplace, ExecCtx, ExecError, MemGauge, Value};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// "No local slot": an instance a worker has not been given one for yet
 /// (while compiling), or an operand that is not a slot at all.
@@ -283,9 +301,9 @@ impl PlannedBatch {
         self.hc.num_hyperclusters()
     }
 
-    /// The underlying schedule.
-    pub fn hyperclustering(&self) -> &HyperClustering {
-        &self.hc
+    /// The slot-resolved graph this schedule was compiled over.
+    pub fn program(&self) -> &Arc<GraphProgram> {
+        &self.prog
     }
 }
 
@@ -294,6 +312,8 @@ enum PoolMsg {
         id: u64,
         inputs: Arc<Vec<Env>>,
         plan: Arc<PlannedBatch>,
+        /// Collect per-op records and a worker span for this job.
+        profile: bool,
     },
     /// A tensor for the receiver's local `slot` in job `job`, plus the
     /// sending worker (for per-edge channel metrics).
@@ -315,6 +335,10 @@ struct PoolDone {
     job: u64,
     outputs: Produced,
     error: Option<RuntimeError>,
+    /// Per-op records and this worker's wall window over the job
+    /// (profiled jobs only).
+    records: Vec<OpRecord>,
+    span: Option<WorkerSpan>,
 }
 
 /// A standing pool of hypercluster workers. Create once per compiled plan,
@@ -326,10 +350,14 @@ pub struct HyperPool {
     handles: Vec<JoinHandle<()>>,
     next_job: u64,
     workers: usize,
-    graph_outputs: Vec<String>,
     init_values: Arc<HashMap<String, Value>>,
     recv_timeout: Duration,
     meter: Arc<ChannelMeter>,
+    /// Timebase of worker-side profiling records, and where it sits on the
+    /// obs timeline.
+    epoch: Instant,
+    obs: Obs,
+    backend: &'static str,
 }
 
 impl HyperPool {
@@ -350,9 +378,6 @@ impl HyperPool {
         ctx: &ExecCtx,
         opts: &RunOptions,
     ) -> Result<HyperPool> {
-        if workers == 0 {
-            return Err(RuntimeError::Setup("pool needs at least one worker".into()));
-        }
         let ctx = &opts.apply_backend(ctx);
         let recv_timeout = opts.recv_timeout.unwrap_or_else(default_recv_timeout);
         let init_values = match &opts.init_values {
@@ -369,6 +394,7 @@ impl HyperPool {
         let worker_txs: Vec<Sender<PoolMsg>> = channels.iter().map(|(s, _)| s.clone()).collect();
         let (done_tx, done_rx) = unbounded::<PoolDone>();
         let meter = Arc::new(ChannelMeter::new(workers));
+        let epoch = Instant::now();
 
         let mut handles = Vec::with_capacity(workers);
         for (w, (_, rx)) in channels.iter().enumerate() {
@@ -394,6 +420,7 @@ impl HyperPool {
                     meter: &meter,
                     obs,
                     reuse,
+                    epoch,
                 });
             }));
         }
@@ -404,10 +431,12 @@ impl HyperPool {
             handles,
             next_job: 0,
             workers,
-            graph_outputs: graph.outputs.clone(),
             init_values,
             recv_timeout,
             meter,
+            epoch,
+            obs: opts.obs.clone(),
+            backend: ctx.backend().name(),
         })
     }
 
@@ -428,6 +457,25 @@ impl HyperPool {
         plan: &Arc<PlannedBatch>,
         inputs: &Arc<Vec<Env>>,
     ) -> Result<Vec<Env>> {
+        self.submit(plan, inputs, false).map(|(outs, _)| outs)
+    }
+
+    /// [`run_batch`](Self::run_batch) plus the job's [`ProfileDb`].
+    pub fn run_batch_profiled(
+        &mut self,
+        plan: &Arc<PlannedBatch>,
+        inputs: &Arc<Vec<Env>>,
+    ) -> Result<(Vec<Env>, ProfileDb)> {
+        let (outs, db) = self.submit(plan, inputs, true)?;
+        Ok((outs, db.expect("profiled job builds a db")))
+    }
+
+    pub(crate) fn submit(
+        &mut self,
+        plan: &Arc<PlannedBatch>,
+        inputs: &Arc<Vec<Env>>,
+        profile: bool,
+    ) -> Result<(Vec<Env>, Option<ProfileDb>)> {
         if plan.num_workers() != self.workers {
             return Err(RuntimeError::Setup(format!(
                 "schedule has {} hyperclusters but the pool has {} workers",
@@ -449,12 +497,24 @@ impl HyperPool {
                 id,
                 inputs: Arc::clone(inputs),
                 plan: Arc::clone(plan),
+                profile,
             })
             .map_err(|_| RuntimeError::ChannelClosed {
                 cluster: None,
                 detail: "pool worker hung up".into(),
             })?;
         }
+        let mut db = profile.then(|| {
+            let mut db = ProfileDb::new(self.workers, plan.batch());
+            // obs-timeline position of the pool epoch all records count from
+            db.set_epoch_offset_ns(
+                self.obs
+                    .now_ns()
+                    .saturating_sub(self.epoch.elapsed().as_nanos() as u64),
+            );
+            db.set_backend(self.backend);
+            db
+        });
         let mut outs = vec![Env::new(); plan.batch()];
         let mut errors: Vec<RuntimeError> = Vec::new();
         // Workers bound their own recvs by `recv_timeout` and then report a
@@ -484,9 +544,18 @@ impl HyperPool {
             if let Some(e) = done.error {
                 errors.push(e);
             }
+            if let Some(db) = db.as_mut() {
+                db.extend(done.records);
+                if let Some(span) = done.span {
+                    db.push_worker_span(span);
+                }
+            }
             for (b, base, v) in done.outputs {
                 outs[b].insert(plan.prog.slot_names[base as usize].clone(), v);
             }
+        }
+        if let Some(db) = db.as_mut() {
+            db.set_channels(self.meter.stats());
         }
         // Report the root cause, not a peer's secondary abort error.
         if let Some(e) = errors
@@ -497,17 +566,9 @@ impl HyperPool {
         {
             return Err(e);
         }
-        // Outputs that are direct inputs/initializers (degenerate but legal).
-        for (b, env) in outs.iter_mut().enumerate() {
-            for name in &self.graph_outputs {
-                if !env.contains_key(name) {
-                    if let Some(v) = inputs[b].get(name).or_else(|| self.init_values.get(name)) {
-                        env.insert(name.clone(), v.clone());
-                    }
-                }
-            }
-        }
-        Ok(outs)
+        plan.prog
+            .backfill_outputs(&mut outs, inputs, &self.init_values);
+        Ok((outs, db))
     }
 }
 
@@ -534,6 +595,7 @@ struct WorkerState<'a> {
     meter: &'a ChannelMeter,
     obs: Obs,
     reuse: bool,
+    epoch: Instant,
 }
 
 /// A worker's per-job tensor state, indexed by its program's local slots.
@@ -637,7 +699,7 @@ fn worker_main(st: WorkerState<'_>) {
     let mut state = JobState::default();
 
     while let Ok(msg) = st.rx.recv() {
-        let (job, inputs, plan) = match msg {
+        let (job, inputs, plan, profile) = match msg {
             PoolMsg::Stop => return,
             PoolMsg::Tensor {
                 job,
@@ -653,9 +715,16 @@ fn worker_main(st: WorkerState<'_>) {
                 aborted.insert(j);
                 continue;
             }
-            PoolMsg::Job { id, inputs, plan } => (id, inputs, plan),
+            PoolMsg::Job {
+                id,
+                inputs,
+                plan,
+                profile,
+            } => (id, inputs, plan, profile),
         };
 
+        let job_start_ns = st.epoch.elapsed().as_nanos() as u64;
+        let mut records = Vec::new();
         let (outputs, error) = if aborted.contains(&job) {
             (Vec::new(), Some(job_abort_error(st.me)))
         } else {
@@ -670,6 +739,7 @@ fn worker_main(st: WorkerState<'_>) {
                     job,
                     &inputs,
                     &plan,
+                    profile.then_some(&mut records),
                 )
             }));
             state.end(st.ctx.mem_gauge());
@@ -694,12 +764,19 @@ fn worker_main(st: WorkerState<'_>) {
         stash.retain(|(j, _, _)| *j > job);
         aborted.retain(|j| *j > job);
 
+        let span = profile.then(|| WorkerSpan {
+            worker: st.me,
+            start_ns: job_start_ns,
+            end_ns: st.epoch.elapsed().as_nanos() as u64,
+        });
         if st
             .done_tx
             .send(PoolDone {
                 job,
                 outputs,
                 error,
+                records,
+                span,
             })
             .is_err()
         {
@@ -709,7 +786,9 @@ fn worker_main(st: WorkerState<'_>) {
 }
 
 /// Execute one job's hypercluster ops on this worker, first-ready-first.
-/// Returns the graph outputs this worker produced and the first error.
+/// Returns the graph outputs this worker produced and the first error;
+/// a profiled job also fills `records`, one entry per executed op.
+#[allow(clippy::too_many_arguments)]
 fn run_job(
     st: &WorkerState<'_>,
     state: &mut JobState,
@@ -718,6 +797,7 @@ fn run_job(
     job: u64,
     inputs: &[Env],
     plan: &PlannedBatch,
+    mut records: Option<&mut Vec<OpRecord>>,
 ) -> (Produced, Option<RuntimeError>) {
     let me = st.me;
     let prog = &*plan.prog;
@@ -743,9 +823,10 @@ fn run_job(
     let mut left = wp.ops.len();
     let mut outputs: Produced = Vec::new();
 
-    // Route an inbox message; returns an error to surface, if any.
+    // Route an inbox message (`$waited`: ns this worker blocked for it);
+    // returns an error to surface, if any.
     macro_rules! take_msg {
-        ($msg:expr) => {
+        ($msg:expr, $waited:expr) => {
             match $msg {
                 PoolMsg::Tensor {
                     job: j,
@@ -753,7 +834,7 @@ fn run_job(
                     value,
                     from,
                 } => {
-                    st.meter.on_recv(from, me, 0);
+                    st.meter.on_recv(from, me, $waited);
                     if j == job {
                         let bytes = value_bytes(&value);
                         state.fill(wp, gauge, slot, value, bytes);
@@ -783,7 +864,7 @@ fn run_job(
         // Drain any already-arrived messages without blocking.
         loop {
             match st.rx.try_recv() {
-                Ok(msg) => take_msg!(msg),
+                Ok(msg) => take_msg!(msg, 0),
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
                     return (
@@ -799,9 +880,17 @@ fn run_job(
         // Lowest-index op whose operands have all arrived.
         let Some(Reverse(i)) = state.ready.pop() else {
             // Block for the next message (bounded, so schedule bugs surface
-            // as errors instead of hangs).
+            // as errors instead of hangs). Profiled jobs charge the wait to
+            // the channel edge and, as slack, to the op that preceded it.
+            let wait_start = records.is_some().then(Instant::now);
             match st.rx.recv_timeout(st.recv_timeout) {
-                Ok(msg) => take_msg!(msg),
+                Ok(msg) => {
+                    let waited = wait_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
+                    if let Some(last) = records.as_mut().and_then(|r| r.last_mut()) {
+                        last.slack_after_ns += waited;
+                    }
+                    take_msg!(msg, waited)
+                }
                 Err(_) => {
                     return (
                         outputs,
@@ -809,7 +898,8 @@ fn run_job(
                             cluster: Some(me),
                             pending_ops: left,
                             detail: format!(
-                                "worker {me}: timed out waiting for job {job} messages"
+                                "worker {me}: timed out waiting for job {job} messages; \
+                                 run `ramiel check <model>` to statically diagnose the schedule"
                             ),
                         }),
                     )
@@ -827,54 +917,32 @@ fn run_job(
 
         // Fault injection: arm this execution's faults, if any.
         let armed = match st.injector {
-            Some(inj) => inj.begin_node(node.id, batch),
-            None => Vec::new(),
+            Some(inj) => Armed::new(
+                &inj.begin_node(node.id, batch),
+                &st.obs,
+                Some(me),
+                node.id,
+                batch,
+            ),
+            None => Armed::default(),
         };
-        let mut kernel_fault = false;
-        let mut drop_msgs = false;
-        let mut send_delay = None;
-        for kind in &armed {
-            st.obs.instant(
-                me as u32,
-                format!("fault:{}", kind.name()),
-                "fault",
-                serde_json::json!({ "node": node.id, "batch": batch, "job": job }),
-            );
-            match kind {
-                FaultKind::KernelError => kernel_fault = true,
-                FaultKind::WorkerPanic => std::panic::panic_any(InjectedPanic {
-                    node: node.id,
-                    cluster: Some(me),
-                }),
-                FaultKind::SendDelay { millis } => {
-                    send_delay = Some(Duration::from_millis(*millis))
-                }
-                FaultKind::RecvDelay { millis } => {
-                    std::thread::sleep(Duration::from_millis(*millis))
-                }
-                FaultKind::DropMessage => drop_msgs = true,
-            }
+        if !armed.recv_delay.is_zero() {
+            std::thread::sleep(armed.recv_delay);
         }
 
+        let op_start = records.is_some().then(Instant::now);
         let result = if matches!(node.op, OpKind::Constant) {
-            if kernel_fault {
-                return (
-                    outputs,
-                    Some(RuntimeError::Injected {
-                        cluster: Some(me),
-                        node: node.id,
-                        kind: FaultKind::KernelError,
-                    }),
-                );
-            }
             // A Constant's payload is already in the shared initializer
-            // table under its output name — share it, don't re-convert.
-            st.init_values
-                .get(&prog.slot_names[node.out_slots[0] as usize])
-                .ok_or_else(|| {
-                    ramiel_tensor::ExecError(format!("Constant `{}` missing payload", node.name))
-                })
-                .map(|v| vec![v.clone()])
+            // table under its output name — share it, don't re-convert
+            // (so an armed kernel fault has no kernel to travel through).
+            let payload = st
+                .init_values
+                .get(&prog.slot_names[node.out_slots[0] as usize]);
+            match payload {
+                _ if armed.kernel_fault => Err(ExecError(INJECT_MARKER.into())),
+                Some(v) => Ok(vec![v.clone()]),
+                None => Err(ExecError("Constant missing payload".into())),
+            }
         } else {
             // A node marked by the in-place pass takes its dying operand
             // *out* of its slot (sole remaining read), so the kernel's
@@ -915,13 +983,10 @@ fn run_job(
                     }
                 }
             }
-            let hooked;
-            let eval_ctx = if kernel_fault {
-                hooked = FaultInjector::kernel_fault_ctx(st.ctx, Some(me), node.id);
-                &hooked
-            } else {
-                st.ctx
-            };
+            let hooked = armed
+                .kernel_fault
+                .then(|| FaultInjector::kernel_fault_ctx(st.ctx, Some(me), node.id));
+            let eval_ctx = hooked.as_ref().unwrap_or(st.ctx);
             match owned_slot {
                 Some(s) => eval_op_inplace(eval_ctx, &node.op, ins, s),
                 None => eval_op(eval_ctx, &node.op, &ins),
@@ -929,28 +994,23 @@ fn run_job(
         };
         let outs = match result {
             Ok(o) => o,
-            Err(e) => {
-                let err = if e.0.starts_with(INJECT_MARKER) {
-                    RuntimeError::Injected {
-                        cluster: Some(me),
-                        node: node.id,
-                        kind: FaultKind::KernelError,
-                    }
-                } else {
-                    RuntimeError::Kernel {
-                        cluster: Some(me),
-                        node: Some(node.id),
-                        msg: format!("{}: {}", node.name, e.0),
-                    }
-                };
-                return (outputs, Some(err));
-            }
+            Err(e) => return (outputs, Some(node_error(Some(me), node.id, &node.name, e))),
         };
-        if let Some(d) = send_delay {
-            std::thread::sleep(d);
+        if let (Some(records), Some(start)) = (records.as_mut(), op_start) {
+            records.push(OpRecord {
+                worker: me,
+                batch,
+                node: node.id,
+                start_ns: (start - st.epoch).as_nanos() as u64,
+                end_ns: st.epoch.elapsed().as_nanos() as u64,
+                slack_after_ns: 0,
+            });
+        }
+        if !armed.send_delay.is_zero() {
+            std::thread::sleep(armed.send_delay);
         }
         for (spec, v) in out_specs.iter().zip(outs) {
-            if !drop_msgs {
+            if !armed.drop_msgs {
                 for &(t, slot) in &wp.sends[spec.sends.0 as usize..spec.sends.1 as usize] {
                     let t = t as usize;
                     st.meter
@@ -1007,7 +1067,7 @@ fn run_job(
 mod tests {
     use super::*;
     use crate::exec::run_sequential;
-    use crate::fault::{Fault, FaultPlan};
+    use crate::fault::{quiet_injected_panics, Fault, FaultKind, FaultPlan};
     use crate::synth_inputs;
     use ramiel_cluster::{cluster_graph, hypercluster, switched_hypercluster, StaticCost};
     use ramiel_models::{build, synthetic, ModelConfig, ModelKind};
@@ -1080,44 +1140,180 @@ mod tests {
         assert_eq!(err.code(), "RT-SETUP");
     }
 
-    #[test]
-    fn pool_survives_injected_panic_and_keeps_serving() {
-        use std::sync::Once;
-        static ONCE: Once = Once::new();
-        ONCE.call_once(|| {
-            let prev = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                if info.payload().downcast_ref::<InjectedPanic>().is_some() {
-                    return;
-                }
-                prev(info);
-            }));
-        });
-        let g = synthetic::fork_join(4, 3, 2);
-        let clustering = cluster_graph(&g, &StaticCost);
-        let ctx = ExecCtx::sequential();
+    fn one_fault(node: usize, kind: FaultKind) -> RunOptions {
         let inj = FaultInjector::new(FaultPlan {
             seed: 0,
             faults: vec![Fault {
-                node: 1,
+                node,
                 batch: 0,
                 exec_index: 0,
-                kind: FaultKind::WorkerPanic,
+                kind,
             }],
         });
-        let opts = RunOptions::with_injector(inj).recv_timeout(Duration::from_secs(5));
-        let plan = plans_for(&g, &clustering, &[2], false).remove(0);
-        let mut pool = HyperPool::with_options(&g, clustering.num_clusters(), &ctx, &opts).unwrap();
-        let inputs: Vec<Env> = (0..2).map(|b| synth_inputs(&g, b as u64)).collect();
-        let shared = Arc::new(inputs.clone());
-        let err = pool.run_batch(&plan, &shared).unwrap_err();
-        assert_eq!(err.code(), "RT-INJECT", "got {err}");
-        // The pool must still be alive and produce correct results.
-        let outs = pool.run_batch(&plan, &shared).unwrap();
-        for (b, inp) in inputs.iter().enumerate() {
-            let seq = run_sequential(&g, inp, &ctx).unwrap();
-            assert_eq!(seq, outs[b], "batch {b}");
+        RunOptions::with_injector(inj).recv_timeout(Duration::from_secs(5))
+    }
+
+    #[test]
+    fn pool_survives_injected_panic_and_keeps_serving() {
+        quiet_injected_panics();
+        let g = synthetic::fork_join(4, 3, 2);
+        let clustering = cluster_graph(&g, &StaticCost);
+        let ctx = ExecCtx::sequential();
+        for batch in [1usize, 2] {
+            // panic on the first job's execution of node 1, then behave
+            let opts = one_fault(1, FaultKind::WorkerPanic);
+            let plan = plans_for(&g, &clustering, &[batch], false).remove(0);
+            let mut pool =
+                HyperPool::with_options(&g, clustering.num_clusters(), &ctx, &opts).unwrap();
+            let inputs: Vec<Env> = (0..batch).map(|b| synth_inputs(&g, b as u64)).collect();
+            let shared = Arc::new(inputs.clone());
+            let err = pool.run_batch(&plan, &shared).unwrap_err();
+            assert_eq!(err.code(), "RT-INJECT", "got {err}");
+            // The pool must still be alive and produce correct results.
+            let outs = pool.run_batch(&plan, &shared).unwrap();
+            for (b, inp) in inputs.iter().enumerate() {
+                let seq = run_sequential(&g, inp, &ctx).unwrap();
+                assert_eq!(seq, outs[b], "batch {b}");
+            }
         }
+    }
+
+    /// A standing batch-1 pool over `clustering` and its one schedule.
+    fn batch1_pool(
+        g: &Graph,
+        clustering: &ramiel_cluster::Clustering,
+        opts: &RunOptions,
+    ) -> (HyperPool, Arc<PlannedBatch>) {
+        let plan = plans_for(g, clustering, &[1], false).remove(0);
+        let ctx = ExecCtx::sequential();
+        let pool = HyperPool::with_options(g, clustering.num_clusters(), &ctx, opts).unwrap();
+        (pool, plan)
+    }
+
+    fn run1(pool: &mut HyperPool, plan: &Arc<PlannedBatch>, inputs: &Env) -> Result<Env> {
+        let mut outs = pool.run_batch(plan, &Arc::new(vec![inputs.clone()]))?;
+        Ok(outs.pop().expect("batch 1 yields one output env"))
+    }
+
+    #[test]
+    fn batch1_pool_matches_sequential_across_many_jobs() {
+        let ctx = ExecCtx::sequential();
+        for g in [
+            build(ModelKind::Squeezenet, &ModelConfig::tiny()),
+            synthetic::fork_join(4, 3, 2),
+        ] {
+            let clustering = cluster_graph(&g, &StaticCost);
+            let (mut pool, plan) = batch1_pool(&g, &clustering, &RunOptions::default());
+            for seed in 0..8u64 {
+                let inputs = synth_inputs(&g, seed);
+                let seq = run_sequential(&g, &inputs, &ctx).unwrap();
+                assert_eq!(run1(&mut pool, &plan, &inputs).unwrap(), seq, "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn shared_remote_tensor_reaches_every_consumer() {
+        // One producer cluster, one consumer cluster where TWO nodes read
+        // the producer's tensor: it crosses the boundary once (one edge per
+        // consumer worker), so the worker must keep it available after the
+        // first consumer — regression test for the starvation this caused
+        // on multi-head models.
+        use ramiel_cluster::{Cluster, Clustering};
+        use ramiel_ir::{DType, GraphBuilder};
+        let mut b = GraphBuilder::new("shared");
+        let x = b.input("x", DType::F32, vec![4]);
+        let p = b.op("p", OpKind::Relu, vec![x]);
+        let u = b.op("u", OpKind::Relu, vec![p.clone()]);
+        let v = b.op("v", OpKind::Neg, vec![p]);
+        let w = b.op("w", OpKind::Add, vec![u, v]);
+        b.output(&w);
+        let g = b.finish().unwrap();
+        let clustering = Clustering::new(vec![Cluster::new(vec![0]), Cluster::new(vec![1, 2, 3])]);
+        let inputs = synth_inputs(&g, 9);
+        let seq = run_sequential(&g, &inputs, &ExecCtx::sequential()).unwrap();
+        let opts = RunOptions::default().recv_timeout(Duration::from_secs(5));
+        let (mut pool, plan) = batch1_pool(&g, &clustering, &opts);
+        assert_eq!(run1(&mut pool, &plan, &inputs).unwrap(), seq);
+        assert_eq!(pool.channel_stats().iter().map(|e| e.sends).sum::<u64>(), 1);
+    }
+
+    #[test]
+    fn pool_reports_kernel_errors() {
+        // Gather shape inference uses only the indices' *shape*, so this
+        // graph validates and the out-of-range index fails at run time.
+        use ramiel_ir::{DType, GraphBuilder};
+        let mut b = GraphBuilder::new("bad");
+        let x = b.input("x", DType::F32, vec![2, 2]);
+        let idx = b.init("idx", ramiel_ir::TensorData::vec_i64(vec![5]));
+        let y = b.op("g", OpKind::Gather { axis: 0 }, vec![x, idx]);
+        b.output(&y);
+        let g = b.finish().unwrap();
+        let clustering = cluster_graph(&g, &StaticCost);
+        let (mut pool, plan) = batch1_pool(&g, &clustering, &RunOptions::default());
+        let err = run1(&mut pool, &plan, &synth_inputs(&g, 1)).unwrap_err();
+        assert_eq!(err.code(), "RT-KERNEL");
+        assert!(err.to_string().contains("out of range"), "{err}");
+        drop(pool); // clean shutdown after an error
+    }
+
+    #[test]
+    fn pool_reports_injected_kernel_fault_with_node() {
+        let g = synthetic::fork_join(3, 2, 2);
+        let clustering = cluster_graph(&g, &StaticCost);
+        let opts = one_fault(2, FaultKind::KernelError);
+        let (mut pool, plan) = batch1_pool(&g, &clustering, &opts);
+        let err = run1(&mut pool, &plan, &synth_inputs(&g, 1)).unwrap_err();
+        assert!(
+            matches!(err, RuntimeError::Injected { node: 2, .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn profiled_job_records_every_op_once_and_the_next_job_records_nothing() {
+        let g = build(ModelKind::Squeezenet, &ModelConfig::tiny());
+        let clustering = cluster_graph(&g, &StaticCost);
+        let ctx = ExecCtx::sequential();
+        let plan = plans_for(&g, &clustering, &[2], true).remove(0);
+        let mut pool = HyperPool::new(&g, clustering.num_clusters(), &ctx).unwrap();
+        let inputs: Vec<Env> = (0..2).map(|b| synth_inputs(&g, 70 + b as u64)).collect();
+        let shared = Arc::new(inputs.clone());
+        pool.run_batch(&plan, &shared).unwrap(); // the pool is standing
+        let (outs, db) = pool.run_batch_profiled(&plan, &shared).unwrap();
+        for (b, inp) in inputs.iter().enumerate() {
+            assert_eq!(run_sequential(&g, inp, &ctx).unwrap(), outs[b], "batch {b}");
+        }
+        let mut seen: Vec<(usize, usize)> =
+            db.records().iter().map(|r| (r.batch, r.node)).collect();
+        seen.sort_unstable();
+        let every: Vec<(usize, usize)> = (0..2)
+            .flat_map(|b| (0..g.num_nodes()).map(move |n| (b, n)))
+            .collect();
+        assert_eq!(seen, every, "every (batch, node) exactly once");
+        assert_eq!(db.worker_spans().len(), pool.workers());
+        for rep in db.slack_report() {
+            let span = db
+                .worker_spans()
+                .iter()
+                .find(|s| s.worker == rep.worker)
+                .expect("one span per worker");
+            let wall = span.end_ns - span.start_ns;
+            assert!(
+                rep.busy_ns + rep.slack_ns <= wall,
+                "worker {}: busy {} + slack {} exceeds its wall window {wall}",
+                rep.worker,
+                rep.busy_ns,
+                rep.slack_ns,
+            );
+        }
+        assert!(
+            !db.channels().is_empty(),
+            "cross-cluster traffic is metered"
+        );
+        // Profiling is per job: the next one ships no records back.
+        let (_, db) = pool.submit(&plan, &shared, false).unwrap();
+        assert!(db.is_none());
     }
 
     #[test]

@@ -1,15 +1,39 @@
 //! # ramiel-runtime
 //!
 //! Executes dataflow graphs — the stand-in for the paper's PyTorch + Python
-//! substrate.
+//! substrate. Three engines, one entry point:
 //!
-//! - [`exec`] — reference sequential executor (the paper's auto-generated
-//!   single-core code path).
-//! - [`parallel`] — one OS thread per cluster, crossbeam channels for every
-//!   cross-cluster tensor dependence (the paper's Python processes and
-//!   bidirectional queues). Also executes hyperclusters (batch > 1).
+//! - [`exec`] — the reference sequential executor (the paper's
+//!   auto-generated single-core code path); every differential test compares
+//!   against [`run_sequential`].
+//! - [`hyperpool`] — the channel executor: one worker thread per
+//!   (hyper)cluster, one inbox message per cross-cluster tensor (the paper's
+//!   Python processes and bidirectional queues), compiled into
+//!   index-addressed worker programs ([`PlannedBatch`]). [`HyperPool`] keeps
+//!   the workers standing across jobs; it holds the crate's only channel
+//!   worker loop.
+//! - [`stealing`] — the work-stealing executor: a process-wide pool of
+//!   deques ([`StealPool`]) running a dependency-counted [`StealPlan`], with
+//!   clusters demoted to locality hints.
+//! - [`run`] — the one-shot entry point: pick an [`Engine`] in
+//!   [`RunOptions`], get outputs, a [`RunReport`] and (with `profile`) a
+//!   [`ProfileDb`]; the channel engine is a [`HyperPool`] spawned for the
+//!   run and joined at its end. [`supervisor`] is the retry / backoff /
+//!   sequential-fallback policy `run` applies when asked to.
+//!
+//! Around them:
+//!
+//! - [`program`] — [`GraphProgram`], the slot-resolved form of a graph both
+//!   standing executors consume.
 //! - [`profile`] — the paper's profiling database: per-node times plus the
-//!   *slack* spent blocked in `queue.get()` that motivates hyperclustering.
+//!   *slack* spent blocked in `queue.get()` that motivates hyperclustering;
+//!   [`predict`] compares it with the cost model that drove clustering.
+//! - [`fault`] — deterministic fault plans and the injector every engine
+//!   consults per node.
+//! - [`reuse`] / [`memory`] — liveness bookkeeping behind buffer reuse, and
+//!   the peak-memory accounting it has to agree with.
+//! - [`limits`] — channel capacity and timeout constants, shared with the
+//!   `ramiel-analyze` lints.
 //! - [`sim`] — a deterministic discrete-event simulator over a cost model,
 //!   used to regenerate the paper's tables bit-for-bit without timing noise.
 
@@ -18,12 +42,11 @@ pub mod fault;
 pub mod hyperpool;
 pub mod limits;
 pub mod memory;
-pub mod parallel;
-pub mod pool;
 pub mod predict;
 pub mod profile;
 pub mod program;
 pub mod reuse;
+mod run;
 pub mod sim;
 pub mod stealing;
 pub mod supervisor;
@@ -32,26 +55,16 @@ pub use exec::{run_sequential, run_sequential_opts, run_sequential_profiled};
 pub use fault::{Fault, FaultInjector, FaultKind, FaultPlan};
 pub use hyperpool::{HyperPool, PlannedBatch};
 pub use memory::{clustering_peak_memory, sequential_peak_memory, MemoryReport};
-pub use parallel::{
-    run_hyper, run_hyper_opts, run_hyper_profiled, run_hyper_profiled_opts, run_parallel,
-    run_parallel_opts, run_parallel_profiled, run_parallel_profiled_opts, RunOptions,
-};
-pub use pool::ClusterPool;
 pub use predict::{predict_report, ClusterPrediction, KindPrediction, PredictionReport};
 pub use profile::{OpRecord, ProfileDb, SlackReport, WorkerSpan};
 pub use program::GraphProgram;
 pub use ramiel_tensor::KernelBackend;
+pub use run::{run, Engine, Run, RunOptions, Schedule};
 pub use sim::{
     simulate_clustering, simulate_hyper, simulate_sequential, SimConfig, SimEvent, SimResult,
 };
-pub use stealing::{
-    run_hyper_stealing, run_hyper_stealing_opts, run_stealing, run_stealing_opts, StealChaos,
-    StealPlan, StealPool, StealPoolStats, StealSlotStats,
-};
-pub use supervisor::{
-    run_hyper_stealing_supervised_opts, run_hyper_supervised, run_hyper_supervised_opts,
-    run_stealing_supervised_opts, run_supervised, run_supervised_opts, RunReport, SupervisorConfig,
-};
+pub use stealing::{StealChaos, StealPlan, StealPool, StealPoolStats, StealSlotStats};
+pub use supervisor::{RunReport, SupervisorConfig};
 
 use ramiel_tensor::Value;
 use std::collections::BTreeMap;
@@ -83,7 +96,7 @@ pub(crate) fn value_copied_bytes(v: &Value) -> u64 {
 /// share the result. Every executor needs the weights as `Value`s; before
 /// this helper each of them rebuilt (deep-copied) the table per run — and
 /// the channel workers re-copied entries per fetch. Build it once, hand the
-/// `Arc` to [`RunOptions`](parallel::RunOptions::init_values) (or let each
+/// `Arc` to [`RunOptions`](RunOptions::init_values) (or let each
 /// run build its own), and every weight fetch becomes a refcount bump on
 /// the shared buffers.
 pub fn initializer_values(

@@ -1,15 +1,15 @@
 //! Central home for the runtime's channel and timeout constants.
 //!
-//! These numbers used to be scattered as magic literals across the
-//! executors (`parallel`, `pool`, `hyperpool`). They live here so the
-//! static capacity-deadlock lint in `ramiel-analyze` and the executors
-//! provably agree on the values being analyzed: the lint imports these
-//! constants instead of guessing.
+//! They live here so the static capacity-deadlock lint in `ramiel-analyze`
+//! and the channel executor ([`crate::hyperpool`]) provably agree on the
+//! values being analyzed: the lint imports these constants instead of
+//! guessing.
+
+use std::time::Duration;
 
 /// Capacity of the bounded data-plane channels carrying cross-cluster
-/// tensors (worker inboxes in `parallel`, `pool` and `hyperpool`). A full
-/// inbox applies backpressure to producers; `ramiel-analyze` RA0401 flags
-/// schedules whose worst-case in-flight message count can reach this bound
+/// tensors (the [`crate::HyperPool`] worker inboxes). A full inbox applies
+/// backpressure to producers; `ramiel-analyze` RA0401 flags schedules whose worst-case in-flight message count can reach this bound
 /// inside a cluster cycle, which is the shape that can deadlock. Sized far
 /// above any real schedule (the largest model ships a few hundred
 /// cross-cluster messages per batch) so backpressure never engages in
@@ -26,3 +26,31 @@ pub const RECV_TIMEOUT_ENV: &str = "RAMIEL_RECV_TIMEOUT_MS";
 /// recv timeout, so workers time out (with per-op context) before the
 /// collector gives up.
 pub const COLLECTOR_GRACE_MS: u64 = 2_000;
+
+/// How long a worker may block on a message before declaring the schedule
+/// deadlocked (a schedule bug, not a transient condition). Overridable via
+/// `RAMIEL_RECV_TIMEOUT_MS` so tests can exercise the deadlock path quickly,
+/// or per-run via [`crate::RunOptions::recv_timeout`].
+pub(crate) fn default_recv_timeout() -> Duration {
+    static TIMEOUT: std::sync::OnceLock<Duration> = std::sync::OnceLock::new();
+    *TIMEOUT.get_or_init(|| {
+        let default = Duration::from_millis(DEFAULT_RECV_TIMEOUT_MS);
+        match std::env::var(RECV_TIMEOUT_ENV) {
+            Ok(v) => v
+                .parse::<u64>()
+                .map(Duration::from_millis)
+                .unwrap_or_else(|_| {
+                    ramiel_obs::warn(
+                        "RT-ENV",
+                        format!(
+                            "ignoring unparsable RAMIEL_RECV_TIMEOUT_MS=`{v}` \
+                             (want milliseconds as an integer); using {}s",
+                            default.as_secs()
+                        ),
+                    );
+                    default
+                }),
+            Err(_) => default,
+        }
+    })
+}

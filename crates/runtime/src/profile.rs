@@ -200,9 +200,10 @@ impl ProfileDb {
         }
     }
 
-    /// Distil measured per-node busy times into a [`MeasuredCost`] model for
-    /// profile-guided reclustering: mean busy ns per node, backed by per-op-
-    /// kind means for nodes this profile never saw.
+    /// Distil measured per-node busy times into a
+    /// [`ramiel_cluster::MeasuredCost`] model for profile-guided
+    /// reclustering: mean busy ns per node, backed by per-op-kind means for
+    /// nodes this profile never saw.
     pub fn measured_cost(&self, graph: &ramiel_ir::Graph) -> ramiel_cluster::MeasuredCost {
         let mut sum = vec![0u64; graph.num_nodes()];
         let mut cnt = vec![0u64; graph.num_nodes()];

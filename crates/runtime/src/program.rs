@@ -10,10 +10,11 @@
 //! on dependency counters, and [`crate::PlannedBatch`] projects it onto each
 //! hypercluster worker's op list.
 
-use crate::{Result, RuntimeError};
+use crate::{Env, Result, RuntimeError};
 use ramiel_ir::graph::Adjacency;
 use ramiel_ir::{Graph, OpKind};
 use ramiel_passes::inplace_marks_with;
+use ramiel_tensor::Value;
 use std::collections::HashMap;
 
 /// Where one input operand of a node comes from.
@@ -146,5 +147,25 @@ impl GraphProgram {
             graph_outputs: graph.outputs.clone(),
             roots,
         })
+    }
+
+    /// Graph outputs no node produces — a graph input or initializer named
+    /// as an output, degenerate but legal — copied into each batch
+    /// element's output env.
+    pub(crate) fn backfill_outputs(
+        &self,
+        outs: &mut [Env],
+        inputs: &[Env],
+        init_values: &HashMap<String, Value>,
+    ) {
+        for (env, input) in outs.iter_mut().zip(inputs) {
+            for name in &self.graph_outputs {
+                if !env.contains_key(name) {
+                    if let Some(v) = input.get(name).or_else(|| init_values.get(name)) {
+                        env.insert(name.clone(), v.clone());
+                    }
+                }
+            }
+        }
     }
 }

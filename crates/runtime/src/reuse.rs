@@ -1,16 +1,18 @@
-//! Liveness bookkeeping shared by all four executors.
+//! Liveness bookkeeping: the name-keyed tracker of the sequential executor
+//! and the byte-charging rules every engine follows.
 //!
 //! Each executor (or worker thread) tracks, per environment key, how many
 //! reads remain before the value is dead. Dead values are evicted from the
 //! environment — which both releases real memory early and is what lets the
 //! in-place rewrite (`ramiel_passes::inplace`) find a uniquely-owned buffer
 //! at its last use. The tracker also charges/discharges the optional
-//! [`MemGauge`] on the [`ExecCtx`], so measured peak live bytes line up
-//! with the accounting model `ramiel-analyze` uses for its static estimate:
-//! a value is charged from the step that materializes it in an environment
-//! to the step after its last read, graph outputs stay charged to the end,
-//! and alias-producing ops (reshape family, `Identity`/`Dropout`,
-//! `Constant` fetches) charge zero because they share an existing buffer.
+//! [`MemGauge`] on the [`ramiel_tensor::ExecCtx`], so measured peak live
+//! bytes line up with the accounting model `ramiel-analyze` uses for its
+//! static estimate: a value is charged from the step that materializes it
+//! in an environment to the step after its last read, graph outputs stay
+//! charged to the end, and alias-producing ops (reshape family,
+//! `Identity`/`Dropout`, `Constant` fetches) charge zero because they share
+//! an existing buffer.
 
 use ramiel_ir::OpKind;
 use ramiel_tensor::{MemGauge, Value};

@@ -1,8 +1,8 @@
 //! Work-stealing dataflow executor.
 //!
-//! The sixth executor, and the first whose schedule is *dynamic*: instead of
-//! assigning each cluster to a dedicated thread with channels on every
-//! cross-cluster edge (the paper's model, [`crate::parallel`]), graph nodes
+//! The engine whose schedule is *dynamic*: instead of assigning each cluster
+//! to a dedicated thread with channels on every cross-cluster edge (the
+//! paper's model, [`crate::hyperpool`]), graph nodes
 //! are executed by dependency-count readiness on a **persistent pool** of
 //! worker threads with per-worker Chase-Lev-style deques and a global
 //! injector:
@@ -37,15 +37,15 @@
 //! (obs, fault injection, in-place reuse marks gated by `Arc::get_mut`,
 //! shared `init_values`), MemGauge accounting identical to the
 //! [`crate::reuse::Liveness`] model (so the analyze first-ready resident-sum
-//! bound stays sound), supervisor retry/fallback
-//! ([`crate::supervisor::run_stealing_supervised_opts`]), and batch
-//! execution for serve. `FaultKind::DropMessage` is a no-op here, as in the
+//! bound stays sound), supervisor retry/fallback ([`crate::run`] with
+//! [`crate::Engine::Stealing`]), and batch execution for serve. `FaultKind::DropMessage` is a no-op here, as in the
 //! sequential executor: there are no channels to drop from.
 
-use crate::fault::{panic_to_error, FaultInjector, FaultKind, InjectedPanic, INJECT_MARKER};
-use crate::parallel::{default_recv_timeout, RunOptions};
+use crate::fault::{node_error, panic_to_error, Armed, FaultInjector, INJECT_MARKER};
+use crate::limits::default_recv_timeout;
 use crate::program::{GraphProgram, InSrc};
 use crate::reuse::charge_bytes;
+use crate::run::RunOptions;
 use crate::{Env, Result, RuntimeError};
 use parking_lot::Mutex;
 use ramiel_cluster::hyper::HyperClustering;
@@ -53,7 +53,7 @@ use ramiel_cluster::Clustering;
 use ramiel_ir::{Graph, OpKind};
 use ramiel_obs::metrics::{render_histogram_text, Histogram, HistogramSnapshot, PeakGauge};
 use ramiel_obs::Obs;
-use ramiel_tensor::{eval_op, eval_op_inplace, ExecCtx, MemGauge, Value};
+use ramiel_tensor::{eval_op, eval_op_inplace, ExecCtx, ExecError, MemGauge, Value};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -74,7 +74,7 @@ fn mix64(mut x: u64) -> u64 {
 /// order, occasional diversion to the global injector). The *plan* is a
 /// pure function of the seed; the resulting interleaving still varies with
 /// OS scheduling, which is exactly what the harness wants to stress.
-/// Ignored by every executor except [`run_stealing`].
+/// Ignored by every engine except [`crate::Engine::Stealing`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StealChaos {
     pub seed: u64,
@@ -100,41 +100,42 @@ impl StealPlan {
     /// Plan a batch-1..n run using a clustering's assignment as locality
     /// hints (the same hint for every batch element of a node).
     pub fn new(graph: &Graph, clustering: &Clustering, batch: usize) -> Result<StealPlan> {
-        let assign = clustering.assignment();
-        Self::build(graph, batch, |_, n| {
-            assign.get(&n).map(|&c| c as u32).unwrap_or(u32::MAX)
-        })
+        if batch == 0 {
+            return Err(RuntimeError::Setup("steal plan needs batch >= 1".into()));
+        }
+        Self::from_hyper(graph, &ramiel_cluster::hypercluster(clustering, batch))
     }
 
     /// Plan from a hyperclustering: per-(batch, node) hints from the
     /// hypercluster worker assignment.
     pub fn from_hyper(graph: &Graph, hc: &HyperClustering) -> Result<StealPlan> {
-        let mut owner: HashMap<(usize, usize), u32> = HashMap::new();
-        for (w, ops) in hc.hyperclusters.iter().enumerate() {
-            for op in ops {
-                owner.insert((op.batch, op.node), w as u32);
-            }
-        }
-        Self::build(graph, hc.batch.max(1), |b, n| {
-            owner.get(&(b, n)).copied().unwrap_or(u32::MAX)
-        })
+        let prog = Arc::new(GraphProgram::new(graph)?);
+        Self::with_program(&prog, crate::initializer_values(graph)?, hc)
     }
 
-    fn build(graph: &Graph, batch: usize, hint: impl Fn(usize, usize) -> u32) -> Result<StealPlan> {
+    /// [`StealPlan::from_hyper`] over a slot resolution and a weight table
+    /// the caller already holds (a serving plan shares both with its
+    /// [`crate::PlannedBatch`] schedules): integer work only.
+    pub fn with_program(
+        prog: &Arc<GraphProgram>,
+        init_values: Arc<HashMap<String, Value>>,
+        hints: &HyperClustering,
+    ) -> Result<StealPlan> {
+        let (batch, nn) = (hints.batch, prog.nodes.len());
         if batch == 0 {
             return Err(RuntimeError::Setup("steal plan needs batch >= 1".into()));
         }
-        let prog = Arc::new(GraphProgram::new(graph)?);
-        let nn = prog.nodes.len();
-        let hints = (0..batch)
-            .flat_map(|b| (0..nn).map(move |n| (b, n)))
-            .map(|(b, n)| hint(b, n))
-            .collect();
+        let mut hint = vec![u32::MAX; batch * nn];
+        for (w, ops) in hints.hyperclusters.iter().enumerate() {
+            for op in ops.iter().filter(|op| op.batch < batch && op.node < nn) {
+                hint[op.batch * nn + op.node] = w as u32;
+            }
+        }
         Ok(StealPlan {
             batch,
-            prog,
-            hints,
-            init_values: crate::initializer_values(graph)?,
+            prog: Arc::clone(prog),
+            hints: hint,
+            init_values,
         })
     }
 
@@ -150,6 +151,11 @@ impl StealPlan {
     /// the caller overrides it via `RunOptions::init_values`).
     pub fn init_values(&self) -> &Arc<HashMap<String, Value>> {
         &self.init_values
+    }
+
+    /// The slot-resolved graph this plan executes.
+    pub fn program(&self) -> &Arc<GraphProgram> {
+        &self.prog
     }
 }
 
@@ -668,7 +674,7 @@ fn bounded_stall(job: &JobInner, d: Duration) -> Result<()> {
 
 /// The node body: arm faults, gather operands (honoring in-place marks),
 /// evaluate, publish outputs to slots, consume inputs. Mirrors
-/// `parallel::worker_loop` minus the channels.
+/// `hyperpool::run_job` minus the channels.
 fn run_node(job: &JobInner, b: usize, n: usize, exec_idx: usize) -> Result<()> {
     let plan = &*job.plan.prog;
     let node = &plan.nodes[n];
@@ -677,37 +683,23 @@ fn run_node(job: &JobInner, b: usize, n: usize, exec_idx: usize) -> Result<()> {
     // Fault injection: arm this execution's faults, if any. DropMessage is
     // a no-op (no channels to drop from), as in the sequential executor.
     let armed = match &job.injector {
-        Some(inj) => inj.begin_node(node.id, b),
-        None => Vec::new(),
+        Some(inj) => Armed::new(
+            &inj.begin_node(node.id, b),
+            &job.obs,
+            Some(exec_idx),
+            node.id,
+            b,
+        ),
+        None => Armed::default(),
     };
-    let mut kernel_fault = false;
-    let mut send_delay = None;
-    for kind in &armed {
-        job.obs.instant(
-            exec_idx as u32,
-            format!("fault:{}", kind.name()),
-            "fault",
-            serde_json::json!({ "node": node.id, "batch": b }),
-        );
-        match kind {
-            FaultKind::KernelError => kernel_fault = true,
-            FaultKind::WorkerPanic => std::panic::panic_any(InjectedPanic {
-                node: node.id,
-                cluster: Some(exec_idx),
-            }),
-            FaultKind::SendDelay { millis } => send_delay = Some(Duration::from_millis(*millis)),
-            FaultKind::RecvDelay { millis } => bounded_stall(job, Duration::from_millis(*millis))?,
-            FaultKind::DropMessage => {}
-        }
+    if !armed.recv_delay.is_zero() {
+        bounded_stall(job, armed.recv_delay)?;
     }
 
     let outputs = if matches!(node.op, OpKind::Constant) {
-        if kernel_fault {
-            return Err(RuntimeError::Injected {
-                cluster: Some(exec_idx),
-                node: node.id,
-                kind: FaultKind::KernelError,
-            });
+        if armed.kernel_fault {
+            let e = ExecError(INJECT_MARKER.into());
+            return Err(node_error(Some(exec_idx), node.id, &node.name, e));
         }
         let name = &plan.slot_names[node.out_slots[0] as usize];
         let v = init_values.get(name).ok_or_else(|| {
@@ -749,36 +741,19 @@ fn run_node(job: &JobInner, b: usize, n: usize, exec_idx: usize) -> Result<()> {
                     }),
             })
             .collect();
-        let hooked;
-        let eval_ctx = if kernel_fault {
-            hooked = FaultInjector::kernel_fault_ctx(&job.ctx, Some(exec_idx), node.id);
-            &hooked
-        } else {
-            &job.ctx
-        };
+        let hooked = armed
+            .kernel_fault
+            .then(|| FaultInjector::kernel_fault_ctx(&job.ctx, Some(exec_idx), node.id));
+        let eval_ctx = hooked.as_ref().unwrap_or(&job.ctx);
         match owned_slot {
             Some(s) => eval_op_inplace(eval_ctx, &node.op, ins?, s),
             None => eval_op(eval_ctx, &node.op, &ins?),
         }
-        .map_err(|e| {
-            if e.0.starts_with(INJECT_MARKER) {
-                RuntimeError::Injected {
-                    cluster: Some(exec_idx),
-                    node: node.id,
-                    kind: FaultKind::KernelError,
-                }
-            } else {
-                RuntimeError::Kernel {
-                    cluster: Some(exec_idx),
-                    node: Some(node.id),
-                    msg: format!("{}: {}", node.name, e.0),
-                }
-            }
-        })?
+        .map_err(|e| node_error(Some(exec_idx), node.id, &node.name, e))?
     };
 
-    if let Some(d) = send_delay {
-        bounded_stall(job, d)?;
+    if !armed.send_delay.is_zero() {
+        bounded_stall(job, armed.send_delay)?;
     }
     if job.dead.load(Ordering::SeqCst) {
         return Ok(()); // a peer already failed the job; don't publish
@@ -868,8 +843,8 @@ impl PoolShared {
 }
 
 /// A persistent work-stealing pool. One process-wide instance
-/// ([`StealPool::global`]) serves every `run_stealing*` call — no per-run
-/// thread spawn — but private pools can be built for tests.
+/// ([`StealPool::global`]) serves every [`crate::Engine::Stealing`] run — no
+/// per-run thread spawn — but private pools can be built for tests.
 pub struct StealPool {
     shared: Arc<PoolShared>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -1012,39 +987,16 @@ impl StealPool {
         if let Some(ids) = &opts.request_ids {
             run_span.set_args(serde_json::json!({ "requests": &ids[..] }));
         }
-        let mut opts_eff = opts.clone();
-        if opts_eff.init_values.is_none() {
-            opts_eff.init_values = Some(Arc::clone(&plan.init_values));
-        }
-        let init_values = opts_eff.init_values.clone().expect("just set");
-        let backfill = |outs: &mut Vec<Env>| {
-            // Outputs that are direct inputs/initializers (degenerate but
-            // legal).
-            for (b, env) in outs.iter_mut().enumerate() {
-                for name in &plan.prog.graph_outputs {
-                    if !env.contains_key(name) {
-                        if let Some(v) = inputs[b].get(name).or_else(|| init_values.get(name)) {
-                            env.insert(name.clone(), v.clone());
-                        }
-                    }
-                }
-            }
-        };
         if plan.prog.nodes.is_empty() {
             let mut outs = vec![Env::new(); plan.batch];
-            backfill(&mut outs);
+            let init = opts.init_values.as_ref().unwrap_or(&plan.init_values);
+            plan.prog.backfill_outputs(&mut outs, inputs, init);
             return Ok(outs);
         }
 
-        let timeout = opts_eff.recv_timeout.unwrap_or_else(default_recv_timeout);
+        let timeout = opts.recv_timeout.unwrap_or_else(default_recv_timeout);
         let deadline = Instant::now() + timeout;
-        let job = Arc::new(JobInner::new(
-            plan,
-            inputs.to_vec(),
-            ctx,
-            &opts_eff,
-            deadline,
-        ));
+        let job = Arc::new(JobInner::new(plan, inputs.to_vec(), ctx, opts, deadline));
 
         let me = self.shared.free_caller_slots.lock().pop();
         // Seed roots by locality hint: cluster 0 (the longest chain) stays
@@ -1133,7 +1085,7 @@ impl StealPool {
         result?;
         let mut outs = std::mem::take(&mut *job.out_envs.lock());
         job.finalize();
-        backfill(&mut outs);
+        plan.prog.backfill_outputs(&mut outs, inputs, &job.init);
         Ok(outs)
     }
 }
@@ -1151,61 +1103,16 @@ impl Drop for StealPool {
     }
 }
 
-/// Execute a batch-1 run on the global work-stealing pool, using the
-/// clustering only as locality hints. Returns the graph outputs.
-pub fn run_stealing(
-    graph: &Graph,
-    clustering: &Clustering,
-    inputs: &Env,
-    ctx: &ExecCtx,
-) -> Result<Env> {
-    run_stealing_opts(graph, clustering, inputs, ctx, &RunOptions::default())
-}
-
-/// [`run_stealing`] with explicit [`RunOptions`].
-pub fn run_stealing_opts(
-    graph: &Graph,
-    clustering: &Clustering,
-    inputs: &Env,
-    ctx: &ExecCtx,
-    opts: &RunOptions,
-) -> Result<Env> {
-    let plan = Arc::new(StealPlan::new(graph, clustering, 1)?);
-    let mut outs = StealPool::global().run_plan(&plan, std::slice::from_ref(inputs), ctx, opts)?;
-    Ok(outs.pop().expect("batch 1 yields one output env"))
-}
-
-/// Execute a hyperclustered batch on the global work-stealing pool
-/// (hypercluster assignments become per-(batch, node) locality hints).
-pub fn run_hyper_stealing(
-    graph: &Graph,
-    hc: &HyperClustering,
-    inputs: &[Env],
-    ctx: &ExecCtx,
-) -> Result<Vec<Env>> {
-    run_hyper_stealing_opts(graph, hc, inputs, ctx, &RunOptions::default())
-}
-
-/// [`run_hyper_stealing`] with explicit [`RunOptions`].
-pub fn run_hyper_stealing_opts(
-    graph: &Graph,
-    hc: &HyperClustering,
-    inputs: &[Env],
-    ctx: &ExecCtx,
-    opts: &RunOptions,
-) -> Result<Vec<Env>> {
-    let plan = Arc::new(StealPlan::from_hyper(graph, hc)?);
-    StealPool::global().run_plan(&plan, inputs, ctx, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::run_sequential;
-    use crate::fault::{Fault, FaultPlan};
+    use crate::fault::{Fault, FaultKind, FaultPlan};
+    use crate::run::{run, Engine};
     use crate::synth_inputs;
     use ramiel_cluster::{cluster_graph, switched_hypercluster, StaticCost};
     use ramiel_models::{build, synthetic, ModelConfig, ModelKind};
+    use std::slice::from_ref;
 
     #[test]
     fn stealing_matches_sequential_on_every_model() {
@@ -1216,8 +1123,15 @@ mod tests {
             let clustering = cluster_graph(&g, &StaticCost);
             let inputs = synth_inputs(&g, 5);
             let seq = run_sequential(&g, &inputs, &ctx).unwrap();
-            let steal = run_stealing(&g, &clustering, &inputs, &ctx)
-                .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
+            let steal = run(
+                &g,
+                &clustering,
+                from_ref(&inputs),
+                &ctx,
+                &RunOptions::default().engine(Engine::Stealing),
+            )
+            .single()
+            .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
             assert_eq!(seq, steal, "{}", kind.name());
         }
     }
@@ -1229,7 +1143,15 @@ mod tests {
         let ctx = ExecCtx::sequential();
         let hc = switched_hypercluster(&clustering, 3);
         let inputs: Vec<Env> = (0..3).map(|b| synth_inputs(&g, 60 + b as u64)).collect();
-        let outs = run_hyper_stealing(&g, &hc, &inputs, &ctx).unwrap();
+        let outs = run(
+            &g,
+            &hc,
+            &inputs,
+            &ctx,
+            &RunOptions::default().engine(Engine::Stealing),
+        )
+        .outputs
+        .unwrap();
         for (b, inp) in inputs.iter().enumerate() {
             let seq = run_sequential(&g, inp, &ctx).unwrap();
             assert_eq!(seq, outs[b], "batch {b}");
@@ -1263,11 +1185,15 @@ mod tests {
         let inputs = synth_inputs(&g, 17);
         let seq = run_sequential(&g, &inputs, &ctx).unwrap();
         for seed in 0..16 {
-            let opts = RunOptions::default().steal_chaos(StealChaos {
-                seed,
-                max_stall_us: 200,
-            });
-            let got = run_stealing_opts(&g, &clustering, &inputs, &ctx, &opts).unwrap();
+            let opts = RunOptions::default()
+                .engine(Engine::Stealing)
+                .steal_chaos(StealChaos {
+                    seed,
+                    max_stall_us: 200,
+                });
+            let got = run(&g, &clustering, from_ref(&inputs), &ctx, &opts)
+                .single()
+                .unwrap();
             assert_eq!(seq, got, "seed {seed}");
         }
     }
@@ -1286,9 +1212,16 @@ mod tests {
                 kind: FaultKind::KernelError,
             }],
         });
-        let opts = RunOptions::with_injector(inj.clone());
-        let err =
-            run_stealing_opts(&g, &clustering, &inputs, &ExecCtx::sequential(), &opts).unwrap_err();
+        let opts = RunOptions::with_injector(inj.clone()).engine(Engine::Stealing);
+        let err = run(
+            &g,
+            &clustering,
+            from_ref(&inputs),
+            &ExecCtx::sequential(),
+            &opts,
+        )
+        .single()
+        .unwrap_err();
         assert_eq!(err.code(), "RT-INJECT", "got {err}");
         assert_eq!(inj.fired().len(), 1);
     }
@@ -1309,10 +1242,19 @@ mod tests {
                 kind: FaultKind::RecvDelay { millis: 2_000 },
             }],
         });
-        let opts = RunOptions::with_injector(inj).recv_timeout(Duration::from_millis(100));
+        let opts = RunOptions::with_injector(inj)
+            .engine(Engine::Stealing)
+            .recv_timeout(Duration::from_millis(100));
         let start = Instant::now();
-        let err =
-            run_stealing_opts(&g, &clustering, &inputs, &ExecCtx::sequential(), &opts).unwrap_err();
+        let err = run(
+            &g,
+            &clustering,
+            from_ref(&inputs),
+            &ExecCtx::sequential(),
+            &opts,
+        )
+        .single()
+        .unwrap_err();
         assert_eq!(err.code(), "RT-TIMEOUT", "got {err}");
         assert!(
             start.elapsed() < Duration::from_millis(1_500),
@@ -1331,7 +1273,15 @@ mod tests {
         let gauge = MemGauge::new();
         let ctx = ExecCtx::sequential().with_mem_gauge(gauge.clone());
         let inputs = synth_inputs(&g, 5);
-        run_stealing(&g, &clustering, &inputs, &ctx).unwrap();
+        run(
+            &g,
+            &clustering,
+            from_ref(&inputs),
+            &ctx,
+            &RunOptions::default().engine(Engine::Stealing),
+        )
+        .single()
+        .unwrap();
         assert_eq!(gauge.live_bytes(), 0);
         assert!(gauge.peak_bytes() > 0);
     }
@@ -1387,7 +1337,15 @@ mod tests {
         let clustering = cluster_graph(&g, &StaticCost);
         let hc = ramiel_cluster::hypercluster(&clustering, 2);
         let inputs = vec![synth_inputs(&g, 0)];
-        let err = run_hyper_stealing(&g, &hc, &inputs, &ExecCtx::sequential()).unwrap_err();
+        let err = run(
+            &g,
+            &hc,
+            &inputs,
+            &ExecCtx::sequential(),
+            &RunOptions::default().engine(Engine::Stealing),
+        )
+        .outputs
+        .unwrap_err();
         assert_eq!(err.code(), "RT-SETUP");
     }
 }

@@ -1,8 +1,9 @@
-//! Supervised parallel execution: retry, backoff, and sequential fallback.
+//! Supervised execution: retry, backoff, and sequential fallback.
 //!
-//! The parallel executor already converts worker panics, timeouts and
-//! injected faults into structured [`RuntimeError`]s; the supervisor decides
-//! what to do with them. Policy:
+//! Every engine already converts worker panics, timeouts and injected faults
+//! into structured [`RuntimeError`]s; the supervisor — what [`crate::run`]
+//! layers on top when [`RunOptions::supervisor`] is set — decides what to do
+//! with them. Policy:
 //!
 //! 1. **Retry** transient-shaped failures (`RT-TIMEOUT`, `RT-PANIC`,
 //!    `RT-CHANNEL`, `RT-INJECT`) up to [`SupervisorConfig::max_retries`]
@@ -21,16 +22,11 @@
 //!    the sequential executor would hide exactly what `ramiel check` exists
 //!    to catch.
 
-use crate::exec::run_sequential_opts;
-use crate::fault::{panic_to_error, Fault, FaultInjector};
-use crate::parallel::{run_hyper_opts, RunOptions};
+use crate::fault::{panic_to_error, Fault};
+use crate::profile::ProfileDb;
+use crate::run::{Engine, Run, RunOptions};
 use crate::{Env, Result, RuntimeError};
-use ramiel_cluster::hyper::HyperClustering;
-use ramiel_cluster::Clustering;
-use ramiel_ir::Graph;
-use ramiel_tensor::ExecCtx;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Supervision policy knobs.
@@ -45,11 +41,6 @@ pub struct SupervisorConfig {
     /// Re-execute on the reference sequential executor after retries are
     /// exhausted (retryable failures only).
     pub fallback: bool,
-    /// Worker recv timeout; `None` uses `RAMIEL_RECV_TIMEOUT_MS` or 30s.
-    pub recv_timeout: Option<Duration>,
-    /// Observability sink: retry/fallback decisions are emitted as trace
-    /// instants (disabled handle = zero cost).
-    pub obs: ramiel_obs::Obs,
 }
 
 impl Default for SupervisorConfig {
@@ -59,268 +50,112 @@ impl Default for SupervisorConfig {
             backoff_base: Duration::from_millis(10),
             backoff_max: Duration::from_secs(1),
             fallback: true,
-            recv_timeout: None,
-            obs: ramiel_obs::Obs::disabled(),
         }
     }
 }
 
-/// What happened during one supervised run.
+impl SupervisorConfig {
+    /// Pause before retry number `retry` (0-based): `backoff_base` doubled
+    /// per retry, capped at `backoff_max`.
+    pub fn backoff(&self, retry: u32) -> Duration {
+        let mult = 1u32.checked_shl(retry).unwrap_or(u32::MAX);
+        self.backoff_base
+            .checked_mul(mult)
+            .unwrap_or(self.backoff_max)
+            .min(self.backoff_max)
+    }
+}
+
+/// What happened during one [`crate::run`].
 #[derive(Debug, Clone, Default)]
 pub struct RunReport {
-    /// Parallel attempts made (including the first).
+    /// Attempts made on the requested engine (including the first).
     pub attempts: u32,
     /// Whether the sequential fallback produced the final result.
     pub fell_back: bool,
-    /// Errors that triggered a retry or the fallback, in order.
+    /// Errors that triggered a retry or the fallback (or ended the run), in
+    /// order.
     pub errors: Vec<RuntimeError>,
     /// Faults the injector actually fired, across all attempts.
     pub faults_fired: Vec<Fault>,
 }
 
-fn backoff_for(cfg: &SupervisorConfig, retry: u32) -> Duration {
-    let mult = 1u32.checked_shl(retry).unwrap_or(u32::MAX);
-    cfg.backoff_base
-        .checked_mul(mult)
-        .unwrap_or(cfg.backoff_max)
-        .min(cfg.backoff_max)
-}
-
-/// Supervised batch-1 parallel run over a clustering.
-pub fn run_supervised(
-    graph: &Graph,
-    clustering: &Clustering,
-    inputs: &Env,
-    ctx: &ExecCtx,
-    injector: Option<Arc<FaultInjector>>,
+/// The supervision core: retry `attempt` on the requested engine with
+/// bounded backoff while failures are retryable, then fall back to the
+/// sequential engine. Panics escaping an attempt become structured errors.
+pub(crate) fn supervise(
+    opts: &RunOptions,
     cfg: &SupervisorConfig,
-) -> (Result<Env>, RunReport) {
-    let opts = RunOptions {
-        injector,
-        ..RunOptions::default()
+    attempt: impl Fn(Engine) -> Result<(Vec<Env>, Option<ProfileDb>)>,
+) -> Run {
+    let guarded = |engine| {
+        catch_unwind(AssertUnwindSafe(|| attempt(engine)))
+            .unwrap_or_else(|payload| Err(panic_to_error(None, payload)))
     };
-    run_supervised_opts(graph, clustering, inputs, ctx, &opts, cfg)
-}
-
-/// [`run_supervised`] with explicit [`RunOptions`] (shared initializer
-/// table, obs sink, recv timeout).
-pub fn run_supervised_opts(
-    graph: &Graph,
-    clustering: &Clustering,
-    inputs: &Env,
-    ctx: &ExecCtx,
-    opts: &RunOptions,
-    cfg: &SupervisorConfig,
-) -> (Result<Env>, RunReport) {
-    let hc = ramiel_cluster::hypercluster(clustering, 1);
-    let (res, report) =
-        run_hyper_supervised_opts(graph, &hc, std::slice::from_ref(inputs), ctx, opts, cfg);
-    (
-        res.map(|mut outs| outs.pop().expect("batch 1 yields one output env")),
-        report,
-    )
-}
-
-/// Supervised hyperclustered run: retry with backoff, then sequential
-/// fallback per batch element. Returns the outcome plus a [`RunReport`].
-pub fn run_hyper_supervised(
-    graph: &Graph,
-    hc: &HyperClustering,
-    inputs: &[Env],
-    ctx: &ExecCtx,
-    injector: Option<Arc<FaultInjector>>,
-    cfg: &SupervisorConfig,
-) -> (Result<Vec<Env>>, RunReport) {
-    let opts = RunOptions {
-        injector,
-        ..RunOptions::default()
-    };
-    run_hyper_supervised_opts(graph, hc, inputs, ctx, &opts, cfg)
-}
-
-/// [`run_hyper_supervised`] with explicit [`RunOptions`]. A caller-supplied
-/// `init_values` table is reused across every attempt **and** the sequential
-/// fallback — serving callers hold the plan's table for the process
-/// lifetime, so supervision never rebuilds (deep-copies) the weights.
-pub fn run_hyper_supervised_opts(
-    graph: &Graph,
-    hc: &HyperClustering,
-    inputs: &[Env],
-    ctx: &ExecCtx,
-    opts: &RunOptions,
-    cfg: &SupervisorConfig,
-) -> (Result<Vec<Env>>, RunReport) {
-    supervise(graph, inputs, ctx, opts, cfg, |o| {
-        run_hyper_opts(graph, hc, inputs, ctx, o)
-    })
-}
-
-/// Supervised batch-1 run on the work-stealing executor: same retry /
-/// backoff / sequential-fallback policy as the channel executors. The
-/// stealing executor reports the same structured `RuntimeError`s, so the
-/// retryability classification carries over unchanged.
-pub fn run_stealing_supervised_opts(
-    graph: &Graph,
-    clustering: &Clustering,
-    inputs: &Env,
-    ctx: &ExecCtx,
-    opts: &RunOptions,
-    cfg: &SupervisorConfig,
-) -> (Result<Env>, RunReport) {
-    let (res, report) = supervise(graph, std::slice::from_ref(inputs), ctx, opts, cfg, |o| {
-        crate::stealing::run_stealing_opts(graph, clustering, inputs, ctx, o).map(|out| vec![out])
-    });
-    (
-        res.map(|mut outs| outs.pop().expect("batch 1 yields one output env")),
-        report,
-    )
-}
-
-/// Supervised hyper-batch run on the work-stealing executor.
-pub fn run_hyper_stealing_supervised_opts(
-    graph: &Graph,
-    hc: &HyperClustering,
-    inputs: &[Env],
-    ctx: &ExecCtx,
-    opts: &RunOptions,
-    cfg: &SupervisorConfig,
-) -> (Result<Vec<Env>>, RunReport) {
-    supervise(graph, inputs, ctx, opts, cfg, |o| {
-        crate::stealing::run_hyper_stealing_opts(graph, hc, inputs, ctx, o)
-    })
-}
-
-/// The shared supervision core: retry `attempt` with bounded backoff while
-/// failures are retryable, then fall back to per-batch-element sequential
-/// execution. Every executor variant plugs in via the `attempt` closure.
-fn supervise(
-    graph: &Graph,
-    inputs: &[Env],
-    ctx: &ExecCtx,
-    opts: &RunOptions,
-    cfg: &SupervisorConfig,
-    attempt: impl Fn(&RunOptions) -> Result<Vec<Env>>,
-) -> (Result<Vec<Env>>, RunReport) {
-    let mut opts = opts.clone();
-    if opts.recv_timeout.is_none() {
-        opts.recv_timeout = cfg.recv_timeout;
-    }
-    if !opts.obs.is_enabled() {
-        opts.obs = cfg.obs.clone();
-    }
-    if opts.init_values.is_none() {
-        // Convert the weights once here so retries and the sequential
-        // fallback share one table instead of rebuilding it per attempt.
-        // On failure fall back to per-run conversion, which will surface
-        // the same error with run context attached.
-        opts.init_values = crate::initializer_values(graph).ok();
-    }
-    let injector = opts.injector.clone();
     let mut report = RunReport::default();
-    let finish = |report: &mut RunReport| {
-        if let Some(inj) = &injector {
-            report.faults_fired = inj.fired();
-        }
-    };
-
-    let mut last_err: Option<RuntimeError> = None;
+    let mut result = Err(RuntimeError::Setup("no attempt made".into()));
     for retry in 0..=cfg.max_retries {
         report.attempts += 1;
-        let r = catch_unwind(AssertUnwindSafe(|| attempt(&opts)))
-            .unwrap_or_else(|payload| Err(panic_to_error(None, payload)));
-        match r {
-            Ok(outs) => {
-                finish(&mut report);
-                return (Ok(outs), report);
-            }
-            Err(e) => {
-                let retryable = e.is_retryable();
+        result = guarded(opts.engine);
+        let Err(e) = &result else { break };
+        report.errors.push(e.clone());
+        if !e.is_retryable() {
+            // Deterministic failure: neither retry nor fallback can
+            // produce a different (honest) answer.
+            break;
+        }
+        if retry < cfg.max_retries {
+            opts.obs.instant(
+                0,
+                format!("supervisor:retry (attempt {})", retry + 2),
+                "supervisor",
+                serde_json::json!({
+                    "error": e.code(),
+                    "backoff_ms": cfg.backoff(retry).as_millis() as u64,
+                }),
+            );
+            std::thread::sleep(cfg.backoff(retry));
+        }
+    }
+    if let (Err(e), true) = (&result, cfg.fallback) {
+        if e.is_retryable() {
+            report.fell_back = true;
+            opts.obs.instant(
+                0,
+                "supervisor:fallback to sequential".to_string(),
+                "supervisor",
+                serde_json::json!({ "error": e.code(), "attempts": report.attempts }),
+            );
+            result = guarded(Engine::Sequential);
+            if let Err(e) = &result {
                 report.errors.push(e.clone());
-                last_err = Some(e);
-                if !retryable {
-                    // Deterministic failure: neither retry nor fallback can
-                    // produce a different (honest) answer.
-                    finish(&mut report);
-                    return (Err(last_err.expect("just set")), report);
-                }
-                if retry < cfg.max_retries {
-                    cfg.obs.instant(
-                        0,
-                        format!("supervisor:retry (attempt {})", retry + 2),
-                        "supervisor",
-                        serde_json::json!({
-                            "error": last_err.as_ref().expect("just set").code(),
-                            "backoff_ms": backoff_for(cfg, retry).as_millis() as u64,
-                        }),
-                    );
-                    std::thread::sleep(backoff_for(cfg, retry));
-                }
             }
         }
     }
-
-    if cfg.fallback {
-        report.fell_back = true;
-        cfg.obs.instant(
-            0,
-            "supervisor:fallback to sequential".to_string(),
-            "supervisor",
-            serde_json::json!({
-                "error": last_err.as_ref().expect("retries exhausted").code(),
-                "attempts": report.attempts,
-            }),
-        );
-        let mut outs = Vec::with_capacity(inputs.len());
-        for env in inputs {
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                run_sequential_opts(graph, env, ctx, &opts)
-            }))
-            .unwrap_or_else(|payload| Err(panic_to_error(None, payload)));
-            match r {
-                Ok(out) => outs.push(out),
-                Err(e) => {
-                    report.errors.push(e.clone());
-                    finish(&mut report);
-                    return (Err(e), report);
-                }
-            }
-        }
-        finish(&mut report);
-        return (Ok(outs), report);
+    if let Some(inj) = &opts.injector {
+        report.faults_fired = inj.fired();
     }
-
-    finish(&mut report);
-    (
-        Err(last_err.expect("loop ran at least one attempt")),
+    let (outputs, profile) = match result {
+        Ok((outs, db)) => (Ok(outs), db),
+        Err(e) => (Err(e), None),
+    };
+    Run {
+        outputs,
         report,
-    )
+        profile,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultKind, FaultPlan};
-    use crate::{run_sequential, synth_inputs};
+    use crate::fault::{quiet_injected_panics, FaultInjector, FaultKind, FaultPlan};
+    use crate::{run, run_sequential, synth_inputs};
     use ramiel_cluster::{cluster_graph, StaticCost};
     use ramiel_models::synthetic;
-
-    fn quiet_injected_panics() {
-        use std::sync::Once;
-        static ONCE: Once = Once::new();
-        ONCE.call_once(|| {
-            let prev = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                if info
-                    .payload()
-                    .downcast_ref::<crate::fault::InjectedPanic>()
-                    .is_some()
-                {
-                    return; // expected chaos, keep test output readable
-                }
-                prev(info);
-            }));
-        });
-    }
+    use ramiel_tensor::ExecCtx;
+    use std::slice::from_ref;
+    use std::sync::Arc;
 
     fn one_fault(node: usize, exec_index: u32, kind: FaultKind) -> Arc<FaultInjector> {
         FaultInjector::new(FaultPlan {
@@ -346,11 +181,17 @@ mod tests {
             max_retries: 1,
             backoff_base: Duration::from_millis(1),
             fallback: false,
-            recv_timeout: Some(Duration::from_secs(5)),
             ..Default::default()
         };
-        let (res, report) = run_supervised(&g, &clustering, &inputs, &ctx, Some(inj), &cfg);
-        assert_eq!(res.unwrap(), expect);
+        let opts = RunOptions::with_injector(inj)
+            .recv_timeout(Duration::from_secs(5))
+            .supervisor(cfg);
+        let Run {
+            outputs: res,
+            report,
+            ..
+        } = run(&g, &clustering, from_ref(&inputs), &ctx, &opts);
+        assert_eq!(res.unwrap(), [expect]);
         assert_eq!(report.attempts, 2);
         assert!(!report.fell_back);
         assert_eq!(report.errors.len(), 1);
@@ -387,11 +228,17 @@ mod tests {
             max_retries: 1,
             backoff_base: Duration::from_millis(1),
             fallback: true,
-            recv_timeout: Some(Duration::from_secs(5)),
             ..Default::default()
         };
-        let (res, report) = run_supervised(&g, &clustering, &inputs, &ctx, Some(inj), &cfg);
-        assert_eq!(res.unwrap(), expect);
+        let opts = RunOptions::with_injector(inj)
+            .recv_timeout(Duration::from_secs(5))
+            .supervisor(cfg);
+        let Run {
+            outputs: res,
+            report,
+            ..
+        } = run(&g, &clustering, from_ref(&inputs), &ctx, &opts);
+        assert_eq!(res.unwrap(), [expect]);
         assert_eq!(report.attempts, 2);
         assert!(report.fell_back);
         assert_eq!(report.faults_fired.len(), 2);
@@ -415,8 +262,17 @@ mod tests {
             fallback: true,
             ..Default::default()
         };
-        let (res, report) =
-            run_supervised(&g, &clustering, &inputs, &ExecCtx::sequential(), None, &cfg);
+        let Run {
+            outputs: res,
+            report,
+            ..
+        } = run(
+            &g,
+            &clustering,
+            from_ref(&inputs),
+            &ExecCtx::sequential(),
+            &RunOptions::default().supervisor(cfg),
+        );
         let err = res.unwrap_err();
         assert_eq!(err.code(), "RT-KERNEL");
         assert_eq!(report.attempts, 1, "deterministic errors must not retry");
@@ -460,8 +316,18 @@ mod tests {
             fallback: true,
             ..Default::default()
         };
-        let (res, report) = run_supervised_opts(&g, &clustering, &inputs, &ctx, &opts, &cfg);
-        assert_eq!(res.unwrap(), expect);
+        let Run {
+            outputs: res,
+            report,
+            ..
+        } = run(
+            &g,
+            &clustering,
+            from_ref(&inputs),
+            &ctx,
+            &opts.supervisor(cfg),
+        );
+        assert_eq!(res.unwrap(), [expect]);
         assert!(report.fell_back);
         // The shared table is still ours alone once the run finished: no
         // attempt squirreled away a rebuilt copy.
@@ -475,10 +341,10 @@ mod tests {
             backoff_max: Duration::from_millis(40),
             ..Default::default()
         };
-        assert_eq!(backoff_for(&cfg, 0), Duration::from_millis(10));
-        assert_eq!(backoff_for(&cfg, 1), Duration::from_millis(20));
-        assert_eq!(backoff_for(&cfg, 2), Duration::from_millis(40));
-        assert_eq!(backoff_for(&cfg, 10), Duration::from_millis(40));
-        assert_eq!(backoff_for(&cfg, 40), Duration::from_millis(40));
+        assert_eq!(cfg.backoff(0), Duration::from_millis(10));
+        assert_eq!(cfg.backoff(1), Duration::from_millis(20));
+        assert_eq!(cfg.backoff(2), Duration::from_millis(40));
+        assert_eq!(cfg.backoff(10), Duration::from_millis(40));
+        assert_eq!(cfg.backoff(40), Duration::from_millis(40));
     }
 }

@@ -72,7 +72,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One queued inference request.
 pub(crate) struct Request {
@@ -298,10 +298,8 @@ impl LaneShared {
             recv_timeout: self.cfg.recv_timeout,
             obs: self.cfg.obs.clone(),
             init_values: Some(Arc::clone(&plan.init_values)),
-            reuse: true,
-            steal_chaos: None,
-            request_ids: None,
             backend: self.cfg.backend,
+            ..RunOptions::default()
         }
     }
 
@@ -556,14 +554,6 @@ fn collector(sh: Arc<LaneShared>) {
     }
 }
 
-fn bounded_backoff(cfg: &ramiel_runtime::SupervisorConfig, retry: u32) -> Duration {
-    let mult = 1u32.checked_shl(retry).unwrap_or(u32::MAX);
-    cfg.backoff_base
-        .checked_mul(mult)
-        .unwrap_or(cfg.backoff_max)
-        .min(cfg.backoff_max)
-}
-
 fn fail_all(
     sh: &LaneShared,
     batch: Vec<Request>,
@@ -702,7 +692,7 @@ fn execute_batch(sh: &LaneShared, pool: &mut LanePool, batch: Vec<Request>) -> I
                     "serve",
                     serde_json::json!({ "model": plan.name, "error": e.code() }),
                 );
-                std::thread::sleep(bounded_backoff(sup, attempt));
+                std::thread::sleep(sup.backoff(attempt));
                 attempt += 1;
             }
         }

@@ -181,13 +181,11 @@ impl CompiledPlan {
         if let Some(p) = plans.get(&batch) {
             return Ok(Arc::clone(p));
         }
-        let plan = if batch == 1 {
-            StealPlan::new(&self.graph, &self.clustering, 1)
-        } else {
-            let hc = hyper_schedule(&self.clustering, self.switched, batch);
-            StealPlan::from_hyper(&self.graph, &hc)
-        }
-        .map_err(ServeError::Runtime)?;
+        // The plan's one slot resolution and one weight table, shared with
+        // `schedule_for`; only the locality hints are per batch size.
+        let hints = hyper_schedule(&self.clustering, self.switched, batch);
+        let plan = StealPlan::with_program(&self.program, Arc::clone(&self.init_values), &hints)
+            .map_err(ServeError::Runtime)?;
         let plan = Arc::new(plan);
         plans.insert(batch, Arc::clone(&plan));
         Ok(plan)

@@ -106,6 +106,25 @@ fn switched_plans_serve_correctly() {
     assert_eq!(run_sequential(&g, &inputs, &ctx).unwrap(), out);
 }
 
+/// One slot resolution and one weight table per plan, whichever executor
+/// a lane runs and whatever the batch size.
+#[test]
+fn steal_plans_share_the_plans_program_and_weights() {
+    let g = build(ModelKind::Squeezenet, &ModelConfig::tiny());
+    let server = Server::new(small_cfg());
+    server.load("sq", PlanSpec::new(g)).unwrap();
+    let plan = server.plan("sq").unwrap();
+    for batch in [1usize, 3] {
+        let sched = plan.schedule_for(batch).unwrap();
+        let steal = plan.steal_plan_for(batch).unwrap();
+        assert!(Arc::ptr_eq(sched.program(), steal.program()), "b{batch}");
+        assert!(
+            Arc::ptr_eq(&plan.init_values, steal.init_values()),
+            "b{batch}"
+        );
+    }
+}
+
 #[test]
 fn shutdown_rejects_new_work() {
     let g = synthetic::chain(3);

@@ -3,7 +3,7 @@
 //! `trace` verb.
 //!
 //! Each admitted request gets a [`RequestTrace`] when it is answered:
-//! its [`RequestId`] plus the four phase boundaries (enqueue → pop →
+//! its request id plus the four phase boundaries (enqueue → pop →
 //! execute → respond) as nanosecond offsets from the server's epoch. The
 //! ring keeps the most recent `capacity` entries — old traffic falls off
 //! the back, so memory stays bounded no matter how long the server runs.

@@ -8,8 +8,9 @@
 
 use ramiel::{compile, PipelineOptions};
 use ramiel_models::{build, ModelConfig, ModelKind};
-use ramiel_runtime::{run_parallel, run_sequential, synth_inputs};
+use ramiel_runtime::{run, run_sequential, synth_inputs, RunOptions};
 use ramiel_tensor::ExecCtx;
+use std::slice::from_ref;
 use std::time::Instant;
 
 fn main() {
@@ -42,8 +43,15 @@ fn main() {
     let seq_ms = t.elapsed().as_secs_f64() * 1e3;
 
     let t = Instant::now();
-    let par =
-        run_parallel(&compiled.graph, &compiled.clustering, &inputs, &ctx).expect("parallel run");
+    let par = run(
+        &compiled.graph,
+        &compiled.clustering,
+        from_ref(&inputs),
+        &ctx,
+        &RunOptions::default(),
+    )
+    .single()
+    .expect("parallel run");
     let par_ms = t.elapsed().as_secs_f64() * 1e3;
 
     assert_eq!(

@@ -1,20 +1,24 @@
-//! Serving with a standing cluster pool.
+//! Serving with a standing worker pool.
 //!
 //! The paper's generated code forks long-lived Python processes once and
-//! streams inferences through them. [`ramiel_runtime::ClusterPool`] is the
+//! streams inferences through them. [`ramiel_runtime::HyperPool`] is the
 //! same shape in-process: workers spawn once, weights are converted and
 //! shared once, and each request flows through the standing cluster
-//! workers. This example compares request latency against
-//! spawn-threads-per-inference and validates every response.
+//! workers as one job of a compiled batch-1 schedule. This example compares
+//! request latency against the same pool spawned per inference
+//! (`run` on the channel engine) and validates every response.
 //!
 //! ```sh
 //! cargo run --release --example serving_pool
 //! ```
 
 use ramiel::{compile, PipelineOptions};
+use ramiel_cluster::hypercluster;
 use ramiel_models::{build, ModelConfig, ModelKind};
-use ramiel_runtime::{run_parallel, run_sequential, synth_inputs, ClusterPool};
+use ramiel_runtime::{run, run_sequential, synth_inputs, HyperPool, PlannedBatch, RunOptions};
 use ramiel_tensor::ExecCtx;
+use std::slice::from_ref;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
@@ -43,18 +47,30 @@ fn main() {
     // strategy 1: spawn threads per request
     let t = Instant::now();
     for (i, r) in requests.iter().enumerate() {
-        let out = run_parallel(&compiled.graph, &compiled.clustering, r, &ctx).expect("spawned");
+        let out = run(
+            &compiled.graph,
+            &compiled.clustering,
+            from_ref(r),
+            &ctx,
+            &RunOptions::default(),
+        )
+        .single()
+        .expect("spawned");
         assert_eq!(out, golden[i], "request {i}");
     }
     let spawn_ms = t.elapsed().as_secs_f64() * 1e3 / requests.len() as f64;
 
     // strategy 2: standing pool
-    let mut pool =
-        ClusterPool::new(&compiled.graph, &compiled.clustering, &ctx).expect("pool spawn");
+    let plan = PlannedBatch::new(&compiled.graph, hypercluster(&compiled.clustering, 1))
+        .map(Arc::new)
+        .expect("schedule");
+    let mut pool = HyperPool::new(&compiled.graph, plan.num_workers(), &ctx).expect("pool spawn");
     let t = Instant::now();
     for (i, r) in requests.iter().enumerate() {
-        let out = pool.run(r).expect("pool run");
-        assert_eq!(out, golden[i], "request {i}");
+        let out = pool
+            .run_batch(&plan, &Arc::new(vec![r.clone()]))
+            .expect("pool run");
+        assert_eq!(out, [golden[i].clone()], "request {i}");
     }
     let pool_ms = t.elapsed().as_secs_f64() * 1e3 / requests.len() as f64;
 

@@ -12,7 +12,9 @@
 
 use ramiel_cluster::{cluster_graph, hypercluster, switched_hypercluster, StaticCost};
 use ramiel_models::{build, ModelConfig, ModelKind};
-use ramiel_runtime::{run_hyper, run_sequential, simulate_hyper, synth_inputs, Env, SimConfig};
+use ramiel_runtime::{
+    run, run_sequential, simulate_hyper, synth_inputs, Env, RunOptions, SimConfig,
+};
 use ramiel_tensor::ExecCtx;
 use std::time::Instant;
 
@@ -44,7 +46,9 @@ fn main() {
             ("switched", switched_hypercluster(&clustering, batch)),
         ] {
             let t = Instant::now();
-            let outs = run_hyper(&graph, &hc, &inputs, &ctx).expect("hyper run");
+            let outs = run(&graph, &hc, &inputs, &ctx, &RunOptions::default())
+                .outputs
+                .expect("hyper run");
             let ms = t.elapsed().as_secs_f64() * 1e3;
             // correctness: every sample matches its sequential result
             for (o, s) in outs.iter().zip(&seq_outs) {

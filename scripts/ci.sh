@@ -12,6 +12,12 @@ cargo fmt --check
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets --offline -- -D warnings
 
+# Rustdoc link gate: a deleted or renamed item must not leave a dead
+# intra-doc link behind in the crates whose docs name the executors.
+echo "==> cargo doc (broken intra-doc links denied)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+    cargo doc --no-deps --offline -p ramiel-runtime -p ramiel-serve -p ramiel
+
 echo "==> cargo test (--no-fail-fast: one red binary must not hide the ones after it)"
 cargo test --offline --no-fail-fast
 
@@ -39,7 +45,7 @@ RAMIEL_CONFORMANCE_CASES="${RAMIEL_CONFORMANCE_CASES:-250}" \
 
 # Kernel-backend conformance gate. The f32 SIMD backend is covered by the
 # differential suite above (it is bit-identical to scalar by construction,
-# so the 6-executor matrix exercises it unchanged); the i8 quantized
+# so the executor table exercises it unchanged); the i8 quantized
 # backend has a different contract — tolerance-close to f32, bit-identical
 # *across executors* — pinned by its own suite on all 8 model generators.
 # Same hard timeout discipline: a wedged executor under QuantI8 is a
@@ -48,8 +54,9 @@ echo "==> quant backend conformance gate (8 models x executors)"
 timeout --kill-after=30s 600s \
     cargo test --offline -p ramiel --test quant_conformance
 
-# Observability smoke: `ramiel profile` runs the model on all four executors
-# and validates the merged Chrome/Perfetto trace before writing it — a
+# Observability smoke: `ramiel profile` runs the model on its four lanes
+# (sequential, per-run channels at batch 1 and hyperclustered, a standing
+# pool) and validates the merged Chrome/Perfetto trace before writing it — a
 # malformed trace (or any executor divergence) is a failing exit code. Same
 # hard timeout discipline as the chaos gate.
 echo "==> ramiel profile smoke (trace validity gate)"

@@ -6,27 +6,48 @@
 //! 1. For every built-in model and every executor, the measured high-water
 //!    mark of an allocation-tracking [`MemGauge`] never exceeds
 //!    `estimate_memory`'s static bound — when the analysis view matches the
-//!    executor's real replay policy (in-order for the sequential walk and
-//!    `ClusterPool`, first-ready for `run_parallel` / `run_hyper` /
-//!    `HyperPool`, whose workers may legally reorder around a blocked op).
+//!    executor's real replay policy (in-order for the sequential walk,
+//!    first-ready for the channel engine — per-run or a standing
+//!    `HyperPool` — whose workers may legally reorder around a blocked op,
+//!    the estimate-only resident sum for work stealing).
 //! 2. Running with `reuse: false` (no in-place rewriting, no eviction) is
 //!    bit-identical to the default `reuse: true` path on every executor:
 //!    in-place kernels write the same values the allocating kernels do.
 
 use ramiel::analyze::memory::estimate_memory;
 use ramiel_cluster::{
-    cluster_graph, clustering_view, hyper_view, hypercluster, stealing_view, switched_hypercluster,
-    StaticCost,
+    cluster_graph, hyper_view, hypercluster, stealing_view, switched_hypercluster, StaticCost,
 };
+use ramiel_ir::Graph;
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_runtime::{
-    run_hyper, run_hyper_opts, run_hyper_stealing_opts, run_parallel, run_parallel_opts,
-    run_sequential, run_sequential_opts, run_stealing, run_stealing_opts, synth_inputs,
-    ClusterPool, Env, HyperPool, PlannedBatch, RunOptions,
+    run, run_sequential, run_sequential_opts, synth_inputs, Engine, Env, HyperPool, PlannedBatch,
+    RunOptions,
 };
 use ramiel_tensor::{ExecCtx, MemGauge, Value};
 use ramiel_verify::{ExecPolicy, ScheduleView};
 use std::sync::Arc;
+
+const ENGINES: [(&str, Engine); 2] = [
+    ("channels", Engine::Channels),
+    ("stealing", Engine::Stealing),
+];
+
+/// `hc` as two consecutive jobs of a standing pool built from `ctx`/`opts`;
+/// returns the second job's outputs.
+fn run_on_standing_pool(
+    g: &Graph,
+    hc: &ramiel_cluster::HyperClustering,
+    inputs: &[Env],
+    ctx: &ExecCtx,
+    opts: &RunOptions,
+) -> Vec<Env> {
+    let plan = Arc::new(PlannedBatch::new(g, hc.clone()).unwrap());
+    let mut pool = HyperPool::with_options(g, plan.num_workers(), ctx, opts).unwrap();
+    let shared = Arc::new(inputs.to_vec());
+    pool.run_batch(&plan, &shared).unwrap();
+    pool.run_batch(&plan, &shared).unwrap()
+}
 
 fn gauge_ctx() -> (Arc<MemGauge>, ExecCtx) {
     let gauge = MemGauge::new();
@@ -47,7 +68,9 @@ fn assert_bound(model: &str, executor: &str, estimate: u64, gauge: &MemGauge) {
     );
 }
 
-/// Contract 1 over the whole 8-model × 5-executor matrix.
+/// Contract 1 over 8 models × {sequential; channels, standing pool and
+/// stealing × (clustering at batch 1, plain and switched hyperclustering at
+/// batch 4)}.
 #[test]
 fn estimate_upper_bounds_measured_peak_on_every_executor() {
     let cfg = ModelConfig::tiny();
@@ -55,72 +78,52 @@ fn estimate_upper_bounds_measured_peak_on_every_executor() {
         let model = kind.name();
         let g = build(kind, &cfg);
         let clustering = cluster_graph(&g, &StaticCost);
-        let inputs = synth_inputs(&g, 42);
+        let inputs: Vec<Env> = (0..4).map(|b| synth_inputs(&g, 100 + b as u64)).collect();
 
         // sequential: single worker, the executor's own topological order
         let order = ramiel_ir::topo::topo_sort(&g).unwrap();
         let view = ScheduleView::single_batch(vec![order], ExecPolicy::InOrder);
         let (est, _) = estimate_memory(&g, &view);
         let (gauge, ctx) = gauge_ctx();
-        run_sequential(&g, &inputs, &ctx).unwrap();
+        run_sequential(&g, &inputs[0], &ctx).unwrap();
         assert_bound(model, "sequential", est.peak_bytes, &gauge);
 
-        // run_parallel: cluster-per-worker, first-ready-first replay
-        let mut view = clustering_view(&clustering);
-        view.policy = ExecPolicy::FirstReady;
-        let (est, _) = estimate_memory(&g, &view);
-        let (gauge, ctx) = gauge_ctx();
-        run_parallel(&g, &clustering, &inputs, &ctx).unwrap();
-        assert_bound(model, "parallel", est.peak_bytes, &gauge);
-
-        // ClusterPool: strict in-order per job
-        let view = clustering_view(&clustering);
-        let (est, _) = estimate_memory(&g, &view);
-        let (gauge, ctx) = gauge_ctx();
-        let mut pool = ClusterPool::new(&g, &clustering, &ctx).unwrap();
-        pool.run(&inputs).unwrap();
-        pool.run(&synth_inputs(&g, 43)).unwrap();
-        drop(pool);
-        assert_bound(model, "pool", est.peak_bytes, &gauge);
-
-        // work stealing: no static schedule, so the bound comes from the
-        // estimate-only stealing view (first-ready resident sum — sound for
-        // any interleaving the pool picks)
-        let (est, _) = estimate_memory(&g, &stealing_view(&g, 1));
-        assert!(!est.exact, "stealing view must be estimate-only");
-        let (gauge, ctx) = gauge_ctx();
-        run_stealing(&g, &clustering, &inputs, &ctx).unwrap();
-        assert_bound(model, "stealing", est.peak_bytes, &gauge);
-
-        // hyperclustered batch executors, plain and switched, batch 4
-        let batch_inputs: Vec<Env> = (0..4).map(|b| synth_inputs(&g, 100 + b as u64)).collect();
-        for (label, hc) in [
+        for (schedule, hc) in [
+            ("clusters", hypercluster(&clustering, 1)),
             ("hyper", hypercluster(&clustering, 4)),
             ("hyper-switched", switched_hypercluster(&clustering, 4)),
         ] {
-            let mut view = hyper_view(&hc);
-            view.policy = ExecPolicy::FirstReady;
-            let (est, _) = estimate_memory(&g, &view);
-            let (gauge, ctx) = gauge_ctx();
-            run_hyper(&g, &hc, &batch_inputs, &ctx).unwrap();
-            assert_bound(model, label, est.peak_bytes, &gauge);
+            let inputs = &inputs[..hc.batch];
+            for (engine_name, engine) in ENGINES {
+                let view = match engine {
+                    // cluster-per-worker, first-ready-first replay
+                    Engine::Channels => {
+                        let mut view = hyper_view(&hc);
+                        view.policy = ExecPolicy::FirstReady;
+                        view
+                    }
+                    // no static schedule: the estimate-only stealing view
+                    // (first-ready resident sum — sound for any
+                    // interleaving the pool picks)
+                    _ => stealing_view(&g, hc.batch),
+                };
+                let (est, _) = estimate_memory(&g, &view);
+                if engine == Engine::Stealing {
+                    assert!(!est.exact, "stealing view must be estimate-only");
+                }
+                let label = format!("{engine_name}/{schedule}");
+                let opts = RunOptions::default().engine(engine);
+                let (gauge, ctx) = gauge_ctx();
+                run(&g, &hc, inputs, &ctx, &opts).outputs.unwrap();
+                assert_bound(model, &label, est.peak_bytes, &gauge);
 
-            let (gauge, ctx) = gauge_ctx();
-            let mut hpool = HyperPool::new(&g, hc.hyperclusters.len(), &ctx).unwrap();
-            let plan = Arc::new(PlannedBatch::new(&g, hc).unwrap());
-            hpool
-                .run_batch(&plan, &Arc::new(batch_inputs.clone()))
-                .unwrap();
-            drop(hpool);
-            assert_bound(model, &format!("{label}-pool"), est.peak_bytes, &gauge);
+                if engine == Engine::Channels {
+                    let (gauge, ctx) = gauge_ctx();
+                    run_on_standing_pool(&g, &hc, inputs, &ctx, &opts);
+                    assert_bound(model, &format!("pool/{schedule}"), est.peak_bytes, &gauge);
+                }
+            }
         }
-
-        // batched stealing under the batch-4 estimate-only view
-        let (est, _) = estimate_memory(&g, &stealing_view(&g, 4));
-        let hc = switched_hypercluster(&clustering, 4);
-        let (gauge, ctx) = gauge_ctx();
-        run_hyper_stealing_opts(&g, &hc, &batch_inputs, &ctx, &RunOptions::default()).unwrap();
-        assert_bound(model, "hyper-stealing", est.peak_bytes, &gauge);
     }
 }
 
@@ -171,70 +174,41 @@ fn assert_bits(expect: &Env, got: &Env, model: &str, executor: &str) {
 fn in_place_reuse_is_bit_identical_on_every_executor() {
     let cfg = ModelConfig::tiny();
     let ctx = ExecCtx::sequential();
-    let on = RunOptions::default();
     let off = RunOptions::default().reuse(false);
     for kind in ModelKind::all() {
         let model = kind.name();
         let g = build(kind, &cfg);
         let clustering = cluster_graph(&g, &StaticCost);
-        let inputs = synth_inputs(&g, 7);
-
-        let base = run_sequential_opts(&g, &inputs, &ctx, &off).unwrap();
-        let seq = run_sequential_opts(&g, &inputs, &ctx, &on).unwrap();
-        assert_bits(&base, &seq, model, "sequential");
-
-        for (opts, tag) in [(&off, "off"), (&on, "on")] {
-            let par = run_parallel_opts(&g, &clustering, &inputs, &ctx, opts).unwrap();
-            assert_bits(&base, &par, model, &format!("parallel[reuse={tag}]"));
-
-            let mut pool = ClusterPool::with_options(&g, &clustering, &ctx, opts).unwrap();
-            let pooled = pool.run(&inputs).unwrap();
-            assert_bits(&base, &pooled, model, &format!("pool[reuse={tag}]"));
-
-            let stolen = run_stealing_opts(&g, &clustering, &inputs, &ctx, opts).unwrap();
-            assert_bits(&base, &stolen, model, &format!("stealing[reuse={tag}]"));
-        }
-
-        let batch_inputs: Vec<Env> = (0..3).map(|b| synth_inputs(&g, 7 + b as u64)).collect();
-        let baseline: Vec<Env> = batch_inputs
+        let inputs: Vec<Env> = (0..3).map(|b| synth_inputs(&g, 7 + b as u64)).collect();
+        let baseline: Vec<Env> = inputs
             .iter()
             .map(|inp| run_sequential_opts(&g, inp, &ctx, &off).unwrap())
             .collect();
-        let hc = switched_hypercluster(&clustering, 3);
-        for (opts, tag) in [(&off, "off"), (&on, "on")] {
-            let outs = run_hyper_opts(&g, &hc, &batch_inputs, &ctx, opts).unwrap();
-            for (b, out) in outs.iter().enumerate() {
-                assert_bits(
-                    &baseline[b],
-                    out,
-                    model,
-                    &format!("hyper[reuse={tag}] b{b}"),
-                );
-            }
+        let seq = run_sequential(&g, &inputs[0], &ctx).unwrap();
+        assert_bits(&baseline[0], &seq, model, "sequential");
 
-            let mut hpool =
-                HyperPool::with_options(&g, hc.hyperclusters.len(), &ctx, opts).unwrap();
-            let plan = Arc::new(PlannedBatch::new(&g, hc.clone()).unwrap());
-            let outs = hpool
-                .run_batch(&plan, &Arc::new(batch_inputs.clone()))
-                .unwrap();
-            for (b, out) in outs.iter().enumerate() {
-                assert_bits(
-                    &baseline[b],
-                    out,
-                    model,
-                    &format!("hyper-pool[reuse={tag}] b{b}"),
-                );
-            }
-
-            let outs = run_hyper_stealing_opts(&g, &hc, &batch_inputs, &ctx, opts).unwrap();
-            for (b, out) in outs.iter().enumerate() {
-                assert_bits(
-                    &baseline[b],
-                    out,
-                    model,
-                    &format!("hyper-stealing[reuse={tag}] b{b}"),
-                );
+        for (schedule, hc) in [
+            ("clusters", hypercluster(&clustering, 1)),
+            ("hyper-switched", switched_hypercluster(&clustering, 3)),
+        ] {
+            let inputs = &inputs[..hc.batch];
+            for reuse in [false, true] {
+                let check = |executor: &str, outs: Vec<Env>| {
+                    for (b, out) in outs.iter().enumerate() {
+                        let label = format!("{executor}/{schedule}[reuse={reuse}] b{b}");
+                        assert_bits(&baseline[b], out, model, &label);
+                    }
+                };
+                for (engine_name, engine) in ENGINES {
+                    let opts = RunOptions::default().reuse(reuse).engine(engine);
+                    check(
+                        engine_name,
+                        run(&g, &hc, inputs, &ctx, &opts).outputs.unwrap(),
+                    );
+                    if engine == Engine::Channels {
+                        check("pool", run_on_standing_pool(&g, &hc, inputs, &ctx, &opts));
+                    }
+                }
             }
         }
     }
@@ -270,17 +244,18 @@ mod prop {
             run_sequential(&g, &inputs, &ctx).unwrap();
             prop_assert!(gauge.peak_bytes() <= est.peak_bytes);
 
-            let mut view = clustering_view(&clustering);
+            let mut view = ramiel_cluster::clustering_view(&clustering);
             view.policy = ExecPolicy::FirstReady;
-            let (est, _) = estimate_memory(&g, &view);
-            let (gauge, ctx) = gauge_ctx();
-            run_parallel(&g, &clustering, &inputs, &ctx).unwrap();
-            prop_assert!(gauge.peak_bytes() <= est.peak_bytes);
-
-            let (est, _) = estimate_memory(&g, &stealing_view(&g, 1));
-            let (gauge, ctx) = gauge_ctx();
-            run_stealing(&g, &clustering, &inputs, &ctx).unwrap();
-            prop_assert!(gauge.peak_bytes() <= est.peak_bytes);
+            let stealing = stealing_view(&g, 1);
+            for (view, (_, engine)) in [view, stealing].iter().zip(ENGINES) {
+                let (est, _) = estimate_memory(&g, view);
+                let (gauge, ctx) = gauge_ctx();
+                let opts = RunOptions::default().engine(engine);
+                run(&g, &clustering, std::slice::from_ref(&inputs), &ctx, &opts)
+                    .single()
+                    .unwrap();
+                prop_assert!(gauge.peak_bytes() <= est.peak_bytes);
+            }
         }
     }
 }

@@ -10,15 +10,31 @@
 
 use proptest::prelude::*;
 use ramiel_cluster::{cluster_graph, Clustering, StaticCost};
+use ramiel_ir::Graph;
 use ramiel_models::synthetic;
 use ramiel_runtime::{
-    run_parallel_opts, run_sequential, run_sequential_opts, run_stealing_opts,
-    run_stealing_supervised_opts, run_supervised, synth_inputs, FaultInjector, FaultKind,
-    FaultPlan, RunOptions, RuntimeError, SupervisorConfig,
+    run, run_sequential, run_sequential_opts, synth_inputs, Engine, Env, FaultInjector, FaultKind,
+    FaultPlan, Run, RunOptions, RunReport, RuntimeError, SupervisorConfig,
 };
 use ramiel_tensor::ExecCtx;
+use std::slice::from_ref;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// One supervised batch-1 run under `opts`: its outcome and its report.
+fn supervised(
+    g: &Graph,
+    clustering: &Clustering,
+    inputs: &Env,
+    opts: RunOptions,
+    cfg: SupervisorConfig,
+) -> (Result<Env, RuntimeError>, RunReport) {
+    let ctx = ExecCtx::sequential();
+    let Run {
+        outputs, report, ..
+    } = run(g, clustering, from_ref(inputs), &ctx, &opts.supervisor(cfg));
+    (outputs.map(|mut outs| outs.remove(0)), report)
+}
 
 /// Suppress backtrace spam from *expected* injected panics (they are caught
 /// and converted to errors; the default hook would still print them).
@@ -96,12 +112,12 @@ proptest! {
             max_retries: 2,
             backoff_base: Duration::from_millis(1),
             fallback: true,
-            // Short enough that dropped messages resolve quickly, long
-            // enough that injected delays (≤ ~30ms) never false-positive.
-            recv_timeout: Some(Duration::from_secs(2)),
             ..Default::default()
         };
-        let (res, report) = run_supervised(&g, &clustering, &inputs, &ctx, Some(inj), &cfg);
+        // Short enough that dropped messages resolve quickly, long enough
+        // that injected delays (≤ ~30ms) never false-positive.
+        let opts = RunOptions::with_injector(inj).recv_timeout(Duration::from_secs(2));
+        let (res, report) = supervised(&g, &clustering, &inputs, opts, cfg);
         prop_assert!(report.attempts >= 1);
         match res {
             Ok(out) => prop_assert_eq!(out, baseline, "fault-free result must match baseline"),
@@ -138,16 +154,16 @@ proptest! {
         let baseline = run_sequential(&g, &inputs, &ctx).unwrap();
 
         let plan = FaultPlan::random(fseed, g.num_nodes(), 1, nfaults);
-        let opts = RunOptions::with_injector(FaultInjector::new(plan));
+        let opts = RunOptions::with_injector(FaultInjector::new(plan))
+            .engine(Engine::Stealing)
+            .recv_timeout(Duration::from_secs(2));
         let cfg = SupervisorConfig {
             max_retries: 2,
             backoff_base: Duration::from_millis(1),
             fallback: true,
-            recv_timeout: Some(Duration::from_secs(2)),
             ..Default::default()
         };
-        let (res, report) =
-            run_stealing_supervised_opts(&g, &clustering, &inputs, &ctx, &opts, &cfg);
+        let (res, report) = supervised(&g, &clustering, &inputs, opts, cfg);
         prop_assert!(report.attempts >= 1);
         match res {
             Ok(out) => prop_assert_eq!(out, baseline, "fault-free result must match baseline"),
@@ -200,8 +216,15 @@ fn golden_injected_kernel_error_is_rt_inject_with_node() {
     let inputs = synth_inputs(&g, 2);
     let opts = RunOptions::with_injector(one_fault(2, 0, FaultKind::KernelError))
         .recv_timeout(Duration::from_secs(5));
-    let err =
-        run_parallel_opts(&g, &clustering, &inputs, &ExecCtx::sequential(), &opts).unwrap_err();
+    let err = run(
+        &g,
+        &clustering,
+        from_ref(&inputs),
+        &ExecCtx::sequential(),
+        &opts,
+    )
+    .single()
+    .unwrap_err();
     assert_eq!(err.code(), "RT-INJECT");
     assert!(
         matches!(
@@ -224,8 +247,15 @@ fn golden_injected_panic_is_rt_inject_not_a_crash() {
     let inputs = synth_inputs(&g, 3);
     let opts = RunOptions::with_injector(one_fault(1, 0, FaultKind::WorkerPanic))
         .recv_timeout(Duration::from_secs(5));
-    let err =
-        run_parallel_opts(&g, &clustering, &inputs, &ExecCtx::sequential(), &opts).unwrap_err();
+    let err = run(
+        &g,
+        &clustering,
+        from_ref(&inputs),
+        &ExecCtx::sequential(),
+        &opts,
+    )
+    .single()
+    .unwrap_err();
     assert_eq!(err.code(), "RT-INJECT");
     assert!(
         matches!(
@@ -253,8 +283,15 @@ fn golden_dropped_cross_cluster_message_is_rt_timeout() {
     let opts = RunOptions::with_injector(one_fault(producer, 0, FaultKind::DropMessage))
         .recv_timeout(Duration::from_millis(200));
     let start = std::time::Instant::now();
-    let err =
-        run_parallel_opts(&g, &clustering, &inputs, &ExecCtx::sequential(), &opts).unwrap_err();
+    let err = run(
+        &g,
+        &clustering,
+        from_ref(&inputs),
+        &ExecCtx::sequential(),
+        &opts,
+    )
+    .single()
+    .unwrap_err();
     assert_eq!(err.code(), "RT-TIMEOUT", "{err}");
     assert!(
         start.elapsed() < Duration::from_secs(10),
@@ -276,17 +313,11 @@ fn golden_supervised_retry_then_success() {
         max_retries: 2,
         backoff_base: Duration::from_millis(1),
         fallback: false,
-        recv_timeout: Some(Duration::from_secs(5)),
         ..Default::default()
     };
-    let (res, report) = run_supervised(
-        &g,
-        &clustering,
-        &inputs,
-        &ctx,
-        Some(one_fault(0, 0, FaultKind::KernelError)),
-        &cfg,
-    );
+    let opts = RunOptions::with_injector(one_fault(0, 0, FaultKind::KernelError))
+        .recv_timeout(Duration::from_secs(5));
+    let (res, report) = supervised(&g, &clustering, &inputs, opts, cfg);
     assert_eq!(res.unwrap(), expect);
     assert_eq!(report.attempts, 2);
     assert!(!report.fell_back);
@@ -306,15 +337,16 @@ fn golden_stealing_supervised_retry_then_success() {
     let ctx = ExecCtx::sequential();
     let inputs = synth_inputs(&g, 5);
     let expect = run_sequential(&g, &inputs, &ctx).unwrap();
-    let opts = RunOptions::with_injector(one_fault(0, 0, FaultKind::KernelError));
+    let opts = RunOptions::with_injector(one_fault(0, 0, FaultKind::KernelError))
+        .engine(Engine::Stealing)
+        .recv_timeout(Duration::from_secs(5));
     let cfg = SupervisorConfig {
         max_retries: 2,
         backoff_base: Duration::from_millis(1),
         fallback: false,
-        recv_timeout: Some(Duration::from_secs(5)),
         ..Default::default()
     };
-    let (res, report) = run_stealing_supervised_opts(&g, &clustering, &inputs, &ctx, &opts, &cfg);
+    let (res, report) = supervised(&g, &clustering, &inputs, opts, cfg);
     assert_eq!(res.unwrap(), expect);
     assert_eq!(report.attempts, 2);
     assert!(!report.fell_back);
@@ -333,15 +365,16 @@ fn golden_stealing_fallback_isolates_the_failure() {
     let ctx = ExecCtx::sequential();
     let inputs = synth_inputs(&g, 6);
     let expect = run_sequential(&g, &inputs, &ctx).unwrap();
-    let opts = RunOptions::with_injector(one_fault(1, 0, FaultKind::WorkerPanic));
+    let opts = RunOptions::with_injector(one_fault(1, 0, FaultKind::WorkerPanic))
+        .engine(Engine::Stealing)
+        .recv_timeout(Duration::from_secs(5));
     let cfg = SupervisorConfig {
         max_retries: 0,
         backoff_base: Duration::from_millis(1),
         fallback: true,
-        recv_timeout: Some(Duration::from_secs(5)),
         ..Default::default()
     };
-    let (res, report) = run_stealing_supervised_opts(&g, &clustering, &inputs, &ctx, &opts, &cfg);
+    let (res, report) = supervised(&g, &clustering, &inputs, opts, cfg);
     assert_eq!(res.unwrap(), expect);
     assert!(report.fell_back, "fallback should have engaged");
     assert_eq!(report.errors[0].code(), "RT-INJECT");
@@ -356,10 +389,18 @@ fn golden_stealing_injected_stall_is_a_bounded_rt_timeout() {
     let clustering = cluster_graph(&g, &StaticCost);
     let inputs = synth_inputs(&g, 7);
     let opts = RunOptions::with_injector(one_fault(0, 0, FaultKind::RecvDelay { millis: 3000 }))
+        .engine(Engine::Stealing)
         .recv_timeout(Duration::from_millis(150));
     let start = std::time::Instant::now();
-    let err =
-        run_stealing_opts(&g, &clustering, &inputs, &ExecCtx::sequential(), &opts).unwrap_err();
+    let err = run(
+        &g,
+        &clustering,
+        from_ref(&inputs),
+        &ExecCtx::sequential(),
+        &opts,
+    )
+    .single()
+    .unwrap_err();
     assert_eq!(err.code(), "RT-TIMEOUT", "{err}");
     assert!(
         start.elapsed() < Duration::from_secs(2),

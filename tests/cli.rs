@@ -90,6 +90,39 @@ fn run_executes_both_modes() {
 }
 
 #[test]
+fn run_with_batch_runs_the_compiled_hyperclustering() {
+    for extra in [&[][..], &["--switched"], &["--executor", "stealing"]] {
+        let mut args = vec![
+            "run",
+            "squeezenet",
+            "--tiny",
+            "--batch",
+            "2",
+            "--iters",
+            "1",
+        ];
+        args.extend_from_slice(extra);
+        let (ok, stdout, stderr) = run(&args);
+        assert!(ok, "{extra:?} stderr: {stderr}");
+        for line in stdout.lines().filter(|l| l.contains("ms/iter")) {
+            assert!(
+                line.contains("batch 2") && line.contains("ms/sample"),
+                "{extra:?}: not a batch-2 run: {line}"
+            );
+        }
+        assert_eq!(stdout.matches("ms/iter").count(), 2, "{extra:?}:\n{stdout}");
+    }
+}
+
+#[test]
+fn unknown_mode_is_rejected() {
+    let (ok, stdout, stderr) = run(&["run", "squeezenet", "--tiny", "--mode", "parallel"]);
+    assert!(!ok, "ran with an unknown mode:\n{stdout}");
+    assert!(stderr.contains("unknown mode `parallel`"), "{stderr}");
+    assert!(stdout.is_empty(), "nothing may run before the rejection");
+}
+
+#[test]
 fn profile_emits_valid_trace_and_reports() {
     let dir = std::env::temp_dir().join(format!("ramiel_cli_prof_{}", std::process::id()));
     let dir_s = dir.to_str().expect("utf8 temp dir");

@@ -1,19 +1,22 @@
 //! Cross-executor differential conformance suite.
 //!
-//! Every executor the runtime offers — reference sequential, one-thread-
-//! per-cluster parallel, the standing [`ClusterPool`], the hyperclustered
-//! batch executor (plain and switched), and the work-stealing pool — must
-//! compute the same function, on every built-in model generator, at batch 1
-//! and batch 4. Divergence messages name the model, the executor, the batch
-//! element, and the *first diverging tensor* with its worst elementwise
-//! error, so a regression is attributable from the assert text alone.
+//! Every way the runtime can execute a graph — each [`Engine`] of
+//! [`ramiel_runtime::run`] under each schedule shape (the clustering one
+//! sample at a time, plain and switched hyperclusterings over the whole
+//! batch), plus the standing batch-1 [`HyperPool`] — must compute the same
+//! function as the reference sequential executor, on every built-in model
+//! generator, at batch 1 and batch 4. Divergence messages name the model,
+//! the executor, the batch element, and the *first diverging tensor* with
+//! its worst elementwise error, so a regression is attributable from the
+//! assert text alone.
 
-use ramiel_cluster::{cluster_graph, hypercluster, switched_hypercluster, StaticCost};
+#[path = "support/executors.rs"]
+mod executors;
+
+use executors::for_each_executor;
+use ramiel_cluster::{cluster_graph, StaticCost};
 use ramiel_models::{build, ModelConfig, ModelKind};
-use ramiel_runtime::{
-    run_hyper, run_hyper_stealing, run_parallel, run_sequential, run_stealing, synth_inputs,
-    ClusterPool, Env,
-};
+use ramiel_runtime::{run_sequential, synth_inputs, Env, RuntimeError};
 use ramiel_tensor::{ExecCtx, Value};
 
 /// Relative/absolute tolerance for f32 outputs: parallel execution may
@@ -90,8 +93,6 @@ fn all_executors_conform_on_all_models() {
         let model = kind.name();
         let g = build(kind, &cfg);
         let clustering = cluster_graph(&g, &StaticCost);
-        let mut pool = ClusterPool::new(&g, &clustering, &ctx)
-            .unwrap_or_else(|e| panic!("{model}: pool setup: {e}"));
         for batch in [1usize, 4] {
             let inputs: Vec<Env> = (0..batch)
                 .map(|b| synth_inputs(&g, 1000 * b as u64 + 17))
@@ -103,39 +104,13 @@ fn all_executors_conform_on_all_models() {
                         .unwrap_or_else(|e| panic!("{model}: sequential: {e}"))
                 })
                 .collect();
-
-            // per-element executors
-            for (b, inp) in inputs.iter().enumerate() {
-                let par = run_parallel(&g, &clustering, inp, &ctx)
-                    .unwrap_or_else(|e| panic!("{model}: parallel b{batch}: {e}"));
-                assert_conforms(&baseline[b], &par, model, "parallel", b);
-                let pooled = pool
-                    .run(inp)
-                    .unwrap_or_else(|e| panic!("{model}: pool b{batch}: {e}"));
-                assert_conforms(&baseline[b], &pooled, model, "pool", b);
-                let stolen = run_stealing(&g, &clustering, inp, &ctx)
-                    .unwrap_or_else(|e| panic!("{model}: stealing b{batch}: {e}"));
-                assert_conforms(&baseline[b], &stolen, model, "stealing", b);
-            }
-
-            // whole-batch executors
-            for (label, hc) in [
-                ("hyper", hypercluster(&clustering, batch)),
-                ("hyper-switched", switched_hypercluster(&clustering, batch)),
-            ] {
-                let outs = run_hyper(&g, &hc, &inputs, &ctx)
-                    .unwrap_or_else(|e| panic!("{model}: {label} b{batch}: {e}"));
-                assert_eq!(outs.len(), batch, "{model}: {label} output count");
+            for_each_executor(&g, &clustering, &inputs, &ctx, |executor, outs| {
+                let outs = outs.unwrap_or_else(|e| panic!("{model}: {executor} b{batch}: {e}"));
+                assert_eq!(outs.len(), batch, "{model}: {executor} output count");
                 for (b, out) in outs.iter().enumerate() {
-                    assert_conforms(&baseline[b], out, model, label, b);
+                    assert_conforms(&baseline[b], out, model, executor, b);
                 }
-                let outs = run_hyper_stealing(&g, &hc, &inputs, &ctx)
-                    .unwrap_or_else(|e| panic!("{model}: {label}-stealing b{batch}: {e}"));
-                assert_eq!(outs.len(), batch, "{model}: {label}-stealing output count");
-                for (b, out) in outs.iter().enumerate() {
-                    assert_conforms(&baseline[b], out, model, &format!("{label}-stealing"), b);
-                }
-            }
+            });
         }
     }
 }
@@ -197,45 +172,16 @@ fn executors_are_bit_identical_with_shared_kernels() {
             .iter()
             .map(|inp| run_sequential(&g, inp, &ctx).unwrap())
             .collect();
-
-        let mut pool = ClusterPool::new(&g, &clustering, &ctx).unwrap();
-        for (b, inp) in inputs.iter().enumerate() {
-            let par = run_parallel(&g, &clustering, inp, &ctx).unwrap();
-            let pooled = pool.run(inp).unwrap();
-            let stolen = run_stealing(&g, &clustering, inp, &ctx).unwrap();
-            for (label, out) in [("parallel", &par), ("pool", &pooled), ("stealing", &stolen)] {
+        for_each_executor(&g, &clustering, &inputs, &ctx, |executor, outs| {
+            for (b, out) in outs.unwrap().iter().enumerate() {
                 if let Some((tensor, why)) = first_bit_divergence(&baseline[b], out) {
                     panic!(
-                        "{model}: `{label}` not bit-identical on element {b}: `{tensor}`: {why}"
-                    );
-                }
-            }
-        }
-        for (label, hc) in [
-            ("hyper", hypercluster(&clustering, inputs.len())),
-            (
-                "hyper-switched",
-                switched_hypercluster(&clustering, inputs.len()),
-            ),
-        ] {
-            let outs = run_hyper(&g, &hc, &inputs, &ctx).unwrap();
-            for (b, out) in outs.iter().enumerate() {
-                if let Some((tensor, why)) = first_bit_divergence(&baseline[b], out) {
-                    panic!(
-                        "{model}: `{label}` not bit-identical on element {b}: `{tensor}`: {why}"
-                    );
-                }
-            }
-            let outs = run_hyper_stealing(&g, &hc, &inputs, &ctx).unwrap();
-            for (b, out) in outs.iter().enumerate() {
-                if let Some((tensor, why)) = first_bit_divergence(&baseline[b], out) {
-                    panic!(
-                        "{model}: `{label}-stealing` not bit-identical on element {b}: \
+                        "{model}: `{executor}` not bit-identical on element {b}: \
                          `{tensor}`: {why}"
                     );
                 }
             }
-        }
+        });
     }
 }
 
@@ -254,25 +200,19 @@ fn executors_agree_on_kernel_failures() {
     let ctx = ExecCtx::sequential();
     let inputs = synth_inputs(&g, 5);
 
-    let seq = run_sequential(&g, &inputs, &ctx).unwrap_err();
-    let par = run_parallel(&g, &clustering, &inputs, &ctx).unwrap_err();
-    let mut pool = ClusterPool::new(&g, &clustering, &ctx).unwrap();
-    let pooled = pool.run(&inputs).unwrap_err();
-    let hc = hypercluster(&clustering, 2);
-    let hyper = run_hyper(&g, &hc, &[inputs.clone(), inputs.clone()], &ctx).unwrap_err();
-    let stolen = run_stealing(&g, &clustering, &inputs, &ctx).unwrap_err();
-
-    for (label, err) in [
-        ("sequential", &seq),
-        ("parallel", &par),
-        ("pool", &pooled),
-        ("hyper", &hyper),
-        ("stealing", &stolen),
-    ] {
-        assert_eq!(err.code(), "RT-KERNEL", "{label}: {err}");
+    let check = |executor: &str, err: RuntimeError| {
+        assert_eq!(err.code(), "RT-KERNEL", "{executor}: {err}");
         assert!(
             err.to_string().contains("out of range"),
-            "{label} should carry the kernel message: {err}"
+            "{executor} should carry the kernel message: {err}"
         );
-    }
+    };
+    check(
+        "run_sequential",
+        run_sequential(&g, &inputs, &ctx).unwrap_err(),
+    );
+    let twice = [inputs.clone(), inputs];
+    for_each_executor(&g, &clustering, &twice, &ctx, |executor, outs| {
+        check(executor, outs.unwrap_err())
+    });
 }

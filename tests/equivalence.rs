@@ -6,8 +6,9 @@ use ramiel::{compile, PipelineOptions};
 use ramiel_cluster::{cluster_graph, hypercluster, switched_hypercluster, StaticCost};
 use ramiel_models::{build, synthetic, ModelConfig, ModelKind};
 use ramiel_passes::CloneConfig;
-use ramiel_runtime::{run_hyper, run_parallel, run_sequential, synth_inputs, Env};
+use ramiel_runtime::{run, run_sequential, synth_inputs, Env, RunOptions};
 use ramiel_tensor::{ExecCtx, Value};
+use std::slice::from_ref;
 
 fn assert_close(a: &Env, b: &Env, what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: output count");
@@ -54,8 +55,15 @@ fn parallel_execution_of_optimized_graphs_matches_sequential() {
         let c = compile(build(kind, &cfg), &PipelineOptions::all_optimizations()).unwrap();
         let inputs = synth_inputs(&c.graph, 123);
         let seq = run_sequential(&c.graph, &inputs, &ctx).unwrap();
-        let par = run_parallel(&c.graph, &c.clustering, &inputs, &ctx)
-            .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
+        let par = run(
+            &c.graph,
+            &c.clustering,
+            from_ref(&inputs),
+            &ctx,
+            &RunOptions::default(),
+        )
+        .single()
+        .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
         assert_close(&seq, &par, kind.name());
     }
 }
@@ -70,7 +78,15 @@ fn intra_op_parallelism_does_not_change_results() {
         let ctx = ExecCtx::with_intra_op(threads);
         let s = run_sequential(&g, &inputs, &ctx).unwrap();
         assert_close(&seq, &s, "intra-op sequential");
-        let p = run_parallel(&g, &clustering, &inputs, &ctx).unwrap();
+        let p = run(
+            &g,
+            &clustering,
+            from_ref(&inputs),
+            &ctx,
+            &RunOptions::default(),
+        )
+        .single()
+        .unwrap();
         assert_close(&seq, &p, "intra-op parallel");
     }
 }
@@ -94,7 +110,8 @@ fn hyperclustering_matches_per_sample_baseline_on_models() {
                 ("plain", hypercluster(&clustering, batch)),
                 ("switched", switched_hypercluster(&clustering, batch)),
             ] {
-                let outs = run_hyper(&g, &hc, &inputs, &ctx)
+                let outs = run(&g, &hc, &inputs, &ctx, &RunOptions::default())
+                    .outputs
                     .unwrap_or_else(|e| panic!("{} {label} b{batch}: {e}", kind.name()));
                 for (b, inp) in inputs.iter().enumerate() {
                     let seq = run_sequential(&g, inp, &ctx).unwrap();
@@ -122,8 +139,15 @@ fn random_layered_graphs_survive_the_whole_stack() {
             },
         )
         .unwrap();
-        let par = run_parallel(&c.graph, &c.clustering, &inputs, &ctx)
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let par = run(
+            &c.graph,
+            &c.clustering,
+            from_ref(&inputs),
+            &ctx,
+            &RunOptions::default(),
+        )
+        .single()
+        .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert_close(&baseline, &par, &format!("seed {seed}"));
     }
 }

@@ -8,14 +8,14 @@
 //! - per worker, busy time + recorded slack never exceeds the worker's wall
 //!   span.
 //!
-//! Plus a golden end-to-end test: compile + all four executors onto one
+//! Plus a golden end-to-end test: compile + four executor lanes onto one
 //! trace, which must parse and reference only declared pids/tids.
 
 use proptest::prelude::*;
 use ramiel::obs::{validate_chrome_trace, Obs};
 use ramiel_cluster::{cluster_graph, hypercluster, switched_hypercluster, StaticCost};
 use ramiel_models::synthetic;
-use ramiel_runtime::{run_hyper_profiled_opts, synth_inputs, ProfileDb, RunOptions};
+use ramiel_runtime::{run, synth_inputs, ProfileDb, RunOptions};
 use ramiel_tensor::ExecCtx;
 
 fn graph_strategy() -> impl Strategy<Value = ramiel_ir::Graph> {
@@ -32,10 +32,10 @@ fn profiled_hyper_run(g: &ramiel_ir::Graph, batch: usize, switched: bool, obs: &
         hypercluster(&clustering, batch)
     };
     let inputs: Vec<_> = (0..batch).map(|b| synth_inputs(g, b as u64)).collect();
-    let opts = RunOptions::default().obs(obs.clone());
-    let (_, db) = run_hyper_profiled_opts(g, &hc, &inputs, &ExecCtx::sequential(), &opts)
-        .expect("hyper run succeeds");
-    db
+    let opts = RunOptions::default().obs(obs.clone()).profile(true);
+    let r = run(g, &hc, &inputs, &ExecCtx::sequential(), &opts);
+    r.outputs.expect("hyper run succeeds");
+    r.profile.expect("profiled run")
 }
 
 proptest! {
@@ -104,14 +104,15 @@ proptest! {
     }
 }
 
-/// Golden path: compile stages + all four executors merged onto one trace.
+/// Golden path: compile stages + the sequential executor and three
+/// channel-engine lanes (per-run batch 1, per-run hypercluster, standing
+/// pool) merged onto one trace.
 #[test]
 fn full_profile_trace_parses_and_references_valid_tracks() {
     use ramiel::models::{build, ModelConfig, ModelKind};
     use ramiel::{compile_with_obs, PipelineOptions};
-    use ramiel_runtime::{
-        run_parallel_profiled_opts, run_sequential_profiled, ClusterPool, RunOptions,
-    };
+    use ramiel_runtime::{run_sequential_profiled, HyperPool, PlannedBatch};
+    use std::sync::Arc;
 
     let obs = Obs::enabled();
     obs.with_pid(1).name_process("compile pipeline");
@@ -134,36 +135,41 @@ fn full_profile_trace_parses_and_references_valid_tracks() {
     .unwrap();
     seq_db.export_to_obs(&obs.with_pid(2), &c.graph);
 
-    let (_, par_db) = run_parallel_profiled_opts(
+    let par_db = run(
         &c.graph,
         &c.clustering,
-        &inputs,
+        std::slice::from_ref(&inputs),
         &ctx,
-        &RunOptions::default().obs(obs.with_pid(3)),
+        &RunOptions::default().obs(obs.with_pid(3)).profile(true),
     )
+    .profile
     .unwrap();
     par_db.export_to_obs(&obs.with_pid(3), &c.graph);
 
     let hc = hypercluster(&c.clustering, 2);
     let batch_inputs = vec![synth_inputs(&c.graph, 1), synth_inputs(&c.graph, 2)];
-    let (_, hyper_db) = run_hyper_profiled_opts(
+    let hyper_db = run(
         &c.graph,
         &hc,
         &batch_inputs,
         &ctx,
-        &RunOptions::default().obs(obs.with_pid(4)),
+        &RunOptions::default().obs(obs.with_pid(4)).profile(true),
     )
+    .profile
     .unwrap();
     hyper_db.export_to_obs(&obs.with_pid(4), &c.graph);
 
-    let mut pool = ClusterPool::with_options(
+    let plan1 = Arc::new(PlannedBatch::new(&c.graph, hypercluster(&c.clustering, 1)).unwrap());
+    let mut pool = HyperPool::with_options(
         &c.graph,
-        &c.clustering,
+        plan1.num_workers(),
         &ctx,
         &RunOptions::default().obs(obs.with_pid(5)),
     )
     .unwrap();
-    let (_, pool_db) = pool.run_profiled(&inputs).unwrap();
+    let (_, pool_db) = pool
+        .run_batch_profiled(&plan1, &Arc::new(vec![inputs.clone()]))
+        .unwrap();
     pool_db.export_to_obs(&obs.with_pid(5), &c.graph);
     drop(pool);
 
@@ -189,7 +195,7 @@ fn full_profile_trace_parses_and_references_valid_tracks() {
 /// Injected faults surface as structured instant events on the trace.
 #[test]
 fn injected_faults_become_trace_instants() {
-    use ramiel_runtime::{run_hyper_opts, Fault, FaultInjector, FaultKind, FaultPlan, RunOptions};
+    use ramiel_runtime::{Fault, FaultInjector, FaultKind, FaultPlan};
 
     let g = synthetic::fork_join(3, 2, 2);
     let clustering = cluster_graph(&g, &StaticCost);
@@ -207,7 +213,9 @@ fn injected_faults_become_trace_instants() {
     obs.name_process("hyper executor");
     let opts = RunOptions::with_injector(inj).obs(obs.clone());
     let inputs = vec![synth_inputs(&g, 7)];
-    run_hyper_opts(&g, &hc, &inputs, &ExecCtx::sequential(), &opts).unwrap();
+    run(&g, &hc, &inputs, &ExecCtx::sequential(), &opts)
+        .outputs
+        .unwrap();
 
     let events = obs.events();
     assert!(

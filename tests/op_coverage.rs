@@ -5,8 +5,9 @@
 
 use ramiel::{compile, PipelineOptions};
 use ramiel_ir::{DType, Graph, GraphBuilder, OpKind, PoolSpec, TensorData};
-use ramiel_runtime::{run_parallel, run_sequential, synth_inputs};
+use ramiel_runtime::{run, run_sequential, synth_inputs, RunOptions};
 use ramiel_tensor::ExecCtx;
+use std::slice::from_ref;
 
 /// Build one graph that exercises every operator variant.
 fn kitchen_sink() -> Graph {
@@ -239,7 +240,15 @@ fn kitchen_sink_runs_sequentially_and_in_parallel() {
     let ctx = ExecCtx::sequential();
     let seq = run_sequential(&g, &inputs, &ctx).expect("sequential");
     let c = compile(g, &PipelineOptions::default()).expect("pipeline");
-    let par = run_parallel(&c.graph, &c.clustering, &inputs, &ctx).expect("parallel");
+    let par = run(
+        &c.graph,
+        &c.clustering,
+        from_ref(&inputs),
+        &ctx,
+        &RunOptions::default(),
+    )
+    .single()
+    .expect("parallel");
     assert_eq!(seq, par);
 }
 

@@ -104,8 +104,9 @@ fn model_roundtrip_through_model_file() {
 #[test]
 fn dsc_scheduler_is_a_valid_alternative() {
     use ramiel::Scheduler;
-    use ramiel_runtime::{run_parallel, run_sequential, synth_inputs};
+    use ramiel_runtime::{run, run_sequential, synth_inputs, RunOptions};
     use ramiel_tensor::ExecCtx;
+    use std::slice::from_ref;
     let cfg = ModelConfig::tiny();
     for kind in ModelKind::all() {
         let c = compile(
@@ -135,7 +136,15 @@ fn dsc_scheduler_is_a_valid_alternative() {
     let inputs = synth_inputs(&c.graph, 77);
     let ctx = ExecCtx::sequential();
     let seq = run_sequential(&c.graph, &inputs, &ctx).unwrap();
-    let par = run_parallel(&c.graph, &c.clustering, &inputs, &ctx).unwrap();
+    let par = run(
+        &c.graph,
+        &c.clustering,
+        from_ref(&inputs),
+        &ctx,
+        &RunOptions::default(),
+    )
+    .single()
+    .unwrap();
     assert_eq!(
         seq.keys().collect::<Vec<_>>(),
         par.keys().collect::<Vec<_>>()

@@ -129,7 +129,7 @@ fn profile_db_feeds_measured_cost_end_to_end() {
     // model must price every node, and the reclustered schedule must still
     // pass the partition check and simulate to a finite makespan.
     use ramiel::models::{build, ModelConfig, ModelKind};
-    use ramiel::runtime::{run_parallel_profiled, run_sequential, synth_inputs};
+    use ramiel::runtime::{run, run_sequential, synth_inputs, RunOptions};
     use ramiel::tensor::ExecCtx;
 
     let g = build(ModelKind::Squeezenet, &ModelConfig::tiny());
@@ -137,8 +137,16 @@ fn profile_db_feeds_measured_cost_end_to_end() {
     let ctx = ExecCtx::sequential();
     let inputs = synth_inputs(&g, 5);
     let expect = run_sequential(&g, &inputs, &ctx).unwrap();
-    let (out, db) = run_parallel_profiled(&g, &clustering, &inputs, &ctx).unwrap();
-    assert_eq!(out, expect);
+    let profiled = RunOptions::default().profile(true);
+    let r = run(
+        &g,
+        &clustering,
+        std::slice::from_ref(&inputs),
+        &ctx,
+        &profiled,
+    );
+    let db = r.profile.clone().expect("profiled run");
+    assert_eq!(r.single().unwrap(), expect);
 
     let measured = db.measured_cost(&g);
     assert_eq!(

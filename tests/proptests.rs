@@ -9,9 +9,11 @@ use ramiel_cluster::{
 };
 use ramiel_models::synthetic;
 use ramiel_runtime::{
-    run_parallel, run_sequential, simulate_clustering, simulate_sequential, synth_inputs, SimConfig,
+    run, run_sequential, simulate_clustering, simulate_sequential, synth_inputs, RunOptions,
+    SimConfig,
 };
 use ramiel_tensor::{ExecCtx, Value};
+use std::slice::from_ref;
 
 fn graph_strategy() -> impl Strategy<Value = ramiel_ir::Graph> {
     (any::<u64>(), 1usize..8, 1usize..6, 1usize..4).prop_map(|(seed, layers, width, lookback)| {
@@ -74,7 +76,9 @@ proptest! {
         let inputs = synth_inputs(&g, seed);
         let ctx = ExecCtx::sequential();
         let seq = run_sequential(&g, &inputs, &ctx).unwrap();
-        let par = run_parallel(&g, &clustering, &inputs, &ctx).unwrap();
+        let par = run(&g, &clustering, from_ref(&inputs), &ctx, &RunOptions::default())
+            .single()
+            .unwrap();
         prop_assert_eq!(seq.len(), par.len());
         for (k, va) in &seq {
             match (va, &par[k]) {

@@ -16,12 +16,13 @@
 //!    unlike f32 there is no reassociation excuse at all: every executor
 //!    running QuantI8 must be *bit-identical* to sequential QuantI8.
 
-use ramiel_cluster::{cluster_graph, hypercluster, switched_hypercluster, StaticCost};
+#[path = "support/executors.rs"]
+mod executors;
+
+use executors::for_each_executor;
+use ramiel_cluster::{cluster_graph, StaticCost};
 use ramiel_models::{build, ModelConfig, ModelKind};
-use ramiel_runtime::{
-    run_hyper, run_hyper_stealing, run_parallel, run_sequential, run_stealing, synth_inputs,
-    ClusterPool, Env, KernelBackend,
-};
+use ramiel_runtime::{run_sequential, synth_inputs, Env, KernelBackend};
 use ramiel_tensor::{ExecCtx, Value};
 
 /// Error budget for i8 quantization, relative to each output tensor's
@@ -117,7 +118,7 @@ fn first_bit_divergence(expect: &Env, got: &Env) -> Option<(String, String)> {
 /// reassociated, so a full model run is *bit-identical* to ScalarF32 —
 /// every Gemm/MatMul/Conv through the f32x8 microkernels included. This is
 /// the end-to-end statement of the kernel-level proptests, and the reason
-/// the 6-executor differential suite needs no SimdF32 variant.
+/// the differential suite's executor table needs no SimdF32 variant.
 #[test]
 fn simd_backend_is_bit_identical_to_scalar_on_all_models() {
     let cfg = ModelConfig::tiny();
@@ -182,46 +183,16 @@ fn quant_backend_is_bit_identical_across_executors() {
             })
             .collect();
 
-        let mut pool = ClusterPool::new(&g, &clustering, &qctx).unwrap();
-        for (b, inp) in inputs.iter().enumerate() {
-            let par = run_parallel(&g, &clustering, inp, &qctx).unwrap();
-            let pooled = pool.run(inp).unwrap();
-            let stolen = run_stealing(&g, &clustering, inp, &qctx).unwrap();
-            for (label, out) in [("parallel", &par), ("pool", &pooled), ("stealing", &stolen)] {
+        for_each_executor(&g, &clustering, &inputs, &qctx, |executor, outs| {
+            for (b, out) in outs.unwrap().iter().enumerate() {
                 if let Some((tensor, why)) = first_bit_divergence(&baseline[b], out) {
                     panic!(
-                        "{model}: QuantI8 `{label}` not bit-identical on element {b}: \
+                        "{model}: QuantI8 `{executor}` not bit-identical on element {b}: \
                          `{tensor}`: {why}"
                     );
                 }
             }
-        }
-        for (label, hc) in [
-            ("hyper", hypercluster(&clustering, inputs.len())),
-            (
-                "hyper-switched",
-                switched_hypercluster(&clustering, inputs.len()),
-            ),
-        ] {
-            let outs = run_hyper(&g, &hc, &inputs, &qctx).unwrap();
-            for (b, out) in outs.iter().enumerate() {
-                if let Some((tensor, why)) = first_bit_divergence(&baseline[b], out) {
-                    panic!(
-                        "{model}: QuantI8 `{label}` not bit-identical on element {b}: \
-                         `{tensor}`: {why}"
-                    );
-                }
-            }
-            let outs = run_hyper_stealing(&g, &hc, &inputs, &qctx).unwrap();
-            for (b, out) in outs.iter().enumerate() {
-                if let Some((tensor, why)) = first_bit_divergence(&baseline[b], out) {
-                    panic!(
-                        "{model}: QuantI8 `{label}-stealing` not bit-identical on element \
-                         {b}: `{tensor}`: {why}"
-                    );
-                }
-            }
-        }
+        });
     }
 }
 
