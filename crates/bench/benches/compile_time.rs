@@ -6,9 +6,10 @@
 //! complexity (two linear passes vs a subset DP).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ramiel::{compile, PipelineOptions};
+use ramiel::{compile, schedule, CompileError, PipelineOptions};
 use ramiel_cluster::StaticCost;
 use ramiel_ios::{ios_schedule, IosConfig};
+use ramiel_ir::Graph;
 use ramiel_models::{build, ModelConfig, ModelKind};
 use std::hint::black_box;
 
@@ -18,19 +19,37 @@ const MODELS: [ModelKind; 3] = [
     ModelKind::NasNet,
 ];
 
-fn bench_ramiel_compile(c: &mut Criterion) {
-    let mut group = c.benchmark_group("table8_ramiel_compile");
+/// One pipeline entry point over the Table VIII models, graph clone
+/// included (the pipeline consumes its graph).
+fn bench_pipeline<T>(
+    c: &mut Criterion,
+    group: &str,
+    stage: fn(Graph, &PipelineOptions) -> Result<T, CompileError>,
+) {
+    let mut group = c.benchmark_group(group);
     group.sample_size(10);
     for kind in MODELS {
         let g = build(kind, &ModelConfig::full());
         group.bench_with_input(BenchmarkId::from_parameter(kind.name()), &g, |b, g| {
             b.iter(|| {
-                compile(black_box(g.clone()), &PipelineOptions::all_optimizations())
+                stage(black_box(g.clone()), &PipelineOptions::all_optimizations())
                     .expect("pipeline")
             });
         });
     }
     group.finish();
+}
+
+/// The paper's `CT`: schedule + emission.
+fn bench_ramiel_compile(c: &mut Criterion) {
+    bench_pipeline(c, "table8_ramiel_compile", compile);
+}
+
+/// The half of `compile` that `serve`/`run` pay: no Python emitted. Same
+/// models and options as `table8_ramiel_compile`, so the difference between
+/// the two groups is emission.
+fn bench_schedule(c: &mut Criterion) {
+    bench_pipeline(c, "schedule", schedule);
 }
 
 fn bench_ios_compile(c: &mut Criterion) {
@@ -75,6 +94,7 @@ fn bench_codegen_only(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_ramiel_compile,
+    bench_schedule,
     bench_ios_compile,
     bench_codegen_only
 );

@@ -681,8 +681,8 @@ fn main() {
         let kind = ModelKind::Squeezenet;
         let prepared =
             ramiel::prepare(build(kind, &cfg), &PipelineOptions::default()).expect("pipeline");
-        let graph = prepared.compiled.graph.clone();
-        let clustering = prepared.compiled.clustering.clone();
+        let graph = prepared.scheduled.graph.clone();
+        let clustering = prepared.scheduled.clustering.clone();
         let concurrency = 8;
         let per_client = 24.max(iters * 8);
         let expected = Arc::new(baseline_outputs(&graph, concurrency, per_client));

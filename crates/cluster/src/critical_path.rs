@@ -6,7 +6,8 @@
 //! below 1×.
 
 use crate::cost::CostModel;
-use crate::distance::distance_to_end;
+use crate::distance::{distance_to_end, distance_to_end_with};
+use ramiel_ir::graph::Adjacency;
 use ramiel_ir::{Graph, NodeId};
 use serde::Serialize;
 
@@ -68,12 +69,25 @@ pub struct ParallelismReport {
 
 /// Compute the paper's Table I metrics for a graph.
 pub fn parallelism_report(graph: &Graph, cost: &dyn CostModel) -> ParallelismReport {
+    let adj = graph.adjacency();
+    let dist = distance_to_end_with(graph, &adj, cost);
+    parallelism_report_with(graph, &adj, cost, &dist)
+}
+
+/// [`parallelism_report`] for a caller already holding the adjacency and the
+/// distance table: the critical-path cost is the largest distance-to-end.
+pub fn parallelism_report_with(
+    graph: &Graph,
+    adj: &Adjacency<'_>,
+    cost: &dyn CostModel,
+    dist: &[u64],
+) -> ParallelismReport {
     let total = cost.total_cost(graph);
-    let (_, cp) = critical_path(graph, cost);
+    let cp = dist.iter().copied().max().unwrap_or(0);
     ParallelismReport {
         model: graph.name.clone(),
         num_nodes: graph.num_nodes(),
-        num_edges: graph.num_edges(),
+        num_edges: graph.dependence_pairs(adj).count(),
         total_node_cost: total,
         critical_path_cost: cp,
         parallelism: total as f64 / cp.max(1) as f64,

@@ -3,7 +3,8 @@
 //! Repeatedly peels the current critical path off the graph:
 //!
 //! 1. among ready nodes (in-degree 0 in the remainder graph) pick the one
-//!    with the largest `distance_to_end`;
+//!    with the largest `distance_to_end` (a max-heap of ready nodes, smallest
+//!    id first among equals);
 //! 2. extend the path by always stepping to the remaining successor with the
 //!    largest `distance_to_end`;
 //! 3. while stepping, delete the other outgoing edges of the current node
@@ -17,6 +18,8 @@
 use crate::types::{Cluster, Clustering};
 use ramiel_ir::graph::Adjacency;
 use ramiel_ir::Graph;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Run Linear Clustering. `dist` is the distance-to-end table from
 /// [`crate::distance::distance_to_end`].
@@ -29,71 +32,56 @@ pub fn linear_clustering(graph: &Graph, dist: &[u64]) -> Clustering {
 pub fn linear_clustering_with(adj: &Adjacency<'_>, dist: &[u64]) -> Clustering {
     let n = adj.succs.len();
     assert_eq!(dist.len(), n, "distance table size mismatch");
-    // Mutable remainder-graph adjacency. Vec<bool> edge presence keyed by
-    // (u, index into adj.succs[u]) keeps this O(V+E) overall.
-    let mut out_alive: Vec<Vec<bool>> = adj.succs.iter().map(|s| vec![true; s.len()]).collect();
-    let mut indegree: Vec<usize> = adj.preds.iter().map(|p| p.len()).collect();
+    // The remainder graph is implicit: step 3 deletes an edge exactly when
+    // one of its ends is clustered, so an edge is live iff both ends are
+    // unclustered and `indegree[v]` counts v's unclustered predecessors.
+    let mut indegree: Vec<usize> = adj.preds.iter().map(Vec::len).collect();
     let mut clustered = vec![false; n];
-    let mut remaining = n;
     let mut clusters = Vec::new();
 
-    while remaining > 0 {
-        // readyL ← unclustered nodes with no incoming live edges.
-        let c_node = (0..n)
-            .filter(|&i| !clustered[i] && indegree[i] == 0)
-            .max_by_key(|&i| (dist[i], std::cmp::Reverse(i)))
-            .expect("acyclic remainder graph must have a ready node");
+    // readyL: a max-heap keyed (largest distance, then smallest id). A node
+    // enters when its last live incoming edge dies; one that a path absorbed
+    // meanwhile is skipped when popped.
+    let key = |i: usize| (dist[i], Reverse(i));
+    let mut ready: BinaryHeap<(u64, Reverse<usize>)> =
+        (0..n).filter(|&i| indegree[i] == 0).map(key).collect();
 
-        let mut cluster = vec![c_node];
-        clustered[c_node] = true;
-        remaining -= 1;
-        let mut cur = c_node;
-
+    while let Some((_, Reverse(head))) = ready.pop() {
+        if clustered[head] {
+            continue;
+        }
+        let mut cluster = vec![head];
+        clustered[head] = true;
+        let mut cur = head;
         loop {
-            // Remaining successors of cur.
             let next = adj.succs[cur]
                 .iter()
-                .enumerate()
-                .filter(|(ei, &v)| out_alive[cur][*ei] && !clustered[v])
-                .map(|(_, &v)| v)
-                .max_by_key(|&v| (dist[v], std::cmp::Reverse(v)));
-            let Some(s_node) = next else { break };
-
-            // Remove all outgoing edges of cur (including the chosen one —
-            // it is now internal to the cluster).
-            for (ei, &v) in adj.succs[cur].iter().enumerate() {
-                if out_alive[cur][ei] {
-                    out_alive[cur][ei] = false;
+                .copied()
+                .filter(|&v| !clustered[v])
+                .max_by_key(|&v| key(v));
+            // cur is clustered: its outgoing edges leave the remainder graph
+            // (the chosen one becomes internal to the cluster).
+            for &v in &adj.succs[cur] {
+                if !clustered[v] {
                     indegree[v] -= 1;
-                }
-            }
-            // Remove all incoming edges of s_node from the remainder graph.
-            for &p in &adj.preds[s_node] {
-                if let Some(ei) = adj.succs[p].iter().position(|&v| v == s_node) {
-                    if out_alive[p][ei] {
-                        out_alive[p][ei] = false;
-                        indegree[s_node] -= 1;
+                    if indegree[v] == 0 {
+                        ready.push(key(v));
                     }
                 }
             }
+            let Some(s_node) = next else { break };
             cluster.push(s_node);
             clustered[s_node] = true;
-            remaining -= 1;
             cur = s_node;
         }
-
-        // Drop any leftover outgoing edges of the path's tail so downstream
-        // nodes become ready.
-        for (ei, &v) in adj.succs[cur].iter().enumerate() {
-            if out_alive[cur][ei] {
-                out_alive[cur][ei] = false;
-                indegree[v] -= 1;
-            }
-        }
-
         clusters.push(Cluster::new(cluster));
     }
 
+    assert_eq!(
+        clusters.iter().map(Cluster::len).sum::<usize>(),
+        n,
+        "acyclic remainder graph must have a ready node"
+    );
     Clustering::new(clusters)
 }
 

@@ -28,7 +28,9 @@ pub mod verify_view;
 
 pub use baselines::{level_clustering, round_robin, single_cluster};
 pub use cost::{CostModel, FlopCost, MeasuredCost, StaticCost};
-pub use critical_path::{critical_path, parallelism_report, ParallelismReport};
+pub use critical_path::{
+    critical_path, parallelism_report, parallelism_report_with, ParallelismReport,
+};
 pub use distance::{distance_to_end, distance_to_end_with};
 pub use dsc::dsc_clustering;
 pub use hyper::{hypercluster, switched_hypercluster, HyperClustering};

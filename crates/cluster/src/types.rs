@@ -1,5 +1,6 @@
 //! Clustering result types and their invariants.
 
+use ramiel_ir::graph::Adjacency;
 use ramiel_ir::{Graph, NodeId};
 use serde::Serialize;
 use std::collections::HashMap;
@@ -112,14 +113,24 @@ impl Clustering {
     /// Count of cross-cluster dependence edges (each becomes a message in
     /// the generated parallel code).
     pub fn cross_cluster_edges(&self, graph: &Graph) -> usize {
-        let assign = self.assignment();
-        let adj = graph.adjacency();
+        self.cross_cluster_edges_with(graph, &graph.adjacency())
+    }
+
+    /// [`Clustering::cross_cluster_edges`] over an adjacency snapshot the
+    /// caller already holds.
+    pub fn cross_cluster_edges_with(&self, graph: &Graph, adj: &Adjacency<'_>) -> usize {
+        // Dense node id → cluster index; ids no cluster names stay at MAX.
+        let mut assign = vec![usize::MAX; graph.num_nodes()];
+        for (ci, c) in self.clusters.iter().enumerate() {
+            for &n in &c.nodes {
+                if let Some(slot) = assign.get_mut(n) {
+                    *slot = ci;
+                }
+            }
+        }
         graph
-            .nodes
-            .iter()
-            .flat_map(|n| n.inputs.iter().map(move |t| (n.id, t)))
-            .filter_map(|(v, t)| adj.producer_of.get(t).map(|&u| (u, v)))
-            .filter(|(u, v)| assign.get(u) != assign.get(v))
+            .dependence_pairs(adj)
+            .filter(|&(u, v)| assign[u] != assign[v])
             .count()
     }
 }

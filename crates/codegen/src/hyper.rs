@@ -48,6 +48,14 @@ pub fn generate_hyper_parallel(
         }
     }
 
+    // (tensor, batch) → consumer workers, ascending (the order the puts are
+    // emitted).
+    let mut dests_of: HashMap<(&str, usize), Vec<usize>> = HashMap::new();
+    for (t, b, w) in &messages {
+        dests_of.entry((t.as_str(), *b)).or_default().push(*w);
+    }
+    dests_of.values_mut().for_each(|d| d.sort_unstable());
+
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -133,14 +141,8 @@ pub fn generate_hyper_parallel(
                 );
             }
             for t in &node.outputs {
-                let mut dests: Vec<usize> = messages
-                    .iter()
-                    .filter(|(tensor, b, _)| tensor == t && *b == op.batch)
-                    .map(|&(_, _, c)| c)
-                    .collect();
-                dests.sort_unstable();
-                dests.dedup();
-                for dst in dests {
+                let dests = dests_of.get(&(t.as_str(), op.batch));
+                for &dst in dests.map_or(&[][..], Vec::as_slice) {
                     let v = ssa(&mut namer, t, op.batch);
                     let _ = writeln!(
                         out,

@@ -191,6 +191,13 @@ pub fn generate_parallel(graph: &Graph, clustering: &Clustering, opts: &CodegenO
         }
     }
 
+    // tensor → consumer clusters, ascending (the order the puts are emitted).
+    let mut dests_of: HashMap<&str, Vec<usize>> = HashMap::new();
+    for (t, c) in &messages {
+        dests_of.entry(t.as_str()).or_default().push(*c);
+    }
+    dests_of.values_mut().for_each(|d| d.sort_unstable());
+
     let mut out = module_header(
         graph,
         "parallel",
@@ -254,14 +261,7 @@ pub fn generate_parallel(graph: &Graph, clustering: &Clustering, opts: &CodegenO
             emit_node(graph, nid, &mut namer, &resolve, &mut out);
             // send to remote consumers (the paper's queue.put())
             for t in &graph.nodes[nid].outputs {
-                let mut dests: Vec<usize> = messages
-                    .iter()
-                    .filter(|(tensor, _)| tensor == t)
-                    .map(|&(_, c)| c)
-                    .collect();
-                dests.sort_unstable();
-                dests.dedup();
-                for dst in dests {
+                for &dst in dests_of.get(t.as_str()).map_or(&[][..], Vec::as_slice) {
                     let v = namer.name(t);
                     let _ = writeln!(
                         out,

@@ -27,6 +27,11 @@
 //!                                        server (polls the `metrics` verb)
 //! ```
 //!
+//! Only `compile` (and `fuzz`) emits Python. `run`, `profile`, `simulate`,
+//! `check`, `analyze` and `serve` stop at the schedule (`ramiel::schedule` /
+//! `ramiel::prepare`): same clustering and summary lines, no code generated;
+//! their `compile time:` line is the schedule stage alone.
+//!
 //! `<model>` is a built-in name (`squeezenet`, `googlenet`, `inception-v3`,
 //! `inception-v4`, `yolo-v5`, `bert`, `retinanet`, `nasnet`) or a path to a
 //! model file — `.rmodel.json`, `.rmodel` text, or binary `.onnx` (all
@@ -81,7 +86,9 @@
 //! pipelines.
 
 use ramiel::diag::Gate;
-use ramiel::{compile, CompiledModel, HyperMode, PipelineOptions, Scheduler};
+use ramiel::{
+    compile, schedule, HyperMode, PipelineOptions, PipelineReport, ScheduledModel, Scheduler,
+};
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_runtime::{
     run, run_sequential, run_sequential_opts, synth_inputs, Engine, Env, RunOptions, Schedule,
@@ -372,22 +379,22 @@ fn cmd_report() {
     }
 }
 
-fn summarize(c: &CompiledModel) {
-    println!("model:                 {}", c.report.model);
+/// The pipeline summary every verb prints first. `time` is what the verb
+/// paid: schedule + emission under `compile`, the schedule stage alone
+/// under the verbs that execute, analyze or serve.
+fn summarize(r: &PipelineReport, time: std::time::Duration) {
+    println!("model:                 {}", r.model);
     println!(
         "nodes:                 {} → prune {} → clone {}",
-        c.report.nodes_before, c.report.nodes_after_prune, c.report.nodes_after_cloning
+        r.nodes_before, r.nodes_after_prune, r.nodes_after_cloning
     );
     println!(
         "clusters:              {} → merged {}",
-        c.report.clusters_before_merge, c.report.clusters_after_merge
+        r.clusters_before_merge, r.clusters_after_merge
     );
-    println!("cross-cluster edges:   {}", c.report.cross_cluster_edges);
-    println!(
-        "potential parallelism: {:.2}x",
-        c.report.parallelism.parallelism
-    );
-    println!("compile time:          {:.2?}", c.compile_time);
+    println!("cross-cluster edges:   {}", r.cross_cluster_edges);
+    println!("potential parallelism: {:.2}x", r.parallelism.parallelism);
+    println!("compile time:          {time:.2?}");
 }
 
 fn cmd_compile(model: &str, f: &Flags) -> Result<(), String> {
@@ -398,7 +405,7 @@ fn cmd_compile(model: &str, f: &Flags) -> Result<(), String> {
     };
     let g = parse_model(model, &cfg)?;
     let c = compile(g, &options(f)).map_err(|e| e.to_string())?;
-    summarize(&c);
+    summarize(&c.report, c.compile_time);
     if let Some(dir) = &f.out {
         std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
         let base = std::path::Path::new(dir);
@@ -431,11 +438,11 @@ fn cmd_run(model: &str, f: &Flags) -> Result<(), String> {
         ModelConfig::full()
     };
     let g = parse_model(model, &cfg)?;
-    // prepare() = compile + one shared initializer-table conversion; every
+    // prepare() = schedule + one shared initializer-table conversion; every
     // executor below reuses that table through RunOptions.
     let prepared = ramiel::prepare(g, &options(f)).map_err(|e| e.to_string())?;
-    let c = &prepared.compiled;
-    summarize(c);
+    let c = &prepared.scheduled;
+    summarize(&c.report, c.schedule_time);
     // What was compiled is what runs: the hyperclustering over `--batch`
     // samples when there is one, the clustering over a single sample
     // otherwise.
@@ -511,7 +518,7 @@ fn cmd_run(model: &str, f: &Flags) -> Result<(), String> {
 /// `ramiel run --chaos-seed N`: execute one supervised parallel inference
 /// under a deterministic fault plan and report what the supervisor did.
 fn cmd_run_chaos(
-    c: &CompiledModel,
+    c: &ScheduledModel,
     schedule: Schedule<'_>,
     inputs: &[Env],
     ctx: &ExecCtx,
@@ -598,8 +605,8 @@ fn cmd_profile(model: &str, f: &Flags) -> Result<(), String> {
     // executor run shares it through its RunOptions.
     let prepared =
         ramiel::prepare_with_obs(g, &options(f), &obs.with_pid(1)).map_err(|e| e.to_string())?;
-    let c = &prepared.compiled;
-    summarize(c);
+    let c = &prepared.scheduled;
+    summarize(&c.report, c.schedule_time);
     println!();
 
     let ctx = ExecCtx::with_intra_op(f.intra_op);
@@ -725,8 +732,8 @@ fn cmd_simulate(model: &str, f: &Flags) -> Result<(), String> {
         ModelConfig::full()
     };
     let g = parse_model(model, &cfg)?;
-    let c = compile(g, &options(f)).map_err(|e| e.to_string())?;
-    summarize(&c);
+    let c = schedule(g, &options(f)).map_err(|e| e.to_string())?;
+    summarize(&c.report, c.schedule_time);
     let sim_cfg = SimConfig {
         comm_latency: 8,
         dispatch_overhead: 0,
@@ -800,12 +807,12 @@ fn cmd_fuzz(f: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Compile one pipeline and return its graph + schedule view.
-fn compile_view(
+/// Schedule one pipeline and return its graph + schedule view.
+fn schedule_view(
     g: ramiel_ir::Graph,
     opts: &PipelineOptions,
-) -> Result<(CompiledModel, ramiel::verify::ScheduleView), String> {
-    let c = compile(g, opts).map_err(|e| e.to_string())?;
+) -> Result<(ScheduledModel, ramiel::verify::ScheduleView), String> {
+    let c = schedule(g, opts).map_err(|e| e.to_string())?;
     let view = match &c.hyper {
         Some(hc) => ramiel_cluster::hyper_view(hc),
         None => ramiel_cluster::clustering_view(&c.clustering),
@@ -813,14 +820,14 @@ fn compile_view(
     Ok((c, view))
 }
 
-/// Verify one compiled pipeline and print its verdict.
+/// Verify one scheduled pipeline and print its verdict.
 fn check_one(
     label: &str,
     g: ramiel_ir::Graph,
     opts: &PipelineOptions,
     deny: bool,
 ) -> Result<Gate, String> {
-    let (c, view) = compile_view(g, opts)?;
+    let (c, view) = schedule_view(g, opts)?;
     let report = ramiel::verify::verify(&c.graph, Some(&view));
     Ok(ramiel::diag::print_report("check", label, &report, deny))
 }
@@ -891,14 +898,14 @@ struct AnalyzeJson {
     diagnostics: Vec<DiagJson>,
 }
 
-/// Analyze one compiled pipeline: per-cluster memory table plus lints.
+/// Analyze one scheduled pipeline: per-cluster memory table plus lints.
 fn analyze_one(
     label: &str,
     g: ramiel_ir::Graph,
     opts: &PipelineOptions,
     f: &Flags,
 ) -> Result<Gate, String> {
-    let (c, view) = compile_view(g, opts)?;
+    let (c, view) = schedule_view(g, opts)?;
     // The stealing executor has no static schedule: analyze its
     // estimate-only view (single first-ready worker — sound memory bound,
     // nothing for the channel lints to inspect) instead of pretending the
@@ -1003,7 +1010,7 @@ fn cmd_analyze(model: &str, f: &Flags) -> Result<Gate, String> {
     Ok(gate)
 }
 
-/// `ramiel serve <model> --port N`: compile once, then serve inference over
+/// `ramiel serve <model> --port N`: schedule once, then serve inference over
 /// newline-delimited JSON TCP with dynamic micro-batching into hypercluster
 /// executions. Runs until a client sends `{"op":"shutdown"}` (graceful
 /// drain: queued requests finish first).
@@ -1021,7 +1028,7 @@ fn cmd_serve(model: &str, f: &Flags) -> Result<(), String> {
     // A URL model reference (or a checksum-pinned local one) goes through
     // the registry so the bytes are content-addressed and the pin verified;
     // anything else takes the plain built-in/file path.
-    let g = if model.contains("://") || f.sha256.is_some() {
+    let (g, import_time) = if model.contains("://") || f.sha256.is_some() {
         // Decode the buffer the registry hashed: the blob is never re-read.
         let registry_err = |e: ramiel_serve::RegistryError| format!("[{}] {e}", e.code());
         let fetched = registry
@@ -1029,12 +1036,17 @@ fn cmd_serve(model: &str, f: &Flags) -> Result<(), String> {
             .map_err(registry_err)?;
         let pulled = registry.admit(&fetched).map_err(registry_err)?;
         println!("pulled {} (sha256 {})", pulled.source, pulled.sha256);
-        ramiel_onnx::load_model_bytes(fetched.data()).map_err(|e| e.to_string())?
+        let start = Instant::now();
+        let g = ramiel_onnx::load_model_bytes(fetched.data()).map_err(|e| e.to_string())?;
+        (g, start.elapsed())
     } else {
-        parse_model(model, &cfg)?
+        let start = Instant::now();
+        (parse_model(model, &cfg)?, start.elapsed())
     };
+    let start = Instant::now();
     let prepared = ramiel::prepare(g, &options(f)).map_err(|e| e.to_string())?;
-    summarize(&prepared.compiled);
+    let prepare_time = start.elapsed();
+    summarize(&prepared.scheduled.report, prepared.scheduled.schedule_time);
 
     let serve_cfg = ServeConfig {
         max_batch: f.max_batch,
@@ -1061,17 +1073,20 @@ fn cmd_serve(model: &str, f: &Flags) -> Result<(), String> {
         backend: f.backend,
         ..Default::default()
     };
-    // Hand the already-compiled clustering and initializer table to the
-    // plan cache so `load` doesn't redo pipeline work.
+    // Hand the clustering and initializer table to the plan cache so `load`
+    // doesn't redo pipeline work, and the time they took to the load
+    // telemetry so `stats.load` explains start-up like a TCP `load`.
     let spec = PlanSpec {
-        clustering: Some(prepared.compiled.clustering),
+        clustering: Some(prepared.scheduled.clustering),
         switched: f.switched,
         batch_sizes: vec![f.max_batch],
         init_values: Some(prepared.init_values),
-        ..PlanSpec::new(prepared.compiled.graph)
+        ..PlanSpec::new(prepared.scheduled.graph)
     };
     let server = Arc::new(Server::new(serve_cfg));
-    server.load(model, spec).map_err(|e| e.to_string())?;
+    server
+        .load_prepared(model, spec, import_time, prepare_time)
+        .map_err(|e| e.to_string())?;
     println!(
         "serving `{model}` (max batch {}, window {} ms, queue {}{}{})",
         f.max_batch,

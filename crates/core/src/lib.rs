@@ -4,13 +4,18 @@
 //!
 //! ```text
 //! model ─▶ [prune: const-prop + DCE] ─▶ [cloning] ─▶ distance pass
-//!       ─▶ Linear Clustering ─▶ cluster merging ─▶ [hyperclustering]
-//!       ─▶ parallel + sequential PyTorch/Python codegen
+//!       ─▶ Linear Clustering ─▶ cluster merging ─▶ [hyperclustering]   schedule
+//!       ─▶ parallel + sequential PyTorch/Python codegen                 emit
 //! ```
 //!
-//! [`compile`] runs the pipeline and returns a [`CompiledModel`] holding the
-//! optimized graph, the clustering, generated code, per-stage statistics and
-//! the measured compile time (the paper's Table VIII `CT` column).
+//! The pipeline has two stages. [`schedule`] stops where execution stops
+//! needing it and returns a [`ScheduledModel`]: the optimized graph, the
+//! clustering, the optional hyperclustering and per-stage statistics.
+//! [`compile`] is [`schedule`] plus code emission and returns a
+//! [`CompiledModel`] that also holds the generated modules and the measured
+//! compile time (the paper's Table VIII `CT` column). [`prepare`] is
+//! [`schedule`] plus the runtime initializer table: what every verb that
+//! executes or serves a model wants, none of which reads the Python text.
 //!
 //! # Quickstart
 //!
@@ -42,7 +47,7 @@ use ramiel_cluster::cost::{CostModel, FlopCost, StaticCost};
 use ramiel_cluster::hyper::HyperClustering;
 use ramiel_cluster::{
     distance_to_end_with, hypercluster, linear_clustering_with, merge_clusters_fixpoint,
-    parallelism_report, switched_hypercluster, Clustering, ParallelismReport,
+    parallelism_report_with, switched_hypercluster, Clustering, ParallelismReport,
 };
 use ramiel_codegen::CodegenOptions;
 use ramiel_ir::Graph;
@@ -119,7 +124,7 @@ impl PipelineOptions {
     }
 }
 
-/// Per-stage statistics gathered while compiling.
+/// Per-stage statistics gathered while scheduling.
 #[derive(Debug, Clone, Serialize)]
 pub struct PipelineReport {
     pub model: String,
@@ -134,7 +139,22 @@ pub struct PipelineReport {
     pub parallelism: ParallelismReport,
 }
 
-/// Output of [`compile`].
+/// Output of [`schedule`]: everything execution needs and no generated code.
+pub struct ScheduledModel {
+    /// The (possibly pruned/cloned) graph the clusters refer to.
+    pub graph: Graph,
+    pub clustering: Clustering,
+    /// Present when `batch > 1` and a hyper mode is selected.
+    pub hyper: Option<HyperClustering>,
+    /// Distance-to-end table for `graph` (reusable by simulators).
+    pub distances: Vec<u64>,
+    pub report: PipelineReport,
+    /// Time the schedule stage took.
+    pub schedule_time: Duration,
+}
+
+/// Output of [`compile`]: a [`ScheduledModel`]'s fields plus the emitted
+/// modules.
 pub struct CompiledModel {
     /// The (possibly pruned/cloned) graph the clusters refer to.
     pub graph: Graph,
@@ -148,7 +168,8 @@ pub struct CompiledModel {
     pub parallel_code: String,
     pub sequential_code: String,
     pub report: PipelineReport,
-    /// End-to-end pipeline time (the paper's compile-time metric).
+    /// End-to-end pipeline time, schedule and emission (the paper's
+    /// compile-time metric).
     pub compile_time: Duration,
 }
 
@@ -180,13 +201,13 @@ impl From<ramiel_ir::IrError> for CompileError {
     }
 }
 
-/// A [`CompiledModel`] paired with its runtime initializer table, built
+/// A [`ScheduledModel`] paired with its runtime initializer table, built
 /// exactly once. Every executor invocation on the same prepared model
 /// shares the converted weights (a refcount bump per run instead of a deep
 /// copy) — the shape `ramiel run`, `ramiel profile` and the serving layer's
 /// plan cache all want.
 pub struct PreparedModel {
-    pub compiled: CompiledModel,
+    pub scheduled: ScheduledModel,
     /// Shared pre-converted weights (see
     /// [`ramiel_runtime::initializer_values`]).
     pub init_values: std::sync::Arc<std::collections::HashMap<String, ramiel_tensor::Value>>,
@@ -199,44 +220,93 @@ impl PreparedModel {
     }
 }
 
-/// [`compile`] followed by a one-time `initializer_values` conversion: the
-/// single entry point for "compile this graph and get it ready to execute
-/// repeatedly". Replaces the per-invocation table rebuilds the CLI used to
-/// do on every `run`/`profile` path.
+/// [`schedule`] followed by a one-time `initializer_values` conversion: the
+/// single entry point for "schedule this graph and get it ready to execute
+/// repeatedly". No Python is generated on this path.
 pub fn prepare(graph: Graph, opts: &PipelineOptions) -> Result<PreparedModel, CompileError> {
     prepare_with_obs(graph, opts, &ramiel_obs::Obs::disabled())
 }
 
-/// [`prepare`] with an observability sink (see [`compile_with_obs`]).
+/// [`prepare`] with an observability sink (see [`schedule_with_obs`]).
 pub fn prepare_with_obs(
     graph: Graph,
     opts: &PipelineOptions,
     obs: &ramiel_obs::Obs,
 ) -> Result<PreparedModel, CompileError> {
-    let compiled = compile_with_obs(graph, opts, obs)?;
-    let init_values = ramiel_runtime::initializer_values(&compiled.graph)
+    let scheduled = schedule_with_obs(graph, opts, obs)?;
+    let init_values = ramiel_runtime::initializer_values(&scheduled.graph)
         .map_err(|e| CompileError::Init(e.to_string()))?;
     Ok(PreparedModel {
-        compiled,
+        scheduled,
         init_values,
     })
 }
 
-/// Run the full Ramiel pipeline on a graph.
+/// Run the full Ramiel pipeline on a graph: [`schedule`], then emit the
+/// parallel, sequential and (when hyperclustered) hypercluster modules.
 pub fn compile(graph: Graph, opts: &PipelineOptions) -> Result<CompiledModel, CompileError> {
     compile_with_obs(graph, opts, &ramiel_obs::Obs::disabled())
 }
 
-/// [`compile`] with an observability sink: every pipeline stage (prune,
-/// cloning, distances, clustering, merging, hyperclustering, codegen) is
-/// wrapped in a trace span carrying graph-size/cluster-count deltas in its
-/// args. A disabled [`ramiel_obs::Obs`] (the [`compile`] path) costs one
-/// branch per stage.
+/// [`compile`] with an observability sink: the stages of
+/// [`schedule_with_obs`] plus one `codegen` span.
 pub fn compile_with_obs(
-    mut graph: Graph,
+    graph: Graph,
     opts: &PipelineOptions,
     obs: &ramiel_obs::Obs,
 ) -> Result<CompiledModel, CompileError> {
+    let start = Instant::now();
+    let ScheduledModel {
+        graph,
+        clustering,
+        hyper,
+        distances,
+        report,
+        schedule_time: _,
+    } = schedule_with_obs(graph, opts, obs)?;
+
+    let cg = CodegenOptions::default();
+    let mut span = obs.span(0, "codegen", "compile");
+    let parallel_code = ramiel_codegen::generate_parallel(&graph, &clustering, &cg);
+    let sequential_code = ramiel_codegen::generate_sequential(&graph, &cg);
+    let hyper_code = hyper
+        .as_ref()
+        .map(|hc| ramiel_codegen::generate_hyper_parallel(&graph, hc, &cg));
+    span.set_args(serde_json::json!({
+        "parallel_bytes": parallel_code.len(),
+        "sequential_bytes": sequential_code.len(),
+    }));
+    span.finish();
+
+    Ok(CompiledModel {
+        graph,
+        clustering,
+        hyper,
+        hyper_code,
+        distances,
+        parallel_code,
+        sequential_code,
+        report,
+        compile_time: start.elapsed(),
+    })
+}
+
+/// Run the pipeline up to the schedule: prune → clone → distance pass →
+/// clustering → merging → hyperclustering, with the [`PipelineReport`] read
+/// off the adjacency and distance table the stage already holds.
+pub fn schedule(graph: Graph, opts: &PipelineOptions) -> Result<ScheduledModel, CompileError> {
+    schedule_with_obs(graph, opts, &ramiel_obs::Obs::disabled())
+}
+
+/// [`schedule`] with an observability sink: every stage (prune, cloning,
+/// distances, clustering, merging, hyperclustering) is wrapped in a trace
+/// span carrying graph-size/cluster-count deltas in its args. A disabled
+/// [`ramiel_obs::Obs`] (the [`schedule`] path) costs one branch per stage.
+pub fn schedule_with_obs(
+    mut graph: Graph,
+    opts: &PipelineOptions,
+    obs: &ramiel_obs::Obs,
+) -> Result<ScheduledModel, CompileError> {
     let start = Instant::now();
     obs.name_thread(0, "pipeline");
     let cost = opts.cost.model();
@@ -262,8 +332,8 @@ pub fn compile_with_obs(
     }
     let nodes_after_cloning = graph.num_nodes();
 
-    // One adjacency snapshot for the distance pass and LC (the graph is not
-    // mutated past this point).
+    // One adjacency snapshot for the distance pass, LC and the report (the
+    // graph is not mutated past this point).
     let adj = graph.adjacency();
     let distances = {
         let _span = obs.span(0, "distance-to-end pass", "compile");
@@ -290,6 +360,16 @@ pub fn compile_with_obs(
             span.set_args(serde_json::json!({ "clusters": c.num_clusters() }));
             (c.num_clusters(), c)
         }
+    };
+    let report = PipelineReport {
+        model: graph.name.clone(),
+        nodes_before,
+        nodes_after_prune,
+        nodes_after_cloning,
+        clusters_before_merge,
+        clusters_after_merge: clustering.num_clusters(),
+        cross_cluster_edges: clustering.cross_cluster_edges_with(&graph, &adj),
+        parallelism: parallelism_report_with(&graph, &adj, cost.as_ref(), &distances),
     };
     drop(adj);
 
@@ -320,42 +400,13 @@ pub fn compile_with_obs(
         );
     }
 
-    let cg = CodegenOptions::default();
-    let (parallel_code, sequential_code, hyper_code) = {
-        let mut span = obs.span(0, "codegen", "compile");
-        let parallel_code = ramiel_codegen::generate_parallel(&graph, &clustering, &cg);
-        let sequential_code = ramiel_codegen::generate_sequential(&graph, &cg);
-        let hyper_code = hyper
-            .as_ref()
-            .map(|hc| ramiel_codegen::generate_hyper_parallel(&graph, hc, &cg));
-        span.set_args(serde_json::json!({
-            "parallel_bytes": parallel_code.len(),
-            "sequential_bytes": sequential_code.len(),
-        }));
-        (parallel_code, sequential_code, hyper_code)
-    };
-
-    let report = PipelineReport {
-        model: graph.name.clone(),
-        nodes_before,
-        nodes_after_prune,
-        nodes_after_cloning,
-        clusters_before_merge,
-        clusters_after_merge: clustering.num_clusters(),
-        cross_cluster_edges: clustering.cross_cluster_edges(&graph),
-        parallelism: parallelism_report(&graph, cost.as_ref()),
-    };
-
-    Ok(CompiledModel {
+    Ok(ScheduledModel {
         graph,
         clustering,
         hyper,
-        hyper_code,
         distances,
-        parallel_code,
-        sequential_code,
         report,
-        compile_time: start.elapsed(),
+        schedule_time: start.elapsed(),
     })
 }
 

@@ -172,16 +172,20 @@ impl Graph {
     /// Number of node-to-node dependence edges (tensor granularity: one per
     /// (producer, consumer, tensor) triple).
     pub fn num_edges(&self) -> usize {
-        let adj = self.adjacency();
-        self.nodes
-            .iter()
-            .map(|n| {
-                n.inputs
-                    .iter()
-                    .filter(|t| adj.producer_of.contains_key(t))
-                    .count()
-            })
-            .sum()
+        self.dependence_pairs(&self.adjacency()).count()
+    }
+
+    /// `(producer, consumer)` of every dependence triple, in consumer order,
+    /// read off an adjacency snapshot the caller already holds.
+    pub fn dependence_pairs<'a>(
+        &'a self,
+        adj: &'a Adjacency<'_>,
+    ) -> impl Iterator<Item = (NodeId, NodeId)> + 'a {
+        self.nodes.iter().flat_map(move |n| {
+            n.inputs
+                .iter()
+                .filter_map(move |t| adj.producer_of.get(t).map(|&p| (p, n.id)))
+        })
     }
 
     /// Borrow a node by id.

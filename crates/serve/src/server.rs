@@ -226,14 +226,14 @@ impl Ticket {
 /// server: where a `load` spends its time (`ramiel_load_phase_ns`), how the
 /// registry answered (`ramiel_registry_pulls_total`) and how often the plan
 /// cache evicted (`ramiel_plan_evictions_total`). One branch per record when
-/// the registry is disabled. The TCP `load` verb records the phases that run
-/// before [`Server::load`] (fetch, hash, store, import); `Server::load`
-/// records its own (compile, swap).
+/// the registry is disabled. The TCP `load` verb records the registry
+/// phases that run before [`Server::load`] (fetch, hash, store); the server
+/// records import (handed to [`Server::load_prepared`]), compile and swap.
 pub(crate) struct LoadMetrics {
     pub fetch: HistHandle,
     pub hash: HistHandle,
     pub store: HistHandle,
-    pub import: HistHandle,
+    import: HistHandle,
     compile: HistHandle,
     swap: HistHandle,
     pub pull_hit: CounterHandle,
@@ -346,12 +346,43 @@ impl Server {
     /// for a retired lane: it answers what it had admitted and exits on
     /// its own, and a later `load` (or `shutdown`) collects it.
     pub fn load(&self, name: &str, spec: PlanSpec) -> Result<Arc<CompiledPlan>, ServeError> {
+        self.load_after(name, spec, Duration::ZERO)
+    }
+
+    /// [`load`](Self::load) for a caller that ran the front of the load path
+    /// itself: the TCP `load` verb imports the model first, and `ramiel
+    /// serve` imports *and* schedules its start-up model before a server
+    /// exists. `import` lands in the import phase and `prepare` (the time
+    /// behind the clustering and initializer table handed over in `spec`,
+    /// zero when there are none) is counted into this load's compile phase,
+    /// so `stats.load` covers the same work for the start-up model as for a
+    /// TCP `load`.
+    pub fn load_prepared(
+        &self,
+        name: &str,
+        spec: PlanSpec,
+        import: Duration,
+        prepare: Duration,
+    ) -> Result<Arc<CompiledPlan>, ServeError> {
+        self.load_metrics.import.record_duration(import);
+        self.load_after(name, spec, prepare)
+    }
+
+    /// `compiled_before`: compile-phase time the caller already spent.
+    fn load_after(
+        &self,
+        name: &str,
+        spec: PlanSpec,
+        compiled_before: Duration,
+    ) -> Result<Arc<CompiledPlan>, ServeError> {
         if self.shutting_down.load(Ordering::SeqCst) {
             return Err(ServeError::ShuttingDown);
         }
         let start = Instant::now();
         let (plan, evicted) = self.cache.load(name, spec, self.cfg.intra_op)?;
-        self.load_metrics.compile.record_duration(start.elapsed());
+        self.load_metrics
+            .compile
+            .record_duration(compiled_before + start.elapsed());
         self.load_metrics.evictions.add(evicted.len() as u64);
         let start = Instant::now();
         let mut retiring: Vec<Lane> = Vec::new();

@@ -361,9 +361,8 @@ fn load_from_registry(
         Box::new(WireResponse::err_code(id, code, e.to_string()))
     })?;
     drop(fetched);
-    metrics.import.record_duration(start.elapsed());
     let plan = server
-        .load(name, PlanSpec::new(graph))
+        .load_prepared(name, PlanSpec::new(graph), start.elapsed(), Duration::ZERO)
         .map_err(|e| Box::new(WireResponse::err(id, &e)))?;
     Ok((plan.version, pulled.sha256))
 }

@@ -99,6 +99,12 @@ for _ in $(seq 1 100); do
     sleep 0.2
 done
 grep -q "listening on" target/serve-smoke.log
+# The start-up banner is part of the process boundary: the benchmark copies
+# it into its manifest.
+for label in "model:" "nodes:" "clusters:" "cross-cluster edges:" \
+    "potential parallelism:" "compile time:" "serving \`squeezenet\`"; do
+    grep -q "^$label" target/serve-smoke.log
+done
 timeout 60s target/debug/ramiel request --port "$SERVE_PORT" --op ping
 timeout 60s target/debug/ramiel request --port "$SERVE_PORT" \
     --op infer_synth --count 4 > /dev/null

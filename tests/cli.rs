@@ -238,3 +238,65 @@ fn unknown_args_fail_cleanly() {
     assert!(!ok);
     assert!(stderr.contains("not a built-in model"));
 }
+
+/// `serve` schedules without emitting code; what it prints before
+/// `listening on` is still the seven-line banner (the benchmark records it
+/// in its manifest), with the numbers `compile` prints for the same model,
+/// and start-up shows in `stats.load` like a TCP `load` does.
+#[test]
+fn serve_banner_keeps_its_lines_and_values() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::process::Stdio;
+
+    let (ok, compiled, _) = run(&["compile", "squeezenet", "--tiny"]);
+    assert!(ok);
+    let mut child = Command::new(ramiel_bin())
+        .args(["serve", "squeezenet", "--tiny", "--port", "0"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn ramiel serve");
+    let mut lines = BufReader::new(child.stdout.take().expect("piped stdout")).lines();
+    let mut banner = Vec::new();
+    let addr = loop {
+        let line = lines
+            .next()
+            .expect("serve exited before `listening on`")
+            .unwrap();
+        match line.strip_prefix("listening on ") {
+            Some(addr) => break addr.trim().to_string(),
+            None => banner.push(line),
+        }
+    };
+
+    let labels = [
+        "model:",
+        "nodes:",
+        "clusters:",
+        "cross-cluster edges:",
+        "potential parallelism:",
+        "compile time:",
+        "serving `squeezenet`",
+    ];
+    assert_eq!(banner.len(), labels.len(), "{banner:?}");
+    for (line, label) in banner.iter().zip(labels) {
+        assert!(line.starts_with(label), "`{line}` should start `{label}`");
+    }
+    // Everything but the time is a count: identical to `compile`'s summary.
+    let compiled: Vec<&str> = compiled.lines().take(5).collect();
+    assert_eq!(banner[..5], compiled[..]);
+
+    let mut conn = std::net::TcpStream::connect(&addr).expect("connect");
+    let mut reply = String::new();
+    writeln!(conn, r#"{{"op":"stats"}}"#).unwrap();
+    BufReader::new(conn.try_clone().unwrap())
+        .read_line(&mut reply)
+        .unwrap();
+    let stats: serde_json::Value = serde_json::from_str(&reply).unwrap();
+    let load = &stats["stats"]["load"];
+    assert_eq!(load["loads"].as_u64(), Some(1), "{reply}");
+    assert!(load["import_mean_ms"].as_f64().unwrap() > 0.0, "{reply}");
+    assert!(load["compile_mean_ms"].as_f64().unwrap() > 0.0, "{reply}");
+
+    writeln!(conn, r#"{{"op":"shutdown"}}"#).unwrap();
+    assert!(child.wait().expect("serve exits after shutdown").success());
+}

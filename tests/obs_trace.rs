@@ -192,6 +192,36 @@ fn full_profile_trace_parses_and_references_valid_tracks() {
     );
 }
 
+/// `prepare` stops at the schedule: its trace has the clustering stages and
+/// no `codegen` span; `compile` adds exactly that one.
+#[test]
+fn only_compile_emits_a_codegen_span() {
+    use ramiel::models::{build, ModelConfig, ModelKind};
+    use ramiel::{compile_with_obs, prepare_with_obs, PipelineOptions};
+
+    let stage_names = |obs: &Obs| -> Vec<String> {
+        obs.events()
+            .iter()
+            .filter(|e| e.cat == "compile")
+            .map(|e| e.name.clone())
+            .collect()
+    };
+    let g = build(ModelKind::Squeezenet, &ModelConfig::tiny());
+
+    let obs = Obs::enabled();
+    prepare_with_obs(g.clone(), &PipelineOptions::default(), &obs).unwrap();
+    let prepared = stage_names(&obs);
+    assert!(prepared.iter().any(|n| n == "linear clustering"));
+    assert!(!prepared.iter().any(|n| n == "codegen"), "{prepared:?}");
+
+    let obs = Obs::enabled();
+    compile_with_obs(g, &PipelineOptions::default(), &obs).unwrap();
+    let mut compiled = stage_names(&obs);
+    assert_eq!(compiled.iter().filter(|n| *n == "codegen").count(), 1);
+    compiled.retain(|n| n != "codegen");
+    assert_eq!(compiled, prepared);
+}
+
 /// Injected faults surface as structured instant events on the trace.
 #[test]
 fn injected_faults_become_trace_instants() {

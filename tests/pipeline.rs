@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full Ramiel pipeline on every model,
 //! checking structural invariants after each stage.
 
-use ramiel::{compile, HyperMode, PipelineOptions};
+use ramiel::{compile, schedule, HyperMode, PipelineOptions};
 use ramiel_cluster::StaticCost;
 use ramiel_ir::validate::validate;
 use ramiel_models::{build, ModelConfig, ModelKind};
@@ -49,6 +49,70 @@ fn full_scale_pipeline_on_all_models() {
             );
         }
     }
+}
+
+/// `schedule` reads its report off the adjacency and distance table it
+/// already holds; the numbers are the standalone helpers' numbers.
+#[test]
+fn schedule_report_equals_the_standalone_helpers() {
+    let cfg = ModelConfig::full();
+    for kind in ModelKind::all() {
+        for opts in [
+            PipelineOptions::default(),
+            PipelineOptions::all_optimizations(),
+        ] {
+            let s = schedule(build(kind, &cfg), &opts).unwrap();
+            let standalone = ramiel_cluster::parallelism_report(&s.graph, &StaticCost);
+            let got = &s.report.parallelism;
+            let tag = format!("{} (prune {})", kind.name(), opts.prune);
+            assert_eq!(got.model, standalone.model, "{tag}");
+            assert_eq!(got.num_nodes, standalone.num_nodes, "{tag}");
+            assert_eq!(got.num_edges, standalone.num_edges, "{tag}");
+            assert_eq!(got.total_node_cost, standalone.total_node_cost, "{tag}");
+            assert_eq!(
+                got.critical_path_cost, standalone.critical_path_cost,
+                "{tag}"
+            );
+            assert_eq!(got.parallelism, standalone.parallelism, "{tag}");
+            assert_eq!(
+                got.critical_path_cost,
+                ramiel_cluster::critical_path(&s.graph, &StaticCost).1,
+                "{tag}"
+            );
+            assert_eq!(
+                s.report.cross_cluster_edges,
+                s.clustering.cross_cluster_edges(&s.graph),
+                "{tag}"
+            );
+            assert_eq!(
+                s.report.clusters_after_merge,
+                s.clustering.num_clusters(),
+                "{tag}"
+            );
+        }
+    }
+}
+
+/// `compile` is `schedule` plus emission: same graph, clustering and report.
+#[test]
+fn compile_extends_schedule() {
+    let g = build(ModelKind::Googlenet, &ModelConfig::tiny());
+    let opts = PipelineOptions {
+        batch: 2,
+        hyper: HyperMode::Plain,
+        ..PipelineOptions::all_optimizations()
+    };
+    let s = schedule(g.clone(), &opts).unwrap();
+    let c = compile(g, &opts).unwrap();
+    assert_eq!(s.graph, c.graph);
+    assert_eq!(s.clustering, c.clustering);
+    assert_eq!(s.distances, c.distances);
+    assert!(s.hyper.is_some());
+    assert_eq!(s.hyper, c.hyper);
+    assert_eq!(
+        serde_json::to_string(&s.report).unwrap(),
+        serde_json::to_string(&c.report).unwrap()
+    );
 }
 
 #[test]

@@ -21,8 +21,82 @@ fn graph_strategy() -> impl Strategy<Value = ramiel_ir::Graph> {
     })
 }
 
+/// Linear Clustering as it was before the ready heap: the same peeling
+/// loop, with the next path head found by scanning every node. Kept here
+/// as the reference the heap-driven picker must reproduce cluster by
+/// cluster.
+fn scan_linear_clustering(g: &ramiel_ir::Graph, dist: &[u64]) -> Vec<Vec<usize>> {
+    use std::cmp::Reverse;
+    let adj = g.adjacency();
+    let n = g.num_nodes();
+    let mut out_alive: Vec<Vec<bool>> = adj.succs.iter().map(|s| vec![true; s.len()]).collect();
+    let mut indegree: Vec<usize> = adj.preds.iter().map(Vec::len).collect();
+    let mut clustered = vec![false; n];
+    let mut clusters = Vec::new();
+    while let Some(head) = (0..n)
+        .filter(|&i| !clustered[i] && indegree[i] == 0)
+        .max_by_key(|&i| (dist[i], Reverse(i)))
+    {
+        let mut cluster = vec![head];
+        clustered[head] = true;
+        let mut cur = head;
+        loop {
+            let next = adj.succs[cur]
+                .iter()
+                .enumerate()
+                .filter(|(ei, &v)| out_alive[cur][*ei] && !clustered[v])
+                .map(|(_, &v)| v)
+                .max_by_key(|&v| (dist[v], Reverse(v)));
+            for (ei, &v) in adj.succs[cur].iter().enumerate() {
+                if std::mem::take(&mut out_alive[cur][ei]) {
+                    indegree[v] -= 1;
+                }
+            }
+            let Some(s) = next else { break };
+            for &p in &adj.preds[s] {
+                let ei = adj.succs[p].iter().position(|&v| v == s).unwrap();
+                if std::mem::take(&mut out_alive[p][ei]) {
+                    indegree[s] -= 1;
+                }
+            }
+            cluster.push(s);
+            clustered[s] = true;
+            cur = s;
+        }
+        clusters.push(cluster);
+    }
+    clusters
+}
+
+fn assert_heap_lc_matches_scan(g: &ramiel_ir::Graph) {
+    let dist = distance_to_end(g, &StaticCost);
+    let heap: Vec<Vec<usize>> = linear_clustering(g, &dist)
+        .clusters
+        .into_iter()
+        .map(|c| c.nodes)
+        .collect();
+    assert_eq!(heap, scan_linear_clustering(g, &dist), "{}", g.name);
+}
+
+/// The eight zoo graphs at full size (NASNet peels 337 paths off 1356
+/// nodes): the heap picks the path heads the scan picked.
+#[test]
+fn heap_lc_matches_scan_on_the_full_size_zoo() {
+    use ramiel_models::{build, ModelConfig, ModelKind};
+    for kind in ModelKind::all() {
+        assert_heap_lc_matches_scan(&build(kind, &ModelConfig::full()));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The ready heap changes how the next path head is found, not which
+    /// one: clusterings are identical to the scan-based picker's.
+    #[test]
+    fn heap_lc_matches_scan(g in graph_strategy()) {
+        assert_heap_lc_matches_scan(&g);
+    }
 
     /// Algorithm 1's contract: clusters partition the node set and every
     /// cluster is a linear path of the graph.

@@ -27,14 +27,14 @@ fn concurrent_clients_get_bit_identical_results() {
     let prepared = prepare(g, &PipelineOptions::default()).unwrap();
     let server = Arc::new(Server::new(serve_cfg()));
     let spec = PlanSpec {
-        clustering: Some(prepared.compiled.clustering.clone()),
+        clustering: Some(prepared.scheduled.clustering.clone()),
         batch_sizes: vec![2, 4],
         init_values: Some(Arc::clone(&prepared.init_values)),
-        ..PlanSpec::new(prepared.compiled.graph.clone())
+        ..PlanSpec::new(prepared.scheduled.graph.clone())
     };
     server.load("sq", spec).unwrap();
 
-    let graph = Arc::new(prepared.compiled.graph.clone());
+    let graph = Arc::new(prepared.scheduled.graph.clone());
     let threads = 8;
     let per_thread = 4;
     let mut handles = Vec::new();
@@ -87,13 +87,13 @@ fn stealing_executor_serves_bit_identical_results() {
         ..serve_cfg()
     }));
     let spec = PlanSpec {
-        clustering: Some(prepared.compiled.clustering.clone()),
+        clustering: Some(prepared.scheduled.clustering.clone()),
         init_values: Some(Arc::clone(&prepared.init_values)),
-        ..PlanSpec::new(prepared.compiled.graph.clone())
+        ..PlanSpec::new(prepared.scheduled.graph.clone())
     };
     server.load("bert", spec).unwrap();
 
-    let graph = Arc::new(prepared.compiled.graph.clone());
+    let graph = Arc::new(prepared.scheduled.graph.clone());
     let mut handles = Vec::new();
     for t in 0..6u64 {
         let server = Arc::clone(&server);
