@@ -69,16 +69,24 @@ struct MetricsOverhead {
 }
 
 #[derive(Serialize)]
+struct GemmRow {
+    shape: String,
+    /// Min-of-rounds of a naive `i, j, kk` triple loop on the shape.
+    naive_ms: f64,
+    /// Min-of-rounds of `gemm::mm` (the register tile, detected entry).
+    mm_ms: f64,
+    /// naive / mm — the guard: must stay ≥ 2 on both shapes. Same
+    /// per-element chain on both sides, so the ratio is what register
+    /// tiling and the wider lanes buy, nothing else.
+    speedup: f64,
+}
+
+#[derive(Serialize)]
 struct BackendRow {
     model: String,
     /// Sequential-executor min-of-iters per kernel backend.
     scalar_ms: f64,
-    simd_ms: f64,
     quant_i8_ms: f64,
-    /// scalar / simd — the guard: must stay ≥ 1.3 on BERT. Whole-model, so
-    /// Amdahl's law already discounts the non-Gemm ops; a regression here
-    /// means the vectorized microkernels stopped paying for themselves.
-    simd_speedup: f64,
     /// scalar / quant-i8 — reported, not guarded: the i8 path trades
     /// per-call activation quantization for narrower arithmetic, and which
     /// side wins is shape-dependent.
@@ -167,6 +175,7 @@ struct Summary {
     config: String,
     iters: usize,
     models: Vec<ModelRow>,
+    gemm: Vec<GemmRow>,
     backends: Vec<BackendRow>,
     stealing: Vec<StealingRow>,
     memory: Vec<MemoryRow>,
@@ -201,15 +210,13 @@ fn time_min_ms(iters: usize, mut f: impl FnMut()) -> f64 {
 }
 
 /// One timed unit of backend kernel work: the f32 `mm` entry point for
-/// ScalarF32/SimdF32 (which dispatches on the ctx backend), or the i8
-/// quantize → integer-mm → dequantize pipeline for QuantI8.
+/// ScalarF32, or the i8 quantize → integer-mm → dequantize pipeline for
+/// QuantI8.
 fn run_backend_mm(
     ctx: &ramiel_tensor::ExecCtx,
     a: &ramiel_tensor::Tensor<f32>,
     b: &ramiel_tensor::Tensor<f32>,
-    m: usize,
-    k: usize,
-    n: usize,
+    out: &mut [f32],
 ) {
     use ramiel_runtime::KernelBackend;
     if ctx.backend() == KernelBackend::QuantI8 {
@@ -217,14 +224,23 @@ fn run_backend_mm(
             ramiel_tensor::kernels::quant::matmul_q(ctx, a, b).expect("quant matmul"),
         );
     } else {
-        std::hint::black_box(ramiel_tensor::kernels::gemm::mm(
-            ctx,
-            a.data(),
-            b.data(),
-            m,
-            k,
-            n,
-        ));
+        let (m, k, n) = (a.shape()[0], a.shape()[1], b.shape()[1]);
+        ramiel_tensor::kernels::gemm::mm(ctx, a.data(), b.data(), out, m, k, n);
+        std::hint::black_box(out);
+    }
+}
+
+/// The triple loop `gemm::mm` is guarded against: one ascending-`kk` chain
+/// per output element, accumulator in a scalar.
+fn naive_mm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for kk in 0..k {
+                acc += a[i * k + kk] * b[kk * n + j];
+            }
+            out[i * n + j] = acc;
+        }
     }
 }
 
@@ -279,25 +295,93 @@ fn main() {
         });
     }
 
-    // Per-backend kernel costs on BERT's Gemm work. Two granularities:
-    // the dominant Gemm shapes measured straight through the kernel entry
-    // point (the guard), and one whole-model run per backend (reported,
-    // not guarded — on a shared core the scalar executor's timing swings
-    // by 30%+ between runs, so an end-to-end ratio can't anchor a hard
-    // gate). Shapes are BERT-base's QKV projection and FFN expansion at
-    // seq 128; per-backend samples are interleaved round-robin and the
-    // guard reads the *minimum* — the least-contaminated estimate of the
-    // kernel's true cost — so a host frequency dip or a noisy neighbor
-    // can only discard rounds, never manufacture a ratio. A shape that
-    // still lands under the bar gets re-measured up to two more times
-    // before the guard declares a regression: a real SIMD regression
-    // fails every attempt, while a loaded-host dip has three independent
-    // windows to clear.
+    let minimum = |xs: &[f64]| xs.iter().copied().fold(f64::INFINITY, f64::min);
+
+    // The f32 GEMM tile against a naive triple loop on the two shapes that
+    // carry the tiny BERT (qkv projection, FFN expansion). Both sides are
+    // sampled round-robin and the guard reads the *minimum* — the
+    // least-contaminated estimate of the kernel's true cost — so a host
+    // frequency dip or a noisy neighbor can only discard rounds, never
+    // manufacture a ratio. A shape that still lands under the bar gets
+    // re-measured up to two more times before the guard declares a
+    // regression: a real regression fails every attempt, while a
+    // loaded-host dip has three independent windows to clear.
+    let mut gemm = Vec::new();
+    for (label, m, k, n) in [
+        ("BERT qkv mm 32x64x64", 32usize, 64usize, 64usize),
+        ("BERT ffn mm 32x64x256", 32, 64, 256),
+    ] {
+        let a = ramiel_tensor::Value::random_f32(vec![m, k], 3);
+        let b = ramiel_tensor::Value::random_f32(vec![k, n], 4);
+        let (a, b) = (a.f32().expect("f32").data(), b.f32().expect("f32").data());
+        let mut out = vec![0.0f32; m * n];
+        // Each sample is `REPS` back-to-back products: one is ~10 µs, too
+        // close to the clock's resolution to time alone.
+        const REPS: usize = 50;
+        let mut measure = || {
+            let (mut naive, mut tiled) = (vec![], vec![]);
+            for _ in 0..iters.max(5) + 1 {
+                let start = Instant::now();
+                for _ in 0..REPS {
+                    naive_mm(a, b, &mut out, m, k, n);
+                    std::hint::black_box(&mut out);
+                }
+                naive.push(start.elapsed().as_secs_f64() * 1e3 / REPS as f64);
+                let start = Instant::now();
+                for _ in 0..REPS {
+                    ramiel_tensor::kernels::gemm::mm(&ctx, a, b, &mut out, m, k, n);
+                    std::hint::black_box(&mut out);
+                }
+                tiled.push(start.elapsed().as_secs_f64() * 1e3 / REPS as f64);
+            }
+            // The first round is the warm-up.
+            (minimum(&naive[1..]), minimum(&tiled[1..]))
+        };
+        let (mut naive_ms, mut mm_ms) = measure();
+        for attempt in 0..2 {
+            if naive_ms / mm_ms.max(1e-9) >= 2.0 {
+                break;
+            }
+            eprintln!(
+                "gemm: {label} at {:.2}x on attempt {} — re-measuring",
+                naive_ms / mm_ms.max(1e-9),
+                attempt + 1,
+            );
+            (naive_ms, mm_ms) = measure();
+        }
+        gemm.push(GemmRow {
+            shape: label.to_string(),
+            naive_ms,
+            mm_ms,
+            speedup: naive_ms / mm_ms.max(1e-9),
+        });
+    }
+    for row in &gemm {
+        if row.speedup < 2.0 {
+            eprintln!(
+                "gemm guard FAILED: gemm::mm ran {} only {:.2}x faster than a naive \
+                 triple loop ({:.4} vs {:.4} ms, need >= 2x) — the register tile \
+                 regressed",
+                row.shape, row.speedup, row.mm_ms, row.naive_ms
+            );
+            std::process::exit(1);
+        }
+    }
+
+    // Per-backend kernel costs on BERT's Gemm work, informational: the
+    // dominant Gemm shapes of BERT-base at seq 128 straight through the
+    // kernel entry points, and one whole-model run per backend. Samples
+    // are interleaved round-robin and the minimum is reported.
     let backends = {
         use ramiel_runtime::KernelBackend;
-        let minimum = |xs: &[f64]| xs.iter().copied().fold(f64::INFINITY, f64::min);
         let rounds = iters.max(5);
         let mut rows = Vec::new();
+        let row = |model: &str, scalar_ms: f64, quant_i8_ms: f64| BackendRow {
+            model: model.to_string(),
+            scalar_ms,
+            quant_i8_ms,
+            quant_speedup: scalar_ms / quant_i8_ms.max(1e-9),
+        };
         for (label, m, k, n) in [
             ("BERT qkv mm 128x768x768", 128usize, 768usize, 768usize),
             ("BERT ffn mm 128x768x3072", 128, 768, 3072),
@@ -305,51 +389,22 @@ fn main() {
             let a = ramiel_tensor::Value::random_f32(vec![m, k], 3);
             let b = ramiel_tensor::Value::random_f32(vec![k, n], 4);
             let (a, b) = (a.f32().expect("f32"), b.f32().expect("f32"));
-            let ctxs = [
-                ctx.clone(),
-                ctx.with_backend(KernelBackend::SimdF32),
-                ctx.with_backend(KernelBackend::QuantI8),
-            ];
-            let measure = || {
-                let mut samples = [vec![], vec![], vec![]];
-                for c in &ctxs {
-                    // warm-up; QuantI8 has no mm entry point — time the f32
-                    // kernels for scalar/simd and the i8 kernel via its own
-                    // quantize-multiply-dequantize pipeline.
-                    run_backend_mm(c, a, b, m, k, n);
-                }
-                for _ in 0..rounds {
-                    for (i, c) in ctxs.iter().enumerate() {
-                        let start = Instant::now();
-                        run_backend_mm(c, a, b, m, k, n);
-                        samples[i].push(start.elapsed().as_secs_f64() * 1e3);
-                    }
-                }
-                let [sc, si, qu] = samples;
-                (minimum(&sc), minimum(&si), minimum(&qu))
-            };
-            let (mut scalar_ms, mut simd_ms, mut quant_i8_ms) = measure();
-            for attempt in 0..2 {
-                if scalar_ms / simd_ms.max(1e-9) >= 1.3 {
-                    break;
-                }
-                eprintln!(
-                    "backends: {label} at {:.2}x on attempt {} — re-measuring",
-                    scalar_ms / simd_ms.max(1e-9),
-                    attempt + 1,
-                );
-                (scalar_ms, simd_ms, quant_i8_ms) = measure();
+            let mut out = vec![0.0f32; m * n];
+            let ctxs = [ctx.clone(), ctx.with_backend(KernelBackend::QuantI8)];
+            let mut samples = [vec![], vec![]];
+            for c in &ctxs {
+                run_backend_mm(c, a, b, &mut out); // warm-up
             }
-            rows.push(BackendRow {
-                model: label.to_string(),
-                scalar_ms,
-                simd_ms,
-                quant_i8_ms,
-                simd_speedup: scalar_ms / simd_ms.max(1e-9),
-                quant_speedup: scalar_ms / quant_i8_ms.max(1e-9),
-            });
+            for _ in 0..rounds {
+                for (i, c) in ctxs.iter().enumerate() {
+                    let start = Instant::now();
+                    run_backend_mm(c, a, b, &mut out);
+                    samples[i].push(start.elapsed().as_secs_f64() * 1e3);
+                }
+            }
+            let [sc, qu] = samples;
+            rows.push(row(label, minimum(&sc), minimum(&qu)));
         }
-        // Whole-model backend comparison (informational).
         let bcfg = ModelConfig {
             hidden: 512,
             seq_len: 128,
@@ -363,40 +418,25 @@ fn main() {
             .iter()
             .map(|&b| RunOptions::default().backend(b))
             .collect();
-        let mut samples = [vec![], vec![], vec![]];
+        let mut samples = [vec![], vec![]];
         for o in &opts {
             run_sequential_opts(&c.graph, &inputs, &ctx, o).expect("seq"); // warm-up
         }
-        for _ in 0..iters.max(5) {
+        for _ in 0..rounds {
             for (i, o) in opts.iter().enumerate() {
                 let start = Instant::now();
                 run_sequential_opts(&c.graph, &inputs, &ctx, o).expect("seq");
                 samples[i].push(start.elapsed().as_secs_f64() * 1e3);
             }
         }
-        let [sc, si, qu] = samples;
-        let (scalar_ms, simd_ms, quant_i8_ms) = (minimum(&sc), minimum(&si), minimum(&qu));
-        rows.push(BackendRow {
-            model: "BERT (whole model, hidden 512)".to_string(),
-            scalar_ms,
-            simd_ms,
-            quant_i8_ms,
-            simd_speedup: scalar_ms / simd_ms.max(1e-9),
-            quant_speedup: scalar_ms / quant_i8_ms.max(1e-9),
-        });
+        let [sc, qu] = samples;
+        rows.push(row(
+            "BERT (whole model, hidden 512)",
+            minimum(&sc),
+            minimum(&qu),
+        ));
         rows
     };
-    for row in backends.iter().filter(|r| r.model.contains(" mm ")) {
-        if row.simd_speedup < 1.3 {
-            eprintln!(
-                "backend guard FAILED: SimdF32 ran {} only {:.2}x faster than \
-                 ScalarF32 ({:.3} vs {:.3} ms, need >= 1.3x) — the f32x8 \
-                 microkernels regressed",
-                row.model, row.simd_speedup, row.simd_ms, row.scalar_ms
-            );
-            std::process::exit(1);
-        }
-    }
 
     // Work-stealing at batch 1 on every built-in model: the standing
     // StealPool (plan prebuilt, workers persistent) against the sequential
@@ -750,6 +790,7 @@ fn main() {
         config: if full { "full" } else { "tiny" }.to_string(),
         iters,
         models,
+        gemm,
         backends,
         stealing,
         memory,

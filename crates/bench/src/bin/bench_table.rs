@@ -22,7 +22,6 @@ struct Row {
     config: String,
     iters: String,
     par_speedup: Option<f64>,
-    simd_speedup: Option<f64>,
     quant_speedup: Option<f64>,
     steal_speedup: Option<f64>,
     mem_cut: Option<f64>,
@@ -78,22 +77,6 @@ fn row_for(date: &str, summary: &Value) -> Row {
             .and_then(Value::as_u64)
             .map_or_else(|| "?".into(), |i| i.to_string()),
         par_speedup: geomean(&speedups),
-        // geomean over the guarded kernel-shape rows (labels contain
-        // " mm "); the whole-model row is informational and excluded.
-        simd_speedup: summary
-            .get("backends")
-            .and_then(Value::as_array)
-            .map(|bs| {
-                bs.iter()
-                    .filter(|b| {
-                        b.get("model")
-                            .and_then(Value::as_str)
-                            .is_some_and(|m| m.contains(" mm "))
-                    })
-                    .filter_map(|b| b.get("simd_speedup").and_then(Value::as_f64))
-                    .collect::<Vec<f64>>()
-            })
-            .and_then(|xs| geomean(&xs)),
         // Informational only — bench_json reports quant-i8 but guards
         // nothing on it: the i8 path pays per-call activation quantization
         // for narrower arithmetic, so < 1.0x here is expected, not a
@@ -187,10 +170,7 @@ fn main() {
          mean reduction in measured peak live bytes from in-place buffer reuse,\n\
          `zero-copy` the channel payload-bytes-to-copied-bytes ratio, and\n\
          `serve speedup` dynamic batching's throughput gain over per-request\n\
-         execution. `simd` is the geomean SimdF32-over-ScalarF32 speedup on\n\
-         BERT's dominant Gemm kernel shapes (each guarded \u{2265} 1.3x by\n\
-         `bench_json`; whole-model ratios are reported in the JSON but not\n\
-         folded here).\n\n\
+         execution.\n\n\
          `quant-i8*` is **informational only** — reported by `bench_json`\n\
          but covered by no regression guard. The i8 backend pays per-call\n\
          activation quantization to buy narrower arithmetic, so on these\n\
@@ -201,19 +181,18 @@ fn main() {
          `quant_conformance` suite.\n\n",
     );
     md.push_str(
-        "| date | config | iters | par speedup | simd | quant-i8* | steal b1 | peak-mem cut | zero-copy | serve speedup |\n",
+        "| date | config | iters | par speedup | quant-i8* | steal b1 | peak-mem cut | zero-copy | serve speedup |\n",
     );
     md.push_str(
-        "|------|--------|-------|-------------|------|-----------|----------|--------------|-----------|---------------|\n",
+        "|------|--------|-------|-------------|-----------|----------|--------------|-----------|---------------|\n",
     );
     for r in &rows {
         md.push_str(&format!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |\n",
+            "| {} | {} | {} | {} | {} | {} | {} | {} | {} |\n",
             r.date,
             r.config,
             r.iters,
             fmt_x(r.par_speedup),
-            fmt_x(r.simd_speedup),
             fmt_x(r.quant_speedup),
             fmt_x(r.steal_speedup),
             fmt_pct(r.mem_cut),

@@ -172,10 +172,10 @@ pub struct MeasuredCost {
     /// Nanoseconds represented by one cost unit.
     ns_per_unit: u64,
     /// Kernel backend the samples were measured under (`"scalar"`,
-    /// `"simd"`, `"quant-i8"`), as a plain label so this crate stays free
-    /// of a tensor dependency. Per-node times shift by different ratios
-    /// across backends (SIMD accelerates Gemm-heavy nodes far more than
-    /// elementwise ones), so a clustering tuned from one backend's profile
+    /// `"quant-i8"`), as a plain label so this crate stays free of a
+    /// tensor dependency. Per-node times shift by different ratios across
+    /// backends (i8 changes Gemm-heavy nodes far more than elementwise
+    /// ones), so a clustering tuned from one backend's profile
     /// is stale for another; carrying the label makes the mismatch
     /// detectable instead of silent.
     backend: Option<String>,

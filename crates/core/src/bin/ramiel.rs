@@ -70,11 +70,10 @@
 //! dynamic schedule's estimate-only view (sound first-ready memory bound,
 //! no channel lints — the executor has no channels to lint).
 //!
-//! `--backend <scalar|simd|quant-i8>` (`run`, `serve`, `analyze`) picks the
-//! kernel backend: `scalar` (default) plain f32 loops, `simd` lane-unrolled
-//! f32x8 microkernels (bit-identical to scalar), `quant-i8` per-tensor
-//! symmetric int8 with dequantized f32 outputs (within tolerance of f32,
-//! not bit-identical). Under `analyze`, `--backend quant-i8` additionally
+//! `--backend <scalar|quant-i8>` (`run`, `serve`, `analyze`) picks the
+//! kernel backend: `scalar` (default) the f32 kernels, `quant-i8`
+//! per-tensor symmetric int8 with dequantized f32 outputs (within
+//! tolerance of f32, not bit-identical). Under `analyze`, `--backend quant-i8` additionally
 //! reports the resident bytes of the per-plan quantized weight cache.
 //!
 //! `ramiel check` runs the pipeline, then statically verifies the resulting
@@ -311,7 +310,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 let v = value("--backend")?;
                 f.backend = Some(
                     KernelBackend::parse(&v)
-                        .ok_or_else(|| format!("unknown backend `{v}` (scalar|simd|quant-i8)"))?,
+                        .ok_or_else(|| format!("unknown backend `{v}` (scalar|quant-i8)"))?,
                 )
             }
             "--scheduler" => {
@@ -706,12 +705,19 @@ fn cmd_profile(model: &str, f: &Flags) -> Result<(), String> {
     // Export, validating before we claim success (the CI smoke gate).
     let trace = obs.to_chrome_trace();
     let stats = validate_chrome_trace(&trace).map_err(|e| format!("malformed trace: {e}"))?;
+    // A model given by path names its trace after the file stem, so the
+    // trace lands in `--out` (or the working directory), not in a directory
+    // spelled by the argument.
+    let stem = std::path::Path::new(model)
+        .file_stem()
+        .and_then(|s| s.to_str())
+        .unwrap_or(model);
     let path = match &f.out {
         Some(dir) => {
             std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-            format!("{dir}/{model}-trace.json")
+            format!("{dir}/{stem}-trace.json")
         }
-        None => format!("{model}-trace.json"),
+        None => format!("{stem}-trace.json"),
     };
     std::fs::write(&path, &trace).map_err(|e| e.to_string())?;
     println!();

@@ -40,7 +40,7 @@ pub struct ProfileDb {
     /// Offset of this run's epoch on the exporting [`ramiel_obs::Obs`]
     /// timeline (0 when no enabled sink was attached to the run).
     epoch_offset_ns: u64,
-    /// Kernel backend the profiled run executed with (`"scalar"`, `"simd"`,
+    /// Kernel backend the profiled run executed with (`"scalar"`,
     /// `"quant-i8"`). Carried into [`Self::measured_cost`] so reclustering
     /// decisions know which backend the node times price.
     backend: Option<String>,

@@ -166,8 +166,8 @@ impl RunOptions {
         self
     }
 
-    /// Select the kernel backend for this run (scalar f32, lane-unrolled
-    /// SIMD f32, or quantized i8).
+    /// Select the kernel backend for this run (scalar f32 or quantized
+    /// i8).
     pub fn backend(mut self, backend: KernelBackend) -> Self {
         self.backend = Some(backend);
         self

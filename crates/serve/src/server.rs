@@ -74,8 +74,8 @@ pub struct ServeConfig {
     /// Bound on the in-memory per-request trace ring (`0` disables
     /// tracing; the TCP `trace` verb then returns an empty trace).
     pub trace_capacity: usize,
-    /// Kernel backend every lane runs with (scalar f32, lane-unrolled SIMD
-    /// f32, or quantized i8). `None` keeps the plan context's default.
+    /// Kernel backend every lane runs with (scalar f32 or quantized
+    /// i8). `None` keeps the plan context's default.
     pub backend: Option<ramiel_runtime::KernelBackend>,
 }
 

@@ -63,12 +63,10 @@ pub type KernelHook = Arc<dyn Fn(&OpKind) -> Option<String> + Send + Sync>;
 /// Which kernel implementation family executes the heavy ops (`Conv`,
 /// `MatMul`, `Gemm`); everything else always runs the scalar f32 kernels.
 ///
-/// * [`ScalarF32`](KernelBackend::ScalarF32) — the reference scalar loops.
-/// * [`SimdF32`](KernelBackend::SimdF32) — 8-lane unrolled f32 microkernels
-///   (`kernels::simd`). Per output element the multiply-add chain is the
-///   same ascending-`k` sequence as the scalar kernels, so results are
-///   **bit-identical** to `ScalarF32` and the cross-executor equivalence
-///   suites hold unchanged.
+/// * [`ScalarF32`](KernelBackend::ScalarF32) — the f32 kernels: one
+///   accumulation chain per output element whichever compiled copy of a
+///   kernel the CPU selects (`kernels::gemm`), so every executor is
+///   **bit-identical** on it.
 /// * [`QuantI8`](KernelBackend::QuantI8) — per-tensor symmetric i8
 ///   quantization (`kernels::quant`): weights are quantized once per plan,
 ///   activations at the kernel edge, accumulation is exact i32, outputs are
@@ -78,7 +76,6 @@ pub type KernelHook = Arc<dyn Fn(&OpKind) -> Option<String> + Send + Sync>;
 pub enum KernelBackend {
     #[default]
     ScalarF32,
-    SimdF32,
     QuantI8,
 }
 
@@ -87,28 +84,22 @@ impl KernelBackend {
     pub fn name(self) -> &'static str {
         match self {
             KernelBackend::ScalarF32 => "scalar",
-            KernelBackend::SimdF32 => "simd",
             KernelBackend::QuantI8 => "quant-i8",
         }
     }
 
-    /// Parse a CLI spelling (`--backend <scalar|simd|quant-i8>`).
+    /// Parse a CLI spelling (`--backend <scalar|quant-i8>`).
     pub fn parse(s: &str) -> Option<KernelBackend> {
         match s {
             "scalar" | "scalar-f32" | "f32" => Some(KernelBackend::ScalarF32),
-            "simd" | "simd-f32" => Some(KernelBackend::SimdF32),
             "quant-i8" | "quant" | "i8" => Some(KernelBackend::QuantI8),
             _ => None,
         }
     }
 
     /// All backends, in the order benches and tables report them.
-    pub fn all() -> [KernelBackend; 3] {
-        [
-            KernelBackend::ScalarF32,
-            KernelBackend::SimdF32,
-            KernelBackend::QuantI8,
-        ]
+    pub fn all() -> [KernelBackend; 2] {
+        [KernelBackend::ScalarF32, KernelBackend::QuantI8]
     }
 }
 
@@ -328,13 +319,16 @@ mod tests {
     fn backend_defaults_to_scalar_and_threads_through_builders() {
         let ctx = ExecCtx::sequential();
         assert_eq!(ctx.backend(), KernelBackend::ScalarF32);
-        let simd = ctx.with_backend(KernelBackend::SimdF32);
-        assert_eq!(simd.backend(), KernelBackend::SimdF32);
-        assert!(Arc::ptr_eq(&ctx.packed, &simd.packed), "cache stays shared");
-        let hooked = simd.with_kernel_hook(Arc::new(|_| None));
-        assert_eq!(hooked.backend(), KernelBackend::SimdF32);
-        let gauged = simd.with_mem_gauge(MemGauge::new());
-        assert_eq!(gauged.backend(), KernelBackend::SimdF32);
+        let quant = ctx.with_backend(KernelBackend::QuantI8);
+        assert_eq!(quant.backend(), KernelBackend::QuantI8);
+        assert!(
+            Arc::ptr_eq(&ctx.packed, &quant.packed),
+            "cache stays shared"
+        );
+        let hooked = quant.with_kernel_hook(Arc::new(|_| None));
+        assert_eq!(hooked.backend(), KernelBackend::QuantI8);
+        let gauged = quant.with_mem_gauge(MemGauge::new());
+        assert_eq!(gauged.backend(), KernelBackend::QuantI8);
     }
 
     #[test]

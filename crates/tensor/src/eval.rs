@@ -70,8 +70,7 @@ pub fn eval_op(ctx: &ExecCtx, op: &OpKind, inputs: &[Value]) -> Result<Vec<Value
                 groups: *groups,
             };
             let bias = inputs.get(2).map(|b| b.f32()).transpose()?;
-            // QuantI8 routes the heavy ops to the i8 kernels; Scalar/Simd
-            // share the f32 kernels, which dispatch internally.
+            // QuantI8 routes the heavy ops to the i8 kernels.
             let y = if ctx.backend() == KernelBackend::QuantI8 {
                 quant::conv2d_q(ctx, inputs[0].f32()?, inputs[1].f32()?, bias, &spec)?
             } else {

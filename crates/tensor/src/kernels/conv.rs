@@ -5,6 +5,7 @@
 //! `(batch, out-channel)` pairs are distributed across it — the same
 //! work-splitting PyTorch's OpenMP backend applies.
 
+use super::gemm::{mm_on, Avx2};
 use crate::ctx::ExecCtx;
 use crate::tensor::Tensor;
 use crate::{exec_err, Result};
@@ -36,63 +37,165 @@ pub(crate) fn check_spec(spec: &ConvSpec) -> Result<()> {
     Ok(())
 }
 
-/// Compute one output image (single batch element, single output channel).
-/// `simd` routes the innermost (`ox`, `kx`) loops through the lane-unrolled
-/// [`super::simd::conv_row`] kernel; results are bit-identical either way
-/// (per output element both variants run the same ascending-`kx` chain).
-#[allow(clippy::too_many_arguments)]
-fn conv_one_output(
-    x: &[f32],
-    w: &[f32],
-    out: &mut [f32],
+/// The input coordinates `[lo, hi)` that a window of `k` taps starting at
+/// `i0` covers on an axis of `extent` elements (empty when it lies wholly
+/// in padding). Shared with the pooling kernels.
+pub(crate) fn clip(i0: isize, k: usize, extent: usize) -> (usize, usize) {
+    let lo = i0.clamp(0, extent as isize);
+    let hi = (i0 + k as isize).clamp(lo, extent as isize);
+    (lo as usize, hi as usize)
+}
+
+/// The output columns `[lo, hi)` of a row of `wo` whose `kw` kernel columns
+/// are all in bounds (input width `w`, stride `sw`, left padding `pw`), and
+/// how many of them are computed side by side: 8, 4, or 0 when fewer than
+/// four fit. Shared with the pooling kernels.
+pub(crate) fn interior(
+    w: usize,
+    kw: usize,
+    sw: usize,
+    pw: usize,
+    wo: usize,
+) -> (usize, usize, usize) {
+    let fit = w.saturating_add(pw).checked_sub(kw);
+    let hi = fit.map_or(0, |v| v / sw + 1).min(wo);
+    let lo = pw.div_ceil(sw).min(hi);
+    let lanes = match hi - lo {
+        8.. => 8,
+        4.. => 4,
+        _ => 0,
+    };
+    (lo, hi, lanes)
+}
+
+/// One output image: a single batch element and output channel.
+///
+/// Every output element is `bias`, then for each input channel and each
+/// in-bounds kernel row, ascending, `+= (0.0 + Σ x·w over the in-bounds
+/// kernel columns, ascending)` — each product a multiply then an add.
+struct Image<'a> {
+    /// The group's input channels, `[cg, h, wd]`.
+    x: &'a [f32],
+    /// This output channel's weights, `[cg, kh, kw]`.
+    w: &'a [f32],
     bias: f32,
-    spec: &ConvSpec,
-    cg: usize, // channels per group
+    spec: &'a ConvSpec,
+    cg: usize,
     h: usize,
     wd: usize,
-    ho: usize,
-    wo: usize,
-    simd: bool,
-) {
-    let (kh, kw) = spec.kernel;
-    let (sh, sw) = spec.stride;
-    let (ph, pw) = spec.pads;
-    out.fill(bias);
-    for c in 0..cg {
-        let xc = &x[c * h * wd..(c + 1) * h * wd];
-        let wc = &w[c * kh * kw..(c + 1) * kh * kw];
-        for oy in 0..ho {
-            let iy0 = (oy * sh) as isize - ph as isize;
-            let orow = &mut out[oy * wo..(oy + 1) * wo];
-            for ky in 0..kh {
-                let iy = iy0 + ky as isize;
-                if iy < 0 || iy as usize >= h {
-                    continue;
-                }
-                let xrow = &xc[(iy as usize) * wd..(iy as usize + 1) * wd];
-                let wrow = &wc[ky * kw..(ky + 1) * kw];
-                if simd {
-                    super::simd::conv_row(xrow, wrow, orow, sw, pw);
-                    continue;
-                }
-                for (ox, o) in orow.iter_mut().enumerate() {
-                    let ix0 = (ox * sw) as isize - pw as isize;
-                    let mut acc = 0.0f32;
-                    for (kx, &wv) in wrow.iter().enumerate() {
-                        let ix = ix0 + kx as isize;
-                        if ix >= 0 && (ix as usize) < wd {
-                            acc += xrow[ix as usize] * wv;
-                        }
+}
+
+impl Image<'_> {
+    /// The (channel, input row) pairs under the window whose first input
+    /// row is `iy0`, in the order they are accumulated; rows in padding are
+    /// left out. (Yielding indices and slicing in the loop body measured
+    /// 5–25 % faster than yielding the row slices.)
+    #[inline(always)]
+    fn taps(&self, iy0: isize) -> impl Iterator<Item = (usize, usize)> {
+        let (iy_lo, iy_hi) = clip(iy0, self.spec.kernel.0, self.h);
+        (0..self.cg).flat_map(move |c| (iy_lo..iy_hi).map(move |iy| (c, iy)))
+    }
+
+    /// The input and weight rows of channel `c` at input row `iy`, under a
+    /// window whose first input row is `iy0`.
+    #[inline(always)]
+    fn rows(&self, c: usize, iy: usize, iy0: isize) -> (&[f32], &[f32]) {
+        let (kh, kw) = self.spec.kernel;
+        let ky = (iy as isize - iy0) as usize;
+        (
+            &self.x[(c * self.h + iy) * self.wd..][..self.wd],
+            &self.w[(c * kh + ky) * kw..][..kw],
+        )
+    }
+
+    /// `L` neighbouring output columns whose kernel columns are all in
+    /// bounds, side by side with the accumulators in registers; `x0` is the
+    /// first tap of the first column.
+    #[inline(always)]
+    fn lanes<const L: usize>(&self, iy0: isize, x0: usize) -> [f32; L] {
+        let sw = self.spec.stride.1;
+        let mut acc = [self.bias; L];
+        for (c, iy) in self.taps(iy0) {
+            let (xrow, wrow) = self.rows(c, iy, iy0);
+            let mut part = [0.0f32; L];
+            for (kx, &wv) in wrow.iter().enumerate() {
+                let xs = &xrow[x0 + kx..][..(L - 1) * sw + 1];
+                if sw == 1 {
+                    // Contiguous taps: one vector load, not a gather.
+                    for (p, &xv) in part.iter_mut().zip(xs) {
+                        *p += xv * wv;
                     }
-                    *o += acc;
+                } else {
+                    for (l, p) in part.iter_mut().enumerate() {
+                        *p += xs[l * sw] * wv;
+                    }
                 }
+            }
+            for (a, p) in acc.iter_mut().zip(part) {
+                *a += p;
+            }
+        }
+        acc
+    }
+
+    /// One output column over its clipped kernel columns.
+    #[inline(always)]
+    fn one(&self, iy0: isize, ox: usize) -> f32 {
+        let ix0 = (ox * self.spec.stride.1) as isize - self.spec.pads.1 as isize;
+        let (ix_lo, ix_hi) = clip(ix0, self.spec.kernel.1, self.wd);
+        let kx_lo = (ix_lo as isize - ix0).clamp(0, self.spec.kernel.1 as isize) as usize;
+        let mut o = self.bias;
+        for (c, iy) in self.taps(iy0) {
+            let (xrow, wrow) = self.rows(c, iy, iy0);
+            let mut part = 0.0f32;
+            for (&xv, &wv) in xrow[ix_lo..ix_hi].iter().zip(&wrow[kx_lo..]) {
+                part += xv * wv;
+            }
+            o += part;
+        }
+        o
+    }
+
+    /// The whole image into `out` (`[ho, wo]`). Interior columns go eight
+    /// or four at a time through [`Image::lanes`]; a short last chunk moves
+    /// back to overlap its predecessor (a recomputed output is stored with
+    /// the same value). Border columns, and the interior of a map narrower
+    /// than four, go through [`Image::one`].
+    #[inline(always)]
+    fn compute(&self, out: &mut [f32], wo: usize) {
+        let (sh, sw) = self.spec.stride;
+        let (ph, pw) = self.spec.pads;
+        let (ox_lo, ox_hi, lanes) = interior(self.wd, self.spec.kernel.1, sw, pw, wo);
+        for (oy, orow) in out.chunks_mut(wo).enumerate() {
+            let iy0 = (oy * sh) as isize - ph as isize;
+            let mut ox = ox_lo;
+            while lanes > 0 && ox < ox_hi {
+                let start = ox.min(ox_hi - lanes);
+                let x0 = start * sw - pw;
+                if lanes == 8 {
+                    orow[start..start + 8].copy_from_slice(&self.lanes::<8>(iy0, x0));
+                } else {
+                    orow[start..start + 4].copy_from_slice(&self.lanes::<4>(iy0, x0));
+                }
+                ox = start + lanes;
+            }
+            for ox in (0..ox_lo).chain(ox..wo) {
+                orow[ox] = self.one(iy0, ox);
             }
         }
     }
 }
 
+/// [`Image::compute`] compiled for AVX2: eight lanes are one register.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn compute_avx2(img: &Image, out: &mut [f32], wo: usize) {
+    img.compute(out, wo)
+}
+
 /// Grouped 2-D convolution: `x` NCHW, `w` [M, C/groups, kh, kw], optional
-/// per-output-channel bias.
+/// per-output-channel bias. Runs the AVX2 copy of the kernels when the CPU
+/// has it.
 pub fn conv2d(
     ctx: &ExecCtx,
     x: &Tensor<f32>,
@@ -100,13 +203,34 @@ pub fn conv2d(
     bias: Option<&Tensor<f32>>,
     spec: &ConvSpec,
 ) -> Result<Tensor<f32>> {
+    conv2d_on(Avx2::detect(), ctx, x, w, bias, spec)
+}
+
+/// [`conv2d`] on the baseline-target copy of the kernels whatever the CPU:
+/// the reference the detected entry is tested against.
+pub fn conv2d_portable(
+    ctx: &ExecCtx,
+    x: &Tensor<f32>,
+    w: &Tensor<f32>,
+    bias: Option<&Tensor<f32>>,
+    spec: &ConvSpec,
+) -> Result<Tensor<f32>> {
+    conv2d_on(None, ctx, x, w, bias, spec)
+}
+
+/// Checks the operands against `spec` and one another; returns the output
+/// height and width.
+fn output_extents(
+    x: &Tensor<f32>,
+    w: &Tensor<f32>,
+    bias: Option<&Tensor<f32>>,
+    spec: &ConvSpec,
+) -> Result<(usize, usize)> {
     if x.rank() != 4 || w.rank() != 4 {
         return exec_err("conv2d expects NCHW input and OIHW weight");
     }
     check_spec(spec)?;
-    let (n, c, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-    let (m, cg) = (w.shape()[0], w.shape()[1]);
-    let g = spec.groups;
+    let (c, m, cg, g) = (x.shape()[1], w.shape()[0], w.shape()[1], spec.groups);
     if c != cg * g || m % g != 0 {
         return exec_err(format!(
             "conv2d channel mismatch: input {c}, weight {cg}×{g} groups, out {m}"
@@ -115,11 +239,41 @@ pub fn conv2d(
     if (w.shape()[2], w.shape()[3]) != spec.kernel {
         return exec_err("conv2d kernel attribute disagrees with weight shape");
     }
+    if let Some(b) = bias.filter(|b| b.numel() != m) {
+        return exec_err(format!("conv2d bias length {} != {m}", b.numel()));
+    }
+    let extent = |size: usize, axis: fn((usize, usize)) -> usize| match (size + 2 * axis(spec.pads))
+        .checked_sub(axis(spec.kernel))
+    {
+        Some(v) => Ok(v / axis(spec.stride) + 1),
+        None => exec_err("conv2d kernel larger than padded input"),
+    };
+    Ok((
+        extent(x.shape()[2], |p| p.0)?,
+        extent(x.shape()[3], |p| p.1)?,
+    ))
+}
+
+/// `out` is `[.., m, hw]`: adds each output channel's bias to its image.
+fn add_bias(out: &mut [f32], bias: Option<&Tensor<f32>>, hw: usize) {
     if let Some(b) = bias {
-        if b.numel() != m {
-            return exec_err(format!("conv2d bias length {} != {m}", b.numel()));
+        for (img, bv) in out.chunks_mut(hw).zip(b.data().iter().cycle()) {
+            img.iter_mut().for_each(|v| *v += bv);
         }
     }
+}
+
+fn conv2d_on(
+    avx2: Option<Avx2>,
+    ctx: &ExecCtx,
+    x: &Tensor<f32>,
+    w: &Tensor<f32>,
+    bias: Option<&Tensor<f32>>,
+    spec: &ConvSpec,
+) -> Result<Tensor<f32>> {
+    let (ho, wo) = output_extents(x, w, bias, spec)?;
+    let (n, c, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
+    let (m, cg, g) = (w.shape()[0], w.shape()[1], spec.groups);
     // Pointwise fast path: a 1×1 / stride-1 / unpadded / ungrouped conv is
     // the matrix product `w[m×c] · x[c×(h·w)]` per batch image, which the
     // blocked `mm` kernel runs far faster than the direct loop (Inception
@@ -129,39 +283,37 @@ pub fn conv2d(
         let mut out = vec![0.0f32; n * m * hw];
         for ni in 0..n {
             let xn = &x.data()[ni * c * hw..(ni + 1) * c * hw];
-            let prod = crate::kernels::gemm::mm(ctx, w.data(), xn, m, c, hw);
-            out[ni * m * hw..(ni + 1) * m * hw].copy_from_slice(&prod);
+            let on = &mut out[ni * m * hw..(ni + 1) * m * hw];
+            mm_on(avx2, ctx, w.data(), xn, on, m, c, hw);
         }
-        if let Some(b) = bias {
-            for (mi, img) in out.chunks_mut(hw).enumerate() {
-                let bv = b.data()[mi % m];
-                for v in img {
-                    *v += bv;
-                }
-            }
-        }
+        add_bias(&mut out, bias, hw);
         return Tensor::new(vec![n, m, h, wd], out);
     }
     let (kh, kw) = spec.kernel;
-    let ho = match (h + 2 * spec.pads.0).checked_sub(kh) {
-        Some(v) => v / spec.stride.0 + 1,
-        None => return exec_err("conv2d kernel larger than padded input"),
-    };
-    let wo = match (wd + 2 * spec.pads.1).checked_sub(kw) {
-        Some(v) => v / spec.stride.1 + 1,
-        None => return exec_err("conv2d kernel larger than padded input"),
-    };
     let m_per_g = m / g;
     let mut out = vec![0.0f32; n * m * ho * wo];
-    let simd = ctx.backend() == crate::ctx::KernelBackend::SimdF32;
 
     let run = |(idx, oimg): (usize, &mut [f32])| {
         let (ni, mi) = (idx / m, idx % m);
         let gi = mi / m_per_g;
         let xg = &x.data()[ni * c * h * wd + gi * cg * h * wd..][..cg * h * wd];
         let wm = &w.data()[mi * cg * kh * kw..(mi + 1) * cg * kh * kw];
-        let bv = bias.map_or(0.0, |b| b.data()[mi]);
-        conv_one_output(xg, wm, oimg, bv, spec, cg, h, wd, ho, wo, simd);
+        let img = Image {
+            x: xg,
+            w: wm,
+            bias: bias.map_or(0.0, |b| b.data()[mi]),
+            spec,
+            cg,
+            h,
+            wd,
+        };
+        match avx2 {
+            // SAFETY: `compute_avx2` needs the `avx2` target feature, and an
+            // `Avx2` value exists only after the CPU reported it.
+            #[cfg(target_arch = "x86_64")]
+            Some(_) => unsafe { compute_avx2(&img, oimg, wo) },
+            _ => img.compute(oimg, wo),
+        }
     };
 
     if ctx.parallel() && n * m >= 2 {
@@ -186,25 +338,10 @@ pub fn conv2d_im2col(
     bias: Option<&Tensor<f32>>,
     spec: &ConvSpec,
 ) -> Result<Tensor<f32>> {
-    if x.rank() != 4 || w.rank() != 4 {
-        return exec_err("conv2d expects NCHW input and OIHW weight");
-    }
-    check_spec(spec)?;
+    let (ho, wo) = output_extents(x, w, bias, spec)?;
     let (n, c, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-    let (m, cg) = (w.shape()[0], w.shape()[1]);
-    let g = spec.groups;
-    if c != cg * g || m % g != 0 {
-        return exec_err("conv2d channel mismatch");
-    }
+    let (m, cg, g) = (w.shape()[0], w.shape()[1], spec.groups);
     let (kh, kw) = spec.kernel;
-    let ho = match (h + 2 * spec.pads.0).checked_sub(kh) {
-        Some(v) => v / spec.stride.0 + 1,
-        None => return exec_err("conv2d kernel larger than padded input"),
-    };
-    let wo = match (wd + 2 * spec.pads.1).checked_sub(kw) {
-        Some(v) => v / spec.stride.1 + 1,
-        None => return exec_err("conv2d kernel larger than padded input"),
-    };
     let m_per_g = m / g;
     let k = cg * kh * kw;
     let cols = ho * wo;
@@ -239,22 +376,12 @@ pub fn conv2d_im2col(
             }
             // W[gi] is already [m_per_g, k] row-major
             let wg = &w.data()[gi * m_per_g * k..(gi + 1) * m_per_g * k];
-            let prod = crate::kernels::gemm::mm(ctx, wg, &col, m_per_g, k, cols);
             let base = (ni * m + gi * m_per_g) * cols;
-            out[base..base + m_per_g * cols].copy_from_slice(&prod);
+            let og = &mut out[base..base + m_per_g * cols];
+            super::gemm::mm(ctx, wg, &col, og, m_per_g, k, cols);
         }
     }
-    if let Some(b) = bias {
-        if b.numel() != m {
-            return exec_err("conv2d bias length mismatch");
-        }
-        for (mi, img) in out.chunks_mut(cols).enumerate() {
-            let bv = b.data()[mi % m];
-            for v in img {
-                *v += bv;
-            }
-        }
-    }
+    add_bias(&mut out, bias, cols);
     Tensor::new(vec![n, m, ho, wo], out)
 }
 

@@ -1,6 +1,6 @@
 //! Unary and binary elementwise kernels with numpy broadcasting.
 
-use crate::tensor::{broadcast_offset, strides_of, unravel, Tensor};
+use crate::tensor::{broadcast_strides, walk_rows, Tensor};
 use crate::value::Value;
 use crate::{exec_err, Result};
 use ramiel_ir::shape::broadcast;
@@ -86,9 +86,9 @@ fn binary_generic<T: Copy + Default, R: Copy + Default>(
     // Fast path: one side broadcasts only over *leading* axes (its shape,
     // leading 1s stripped, is a suffix of the output shape) — bias add
     // `[m, n] + [n]`, mask add `[.., s] + [1, 1, 1, s]`. The small buffer
-    // tiles the output, so the loop is a chunked zip instead of an
-    // unravel + two stride walks per element. Same `f` on the same pairs
-    // in the same order, so results are bit-identical to the general loop.
+    // tiles the output, so the loop is a chunked zip instead of a walk over
+    // two stride sets. Same `f` on the same pairs in the same order, so
+    // results are bit-identical to the general loop.
     if a.shape() == out_shape {
         if let Some(bn) = suffix_numel(b.shape(), &out_shape) {
             let bd = &b.data()[..bn];
@@ -129,18 +129,15 @@ fn binary_generic<T: Copy + Default, R: Copy + Default>(
             return Tensor::new(out_shape, data);
         }
     }
-    // General broadcast loop.
-    let numel: usize = out_shape.iter().product();
-    let sa = strides_of(a.shape());
-    let sb = strides_of(b.shape());
-    let mut coords = vec![0usize; out_shape.len()];
-    let mut data = Vec::with_capacity(numel);
-    for idx in 0..numel {
-        unravel(idx, &out_shape, &mut coords);
-        let x = a.data()[broadcast_offset(&coords, a.shape(), &sa)];
-        let y = b.data()[broadcast_offset(&coords, b.shape(), &sb)];
-        data.push(f(x, y));
-    }
+    // General broadcast: both operands walked through their broadcast
+    // strides.
+    let sa = broadcast_strides(a.shape(), out_shape.len());
+    let sb = broadcast_strides(b.shape(), out_shape.len());
+    let (ad, bd) = (a.data(), b.data());
+    let mut data = Vec::with_capacity(out_shape.iter().product());
+    walk_rows(&out_shape, [&sa, &sb], |[oa, ob], len, [ta, tb]| {
+        data.extend((0..len).map(|i| f(ad[oa + i * ta], bd[ob + i * tb])));
+    });
     Tensor::new(out_shape, data)
 }
 
@@ -187,25 +184,28 @@ pub fn where_select(cond: &Tensor<bool>, a: &Tensor<f32>, b: &Tensor<f32>) -> Re
     let s1 = broadcast(cond.shape(), a.shape())
         .and_then(|s| broadcast(&s, b.shape()))
         .ok_or_else(|| crate::ExecError("Where operands do not broadcast".into()))?;
-    let numel: usize = s1.iter().product();
-    let sc = strides_of(cond.shape());
-    let sa = strides_of(a.shape());
-    let sb = strides_of(b.shape());
-    let mut coords = vec![0usize; s1.len()];
-    let mut data = Vec::with_capacity(numel);
-    for idx in 0..numel {
-        unravel(idx, &s1, &mut coords);
-        let c = cond.data()[broadcast_offset(&coords, cond.shape(), &sc)];
-        let x = a.data()[broadcast_offset(&coords, a.shape(), &sa)];
-        let y = b.data()[broadcast_offset(&coords, b.shape(), &sb)];
-        data.push(if c { x } else { y });
-    }
+    let sc = broadcast_strides(cond.shape(), s1.len());
+    let sa = broadcast_strides(a.shape(), s1.len());
+    let sb = broadcast_strides(b.shape(), s1.len());
+    let (cd, ad, bd) = (cond.data(), a.data(), b.data());
+    let mut data = Vec::with_capacity(s1.iter().product());
+    walk_rows(&s1, [&sc, &sa, &sb], |[oc, oa, ob], len, [tc, ta, tb]| {
+        data.extend((0..len).map(|i| {
+            if cd[oc + i * tc] {
+                ad[oa + i * ta]
+            } else {
+                bd[ob + i * tb]
+            }
+        }));
+    });
     Tensor::new(s1, data)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::reference::{broadcast_offset, unravel};
+    use crate::tensor::strides_of;
 
     fn t(shape: Vec<usize>, data: Vec<f32>) -> Tensor<f32> {
         Tensor::new(shape, data).unwrap()

@@ -1,120 +1,266 @@
 //! Matrix-multiply kernels: `MatMul` (batched, broadcasting) and `Gemm`.
 //!
-//! All paths through [`mm`] — sequential, row-block parallel, column-tile
-//! parallel — accumulate each output element in ascending-`kk` order, so
-//! they are bit-identical to one another. The runtime's cross-executor
-//! equivalence tests rely on this. There is deliberately no `av == 0.0`
-//! skip: besides costing a branch per element on dense inputs, it broke
-//! IEEE semantics (`0·∞` and `0·NaN` must produce NaN, not be elided).
+//! There is one kernel, `block`: a register tile of up to `MR` (4) rows by
+//! `W` columns whose accumulators stay in registers across the whole `k`
+//! sweep. Each output element is `0.0`, then `+= a[i,kk] * b[kk,j]` for
+//! ascending `kk` — a multiply, then an add, never a fused multiply-add —
+//! so the sequential, row-block parallel and column-tile parallel paths, on
+//! either entry, are bit-identical to one another and to the naive triple
+//! loop. The runtime's cross-executor equivalence tests rely on this. There
+//! is deliberately no `av == 0.0` skip: besides costing a branch per
+//! element on dense inputs, it broke IEEE semantics (`0·∞` and `0·NaN`
+//! must produce NaN, not be elided).
+//!
+//! The body is compiled twice: once for the build's baseline target (the
+//! portable entry, [`mm_portable`], which is also the test reference) and
+//! once under `#[target_feature(enable = "avx2")]`, entered from [`mm`]
+//! when the CPU reports AVX2. AVX2 widens the lanes only; it does not
+//! enable FMA, and Rust never contracts `a * b + c` on its own.
 
 use crate::ctx::ExecCtx;
-use crate::tensor::{strides_of, unravel, Tensor};
+use crate::tensor::{broadcast_strides, walk_rows, Tensor};
 use crate::{exec_err, Result};
 use ramiel_ir::shape::broadcast;
 use rayon::prelude::*;
 
-/// Row-block height: a block of `MB` output rows reuses each `b` row `MB`
-/// times while it is hot in cache.
-const MB: usize = 8;
-/// Column-tile width: 512 f32 = 2 KiB per `b`-row slice and 16 KiB per
-/// `MB×NB` output block — comfortably L1-resident.
+/// Rows of the register tile. With 16 columns that is 8 256-bit (or, at 8
+/// columns, 8 128-bit) accumulators, leaving registers for the `b` row and
+/// the broadcast `a` element.
+const MR: usize = 4;
+/// Row-block height of the sequential and row-parallel paths.
+const MB: usize = 32;
+/// Column-tile width of the few-rows parallel split.
 const NB: usize = 512;
 
-/// `oblk[..][j0..j0+nb] += a · b` over a contiguous block of output rows
-/// starting at row `i0` (`oblk` spans whole rows of width `n`).
-/// Accumulation per element is ascending `kk`.
-#[allow(clippy::too_many_arguments)] // hot inner kernel: scalars beat a param struct here
-fn mm_block(
-    a: &[f32],
-    b: &[f32],
-    oblk: &mut [f32],
-    i0: usize,
-    k: usize,
-    n: usize,
-    j0: usize,
-    nb: usize,
-) {
-    let rows = oblk.len() / n;
-    for kk in 0..k {
-        let brow = &b[kk * n + j0..kk * n + j0 + nb];
-        for r in 0..rows {
-            let av = a[(i0 + r) * k + kk];
-            let orow = &mut oblk[r * n + j0..r * n + j0 + nb];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
+/// Proof that this CPU reported AVX2: the only way to the
+/// `#[target_feature]` copy of the kernels.
+#[derive(Clone, Copy)]
+pub(crate) struct Avx2(());
+
+impl Avx2 {
+    /// `std` caches the CPUID probe, so this is one atomic load.
+    pub(crate) fn detect() -> Option<Avx2> {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            return Some(Avx2(()));
         }
+        None
     }
 }
 
-/// Single 2-D matrix product `a[m×k] · b[k×n]`, cache-blocked, optionally
-/// parallel over the intra-op pool. With enough rows the parallel split is
-/// by row blocks; when `m` is small relative to the pool it splits columns
-/// too, so parallelism is not capped at `m` tasks.
-pub fn mm(ctx: &ExecCtx, a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    // The SIMD backend swaps in the panel-packed lane-unrolled microkernels;
-    // per-element accumulation order is identical, so both produce the same
-    // bits.
-    if ctx.backend() == crate::ctx::KernelBackend::SimdF32 {
-        return super::simd::mm(ctx, a, b, m, k, n);
-    }
-    let mut out = vec![0.0f32; m * n];
-    if !(ctx.parallel() && m * k * n >= 16_384) {
-        for (bi, oblk) in out.chunks_mut(n * MB).enumerate() {
-            for j0 in (0..n).step_by(NB) {
-                mm_block(a, b, oblk, bi * MB, k, n, j0, NB.min(n - j0));
+/// `R × W` register tile: `out[r][..W] = a[r] · b[.., ..W]` for the `R`
+/// rows of `a` (row stride `k`), `b` and `out` based at the tile's first
+/// column (row strides `n` and `ldo`).
+#[inline(always)]
+fn tile<const R: usize, const W: usize>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    n: usize,
+    ldo: usize,
+) {
+    let arows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..][..k]);
+    let mut acc = [[0.0f32; W]; R];
+    for kk in 0..k {
+        let bv: &[f32; W] = b[kk * n..][..W].try_into().expect("W columns");
+        for (row, arow) in acc.iter_mut().zip(arows) {
+            let av = arow[kk];
+            for (o, &bl) in row.iter_mut().zip(bv) {
+                *o += av * bl;
             }
         }
-        return out;
+    }
+    for (r, row) in acc.iter().enumerate() {
+        out[r * ldo..][..W].copy_from_slice(row);
+    }
+}
+
+/// All rows of `a` against the `W` columns at `b`/`out`'s base.
+#[inline(always)]
+fn strip<const W: usize>(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, ldo: usize) {
+    let rows = a.len() / k;
+    let mut i = 0;
+    while i + MR <= rows {
+        tile::<MR, W>(&a[i * k..], b, &mut out[i * ldo..], k, n, ldo);
+        i += MR;
+    }
+    match rows - i {
+        3 => tile::<3, W>(&a[i * k..], b, &mut out[i * ldo..], k, n, ldo),
+        2 => tile::<2, W>(&a[i * k..], b, &mut out[i * ldo..], k, n, ldo),
+        1 => tile::<1, W>(&a[i * k..], b, &mut out[i * ldo..], k, n, ldo),
+        _ => {}
+    }
+}
+
+/// `out = a · b[.., j0..j0+width]` for the whole rows in `a` (row stride
+/// `k`), `out` based at column `j0` with row stride `ldo`: strips of
+/// `WIDE` columns, then 8, 4 and single columns for the ragged edge.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // hot inner kernel: scalars beat a param struct here
+fn block<const WIDE: usize>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    n: usize,
+    j0: usize,
+    width: usize,
+    ldo: usize,
+) {
+    let mut j = 0;
+    while j + WIDE <= width {
+        strip::<WIDE>(a, &b[j0 + j..], &mut out[j..], k, n, ldo);
+        j += WIDE;
+    }
+    if j + 8 <= width {
+        strip::<8>(a, &b[j0 + j..], &mut out[j..], k, n, ldo);
+        j += 8;
+    }
+    if j + 4 <= width {
+        strip::<4>(a, &b[j0 + j..], &mut out[j..], k, n, ldo);
+        j += 4;
+    }
+    while j < width {
+        strip::<1>(a, &b[j0 + j..], &mut out[j..], k, n, ldo);
+        j += 1;
+    }
+}
+
+/// [`block`] compiled for AVX2: 16-column strips, two 256-bit registers
+/// per tile row.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+fn block_avx2(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    n: usize,
+    j0: usize,
+    width: usize,
+    ldo: usize,
+) {
+    block::<16>(a, b, out, k, n, j0, width, ldo)
+}
+
+/// [`block`] through the entry `avx2` selects.
+#[allow(clippy::too_many_arguments)]
+fn run_block(
+    avx2: Option<Avx2>,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    n: usize,
+    j0: usize,
+    width: usize,
+    ldo: usize,
+) {
+    match avx2 {
+        // SAFETY: `block_avx2` needs the `avx2` target feature, and an
+        // `Avx2` value exists only after `is_x86_feature_detected!("avx2")`
+        // returned true on this CPU.
+        #[cfg(target_arch = "x86_64")]
+        Some(_) => unsafe { block_avx2(a, b, out, k, n, j0, width, ldo) },
+        _ => block::<8>(a, b, out, k, n, j0, width, ldo),
+    }
+}
+
+/// Single 2-D matrix product `out = a[m×k] · b[k×n]`, written into the
+/// caller's `out`, optionally parallel over the intra-op pool. With enough
+/// rows the parallel split is by row blocks; when `m` is small relative to
+/// the pool it splits columns too, so parallelism is not capped at `m`
+/// tasks. Runs the AVX2 copy of the tile when the CPU has it.
+pub fn mm(ctx: &ExecCtx, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    mm_on(Avx2::detect(), ctx, a, b, out, m, k, n)
+}
+
+/// [`mm`] on the baseline-target copy of the tile whatever the CPU: the
+/// reference the detected entry is tested against.
+pub fn mm_portable(
+    ctx: &ExecCtx,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    mm_on(None, ctx, a, b, out, m, k, n)
+}
+
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn mm_on(
+    avx2: Option<Avx2>,
+    ctx: &ExecCtx,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    assert_eq!(a.len(), m * k);
+    assert_eq!(b.len(), k * n);
+    assert_eq!(out.len(), m * n);
+    if k == 0 || m * n == 0 {
+        return out.fill(0.0);
+    }
+    let rows = |oblk: &mut [f32], i0: usize| {
+        let arows = &a[i0 * k..][..oblk.len() / n * k];
+        run_block(avx2, arows, b, oblk, k, n, 0, n, n);
+    };
+    if !(ctx.parallel() && m * k * n >= 16_384) {
+        for (bi, oblk) in out.chunks_mut(n * MB).enumerate() {
+            rows(oblk, bi * MB);
+        }
+        return;
     }
     let threads = ctx.intra_op_threads();
     if m >= 2 * threads {
-        // Enough rows: parallelize over row blocks, column-tile inside.
+        // Enough rows: parallelize over row blocks.
         let rows_per = m.div_ceil(4 * threads).clamp(1, MB);
         ctx.install(|| {
             out.par_chunks_mut(n * rows_per)
                 .enumerate()
-                .for_each(|(bi, oblk)| {
-                    for j0 in (0..n).step_by(NB) {
-                        mm_block(a, b, oblk, bi * rows_per, k, n, j0, NB.min(n - j0));
-                    }
-                });
+                .for_each(|(bi, oblk)| rows(oblk, bi * rows_per));
         });
     } else {
         // Few rows (transformer Gemms: m = batch·seq, n large): one task per
         // (row, column-tile) so the pool still fills.
-        let mut tiles: Vec<(usize, usize, &mut [f32])> = Vec::with_capacity(m * n.div_ceil(NB));
-        let mut rest = out.as_mut_slice();
-        let mut i = 0;
-        while !rest.is_empty() {
-            let (mut row, r) = std::mem::take(&mut rest).split_at_mut(n);
-            rest = r;
-            let mut j0 = 0;
-            while !row.is_empty() {
-                let w = NB.min(row.len());
-                let (tile, rr) = std::mem::take(&mut row).split_at_mut(w);
-                tiles.push((i, j0, tile));
-                j0 += w;
-                row = rr;
-            }
-            i += 1;
-        }
+        let tiles: Vec<(usize, usize, &mut [f32])> = out
+            .chunks_mut(n)
+            .enumerate()
+            .flat_map(|(i, row)| {
+                let tiles = row.chunks_mut(NB).enumerate();
+                tiles.map(move |(t, tile)| (i, t * NB, tile))
+            })
+            .collect();
         ctx.install(|| {
             tiles.into_par_iter().for_each(|(i, j0, tile)| {
-                let arow = &a[i * k..(i + 1) * k];
-                let nb = tile.len();
-                for (kk, &av) in arow.iter().enumerate() {
-                    let brow = &b[kk * n + j0..kk * n + j0 + nb];
-                    for (o, &bv) in tile.iter_mut().zip(brow) {
-                        *o += av * bv;
-                    }
-                }
+                let w = tile.len();
+                run_block(avx2, &a[i * k..(i + 1) * k], b, tile, k, n, j0, w, w);
             });
         });
     }
-    out
+}
+
+/// Which matrix of each operand (leading dims `a_batch`, `b_batch`) every
+/// index of their broadcast `batch` shape multiplies, in row-major order.
+pub(crate) fn batch_offsets(
+    a_batch: &[usize],
+    b_batch: &[usize],
+    batch: &[usize],
+) -> Vec<(usize, usize)> {
+    let sa = broadcast_strides(a_batch, batch.len());
+    let sb = broadcast_strides(b_batch, batch.len());
+    let mut offsets = Vec::with_capacity(batch.iter().product());
+    walk_rows(batch, [&sa, &sb], |[oa, ob], len, [ta, tb]| {
+        offsets.extend((0..len).map(|i| (oa + i * ta, ob + i * tb)));
+    });
+    offsets
 }
 
 /// Batched matmul with numpy broadcasting over the leading axes.
@@ -138,25 +284,13 @@ pub fn matmul(ctx: &ExecCtx, a: &Tensor<f32>, b: &Tensor<f32>) -> Result<Tensor<
     out_shape.push(n);
     let mut out = vec![0.0f32; nb * m * n];
 
-    // Per-batch offsets honoring broadcast on the leading dims.
-    let a_batch_shape = &a.shape()[..ra - 2];
-    let b_batch_shape = &b.shape()[..rb - 2];
-    let sa = strides_of(a_batch_shape);
-    let sb = strides_of(b_batch_shape);
-    let mut coords = vec![0usize; batch.len()];
-    for bi in 0..nb {
-        unravel(bi, &batch, &mut coords);
-        let ao = crate::tensor::broadcast_offset(&coords, a_batch_shape, &sa) * m * k1;
-        let bo = crate::tensor::broadcast_offset(&coords, b_batch_shape, &sb) * k1 * n;
-        let res = mm(
-            ctx,
-            &a.data()[ao..ao + m * k1],
-            &b.data()[bo..bo + k1 * n],
-            m,
-            k1,
-            n,
+    let offsets = batch_offsets(&a.shape()[..ra - 2], &b.shape()[..rb - 2], &batch);
+    for ((ao, bo), o) in offsets.into_iter().zip(out.chunks_mut((m * n).max(1))) {
+        let (ad, bd) = (
+            &a.data()[ao * m * k1..][..m * k1],
+            &b.data()[bo * k1 * n..][..k1 * n],
         );
-        out[bi * m * n..(bi + 1) * m * n].copy_from_slice(&res);
+        mm(ctx, ad, bd, o, m, k1, n);
     }
     Tensor::new(out_shape, out)
 }
@@ -191,7 +325,8 @@ pub fn gemm(
     } else {
         w.data()
     };
-    let mut out = mm(ctx, x.data(), wkn, m, k, n);
+    let mut out = vec![0.0f32; m * n];
+    mm(ctx, x.data(), wkn, &mut out, m, k, n);
     if let Some(b) = bias {
         if b.numel() != n {
             return exec_err(format!("Gemm bias length {} != {n}", b.numel()));
@@ -315,7 +450,8 @@ mod tests {
         b[0] = f32::INFINITY; // row kk=0, col 0
         b[1] = f32::NAN; // row kk=0, col 1
         for ctx in [&seq, &par] {
-            let y = mm(ctx, &a, &b, m, k, n);
+            let mut y = vec![f32::NAN; m * n];
+            mm(ctx, &a, &b, &mut y, m, k, n);
             for i in 0..m {
                 assert!(y[i * n].is_nan(), "0·∞ must yield NaN (row {i})");
                 assert!(y[i * n + 1].is_nan(), "0·NaN must yield NaN (row {i})");

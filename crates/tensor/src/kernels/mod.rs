@@ -13,4 +13,3 @@ pub mod norm;
 pub mod pool;
 pub mod quant;
 pub mod reduce;
-pub mod simd;

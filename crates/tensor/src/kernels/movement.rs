@@ -2,7 +2,7 @@
 //! resize, expand, cast. All are generic over the element type where the
 //! semantics allow it; `eval` dispatches per dtype.
 
-use crate::tensor::{broadcast_offset, strides_of, unravel, Tensor};
+use crate::tensor::{broadcast_strides, walk_rows, Tensor};
 use crate::value::Value;
 use crate::{exec_err, Result};
 use ramiel_ir::shape::{broadcast, norm_axis};
@@ -10,6 +10,21 @@ use ramiel_ir::DType;
 
 fn ax(axis: isize, rank: usize) -> Result<usize> {
     norm_axis(axis, rank).map_err(|e| crate::ExecError(e.to_string()))
+}
+
+/// `x` read from `base` through `strides` at every index of `shape`, in
+/// row-major order. Rows that are contiguous in `x` are copied whole.
+fn strided_copy<T: Copy>(x: &[T], base: usize, shape: &[usize], strides: &[usize]) -> Vec<T> {
+    let mut data = Vec::with_capacity(shape.iter().product());
+    walk_rows(shape, [strides], |[off], len, [step]| {
+        let off = base + off;
+        if step == 1 {
+            data.extend_from_slice(&x[off..off + len]);
+        } else {
+            data.extend((0..len).map(|i| x[off + i * step]));
+        }
+    });
+    data
 }
 
 /// Concatenate along `axis`.
@@ -81,8 +96,9 @@ pub fn slice<T: Copy + Default>(
     steps: &[i64],
 ) -> Result<Tensor<T>> {
     let rank = x.rank();
-    let mut start = vec![0i64; rank];
-    let mut step = vec![1i64; rank];
+    let in_strides = x.strides();
+    let mut start = vec![0usize; rank];
+    let mut strides = in_strides.clone();
     let mut extent: Vec<usize> = x.shape().to_vec();
     for (((&axis, &s), &e), &st) in axes.iter().zip(starts).zip(ends).zip(steps) {
         let a = ax(axis, rank)?;
@@ -92,26 +108,22 @@ pub fn slice<T: Copy + Default>(
         let dim = x.shape()[a] as i64;
         let clamp = |v: i64| if v < 0 { v + dim } else { v }.clamp(0, dim);
         let (cs, ce) = (clamp(s), clamp(e.min(dim)));
-        start[a] = cs;
-        step[a] = st;
+        start[a] = cs as usize;
         extent[a] = if ce > cs {
             ((ce - cs + st - 1) / st) as usize
         } else {
             0
         };
+        // An axis of one element is never stepped, and its `st` may be any
+        // i64: keep it out of the stride product.
+        strides[a] = if extent[a] > 1 {
+            st as usize * in_strides[a]
+        } else {
+            0
+        };
     }
-    let numel: usize = extent.iter().product();
-    let in_strides = x.strides();
-    let mut coords = vec![0usize; rank];
-    let mut data = Vec::with_capacity(numel);
-    for idx in 0..numel {
-        unravel(idx, &extent, &mut coords);
-        let mut off = 0usize;
-        for i in 0..rank {
-            off += (start[i] as usize + coords[i] * step[i] as usize) * in_strides[i];
-        }
-        data.push(x.data()[off]);
-    }
+    let base = start.iter().zip(&in_strides).map(|(s, st)| s * st).sum();
+    let data = strided_copy(x.data(), base, &extent, &strides);
     Tensor::new(extent, data)
 }
 
@@ -152,14 +164,7 @@ pub fn transpose<T: Copy + Default>(x: &Tensor<T>, perm: &[usize]) -> Result<Ten
     let out_shape: Vec<usize> = perm.iter().map(|&p| x.shape()[p]).collect();
     let in_strides = x.strides();
     let perm_strides: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
-    let numel = x.numel();
-    let mut coords = vec![0usize; rank];
-    let mut data = Vec::with_capacity(numel);
-    for idx in 0..numel {
-        unravel(idx, &out_shape, &mut coords);
-        let off: usize = coords.iter().zip(&perm_strides).map(|(c, s)| c * s).sum();
-        data.push(x.data()[off]);
-    }
+    let data = strided_copy(x.data(), 0, &out_shape, &perm_strides);
     Tensor::new(out_shape, data)
 }
 
@@ -212,14 +217,8 @@ pub fn expand<T: Copy + Default>(x: &Tensor<T>, target: &[usize]) -> Result<Tens
         Some(s) => s,
         None => return exec_err("Expand target does not broadcast"),
     };
-    let numel: usize = shape.iter().product();
-    let strides = strides_of(x.shape());
-    let mut coords = vec![0usize; shape.len()];
-    let mut data = Vec::with_capacity(numel);
-    for idx in 0..numel {
-        unravel(idx, &shape, &mut coords);
-        data.push(x.data()[broadcast_offset(&coords, x.shape(), &strides)]);
-    }
+    let strides = broadcast_strides(x.shape(), shape.len());
+    let data = strided_copy(x.data(), 0, &shape, &strides);
     Tensor::new(shape, data)
 }
 

@@ -1,10 +1,58 @@
 //! Spatial pooling kernels (NCHW).
 
+use super::conv::{clip, interior};
 use crate::tensor::Tensor;
 use crate::{exec_err, Result};
 use ramiel_ir::PoolSpec;
 
-fn pool_generic(x: &Tensor<f32>, spec: &PoolSpec, is_max: bool) -> Result<Tensor<f32>> {
+/// The first `L` columns of `out`, all with their whole windows in bounds,
+/// folded side by side with the accumulators in registers: `rows` are the
+/// window's input rows, `x0` the first tap of the first column.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn fold_lanes<const L: usize>(
+    rows: std::slice::ChunksExact<'_, f32>,
+    x0: usize,
+    kw: usize,
+    sw: usize,
+    init: f32,
+    fold: &impl Fn(f32, f32) -> f32,
+    finish: impl Fn(f32) -> f32,
+    out: &mut [f32],
+) {
+    let mut acc = [init; L];
+    for xrow in rows {
+        for kx in 0..kw {
+            let taps = &xrow[x0 + kx..][..(L - 1) * sw + 1];
+            if sw == 1 {
+                // Contiguous taps: one vector load, not a gather.
+                for (o, &v) in acc.iter_mut().zip(taps) {
+                    *o = fold(*o, v);
+                }
+            } else {
+                for (l, o) in acc.iter_mut().enumerate() {
+                    *o = fold(*o, taps[l * sw]);
+                }
+            }
+        }
+    }
+    for (o, acc) in out[..L].iter_mut().zip(acc) {
+        *o = finish(acc);
+    }
+}
+
+/// One pooling pass. Every output element folds its in-bounds taps into
+/// `init` with `fold` in ascending (`ky`, `kx`) order and is then finished
+/// with the tap count; a window wholly in padding yields 0. Tap ranges are
+/// clipped once per output row and column, so no tap is bounds-tested, and
+/// the columns whose whole window is in bounds go through [`fold_lanes`].
+fn pool_generic(
+    x: &Tensor<f32>,
+    spec: &PoolSpec,
+    init: f32,
+    fold: impl Fn(f32, f32) -> f32,
+    finish: impl Fn(f32, usize) -> f32,
+) -> Result<Tensor<f32>> {
     if x.rank() != 4 {
         return exec_err("pooling expects NCHW input");
     }
@@ -25,48 +73,44 @@ fn pool_generic(x: &Tensor<f32>, spec: &PoolSpec, is_max: bool) -> Result<Tensor
     let (kh, kw) = spec.kernel;
     let (sh, sw) = spec.stride;
     let (ph, pw) = spec.pads;
+    let (ox_lo, ox_hi, lanes) = interior(w, kw, sw, pw, wo);
+    let finish = |acc: f32, count: usize| if count == 0 { 0.0 } else { finish(acc, count) };
     let mut out = vec![0.0f32; n * c * ho * wo];
-    for img in 0..n * c {
-        let xi = &x.data()[img * h * w..(img + 1) * h * w];
-        let oi = &mut out[img * ho * wo..(img + 1) * ho * wo];
-        for oy in 0..ho {
-            for ox in 0..wo {
-                let iy0 = (oy * sh) as isize - ph as isize;
-                let ix0 = (ox * sw) as isize - pw as isize;
-                let mut acc = if is_max { f32::NEG_INFINITY } else { 0.0 };
-                let mut count = 0usize;
-                for ky in 0..kh {
-                    let iy = iy0 + ky as isize;
-                    if iy < 0 || iy as usize >= h {
-                        continue;
-                    }
-                    for kx in 0..kw {
-                        let ix = ix0 + kx as isize;
-                        if ix < 0 || ix as usize >= w {
-                            continue;
-                        }
-                        let v = xi[iy as usize * w + ix as usize];
-                        if is_max {
-                            acc = acc.max(v);
-                        } else {
-                            acc += v;
-                        }
-                        count += 1;
+    if h * w == 0 {
+        // Every window lies wholly in padding.
+        return Tensor::new(vec![n, c, ho, wo], out);
+    }
+    for (xi, oi) in x.data().chunks(h * w).zip(out.chunks_mut(ho * wo)) {
+        for (oy, orow) in oi.chunks_mut(wo).enumerate() {
+            let (iy_lo, iy_hi) = clip((oy * sh) as isize - ph as isize, kh, h);
+            let xrows = || xi[iy_lo * w..iy_hi * w].chunks_exact(w);
+            // Interior columns, eight or four at a time. A short last chunk
+            // moves back to overlap its predecessor: a recomputed output is
+            // stored with the same value.
+            let mut ox = ox_lo;
+            while lanes > 0 && ox < ox_hi {
+                let start = ox.min(ox_hi - lanes);
+                let x0 = start * sw - pw;
+                let done = |acc| finish(acc, (iy_hi - iy_lo) * kw);
+                let out = &mut orow[start..];
+                if lanes == 8 {
+                    fold_lanes::<8>(xrows(), x0, kw, sw, init, &fold, done, out);
+                } else {
+                    fold_lanes::<4>(xrows(), x0, kw, sw, init, &fold, done, out);
+                }
+                ox = start + lanes;
+            }
+            // Border columns, and the interior of a map narrower than four:
+            // one output at a time over its clipped window.
+            for ox in (0..ox_lo).chain(ox..wo) {
+                let (ix_lo, ix_hi) = clip((ox * sw) as isize - pw as isize, kw, w);
+                let mut acc = init;
+                for xrow in xrows() {
+                    for &v in &xrow[ix_lo..ix_hi] {
+                        acc = fold(acc, v);
                     }
                 }
-                oi[oy * wo + ox] = if is_max {
-                    if count == 0 {
-                        0.0
-                    } else {
-                        acc
-                    }
-                } else if count == 0 {
-                    0.0
-                } else {
-                    // ONNX count_include_pad=0 semantics: average over the
-                    // in-bounds window only.
-                    acc / count as f32
-                };
+                orow[ox] = finish(acc, (iy_hi - iy_lo) * (ix_hi - ix_lo));
             }
         }
     }
@@ -75,12 +119,20 @@ fn pool_generic(x: &Tensor<f32>, spec: &PoolSpec, is_max: bool) -> Result<Tensor
 
 /// Max pooling.
 pub fn max_pool(x: &Tensor<f32>, spec: &PoolSpec) -> Result<Tensor<f32>> {
-    pool_generic(x, spec, true)
+    pool_generic(x, spec, f32::NEG_INFINITY, f32::max, |acc, _| acc)
 }
 
 /// Average pooling (padding excluded from the divisor).
 pub fn avg_pool(x: &Tensor<f32>, spec: &PoolSpec) -> Result<Tensor<f32>> {
-    pool_generic(x, spec, false)
+    // ONNX count_include_pad=0 semantics: average over the in-bounds
+    // window only.
+    pool_generic(
+        x,
+        spec,
+        0.0,
+        |acc, v| acc + v,
+        |acc, count| acc / count as f32,
+    )
 }
 
 /// Global average pooling: NCHW → NC11.

@@ -21,9 +21,10 @@
 //! *across executors* for a fixed plan. Against the f32 backends it is only
 //! tolerance-close; `tests/quant_conformance.rs` pins both properties.
 
+use super::gemm::batch_offsets;
 use crate::ctx::ExecCtx;
 use crate::kernels::conv::ConvSpec;
-use crate::tensor::{strides_of, unravel, Tensor};
+use crate::tensor::Tensor;
 use crate::{exec_err, Result};
 use ramiel_ir::shape::broadcast;
 use rayon::prelude::*;
@@ -179,15 +180,9 @@ pub fn matmul_q(ctx: &ExecCtx, a: &Tensor<f32>, b: &Tensor<f32>) -> Result<Tenso
     let scale = sa * sb;
     let mut out = vec![0.0f32; nb * m * n];
 
-    let a_batch_shape = &a.shape()[..ra - 2];
-    let b_batch_shape = &b.shape()[..rb - 2];
-    let sas = strides_of(a_batch_shape);
-    let sbs = strides_of(b_batch_shape);
-    let mut coords = vec![0usize; batch.len()];
-    for bi in 0..nb {
-        unravel(bi, &batch, &mut coords);
-        let ao = crate::tensor::broadcast_offset(&coords, a_batch_shape, &sas) * m * k1;
-        let bo = crate::tensor::broadcast_offset(&coords, b_batch_shape, &sbs) * k1 * n;
+    let offsets = batch_offsets(&a.shape()[..ra - 2], &b.shape()[..rb - 2], &batch);
+    for (bi, (ao, bo)) in offsets.into_iter().enumerate() {
+        let (ao, bo) = (ao * m * k1, bo * k1 * n);
         let res = mm_i8(
             ctx,
             &aq[ao..ao + m * k1],
@@ -203,9 +198,8 @@ pub fn matmul_q(ctx: &ExecCtx, a: &Tensor<f32>, b: &Tensor<f32>) -> Result<Tenso
 }
 
 /// One quantized output image: i32 accumulation over all taps, one
-/// dequantize + bias add at the end. Mirrors the f32 `conv_one_output`
-/// loop structure (borders clipped per tap, zero-point 0 makes padding
-/// exact).
+/// dequantize + bias add at the end. Borders are tested per tap;
+/// zero-point 0 makes padding exact.
 #[allow(clippy::too_many_arguments)]
 fn conv_one_output_i8(
     x: &[i8],

@@ -1,6 +1,6 @@
 //! Reduction kernels.
 
-use crate::tensor::{strides_of, unravel, Tensor};
+use crate::tensor::{broadcast_strides, walk_rows, Tensor};
 use crate::Result;
 use ramiel_ir::shape::norm_axis;
 
@@ -27,17 +27,27 @@ pub fn reduce_mean(x: &Tensor<f32>, axes: &[isize], keepdims: bool) -> Result<Te
         .map(|(_, &d)| d)
         .product();
     let mut acc = vec![0.0f32; out_numel];
-    let out_strides = strides_of(&out_shape_kept);
-    let mut coords = vec![0usize; rank];
-    for idx in 0..x.numel() {
-        unravel(idx, x.shape(), &mut coords);
-        let mut off = 0;
-        for i in 0..rank {
-            let c = if reduce[i] { 0 } else { coords[i] };
-            off += c * out_strides[i];
+    // Walk the input in index order; a reduced axis (extent 1 in the kept
+    // shape, so stride 0) does not move the output offset. Every output
+    // element still receives its addends in ascending input index, one add
+    // each.
+    let out_strides = broadcast_strides(&out_shape_kept, rank);
+    let mut idx = 0;
+    walk_rows(x.shape(), [&out_strides], |[off], len, [step]| {
+        let row = &x.data()[idx..idx + len];
+        idx += len;
+        if step == 0 {
+            let mut sum = acc[off];
+            for &v in row {
+                sum += v;
+            }
+            acc[off] = sum;
+        } else {
+            for (o, &v) in acc[off..off + len].iter_mut().zip(row) {
+                *o += v;
+            }
         }
-        acc[off] += x.data()[idx];
-    }
+    });
     let inv = 1.0 / reduced_count.max(1) as f32;
     for v in &mut acc {
         *v *= inv;

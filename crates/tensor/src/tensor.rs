@@ -174,29 +174,96 @@ pub fn strides_of(shape: &[usize]) -> Vec<usize> {
     strides
 }
 
-/// Convert a linear index into per-axis coordinates for `shape`.
-pub fn unravel(mut idx: usize, shape: &[usize], coords: &mut [usize]) {
-    for i in (0..shape.len()).rev() {
-        coords[i] = idx % shape[i];
-        idx /= shape[i];
+/// Strides that read a tensor of `shape` at coordinates of a `rank`-axis
+/// index space it broadcasts into: right-aligned, and 0 on every axis the
+/// tensor does not have or has with extent 1.
+pub fn broadcast_strides(shape: &[usize], rank: usize) -> Vec<usize> {
+    let lead = rank - shape.len();
+    let mut out = vec![0usize; rank];
+    for ((o, &d), st) in out[lead..].iter_mut().zip(shape).zip(strides_of(shape)) {
+        if d != 1 {
+            *o = st;
+        }
+    }
+    out
+}
+
+/// Row-major walk of the index space `shape` that carries `N` linear
+/// offsets along, one per stride set — an odometer: stepping an axis is one
+/// add per offset and a carry one subtract, so no element pays a div/mod
+/// per axis.
+///
+/// `row(offsets, len, steps)` is called once per index of the outer axes
+/// (all but the last), in row-major order. The caller runs the innermost
+/// axis itself: element `i < len` of the row sits at
+/// `offsets[s] + i * steps[s]`. A rank-0 shape is one row of one element; a
+/// shape with a zero extent has no rows.
+pub fn walk_rows<const N: usize>(
+    shape: &[usize],
+    strides: [&[usize]; N],
+    mut row: impl FnMut([usize; N], usize, [usize; N]),
+) {
+    let Some((&len, outer)) = shape.split_last() else {
+        return row([0; N], 1, [0; N]);
+    };
+    if shape.contains(&0) {
+        return;
+    }
+    let steps = strides.map(|s| s[outer.len()]);
+    let mut coords = vec![0usize; outer.len()];
+    let mut offs = [0usize; N];
+    loop {
+        row(offs, len, steps);
+        let mut ax = outer.len();
+        loop {
+            if ax == 0 {
+                return;
+            }
+            ax -= 1;
+            coords[ax] += 1;
+            for (o, s) in offs.iter_mut().zip(&strides) {
+                *o += s[ax];
+            }
+            if coords[ax] < outer[ax] {
+                break;
+            }
+            coords[ax] = 0;
+            for (o, s) in offs.iter_mut().zip(&strides) {
+                *o -= s[ax] * outer[ax];
+            }
+        }
     }
 }
 
-/// Linear offset of `coords` within a tensor of the given strides, where
-/// `coords` may be longer than `strides` (leading axes are broadcast away)
-/// and any axis with extent 1 contributes 0.
-pub fn broadcast_offset(coords: &[usize], shape: &[usize], strides: &[usize]) -> usize {
-    let lead = coords.len() - shape.len();
-    let mut off = 0;
-    for (i, (&s, &st)) in shape.iter().zip(strides).enumerate() {
-        let c = if s == 1 { 0 } else { coords[lead + i] };
-        off += c * st;
+/// The per-element index arithmetic [`walk_rows`] replaced, kept as the
+/// reference the walker-based kernels are unit-tested against.
+#[cfg(test)]
+pub(crate) mod reference {
+    /// Convert a linear index into per-axis coordinates for `shape`.
+    pub fn unravel(mut idx: usize, shape: &[usize], coords: &mut [usize]) {
+        for i in (0..shape.len()).rev() {
+            coords[i] = idx % shape[i];
+            idx /= shape[i];
+        }
     }
-    off
+
+    /// Linear offset of `coords` within a tensor of the given strides, where
+    /// `coords` may be longer than `strides` (leading axes are broadcast
+    /// away) and any axis with extent 1 contributes 0.
+    pub fn broadcast_offset(coords: &[usize], shape: &[usize], strides: &[usize]) -> usize {
+        let lead = coords.len() - shape.len();
+        let mut off = 0;
+        for (i, (&s, &st)) in shape.iter().zip(strides).enumerate() {
+            let c = if s == 1 { 0 } else { coords[lead + i] };
+            off += c * st;
+        }
+        off
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{broadcast_offset, unravel};
     use super::*;
 
     #[test]
@@ -237,6 +304,44 @@ mod tests {
         let shape2 = [3usize];
         let st2 = strides_of(&shape2);
         assert_eq!(broadcast_offset(&[1, 2], &shape2, &st2), 2);
+    }
+
+    #[test]
+    fn walk_rows_tracks_every_offset_in_row_major_order() {
+        // A transposed view and a broadcast operand walked together.
+        let shape = [2usize, 3, 4];
+        let transposed = [1usize, 8, 2]; // strides of a [3, 4, 2]-ish layout
+        let small = [1usize, 4];
+        let bcast = broadcast_strides(&small, 3);
+        assert_eq!(bcast, vec![0, 0, 1]);
+        let mut seen = Vec::new();
+        walk_rows(&shape, [&transposed, &bcast], |offs, len, steps| {
+            for i in 0..len {
+                seen.push([offs[0] + i * steps[0], offs[1] + i * steps[1]]);
+            }
+        });
+        let mut coords = [0usize; 3];
+        let want: Vec<[usize; 2]> = (0..24)
+            .map(|idx| {
+                unravel(idx, &shape, &mut coords);
+                [
+                    coords.iter().zip(&transposed).map(|(c, s)| c * s).sum(),
+                    broadcast_offset(&coords, &small, &strides_of(&small)),
+                ]
+            })
+            .collect();
+        assert_eq!(seen, want);
+    }
+
+    #[test]
+    fn walk_rows_rank_zero_is_one_element_and_empty_shapes_have_no_rows() {
+        let mut rows = Vec::new();
+        walk_rows(&[], [&[]], |offs, len, steps| rows.push((offs, len, steps)));
+        assert_eq!(rows, vec![([0], 1, [0])]);
+        for shape in [&[0usize][..], &[3, 0], &[0, 3]] {
+            let strides = strides_of(shape);
+            walk_rows(shape, [&strides], |_, _, _| panic!("{shape:?} has no rows"));
+        }
     }
 
     #[test]

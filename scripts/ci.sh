@@ -21,6 +21,13 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
 echo "==> cargo test (--no-fail-fast: one red binary must not hide the ones after it)"
 cargo test --offline --no-fail-fast
 
+# The tensor kernels again with optimisations on: the `#[target_feature]`
+# entry of the GEMM tile and the conv kernel is inlined and vectorised only
+# in release builds, and its bit-identity with the portable entry is what
+# `kernel_props` pins.
+echo "==> cargo test -p ramiel-tensor --release (the AVX2 entry as it ships)"
+cargo test --offline --release -p ramiel-tensor
+
 # Liveness gate: the differential + chaos suites exercise every executor's
 # failure paths (worker panics, dropped messages, timeouts). Their contract
 # is bounded termination, so a hang IS the regression — run them again
@@ -43,11 +50,12 @@ RAMIEL_CONFORMANCE_CASES="${RAMIEL_CONFORMANCE_CASES:-250}" \
     timeout --kill-after=30s 600s \
     cargo test --offline -p ramiel --test steal_conformance
 
-# Kernel-backend conformance gate. The f32 SIMD backend is covered by the
-# differential suite above (it is bit-identical to scalar by construction,
-# so the executor table exercises it unchanged); the i8 quantized
-# backend has a different contract — tolerance-close to f32, bit-identical
-# *across executors* — pinned by its own suite on all 8 model generators.
+# Kernel-backend conformance gate. The f32 backend is the differential
+# suite's subject (one accumulation chain per output element on either
+# compiled entry, pinned at kernel level by `kernel_props`); the i8
+# quantized backend has a different contract — tolerance-close to f32,
+# bit-identical *across executors* — pinned by its own suite on all 8
+# model generators.
 # Same hard timeout discipline: a wedged executor under QuantI8 is a
 # failing exit code, not a stuck job.
 echo "==> quant backend conformance gate (8 models x executors)"
@@ -215,13 +223,13 @@ CARGO_TARGET_DIR="$PWD/target" timeout --kill-after=30s 600s \
 # Bench guards, release profile: bench_json exits nonzero if any of its
 # embedded regression guards trip — notably the batch-1 work-stealing guard
 # (stealing must beat sequential on every model; min-of-iters on both sides
-# so scheduler noise can't decide it), the SIMD backend guard (f32x8
-# microkernels >= 1.3x scalar on BERT's dominant Gemm shapes, interleaved
-# median so host frequency swings hit all backends alike), plus the
-# memory-soundness, zero-copy, and serve-throughput guards. The JSON
+# so scheduler noise can't decide it), the GEMM guard (`gemm::mm` >= 2x a
+# naive triple loop on BERT's qkv and ffn shapes, interleaved minimum so
+# host frequency swings hit both sides alike), plus the memory-soundness,
+# zero-copy, and serve-throughput guards. The JSON
 # itself is a throwaway here; the dated snapshots come from
 # scripts/bench.sh.
-echo "==> bench guards (stealing at batch 1, SIMD >= 1.3x, memory, zero-copy, serve)"
+echo "==> bench guards (stealing at batch 1, gemm::mm >= 2x naive, memory, zero-copy, serve)"
 cargo build --release --offline -p ramiel-bench --bin bench_json
 timeout --kill-after=30s 600s \
     ./target/release/bench_json target/ci-bench.json --iters 3

@@ -153,6 +153,33 @@ fn profile_emits_valid_trace_and_reports() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A model given by path used to name its trace `<out>/<path>-trace.json`,
+/// a directory that does not exist; the trace is named after the file stem.
+#[test]
+fn profile_of_a_model_file_writes_its_trace_into_out() {
+    let root = std::env::temp_dir().join(format!("ramiel_cli_prof_path_{}", std::process::id()));
+    let models = root.join("models");
+    std::fs::create_dir_all(&models).expect("create model dir");
+    let model = models.join("squeeze.onnx");
+    let model_s = model.to_str().expect("utf8 model path");
+    let (ok, _, stderr) = run(&["export", "squeezenet", model_s, "--tiny"]);
+    assert!(ok, "stderr: {stderr}");
+    let out = root.join("prof"); // does not exist yet
+    let (ok, stdout, stderr) = run(&[
+        "profile",
+        model_s,
+        "--out",
+        out.to_str().expect("utf8 out dir"),
+    ]);
+    assert!(ok, "stderr: {stderr}\nstdout: {stdout}");
+    let trace = std::fs::read_to_string(out.join("squeeze-trace.json")).expect("trace written");
+    let parsed: serde_json::Value = serde_json::from_str(&trace).expect("trace parses");
+    let events = parsed["traceEvents"].as_array().expect("traceEvents array");
+    assert!(!events.is_empty());
+    assert!(trace.contains("sequential executor"), "executor tracks");
+    std::fs::remove_dir_all(&root).ok();
+}
+
 #[test]
 fn export_then_compile_from_file() {
     let path = std::env::temp_dir().join(format!("ramiel_cli_model_{}.json", std::process::id()));

@@ -114,28 +114,6 @@ fn first_bit_divergence(expect: &Env, got: &Env) -> Option<(String, String)> {
     None
 }
 
-/// The SimdF32 backend's whole point of discipline: lane-unrolled, never
-/// reassociated, so a full model run is *bit-identical* to ScalarF32 —
-/// every Gemm/MatMul/Conv through the f32x8 microkernels included. This is
-/// the end-to-end statement of the kernel-level proptests, and the reason
-/// the differential suite's executor table needs no SimdF32 variant.
-#[test]
-fn simd_backend_is_bit_identical_to_scalar_on_all_models() {
-    let cfg = ModelConfig::tiny();
-    let sctx = ExecCtx::sequential();
-    let vctx = sctx.with_backend(KernelBackend::SimdF32);
-    for kind in ModelKind::all() {
-        let model = kind.name();
-        let g = build(kind, &cfg);
-        let inputs = synth_inputs(&g, 23);
-        let scalar = run_sequential(&g, &inputs, &sctx).unwrap();
-        let simd = run_sequential(&g, &inputs, &vctx).unwrap();
-        if let Some((tensor, why)) = first_bit_divergence(&scalar, &simd) {
-            panic!("{model}: SimdF32 not bit-identical to ScalarF32: `{tensor}`: {why}");
-        }
-    }
-}
-
 /// QuantI8 sequential tracks f32 sequential within the range-relative
 /// budget, on every built-in model generator.
 #[test]
