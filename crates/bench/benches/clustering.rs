@@ -57,7 +57,7 @@ fn bench_cluster_merging(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_table1_report(c: &mut Criterion) {
+fn bench_parallelism_report(c: &mut Criterion) {
     let g = build(ModelKind::InceptionV4, &ModelConfig::full());
     c.bench_function("parallelism_report/inception_v4", |b| {
         b.iter(|| parallelism_report(black_box(&g), &StaticCost));
@@ -96,7 +96,7 @@ criterion_group!(
     bench_distance_pass,
     bench_linear_clustering,
     bench_cluster_merging,
-    bench_table1_report,
+    bench_parallelism_report,
     bench_full_clustering,
     bench_pruning
 );

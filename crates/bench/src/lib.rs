@@ -610,198 +610,3 @@ pub fn memory_table() -> Vec<MemoryRow> {
         })
         .collect()
 }
-
-// ---------------------------------------------------------------------------
-// Closed-loop serving load generator
-// ---------------------------------------------------------------------------
-
-/// Latency/throughput report from one [`closed_loop_load`] run.
-#[derive(Debug, Clone)]
-pub struct LoadReport {
-    /// Requests answered with outputs.
-    pub completed: u64,
-    /// Requests answered with an error (shed, failed, …).
-    pub failed: u64,
-    /// Responses that did not match the precomputed sequential baseline.
-    pub mismatches: u64,
-    pub elapsed_s: f64,
-    pub throughput_rps: f64,
-    pub p50_ms: f64,
-    pub p99_ms: f64,
-    /// Mean achieved batch size, from the server's own counters.
-    pub mean_batch: f64,
-}
-
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ms.len() as f64 - 1.0) * p).round() as usize;
-    sorted_ms[idx.min(sorted_ms.len() - 1)]
-}
-
-/// Closed-loop load: `concurrency` client threads each issue `per_client`
-/// inferences back-to-back (next request only after the previous answer —
-/// the classic closed loop, so offered load tracks service rate instead of
-/// overrunning the queue). Thread `t`'s request `i` uses input seed
-/// `t * 100_000 + i`; when `expected` holds a baseline for that seed the
-/// response is compared bit-for-bit and divergence is counted, never
-/// ignored.
-pub fn closed_loop_load(
-    server: &std::sync::Arc<ramiel_serve::Server>,
-    model: &str,
-    graph: &ramiel_ir::Graph,
-    expected: &std::sync::Arc<std::collections::HashMap<u64, Env>>,
-    concurrency: usize,
-    per_client: usize,
-) -> LoadReport {
-    use std::sync::Arc;
-    let graph = Arc::new(graph.clone());
-    let started = Instant::now();
-    let mut handles = Vec::new();
-    for t in 0..concurrency as u64 {
-        let server = Arc::clone(server);
-        let graph = Arc::clone(&graph);
-        let expected = Arc::clone(expected);
-        let model = model.to_string();
-        handles.push(std::thread::spawn(move || {
-            let mut latencies_ms = Vec::with_capacity(per_client);
-            let (mut completed, mut failed, mut mismatches) = (0u64, 0u64, 0u64);
-            for i in 0..per_client as u64 {
-                let seed = t * 100_000 + i;
-                let inputs = synth_inputs(&graph, seed);
-                let start = Instant::now();
-                match server.infer(&model, inputs) {
-                    Ok(out) => {
-                        latencies_ms.push(start.elapsed().as_secs_f64() * 1e3);
-                        completed += 1;
-                        if let Some(want) = expected.get(&seed) {
-                            if *want != out {
-                                mismatches += 1;
-                            }
-                        }
-                    }
-                    Err(_) => failed += 1,
-                }
-            }
-            (latencies_ms, completed, failed, mismatches)
-        }));
-    }
-    let mut latencies_ms = Vec::new();
-    let (mut completed, mut failed, mut mismatches) = (0u64, 0u64, 0u64);
-    for h in handles {
-        let (lat, c, f, m) = h.join().expect("load client");
-        latencies_ms.extend(lat);
-        completed += c;
-        failed += f;
-        mismatches += m;
-    }
-    let elapsed_s = started.elapsed().as_secs_f64();
-    latencies_ms.sort_by(|a, b| a.total_cmp(b));
-    LoadReport {
-        completed,
-        failed,
-        mismatches,
-        elapsed_s,
-        throughput_rps: completed as f64 / elapsed_s.max(1e-9),
-        p50_ms: percentile(&latencies_ms, 0.50),
-        p99_ms: percentile(&latencies_ms, 0.99),
-        mean_batch: server.stats().mean_batch,
-    }
-}
-
-/// Closed-loop load against **batch-1 per-request execution**: the same
-/// client threads and seeds as [`closed_loop_load`], but each request runs
-/// the parallel executor directly — fresh worker threads per call, exactly
-/// what `ramiel run` (and a naive server looping over it) does per
-/// inference. This is the baseline the serving layer's standing pool and
-/// dynamic batching are measured against.
-pub fn per_request_load(
-    graph: &ramiel_ir::Graph,
-    clustering: &ramiel_cluster::Clustering,
-    expected: &std::sync::Arc<std::collections::HashMap<u64, Env>>,
-    concurrency: usize,
-    per_client: usize,
-) -> LoadReport {
-    use std::sync::Arc;
-    let graph = Arc::new(graph.clone());
-    let clustering = Arc::new(clustering.clone());
-    let started = Instant::now();
-    let mut handles = Vec::new();
-    for t in 0..concurrency as u64 {
-        let graph = Arc::clone(&graph);
-        let clustering = Arc::clone(&clustering);
-        let expected = Arc::clone(expected);
-        handles.push(std::thread::spawn(move || {
-            let ctx = ExecCtx::sequential();
-            let mut latencies_ms = Vec::with_capacity(per_client);
-            let (mut completed, mut failed, mut mismatches) = (0u64, 0u64, 0u64);
-            for i in 0..per_client as u64 {
-                let seed = t * 100_000 + i;
-                let inputs = synth_inputs(&graph, seed);
-                let start = Instant::now();
-                match run(
-                    &graph,
-                    &*clustering,
-                    from_ref(&inputs),
-                    &ctx,
-                    &RunOptions::default(),
-                )
-                .single()
-                {
-                    Ok(out) => {
-                        latencies_ms.push(start.elapsed().as_secs_f64() * 1e3);
-                        completed += 1;
-                        if let Some(want) = expected.get(&seed) {
-                            if *want != out {
-                                mismatches += 1;
-                            }
-                        }
-                    }
-                    Err(_) => failed += 1,
-                }
-            }
-            (latencies_ms, completed, failed, mismatches)
-        }));
-    }
-    let mut latencies_ms = Vec::new();
-    let (mut completed, mut failed, mut mismatches) = (0u64, 0u64, 0u64);
-    for h in handles {
-        let (lat, c, f, m) = h.join().expect("baseline client");
-        latencies_ms.extend(lat);
-        completed += c;
-        failed += f;
-        mismatches += m;
-    }
-    let elapsed_s = started.elapsed().as_secs_f64();
-    latencies_ms.sort_by(|a, b| a.total_cmp(b));
-    LoadReport {
-        completed,
-        failed,
-        mismatches,
-        elapsed_s,
-        throughput_rps: completed as f64 / elapsed_s.max(1e-9),
-        p50_ms: percentile(&latencies_ms, 0.50),
-        p99_ms: percentile(&latencies_ms, 0.99),
-        mean_batch: 1.0,
-    }
-}
-
-/// Sequential-executor baseline outputs for every seed [`closed_loop_load`]
-/// will hit — the bit-identity reference.
-pub fn baseline_outputs(
-    graph: &ramiel_ir::Graph,
-    concurrency: usize,
-    per_client: usize,
-) -> std::collections::HashMap<u64, Env> {
-    let ctx = ExecCtx::sequential();
-    let mut map = std::collections::HashMap::new();
-    for t in 0..concurrency as u64 {
-        for i in 0..per_client as u64 {
-            let seed = t * 100_000 + i;
-            let out = run_sequential(graph, &synth_inputs(graph, seed), &ctx).expect("baseline");
-            map.insert(seed, out);
-        }
-    }
-    map
-}

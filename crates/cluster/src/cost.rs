@@ -171,14 +171,6 @@ pub struct MeasuredCost {
     per_kind: HashMap<String, u64>,
     /// Nanoseconds represented by one cost unit.
     ns_per_unit: u64,
-    /// Kernel backend the samples were measured under (`"scalar"`,
-    /// `"quant-i8"`), as a plain label so this crate stays free of a
-    /// tensor dependency. Per-node times shift by different ratios across
-    /// backends (i8 changes Gemm-heavy nodes far more than elementwise
-    /// ones), so a clustering tuned from one backend's profile
-    /// is stale for another; carrying the label makes the mismatch
-    /// detectable instead of silent.
-    backend: Option<String>,
     fallback: StaticCost,
 }
 
@@ -213,20 +205,8 @@ impl MeasuredCost {
             per_node,
             per_kind,
             ns_per_unit,
-            backend: None,
             fallback: StaticCost,
         }
-    }
-
-    /// Label the samples with the kernel backend they were measured under.
-    pub fn with_backend(mut self, name: impl Into<String>) -> MeasuredCost {
-        self.backend = Some(name.into());
-        self
-    }
-
-    /// Kernel backend the profile was measured under, if recorded.
-    pub fn backend(&self) -> Option<&str> {
-        self.backend.as_deref()
     }
 
     /// Nanoseconds represented by one cost unit.

@@ -70,12 +70,6 @@
 //! dynamic schedule's estimate-only view (sound first-ready memory bound,
 //! no channel lints — the executor has no channels to lint).
 //!
-//! `--backend <scalar|quant-i8>` (`run`, `serve`, `analyze`) picks the
-//! kernel backend: `scalar` (default) the f32 kernels, `quant-i8`
-//! per-tensor symmetric int8 with dequantized f32 outputs (within
-//! tolerance of f32, not bit-identical). Under `analyze`, `--backend quant-i8` additionally
-//! reports the resident bytes of the per-plan quantized weight cache.
-//!
 //! `ramiel check` runs the pipeline, then statically verifies the resulting
 //! `(graph, schedule)` pair with `ramiel-verify`: partition coverage, cycle
 //! analysis, in-order soundness, channel deadlock-freedom, shape honesty,
@@ -92,7 +86,7 @@ use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_runtime::{
     run, run_sequential, run_sequential_opts, synth_inputs, Engine, Env, RunOptions, Schedule,
 };
-use ramiel_tensor::{ExecCtx, KernelBackend};
+use ramiel_tensor::ExecCtx;
 use std::process::ExitCode;
 use std::slice::from_ref;
 use std::sync::Arc;
@@ -149,7 +143,6 @@ struct Flags {
     stealing: bool,
     interval_ms: u64,
     frames: usize,
-    backend: Option<KernelBackend>,
     sha256: Option<String>,
     cache: Option<String>,
     onnx: bool,
@@ -186,7 +179,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         stealing: false,
         interval_ms: 1000,
         frames: 0,
-        backend: None,
         sha256: None,
         cache: None,
         onnx: false,
@@ -305,13 +297,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                     "stealing" => true,
                     other => return Err(format!("unknown executor `{other}` (channel|stealing)")),
                 }
-            }
-            "--backend" => {
-                let v = value("--backend")?;
-                f.backend = Some(
-                    KernelBackend::parse(&v)
-                        .ok_or_else(|| format!("unknown backend `{v}` (scalar|quant-i8)"))?,
-                )
             }
             "--scheduler" => {
                 f.scheduler = match value("--scheduler")?.as_str() {
@@ -454,14 +439,10 @@ fn cmd_run(model: &str, f: &Flags) -> Result<(), String> {
         .map(|b| synth_inputs(&c.graph, 42 + b as u64))
         .collect();
     let ctx = ExecCtx::with_intra_op(f.intra_op);
-    let mut run_opts = prepared.run_options();
-    run_opts.backend = f.backend;
+    let run_opts = prepared.run_options();
 
     if let Some(seed) = f.chaos_seed {
         return cmd_run_chaos(c, schedule, &inputs, &ctx, run_opts, seed, f);
-    }
-    if let Some(b) = f.backend {
-        println!("kernel backend: {b}");
     }
 
     let time_it = |label: &str, body: &dyn Fn() -> Result<(), String>| -> Result<(), String> {
@@ -557,9 +538,7 @@ fn cmd_run_chaos(
         println!("    [{}] {e}", e.code());
     }
     let outs = r.outputs.map_err(|e| format!("[{}] {e}", e.code()))?;
-    // Baseline with the same backend (and no injector): QuantI8 output
-    // legitimately differs from scalar f32, so comparing across backends
-    // would be a false divergence.
+    // Baseline with the same options, minus the injector.
     for (inp, out) in inputs.iter().zip(&outs) {
         let baseline =
             run_sequential_opts(&c.graph, inp, ctx, &base_opts).map_err(|e| e.to_string())?;
@@ -610,21 +589,15 @@ fn cmd_profile(model: &str, f: &Flags) -> Result<(), String> {
 
     let ctx = ExecCtx::with_intra_op(f.intra_op);
     let inputs = synth_inputs(&c.graph, 42);
-    // All four lanes profile under the same backend, so the divergence
-    // checks compare like for like (i8 is deterministic across executors).
-    let with_backend = |o: ramiel_runtime::RunOptions| match f.backend {
-        Some(b) => o.backend(b),
-        None => o,
-    };
 
-    let seq_opts = with_backend(prepared.run_options().obs(obs.with_pid(2)));
+    let seq_opts = prepared.run_options().obs(obs.with_pid(2));
     let (seq_out, seq_db) = run_sequential_profiled(&c.graph, &inputs, &ctx, &seq_opts)
         .map_err(|e| format!("sequential: {e}"))?;
     seq_db.export_to_obs(&obs.with_pid(2), &c.graph);
 
     // A profiled one-shot channel run: outputs plus its ProfileDb.
     let profiled = |label: &str, schedule: Schedule<'_>, inputs: &[Env], pid: u32| {
-        let opts = with_backend(prepared.run_options().obs(obs.with_pid(pid))).profile(true);
+        let opts = prepared.run_options().obs(obs.with_pid(pid)).profile(true);
         let r = run(&c.graph, schedule, inputs, &ctx, &opts);
         let outs = r.outputs.map_err(|e| format!("{label}: {e}"))?;
         let db = r.profile.expect("a profiled channel run returns its db");
@@ -647,7 +620,7 @@ fn cmd_profile(model: &str, f: &Flags) -> Result<(), String> {
     profiled("hyper", (&hc).into(), &batch_inputs, 4)?;
 
     // The standing pool: one profiled job on workers that outlive it.
-    let pool_opts = with_backend(prepared.run_options().obs(obs.with_pid(5)));
+    let pool_opts = prepared.run_options().obs(obs.with_pid(5));
     let plan1 = PlannedBatch::new(&c.graph, ramiel_cluster::hypercluster(&c.clustering, 1))
         .map(Arc::new)
         .map_err(|e| format!("pool: {e}"))?;
@@ -685,11 +658,10 @@ fn cmd_profile(model: &str, f: &Flags) -> Result<(), String> {
     let tuned = simulate_clustering(&c.graph, &reclustered, &measured, &sim_cfg)
         .map_err(|e| e.to_string())?;
     println!(
-        "profile-guided reclustering ({} of {} nodes sampled, {} ns/unit, {} backend):",
+        "profile-guided reclustering ({} of {} nodes sampled, {} ns/unit):",
         measured.sampled_nodes(),
         c.graph.num_nodes(),
         measured.ns_per_unit(),
-        measured.backend().unwrap_or("unknown")
     );
     println!(
         "  original clustering:   {:3} clusters, makespan {:>8} measured units",
@@ -966,30 +938,6 @@ fn analyze_one(
             wm.worker, wm.peak_bytes, wm.resident_bytes, wm.ops
         );
     }
-    if let Some(b) = f.backend {
-        println!("    kernel backend: {b}");
-        if b == KernelBackend::QuantI8 {
-            // The i8 backend caches a quantized copy of every constant
-            // Gemm/MatMul/Conv weight per plan (1 byte per element),
-            // resident on top of the f32 weights above.
-            let mut bytes = 0usize;
-            let mut count = 0usize;
-            for node in &c.graph.nodes {
-                if matches!(
-                    node.op,
-                    ramiel_ir::OpKind::Conv { .. }
-                        | ramiel_ir::OpKind::Gemm { .. }
-                        | ramiel_ir::OpKind::MatMul
-                ) {
-                    if let Some(t) = node.inputs.get(1).and_then(|w| c.graph.initializers.get(w)) {
-                        bytes += t.numel();
-                        count += 1;
-                    }
-                }
-            }
-            println!("    quant-i8 weight cache: {bytes} bytes across {count} constant weights");
-        }
-    }
     Ok(gate)
 }
 
@@ -1076,7 +1024,6 @@ fn cmd_serve(model: &str, f: &Flags) -> Result<(), String> {
         } else {
             ramiel_serve::ServeExecutor::Hyper
         },
-        backend: f.backend,
         ..Default::default()
     };
     // Hand the clustering and initializer table to the plan cache so `load`
@@ -1094,15 +1041,11 @@ fn cmd_serve(model: &str, f: &Flags) -> Result<(), String> {
         .load_prepared(model, spec, import_time, prepare_time)
         .map_err(|e| e.to_string())?;
     println!(
-        "serving `{model}` (max batch {}, window {} ms, queue {}{}{})",
+        "serving `{model}` (max batch {}, window {} ms, queue {}{})",
         f.max_batch,
         f.max_delay_ms,
         f.queue_cap,
         if f.shed { ", shedding" } else { "" },
-        match f.backend {
-            Some(b) => format!(", backend {b}"),
-            None => String::new(),
-        }
     );
     let listener = std::net::TcpListener::bind(("127.0.0.1", f.port))
         .map_err(|e| format!("bind 127.0.0.1:{}: {e}", f.port))?;

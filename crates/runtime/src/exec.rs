@@ -86,11 +86,7 @@ fn run_sequential_inner(
     opts: &RunOptions,
     mut profile: Option<(&mut ProfileDb, usize, Instant)>,
 ) -> Result<Env> {
-    let ctx = &opts.apply_backend(ctx);
     let walk_start = Instant::now();
-    if let Some((db, _, _)) = profile.as_mut() {
-        db.set_backend(ctx.backend().name());
-    }
     let order = topo_sort(graph).map_err(|e| RuntimeError::Setup(e.to_string()))?;
     let mut env: HashMap<&str, Value> = HashMap::with_capacity(graph.num_nodes() * 2);
     for (name, v) in inputs {

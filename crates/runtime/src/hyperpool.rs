@@ -357,7 +357,6 @@ pub struct HyperPool {
     /// obs timeline.
     epoch: Instant,
     obs: Obs,
-    backend: &'static str,
 }
 
 impl HyperPool {
@@ -378,7 +377,6 @@ impl HyperPool {
         ctx: &ExecCtx,
         opts: &RunOptions,
     ) -> Result<HyperPool> {
-        let ctx = &opts.apply_backend(ctx);
         let recv_timeout = opts.recv_timeout.unwrap_or_else(default_recv_timeout);
         let init_values = match &opts.init_values {
             Some(iv) => Arc::clone(iv),
@@ -436,7 +434,6 @@ impl HyperPool {
             meter,
             epoch,
             obs: opts.obs.clone(),
-            backend: ctx.backend().name(),
         })
     }
 
@@ -512,7 +509,6 @@ impl HyperPool {
                     .now_ns()
                     .saturating_sub(self.epoch.elapsed().as_nanos() as u64),
             );
-            db.set_backend(self.backend);
             db
         });
         let mut outs = vec![Env::new(); plan.batch()];

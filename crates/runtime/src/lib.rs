@@ -58,7 +58,6 @@ pub use memory::{clustering_peak_memory, sequential_peak_memory, MemoryReport};
 pub use predict::{predict_report, ClusterPrediction, KindPrediction, PredictionReport};
 pub use profile::{OpRecord, ProfileDb, SlackReport, WorkerSpan};
 pub use program::GraphProgram;
-pub use ramiel_tensor::KernelBackend;
 pub use run::{run, Engine, Run, RunOptions, Schedule};
 pub use sim::{
     simulate_clustering, simulate_hyper, simulate_sequential, SimConfig, SimEvent, SimResult,

@@ -40,10 +40,6 @@ pub struct ProfileDb {
     /// Offset of this run's epoch on the exporting [`ramiel_obs::Obs`]
     /// timeline (0 when no enabled sink was attached to the run).
     epoch_offset_ns: u64,
-    /// Kernel backend the profiled run executed with (`"scalar"`,
-    /// `"quant-i8"`). Carried into [`Self::measured_cost`] so reclustering
-    /// decisions know which backend the node times price.
-    backend: Option<String>,
 }
 
 /// Per-worker slack aggregation.
@@ -65,18 +61,7 @@ impl ProfileDb {
             worker_spans: Vec::new(),
             channels: Vec::new(),
             epoch_offset_ns: 0,
-            backend: None,
         }
-    }
-
-    /// Record which kernel backend the profiled run executed with.
-    pub fn set_backend(&mut self, name: impl Into<String>) {
-        self.backend = Some(name.into());
-    }
-
-    /// Kernel backend of the profiled run, if recorded.
-    pub fn backend(&self) -> Option<&str> {
-        self.backend.as_deref()
     }
 
     pub fn extend(&mut self, records: Vec<OpRecord>) {
@@ -217,11 +202,7 @@ impl ProfileDb {
             .filter(|&n| cnt[n] > 0)
             .map(|n| (n, sum[n] / cnt[n]))
             .collect();
-        let mc = ramiel_cluster::MeasuredCost::from_node_ns(graph, &samples);
-        match &self.backend {
-            Some(b) => mc.with_backend(b.clone()),
-            None => mc,
-        }
+        ramiel_cluster::MeasuredCost::from_node_ns(graph, &samples)
     }
 
     /// Export as a Chrome trace (`chrome://tracing` / Perfetto) — one lane

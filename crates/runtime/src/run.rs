@@ -24,7 +24,7 @@ use ramiel_cluster::hyper::HyperClustering;
 use ramiel_cluster::Clustering;
 use ramiel_ir::Graph;
 use ramiel_obs::Obs;
-use ramiel_tensor::{ExecCtx, KernelBackend, Value};
+use ramiel_tensor::{ExecCtx, Value};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -84,13 +84,6 @@ pub struct RunOptions {
     /// steal-pool task placement on the shared obs timeline. `None`
     /// outside the serving path.
     pub request_ids: Option<Arc<Vec<u64>>>,
-    /// Kernel backend override for this run. `None` keeps whatever the
-    /// [`ExecCtx`] already carries (its default is
-    /// [`KernelBackend::ScalarF32`]); `Some` rebinds the context at the
-    /// executor boundary, so one prepared model can serve different
-    /// backends per request. Every engine honors it — the override is
-    /// applied at each executor's single ctx-plumbing point.
-    pub backend: Option<KernelBackend>,
 }
 
 impl Default for RunOptions {
@@ -106,7 +99,6 @@ impl Default for RunOptions {
             reuse: true,
             steal_chaos: None,
             request_ids: None,
-            backend: None,
         }
     }
 }
@@ -164,24 +156,6 @@ impl RunOptions {
     pub fn steal_chaos(mut self, chaos: StealChaos) -> Self {
         self.steal_chaos = Some(chaos);
         self
-    }
-
-    /// Select the kernel backend for this run (scalar f32 or quantized
-    /// i8).
-    pub fn backend(mut self, backend: KernelBackend) -> Self {
-        self.backend = Some(backend);
-        self
-    }
-
-    /// The context this run should execute with: the caller's `ctx`, with
-    /// the backend override rebound if one is set. Every executor routes
-    /// its worker contexts through here so `--backend` behaves identically
-    /// across all of them.
-    pub fn apply_backend(&self, ctx: &ExecCtx) -> ExecCtx {
-        match self.backend {
-            Some(b) if b != ctx.backend() => ctx.with_backend(b),
-            _ => ctx.clone(),
-        }
     }
 }
 

@@ -211,7 +211,6 @@ impl JobInner {
         opts: &RunOptions,
         deadline: Instant,
     ) -> JobInner {
-        let ctx = &opts.apply_backend(ctx);
         let pending = (0..plan.batch)
             .flat_map(|_| plan.prog.nodes.iter().map(|n| AtomicU32::new(n.preds)))
             .collect();

@@ -298,7 +298,6 @@ impl LaneShared {
             recv_timeout: self.cfg.recv_timeout,
             obs: self.cfg.obs.clone(),
             init_values: Some(Arc::clone(&plan.init_values)),
-            backend: self.cfg.backend,
             ..RunOptions::default()
         }
     }

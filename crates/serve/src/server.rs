@@ -74,9 +74,6 @@ pub struct ServeConfig {
     /// Bound on the in-memory per-request trace ring (`0` disables
     /// tracing; the TCP `trace` verb then returns an empty trace).
     pub trace_capacity: usize,
-    /// Kernel backend every lane runs with (scalar f32 or quantized
-    /// i8). `None` keeps the plan context's default.
-    pub backend: Option<ramiel_runtime::KernelBackend>,
 }
 
 impl Default for ServeConfig {
@@ -97,7 +94,6 @@ impl Default for ServeConfig {
             executor: ServeExecutor::default(),
             metrics: Metrics::enabled(),
             trace_capacity: 4096,
-            backend: None,
         }
     }
 }
@@ -116,7 +112,6 @@ pub(crate) struct LaneConfig {
     pub obs: Obs,
     pub executor: ServeExecutor,
     pub metrics: Metrics,
-    pub backend: Option<ramiel_runtime::KernelBackend>,
     /// Server-wide trace ring shared by every lane (`None` = disabled).
     pub trace: Option<Arc<TraceRing>>,
     /// Timebase for trace-ring nanosecond offsets.
@@ -136,7 +131,6 @@ impl ServeConfig {
             obs: self.obs.clone(),
             executor: self.executor,
             metrics: self.metrics.clone(),
-            backend: self.backend,
             trace,
             epoch,
         }

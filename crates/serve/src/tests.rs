@@ -434,50 +434,68 @@ fn lone_caller_never_opens_the_window() {
     );
 }
 
+/// Two closed-loop callers, each sending its next request only once its
+/// previous reply is in, driven from this thread in a fixed order so no
+/// thread schedule decides the outcome: the lane starts busy (a stalled
+/// warm-up run), both first requests queue behind it and leave as one
+/// batch, and from then on every window the lane opens on that evidence is
+/// closed by the partner's request. Nothing here depends on timing but the
+/// 300 ms stall and the 200 ms window each outlasting two back-to-back
+/// `submit` calls.
 #[test]
 fn two_callers_phase_lock_and_a_leaver_costs_one_window() {
     let g = synthetic::fork_join(2, 2, 2);
-    let server = Arc::new(Server::new(ServeConfig {
-        max_batch: 2,
-        max_delay: Duration::from_millis(200),
-        ..ServeConfig::default()
-    }));
-    server.load("fj", PlanSpec::new(g.clone())).unwrap();
-    let rounds = 50u64;
-    let callers: Vec<_> = (0..2u64)
-        .map(|t| {
-            let server = Arc::clone(&server);
-            let g = g.clone();
-            std::thread::spawn(move || {
-                for i in 0..rounds {
-                    server.infer("fj", synth_inputs(&g, t * 1000 + i)).unwrap();
-                }
-            })
-        })
-        .collect();
-    for c in callers {
-        c.join().unwrap();
-    }
-    let snap = server.stats();
-    assert_eq!(snap.completed, 2 * rounds);
-    assert!(
-        snap.mean_batch >= 1.8,
-        "two closed-loop callers must coalesce: mean batch {}",
-        snap.mean_batch
+    let server = server_with_first_run_stalled(
+        ServeConfig {
+            max_batch: 2,
+            max_delay: Duration::from_millis(200),
+            ..ServeConfig::default()
+        },
+        300,
     );
-    assert!(snap.windows_opened > 0, "no window ever opened for company");
+    server.load("fj", PlanSpec::new(g.clone())).unwrap();
+    let call = |t: u64, i: u64| server.submit("fj", synth_inputs(&g, t * 1000 + i)).unwrap();
+    let warm_up = call(2, 0);
+    while server.stats().batches == 0 {
+        std::thread::yield_now();
+    }
+    let rounds = 50u64;
+    let [mut a, mut b] = [call(0, 0), call(1, 0)];
+    warm_up.wait().unwrap();
+    for i in 1..rounds {
+        a.wait().unwrap();
+        a = call(0, i);
+        b.wait().unwrap();
+        b = call(1, i);
+    }
+    a.wait().unwrap();
+    b.wait().unwrap();
+    let snap = server.stats();
+    assert_eq!(snap.completed, 2 * rounds + 1);
+    let of_size = |n: usize| {
+        snap.batch_histogram
+            .iter()
+            .find(|b| b.size == n)
+            .map_or(0, |b| b.count)
+    };
+    assert_eq!(
+        (of_size(1), of_size(2)),
+        (1, rounds),
+        "the warm-up runs alone and every round coalesces: {:?}",
+        snap.batch_histogram
+    );
 
-    // One caller is gone. The survivor pays at most one expired window
+    // One caller is gone. The survivor pays exactly one expired window
     // before the lane stops waiting for a partner that left.
-    let (opened_before, _) = window_counts(&server, "fj");
+    let before = window_counts(&server, "fj");
     for seed in 0..5u64 {
         server.infer("fj", synth_inputs(&g, 9000 + seed)).unwrap();
     }
-    let (opened_after, _) = window_counts(&server, "fj");
-    assert!(
-        opened_after - opened_before <= 1,
-        "survivor waited {} times for a caller that left",
-        opened_after - opened_before
+    let after = window_counts(&server, "fj");
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1),
+        (1, 4),
+        "(opened, skipped) windows for a lone survivor after its partner left"
     );
 }
 

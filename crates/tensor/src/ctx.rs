@@ -60,55 +60,6 @@ impl MemGauge {
 /// travel the exact path a real kernel failure takes.
 pub type KernelHook = Arc<dyn Fn(&OpKind) -> Option<String> + Send + Sync>;
 
-/// Which kernel implementation family executes the heavy ops (`Conv`,
-/// `MatMul`, `Gemm`); everything else always runs the scalar f32 kernels.
-///
-/// * [`ScalarF32`](KernelBackend::ScalarF32) — the f32 kernels: one
-///   accumulation chain per output element whichever compiled copy of a
-///   kernel the CPU selects (`kernels::gemm`), so every executor is
-///   **bit-identical** on it.
-/// * [`QuantI8`](KernelBackend::QuantI8) — per-tensor symmetric i8
-///   quantization (`kernels::quant`): weights are quantized once per plan,
-///   activations at the kernel edge, accumulation is exact i32, outputs are
-///   dequantized to f32. Numerically *close to* but not identical to f32;
-///   it has its own tolerance-based conformance contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum KernelBackend {
-    #[default]
-    ScalarF32,
-    QuantI8,
-}
-
-impl KernelBackend {
-    /// Stable CLI / metrics label.
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelBackend::ScalarF32 => "scalar",
-            KernelBackend::QuantI8 => "quant-i8",
-        }
-    }
-
-    /// Parse a CLI spelling (`--backend <scalar|quant-i8>`).
-    pub fn parse(s: &str) -> Option<KernelBackend> {
-        match s {
-            "scalar" | "scalar-f32" | "f32" => Some(KernelBackend::ScalarF32),
-            "quant-i8" | "quant" | "i8" => Some(KernelBackend::QuantI8),
-            _ => None,
-        }
-    }
-
-    /// All backends, in the order benches and tables report them.
-    pub fn all() -> [KernelBackend; 2] {
-        [KernelBackend::ScalarF32, KernelBackend::QuantI8]
-    }
-}
-
-impl std::fmt::Display for KernelBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Intra-op pools by thread count, shared process-wide. `with_intra_op` used
 /// to build a fresh rayon pool per call, so repeated runs (differential
 /// tests, benches) spawned dozens of short-lived pools; pools are stateless
@@ -122,7 +73,6 @@ pub struct ExecCtx {
     kernel_hook: Option<KernelHook>,
     packed: Arc<PackedWeightCache>,
     mem: Option<Arc<MemGauge>>,
-    backend: KernelBackend,
 }
 
 impl ExecCtx {
@@ -177,7 +127,6 @@ impl ExecCtx {
             kernel_hook: Some(hook),
             packed: Arc::clone(&self.packed),
             mem: self.mem.clone(),
-            backend: self.backend,
         }
     }
 
@@ -189,27 +138,7 @@ impl ExecCtx {
             kernel_hook: self.kernel_hook.clone(),
             packed: Arc::clone(&self.packed),
             mem: Some(gauge),
-            backend: self.backend,
         }
-    }
-
-    /// Same context with a different kernel backend. The packed-weight cache
-    /// stays shared — f32-packed and i8-quantized entries live in separate
-    /// maps, so switching back and forth never poisons either.
-    pub fn with_backend(&self, backend: KernelBackend) -> Self {
-        ExecCtx {
-            pool: self.pool.clone(),
-            kernel_hook: self.kernel_hook.clone(),
-            packed: Arc::clone(&self.packed),
-            mem: self.mem.clone(),
-            backend,
-        }
-    }
-
-    /// The kernel backend heavy ops dispatch on.
-    #[inline]
-    pub fn backend(&self) -> KernelBackend {
-        self.backend
     }
 
     /// The attached allocation gauge, if any.
@@ -256,7 +185,6 @@ impl std::fmt::Debug for ExecCtx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExecCtx")
             .field("intra_op_threads", &self.intra_op_threads())
-            .field("backend", &self.backend)
             .finish()
     }
 }
@@ -313,31 +241,6 @@ mod tests {
         let ctx = ExecCtx::sequential().with_mem_gauge(Arc::clone(&g));
         ctx.mem_gauge().unwrap().alloc(7);
         assert_eq!(g.peak_bytes(), 7);
-    }
-
-    #[test]
-    fn backend_defaults_to_scalar_and_threads_through_builders() {
-        let ctx = ExecCtx::sequential();
-        assert_eq!(ctx.backend(), KernelBackend::ScalarF32);
-        let quant = ctx.with_backend(KernelBackend::QuantI8);
-        assert_eq!(quant.backend(), KernelBackend::QuantI8);
-        assert!(
-            Arc::ptr_eq(&ctx.packed, &quant.packed),
-            "cache stays shared"
-        );
-        let hooked = quant.with_kernel_hook(Arc::new(|_| None));
-        assert_eq!(hooked.backend(), KernelBackend::QuantI8);
-        let gauged = quant.with_mem_gauge(MemGauge::new());
-        assert_eq!(gauged.backend(), KernelBackend::QuantI8);
-    }
-
-    #[test]
-    fn backend_parse_round_trips() {
-        for b in KernelBackend::all() {
-            assert_eq!(KernelBackend::parse(b.name()), Some(b));
-        }
-        assert_eq!(KernelBackend::parse("quant"), Some(KernelBackend::QuantI8));
-        assert_eq!(KernelBackend::parse("avx-512"), None);
     }
 
     #[test]

@@ -3,14 +3,13 @@
 //! drive graphs through this one function, so folding and execution can never
 //! disagree on semantics.
 
-use crate::ctx::{ExecCtx, KernelBackend};
+use crate::ctx::ExecCtx;
 use crate::kernels::conv::{conv2d, ConvSpec};
 use crate::kernels::elementwise as ew;
 use crate::kernels::gemm::{gemm, matmul};
 use crate::kernels::movement as mv;
 use crate::kernels::norm;
 use crate::kernels::pool;
-use crate::kernels::quant;
 use crate::kernels::reduce;
 use crate::tensor::Tensor;
 use crate::value::Value;
@@ -70,31 +69,18 @@ pub fn eval_op(ctx: &ExecCtx, op: &OpKind, inputs: &[Value]) -> Result<Vec<Value
                 groups: *groups,
             };
             let bias = inputs.get(2).map(|b| b.f32()).transpose()?;
-            // QuantI8 routes the heavy ops to the i8 kernels.
-            let y = if ctx.backend() == KernelBackend::QuantI8 {
-                quant::conv2d_q(ctx, inputs[0].f32()?, inputs[1].f32()?, bias, &spec)?
-            } else {
-                conv2d(ctx, inputs[0].f32()?, inputs[1].f32()?, bias, &spec)?
-            };
+            let y = conv2d(ctx, inputs[0].f32()?, inputs[1].f32()?, bias, &spec)?;
             one(Value::F32(y))
         }
         OpKind::MatMul => {
             want(inputs, 2, op)?;
-            let y = if ctx.backend() == KernelBackend::QuantI8 {
-                quant::matmul_q(ctx, inputs[0].f32()?, inputs[1].f32()?)?
-            } else {
-                matmul(ctx, inputs[0].f32()?, inputs[1].f32()?)?
-            };
+            let y = matmul(ctx, inputs[0].f32()?, inputs[1].f32()?)?;
             one(Value::F32(y))
         }
         OpKind::Gemm { trans_b } => {
             want(inputs, 2, op)?;
             let bias = inputs.get(2).map(|b| b.f32()).transpose()?;
-            let y = if ctx.backend() == KernelBackend::QuantI8 {
-                quant::gemm_q(ctx, inputs[0].f32()?, inputs[1].f32()?, bias, *trans_b)?
-            } else {
-                gemm(ctx, inputs[0].f32()?, inputs[1].f32()?, bias, *trans_b)?
-            };
+            let y = gemm(ctx, inputs[0].f32()?, inputs[1].f32()?, bias, *trans_b)?;
             one(Value::F32(y))
         }
         OpKind::Relu => unary(inputs, op, |v| v.max(0.0)),

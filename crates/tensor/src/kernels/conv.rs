@@ -23,8 +23,7 @@ pub struct ConvSpec {
 /// Defensive attribute check. `ir::validate` rejects these graphs up front
 /// (RV0002); the kernels still refuse them so a hand-built spec degrades to
 /// an `ExecError` instead of a divide-by-zero panic in the output-size math.
-/// Shared with the quantized conv kernel (`super::quant`).
-pub(crate) fn check_spec(spec: &ConvSpec) -> Result<()> {
+fn check_spec(spec: &ConvSpec) -> Result<()> {
     if spec.stride.0 == 0 || spec.stride.1 == 0 {
         return exec_err(format!("conv2d stride {:?} must be nonzero", spec.stride));
     }

@@ -249,11 +249,7 @@ pub(crate) fn mm_on(
 
 /// Which matrix of each operand (leading dims `a_batch`, `b_batch`) every
 /// index of their broadcast `batch` shape multiplies, in row-major order.
-pub(crate) fn batch_offsets(
-    a_batch: &[usize],
-    b_batch: &[usize],
-    batch: &[usize],
-) -> Vec<(usize, usize)> {
+fn batch_offsets(a_batch: &[usize], b_batch: &[usize], batch: &[usize]) -> Vec<(usize, usize)> {
     let sa = broadcast_strides(a_batch, batch.len());
     let sb = broadcast_strides(b_batch, batch.len());
     let mut offsets = Vec::with_capacity(batch.iter().product());

@@ -11,5 +11,4 @@ pub mod gemm;
 pub mod movement;
 pub mod norm;
 pub mod pool;
-pub mod quant;
 pub mod reduce;

@@ -19,9 +19,9 @@ pub mod pack;
 pub mod tensor;
 pub mod value;
 
-pub use ctx::{ExecCtx, KernelBackend, MemGauge};
+pub use ctx::{ExecCtx, MemGauge};
 pub use eval::{eval_op, eval_op_inplace};
-pub use pack::{PackedWeightCache, QuantWeight};
+pub use pack::PackedWeightCache;
 pub use tensor::Tensor;
 pub use value::Value;
 

@@ -1,11 +1,11 @@
-//! Per-plan packed-weight cache.
+//! Per-plan packed-weight cache: one map from a `transB` `Gemm` weight to
+//! its `[k, n]` transpose.
 //!
 //! `Gemm` with `transB=1` (the layout every fully-connected layer uses) needs
 //! its weight in `[k, n]` order so [`crate::kernels::gemm::mm`] can stream
-//! rows; historically the kernel re-transposed the constant weight on every
-//! inference call. With tensors now Arc-backed, a weight buffer has a stable
-//! identity for as long as any handle is alive, so the transpose can be
-//! materialized once per plan and looked up by buffer pointer afterwards.
+//! rows. A weight buffer is Arc-backed, so it has a stable identity for as
+//! long as any handle is alive: the transpose is materialized once per plan
+//! and looked up by buffer pointer afterwards.
 //!
 //! ## Keying and safety
 //!
@@ -39,36 +39,16 @@ struct Entry {
     packed: Arc<Vec<f32>>,
 }
 
-/// A per-tensor symmetrically quantized weight: `data[i] · scale`
-/// reconstructs the f32 value to within half a step. Cached per plan just
-/// like the f32 packed weights (see [`PackedWeightCache::quant_kn`] /
-/// [`PackedWeightCache::quant_flat`]), so the `QuantI8` backend quantizes
-/// each constant weight once and shares the buffer afterwards.
-#[derive(Clone)]
-pub struct QuantWeight {
-    pub data: Arc<Vec<i8>>,
-    pub scale: f32,
-}
-
-struct QEntry {
-    _anchor: Arc<Vec<f32>>,
-    weight: QuantWeight,
-}
-
 /// Entry cap: a plan has one entry per distinct `Gemm` weight, so real
 /// models sit far below this; a pathological caller (fresh weight buffers
 /// every call) flushes rather than growing without bound.
 const MAX_ENTRIES: usize = 512;
 
-/// Cache of weight matrices re-laid-out for the `mm` kernel, plus the
-/// i8-quantized variants the `QuantI8` backend uses. The f32 and i8 maps
-/// are independent, so mixing backends on one plan never evicts the other's
-/// entries.
+/// The `[k, n]` copies of `transB` weights, keyed by source buffer, with
+/// hit/miss/race counters.
 #[derive(Default)]
 pub struct PackedWeightCache {
     entries: Mutex<HashMap<Key, Entry>>,
-    qkn: Mutex<HashMap<Key, QEntry>>,
-    qflat: Mutex<HashMap<Key, QEntry>>,
     hits: AtomicU64,
     misses: AtomicU64,
     races: AtomicU64,
@@ -127,86 +107,6 @@ impl PackedWeightCache {
         }
     }
 
-    /// The `[n, k]` (transB) weight `w` repacked as `[k, n]` **and**
-    /// symmetrically quantized to i8, materialized on first use.
-    pub fn quant_kn(&self, w: &Tensor<f32>, k: usize, n: usize) -> QuantWeight {
-        let key = Key {
-            ptr: w.data_ptr(),
-            k,
-            n,
-        };
-        if let Some(e) = self.qkn.lock().expect("cache poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return e.weight.clone();
-        }
-        // Transpose + quantize outside the lock (same discipline as
-        // `gemm_kn`); the scale only depends on the values, not the layout.
-        let wd = w.data();
-        let mut t = vec![0.0f32; k * n];
-        for j in 0..n {
-            let wrow = &wd[j * k..(j + 1) * k];
-            for (kk, &v) in wrow.iter().enumerate() {
-                t[kk * n + j] = v;
-            }
-        }
-        let (q, scale) = crate::kernels::quant::quantize_symmetric(&t);
-        let weight = QuantWeight {
-            data: Arc::new(q),
-            scale,
-        };
-        self.insert_quant(&self.qkn, key, w, weight)
-    }
-
-    /// `w` quantized to i8 in its existing layout (conv weights, `transB=0`
-    /// Gemm weights, MatMul right-hand sides), materialized on first use.
-    pub fn quant_flat(&self, w: &Tensor<f32>) -> QuantWeight {
-        let key = Key {
-            ptr: w.data_ptr(),
-            k: w.numel(),
-            n: 0,
-        };
-        if let Some(e) = self.qflat.lock().expect("cache poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return e.weight.clone();
-        }
-        let (q, scale) = crate::kernels::quant::quantize_symmetric(w.data());
-        let weight = QuantWeight {
-            data: Arc::new(q),
-            scale,
-        };
-        self.insert_quant(&self.qflat, key, w, weight)
-    }
-
-    /// Shared insert-or-lose tail for the quant maps: re-check under the
-    /// lock, count the loser of a first-call race as a hit.
-    fn insert_quant(
-        &self,
-        map: &Mutex<HashMap<Key, QEntry>>,
-        key: Key,
-        w: &Tensor<f32>,
-        weight: QuantWeight,
-    ) -> QuantWeight {
-        let mut entries = map.lock().expect("cache poisoned");
-        if entries.len() >= MAX_ENTRIES {
-            entries.clear();
-        }
-        match entries.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.races.fetch_add(1, Ordering::Relaxed);
-                e.get().weight.clone()
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                v.insert(QEntry {
-                    _anchor: Arc::clone(w.data_arc()),
-                    weight: weight.clone(),
-                });
-                weight
-            }
-        }
-    }
-
     /// `(hits, misses)` so far — a warmed plan should be all hits.
     pub fn stats(&self) -> (u64, u64) {
         (
@@ -220,13 +120,6 @@ impl PackedWeightCache {
     /// Each such call is also counted as a hit, never as a miss.
     pub fn races(&self) -> u64 {
         self.races.load(Ordering::Relaxed)
-    }
-
-    /// Number of distinct i8-quantized weights currently materialized
-    /// (both layouts).
-    pub fn quant_len(&self) -> usize {
-        self.qkn.lock().expect("cache poisoned").len()
-            + self.qflat.lock().expect("cache poisoned").len()
     }
 
     /// Number of distinct packed weights currently materialized.
@@ -301,40 +194,6 @@ mod tests {
         assert_eq!(hits, threads - 1);
         assert!(cache.races() <= hits, "races are a subset of hits");
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn quant_entries_cached_and_race_safe() {
-        let cache = Arc::new(PackedWeightCache::new());
-        let w = crate::value::Value::random_f32(vec![16, 24], 9)
-            .f32()
-            .unwrap()
-            .clone();
-        let threads = 6u64;
-        let barrier = Arc::new(std::sync::Barrier::new(threads as usize));
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let (cache, w, barrier) = (Arc::clone(&cache), w.clone(), Arc::clone(&barrier));
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    cache.quant_flat(&w)
-                })
-            })
-            .collect();
-        let qs: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for q in &qs {
-            assert!(Arc::ptr_eq(&qs[0].data, &q.data));
-            assert_eq!(qs[0].scale, q.scale);
-        }
-        let (hits, misses) = cache.stats();
-        assert_eq!(misses, 1);
-        assert_eq!(hits, threads - 1);
-        assert_eq!(cache.quant_len(), 1);
-        // the [k,n] map is independent of the flat map
-        let kn = cache.quant_kn(&w, 24, 16);
-        assert_eq!(kn.data.len(), w.numel());
-        assert_eq!(cache.quant_len(), 2);
-        assert_eq!(cache.len(), 0, "f32 map untouched");
     }
 
     #[test]

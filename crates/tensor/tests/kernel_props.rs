@@ -218,73 +218,6 @@ proptest! {
     }
 }
 
-// Quantization round-trip properties.
-use ramiel_tensor::kernels::quant::{dequantize, quantize_symmetric};
-
-/// Strategy mixing ordinary magnitudes with the awkward corners of f32:
-/// ±0, subnormals, values straddling the subnormal boundary, and huge
-/// finite values.
-fn awkward_f32() -> impl Strategy<Value = f32> {
-    prop_oneof![
-        4 => -1e6f32..1e6f32,
-        1 => Just(0.0f32),
-        1 => Just(-0.0f32),
-        1 => Just(f32::MIN_POSITIVE),          // smallest normal
-        1 => Just(f32::MIN_POSITIVE / 2.0),    // subnormal
-        1 => Just(-f32::MIN_POSITIVE / 4.0),   // negative subnormal
-        1 => Just(f32::from_bits(1)),          // smallest subnormal
-        1 => Just(3.4e38f32),
-        1 => Just(-3.4e38f32),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// `dequantize(quantize(x))` reconstructs every finite element within
-    /// half a quantization step — including tensors that are all
-    /// subnormal, all zero, or span the full f32 range.
-    #[test]
-    fn quantize_roundtrip_within_half_step(
-        xs in prop::collection::vec(awkward_f32(), 0..64)
-    ) {
-        let (q, scale) = quantize_symmetric(&xs);
-        prop_assert!(scale > 0.0 && scale.is_finite(), "scale {scale} degenerate");
-        let back = dequantize(&q, scale);
-        prop_assert_eq!(back.len(), xs.len());
-        // Half a step, plus the sub-ulp rounding of the `q · scale`
-        // multiply (bounded by eps · max_abs = eps · 127 · scale).
-        let tol = scale * (0.5 + 127.0 * f32::EPSILON);
-        for (i, (&x, &y)) in xs.iter().zip(&back).enumerate() {
-            prop_assert!(
-                (x - y).abs() <= tol,
-                "index {i}: {x} -> code {} -> {y}, err {} > tol {tol} (scale {scale})",
-                q[i], (x - y).abs()
-            );
-        }
-    }
-
-    /// Quantization is sign-faithful: ±0 code to exactly 0, and no code
-    /// ever flips the sign of its input.
-    #[test]
-    fn quantize_preserves_zero_and_sign(
-        xs in prop::collection::vec(awkward_f32(), 1..48)
-    ) {
-        let (q, scale) = quantize_symmetric(&xs);
-        for (&x, &c) in xs.iter().zip(&q) {
-            if x == 0.0 {
-                prop_assert_eq!(c, 0, "±0 must code to 0");
-            }
-            if c != 0 {
-                prop_assert_eq!(
-                    (c > 0), x > 0.0,
-                    "code {c} flips sign of input {x} (scale {scale})"
-                );
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The rewritten f32 kernels against the loops they replaced.
 //

@@ -10,7 +10,10 @@
 //!    name-keyed consumer table built here, independently of the programs
 //!    (one message per produced tensor instance per remote consuming
 //!    worker). These are the counts the benchmark reports as
-//!    `runtime.channel_msgs` / `runtime.channel_copied_bytes`;
+//!    `runtime.channel_msgs` / `runtime.channel_copied_bytes`.
+//!    On BERT the payload those messages carry is at least twice the bytes
+//!    copied to send them: a send shares the tensor buffer and copies only
+//!    the value header and shape;
 //! 2. compiling the programs costs no more than building that name-keyed
 //!    table did (release builds only: a debug build times the allocator).
 
@@ -84,7 +87,7 @@ fn programs_are_bit_identical_and_send_exactly_the_routed_messages() {
         let g = build(kind, &ModelConfig::tiny());
         let clustering = cluster_graph(&g, &StaticCost);
         let mut pool = HyperPool::new(&g, clustering.num_clusters(), &ctx).unwrap();
-        let mut sent = (0u64, 0u64);
+        let mut sent = (0u64, 0u64, 0u64);
         for switched in [false, true] {
             for batch in [1usize, 2, 4] {
                 let label = format!("{kind:?} batch {batch} switched {switched}");
@@ -99,11 +102,20 @@ fn programs_are_bit_identical_and_send_exactly_the_routed_messages() {
                     let seq = run_sequential(&g, inp, &ctx).unwrap();
                     assert_eq!(seq, outs[b], "{label}: element {b} differs from sequential");
                 }
-                let total = pool.channel_stats().iter().fold((0u64, 0u64), |acc, e| {
-                    (acc.0 + e.sends, acc.1 + e.copied_bytes)
+                let total = pool.channel_stats().iter().fold((0, 0, 0), |acc, e| {
+                    (acc.0 + e.sends, acc.1 + e.copied_bytes, acc.2 + e.bytes)
                 });
                 let got = (total.0 - sent.0, total.1 - sent.1);
+                let payload = total.2 - sent.2;
                 sent = total;
+                if kind == ModelKind::Bert {
+                    assert!(
+                        payload >= 2 * got.1,
+                        "{label}: sends copied {} of {payload} payload bytes; \
+                         a send must share the tensor buffer, not deep-copy it",
+                        got.1
+                    );
+                }
                 assert_eq!(
                     got, want,
                     "{label}: (messages, copied bytes) sent vs routed"

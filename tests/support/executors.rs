@@ -1,6 +1,5 @@
-//! The executor table the differential suites iterate: shared by
-//! `differential.rs` and `quant_conformance.rs` (`#[path]`-included, not a
-//! test target of its own).
+//! The executor table the differential suite iterates (`#[path]`-included
+//! by `differential.rs`, not a test target of its own).
 
 use ramiel_cluster::{hypercluster, switched_hypercluster, Clustering};
 use ramiel_ir::Graph;
