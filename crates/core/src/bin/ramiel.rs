@@ -93,7 +93,18 @@ use std::sync::Arc;
 use std::time::Instant;
 
 fn parse_model(name: &str, cfg: &ModelConfig) -> Result<ramiel_ir::Graph, String> {
-    let kind = match name.to_ascii_lowercase().as_str() {
+    match builtin_kind(name) {
+        Some(k) => Ok(build(k, cfg)),
+        // Unified loader: JSON / text `.rmodel` and binary `.onnx` all route
+        // through `ramiel_onnx::load_model`, so every verb accepts any of
+        // the three encodings.
+        None => ramiel_onnx::load_model(name).map_err(|e| not_loadable(name, e)),
+    }
+}
+
+/// The zoo model a CLI model argument names, if it names one.
+fn builtin_kind(name: &str) -> Option<ModelKind> {
+    match name.to_ascii_lowercase().as_str() {
         "squeezenet" => Some(ModelKind::Squeezenet),
         "googlenet" => Some(ModelKind::Googlenet),
         "inception-v3" | "inceptionv3" => Some(ModelKind::InceptionV3),
@@ -103,15 +114,11 @@ fn parse_model(name: &str, cfg: &ModelConfig) -> Result<ramiel_ir::Graph, String
         "retinanet" => Some(ModelKind::Retinanet),
         "nasnet" => Some(ModelKind::NasNet),
         _ => None,
-    };
-    match kind {
-        Some(k) => Ok(build(k, cfg)),
-        // Unified loader: JSON / text `.rmodel` and binary `.onnx` all route
-        // through `ramiel_onnx::load_model`, so every verb accepts any of
-        // the three encodings.
-        None => ramiel_onnx::load_model(name)
-            .map_err(|e| format!("`{name}` is not a built-in model or loadable file: {e}")),
     }
+}
+
+fn not_loadable(name: &str, e: ramiel_onnx::LoadError) -> String {
+    format!("`{name}` is not a built-in model or loadable file: {e}")
 }
 
 struct Flags {
@@ -967,7 +974,8 @@ fn cmd_analyze(model: &str, f: &Flags) -> Result<Gate, String> {
 /// `ramiel serve <model> --port N`: schedule once, then serve inference over
 /// newline-delimited JSON TCP with dynamic micro-batching into hypercluster
 /// executions. Runs until a client sends `{"op":"shutdown"}` (graceful
-/// drain: queued requests finish first).
+/// drain: queued requests finish first). Start-up plans batch 1 only; the
+/// first batch of any other size plans it.
 fn cmd_serve(model: &str, f: &Flags) -> Result<(), String> {
     use ramiel_serve::{run_tcp_with_registry, OverflowPolicy, PlanSpec, ServeConfig, Server};
     use std::sync::Arc;
@@ -982,7 +990,9 @@ fn cmd_serve(model: &str, f: &Flags) -> Result<(), String> {
     // A URL model reference (or a checksum-pinned local one) goes through
     // the registry so the bytes are content-addressed and the pin verified;
     // anything else takes the plain built-in/file path.
-    let (g, import_time) = if model.contains("://") || f.sha256.is_some() {
+    // Reading the model's bytes is the load's `fetch` phase and decoding
+    // them its `import`, as for a TCP `load`; a built-in model has no read.
+    let (g, fetch_time, import_time) = if model.contains("://") || f.sha256.is_some() {
         // Decode the buffer the registry hashed: the blob is never re-read.
         let registry_err = |e: ramiel_serve::RegistryError| format!("[{}] {e}", e.code());
         let fetched = registry
@@ -992,15 +1002,23 @@ fn cmd_serve(model: &str, f: &Flags) -> Result<(), String> {
         println!("pulled {} (sha256 {})", pulled.source, pulled.sha256);
         let start = Instant::now();
         let g = ramiel_onnx::load_model_bytes(fetched.data()).map_err(|e| e.to_string())?;
-        (g, start.elapsed())
+        (g, Some(fetched.fetch_time()), start.elapsed())
+    } else if let Some(kind) = builtin_kind(model) {
+        let start = Instant::now();
+        (build(kind, &cfg), None, start.elapsed())
     } else {
         let start = Instant::now();
-        (parse_model(model, &cfg)?, start.elapsed())
+        let bytes = ramiel_onnx::read_model_file(model).map_err(|e| not_loadable(model, e))?;
+        let fetch_time = start.elapsed();
+        let start = Instant::now();
+        let g =
+            ramiel_onnx::decode_model_file(model, &bytes).map_err(|e| not_loadable(model, e))?;
+        (g, Some(fetch_time), start.elapsed())
     };
     let start = Instant::now();
-    let prepared = ramiel::prepare(g, &options(f)).map_err(|e| e.to_string())?;
-    let prepare_time = start.elapsed();
-    summarize(&prepared.scheduled.report, prepared.scheduled.schedule_time);
+    let scheduled = ramiel::schedule(g, &options(f)).map_err(|e| e.to_string())?;
+    let schedule_time = start.elapsed();
+    summarize(&scheduled.report, scheduled.schedule_time);
 
     let serve_cfg = ServeConfig {
         max_batch: f.max_batch,
@@ -1026,19 +1044,21 @@ fn cmd_serve(model: &str, f: &Flags) -> Result<(), String> {
         },
         ..Default::default()
     };
-    // Hand the clustering and initializer table to the plan cache so `load`
-    // doesn't redo pipeline work, and the time they took to the load
-    // telemetry so `stats.load` explains start-up like a TCP `load`.
+    // Hand the clustering to the plan cache so `load` doesn't redo pipeline
+    // work, and the time it took to the load telemetry so `stats.load`
+    // explains start-up like a TCP `load`. The graph keeps its weights: the
+    // plan converts them where a TCP `load` does, by moving the payloads.
     let spec = PlanSpec {
-        clustering: Some(prepared.scheduled.clustering),
+        clustering: Some(scheduled.clustering),
         switched: f.switched,
-        batch_sizes: vec![f.max_batch],
-        init_values: Some(prepared.init_values),
-        ..PlanSpec::new(prepared.scheduled.graph)
+        ..PlanSpec::new(scheduled.graph)
     };
     let server = Arc::new(Server::new(serve_cfg));
+    if let Some(took) = fetch_time {
+        server.record_fetch(took);
+    }
     server
-        .load_prepared(model, spec, import_time, prepare_time)
+        .load_prepared(model, spec, import_time, schedule_time)
         .map_err(|e| e.to_string())?;
     println!(
         "serving `{model}` (max batch {}, window {} ms, queue {}{})",

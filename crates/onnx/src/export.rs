@@ -15,6 +15,7 @@ use crate::proto::{
 };
 use ramiel_ir::tensor_data::Payload;
 use ramiel_ir::{DType, Graph, OpKind, TensorData};
+use std::borrow::Cow;
 use std::path::Path;
 
 /// The default-domain opset version stamped on exported models. The
@@ -46,26 +47,27 @@ fn elem_of(dtype: DType) -> i64 {
 
 /// Encode a [`TensorData`] as a `TensorProto` with a little-endian
 /// `raw_data` payload (exact bytes, no float formatting round trip).
-fn tensor_proto(name: &str, data: &TensorData) -> TensorProto {
+fn tensor_proto<'g>(name: impl Into<Cow<'g, str>>, data: &TensorData) -> TensorProto<'g> {
     let raw_data = match &data.payload {
         Payload::F32(v) => v.iter().flat_map(|x| x.to_bits().to_le_bytes()).collect(),
         Payload::I64(v) => v.iter().flat_map(|x| x.to_le_bytes()).collect(),
         Payload::Bool(v) => v.iter().map(|&b| b as u8).collect(),
     };
     TensorProto {
-        name: name.to_string(),
+        name: name.into(),
         dims: data.shape.iter().map(|&d| d as i64).collect(),
         data_type: elem_of(data.dtype()),
-        raw_data,
+        raw_data: Cow::Owned(raw_data),
         ..Default::default()
     }
 }
 
 /// Build the decoded proto tree for `graph` (exposed for tests that want
-/// to corrupt specific fields before encoding).
-pub fn to_model_proto(graph: &Graph) -> ModelProto {
+/// to corrupt specific fields before encoding). Names borrow from `graph`;
+/// payloads are owned little-endian copies.
+pub fn to_model_proto(graph: &Graph) -> ModelProto<'_> {
     let mut gp = GraphProto {
-        name: graph.name.clone(),
+        name: graph.name.as_str().into(),
         ..Default::default()
     };
 
@@ -80,7 +82,7 @@ pub fn to_model_proto(graph: &Graph) -> ModelProto {
         gp.output.push(match graph.tensor_info(out) {
             Some(info) => ValueInfoProto::tensor(out, elem_of(info.dtype), &info.shape),
             None => ValueInfoProto {
-                name: out.clone(),
+                name: out.as_str().into(),
                 tensor_type: None,
             },
         });
@@ -96,16 +98,16 @@ pub fn to_model_proto(graph: &Graph) -> ModelProto {
         .collect();
     for (name, data) in &graph.initializers {
         if !constant_outputs.contains(name.as_str()) {
-            gp.initializer.push(tensor_proto(name, data));
+            gp.initializer.push(tensor_proto(name.as_str(), data));
         }
     }
 
     for node in &graph.nodes {
         let mut np = NodeProto {
-            name: node.name.clone(),
-            op_type: node.op.name().to_string(),
-            input: node.inputs.clone(),
-            output: node.outputs.clone(),
+            name: node.name.as_str().into(),
+            op_type: node.op.name().into(),
+            input: borrowed(&node.inputs),
+            output: borrowed(&node.outputs),
             ..Default::default()
         };
         encode_attrs(graph, node, &mut np, &mut gp);
@@ -121,7 +123,16 @@ pub fn to_model_proto(graph: &Graph) -> ModelProto {
     }
 }
 
-fn encode_attrs(graph: &Graph, node: &ramiel_ir::Node, np: &mut NodeProto, gp: &mut GraphProto) {
+fn borrowed(names: &[String]) -> Vec<Cow<'_, str>> {
+    names.iter().map(|s| Cow::Borrowed(s.as_str())).collect()
+}
+
+fn encode_attrs<'g>(
+    graph: &'g Graph,
+    node: &ramiel_ir::Node,
+    np: &mut NodeProto<'g>,
+    gp: &mut GraphProto<'g>,
+) {
     let a = &mut np.attribute;
     match &node.op {
         OpKind::Conv {
@@ -224,8 +235,8 @@ fn encode_attrs(graph: &Graph, node: &ramiel_ir::Node, np: &mut NodeProto, gp: &
             a.push(AttributeProto::string("mode", "nearest"));
             let scales_name = format!("{}__scales", node.name);
             let scales = TensorData::f32(vec![4], vec![1.0, 1.0, scale.0 as f32, scale.1 as f32]);
-            gp.initializer.push(tensor_proto(&scales_name, &scales));
-            np.input.push(scales_name);
+            np.input.push(Cow::Owned(scales_name.clone()));
+            gp.initializer.push(tensor_proto(scales_name, &scales));
         }
         OpKind::Pad { pads } => a.push(AttributeProto::ints(
             "pads",

@@ -9,6 +9,10 @@
 //! into IR attributes, the lifted operands are dropped from the node, and
 //! initializers referenced only by lifted operands are pruned.
 //!
+//! The decoded protos borrow every name and payload from the file bytes;
+//! the importer allocates each name once, in the [`Graph`], and converts
+//! each initializer payload once, into the `Vec` the graph keeps.
+//!
 //! Anything outside the subset fails with a structured [`OnnxError`] naming
 //! the operator and node. Every successful import is pushed through
 //! `ir::validate`, `ir::shape` inference and `ramiel_verify` — once each, over
@@ -22,6 +26,7 @@ use ramiel_ir::shape::checked_numel;
 use ramiel_ir::tensor_data::Payload;
 use ramiel_ir::{DType, Graph, OpKind, PoolSpec, TensorData, TensorInfo};
 use ramiel_verify::Severity;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
 
 /// Decode ONNX bytes and lower them to a validated, shape-inferred,
@@ -32,7 +37,7 @@ pub fn import_model(bytes: &[u8]) -> Result<Graph> {
 }
 
 /// Lower an already-decoded [`ModelProto`] (see [`import_model`]).
-pub fn import_graph(model: &ModelProto) -> Result<Graph> {
+pub fn import_graph(model: &ModelProto<'_>) -> Result<Graph> {
     let gp = model.graph.as_ref().ok_or_else(|| OnnxError::Model {
         reason: "model has no graph".into(),
     })?;
@@ -46,12 +51,16 @@ pub fn import_graph(model: &ModelProto) -> Result<Graph> {
     let mut graph = Graph::new(if gp.name.is_empty() {
         "onnx-model"
     } else {
-        gp.name.as_str()
+        &gp.name
     });
 
     for t in &gp.initializer {
         let data = tensor_data(t)?;
-        if graph.initializers.insert(t.name.clone(), data).is_some() {
+        if graph
+            .initializers
+            .insert(t.name.to_string(), data)
+            .is_some()
+        {
             return Err(OnnxError::Model {
                 reason: format!("duplicate initializer `{}`", t.name),
             });
@@ -61,11 +70,11 @@ pub fn import_graph(model: &ModelProto) -> Result<Graph> {
     // ONNX graph inputs include initializers (pre-IR-v4 style); runtime
     // inputs are the ones without a constant payload.
     for vi in &gp.input {
-        if graph.initializers.contains_key(&vi.name) {
+        if graph.initializers.contains_key(&*vi.name) {
             continue;
         }
         let (elem, dims) = vi.tensor_type.as_ref().ok_or_else(|| OnnxError::Shape {
-            name: vi.name.clone(),
+            name: vi.name.to_string(),
             reason: "graph input has no tensor type".into(),
         })?;
         let dtype = dtype_of(*elem, &format!("graph input `{}`", vi.name))?;
@@ -75,13 +84,13 @@ pub fn import_graph(model: &ModelProto) -> Result<Graph> {
                 Dim::Value(v) if *v > 0 => shape.push(*v as usize),
                 Dim::Value(v) => {
                     return Err(OnnxError::Shape {
-                        name: vi.name.clone(),
+                        name: vi.name.to_string(),
                         reason: format!("non-positive dimension {v} (shapes must be fully static)"),
                     })
                 }
                 Dim::Param(p) => {
                     return Err(OnnxError::Shape {
-                        name: vi.name.clone(),
+                        name: vi.name.to_string(),
                         reason: format!(
                             "symbolic dimension `{p}` — this IR requires fully static shapes; \
                              freeze the batch size before importing"
@@ -90,23 +99,23 @@ pub fn import_graph(model: &ModelProto) -> Result<Graph> {
                 }
             }
         }
-        graph.inputs.push(TensorInfo::new(&vi.name, dtype, shape));
+        graph.inputs.push(TensorInfo::new(&*vi.name, dtype, shape));
     }
 
-    let mut used_names: HashSet<String> = gp
-        .node
-        .iter()
-        .filter(|n| !n.name.is_empty())
-        .map(|n| n.name.clone())
-        .collect();
+    let mut used_names = None;
     for (i, n) in gp.node.iter().enumerate() {
-        let name = node_name(n, i, &mut used_names);
+        let name = node_name(&gp.node, i, &mut used_names);
         let lowered = lower_node(n, &name, opset, &graph.initializers)?;
-        let outputs: Vec<String> = n.output.iter().filter(|o| !o.is_empty()).cloned().collect();
+        let outputs: Vec<String> = n
+            .output
+            .iter()
+            .filter(|o| !o.is_empty())
+            .map(|o| o.to_string())
+            .collect();
         let expected = lowered.op.num_outputs();
         if outputs.len() != expected {
             return Err(OnnxError::Attr {
-                op: n.op_type.clone(),
+                op: n.op_type.to_string(),
                 node: name,
                 reason: format!(
                     "{} output(s) where the IR form takes {expected} \
@@ -131,17 +140,20 @@ pub fn import_graph(model: &ModelProto) -> Result<Graph> {
             reason: "graph declares no outputs".into(),
         });
     }
-    graph.outputs = gp.output.iter().map(|o| o.name.clone()).collect();
+    graph.outputs = gp.output.iter().map(|o| o.name.to_string()).collect();
 
+    // The snapshot borrows `graph.nodes` only, which leaves `initializers`
+    // and `value_info` free to be updated while it is alive.
+    let adj = Adjacency::of(&graph.nodes);
     // Initializers that only fed lifted constant-input operands are no
     // longer referenced; drop them. (Serialized value_info is deliberately
     // ignored — shapes are re-derived below, so stale or hostile shape
     // annotations in the file cannot skew the pipeline.)
-    graph.prune_dangling_metadata();
-
-    // The snapshot borrows `graph.nodes` only, which leaves `value_info`
-    // free to be filled while it is alive.
-    let adj = Adjacency::of(&graph.nodes);
+    graph.initializers.retain(|name, _| {
+        adj.consumers_of.contains_key(name)
+            || adj.producer_of.contains_key(name)
+            || graph.outputs.contains(name)
+    });
     let invalid = |e: ramiel_ir::IrError| OnnxError::Validate {
         reason: e.to_string(),
     };
@@ -164,17 +176,32 @@ pub fn import_graph(model: &ModelProto) -> Result<Graph> {
     Ok(graph)
 }
 
-fn node_name(n: &NodeProto, index: usize, used: &mut HashSet<String>) -> String {
+/// The IR name of node `index`: its own, or (when the file leaves it
+/// empty) `<op_type>_<index>` made unique against every name in use. The
+/// set of used names is built on the first unnamed node only.
+fn node_name<'p>(
+    nodes: &'p [NodeProto<'_>],
+    index: usize,
+    used: &mut Option<HashSet<Cow<'p, str>>>,
+) -> String {
+    let n = &nodes[index];
     if !n.name.is_empty() {
         // Duplicates among explicit names are a model error; leave them for
         // `ir::validate` to report with a proper diagnostic.
-        return n.name.clone();
+        return n.name.to_string();
     }
+    let used = used.get_or_insert_with(|| {
+        nodes
+            .iter()
+            .filter(|n| !n.name.is_empty())
+            .map(|n| Cow::Borrowed(&*n.name))
+            .collect()
+    });
     let mut candidate = format!("{}_{}", n.op_type, index);
-    while used.contains(&candidate) {
+    while used.contains(candidate.as_str()) {
         candidate.push('_');
     }
-    used.insert(candidate.clone());
+    used.insert(Cow::Owned(candidate.clone()));
     candidate
 }
 
@@ -196,12 +223,12 @@ fn dtype_of(elem: i64, context: &str) -> Result<DType> {
 /// element count and the byte size it implies are computed with checked
 /// arithmetic: dims whose product wraps must be refused, not matched against
 /// a payload of the wrapped size.
-pub(crate) fn tensor_data(t: &TensorProto) -> Result<TensorData> {
+pub(crate) fn tensor_data(t: &TensorProto<'_>) -> Result<TensorData> {
     let err = |reason: String| OnnxError::Tensor {
         name: if t.name.is_empty() {
             "<anonymous>".into()
         } else {
-            t.name.clone()
+            t.name.to_string()
         },
         reason,
     };
@@ -289,7 +316,7 @@ impl Lowered {
 struct Attrs<'a> {
     op: &'a str,
     node: &'a str,
-    list: &'a [AttributeProto],
+    list: &'a [AttributeProto<'a>],
 }
 
 impl<'a> Attrs<'a> {
@@ -301,11 +328,11 @@ impl<'a> Attrs<'a> {
         }
     }
 
-    fn get(&self, name: &str) -> Option<&'a AttributeProto> {
+    fn get(&self, name: &str) -> Option<&'a AttributeProto<'a>> {
         self.list.iter().find(|a| a.name == name)
     }
 
-    fn check_type(&self, a: &AttributeProto, want: i64, what: &str) -> Result<()> {
+    fn check_type(&self, a: &AttributeProto<'_>, want: i64, what: &str) -> Result<()> {
         // Old writers may omit the type tag; only a conflicting tag fails.
         if a.r#type != 0 && a.r#type != want {
             return Err(self.err(format!(
@@ -336,38 +363,38 @@ impl<'a> Attrs<'a> {
         }
     }
 
-    fn s(&self, name: &str, default: &str) -> Result<String> {
+    fn s(&self, name: &str, default: &'a str) -> Result<&'a str> {
         match self.get(name) {
-            None => Ok(default.to_string()),
+            None => Ok(default),
             Some(a) => {
                 self.check_type(a, attr_type::STRING, "a string")?;
-                String::from_utf8(a.s.clone())
+                std::str::from_utf8(&a.s)
                     .map_err(|_| self.err(format!("attribute `{name}` is not UTF-8")))
             }
         }
     }
 
-    fn ints(&self, name: &str) -> Result<Option<Vec<i64>>> {
+    fn ints(&self, name: &str) -> Result<Option<&'a [i64]>> {
         match self.get(name) {
             None => Ok(None),
             Some(a) => {
                 self.check_type(a, attr_type::INTS, "an int list")?;
-                Ok(Some(a.ints.clone()))
+                Ok(Some(&a.ints))
             }
         }
     }
 
-    fn require_ints(&self, name: &str) -> Result<Vec<i64>> {
+    fn require_ints(&self, name: &str) -> Result<&'a [i64]> {
         self.ints(name)?
             .ok_or_else(|| self.err(format!("missing required attribute `{name}`")))
     }
 
-    fn tensor(&self, name: &str) -> Result<Option<&'a TensorProto>> {
+    fn tensor(&self, name: &str) -> Result<Option<&'a TensorProto<'a>>> {
         match self.get(name) {
             None => Ok(None),
             Some(a) => {
                 self.check_type(a, attr_type::TENSOR, "a tensor")?;
-                a.t.as_ref()
+                a.t.as_deref()
                     .map(Some)
                     .ok_or_else(|| self.err(format!("attribute `{name}` has no tensor payload")))
             }
@@ -379,7 +406,7 @@ impl<'a> Attrs<'a> {
     /// than a refused import.
     fn reject_unknown(&self, handled: &[&str], ignorable: &[&str]) -> Result<()> {
         for a in self.list {
-            if !handled.contains(&a.name.as_str()) && !ignorable.contains(&a.name.as_str()) {
+            if !handled.contains(&&*a.name) && !ignorable.contains(&&*a.name) {
                 return Err(self.err(format!("unhandled attribute `{}`", a.name)));
             }
         }
@@ -389,18 +416,15 @@ impl<'a> Attrs<'a> {
 
 /// Optional input at `idx`: `None` when absent or the empty-string
 /// "omitted operand" placeholder.
-fn opt_input(n: &NodeProto, idx: usize) -> Option<&str> {
-    n.input
-        .get(idx)
-        .map(String::as_str)
-        .filter(|s| !s.is_empty())
+fn opt_input<'n>(n: &'n NodeProto<'_>, idx: usize) -> Option<&'n str> {
+    n.input.get(idx).map(|s| &**s).filter(|s| !s.is_empty())
 }
 
 /// Resolve the optional input at `idx` to its constant payload, for
 /// operators whose parameters travel as constant-input operands in newer
 /// opsets. A non-constant operand in such a position is a structured error.
 fn const_input<'g>(
-    n: &NodeProto,
+    n: &NodeProto<'_>,
     idx: usize,
     what: &str,
     inits: &'g BTreeMap<String, TensorData>,
@@ -418,7 +442,7 @@ fn const_input<'g>(
 }
 
 fn const_i64s(
-    n: &NodeProto,
+    n: &NodeProto<'_>,
     idx: usize,
     what: &str,
     inits: &BTreeMap<String, TensorData>,
@@ -434,7 +458,7 @@ fn const_i64s(
 }
 
 fn const_scalar_f32(
-    n: &NodeProto,
+    n: &NodeProto<'_>,
     idx: usize,
     what: &str,
     inits: &BTreeMap<String, TensorData>,
@@ -462,11 +486,11 @@ fn spatial_2d(attrs: &Attrs) -> Result<Spatial2d> {
             kernel.len()
         )));
     };
-    let strides = attrs.ints("strides")?.unwrap_or_else(|| vec![1, 1]);
+    let strides = attrs.ints("strides")?.unwrap_or(&[1, 1]);
     let [sh, sw] = strides[..] else {
         return Err(attrs.err("strides must have 2 entries"));
     };
-    let pads = attrs.ints("pads")?.unwrap_or_else(|| vec![0, 0, 0, 0]);
+    let pads = attrs.ints("pads")?.unwrap_or(&[0, 0, 0, 0]);
     let [pt, pl, pb, pr] = pads[..] else {
         return Err(attrs.err("pads must have 4 entries for a 2-D operator"));
     };
@@ -499,7 +523,7 @@ fn spatial_2d(attrs: &Attrs) -> Result<Spatial2d> {
 }
 
 fn lower_node(
-    n: &NodeProto,
+    n: &NodeProto<'_>,
     name: &str,
     opset: i64,
     inits: &BTreeMap<String, TensorData>,
@@ -515,10 +539,10 @@ fn lower_node(
         node: name,
         list: &n.attribute,
     };
-    let all_inputs = || n.input.clone();
-    let first_input = || n.input.first().cloned().into_iter().collect::<Vec<_>>();
+    let all_inputs = || n.input.iter().map(|s| s.to_string()).collect();
+    let first_input = || n.input.first().map(|s| s.to_string()).into_iter().collect();
 
-    let lowered = match n.op_type.as_str() {
+    let lowered = match &*n.op_type {
         // ---- convolution / linear algebra ----------------------------------
         "Conv" => {
             let (kernel, stride, pads, ceil) = spatial_2d(&attrs)?;
@@ -567,7 +591,7 @@ fn lower_node(
         // ---- activations / unary elementwise -------------------------------
         "Relu" | "Sigmoid" | "Tanh" | "Erf" | "Sqrt" | "Exp" | "Neg" | "Identity" => {
             attrs.reject_unknown(&[], &[])?;
-            let op = match n.op_type.as_str() {
+            let op = match &*n.op_type {
                 "Relu" => OpKind::Relu,
                 "Sigmoid" => OpKind::Sigmoid,
                 "Tanh" => OpKind::Tanh,
@@ -628,7 +652,7 @@ fn lower_node(
         // ---- binary / ternary elementwise ----------------------------------
         "Add" | "Sub" | "Mul" | "Div" | "Pow" | "Equal" | "Where" => {
             attrs.reject_unknown(&[], &[])?;
-            let op = match n.op_type.as_str() {
+            let op = match &*n.op_type {
                 "Add" => OpKind::Add,
                 "Sub" => OpKind::Sub,
                 "Mul" => OpKind::Mul,
@@ -676,7 +700,7 @@ fn lower_node(
                 return Err(attrs.err("noop_with_empty_axes is not supported"));
             }
             let axes = match attrs.ints("axes")? {
-                Some(v) => v,
+                Some(v) => v.to_vec(),
                 None => const_i64s(n, 1, "axes", inits, &attrs)?.ok_or_else(|| {
                     attrs.err("missing axes (neither attribute nor constant input)")
                 })?,
@@ -747,7 +771,7 @@ fn lower_node(
         "Split" => {
             let axis = attrs.i("axis", 0)? as isize;
             let parts = match attrs.ints("split")? {
-                Some(v) => v,
+                Some(v) => v.to_vec(),
                 None => const_i64s(n, 1, "split", inits, &attrs)?.ok_or_else(|| {
                     attrs.err(
                         "missing split sizes (implicit equal split is not supported; \
@@ -778,14 +802,14 @@ fn lower_node(
                     .unwrap_or_else(|| vec![1; starts.len()]);
                 (starts, ends, axes, steps)
             } else {
-                let starts = attrs.require_ints("starts")?;
-                let ends = attrs.require_ints("ends")?;
+                let starts = attrs.require_ints("starts")?.to_vec();
+                let ends = attrs.require_ints("ends")?.to_vec();
                 let axes = attrs
                     .ints("axes")?
-                    .unwrap_or_else(|| (0..starts.len() as i64).collect());
+                    .map_or_else(|| (0..starts.len() as i64).collect(), <[i64]>::to_vec);
                 let steps = attrs
                     .ints("steps")?
-                    .unwrap_or_else(|| vec![1; starts.len()]);
+                    .map_or_else(|| vec![1; starts.len()], <[i64]>::to_vec);
                 (starts, ends, axes, steps)
             };
             attrs.reject_unknown(&["starts", "ends", "axes", "steps"], &[])?;
@@ -829,7 +853,7 @@ fn lower_node(
         }
         "Unsqueeze" | "Squeeze" => {
             let axes = match attrs.ints("axes")? {
-                Some(v) => v,
+                Some(v) => v.to_vec(),
                 None => const_i64s(n, 1, "axes", inits, &attrs)?.ok_or_else(|| {
                     attrs.err("missing axes (neither attribute nor constant input)")
                 })?,
@@ -909,7 +933,7 @@ fn lower_node(
                 return Err(attrs.err(format!("mode `{mode}` is not supported")));
             }
             let pads = match attrs.ints("pads")? {
-                Some(v) => v,
+                Some(v) => v.to_vec(),
                 None => const_i64s(n, 1, "pads", inits, &attrs)?.ok_or_else(|| {
                     attrs.err("missing pads (neither attribute nor constant input)")
                 })?,

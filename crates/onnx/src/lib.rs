@@ -22,7 +22,7 @@ pub mod wire;
 
 pub use export::{export_model, save_onnx};
 pub use import::import_model;
-pub use loader::{load_model, load_model_bytes, LoadError};
+pub use loader::{decode_model_file, load_model, load_model_bytes, read_model_file, LoadError};
 
 use ramiel_ir::Graph;
 

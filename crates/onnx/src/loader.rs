@@ -56,17 +56,31 @@ impl From<OnnxError> for LoadError {
 /// run `ramiel check`).
 pub fn load_model(path: impl AsRef<Path>) -> Result<Graph, LoadError> {
     let path = path.as_ref();
-    let bytes = std::fs::read(path).map_err(|e| LoadError::Io {
+    decode_model_file(path, &read_model_file(path)?)
+}
+
+/// The read half of [`load_model`], for callers that time the read and the
+/// decode apart.
+pub fn read_model_file(path: impl AsRef<Path>) -> Result<Vec<u8>, LoadError> {
+    let path = path.as_ref();
+    std::fs::read(path).map_err(|e| LoadError::Io {
         path: path.display().to_string(),
         reason: e.to_string(),
-    })?;
+    })
+}
+
+/// The decode half of [`load_model`]: `bytes` as read from `path`, whose
+/// `.onnx` extension routes them to the protobuf importer whatever they
+/// hold; any other name dispatches by content ([`load_model_bytes`]).
+pub fn decode_model_file(path: impl AsRef<Path>, bytes: &[u8]) -> Result<Graph, LoadError> {
     let is_onnx_ext = path
+        .as_ref()
         .extension()
         .is_some_and(|e| e.eq_ignore_ascii_case("onnx"));
     if is_onnx_ext {
-        return Ok(import_model(&bytes)?);
+        return Ok(import_model(bytes)?);
     }
-    load_model_bytes(&bytes)
+    load_model_bytes(bytes)
 }
 
 /// [`load_model`] for content already in memory (the registry hands over the

@@ -6,9 +6,16 @@
 //! consumes are materialized; unknown fields are skipped by wire type, so
 //! models carrying metadata, docstrings, training info or quantization
 //! annotations still decode — the importer then decides what it supports.
+//!
+//! Decoding borrows: every name, attribute string and `raw_data` payload of
+//! a message decoded by [`ModelProto::decode`] is a `Cow::Borrowed` slice of
+//! the input bytes, so a decode allocates the message vectors and no copy
+//! of a weight or a name. The exporter fills the same fields with owned
+//! data (`Cow::Owned`), or borrows the names from the graph it exports.
 
 use crate::wire::{WireReader, WireWriter};
 use crate::OnnxError;
+use std::borrow::Cow;
 
 /// `TensorProto.DataType` values for the element types the IR supports.
 pub mod data_type {
@@ -29,66 +36,70 @@ pub mod attr_type {
 
 /// Top-level `.onnx` message.
 #[derive(Debug, Default, Clone)]
-pub struct ModelProto {
+pub struct ModelProto<'a> {
     pub ir_version: i64,
-    pub producer_name: String,
-    pub producer_version: String,
+    pub producer_name: Cow<'a, str>,
+    pub producer_version: Cow<'a, str>,
     /// `(domain, version)` pairs; the default domain is the empty string.
     pub opset_import: Vec<(String, i64)>,
-    pub graph: Option<GraphProto>,
+    pub graph: Option<GraphProto<'a>>,
 }
 
 #[derive(Debug, Default, Clone)]
-pub struct GraphProto {
-    pub name: String,
-    pub node: Vec<NodeProto>,
-    pub initializer: Vec<TensorProto>,
-    pub input: Vec<ValueInfoProto>,
-    pub output: Vec<ValueInfoProto>,
-    pub value_info: Vec<ValueInfoProto>,
+pub struct GraphProto<'a> {
+    pub name: Cow<'a, str>,
+    pub node: Vec<NodeProto<'a>>,
+    pub initializer: Vec<TensorProto<'a>>,
+    pub input: Vec<ValueInfoProto<'a>>,
+    pub output: Vec<ValueInfoProto<'a>>,
+    pub value_info: Vec<ValueInfoProto<'a>>,
 }
 
 #[derive(Debug, Default, Clone)]
-pub struct NodeProto {
-    pub name: String,
-    pub op_type: String,
-    pub domain: String,
-    pub input: Vec<String>,
-    pub output: Vec<String>,
-    pub attribute: Vec<AttributeProto>,
+pub struct NodeProto<'a> {
+    pub name: Cow<'a, str>,
+    pub op_type: Cow<'a, str>,
+    pub domain: Cow<'a, str>,
+    pub input: Vec<Cow<'a, str>>,
+    pub output: Vec<Cow<'a, str>>,
+    pub attribute: Vec<AttributeProto<'a>>,
 }
 
 #[derive(Debug, Default, Clone)]
-pub struct AttributeProto {
-    pub name: String,
+pub struct AttributeProto<'a> {
+    pub name: Cow<'a, str>,
     /// `AttributeProto.AttributeType`; 0 when the writer omitted it (the
     /// populated payload field then determines the type).
     pub r#type: i64,
     pub f: f32,
     pub i: i64,
-    pub s: Vec<u8>,
-    pub t: Option<TensorProto>,
+    pub s: Cow<'a, [u8]>,
+    /// Boxed: only `Constant`-like attributes carry a tensor, and inline it
+    /// would double the size of every attribute of every node.
+    pub t: Option<Box<TensorProto<'a>>>,
     pub floats: Vec<f32>,
     pub ints: Vec<i64>,
 }
 
 #[derive(Debug, Default, Clone)]
-pub struct TensorProto {
-    pub name: String,
+pub struct TensorProto<'a> {
+    pub name: Cow<'a, str>,
     pub dims: Vec<i64>,
     /// `TensorProto.DataType` (see [`data_type`]).
     pub data_type: i64,
     /// Little-endian packed element bytes; the exporter always writes this
     /// form, the importer also accepts the typed `*_data` fields below.
-    pub raw_data: Vec<u8>,
+    /// Decoded payloads sit at whatever offset the field had in the file,
+    /// so they are read byte-wise, never cast to a wider element type.
+    pub raw_data: Cow<'a, [u8]>,
     pub float_data: Vec<f32>,
     pub int64_data: Vec<i64>,
     pub int32_data: Vec<i64>,
 }
 
 #[derive(Debug, Default, Clone)]
-pub struct ValueInfoProto {
-    pub name: String,
+pub struct ValueInfoProto<'a> {
+    pub name: Cow<'a, str>,
     /// `(elem_type, dims)` from `type.tensor_type`; `None` when absent.
     /// Symbolic dimensions (`dim_param`) decode as `Err` in the dim slot.
     pub tensor_type: Option<(i64, Vec<Dim>)>,
@@ -103,16 +114,16 @@ pub enum Dim {
     Param(String),
 }
 
-impl ModelProto {
-    pub fn decode(bytes: &[u8]) -> Result<ModelProto, OnnxError> {
+impl<'a> ModelProto<'a> {
+    pub fn decode(bytes: &'a [u8]) -> Result<ModelProto<'a>, OnnxError> {
         let mut r = WireReader::new(bytes);
         let mut m = ModelProto::default();
         while !r.is_empty() {
             let (field, wt) = r.key()?;
             match field {
                 1 => m.ir_version = r.varint_i64()?,
-                2 => m.producer_name = r.string()?,
-                3 => m.producer_version = r.string()?,
+                2 => m.producer_name = r.string()?.into(),
+                3 => m.producer_version = r.string()?.into(),
                 7 => m.graph = Some(GraphProto::decode(r.message()?)?),
                 8 => {
                     let mut sub = r.message()?;
@@ -120,7 +131,7 @@ impl ModelProto {
                     while !sub.is_empty() {
                         let (f, w) = sub.key()?;
                         match f {
-                            1 => domain = sub.string()?,
+                            1 => domain = sub.string()?.to_string(),
                             2 => version = sub.varint_i64()?,
                             _ => sub.skip(w)?,
                         }
@@ -161,14 +172,14 @@ impl ModelProto {
     }
 }
 
-impl GraphProto {
-    fn decode(mut r: WireReader) -> Result<GraphProto, OnnxError> {
+impl<'a> GraphProto<'a> {
+    fn decode(mut r: WireReader<'a>) -> Result<GraphProto<'a>, OnnxError> {
         let mut g = GraphProto::default();
         while !r.is_empty() {
             let (field, wt) = r.key()?;
             match field {
                 1 => g.node.push(NodeProto::decode(r.message()?)?),
-                2 => g.name = r.string()?,
+                2 => g.name = r.string()?.into(),
                 5 => g.initializer.push(TensorProto::decode(r.message()?)?),
                 11 => g.input.push(ValueInfoProto::decode(r.message()?)?),
                 12 => g.output.push(ValueInfoProto::decode(r.message()?)?),
@@ -203,18 +214,18 @@ impl GraphProto {
     }
 }
 
-impl NodeProto {
-    fn decode(mut r: WireReader) -> Result<NodeProto, OnnxError> {
+impl<'a> NodeProto<'a> {
+    fn decode(mut r: WireReader<'a>) -> Result<NodeProto<'a>, OnnxError> {
         let mut n = NodeProto::default();
         while !r.is_empty() {
             let (field, wt) = r.key()?;
             match field {
-                1 => n.input.push(r.string()?),
-                2 => n.output.push(r.string()?),
-                3 => n.name = r.string()?,
-                4 => n.op_type = r.string()?,
+                1 => n.input.push(r.string()?.into()),
+                2 => n.output.push(r.string()?.into()),
+                3 => n.name = r.string()?.into(),
+                4 => n.op_type = r.string()?.into(),
                 5 => n.attribute.push(AttributeProto::decode(r.message()?)?),
-                7 => n.domain = r.string()?,
+                7 => n.domain = r.string()?.into(),
                 _ => r.skip(wt)?,
             }
         }
@@ -243,17 +254,17 @@ impl NodeProto {
     }
 }
 
-impl AttributeProto {
-    fn decode(mut r: WireReader) -> Result<AttributeProto, OnnxError> {
+impl<'a> AttributeProto<'a> {
+    fn decode(mut r: WireReader<'a>) -> Result<AttributeProto<'a>, OnnxError> {
         let mut a = AttributeProto::default();
         while !r.is_empty() {
             let (field, wt) = r.key()?;
             match field {
-                1 => a.name = r.string()?,
+                1 => a.name = r.string()?.into(),
                 2 => a.f = r.float()?,
                 3 => a.i = r.varint_i64()?,
-                4 => a.s = r.bytes()?.to_vec(),
-                5 => a.t = Some(TensorProto::decode(r.message()?)?),
+                4 => a.s = r.bytes()?.into(),
+                5 => a.t = Some(Box::new(TensorProto::decode(r.message()?)?)),
                 7 => r.repeated_f32(wt, &mut a.floats)?,
                 8 => r.repeated_i64(wt, &mut a.ints)?,
                 20 => a.r#type = r.varint_i64()?,
@@ -284,7 +295,7 @@ impl AttributeProto {
     }
 
     /// Typed constructors used by the exporter.
-    pub fn int(name: &str, v: i64) -> AttributeProto {
+    pub fn int(name: &'a str, v: i64) -> AttributeProto<'a> {
         AttributeProto {
             name: name.into(),
             r#type: attr_type::INT,
@@ -293,7 +304,7 @@ impl AttributeProto {
         }
     }
 
-    pub fn float(name: &str, v: f32) -> AttributeProto {
+    pub fn float(name: &'a str, v: f32) -> AttributeProto<'a> {
         AttributeProto {
             name: name.into(),
             r#type: attr_type::FLOAT,
@@ -302,16 +313,16 @@ impl AttributeProto {
         }
     }
 
-    pub fn string(name: &str, v: &str) -> AttributeProto {
+    pub fn string(name: &'a str, v: &'a str) -> AttributeProto<'a> {
         AttributeProto {
             name: name.into(),
             r#type: attr_type::STRING,
-            s: v.as_bytes().to_vec(),
+            s: v.as_bytes().into(),
             ..Default::default()
         }
     }
 
-    pub fn ints(name: &str, vs: Vec<i64>) -> AttributeProto {
+    pub fn ints(name: &'a str, vs: Vec<i64>) -> AttributeProto<'a> {
         AttributeProto {
             name: name.into(),
             r#type: attr_type::INTS,
@@ -320,18 +331,18 @@ impl AttributeProto {
         }
     }
 
-    pub fn tensor(name: &str, t: TensorProto) -> AttributeProto {
+    pub fn tensor(name: &'a str, t: TensorProto<'a>) -> AttributeProto<'a> {
         AttributeProto {
             name: name.into(),
             r#type: attr_type::TENSOR,
-            t: Some(t),
+            t: Some(Box::new(t)),
             ..Default::default()
         }
     }
 }
 
-impl TensorProto {
-    fn decode(mut r: WireReader) -> Result<TensorProto, OnnxError> {
+impl<'a> TensorProto<'a> {
+    fn decode(mut r: WireReader<'a>) -> Result<TensorProto<'a>, OnnxError> {
         let mut t = TensorProto::default();
         while !r.is_empty() {
             let (field, wt) = r.key()?;
@@ -341,8 +352,8 @@ impl TensorProto {
                 4 => r.repeated_f32(wt, &mut t.float_data)?,
                 5 => r.repeated_i64(wt, &mut t.int32_data)?,
                 7 => r.repeated_i64(wt, &mut t.int64_data)?,
-                8 => t.name = r.string()?,
-                9 => t.raw_data = r.bytes()?.to_vec(),
+                8 => t.name = r.string()?.into(),
+                9 => t.raw_data = r.bytes()?.into(),
                 _ => r.skip(wt)?,
             }
         }
@@ -366,13 +377,13 @@ impl TensorProto {
     }
 }
 
-impl ValueInfoProto {
-    fn decode(mut r: WireReader) -> Result<ValueInfoProto, OnnxError> {
+impl<'a> ValueInfoProto<'a> {
+    fn decode(mut r: WireReader<'a>) -> Result<ValueInfoProto<'a>, OnnxError> {
         let mut v = ValueInfoProto::default();
         while !r.is_empty() {
             let (field, wt) = r.key()?;
             match field {
-                1 => v.name = r.string()?,
+                1 => v.name = r.string()?.into(),
                 2 => {
                     // TypeProto { tensor_type = 1 }
                     let mut ty = r.message()?;
@@ -405,7 +416,7 @@ impl ValueInfoProto {
                                             let (f4, w4) = d.key()?;
                                             match f4 {
                                                 1 => dim = Dim::Value(d.varint_i64()?),
-                                                2 => dim = Dim::Param(d.string()?),
+                                                2 => dim = Dim::Param(d.string()?.to_string()),
                                                 _ => d.skip(w4)?,
                                             }
                                         }
@@ -448,7 +459,7 @@ impl ValueInfoProto {
     }
 
     /// A fixed-shape tensor value info (the exporter's only form).
-    pub fn tensor(name: &str, elem: i64, dims: &[usize]) -> ValueInfoProto {
+    pub fn tensor(name: &'a str, elem: i64, dims: &[usize]) -> ValueInfoProto<'a> {
         ValueInfoProto {
             name: name.into(),
             tensor_type: Some((elem, dims.iter().map(|&d| Dim::Value(d as i64)).collect())),

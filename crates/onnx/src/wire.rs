@@ -9,7 +9,9 @@
 //!
 //! Every reader error carries the byte offset where decoding failed so a
 //! truncated or bit-flipped model file produces an actionable `ONNX-WIRE`
-//! diagnostic instead of a panic or a silently wrong graph.
+//! diagnostic instead of a panic or a silently wrong graph. Strings and
+//! byte payloads come back as slices of the input buffer: reading copies
+//! nothing.
 
 use crate::OnnxError;
 
@@ -159,11 +161,11 @@ impl<'a> WireReader<'a> {
         Ok(out)
     }
 
-    /// Read a length-delimited payload as UTF-8.
-    pub fn string(&mut self) -> Result<String, OnnxError> {
+    /// Read a length-delimited payload as UTF-8, borrowed from the buffer.
+    pub fn string(&mut self) -> Result<&'a str, OnnxError> {
         let at = self.offset();
         let raw = self.bytes()?;
-        String::from_utf8(raw.to_vec()).map_err(|_| OnnxError::Wire {
+        std::str::from_utf8(raw).map_err(|_| OnnxError::Wire {
             offset: at,
             reason: "string field is not valid UTF-8".into(),
         })

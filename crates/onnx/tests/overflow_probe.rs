@@ -9,7 +9,7 @@ fn hostile_dims_product_overflow() {
         name: "w".into(),
         dims: vec![1i64 << 33, 1i64 << 33],
         data_type: data_type::FLOAT,
-        raw_data: vec![],
+        raw_data: vec![].into(),
         ..Default::default()
     };
     let gp = GraphProto {
@@ -47,7 +47,7 @@ fn wrapped_numel_matching_short_raw_data_is_refused() {
         name: "w".into(),
         dims: vec![(1i64 << 62) + 1, 4],
         data_type: data_type::FLOAT,
-        raw_data: vec![0u8; 16],
+        raw_data: vec![0u8; 16].into(),
         ..Default::default()
     };
     let gp = GraphProto {

@@ -3,7 +3,8 @@
 //! `load()` pays every per-model cost exactly once — clustering, the
 //! slot-resolved graph program with its in-place marks, hypercluster
 //! schedules compiled to per-worker programs at the batch sizes the
-//! micro-batcher will actually hit, the shared initializer table, and a
+//! micro-batcher will actually hit, the shared initializer table (whose
+//! buffers are the graph's own payloads, moved, not copied), and a
 //! per-plan [`ExecCtx`] whose packed-weight cache persists across requests
 //! — and shares the result as an [`Arc<CompiledPlan>`]. The cache is
 //! LRU-bounded ([`PlanCache::new`]) and every (re)load gets a fresh
@@ -17,7 +18,7 @@ use ramiel_cluster::{
     cluster_graph_with, hypercluster, switched_hypercluster, Clustering, HyperClustering,
     StaticCost,
 };
-use ramiel_ir::Graph;
+use ramiel_ir::{Graph, TensorInfo};
 use ramiel_runtime::{GraphProgram, PlannedBatch, StealPlan};
 use ramiel_tensor::{ExecCtx, Value};
 use std::collections::{BTreeMap, HashMap};
@@ -25,9 +26,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// What to compile into a plan. The graph is the only required piece:
-/// callers that already ran the pipeline (the CLI's `prepare()` path) pass
-/// their clustering and initializer table through so nothing is recomputed;
-/// otherwise `load()` clusters with the paper's static cost model.
+/// callers that already ran the pipeline (the CLI's `schedule()` path) pass
+/// their clustering through so nothing is recomputed; otherwise `load()`
+/// clusters with the paper's static cost model.
 pub struct PlanSpec {
     pub graph: Graph,
     /// `None` → LC+merge clustering under [`StaticCost`].
@@ -39,7 +40,7 @@ pub struct PlanSpec {
     /// other sizes the batcher reaches are planned lazily on first use.
     pub batch_sizes: Vec<usize>,
     /// Pre-converted weights to share (e.g. from `ramiel::prepare`);
-    /// `None` → converted once at load.
+    /// `None` → the graph's own payloads become the table at load.
     pub init_values: Option<Arc<HashMap<String, Value>>>,
 }
 
@@ -61,10 +62,16 @@ pub struct CompiledPlan {
     /// Monotonic across the owning [`PlanCache`]; bumped on every reload
     /// of the same name (hot reload).
     pub version: u64,
+    /// The graph the plan was compiled from, minus its weights: `load`
+    /// moves every initializer payload into [`init_values`](Self::init_values),
+    /// so `graph.initializers` is empty and each initializer's shape and
+    /// dtype are in `graph.value_info` instead (`Graph::tensor_info` still
+    /// answers for it). Nodes, inputs and outputs are unchanged.
     pub graph: Graph,
     pub clustering: Clustering,
     pub switched: bool,
-    /// Shared pre-converted weights — every fetch is a refcount bump.
+    /// Shared weights — every fetch is a refcount bump. Built from the
+    /// spec's graph by moving its payloads (or the spec's own table).
     pub init_values: Arc<HashMap<String, Value>>,
     /// Per-plan execution context: its packed-weight cache warms up on the
     /// first request and is reused by every later one (clones share it).
@@ -100,7 +107,7 @@ impl CompiledPlan {
         intra_op: usize,
     ) -> Result<CompiledPlan, ServeError> {
         let PlanSpec {
-            graph,
+            mut graph,
             clustering,
             switched,
             batch_sizes,
@@ -129,10 +136,8 @@ impl CompiledPlan {
             }
             (clustering, program, schedules)
         };
-        let init_values = match init_values {
-            Some(iv) => iv,
-            None => ramiel_runtime::initializer_values(&graph).map_err(ServeError::Runtime)?,
-        };
+        let weights = take_initializers(&mut graph)?;
+        let init_values = init_values.unwrap_or_else(|| Arc::new(weights));
         let ctx = if intra_op > 1 {
             ExecCtx::with_intra_op(intra_op)
         } else {
@@ -200,6 +205,22 @@ impl CompiledPlan {
     pub fn planned_batches(&self) -> Vec<usize> {
         self.schedules.lock().keys().copied().collect()
     }
+}
+
+/// Move `graph`'s initializer payloads into a runtime table, each buffer
+/// wrapped as it is (no element copied), leaving the shape and dtype of
+/// every initializer in `graph.value_info`.
+fn take_initializers(graph: &mut Graph) -> Result<HashMap<String, Value>, ServeError> {
+    let initializers = std::mem::take(&mut graph.initializers);
+    let mut table = HashMap::with_capacity(initializers.len());
+    for (name, data) in initializers {
+        let info = TensorInfo::new(name.clone(), data.dtype(), data.shape.clone());
+        graph.value_info.insert(name.clone(), info);
+        let value =
+            Value::from_owned_tensor_data(data).map_err(|e| ServeError::Runtime(e.into()))?;
+        table.insert(name, value);
+    }
+    Ok(table)
 }
 
 /// Plain (Fig. 8) or switched (Fig. 9) hyperclustering of `clustering`.

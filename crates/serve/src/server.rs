@@ -221,7 +221,8 @@ impl Ticket {
 /// registry answered (`ramiel_registry_pulls_total`) and how often the plan
 /// cache evicted (`ramiel_plan_evictions_total`). One branch per record when
 /// the registry is disabled. The TCP `load` verb records the registry
-/// phases that run before [`Server::load`] (fetch, hash, store); the server
+/// phases that run before [`Server::load`] (fetch, hash, store), and
+/// `ramiel serve` its file read through [`Server::record_fetch`]; the server
 /// records import (handed to [`Server::load_prepared`]), compile and swap.
 pub(crate) struct LoadMetrics {
     pub fetch: HistHandle,
@@ -347,8 +348,8 @@ impl Server {
     /// itself: the TCP `load` verb imports the model first, and `ramiel
     /// serve` imports *and* schedules its start-up model before a server
     /// exists. `import` lands in the import phase and `prepare` (the time
-    /// behind the clustering and initializer table handed over in `spec`,
-    /// zero when there are none) is counted into this load's compile phase,
+    /// behind the clustering handed over in `spec`, zero when there is
+    /// none) is counted into this load's compile phase,
     /// so `stats.load` covers the same work for the start-up model as for a
     /// TCP `load`.
     pub fn load_prepared(
@@ -360,6 +361,13 @@ impl Server {
     ) -> Result<Arc<CompiledPlan>, ServeError> {
         self.load_metrics.import.record_duration(import);
         self.load_after(name, spec, prepare)
+    }
+
+    /// Record the time a caller spent reading a model's bytes before
+    /// importing them (`ramiel serve <file>` reading its start-up model),
+    /// under the same `fetch` phase a TCP `load` records its read in.
+    pub fn record_fetch(&self, took: Duration) {
+        self.load_metrics.fetch.record_duration(took);
     }
 
     /// `compiled_before`: compile-phase time the caller already spent.

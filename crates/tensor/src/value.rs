@@ -56,12 +56,18 @@ impl Value {
         }
     }
 
-    /// Build from an IR initializer payload.
+    /// Build from an IR initializer payload (a copy of it).
     pub fn from_tensor_data(td: &TensorData) -> Result<Value> {
-        Ok(match &td.payload {
-            Payload::F32(v) => Value::F32(Tensor::new(td.shape.clone(), v.clone())?),
-            Payload::I64(v) => Value::I64(Tensor::new(td.shape.clone(), v.clone())?),
-            Payload::Bool(v) => Value::Bool(Tensor::new(td.shape.clone(), v.clone())?),
+        Value::from_owned_tensor_data(td.clone())
+    }
+
+    /// [`Value::from_tensor_data`] that takes the payload instead of copying
+    /// it: the element buffer becomes the tensor's shared buffer as is.
+    pub fn from_owned_tensor_data(td: TensorData) -> Result<Value> {
+        Ok(match td.payload {
+            Payload::F32(v) => Value::F32(Tensor::new(td.shape, v)?),
+            Payload::I64(v) => Value::I64(Tensor::new(td.shape, v)?),
+            Payload::Bool(v) => Value::Bool(Tensor::new(td.shape, v)?),
         })
     }
 
@@ -112,6 +118,29 @@ mod tests {
         let td = v.to_tensor_data();
         let v2 = Value::from_tensor_data(&td).unwrap();
         assert_eq!(v, v2);
+    }
+
+    #[test]
+    fn owned_conversion_keeps_the_buffer() {
+        let bits = |v: &Value| -> Vec<u32> {
+            v.f32()
+                .unwrap()
+                .data()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect()
+        };
+        let td = TensorData::f32(vec![2, 2], vec![1.0, -0.0, f32::NAN, 4.5]);
+        let copied = bits(&Value::from_tensor_data(&td).unwrap());
+        let ptr = td.as_f32().unwrap().as_ptr();
+        let v = Value::from_owned_tensor_data(td).unwrap();
+        assert_eq!(v.f32().unwrap().data().as_ptr(), ptr);
+        assert_eq!(bits(&v), copied);
+        let short = TensorData {
+            shape: vec![3],
+            payload: Payload::I64(vec![1, 2]),
+        };
+        assert!(Value::from_owned_tensor_data(short).is_err());
     }
 
     #[test]

@@ -272,28 +272,9 @@ fn unknown_args_fail_cleanly() {
 /// and start-up shows in `stats.load` like a TCP `load` does.
 #[test]
 fn serve_banner_keeps_its_lines_and_values() {
-    use std::io::{BufRead, BufReader, Write};
-    use std::process::Stdio;
-
     let (ok, compiled, _) = run(&["compile", "squeezenet", "--tiny"]);
     assert!(ok);
-    let mut child = Command::new(ramiel_bin())
-        .args(["serve", "squeezenet", "--tiny", "--port", "0"])
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("spawn ramiel serve");
-    let mut lines = BufReader::new(child.stdout.take().expect("piped stdout")).lines();
-    let mut banner = Vec::new();
-    let addr = loop {
-        let line = lines
-            .next()
-            .expect("serve exited before `listening on`")
-            .unwrap();
-        match line.strip_prefix("listening on ") {
-            Some(addr) => break addr.trim().to_string(),
-            None => banner.push(line),
-        }
-    };
+    let (banner, load) = serve_start_up(&["squeezenet", "--tiny"]);
 
     let labels = [
         "model:",
@@ -312,6 +293,49 @@ fn serve_banner_keeps_its_lines_and_values() {
     let compiled: Vec<&str> = compiled.lines().take(5).collect();
     assert_eq!(banner[..5], compiled[..]);
 
+    assert_eq!(load["loads"].as_u64(), Some(1), "{load}");
+    assert!(load["import_mean_ms"].as_f64().unwrap() > 0.0, "{load}");
+    assert!(load["compile_mean_ms"].as_f64().unwrap() > 0.0, "{load}");
+
+    // A start from a file records its read as `fetch` and its decode as
+    // `import`, as a TCP `load` does.
+    let path = std::env::temp_dir().join(format!("ramiel_cli_serve_{}.onnx", std::process::id()));
+    let path_s = path.to_str().expect("utf8 temp path");
+    let (ok, _, stderr) = run(&["export", "squeezenet", path_s, "--tiny"]);
+    assert!(ok, "{stderr}");
+    let (_, load) = serve_start_up(&[path_s]);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(load["loads"].as_u64(), Some(1), "{load}");
+    assert!(load["fetch_mean_ms"].as_f64().unwrap() > 0.0, "{load}");
+    assert!(load["import_mean_ms"].as_f64().unwrap() > 0.0, "{load}");
+}
+
+/// Start `ramiel serve <args> --port 0`, read its banner up to `listening
+/// on`, take `stats.load`, shut it down; returns (banner, load summary).
+fn serve_start_up(args: &[&str]) -> (Vec<String>, serde_json::Value) {
+    use std::io::{BufRead, BufReader, Write};
+    use std::process::Stdio;
+
+    let mut child = Command::new(ramiel_bin())
+        .arg("serve")
+        .args(args)
+        .args(["--port", "0"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn ramiel serve");
+    let mut lines = BufReader::new(child.stdout.take().expect("piped stdout")).lines();
+    let mut banner = Vec::new();
+    let addr = loop {
+        let line = lines
+            .next()
+            .expect("serve exited before `listening on`")
+            .unwrap();
+        match line.strip_prefix("listening on ") {
+            Some(addr) => break addr.trim().to_string(),
+            None => banner.push(line),
+        }
+    };
+
     let mut conn = std::net::TcpStream::connect(&addr).expect("connect");
     let mut reply = String::new();
     writeln!(conn, r#"{{"op":"stats"}}"#).unwrap();
@@ -319,11 +343,8 @@ fn serve_banner_keeps_its_lines_and_values() {
         .read_line(&mut reply)
         .unwrap();
     let stats: serde_json::Value = serde_json::from_str(&reply).unwrap();
-    let load = &stats["stats"]["load"];
-    assert_eq!(load["loads"].as_u64(), Some(1), "{reply}");
-    assert!(load["import_mean_ms"].as_f64().unwrap() > 0.0, "{reply}");
-    assert!(load["compile_mean_ms"].as_f64().unwrap() > 0.0, "{reply}");
 
     writeln!(conn, r#"{{"op":"shutdown"}}"#).unwrap();
     assert!(child.wait().expect("serve exits after shutdown").success());
+    (banner, stats["stats"]["load"].clone())
 }

@@ -8,7 +8,9 @@
 //! - analyses handed one shared adjacency snapshot agree with the ones that
 //!   build their own;
 //! - a `load` over TCP reads the model bytes once, reports where its time
-//!   went, and leaves no trace when the pin refuses it.
+//!   went, and leaves no trace when the pin refuses it;
+//! - each weight exists once between the importer and the plan: the buffer
+//!   `import_model` returns is the buffer the plan's init table serves.
 
 use ramiel_cluster::{
     cluster_graph, cluster_graph_with, distance_to_end, distance_to_end_with, hypercluster,
@@ -19,8 +21,11 @@ use ramiel_ir::validate::{validate, validate_with};
 use ramiel_ir::Graph;
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_onnx::{export_model, import_model};
-use ramiel_runtime::PlannedBatch;
-use ramiel_serve::{run_tcp_with_registry, sha256, PlanSpec, Registry, ServeConfig, Server};
+use ramiel_runtime::{run_sequential, synth_inputs, PlannedBatch};
+use ramiel_serve::{
+    run_tcp_with_registry, sha256, CompiledPlan, PlanSpec, Registry, ServeConfig, Server,
+};
+use ramiel_tensor::ExecCtx;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -178,6 +183,84 @@ fn shared_adjacency_matches_per_call_adjacency() {
             PlannedBatch::new(&g, hc).unwrap(),
             "{name}: routing tables differ"
         );
+    }
+}
+
+// ---- each weight exists once -----------------------------------------------
+
+/// Name and data pointer of every f32 initializer payload of `graph`.
+fn f32_buffers(graph: &Graph) -> Vec<(String, *const f32)> {
+    graph
+        .initializers
+        .iter()
+        .filter_map(|(name, t)| t.as_f32().map(|v| (name.clone(), v.as_ptr())))
+        .collect()
+}
+
+/// `plan` serves each of `buffers` from the very allocation the importer
+/// made, and its graph still describes every weight.
+fn assert_served_in_place(
+    model: &str,
+    path: &str,
+    plan: &CompiledPlan,
+    buffers: &[(String, *const f32)],
+) {
+    assert!(!buffers.is_empty(), "{model}: no f32 weights");
+    assert!(plan.graph.initializers.is_empty(), "{model} via {path}");
+    for (name, ptr) in buffers {
+        let served = plan.init_values[name].f32().unwrap().data().as_ptr();
+        assert_eq!(
+            served, *ptr,
+            "{model} via {path}: `{name}` was copied into the plan"
+        );
+        assert!(
+            plan.graph.tensor_info(name).is_some(),
+            "{model} via {path}: `{name}`"
+        );
+    }
+}
+
+/// Both ways a plan is built from an imported graph: `Server::load` (the
+/// TCP verb) and the CLI start (`schedule`, then a spec with its
+/// clustering). Each plan answers bit-identically to the sequential
+/// executor on a graph imported from the same bytes.
+#[test]
+fn each_weight_exists_once_from_import_to_the_plan() {
+    let ctx = ExecCtx::sequential();
+    for kind in [ModelKind::Bert, ModelKind::Squeezenet] {
+        let model = kind.name();
+        let bytes = export_model(&build(kind, &ModelConfig::full()));
+        let reference = import_model(&bytes).unwrap();
+        let inputs = synth_inputs(&reference, 5);
+        let expected = run_sequential(&reference, &inputs, &ctx).unwrap();
+
+        let graph = import_model(&bytes).unwrap();
+        let buffers = f32_buffers(&graph);
+        let by_load = PlanSpec::new(graph);
+
+        let graph = import_model(&bytes).unwrap();
+        let cli_buffers = f32_buffers(&graph);
+        let scheduled = ramiel::schedule(graph, &ramiel::PipelineOptions::default()).unwrap();
+        let by_cli = PlanSpec {
+            clustering: Some(scheduled.clustering),
+            ..PlanSpec::new(scheduled.graph)
+        };
+
+        for (path, spec, buffers) in [
+            ("Server::load", by_load, buffers),
+            ("the CLI start", by_cli, cli_buffers),
+        ] {
+            let server = Server::new(ServeConfig::default());
+            let plan = server.load(model, spec).unwrap();
+            assert_served_in_place(model, path, &plan, &buffers);
+            let got = server
+                .submit(model, inputs.clone())
+                .unwrap()
+                .wait()
+                .unwrap();
+            assert_eq!(got, expected, "{model} via {path}");
+            server.shutdown();
+        }
     }
 }
 

@@ -125,8 +125,9 @@ fn programs_are_bit_identical_and_send_exactly_the_routed_messages() {
     }
 }
 
-/// Planning the start-up `max_batch` schedule must not get slower: names
-/// are resolved once per graph, not once per batch element.
+/// Planning a batch-8 schedule (what the first batch of eight plans, on
+/// first use) must not get slower: names are resolved once per graph, not
+/// once per batch element.
 #[cfg(not(debug_assertions))]
 #[test]
 fn compiling_batch_8_programs_is_no_slower_than_the_name_keyed_table() {
