@@ -1236,7 +1236,7 @@ fn cmd_top(f: &Flags) -> Result<(), String> {
                         Some(o) if o.starts_with("shed") => row.shed += s.value,
                         _ => {}
                     },
-                    "ramiel_batches_total" => row.batches += s.value,
+                    "ramiel_batch_size_count" => row.batches += s.value,
                     "ramiel_batch_size_sum" => row.batched += s.value,
                     "ramiel_queue_depth" => row.depth = s.value,
                     "ramiel_queue_peak_depth" => row.peak = row.peak.max(s.value),
@@ -1297,8 +1297,8 @@ fn cmd_top(f: &Flags) -> Result<(), String> {
                 None => (0.0, 0.0),
             };
             // Windowed percentiles: le-aligned saturating differencing
-            // against the previous frame (robust to a concurrent `stats`
-            // reset); first frame falls back to lifetime buckets.
+            // against the previous frame (robust to a server restarted
+            // between frames); first frame falls back to lifetime buckets.
             let window: Vec<(f64, f64)> = match prev_row {
                 Some(p) => ramiel::obs::window_buckets(&row.latency, &p.latency),
                 _ => row.latency.clone(),

@@ -5,8 +5,8 @@
 //! `Option<Arc<..>>`, so the disabled path is one branch and no allocation,
 //! and the enabled hot path is a handful of relaxed atomic ops — no locks,
 //! no heap traffic. The registry's mutex is touched only at *registration*
-//! (once per series, at startup) and at *render* time, never while
-//! recording.
+//! (once per series, at startup) and at *render* and [`Metrics::read`]
+//! time, never while recording.
 //!
 //! ## Bucket scheme
 //!
@@ -349,6 +349,17 @@ struct Series {
     kind: SeriesKind,
 }
 
+/// What [`Metrics::read`] folds the matching series into: counters and
+/// gauges summed, peak gauges maxed, histograms merged. A field no matching
+/// series feeds stays zero.
+#[derive(Debug, Clone, Default)]
+pub struct Reading {
+    pub sum: u64,
+    pub window_peak: u64,
+    pub lifetime_peak: u64,
+    pub histogram: HistogramSnapshot,
+}
+
 #[derive(Default)]
 struct RegistryInner {
     series: Mutex<Vec<Series>>,
@@ -489,6 +500,31 @@ impl Metrics {
                 (SeriesKind::Histogram(h.clone()), h)
             },
         ))
+    }
+
+    /// Every series named `name` whose labels include each of `with`,
+    /// folded into one [`Reading`]. Resets no window.
+    pub fn read(&self, name: &str, with: &[(&str, &str)]) -> Reading {
+        let mut r = Reading::default();
+        let Some(inner) = &self.inner else {
+            return r;
+        };
+        for s in inner.series.lock().iter().filter(|s| {
+            s.name == name
+                && with
+                    .iter()
+                    .all(|&(k, v)| s.labels.iter().any(|l| l.0 == k && l.1 == v))
+        }) {
+            match &s.kind {
+                SeriesKind::Counter(c) | SeriesKind::Gauge(c) => r.sum += c.load(Relaxed),
+                SeriesKind::Peak(p) => {
+                    r.window_peak = r.window_peak.max(p.window());
+                    r.lifetime_peak = r.lifetime_peak.max(p.lifetime());
+                }
+                SeriesKind::Histogram(h) => r.histogram.merge(&h.snapshot()),
+            }
+        }
+        r
     }
 
     /// Render every registered series as Prometheus text exposition.
@@ -735,8 +771,8 @@ pub fn quantile_from_buckets(buckets: &[(f64, f64)], q: f64) -> f64 {
 /// * **`le` drift** — buckets are matched by `le` *value*, never by
 ///   position, so a frame that gained or lost a bucket line (schema
 ///   change, truncated scrape) can't pair unrelated buckets.
-/// * **concurrent counter reset** — if a `stats` reset lands between the
-///   two scrapes, the current cumulative counts are *smaller* than the
+/// * **counter reset** — if the server restarts between the two
+///   scrapes, the current cumulative counts are *smaller* than the
 ///   previous frame's and naive differencing goes negative (and, downstream,
 ///   a quantile walk over garbage). A backwards total means the previous
 ///   frame predates the reset and describes nothing that happened in this
@@ -965,6 +1001,31 @@ mod tests {
         assert_eq!(p.lifetime(), 42);
         p.observe(5);
         assert_eq!(p.window(), 5);
+    }
+
+    #[test]
+    fn read_folds_matching_series_and_leaves_windows_running() {
+        let m = Metrics::enabled();
+        let labels = |model, o| [("model", model), ("outcome", o)];
+        m.counter("req_total", "r", &labels("a", "ok")).add(3);
+        m.counter("req_total", "r", &labels("b", "ok")).add(4);
+        m.counter("req_total", "r", &labels("b", "err")).add(9);
+        for (model, v) in [("a", 7), ("b", 2)] {
+            m.peak_gauge("peak", "p", &[("model", model)]).observe(v);
+            m.histogram("lat_ns", "l", &[("model", model)]).record(v);
+        }
+        assert_eq!(m.read("req_total", &[("outcome", "ok")]).sum, 7);
+        assert_eq!(m.read("req_total", &[]).sum, 16);
+        assert_eq!(m.read("req_total", &[("outcome", "none")]).sum, 0);
+        let lat = m.read("lat_ns", &[]).histogram;
+        assert_eq!((lat.count, lat.sum, lat.max), (2, 9, 7));
+        let peak = m.read("peak", &[]);
+        assert_eq!((peak.window_peak, peak.lifetime_peak), (7, 7));
+        assert_eq!(m.read("peak", &[]).window_peak, 7, "a read resets nothing");
+        m.render_prometheus(true);
+        let peak = m.read("peak", &[]);
+        assert_eq!((peak.window_peak, peak.lifetime_peak), (0, 7));
+        assert_eq!(Metrics::disabled().read("req_total", &[]).sum, 0);
     }
 
     #[test]

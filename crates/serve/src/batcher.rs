@@ -62,10 +62,10 @@
 
 use crate::plan::CompiledPlan;
 use crate::server::{LaneConfig, OverflowPolicy, ServeError, ServeExecutor};
-use crate::stats::ServeStats;
+use crate::stats::LaneMetrics;
 use crate::trace::RequestTrace;
 use crossbeam::channel::Sender;
-use ramiel_obs::{CounterHandle, GaugeHandle, HistHandle, PeakHandle};
+use ramiel_obs::Metrics;
 use ramiel_runtime::{run_sequential_opts, Env, HyperPool, RunOptions, RuntimeError, StealPool};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -89,103 +89,6 @@ pub(crate) struct Request {
     pub resp: Sender<Result<Env, ServeError>>,
 }
 
-/// Per-lane handles into the server's metric registry, resolved once at
-/// lane spawn (label sets are fixed: the lane's model name and executor).
-/// Every handle is one branch when the registry is disabled.
-pub(crate) struct LaneMetrics {
-    queue_wait: HistHandle,
-    batch_wait: HistHandle,
-    execute: HistHandle,
-    respond: HistHandle,
-    latency: HistHandle,
-    batch_size: HistHandle,
-    batches: CounterHandle,
-    completed: CounterHandle,
-    failed: CounterHandle,
-    shed_queue_full: CounterHandle,
-    shed_deadline: CounterHandle,
-    rejected_shutdown: CounterHandle,
-    queue_depth: GaugeHandle,
-    queue_peak: PeakHandle,
-    window_opened: CounterHandle,
-    window_skipped: CounterHandle,
-    lane_build: HistHandle,
-}
-
-impl LaneMetrics {
-    fn new(cfg: &LaneConfig, model: &str) -> LaneMetrics {
-        let m = &cfg.metrics;
-        let exec = match cfg.executor {
-            ServeExecutor::Hyper => "hyper",
-            ServeExecutor::Stealing => "stealing",
-        };
-        let phase = |p: &str| {
-            m.histogram(
-                "ramiel_request_phase_ns",
-                "per-request phase latency, nanoseconds",
-                &[("model", model), ("executor", exec), ("phase", p)],
-            )
-        };
-        let outcome = |o: &str| {
-            m.counter(
-                "ramiel_requests_total",
-                "requests by final outcome",
-                &[("model", model), ("outcome", o)],
-            )
-        };
-        let window = |d: &str| {
-            m.counter(
-                "ramiel_batch_window_total",
-                "batches by whether the collector held them open for company",
-                &[("model", model), ("decision", d)],
-            )
-        };
-        LaneMetrics {
-            queue_wait: phase("queue"),
-            batch_wait: phase("batch"),
-            execute: phase("execute"),
-            respond: phase("respond"),
-            latency: m.histogram(
-                "ramiel_request_latency_ns",
-                "end-to-end request latency (enqueue to response), nanoseconds",
-                &[("model", model), ("executor", exec)],
-            ),
-            batch_size: m.histogram(
-                "ramiel_batch_size",
-                "achieved micro-batch sizes",
-                &[("model", model)],
-            ),
-            batches: m.counter(
-                "ramiel_batches_total",
-                "micro-batches executed",
-                &[("model", model)],
-            ),
-            completed: outcome("completed"),
-            failed: outcome("failed"),
-            shed_queue_full: outcome("shed_queue_full"),
-            shed_deadline: outcome("shed_deadline"),
-            rejected_shutdown: outcome("rejected_shutdown"),
-            queue_depth: m.gauge(
-                "ramiel_queue_depth",
-                "submission queue depth at the last queue transition",
-                &[("model", model)],
-            ),
-            queue_peak: m.peak_gauge(
-                "ramiel_queue_peak_depth",
-                "queue-depth high-water mark (per scrape window)",
-                &[("model", model)],
-            ),
-            window_opened: window("opened"),
-            window_skipped: window("skipped"),
-            lane_build: m.histogram(
-                "ramiel_lane_build_ns",
-                "time to (re)build a lane's worker pool, nanoseconds",
-                &[("model", model)],
-            ),
-        }
-    }
-}
-
 pub(crate) struct LaneShared {
     queue: StdMutex<VecDeque<Request>>,
     /// Signalled on push; the collector waits here.
@@ -199,7 +102,6 @@ pub(crate) struct LaneShared {
     /// which rebuilds its pool for the new version.
     plan: parking_lot::Mutex<Arc<CompiledPlan>>,
     cfg: LaneConfig,
-    stats: Arc<ServeStats>,
     /// The lane's model name (stable across hot reloads — lanes are keyed
     /// by name), used for metric labels and trace entries.
     model: String,
@@ -219,9 +121,9 @@ pub(crate) struct Lane {
 }
 
 impl Lane {
-    pub fn spawn(plan: Arc<CompiledPlan>, cfg: LaneConfig, stats: Arc<ServeStats>) -> Lane {
+    pub fn spawn(plan: Arc<CompiledPlan>, cfg: LaneConfig, registry: &Metrics) -> Lane {
         let model = plan.name.clone();
-        let metrics = LaneMetrics::new(&cfg, &model);
+        let metrics = LaneMetrics::new(registry, &model, cfg.executor);
         let shared = Arc::new(LaneShared {
             queue: StdMutex::new(VecDeque::new()),
             not_empty: Condvar::new(),
@@ -229,12 +131,10 @@ impl Lane {
             draining: AtomicBool::new(false),
             plan: parking_lot::Mutex::new(plan),
             cfg,
-            stats,
             model,
             metrics,
         });
         let collector_shared = Arc::clone(&shared);
-        shared.stats.live_lanes.fetch_add(1, Ordering::SeqCst);
         let handle = std::thread::Builder::new()
             .name("ramiel-serve-lane".into())
             .spawn(move || collector(collector_shared))
@@ -307,14 +207,12 @@ impl LaneShared {
     pub fn enqueue(&self, req: Request) -> Result<(), ServeError> {
         let mut q = lock(&self.queue);
         if self.draining.load(Ordering::SeqCst) {
-            self.stats.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
             self.metrics.rejected_shutdown.inc();
             return Err(ServeError::ShuttingDown);
         }
         if q.len() >= self.cfg.queue_capacity {
             match self.cfg.policy {
                 OverflowPolicy::Shed => {
-                    self.stats.shed_queue_full.fetch_add(1, Ordering::Relaxed);
                     self.metrics.shed_queue_full.inc();
                     return Err(ServeError::QueueFull { depth: q.len() });
                 }
@@ -325,7 +223,6 @@ impl LaneShared {
                     {
                         let now = Instant::now();
                         if now >= give_up {
-                            self.stats.shed_queue_full.fetch_add(1, Ordering::Relaxed);
                             self.metrics.shed_queue_full.inc();
                             return Err(ServeError::QueueFull { depth: q.len() });
                         }
@@ -336,7 +233,6 @@ impl LaneShared {
                         q = guard;
                     }
                     if self.draining.load(Ordering::SeqCst) {
-                        self.stats.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
                         self.metrics.rejected_shutdown.inc();
                         return Err(ServeError::ShuttingDown);
                     }
@@ -346,8 +242,7 @@ impl LaneShared {
         q.push_back(req);
         let depth = q.len();
         drop(q);
-        self.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        self.stats.note_depth(depth);
+        self.metrics.admitted.inc();
         self.metrics.queue_depth.set(depth as u64);
         self.metrics.queue_peak.observe(depth as u64);
         self.cfg.obs.counter("serve:queue_depth", depth as f64);
@@ -365,9 +260,9 @@ impl LaneShared {
     /// `saturating_duration_since`, so slightly out-of-order stamps clamp
     /// to zero instead of panicking.
     ///
-    /// Call this BEFORE sending the response (mirroring the counter
-    /// updates): once a caller's `wait()` returns, its request is fully
-    /// visible in metrics and the trace ring.
+    /// Call this BEFORE sending the response: once a caller's `wait()`
+    /// returns, its request is fully visible in metrics, `stats` and the
+    /// trace ring.
     fn observe_done(
         &self,
         r: &Request,
@@ -383,14 +278,6 @@ impl LaneShared {
         let execute = exec_end.saturating_duration_since(exec_start);
         let respond = responded.saturating_duration_since(exec_end);
         let latency = responded.saturating_duration_since(r.enqueued);
-
-        self.stats.queue_wait_ns.record(queue.as_nanos() as u64);
-        self.stats
-            .batch_wait_ns
-            .record(batch_wait.as_nanos() as u64);
-        self.stats.execute_ns.record(execute.as_nanos() as u64);
-        self.stats.respond_ns.record(respond.as_nanos() as u64);
-        self.stats.latency_ns.record(latency.as_nanos() as u64);
 
         self.metrics.queue_wait.record_duration(queue);
         self.metrics.batch_wait.record_duration(batch_wait);
@@ -449,28 +336,16 @@ impl LanePool {
             &plan.ctx,
             &sh.run_opts(plan),
         );
-        let took = start.elapsed();
-        sh.stats.lane_build_ns.record(took.as_nanos() as u64);
-        sh.metrics.lane_build.record_duration(took);
+        sh.metrics.lane_build.record_duration(start.elapsed());
         self.pool = Some(built?);
         Ok(())
     }
 }
 
-/// Decrements the live-lane gauge when the collector thread unwinds or
-/// returns — declared first, so it runs after the pool's workers joined.
-struct LiveLane<'a>(&'a ServeStats);
-
-impl Drop for LiveLane<'_> {
-    fn drop(&mut self) {
-        self.0.live_lanes.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
 /// The collector thread: sync pool → idle-wait → gather → execute, until
-/// drained.
+/// drained. The pool is a local, so the thread finishes only after the
+/// pool's workers joined: a finished collector is a lane with no threads.
 fn collector(sh: Arc<LaneShared>) {
-    let _live = LiveLane(&sh.stats);
     let mut pool = LanePool {
         version: 0,
         pool: None,
@@ -525,7 +400,6 @@ fn collector(sh: Arc<LaneShared>) {
             batch.len() >= sh.cfg.max_batch || sh.draining.load(Ordering::SeqCst)
         };
         if company && !full(&batch) {
-            sh.stats.windows_opened.fetch_add(1, Ordering::Relaxed);
             sh.metrics.window_opened.inc();
             let batch_deadline = Instant::now() + sh.cfg.max_delay;
             let mut q = lock(&sh.queue);
@@ -545,7 +419,6 @@ fn collector(sh: Arc<LaneShared>) {
                     .0;
             }
         } else {
-            sh.stats.windows_skipped.fetch_add(1, Ordering::Relaxed);
             sh.metrics.window_skipped.inc();
         }
         coalesced = batch.len() > 1;
@@ -562,7 +435,6 @@ fn fail_all(
 ) {
     let n = batch.len();
     for r in batch {
-        sh.stats.failed.fetch_add(1, Ordering::Relaxed);
         sh.observe_done(&r, "failed", n, exec_start, exec_end);
         let _ = r.resp.send(Err(err.clone()));
     }
@@ -582,7 +454,6 @@ fn execute_batch(sh: &LaneShared, pool: &mut LanePool, batch: Vec<Request>) -> I
     let mut live: Vec<Request> = Vec::with_capacity(batch.len());
     for r in batch {
         if r.deadline.is_some_and(|d| d < now) {
-            sh.stats.shed_deadline.fetch_add(1, Ordering::Relaxed);
             // Dead-on-arrival: the execution window is empty.
             sh.observe_done(&r, "shed_deadline", 0, now, now);
             let _ = r
@@ -619,8 +490,6 @@ fn execute_batch(sh: &LaneShared, pool: &mut LanePool, batch: Vec<Request>) -> I
     }
 
     let n = live.len();
-    sh.stats.record_batch(n);
-    sh.metrics.batches.inc();
     sh.metrics.batch_size.record(n as u64);
     obs.instant(
         0,
@@ -684,7 +553,7 @@ fn execute_batch(sh: &LaneShared, pool: &mut LanePool, batch: Vec<Request>) -> I
                 if !e.is_retryable() || attempt >= sup.max_retries {
                     break Err(e);
                 }
-                sh.stats.retries.fetch_add(1, Ordering::Relaxed);
+                sh.metrics.retries.inc();
                 obs.instant(
                     0,
                     format!("serve:retry (attempt {})", attempt + 2),
@@ -702,7 +571,6 @@ fn execute_batch(sh: &LaneShared, pool: &mut LanePool, batch: Vec<Request>) -> I
     match result {
         Ok(outs) => {
             for (r, out) in live.into_iter().zip(outs) {
-                sh.stats.completed.fetch_add(1, Ordering::Relaxed);
                 sh.observe_done(&r, "completed", n, exec_start, exec_end);
                 let _ = r.resp.send(Ok(out));
             }
@@ -711,7 +579,7 @@ fn execute_batch(sh: &LaneShared, pool: &mut LanePool, batch: Vec<Request>) -> I
             // Degrade, don't die: re-run each sample alone on the reference
             // sequential executor. A poisoned sample fails alone; its
             // batch-mates still get answers.
-            sh.stats.fallbacks.fetch_add(1, Ordering::Relaxed);
+            sh.metrics.fallbacks.inc();
             obs.instant(
                 0,
                 "serve:fallback to per-request sequential".to_string(),
@@ -729,12 +597,10 @@ fn execute_batch(sh: &LaneShared, pool: &mut LanePool, batch: Vec<Request>) -> I
                 let solo_end = Instant::now();
                 match res {
                     Ok(out) => {
-                        sh.stats.completed.fetch_add(1, Ordering::Relaxed);
                         sh.observe_done(&r, "completed", 1, solo_start, solo_end);
                         let _ = r.resp.send(Ok(out));
                     }
                     Err(e) => {
-                        sh.stats.failed.fetch_add(1, Ordering::Relaxed);
                         sh.observe_done(&r, "failed", 1, solo_start, solo_end);
                         let _ = r.resp.send(Err(ServeError::Runtime(e)));
                     }

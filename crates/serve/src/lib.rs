@@ -25,9 +25,10 @@
 //!   behind `ramiel serve <model.json> --port N`.
 //! - [`trace`] — bounded per-request trace ring; every answered request
 //!   leaves a four-phase timeline (queue → batch → execute → respond)
-//!   dumpable as a Chrome trace via the TCP `trace` verb. Metrics live in
-//!   [`stats`] (process-wide) and the per-model registry handed in through
-//!   [`ServeConfig::metrics`], rendered by the TCP `metrics` verb.
+//!   dumpable as a Chrome trace via the TCP `trace` verb.
+//! - [`stats`] — the series each [`Server`] records into its one metric
+//!   registry ([`Server::metrics`]), rendered by the TCP `metrics` verb,
+//!   and the `stats` view of them ([`StatsSnapshot`]).
 
 pub mod batcher;
 pub mod plan;
@@ -44,6 +45,6 @@ mod tests;
 pub use plan::{CompiledPlan, PlanCache, PlanSpec};
 pub use registry::{Fetched, ManifestEntry, Pulled, Registry, RegistryError};
 pub use server::{OverflowPolicy, ServeConfig, ServeError, ServeExecutor, Server, Ticket};
-pub use stats::{BatchBucket, LoadSummary, ServeStats, StatsSnapshot};
+pub use stats::{BatchBucket, LoadSummary, StatsSnapshot};
 pub use tcp::{run_tcp, run_tcp_with_registry};
 pub use trace::{RequestTrace, TraceRing};

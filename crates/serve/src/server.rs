@@ -4,7 +4,7 @@
 
 use crate::batcher::{Lane, Request};
 use crate::plan::{CompiledPlan, PlanCache, PlanSpec};
-use crate::stats::{LoadSummary, ServeStats, StatsSnapshot};
+use crate::stats::{AdmissionMetrics, LoadSummary, StatsSnapshot};
 use crate::trace::TraceRing;
 use crossbeam::channel::{unbounded, Receiver};
 use ramiel_obs::metrics::{CounterHandle, HistHandle};
@@ -66,11 +66,6 @@ pub struct ServeConfig {
     /// Batch executor: per-model hyper pool (default) or the shared
     /// work-stealing pool.
     pub executor: ServeExecutor,
-    /// Metric registry for per-model labeled series (latency/phase
-    /// histograms, outcome counters, depth gauges), rendered by the TCP
-    /// `metrics` verb. Enabled by default; a disabled registry reduces
-    /// every per-model recording to one branch.
-    pub metrics: Metrics,
     /// Bound on the in-memory per-request trace ring (`0` disables
     /// tracing; the TCP `trace` verb then returns an empty trace).
     pub trace_capacity: usize,
@@ -92,7 +87,6 @@ impl Default for ServeConfig {
             injector: None,
             obs: Obs::disabled(),
             executor: ServeExecutor::default(),
-            metrics: Metrics::enabled(),
             trace_capacity: 4096,
         }
     }
@@ -111,7 +105,6 @@ pub(crate) struct LaneConfig {
     pub injector: Option<Arc<FaultInjector>>,
     pub obs: Obs,
     pub executor: ServeExecutor,
-    pub metrics: Metrics,
     /// Server-wide trace ring shared by every lane (`None` = disabled).
     pub trace: Option<Arc<TraceRing>>,
     /// Timebase for trace-ring nanosecond offsets.
@@ -130,7 +123,6 @@ impl ServeConfig {
             injector: self.injector.clone(),
             obs: self.obs.clone(),
             executor: self.executor,
-            metrics: self.metrics.clone(),
             trace,
             epoch,
         }
@@ -219,11 +211,11 @@ impl Ticket {
 /// Handles into the metric registry for the load path, resolved once per
 /// server: where a `load` spends its time (`ramiel_load_phase_ns`), how the
 /// registry answered (`ramiel_registry_pulls_total`) and how often the plan
-/// cache evicted (`ramiel_plan_evictions_total`). One branch per record when
-/// the registry is disabled. The TCP `load` verb records the registry
-/// phases that run before [`Server::load`] (fetch, hash, store), and
-/// `ramiel serve` its file read through [`Server::record_fetch`]; the server
-/// records import (handed to [`Server::load_prepared`]), compile and swap.
+/// cache evicted (`ramiel_plan_evictions_total`). The TCP `load` verb
+/// records the registry phases that run before [`Server::load`] (fetch,
+/// hash, store), and `ramiel serve` its file read through
+/// [`Server::record_fetch`]; the server records import (handed to
+/// [`Server::load_prepared`]), compile and swap.
 pub(crate) struct LoadMetrics {
     pub fetch: HistHandle,
     pub hash: HistHandle,
@@ -297,11 +289,14 @@ pub struct Server {
     cache: PlanCache,
     lanes: parking_lot::Mutex<HashMap<String, Lane>>,
     /// Evicted lanes, told to drain but not yet joined: `load` never waits
-    /// for a drain. Reaped once their collector has exited (next `load`),
-    /// all joined by `shutdown`.
+    /// for a drain. Reaped once their collector has exited (next `load`);
+    /// `shutdown` moves every lane here and joins it.
     retired: parking_lot::Mutex<Vec<Lane>>,
-    stats: Arc<ServeStats>,
+    /// The one store of serve's counters and histograms: `stats` and the
+    /// `metrics` verb are both views of it.
+    metrics: Metrics,
     load_metrics: LoadMetrics,
+    admission: AdmissionMetrics,
     shutting_down: AtomicBool,
     /// Bounded per-request trace ring, shared by all lanes.
     trace: Option<Arc<TraceRing>>,
@@ -319,13 +314,15 @@ impl Server {
         } else {
             None
         };
+        let metrics = Metrics::enabled();
         Server {
-            load_metrics: LoadMetrics::new(&cfg.metrics),
+            load_metrics: LoadMetrics::new(&metrics),
+            admission: AdmissionMetrics::new(&metrics),
+            metrics,
             cfg,
             cache,
             lanes: parking_lot::Mutex::new(HashMap::new()),
             retired: parking_lot::Mutex::new(Vec::new()),
-            stats: Arc::new(ServeStats::default()),
             shutting_down: AtomicBool::new(false),
             trace,
             epoch: Instant::now(),
@@ -403,7 +400,7 @@ impl Server {
                         Lane::spawn(
                             Arc::clone(&plan),
                             self.cfg.lane(self.trace.clone(), self.epoch),
-                            Arc::clone(&self.stats),
+                            &self.metrics,
                         ),
                     );
                 }
@@ -458,12 +455,12 @@ impl Server {
         deadline: Option<Instant>,
     ) -> Result<Ticket, ServeError> {
         if self.shutting_down.load(Ordering::SeqCst) {
-            self.stats.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
+            self.admission.shutdown.inc();
             return Err(ServeError::ShuttingDown);
         }
         let now = Instant::now();
         if deadline.is_some_and(|d| d < now) {
-            self.stats.shed_deadline.fetch_add(1, Ordering::Relaxed);
+            self.admission.deadline.inc();
             return Err(ServeError::DeadlineExceeded { stage: "admission" });
         }
         // Clone the lane's shared state out so admission (which may block
@@ -492,28 +489,37 @@ impl Server {
         self.submit(model, inputs)?.wait()
     }
 
-    /// Point-in-time serving counters (leaves the current window running).
+    /// Point-in-time serving counters, read from the metric registry. Resets
+    /// no window: [`metrics_text`](Self::metrics_text) owns the peak window.
     pub fn stats(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            load: self.load_metrics.summary(),
-            ..self.stats.snapshot()
-        }
+        StatsSnapshot::read(
+            &self.metrics,
+            self.live_lanes(),
+            self.load_metrics.summary(),
+        )
     }
 
-    /// Serving counters with interval-delta semantics: per-window gauges
-    /// (the queue-depth peak) are read and reset, so periodic pollers see
-    /// each window's high-water mark instead of the lifetime high. Used by
-    /// the TCP `stats` op.
-    pub fn stats_and_reset_window(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            load: self.load_metrics.summary(),
-            ..self.stats.snapshot_and_reset_window()
-        }
+    /// Lane collector threads alive: serving, or retired and still draining.
+    /// A collector exits only after its pool's workers joined.
+    fn live_lanes(&self) -> u64 {
+        let serving = self
+            .lanes
+            .lock()
+            .values()
+            .filter(|l| !l.is_finished())
+            .count();
+        let retired = self
+            .retired
+            .lock()
+            .iter()
+            .filter(|l| !l.is_finished())
+            .count();
+        (serving + retired) as u64
     }
 
     /// The per-model metric registry this server records into.
     pub fn metrics(&self) -> &Metrics {
-        &self.cfg.metrics
+        &self.metrics
     }
 
     /// Prometheus text exposition of everything this process knows:
@@ -521,7 +527,7 @@ impl Server {
     /// telemetry, and server-level gauges. Resets per-window gauges
     /// (scrape-interval delta semantics).
     pub fn metrics_text(&self) -> String {
-        let mut out = self.cfg.metrics.render_prometheus(true);
+        let mut out = self.metrics.render_prometheus(true);
         out.push_str("# HELP ramiel_server_models loaded model count\n");
         out.push_str("# TYPE ramiel_server_models gauge\n");
         out.push_str(&format!("ramiel_server_models {}\n", self.models().len()));
@@ -553,16 +559,18 @@ impl Server {
 
     /// Graceful drain: reject new submissions, execute everything already
     /// admitted, stop every lane's workers — retired lanes included.
-    /// Idempotent; also runs on drop.
+    /// Idempotent; also runs on drop. The lanes wait out their drain on the
+    /// retired list, so a `stats` read meanwhile waits for it too instead of
+    /// missing them.
     pub fn shutdown(&self) {
         self.shutting_down.store(true, Ordering::SeqCst);
-        let mut lanes: Vec<Lane> = self.lanes.lock().drain().map(|(_, lane)| lane).collect();
-        lanes.append(&mut self.retired.lock());
+        let mut retired = self.retired.lock();
+        retired.extend(self.lanes.lock().drain().map(|(_, lane)| lane));
         // All drain concurrently; then wait for each.
-        for lane in &lanes {
+        for lane in retired.iter() {
             lane.begin_drain();
         }
-        for mut lane in lanes {
+        for lane in retired.iter_mut() {
             lane.shutdown();
         }
     }

@@ -1,150 +1,160 @@
-//! Serving counters: queue depth, batch-size histogram, per-phase latency
-//! histograms, shed counts. Entirely lock-free on the hot path — counters
-//! are plain atomics and the histograms are the fixed-bucket atomics from
-//! [`ramiel_obs::metrics`] (the old per-batch `Mutex<BTreeMap>` histogram
-//! is gone).
+//! Serve's series in the metric registry, and the `stats` view of them.
+//!
+//! The registry is serve's one counter and histogram store: each lane
+//! records into its [`LaneMetrics`], admission into [`AdmissionMetrics`],
+//! and [`StatsSnapshot::read`] folds the series back together — counters
+//! summed over every `model`/`executor` series (evicted models' included,
+//! so totals never go down), histograms merged, peaks maxed. A `stats` read
+//! resets no window: the `metrics` scrape is the one window owner.
 
-use ramiel_obs::metrics::{bucket_bounds, Histogram, PeakGauge};
+use crate::server::ServeExecutor;
+use ramiel_obs::metrics::bucket_bounds;
+use ramiel_obs::{CounterHandle, GaugeHandle, HistHandle, Metrics, PeakHandle};
 use serde::Serialize;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Live counters shared by the server, its lanes, and the stats endpoint.
-#[derive(Default)]
-pub struct ServeStats {
-    /// Requests accepted into a queue.
-    pub submitted: AtomicU64,
-    /// Requests answered with outputs.
-    pub completed: AtomicU64,
-    /// Requests answered with an execution error.
-    pub failed: AtomicU64,
-    /// Requests rejected because the queue was full (after any blocking
-    /// backpressure wait).
-    pub shed_queue_full: AtomicU64,
-    /// Requests rejected because their deadline passed before execution.
-    pub shed_deadline: AtomicU64,
-    /// Requests rejected during shutdown.
-    pub rejected_shutdown: AtomicU64,
-    /// Micro-batches executed.
-    pub batches: AtomicU64,
-    /// Requests carried by those batches (mean batch = this / batches).
-    pub batched_requests: AtomicU64,
+const REQUESTS: &str = "ramiel_requests_total";
+const ADMITTED: &str = "ramiel_admitted_total";
+const ADMISSION_REJECTED: &str = "ramiel_admission_rejected_total";
+const RETRIES: &str = "ramiel_batch_retries_total";
+const FALLBACKS: &str = "ramiel_batch_fallbacks_total";
+const PHASE: &str = "ramiel_request_phase_ns";
+const LATENCY: &str = "ramiel_request_latency_ns";
+const BATCH_SIZE: &str = "ramiel_batch_size";
+const WINDOW: &str = "ramiel_batch_window_total";
+const QUEUE_PEAK: &str = "ramiel_queue_peak_depth";
+const LANE_BUILD: &str = "ramiel_lane_build_ns";
+
+/// Per-lane handles into the server's metric registry, resolved once at
+/// lane spawn (label sets are fixed: the lane's model name and executor).
+pub(crate) struct LaneMetrics {
+    pub queue_wait: HistHandle,
+    pub batch_wait: HistHandle,
+    pub execute: HistHandle,
+    pub respond: HistHandle,
+    pub latency: HistHandle,
+    /// Achieved batch sizes (exact buckets below 16); its count is the
+    /// number of batches run.
+    pub batch_size: HistHandle,
+    /// Requests accepted into the queue.
+    pub admitted: CounterHandle,
+    pub completed: CounterHandle,
+    pub failed: CounterHandle,
+    pub shed_queue_full: CounterHandle,
+    pub shed_deadline: CounterHandle,
+    pub rejected_shutdown: CounterHandle,
     /// Batch retries on the standing pool.
-    pub retries: AtomicU64,
+    pub retries: CounterHandle,
     /// Batches that degraded to per-request sequential execution.
-    pub fallbacks: AtomicU64,
-    /// Batches the collector held open for company (the `max_delay`
-    /// window) vs. batches it ran at once.
-    pub windows_opened: AtomicU64,
-    pub windows_skipped: AtomicU64,
-    /// Lane collector threads alive: serving, or retired and still
-    /// draining. A collector exits only after its pool's workers joined.
-    pub live_lanes: AtomicU64,
-    /// Time to (re)build a lane's worker pool, nanoseconds.
-    pub(crate) lane_build_ns: Histogram,
-    /// Deepest queue observed at admission (per-window + lifetime).
-    peak_depth: PeakGauge,
-    /// Achieved batch sizes (exact buckets below 16, so `max_batch <= 15`
-    /// configurations report size-precise histograms).
-    batch_sizes: Histogram,
-    /// Per-request time-in-queue, nanoseconds (enqueue → collector pop).
-    pub(crate) queue_wait_ns: Histogram,
-    /// Collector pop → batch execution start, nanoseconds.
-    pub(crate) batch_wait_ns: Histogram,
-    /// Batch execution window attributed to each request, nanoseconds.
-    pub(crate) execute_ns: Histogram,
-    /// Execution end → response handed to the caller, nanoseconds.
-    pub(crate) respond_ns: Histogram,
-    /// End-to-end latency (enqueue → responded), nanoseconds.
-    pub(crate) latency_ns: Histogram,
+    pub fallbacks: CounterHandle,
+    pub queue_depth: GaugeHandle,
+    pub queue_peak: PeakHandle,
+    pub window_opened: CounterHandle,
+    pub window_skipped: CounterHandle,
+    pub lane_build: HistHandle,
 }
 
-impl ServeStats {
-    pub fn record_batch(&self, size: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_requests
-            .fetch_add(size as u64, Ordering::Relaxed);
-        self.batch_sizes.record(size as u64);
+impl LaneMetrics {
+    pub fn new(m: &Metrics, model: &str, executor: ServeExecutor) -> LaneMetrics {
+        let exec = match executor {
+            ServeExecutor::Hyper => "hyper",
+            ServeExecutor::Stealing => "stealing",
+        };
+        let phase = |p: &str| {
+            m.histogram(
+                PHASE,
+                "per-request phase latency, nanoseconds",
+                &[("model", model), ("executor", exec), ("phase", p)],
+            )
+        };
+        let outcome = |o: &str| {
+            m.counter(
+                REQUESTS,
+                "requests by final outcome",
+                &[("model", model), ("outcome", o)],
+            )
+        };
+        let window = |d: &str| {
+            m.counter(
+                WINDOW,
+                "batches by whether the collector held them open for company",
+                &[("model", model), ("decision", d)],
+            )
+        };
+        let per_model = |name: &str, help: &str| m.counter(name, help, &[("model", model)]);
+        LaneMetrics {
+            queue_wait: phase("queue"),
+            batch_wait: phase("batch"),
+            execute: phase("execute"),
+            respond: phase("respond"),
+            latency: m.histogram(
+                LATENCY,
+                "end-to-end request latency (enqueue to response), nanoseconds",
+                &[("model", model), ("executor", exec)],
+            ),
+            batch_size: m.histogram(
+                BATCH_SIZE,
+                "achieved micro-batch sizes",
+                &[("model", model)],
+            ),
+            admitted: per_model(ADMITTED, "requests accepted into the submission queue"),
+            completed: outcome("completed"),
+            failed: outcome("failed"),
+            shed_queue_full: outcome("shed_queue_full"),
+            shed_deadline: outcome("shed_deadline"),
+            rejected_shutdown: outcome("rejected_shutdown"),
+            retries: per_model(RETRIES, "batch retries on the standing pool"),
+            fallbacks: per_model(
+                FALLBACKS,
+                "batches degraded to per-request sequential execution",
+            ),
+            queue_depth: m.gauge(
+                "ramiel_queue_depth",
+                "submission queue depth at the last queue transition",
+                &[("model", model)],
+            ),
+            queue_peak: m.peak_gauge(
+                QUEUE_PEAK,
+                "queue-depth high-water mark (per scrape window)",
+                &[("model", model)],
+            ),
+            window_opened: window("opened"),
+            window_skipped: window("skipped"),
+            lane_build: m.histogram(
+                LANE_BUILD,
+                "time to (re)build a lane's worker pool, nanoseconds",
+                &[("model", model)],
+            ),
+        }
     }
+}
 
-    pub fn note_depth(&self, depth: usize) {
-        self.peak_depth.observe(depth as u64);
-    }
+/// Requests refused before any lane saw them. The family has no `model`
+/// label: no label is ever taken from a client-supplied model name.
+pub(crate) struct AdmissionMetrics {
+    pub shutdown: CounterHandle,
+    pub deadline: CounterHandle,
+}
 
-    /// Point-in-time copy of every counter, plus derived means and
-    /// quantiles. Leaves the current window running.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        self.build_snapshot(false)
-    }
-
-    /// [`ServeStats::snapshot`], additionally resetting every per-window
-    /// gauge (the queue-depth peak) so periodic scrapes see interval
-    /// deltas instead of lifetime highs.
-    pub fn snapshot_and_reset_window(&self) -> StatsSnapshot {
-        self.build_snapshot(true)
-    }
-
-    fn build_snapshot(&self, reset_windows: bool) -> StatsSnapshot {
-        let batches = self.batches.load(Ordering::Relaxed);
-        let batched = self.batched_requests.load(Ordering::Relaxed);
-        let queue = self.queue_wait_ns.snapshot();
-        let latency = self.latency_ns.snapshot();
-        let execute = self.execute_ns.snapshot();
-        let lane_build = self.lane_build_ns.snapshot();
-        let ms = |ns: u64| ns as f64 / 1e6;
-        StatsSnapshot {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            shed_queue_full: self.shed_queue_full.load(Ordering::Relaxed),
-            shed_deadline: self.shed_deadline.load(Ordering::Relaxed),
-            rejected_shutdown: self.rejected_shutdown.load(Ordering::Relaxed),
-            batches,
-            retries: self.retries.load(Ordering::Relaxed),
-            fallbacks: self.fallbacks.load(Ordering::Relaxed),
-            windows_opened: self.windows_opened.load(Ordering::Relaxed),
-            windows_skipped: self.windows_skipped.load(Ordering::Relaxed),
-            live_lanes: self.live_lanes.load(Ordering::SeqCst),
-            lane_builds: lane_build.count,
-            lane_build_mean_ms: lane_build.mean() / 1e6,
-            peak_queue_depth: self.peak_depth.lifetime(),
-            window_peak_queue_depth: if reset_windows {
-                self.peak_depth.take_window()
-            } else {
-                self.peak_depth.window()
-            },
-            mean_batch: if batches > 0 {
-                batched as f64 / batches as f64
-            } else {
-                0.0
-            },
-            mean_queue_ms: queue.mean() / 1e6,
-            queue_p50_ms: ms(queue.percentile(0.5)),
-            queue_p99_ms: ms(queue.percentile(0.99)),
-            execute_p50_ms: ms(execute.percentile(0.5)),
-            execute_p99_ms: ms(execute.percentile(0.99)),
-            latency_p50_ms: ms(latency.percentile(0.5)),
-            latency_p90_ms: ms(latency.percentile(0.9)),
-            latency_p99_ms: ms(latency.percentile(0.99)),
-            latency_max_ms: ms(latency.max),
-            load: LoadSummary::default(),
-            batch_histogram: self
-                .batch_sizes
-                .snapshot()
-                .nonzero()
-                .map(|(i, count)| BatchBucket {
-                    // Exact below 16; the bucket's lower edge above.
-                    size: bucket_bounds(i).0 as usize,
-                    count,
-                })
-                .collect(),
+impl AdmissionMetrics {
+    pub fn new(m: &Metrics) -> AdmissionMetrics {
+        let reason = |r: &str| {
+            m.counter(
+                ADMISSION_REJECTED,
+                "requests refused at admission, before any lane",
+                &[("reason", r)],
+            )
+        };
+        AdmissionMetrics {
+            shutdown: reason("shutdown"),
+            deadline: reason("deadline"),
         }
     }
 }
 
 /// The load path, summarised from the metric registry's
 /// `ramiel_load_phase_ns`, `ramiel_registry_pulls_total` and
-/// `ramiel_plan_evictions_total` series (all zero when the registry is
-/// disabled): enough to answer "why was this `load` slow" from `stats`.
+/// `ramiel_plan_evictions_total` series: enough to answer "why was this
+/// `load` slow" from `stats`.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct LoadSummary {
     /// Plans compiled by `Server::load` (first loads and hot swaps).
@@ -192,9 +202,8 @@ pub struct StatsSnapshot {
     pub lane_build_mean_ms: f64,
     /// Lifetime queue-depth high-water mark.
     pub peak_queue_depth: u64,
-    /// Queue-depth high-water mark since the last window reset
-    /// ([`ServeStats::snapshot_and_reset_window`], used by the TCP `stats`
-    /// and `metrics` ops).
+    /// Queue-depth high-water mark since the last `metrics` scrape, which
+    /// owns the window.
     pub window_peak_queue_depth: u64,
     /// Mean achieved batch size (batched requests / batches).
     pub mean_batch: f64,
@@ -209,7 +218,60 @@ pub struct StatsSnapshot {
     pub latency_p99_ms: f64,
     pub latency_max_ms: f64,
     pub batch_histogram: Vec<BatchBucket>,
-    /// Filled by [`crate::Server::stats`]; default from [`ServeStats`] alone,
-    /// which does not see the metric registry.
     pub load: LoadSummary,
+}
+
+impl StatsSnapshot {
+    /// The `stats` view of `m`. `live_lanes` and `load` are read by the
+    /// caller: the first from its lanes, the second from its load handles.
+    pub(crate) fn read(m: &Metrics, live_lanes: u64, load: LoadSummary) -> StatsSnapshot {
+        let sum = |name: &str, with: &[(&str, &str)]| m.read(name, with).sum;
+        let outcome = |o: &str| sum(REQUESTS, &[("outcome", o)]);
+        let refused = |r: &str| sum(ADMISSION_REJECTED, &[("reason", r)]);
+        let hist = |name: &str, with: &[(&str, &str)]| m.read(name, with).histogram;
+        let sizes = hist(BATCH_SIZE, &[]);
+        let queue = hist(PHASE, &[("phase", "queue")]);
+        let execute = hist(PHASE, &[("phase", "execute")]);
+        let latency = hist(LATENCY, &[]);
+        let lane_build = hist(LANE_BUILD, &[]);
+        let peak = m.read(QUEUE_PEAK, &[]);
+        let ms = |ns: u64| ns as f64 / 1e6;
+        StatsSnapshot {
+            submitted: sum(ADMITTED, &[]),
+            completed: outcome("completed"),
+            failed: outcome("failed"),
+            shed_queue_full: outcome("shed_queue_full"),
+            shed_deadline: outcome("shed_deadline") + refused("deadline"),
+            rejected_shutdown: outcome("rejected_shutdown") + refused("shutdown"),
+            batches: sizes.count,
+            retries: sum(RETRIES, &[]),
+            fallbacks: sum(FALLBACKS, &[]),
+            windows_opened: sum(WINDOW, &[("decision", "opened")]),
+            windows_skipped: sum(WINDOW, &[("decision", "skipped")]),
+            live_lanes,
+            lane_builds: lane_build.count,
+            lane_build_mean_ms: lane_build.mean() / 1e6,
+            peak_queue_depth: peak.lifetime_peak,
+            window_peak_queue_depth: peak.window_peak,
+            mean_batch: sizes.mean(),
+            mean_queue_ms: queue.mean() / 1e6,
+            queue_p50_ms: ms(queue.percentile(0.5)),
+            queue_p99_ms: ms(queue.percentile(0.99)),
+            execute_p50_ms: ms(execute.percentile(0.5)),
+            execute_p99_ms: ms(execute.percentile(0.99)),
+            latency_p50_ms: ms(latency.percentile(0.5)),
+            latency_p90_ms: ms(latency.percentile(0.9)),
+            latency_p99_ms: ms(latency.percentile(0.99)),
+            latency_max_ms: ms(latency.max),
+            batch_histogram: sizes
+                .nonzero()
+                .map(|(i, count)| BatchBucket {
+                    // Exact below 16; the bucket's lower edge above.
+                    size: bucket_bounds(i).0 as usize,
+                    count,
+                })
+                .collect(),
+            load,
+        }
+    }
 }

@@ -9,10 +9,11 @@
 //!
 //! Ops: `ping`, `infer` (named [`TensorData`] inputs), `infer_synth`
 //! (server-side deterministic inputs from `seed` — lets load generators
-//! skip shipping tensors), `stats` (resets per-window gauges — pollers see
-//! interval deltas; includes per-model plan `versions` so hot swaps are
+//! skip shipping tensors), `stats` (a view of the metric registry that
+//! resets nothing; includes per-model plan `versions` so hot swaps are
 //! observable), `metrics` (Prometheus text exposition in the `metrics`
-//! response field; scrape with `ramiel top`), `trace` (Chrome trace JSON of
+//! response field, scrape with `ramiel top`; each scrape starts a fresh
+//! queue-peak window), `trace` (Chrome trace JSON of
 //! recent requests in the `trace` field), `load` (pull `source` through the
 //! registry — with optional `sha256` pin — and hot-swap it in as `model`;
 //! the response carries the new plan `version` and the content digest),
@@ -224,7 +225,7 @@ fn handle_request(
         "ping" => (WireResponse::ok(id), false),
         "stats" => {
             let mut r = WireResponse::ok(id);
-            r.stats = Some(server.stats_and_reset_window());
+            r.stats = Some(server.stats());
             r.models = Some(server.models());
             r.versions = Some(server.model_versions());
             (r, false)

@@ -308,7 +308,7 @@ fn latency_histograms_and_window_reset() {
     for seed in 0..6u64 {
         server.infer("fj", synth_inputs(&g, seed)).unwrap();
     }
-    let snap = server.stats_and_reset_window();
+    let snap = server.stats();
     assert_eq!(snap.completed, 6);
     // Phase/latency histograms populated with sane orderings.
     assert!(snap.latency_max_ms > 0.0, "latency max must be positive");
@@ -322,9 +322,15 @@ fn latency_histograms_and_window_reset() {
     );
     assert_eq!(snap.peak_queue_depth, snap.window_peak_queue_depth);
 
-    // The window was consumed: with no new traffic the next windowed
-    // snapshot reports zero, while the lifetime peak persists.
-    let next = server.stats_and_reset_window();
+    // `stats` leaves the window running; the `metrics` scrape owns it.
+    // With no new traffic the snapshot after a scrape reports zero, while
+    // the lifetime peak persists.
+    assert_eq!(
+        server.stats().window_peak_queue_depth,
+        snap.window_peak_queue_depth
+    );
+    server.metrics_text();
+    let next = server.stats();
     assert_eq!(next.window_peak_queue_depth, 0);
     assert_eq!(next.peak_queue_depth, snap.peak_queue_depth);
 
@@ -353,25 +359,255 @@ fn request_ids_are_unique_and_monotone() {
 }
 
 #[test]
-fn disabled_metrics_and_trace_still_serve() {
+fn disabled_trace_still_serves() {
     let g = synthetic::chain(3);
     let server = Server::new(ServeConfig {
-        metrics: ramiel_obs::Metrics::disabled(),
         trace_capacity: 0,
         ..small_cfg()
     });
     server.load("c", PlanSpec::new(g.clone())).unwrap();
     server.infer("c", synth_inputs(&g, 1)).unwrap();
     assert!(server.trace_ring().is_none());
-    // Registry renders empty; steal-pool + server gauges still appear.
+    // Metrics do not depend on the trace ring.
     let text = server.metrics_text();
-    assert!(!text.contains("ramiel_request_latency_ns"));
+    assert!(text.contains("ramiel_request_latency_ns"));
     assert!(text.contains("ramiel_server_models"));
+    assert_eq!(server.stats().completed, 1);
     // Chrome trace degrades to a valid empty trace.
     let chrome = server.trace_chrome().to_string();
     ramiel_obs::validate_chrome_trace(&chrome).expect("empty trace is valid");
-    // Process-wide ServeStats histograms record regardless of the registry.
-    assert!(server.stats().latency_max_ms > 0.0);
+}
+
+// ---- `stats` is a view of the metric registry -------------------------------
+
+/// Sum of every sample named `name` carrying each of `with`'s labels.
+fn registry_sum(samples: &[ramiel_obs::ParsedSample], name: &str, with: &[(&str, &str)]) -> u64 {
+    samples
+        .iter()
+        .filter(|s| s.name == name && with.iter().all(|&(k, v)| s.label(k) == Some(v)))
+        .map(|s| s.value as u64)
+        .sum()
+}
+
+/// Two models through completions, a retried-then-fallen-back batch,
+/// queue-full sheds, deadline sheds at admission and in the queue, and a
+/// rejection after shutdown: every `stats` counter equals the matching
+/// registry sum in the `metrics` exposition.
+#[test]
+fn stats_is_a_view_of_the_registry() {
+    use ramiel_runtime::{Fault, FaultInjector, FaultKind, FaultPlan};
+    let a = synthetic::chain(3);
+    let b = synthetic::fork_join(2, 2, 2);
+    // Node 0 of the first sample: the first execution stalls (so the queue
+    // fills behind it), the next three fail retryably — the batch's two
+    // retries included — and the sequential fallback after them succeeds.
+    let fault = |exec_index, kind| Fault {
+        node: 0,
+        batch: 0,
+        exec_index,
+        kind,
+    };
+    let mut faults = vec![fault(0, FaultKind::RecvDelay { millis: 300 })];
+    faults.extend((1..=3).map(|i| fault(i, FaultKind::KernelError)));
+    let server = Server::new(ServeConfig {
+        max_batch: 1,
+        queue_capacity: 2,
+        policy: OverflowPolicy::Shed,
+        injector: Some(FaultInjector::new(FaultPlan { seed: 0, faults })),
+        ..small_cfg()
+    });
+    server.load("a", PlanSpec::new(a.clone())).unwrap();
+    server.load("b", PlanSpec::new(b.clone())).unwrap();
+
+    let stalled = server.submit("a", synth_inputs(&a, 0)).unwrap();
+    while server.stats().batches == 0 {
+        std::thread::yield_now();
+    }
+    // Queued behind the stall: one that expires there, one that meets the
+    // faults; the queue is then full.
+    let soon = Instant::now() + Duration::from_millis(50);
+    let expires = server
+        .submit_with_deadline("a", synth_inputs(&a, 1), Some(soon))
+        .unwrap();
+    let retried = server.submit("a", synth_inputs(&a, 2)).unwrap();
+    let full = server.submit("a", synth_inputs(&a, 3)).unwrap_err();
+    assert_eq!(full.code(), "SV-FULL");
+    let past = Instant::now() - Duration::from_millis(1);
+    let late = server
+        .submit_with_deadline("b", synth_inputs(&b, 0), Some(past))
+        .unwrap_err();
+    assert_eq!(late.code(), "SV-DEADLINE");
+    stalled.wait().unwrap();
+    let queued = expires.wait().unwrap_err();
+    assert_eq!(queued, ServeError::DeadlineExceeded { stage: "queued" });
+    retried.wait().unwrap();
+    for seed in 1..4u64 {
+        server.infer("a", synth_inputs(&a, seed)).unwrap();
+        server.infer("b", synth_inputs(&b, seed)).unwrap();
+    }
+    server.shutdown();
+    let refused = server.infer("b", synth_inputs(&b, 9)).unwrap_err();
+    assert_eq!(refused.code(), "SV-SHUTDOWN");
+
+    let s = server.stats();
+    let samples = ramiel_obs::parse_prometheus(&server.metrics_text());
+    let sum = |name, with: &[(&str, &str)]| registry_sum(&samples, name, with);
+    let outcome = |o| sum("ramiel_requests_total", &[("outcome", o)]);
+    let refused = |r| sum("ramiel_admission_rejected_total", &[("reason", r)]);
+    assert_eq!(s.submitted, sum("ramiel_admitted_total", &[]));
+    assert_eq!(s.completed, outcome("completed"));
+    assert_eq!(s.failed, outcome("failed"));
+    assert_eq!(s.shed_queue_full, outcome("shed_queue_full"));
+    assert_eq!(
+        s.shed_deadline,
+        outcome("shed_deadline") + refused("deadline")
+    );
+    assert_eq!(
+        s.rejected_shutdown,
+        outcome("rejected_shutdown") + refused("shutdown")
+    );
+    assert_eq!(s.batches, sum("ramiel_batch_size_count", &[]));
+    assert_eq!(s.retries, sum("ramiel_batch_retries_total", &[]));
+    assert_eq!(s.fallbacks, sum("ramiel_batch_fallbacks_total", &[]));
+    let window = |d| sum("ramiel_batch_window_total", &[("decision", d)]);
+    assert_eq!(
+        (s.windows_opened, s.windows_skipped),
+        (window("opened"), window("skipped"))
+    );
+    assert_eq!(s.lane_builds, sum("ramiel_lane_build_ns_count", &[]));
+    // ... and the workload reached every one of those counters.
+    assert_eq!((s.submitted, s.completed, s.failed), (9, 8, 0));
+    assert_eq!((s.shed_queue_full, s.shed_deadline), (1, 2));
+    assert_eq!((s.retries, s.fallbacks, s.rejected_shutdown), (2, 1, 1));
+    assert_eq!((s.batches, s.live_lanes), (8, 0));
+}
+
+/// Client-supplied model names never mint a series: 200 unknown names, in
+/// process and over TCP `infer`, with past deadlines and after shutdown,
+/// leave the exposition's set of (name, labels) pairs as it was.
+#[test]
+fn untrusted_names_mint_no_series() {
+    let g = synthetic::chain(3);
+    let server = Arc::new(Server::new(small_cfg()));
+    server.load("c", PlanSpec::new(g.clone())).unwrap();
+    await_lane_builds(&server, 1);
+    // The steal-pool series are process-wide, shared with concurrent tests.
+    let series = |server: &Server| -> Vec<(String, Vec<(String, String)>)> {
+        let mut keys: Vec<_> = ramiel_obs::parse_prometheus(&server.metrics_text())
+            .into_iter()
+            .filter(|s| !s.name.starts_with("ramiel_steal_"))
+            .map(|s| (s.name, s.labels))
+            .collect();
+        keys.sort();
+        keys
+    };
+    let before = series(&server);
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let srv = Arc::clone(&server);
+    let accept = std::thread::spawn(move || crate::tcp::run_tcp(&srv, "c", listener));
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut rpc = |line: String| -> serde_json::Value {
+        writer.write_all(line.as_bytes()).unwrap();
+        writer.write_all(b"\n").unwrap();
+        writer.flush().unwrap();
+        let mut resp = String::new();
+        reader.read_line(&mut resp).unwrap();
+        serde_json::from_str(&resp).unwrap()
+    };
+    let past = || Some(Instant::now() - Duration::from_millis(1));
+    let mut send = |i: u32, [code, past_code]: [&str; 2]| {
+        let name = format!("ghost-{i}\"{{le=\"1\"}}");
+        let inputs = synth_inputs(&g, 0);
+        let err = server.submit(&name, inputs.clone()).unwrap_err();
+        assert_eq!(err.code(), code);
+        let err = server
+            .submit_with_deadline(&name, inputs, past())
+            .unwrap_err();
+        assert_eq!(err.code(), past_code);
+        let model = serde_json::to_string(&name).unwrap();
+        for deadline in ["", r#","deadline_ms":0"#] {
+            let resp = rpc(format!(
+                r#"{{"id":{i},"op":"infer","model":{model},"inputs":{{}}{deadline}}}"#
+            ));
+            assert_eq!(resp.get("ok").and_then(|v| v.as_bool()), Some(false));
+        }
+    };
+    for i in 0..150 {
+        send(i, ["SV-MODEL", "SV-DEADLINE"]);
+    }
+    server.shutdown();
+    for i in 150..200 {
+        send(i, ["SV-SHUTDOWN"; 2]);
+    }
+    assert_eq!(series(&server), before);
+    rpc(r#"{"id":0,"op":"shutdown"}"#.to_string());
+    accept.join().unwrap().unwrap();
+}
+
+/// The `stats` reply's keys, `load` included: the benchmark and `ci.sh`
+/// read them by name.
+#[test]
+fn stats_wire_shape_is_pinned() {
+    let server = Server::new(small_cfg());
+    let json = serde_json::Value::from_serialize(&server.stats());
+    let keys = |v: &serde_json::Value| -> Vec<String> {
+        let mut k: Vec<String> = v.as_object().unwrap().iter().map(|e| e.0.clone()).collect();
+        k.sort();
+        k
+    };
+    assert_eq!(
+        keys(&json),
+        [
+            "batch_histogram",
+            "batches",
+            "completed",
+            "execute_p50_ms",
+            "execute_p99_ms",
+            "failed",
+            "fallbacks",
+            "lane_build_mean_ms",
+            "lane_builds",
+            "latency_max_ms",
+            "latency_p50_ms",
+            "latency_p90_ms",
+            "latency_p99_ms",
+            "live_lanes",
+            "load",
+            "mean_batch",
+            "mean_queue_ms",
+            "peak_queue_depth",
+            "queue_p50_ms",
+            "queue_p99_ms",
+            "rejected_shutdown",
+            "retries",
+            "shed_deadline",
+            "shed_queue_full",
+            "submitted",
+            "window_peak_queue_depth",
+            "windows_opened",
+            "windows_skipped",
+        ]
+    );
+    assert_eq!(
+        keys(json.get("load").unwrap()),
+        [
+            "compile_mean_ms",
+            "fetch_mean_ms",
+            "hash_mean_ms",
+            "import_mean_ms",
+            "loads",
+            "plan_evictions",
+            "pulls_checksum_refused",
+            "pulls_hit",
+            "pulls_miss",
+            "store_mean_ms",
+            "swap_mean_ms",
+        ]
+    );
 }
 
 // ---- the batch window opens only for company --------------------------------

@@ -39,8 +39,8 @@ pub struct RequestTrace {
 }
 
 /// Bounded ring of recent [`RequestTrace`]s. One short mutexed push per
-/// answered request — the per-phase recording itself is lock-free (see
-/// [`crate::stats::ServeStats`]); only the trace dump takes this lock for
+/// answered request — the per-phase recording itself is lock-free (the
+/// metric registry's histograms); only the trace dump takes this lock for
 /// longer.
 pub struct TraceRing {
     capacity: usize,

@@ -113,9 +113,15 @@ done
 timeout 60s target/debug/ramiel request --port "$SERVE_PORT" --op ping
 timeout 60s target/debug/ramiel request --port "$SERVE_PORT" \
     --op infer_synth --count 4 > /dev/null
-timeout 60s target/debug/ramiel request --port "$SERVE_PORT" --op stats
+# One store, two views: `stats` and `metrics` count the same four requests.
+timeout 60s target/debug/ramiel request --port "$SERVE_PORT" \
+    --op stats > target/serve-stats.json
+grep -qF '"completed":4' target/serve-stats.json
 timeout 60s target/debug/ramiel request --port "$SERVE_PORT" \
     --op metrics > target/serve-metrics.txt
+grep -qF 'ramiel_requests_total{model="squeezenet",outcome="completed"} 4' \
+    target/serve-metrics.txt
+grep -q "ramiel_batch_size_count" target/serve-metrics.txt
 grep -q "ramiel_request_latency_ns_bucket" target/serve-metrics.txt
 grep -q "ramiel_steal_tasks_total" target/serve-metrics.txt
 timeout 60s target/debug/ramiel request --port "$SERVE_PORT" \
