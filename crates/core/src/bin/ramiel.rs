@@ -12,8 +12,7 @@
 //! ramiel analyze <model|all> [flags]     tensor lifetimes, static peak
 //!                                        memory, happens-before channel
 //!                                        lints (`--json` for machine use)
-//! ramiel export <model> <path>           save a model as .rmodel.json, or
-//!                                        as ONNX with --onnx / a .onnx path
+//! ramiel export <model> <path>           save a model as an ONNX file
 //! ramiel pull <url> [--sha256 H]         fetch a model into the content-
 //!                                        addressed cache (file:// or http://)
 //! ramiel fileserver <dir> [--port N]     loopback static file server (CI)
@@ -34,8 +33,8 @@
 //!
 //! `<model>` is a built-in name (`squeezenet`, `googlenet`, `inception-v3`,
 //! `inception-v4`, `yolo-v5`, `bert`, `retinanet`, `nasnet`) or a path to a
-//! model file — `.rmodel.json`, `.rmodel` text, or binary `.onnx` (all
-//! three route through the same loader).
+//! ONNX model file (read by `ramiel_onnx::load_model`, which validates
+//! and shape-infers it whatever the file is called).
 //!
 //! Flags: `--prune` (const-prop + DCE), `--clone` (task cloning),
 //! `--batch N` + `--switched` (hyperclustering), `--intra-op N` (rayon
@@ -95,9 +94,7 @@ use std::time::Instant;
 fn parse_model(name: &str, cfg: &ModelConfig) -> Result<ramiel_ir::Graph, String> {
     match builtin_kind(name) {
         Some(k) => Ok(build(k, cfg)),
-        // Unified loader: JSON / text `.rmodel` and binary `.onnx` all route
-        // through `ramiel_onnx::load_model`, so every verb accepts any of
-        // the three encodings.
+        // Any other argument is an ONNX file, imported and validated.
         None => ramiel_onnx::load_model(name).map_err(|e| not_loadable(name, e)),
     }
 }
@@ -152,7 +149,6 @@ struct Flags {
     frames: usize,
     sha256: Option<String>,
     cache: Option<String>,
-    onnx: bool,
     source: Option<String>,
 }
 
@@ -188,7 +184,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         frames: 0,
         sha256: None,
         cache: None,
-        onnx: false,
         source: None,
     };
     let mut it = args.iter();
@@ -200,7 +195,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         };
         match a.as_str() {
             "--prune" => f.prune = true,
-            "--onnx" => f.onnx = true,
             "--sha256" => f.sha256 = Some(value("--sha256")?),
             "--cache" => f.cache = Some(value("--cache")?),
             "--source" => f.source = Some(value("--source")?),
@@ -1001,7 +995,7 @@ fn cmd_serve(model: &str, f: &Flags) -> Result<(), String> {
         let pulled = registry.admit(&fetched).map_err(registry_err)?;
         println!("pulled {} (sha256 {})", pulled.source, pulled.sha256);
         let start = Instant::now();
-        let g = ramiel_onnx::load_model_bytes(fetched.data()).map_err(|e| e.to_string())?;
+        let g = ramiel_onnx::import_model(fetched.data()).map_err(|e| e.to_string())?;
         (g, Some(fetched.fetch_time()), start.elapsed())
     } else if let Some(kind) = builtin_kind(model) {
         let start = Instant::now();
@@ -1011,8 +1005,7 @@ fn cmd_serve(model: &str, f: &Flags) -> Result<(), String> {
         let bytes = ramiel_onnx::read_model_file(model).map_err(|e| not_loadable(model, e))?;
         let fetch_time = start.elapsed();
         let start = Instant::now();
-        let g =
-            ramiel_onnx::decode_model_file(model, &bytes).map_err(|e| not_loadable(model, e))?;
+        let g = ramiel_onnx::import_model(&bytes).map_err(|e| not_loadable(model, e.into()))?;
         (g, Some(fetch_time), start.elapsed())
     };
     let start = Instant::now();
@@ -1344,13 +1337,8 @@ fn cmd_export(model: &str, path: &str, f: &Flags) -> Result<(), String> {
         ModelConfig::full()
     };
     let g = parse_model(model, &cfg)?;
-    if f.onnx || path.to_ascii_lowercase().ends_with(".onnx") {
-        ramiel_onnx::save_onnx(&g, path).map_err(|e| e.to_string())?;
-        println!("wrote {} ({} nodes, ONNX)", path, g.num_nodes());
-    } else {
-        ramiel_ir::model_file::save(&g, path).map_err(|e| e.to_string())?;
-        println!("wrote {} ({} nodes)", path, g.num_nodes());
-    }
+    ramiel_onnx::save_onnx(&g, path).map_err(|e| e.to_string())?;
+    println!("wrote {} ({} nodes, ONNX)", path, g.num_nodes());
     Ok(())
 }
 

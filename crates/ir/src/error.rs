@@ -27,8 +27,6 @@ pub enum IrError {
     /// kernel extent, zero groups, …) that downstream shape math and kernels
     /// cannot give meaning to. Surfaced by `ramiel check` as RV0002.
     Attr { node: String, reason: String },
-    /// Deserialization of a model file failed.
-    Serde(String),
     /// Catch-all for invalid structural edits.
     Invalid(String),
 }
@@ -51,7 +49,6 @@ impl fmt::Display for IrError {
             IrError::Attr { node, reason } => {
                 write!(f, "node `{node}` has an invalid attribute: {reason}")
             }
-            IrError::Serde(msg) => write!(f, "model (de)serialization error: {msg}"),
             IrError::Invalid(msg) => write!(f, "invalid graph operation: {msg}"),
         }
     }

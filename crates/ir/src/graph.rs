@@ -4,7 +4,6 @@ use crate::error::IrError;
 use crate::op::{DType, OpKind};
 use crate::tensor_data::TensorData;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 /// Index of a node within its [`Graph`]. Stable until a structural rebuild
@@ -15,7 +14,7 @@ pub type NodeId = usize;
 /// and shape. Shapes in this IR are fully static (the batch dimension is
 /// fixed when a model is instantiated), matching the frozen ONNX graphs the
 /// paper ingests.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TensorInfo {
     pub name: String,
     pub dtype: DType,
@@ -39,7 +38,7 @@ impl TensorInfo {
 }
 
 /// One operator application: `outputs = op(inputs)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Index in [`Graph::nodes`].
     pub id: NodeId,
@@ -53,7 +52,7 @@ pub struct Node {
 }
 
 /// A directed acyclic dataflow graph over named tensors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
     pub name: String,
     pub nodes: Vec<Node>,

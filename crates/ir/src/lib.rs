@@ -29,11 +29,9 @@ pub mod builder;
 pub mod dot;
 pub mod error;
 pub mod graph;
-pub mod model_file;
 pub mod op;
 pub mod shape;
 pub mod tensor_data;
-pub mod text_format;
 pub mod topo;
 pub mod validate;
 

@@ -7,10 +7,8 @@
 //! `Unsqueeze`, `ConstantOfShape`, …) that ONNX exporters weave around
 //! `Reshape` and that the paper's constant-propagation pass folds away.
 
-use serde::{Deserialize, Serialize};
-
 /// Element type of a tensor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DType {
     /// 32-bit IEEE float — activations and weights.
     F32,
@@ -32,7 +30,7 @@ impl DType {
 }
 
 /// Spatial pooling attributes shared by `MaxPool` and `AveragePool`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PoolSpec {
     /// Kernel size `(kh, kw)`.
     pub kernel: (usize, usize),
@@ -82,7 +80,7 @@ impl PoolSpec {
 /// attributes rather than tensor inputs (we also lift a few commonly-constant
 /// tensor inputs, e.g. `Slice` ranges, into attributes for simplicity; the
 /// model generators follow the same convention).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum OpKind {
     // ---- convolution / linear algebra -------------------------------------
     /// 2-D convolution. Inputs: `[x, weight]` or `[x, weight, bias]`.

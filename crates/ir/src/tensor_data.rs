@@ -114,6 +114,16 @@ mod tests {
         assert!(c.shape.is_empty());
     }
 
+    /// The serve wire carries tensors in this JSON shape (see `ramiel-serve`
+    /// `tcp.rs`); the derives are what keep it stable.
+    #[test]
+    fn wire_json_shape_is_pinned() {
+        let json = r#"{"shape":[2],"payload":{"F32":[1.0,2.5]}}"#;
+        let t: TensorData = serde_json::from_str(json).unwrap();
+        assert_eq!(t, TensorData::f32(vec![2], vec![1.0, 2.5]));
+        assert_eq!(serde_json::to_string(&t).unwrap(), json);
+    }
+
     #[test]
     #[should_panic(expected = "shape/data mismatch")]
     fn mismatched_shape_panics() {

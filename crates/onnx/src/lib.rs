@@ -4,9 +4,9 @@
 //! dependencies: a handwritten protobuf wire-format reader/writer
 //! ([`wire`]), the decoded ONNX message subset ([`proto`]), an importer
 //! that lowers `ModelProto` onto the `ramiel-ir` [`Graph`]/`OpKind`
-//! vocabulary ([`import`]), the matching exporter ([`export`]), and a
-//! unified model loader ([`loader`]) that sniffs JSON / text-format /
-//! binary `.onnx` files behind one entry point.
+//! vocabulary ([`import`]), the matching exporter ([`export`]), and the
+//! model-file loader ([`loader`]). ONNX is the only model encoding: every
+//! path from bytes to a [`Graph`] runs [`import_model`].
 //!
 //! Every import is routed through `ir::validate`, `ir::shape::infer_shapes`
 //! and `ramiel-verify`, so untrusted `.onnx` files get the same RV-coded
@@ -22,7 +22,7 @@ pub mod wire;
 
 pub use export::{export_model, save_onnx};
 pub use import::import_model;
-pub use loader::{decode_model_file, load_model, load_model_bytes, read_model_file, LoadError};
+pub use loader::{load_model, read_model_file, LoadError};
 
 use ramiel_ir::Graph;
 

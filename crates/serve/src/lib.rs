@@ -22,7 +22,7 @@
 //!   poisoned batch degrades instead of killing the server), and graceful
 //!   drain-on-shutdown.
 //! - [`tcp`] — newline-delimited JSON over `std::net` TCP, the transport
-//!   behind `ramiel serve <model.json> --port N`.
+//!   behind `ramiel serve <model.onnx> --port N`.
 //! - [`trace`] — bounded per-request trace ring; every answered request
 //!   leaves a four-phase timeline (queue → batch → execute → respond)
 //!   dumpable as a Chrome trace via the TCP `trace` verb.

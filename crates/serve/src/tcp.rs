@@ -1,5 +1,5 @@
 //! Newline-delimited JSON over `std::net` TCP — the transport behind
-//! `ramiel serve <model.json> --port N`. One JSON object per line in each
+//! `ramiel serve <model.onnx> --port N`. One JSON object per line in each
 //! direction; one thread per connection (the server's own admission
 //! control is the concurrency limiter, not the transport).
 //!
@@ -318,10 +318,10 @@ fn handle_request(
     }
 }
 
-/// Pull `source` through the registry, import it with the unified model
-/// loader, and hot-swap it in as `name`. Returns the new plan's version and
-/// the content digest, or a ready-to-send error response (registry failures
-/// keep their `RG-*` codes, importer failures their `ONNX-*`/parse codes).
+/// Pull `source` through the registry, import it as ONNX, and hot-swap it
+/// in as `name`. Returns the new plan's version and the content digest, or
+/// a ready-to-send error response (registry failures keep their `RG-*`
+/// codes, importer failures their `ONNX-*` codes).
 ///
 /// The model bytes are read once: the registry hashes and stores the buffer
 /// it fetched and the importer decodes that same buffer. Each phase lands in
@@ -353,14 +353,8 @@ fn load_from_registry(
         metrics.store.record_duration(pulled.store);
     }
     let start = Instant::now();
-    let graph = ramiel_onnx::load_model_bytes(fetched.data()).map_err(|e| {
-        let code = match &e {
-            ramiel_onnx::LoadError::Onnx(oe) => oe.code(),
-            ramiel_onnx::LoadError::Io { .. } => "RG-IO",
-            ramiel_onnx::LoadError::Native(_) => "SV-MODEL",
-        };
-        Box::new(WireResponse::err_code(id, code, e.to_string()))
-    })?;
+    let graph = ramiel_onnx::import_model(fetched.data())
+        .map_err(|e| Box::new(WireResponse::err_code(id, e.code(), e.to_string())))?;
     drop(fetched);
     let plan = server
         .load_prepared(name, PlanSpec::new(graph), start.elapsed(), Duration::ZERO)

@@ -204,6 +204,17 @@ grep -q "RG-CHECKSUM" target/ci-load-bad.json
 timeout 60s target/debug/ramiel request --port "$SWAP_PORT" \
     --op stats > target/ci-swap-stats2.json
 grep -q '"versions":{"squeezenet":2}' target/ci-swap-stats2.json
+# ONNX is the only model encoding: a file that is not ONNX is refused by
+# the importer and the resident model keeps its version.
+printf '{"name":"x","nodes":[]}' > target/ci-not-onnx.json
+if timeout 60s target/debug/ramiel request --port "$SWAP_PORT" --op load \
+    --source "file://$PWD/target/ci-not-onnx.json" > target/ci-load-not-onnx.json; then
+    echo "hot swap of a non-ONNX file was not refused"; exit 1
+fi
+grep -q "ONNX-WIRE" target/ci-load-not-onnx.json
+timeout 60s target/debug/ramiel request --port "$SWAP_PORT" \
+    --op stats > target/ci-swap-stats3.json
+grep -q '"versions":{"squeezenet":2}' target/ci-swap-stats3.json
 timeout 60s target/debug/ramiel request --port "$SWAP_PORT" --op shutdown
 wait "$SWAP_PID"
 kill "$FS_PID" 2>/dev/null || true

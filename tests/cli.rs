@@ -1,5 +1,8 @@
 //! End-to-end tests of the `ramiel` CLI binary.
 
+#[path = "support/hostile.rs"]
+mod hostile;
+
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -182,7 +185,7 @@ fn profile_of_a_model_file_writes_its_trace_into_out() {
 
 #[test]
 fn export_then_compile_from_file() {
-    let path = std::env::temp_dir().join(format!("ramiel_cli_model_{}.json", std::process::id()));
+    let path = std::env::temp_dir().join(format!("ramiel_cli_model_{}.onnx", std::process::id()));
     let path_s = path.to_str().expect("utf8 path");
     let (ok, _, stderr) = run(&["export", "googlenet", path_s, "--tiny"]);
     assert!(ok, "stderr: {stderr}");
@@ -190,6 +193,30 @@ fn export_then_compile_from_file() {
     assert!(ok, "stderr: {stderr}");
     assert!(stdout.contains("Googlenet"));
     std::fs::remove_file(&path).ok();
+}
+
+/// A model file argument is imported as ONNX whatever it holds: hostile
+/// files make `run` and `serve` exit non-zero with the `ONNX-*` code on
+/// stderr, never with a panic.
+#[test]
+fn hostile_files_fail_cleanly() {
+    let dir = std::env::temp_dir().join(format!("ramiel_cli_hostile_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    for (file, bytes, code) in hostile::cases() {
+        let path = dir.join(file);
+        std::fs::write(&path, bytes).expect("write model");
+        let path_s = path.to_str().expect("utf8 path");
+        for args in [
+            vec!["run", path_s, "--iters", "1"],
+            vec!["serve", path_s, "--port", "0"],
+        ] {
+            let (ok, _, stderr) = run(&args);
+            assert!(!ok, "{args:?} succeeded");
+            assert!(stderr.contains(code), "{args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

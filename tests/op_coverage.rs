@@ -1,7 +1,7 @@
 //! Operator coverage: every `OpKind` variant must flow through the whole
 //! stack — shape inference, sequential execution, clustering, parallel
-//! execution, Python lowering and the text format — from a single graph
-//! that uses all of them.
+//! execution, Python lowering and an ONNX export/import round trip — from
+//! a single graph that uses all of them.
 
 use ramiel::{compile, PipelineOptions};
 use ramiel_ir::{DType, Graph, GraphBuilder, OpKind, PoolSpec, TensorData};
@@ -270,9 +270,8 @@ fn kitchen_sink_survives_pruning_and_codegen() {
 }
 
 #[test]
-fn kitchen_sink_text_roundtrip() {
+fn kitchen_sink_onnx_roundtrip() {
     let g = kitchen_sink();
-    let text = ramiel_ir::text_format::to_text(&g);
-    let g2 = ramiel_ir::text_format::from_text(&text).expect("parse back");
+    let g2 = ramiel_onnx::round_trip(&g).expect("export and import back");
     assert_eq!(g, g2);
 }

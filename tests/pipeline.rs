@@ -153,19 +153,6 @@ fn hyperclustering_covers_all_batch_elements() {
 }
 
 #[test]
-fn model_roundtrip_through_model_file() {
-    let g = build(ModelKind::Googlenet, &ModelConfig::tiny());
-    let json = ramiel_ir::model_file::to_json(&g).unwrap();
-    let g2 = ramiel_ir::model_file::from_json(&json).unwrap();
-    assert_eq!(g, g2);
-    // compiled results identical
-    let c1 = compile(g, &PipelineOptions::default()).unwrap();
-    let c2 = compile(g2, &PipelineOptions::default()).unwrap();
-    assert_eq!(c1.clustering, c2.clustering);
-    assert_eq!(c1.parallel_code, c2.parallel_code);
-}
-
-#[test]
 fn dsc_scheduler_is_a_valid_alternative() {
     use ramiel::Scheduler;
     use ramiel_runtime::{run, run_sequential, synth_inputs, RunOptions};
@@ -213,18 +200,6 @@ fn dsc_scheduler_is_a_valid_alternative() {
         seq.keys().collect::<Vec<_>>(),
         par.keys().collect::<Vec<_>>()
     );
-}
-
-#[test]
-fn text_format_roundtrips_the_whole_zoo() {
-    let cfg = ModelConfig::tiny();
-    for kind in ModelKind::all() {
-        let g = build(kind, &cfg);
-        let text = ramiel_ir::text_format::to_text(&g);
-        let g2 = ramiel_ir::text_format::from_text(&text)
-            .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
-        assert_eq!(g, g2, "{}", kind.name());
-    }
 }
 
 #[test]

@@ -1,12 +1,21 @@
 //! Serving-layer integration: concurrent clients through [`Server`] must
 //! get answers bit-identical to the reference sequential executor, and
 //! shutdown must drain — every admitted request is answered, never dropped.
+//! Hostile model files are refused with a coded reply at every TCP entry.
+
+#[path = "support/hostile.rs"]
+mod hostile;
 
 use ramiel::{prepare, PipelineOptions};
 use ramiel_models::{build, synthetic, ModelConfig, ModelKind};
 use ramiel_runtime::{run_sequential, synth_inputs};
-use ramiel_serve::{OverflowPolicy, PlanSpec, ServeConfig, ServeExecutor, Server, Ticket};
+use ramiel_serve::{
+    run_tcp_with_registry, OverflowPolicy, PlanSpec, Registry, ServeConfig, ServeExecutor, Server,
+    Ticket,
+};
 use ramiel_tensor::ExecCtx;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -182,4 +191,62 @@ fn deadlines_shed_dead_on_arrival_work() {
     assert_eq!(shed, 6);
     assert_eq!(server.stats().shed_deadline, 6);
     assert_eq!(server.stats().completed, 0);
+}
+
+/// Every way a model file reaches a plan over TCP — a `load` through the
+/// registry and autoload on first request — imports it as ONNX: a JSON
+/// graph and ONNX graphs with a cycle or a duplicate output are refused
+/// with their `ONNX-*` code, no version is consumed, and the connection
+/// keeps answering.
+#[test]
+fn hostile_models_are_refused_at_every_entry() {
+    let dir = std::env::temp_dir().join(format!("ramiel-serve-hostile-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let registry = Arc::new(Registry::new(dir.join("cache")));
+    let server = Arc::new(Server::new(serve_cfg()));
+    let base = build(ModelKind::Squeezenet, &ModelConfig::tiny());
+    server.load("base", PlanSpec::new(base)).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let srv = Arc::clone(&server);
+    let accept =
+        std::thread::spawn(move || run_tcp_with_registry(&srv, "base", listener, Some(registry)));
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut rpc = |line: String| -> serde_json::Value {
+        writer.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut resp = String::new();
+        reader.read_line(&mut resp).unwrap();
+        serde_json::from_str(&resp).unwrap_or_else(|e| panic!("no reply to {line}: {e}"))
+    };
+
+    let versions = server.model_versions();
+    for (file, bytes, code) in hostile::cases() {
+        let path = dir.join(file);
+        std::fs::write(&path, bytes).unwrap();
+        let path = path.to_str().unwrap();
+        let requests = [
+            // Hot swap of the resident model from a `file://` source.
+            format!(r#"{{"id":1,"op":"load","model":"base","source":"file://{path}"}}"#),
+            // Autoload: the model name is an existing path.
+            format!(r#"{{"id":2,"op":"infer_synth","model":"{path}"}}"#),
+        ];
+        for request in requests {
+            let resp = rpc(request);
+            assert_eq!(resp["ok"].as_bool(), Some(false), "{file}: {resp}");
+            assert_eq!(resp["code"].as_str(), Some(code), "{file}: {resp}");
+            assert_eq!(server.model_versions(), versions, "{file}: a version moved");
+            let pong = rpc(r#"{"id":3,"op":"ping"}"#.into());
+            assert_eq!(pong["ok"].as_bool(), Some(true), "{file}: {pong}");
+        }
+        assert!(server.plan(path).is_none(), "{file} was installed");
+    }
+    rpc(r#"{"op":"shutdown"}"#.into());
+    accept.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }
