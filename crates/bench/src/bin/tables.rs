@@ -3,6 +3,7 @@
 //! ```sh
 //! cargo run --release -p ramiel-bench --bin tables            # everything
 //! cargo run --release -p ramiel-bench --bin tables -- table4  # one table
+//! cargo run --release -p ramiel-bench --bin tables -- golden  # deterministic columns only
 //! ```
 
 use ramiel_bench as b;
@@ -296,6 +297,10 @@ fn main() -> ExitCode {
     if want("memory") {
         memory();
         println!();
+    }
+    // Not part of `all`: the same numbers as the tables above, as text.
+    if args.iter().any(|a| a == "golden") {
+        print!("{}", b::paper_golden());
     }
     ExitCode::SUCCESS
 }

@@ -12,7 +12,7 @@
 //!   reproducible anywhere).
 
 use ramiel::{compile, CompiledModel, PipelineOptions};
-use ramiel_cluster::{hypercluster, switched_hypercluster, StaticCost};
+use ramiel_cluster::{hypercluster, switched_hypercluster, HyperClustering, StaticCost};
 use ramiel_ios::{ios_makespan, ios_schedule, IosConfig};
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_runtime::{
@@ -20,6 +20,7 @@ use ramiel_runtime::{
     simulate_hyper, simulate_sequential, synth_inputs, Env, RunOptions, SimConfig,
 };
 use ramiel_tensor::ExecCtx;
+use std::fmt::Write as _;
 use std::slice::from_ref;
 use std::time::{Duration, Instant};
 
@@ -65,19 +66,22 @@ pub fn time_ms(iters: usize, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_secs_f64() * 1e3 / iters as f64
 }
 
+/// Simulated makespan of a compiled model's clustering.
+pub fn simulated_makespan(c: &CompiledModel) -> u64 {
+    simulate_clustering(&c.graph, &c.clustering, &StaticCost, &sim_config())
+        .expect("simulation")
+        .makespan
+}
+
 /// Simulated speedup of a compiled model's clustering vs sequential.
 pub fn simulated_speedup(c: &CompiledModel) -> f64 {
-    let sim = simulate_clustering(&c.graph, &c.clustering, &StaticCost, &sim_config())
-        .expect("simulation");
-    simulate_sequential(&c.graph, &StaticCost, 1) as f64 / sim.makespan as f64
+    simulate_sequential(&c.graph, &StaticCost, 1) as f64 / simulated_makespan(c) as f64
 }
 
 /// Simulated speedup against a *fixed* sequential baseline cost (used for
 /// Table VI/VII where all variants compare to the unoptimized model).
 pub fn simulated_speedup_vs(c: &CompiledModel, baseline_seq: u64) -> f64 {
-    let sim = simulate_clustering(&c.graph, &c.clustering, &StaticCost, &sim_config())
-        .expect("simulation");
-    baseline_seq as f64 / sim.makespan as f64
+    baseline_seq as f64 / simulated_makespan(c) as f64
 }
 
 /// Measured (real-execution) sequential and parallel times in ms.
@@ -414,6 +418,9 @@ pub struct Table8Row {
     pub model: String,
     pub ours_speedup: f64,
     pub ours_ct: Duration,
+    /// Simulated sequential makespan, the baseline of both speedups.
+    pub baseline: u64,
+    pub ios_makespan: u64,
     pub ios_speedup: f64,
     pub ios_ct: Duration,
     pub ios_dp_states: usize,
@@ -439,6 +446,8 @@ pub fn table8() -> Vec<Table8Row> {
             model: k.name().into(),
             ours_speedup: simulated_speedup_vs(&c, baseline),
             ours_ct,
+            baseline,
+            ios_makespan: ios_mk,
             ios_speedup: baseline as f64 / ios_mk as f64,
             ios_ct: stats.compile_time,
             ios_dp_states: stats.dp_states,
@@ -506,6 +515,27 @@ pub struct HyperRow {
     pub sim_speedup: f64,
 }
 
+/// The hyperclustering of `c` at `batch`, plain (Fig. 8) or switched
+/// (Fig. 9).
+fn hyper_schedule(c: &CompiledModel, batch: usize, switched: bool) -> HyperClustering {
+    if switched {
+        switched_hypercluster(&c.clustering, batch)
+    } else {
+        hypercluster(&c.clustering, batch)
+    }
+}
+
+/// Simulated `(hypercluster makespan, sequential makespan)` of a batch:
+/// the deterministic half of a [`HyperRow`].
+pub fn hyper_sim(c: &CompiledModel, batch: usize, switched: bool) -> (u64, u64) {
+    let hc = hyper_schedule(c, batch, switched);
+    let sim = simulate_hyper(&c.graph, &hc, &StaticCost, &sim_config()).expect("sim");
+    (
+        sim.makespan,
+        simulate_sequential(&c.graph, &StaticCost, batch),
+    )
+}
+
 /// One hyperclustering measurement: per-batch speedup vs running the batch
 /// through the sequential code sample by sample.
 pub fn hyper_row(
@@ -516,11 +546,7 @@ pub fn hyper_row(
     iters: usize,
 ) -> HyperRow {
     let c = compile(build(kind, &model_config()), &PipelineOptions::default()).expect("pipeline");
-    let hc = if switched {
-        switched_hypercluster(&c.clustering, batch)
-    } else {
-        hypercluster(&c.clustering, batch)
-    };
+    let hc = hyper_schedule(&c, batch, switched);
     let inputs: Vec<Env> = (0..batch)
         .map(|b| synth_inputs(&c.graph, b as u64))
         .collect();
@@ -535,27 +561,32 @@ pub fn hyper_row(
             .outputs
             .expect("hyper");
     });
-    let sim = simulate_hyper(&c.graph, &hc, &StaticCost, &sim_config()).expect("sim");
-    let seq_sim = simulate_sequential(&c.graph, &StaticCost, batch);
+    let (makespan, seq_sim) = hyper_sim(&c, batch, switched);
     HyperRow {
         model: kind.name().into(),
         batch,
         switched,
         intra_op,
         measured_speedup: seq_ms / par_ms,
-        sim_speedup: seq_sim as f64 / sim.makespan as f64,
+        sim_speedup: seq_sim as f64 / makespan as f64,
     }
 }
+
+/// Fig. 13's models and batch sizes.
+const FIG13_MODELS: [ModelKind; 3] = [
+    ModelKind::Squeezenet,
+    ModelKind::Googlenet,
+    ModelKind::InceptionV3,
+];
+const FIG13_BATCHES: [usize; 4] = [2, 4, 8, 12];
+/// Fig. 14's batch sizes (SqueezeNet).
+const FIG14_BATCHES: [usize; 3] = [2, 3, 4];
 
 /// Fig. 13: plain hyperclustering across batch sizes, with/without intra-op.
 pub fn fig13(iters: usize) -> Vec<HyperRow> {
     let mut rows = Vec::new();
-    for kind in [
-        ModelKind::Squeezenet,
-        ModelKind::Googlenet,
-        ModelKind::InceptionV3,
-    ] {
-        for batch in [2usize, 4, 8, 12] {
+    for kind in FIG13_MODELS {
+        for batch in FIG13_BATCHES {
             for intra in [1usize, 2] {
                 rows.push(hyper_row(kind, batch, false, intra, iters));
             }
@@ -567,7 +598,7 @@ pub fn fig13(iters: usize) -> Vec<HyperRow> {
 /// Fig. 14: switched hyperclustering on SqueezeNet, batches 2/3/4.
 pub fn fig14(iters: usize) -> Vec<HyperRow> {
     let mut rows = Vec::new();
-    for batch in [2usize, 3, 4] {
+    for batch in FIG14_BATCHES {
         for intra in [1usize, 2] {
             rows.push(hyper_row(ModelKind::Squeezenet, batch, false, intra, iters));
             rows.push(hyper_row(ModelKind::Squeezenet, batch, true, intra, iters));
@@ -609,4 +640,127 @@ pub fn memory_table() -> Vec<MemoryRow> {
             }
         })
         .collect()
+}
+
+// --------------------------------------------------------------------------
+// The paper golden: every deterministic number above, as text
+// --------------------------------------------------------------------------
+
+/// Every deterministic number the tables print, one line per row: Tables
+/// I–III, the simulated columns of Tables IV, VI, VII and VIII (Table V is
+/// measured only), the IOS makespans, and the simulated makespans of
+/// Figs. 12–14. Measured columns stay out, so the text is the same on any
+/// host; `tests/paper_golden.txt` holds it, and
+/// `cargo run --release -p ramiel-bench --bin tables -- golden` prints it.
+pub fn paper_golden() -> String {
+    let mut out = String::new();
+    let mut line = |args: std::fmt::Arguments| {
+        out.write_fmt(args).expect("writing to a String");
+        out.push('\n');
+    };
+    let plain = |k: ModelKind| {
+        compile(build(k, &model_config()), &PipelineOptions::default()).expect("pipeline")
+    };
+    let pruned = |k: ModelKind| {
+        let opts = PipelineOptions {
+            prune: true,
+            ..Default::default()
+        };
+        compile(build(k, &model_config()), &opts).expect("pipeline")
+    };
+    for r in table1() {
+        line(format_args!(
+            "table1 {} nodes={} node_cost={} cp_cost={} parallelism={:.6}",
+            r.model, r.nodes, r.node_cost, r.cp_cost, r.parallelism
+        ));
+    }
+    for r in table2() {
+        line(format_args!(
+            "table2 {} before={} after={}",
+            r.model, r.before, r.after
+        ));
+    }
+    for r in table3() {
+        line(format_args!(
+            "table3 {} clusters={}->{} nodes={}->{} lc={}->{}",
+            r.model,
+            r.before_cp,
+            r.after_cp,
+            r.nodes_before,
+            r.nodes_after,
+            r.lc_before_cp,
+            r.lc_after_cp
+        ));
+    }
+    for k in ModelKind::all() {
+        let c = plain(k);
+        line(format_args!(
+            "table4 {} parallelism={:.6} clusters={} seq={} makespan={} sim_speedup={:.6}",
+            k.name(),
+            c.report.parallelism.parallelism,
+            c.report.clusters_after_merge,
+            simulate_sequential(&c.graph, &StaticCost, 1),
+            simulated_makespan(&c),
+            simulated_speedup(&c)
+        ));
+    }
+    for k in [ModelKind::YoloV5, ModelKind::Bert, ModelKind::NasNet] {
+        let (plain, pruned) = (plain(k), pruned(k));
+        let baseline = simulate_sequential(&plain.graph, &StaticCost, 1);
+        line(format_args!(
+            "table6 {} baseline={} makespan={} dce_makespan={} s_lc={:.6} s_lc_dce={:.6}",
+            k.name(),
+            baseline,
+            simulated_makespan(&plain),
+            simulated_makespan(&pruned),
+            simulated_speedup_vs(&plain, baseline),
+            simulated_speedup_vs(&pruned, baseline)
+        ));
+    }
+    let opt = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.6}"));
+    for r in table7() {
+        line(format_args!(
+            "table7 {} s_lc={:.6} s_lc_dce={} s_lc_clone={} s_overall={:.6}",
+            r.model,
+            r.s_lc,
+            opt(r.s_lc_dce),
+            opt(r.s_lc_clone),
+            r.s_overall
+        ));
+    }
+    for r in table8() {
+        line(format_args!(
+            "table8 {} baseline={} ours={:.6} ios_makespan={} ios={:.6} dp_states={}",
+            r.model, r.baseline, r.ours_speedup, r.ios_makespan, r.ios_speedup, r.ios_dp_states
+        ));
+    }
+    for r in fig12() {
+        line(format_args!(
+            "fig12 {} plain={:.6} cloned={:.6} uplift={:.4}%",
+            r.model, r.plain_speedup, r.cloned_speedup, r.uplift_pct
+        ));
+    }
+    let mut hyper = |fig: &str, k: ModelKind, batches: &[usize], variants: &[bool]| {
+        let c = plain(k);
+        for &batch in batches {
+            for &switched in variants {
+                let (makespan, seq) = hyper_sim(&c, batch, switched);
+                line(format_args!(
+                    "{fig} {} batch={batch} {} seq={seq} makespan={makespan}",
+                    k.name(),
+                    if switched { "switched" } else { "plain" },
+                ));
+            }
+        }
+    };
+    for k in FIG13_MODELS {
+        hyper("fig13", k, &FIG13_BATCHES, &[false]);
+    }
+    hyper(
+        "fig14",
+        ModelKind::Squeezenet,
+        &FIG14_BATCHES,
+        &[false, true],
+    );
+    out
 }

@@ -11,11 +11,15 @@
 //! Graph ──cost model──▶ distance_to_end ──▶ LC ──▶ merge ──▶ Clustering
 //! ```
 //!
+//! The serving layer adds one step the paper does not take: [`bound`] folds
+//! the merged clustering to at most one cluster per core.
+//!
 //! The [`cost`] module also computes the paper's *potential parallelism*
 //! factor (Table I): total weighted node cost divided by the weighted
 //! critical-path length (edges count 1 each).
 
 pub mod baselines;
+pub mod bound;
 pub mod cost;
 pub mod critical_path;
 pub mod distance;
@@ -27,6 +31,7 @@ pub mod types;
 pub mod verify_view;
 
 pub use baselines::{level_clustering, round_robin, single_cluster};
+pub use bound::bound_clusters;
 pub use cost::{CostModel, FlopCost, MeasuredCost, StaticCost};
 pub use critical_path::{
     critical_path, parallelism_report, parallelism_report_with, ParallelismReport,
@@ -54,19 +59,20 @@ pub fn cluster_graph(graph: &Graph, cost: &dyn CostModel) -> Clustering {
 /// the distance pass and LC share it instead of each rebuilding their own.
 pub fn cluster_graph_with(graph: &Graph, adj: &Adjacency<'_>, cost: &dyn CostModel) -> Clustering {
     let dist = distance_to_end_with(graph, adj, cost);
-    let lc = linear_clustering_with(adj, &dist);
-    #[cfg(debug_assertions)]
-    ramiel_verify::assert_schedule_invariants(
-        graph,
-        &clustering_view(&lc),
-        "after linear_clustering",
-    );
-    let merged = merge_clusters_fixpoint(&lc, &dist);
-    #[cfg(debug_assertions)]
-    ramiel_verify::assert_schedule_invariants(
-        graph,
-        &clustering_view(&merged),
-        "after merge_clusters_fixpoint",
-    );
+    cluster_over(graph, adj, &dist)
+}
+
+/// LC and merging over a distance table the caller already holds (see
+/// [`cluster_graph_with`]).
+pub fn cluster_over(graph: &Graph, adj: &Adjacency<'_>, dist: &[u64]) -> Clustering {
+    let check = |c: &Clustering, stage: &str| {
+        if cfg!(debug_assertions) {
+            ramiel_verify::assert_schedule_invariants(graph, adj, &clustering_view(c), stage);
+        }
+    };
+    let lc = linear_clustering_with(adj, dist);
+    check(&lc, "after linear_clustering");
+    let merged = merge_clusters_fixpoint(&lc, dist);
+    check(&merged, "after merge_clusters_fixpoint");
     merged
 }

@@ -34,7 +34,7 @@ fn spans_disjoint(a: &Cluster, b: &Cluster, dist: &[u64]) -> bool {
     s_span(a, dist) < e_span(b, dist) || s_span(b, dist) < e_span(a, dist)
 }
 
-fn union(a: &Cluster, b: &Cluster, dist: &[u64]) -> Cluster {
+pub(crate) fn union(a: &Cluster, b: &Cluster, dist: &[u64]) -> Cluster {
     let mut nodes: Vec<usize> = a.nodes.iter().chain(&b.nodes).copied().collect();
     // Decreasing distance; ties broken by node id for determinism (tied
     // nodes are never dependent, so any tie order is execution-safe).

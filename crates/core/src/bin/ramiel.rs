@@ -28,8 +28,10 @@
 //!
 //! Only `compile` (and `fuzz`) emits Python. `run`, `profile`, `simulate`,
 //! `check`, `analyze` and `serve` stop at the schedule (`ramiel::schedule` /
-//! `ramiel::prepare`): same clustering and summary lines, no code generated;
-//! their `compile time:` line is the schedule stage alone.
+//! `ramiel::prepare` / `ramiel::ServingModel`): same clustering and summary
+//! lines, no code generated; their `compile time:` line is the schedule
+//! stage alone. `serve` then folds the clustering it runs to at most one
+//! cluster per core and says how many workers that is.
 //!
 //! `<model>` is a built-in name (`squeezenet`, `googlenet`, `inception-v3`,
 //! `inception-v4`, `yolo-v5`, `bert`, `retinanet`, `nasnet`) or a path to a
@@ -969,8 +971,10 @@ fn cmd_analyze(model: &str, f: &Flags) -> Result<Gate, String> {
 /// newline-delimited JSON TCP with dynamic micro-batching into hypercluster
 /// executions. Runs until a client sends `{"op":"shutdown"}` (graceful
 /// drain: queued requests finish first). Start-up plans batch 1 only; the
-/// first batch of any other size plans it.
+/// first batch of any other size plans it. The plan runs at most one worker
+/// per core (its clustering is folded to fit), which the banner states.
 fn cmd_serve(model: &str, f: &Flags) -> Result<(), String> {
+    use ramiel::ServingModel;
     use ramiel_serve::{run_tcp_with_registry, OverflowPolicy, PlanSpec, ServeConfig, Server};
     use std::sync::Arc;
     use std::time::Duration;
@@ -981,12 +985,15 @@ fn cmd_serve(model: &str, f: &Flags) -> Result<(), String> {
         ModelConfig::full()
     };
     let registry = Arc::new(registry_from_flags(f));
+    let opts = options(f);
     // A URL model reference (or a checksum-pinned local one) goes through
     // the registry so the bytes are content-addressed and the pin verified;
     // anything else takes the plain built-in/file path.
-    // Reading the model's bytes is the load's `fetch` phase and decoding
-    // them its `import`, as for a TCP `load`; a built-in model has no read.
-    let (g, fetch_time, import_time) = if model.contains("://") || f.sha256.is_some() {
+    // Reading the model's bytes is the load's `fetch` phase; importing them
+    // (or building a built-in model) its `import`; scheduling and the plan
+    // parts, which read the importer's adjacency snapshot, count into its
+    // compile phase, as for a TCP `load`.
+    let (model_ready, fetch_time, import_time) = if model.contains("://") || f.sha256.is_some() {
         // Decode the buffer the registry hashed: the blob is never re-read.
         let registry_err = |e: ramiel_serve::RegistryError| format!("[{}] {e}", e.code());
         let fetched = registry
@@ -995,23 +1002,28 @@ fn cmd_serve(model: &str, f: &Flags) -> Result<(), String> {
         let pulled = registry.admit(&fetched).map_err(registry_err)?;
         println!("pulled {} (sha256 {})", pulled.source, pulled.sha256);
         let start = Instant::now();
-        let g = ramiel_onnx::import_model(fetched.data()).map_err(|e| e.to_string())?;
-        (g, Some(fetched.fetch_time()), start.elapsed())
+        let m = ServingModel::from_onnx(fetched.data(), &opts).map_err(|e| e.to_string())?;
+        let import = start.elapsed().saturating_sub(m.prepare_time);
+        (m, Some(fetched.fetch_time()), import)
     } else if let Some(kind) = builtin_kind(model) {
         let start = Instant::now();
-        (build(kind, &cfg), None, start.elapsed())
+        let g = build(kind, &cfg);
+        let import = start.elapsed();
+        let m = ServingModel::from_graph(g, &opts).map_err(|e| e.to_string())?;
+        (m, None, import)
     } else {
         let start = Instant::now();
         let bytes = ramiel_onnx::read_model_file(model).map_err(|e| not_loadable(model, e))?;
         let fetch_time = start.elapsed();
         let start = Instant::now();
-        let g = ramiel_onnx::import_model(&bytes).map_err(|e| not_loadable(model, e.into()))?;
-        (g, Some(fetch_time), start.elapsed())
+        let m = ServingModel::from_onnx(&bytes, &opts).map_err(|e| match e {
+            ramiel::CompileError::Import(e) => not_loadable(model, e.into()),
+            e => e.to_string(),
+        })?;
+        let import = start.elapsed().saturating_sub(m.prepare_time);
+        (m, Some(fetch_time), import)
     };
-    let start = Instant::now();
-    let scheduled = ramiel::schedule(g, &options(f)).map_err(|e| e.to_string())?;
-    let schedule_time = start.elapsed();
-    summarize(&scheduled.report, scheduled.schedule_time);
+    summarize(&model_ready.report, model_ready.schedule_time);
 
     let serve_cfg = ServeConfig {
         max_batch: f.max_batch,
@@ -1037,27 +1049,35 @@ fn cmd_serve(model: &str, f: &Flags) -> Result<(), String> {
         },
         ..Default::default()
     };
-    // Hand the clustering to the plan cache so `load` doesn't redo pipeline
-    // work, and the time it took to the load telemetry so `stats.load`
+    // Hand the plan parts to the plan cache so `load` doesn't redo pipeline
+    // work, and the time they took to the load telemetry so `stats.load`
     // explains start-up like a TCP `load`. The graph keeps its weights: the
     // plan converts them where a TCP `load` does, by moving the payloads.
+    let ServingModel {
+        graph,
+        parts,
+        prepare_time,
+        ..
+    } = model_ready;
     let spec = PlanSpec {
-        clustering: Some(scheduled.clustering),
+        parts: Some(parts),
         switched: f.switched,
-        ..PlanSpec::new(scheduled.graph)
+        ..PlanSpec::new(graph)
     };
     let server = Arc::new(Server::new(serve_cfg));
     if let Some(took) = fetch_time {
         server.record_fetch(took);
     }
-    server
-        .load_prepared(model, spec, import_time, schedule_time)
+    let plan = server
+        .load_prepared(model, spec, import_time, prepare_time)
         .map_err(|e| e.to_string())?;
+    let workers = plan.num_clusters();
     println!(
-        "serving `{model}` (max batch {}, window {} ms, queue {}{})",
+        "serving `{model}` (max batch {}, window {} ms, queue {}, {workers} worker{}{})",
         f.max_batch,
         f.max_delay_ms,
         f.queue_cap,
+        if workers == 1 { "" } else { "s" },
         if f.shed { ", shedding" } else { "" },
     );
     let listener = std::net::TcpListener::bind(("127.0.0.1", f.port))

@@ -15,7 +15,9 @@
 //! [`CompiledModel`] that also holds the generated modules and the measured
 //! compile time (the paper's Table VIII `CT` column). [`prepare`] is
 //! [`schedule`] plus the runtime initializer table: what every verb that
-//! executes or serves a model wants, none of which reads the Python text.
+//! executes a model wants, none of which reads the Python text.
+//! [`ServingModel`] is [`schedule`] plus the serving plan's adjacency half,
+//! read off one adjacency snapshot — the importer's, for a model file.
 //!
 //! # Quickstart
 //!
@@ -50,6 +52,7 @@ use ramiel_cluster::{
     parallelism_report_with, switched_hypercluster, Clustering, ParallelismReport,
 };
 use ramiel_codegen::CodegenOptions;
+use ramiel_ir::graph::Adjacency;
 use ramiel_ir::Graph;
 use ramiel_passes::CloneConfig;
 use serde::Serialize;
@@ -181,6 +184,9 @@ pub enum CompileError {
     /// Initializer conversion failed while preparing a compiled model for
     /// execution (see [`prepare`]).
     Init(String),
+    /// The importer refused the model's ONNX bytes (see
+    /// [`ServingModel::from_onnx`]).
+    Import(ramiel_onnx::OnnxError),
 }
 
 impl std::fmt::Display for CompileError {
@@ -189,6 +195,7 @@ impl std::fmt::Display for CompileError {
             CompileError::Ir(e) => write!(f, "{e}"),
             CompileError::Invalid(m) => write!(f, "{m}"),
             CompileError::Init(m) => write!(f, "initializer conversion failed: {m}"),
+            CompileError::Import(e) => write!(f, "{e}"),
         }
     }
 }
@@ -309,40 +316,99 @@ pub fn schedule_with_obs(
 ) -> Result<ScheduledModel, CompileError> {
     let start = Instant::now();
     obs.name_thread(0, "pipeline");
-    let cost = opts.cost.model();
-    let nodes_before = graph.num_nodes();
+    let counts = rewrite(&mut graph, opts, obs)?;
+    // One adjacency snapshot for every later stage (the graph is not
+    // mutated past this point).
+    let adj = graph.adjacency();
+    let stages = schedule_stages(&graph, &adj, opts, obs, counts);
+    drop(adj);
+    Ok(ScheduledModel {
+        graph,
+        clustering: stages.clustering,
+        hyper: stages.hyper,
+        distances: stages.distances,
+        report: stages.report,
+        schedule_time: start.elapsed(),
+    })
+}
 
+/// Node counts before and after the graph-rewriting passes (Table III).
+#[derive(Clone, Copy)]
+struct NodeCounts {
+    before: usize,
+    after_prune: usize,
+    after_cloning: usize,
+}
+
+impl NodeCounts {
+    /// The counts of a graph no pass rewrote.
+    fn unrewritten(graph: &Graph) -> NodeCounts {
+        let n = graph.num_nodes();
+        NodeCounts {
+            before: n,
+            after_prune: n,
+            after_cloning: n,
+        }
+    }
+}
+
+/// The passes that rewrite the graph: pruning and cloning, as `opts` asks.
+fn rewrite(
+    graph: &mut Graph,
+    opts: &PipelineOptions,
+    obs: &ramiel_obs::Obs,
+) -> Result<NodeCounts, CompileError> {
+    let before = graph.num_nodes();
     if opts.prune {
         let mut span = obs.span(0, "prune (const-prop + DCE)", "compile");
-        ramiel_passes::prune(&mut graph)?;
+        ramiel_passes::prune(graph)?;
         span.set_args(serde_json::json!({
-            "nodes_before": nodes_before,
+            "nodes_before": before,
             "nodes_after": graph.num_nodes(),
         }));
     }
-    let nodes_after_prune = graph.num_nodes();
-
+    let after_prune = graph.num_nodes();
     if let Some(clone_cfg) = &opts.cloning {
         let mut span = obs.span(0, "task cloning", "compile");
-        ramiel_passes::clone_nodes(&mut graph, cost.as_ref(), clone_cfg)?;
+        ramiel_passes::clone_nodes(graph, opts.cost.model().as_ref(), clone_cfg)?;
         span.set_args(serde_json::json!({
-            "nodes_before": nodes_after_prune,
+            "nodes_before": after_prune,
             "nodes_after": graph.num_nodes(),
         }));
     }
-    let nodes_after_cloning = graph.num_nodes();
+    Ok(NodeCounts {
+        before,
+        after_prune,
+        after_cloning: graph.num_nodes(),
+    })
+}
 
-    // One adjacency snapshot for the distance pass, LC and the report (the
-    // graph is not mutated past this point).
-    let adj = graph.adjacency();
+/// What the stages after the rewrites compute.
+struct Stages {
+    clustering: Clustering,
+    hyper: Option<HyperClustering>,
+    distances: Vec<u64>,
+    report: PipelineReport,
+}
+
+/// Distance pass, clustering, merging, the report and hyperclustering, all
+/// over `adj`, a snapshot of the final `graph`.
+fn schedule_stages(
+    graph: &Graph,
+    adj: &Adjacency<'_>,
+    opts: &PipelineOptions,
+    obs: &ramiel_obs::Obs,
+    counts: NodeCounts,
+) -> Stages {
+    let cost = opts.cost.model();
     let distances = {
         let _span = obs.span(0, "distance-to-end pass", "compile");
-        distance_to_end_with(&graph, &adj, cost.as_ref())
+        distance_to_end_with(graph, adj, cost.as_ref())
     };
     let (clusters_before_merge, clustering) = match opts.scheduler {
         Scheduler::LcMerge => {
             let mut span = obs.span(0, "linear clustering", "compile");
-            let lc = linear_clustering_with(&adj, &distances);
+            let lc = linear_clustering_with(adj, &distances);
             let before = lc.num_clusters();
             span.set_args(serde_json::json!({ "clusters": before }));
             span.finish();
@@ -356,26 +422,26 @@ pub fn schedule_with_obs(
         }
         Scheduler::Dsc => {
             let mut span = obs.span(0, "DSC clustering", "compile");
-            let c = ramiel_cluster::dsc_clustering(&graph, cost.as_ref());
+            let c = ramiel_cluster::dsc_clustering(graph, cost.as_ref());
             span.set_args(serde_json::json!({ "clusters": c.num_clusters() }));
             (c.num_clusters(), c)
         }
     };
     let report = PipelineReport {
         model: graph.name.clone(),
-        nodes_before,
-        nodes_after_prune,
-        nodes_after_cloning,
+        nodes_before: counts.before,
+        nodes_after_prune: counts.after_prune,
+        nodes_after_cloning: counts.after_cloning,
         clusters_before_merge,
         clusters_after_merge: clustering.num_clusters(),
-        cross_cluster_edges: clustering.cross_cluster_edges_with(&graph, &adj),
-        parallelism: parallelism_report_with(&graph, &adj, cost.as_ref(), &distances),
+        cross_cluster_edges: clustering.cross_cluster_edges_with(graph, adj),
+        parallelism: parallelism_report_with(graph, adj, cost.as_ref(), &distances),
     };
-    drop(adj);
 
     #[cfg(debug_assertions)]
     ramiel_verify::assert_schedule_invariants(
-        &graph,
+        graph,
+        adj,
         &ramiel_cluster::clustering_view(&clustering),
         "after clustering",
     );
@@ -394,20 +460,100 @@ pub fn schedule_with_obs(
     #[cfg(debug_assertions)]
     if let Some(hc) = &hyper {
         ramiel_verify::assert_schedule_invariants(
-            &graph,
+            graph,
+            adj,
             &ramiel_cluster::hyper_view(hc),
             "after hyperclustering",
         );
     }
 
-    Ok(ScheduledModel {
-        graph,
+    Stages {
         clustering,
         hyper,
         distances,
         report,
-        schedule_time: start.elapsed(),
-    })
+    }
+}
+
+/// A model ready for `serve`'s plan cache: the graph, what [`schedule`]
+/// reports about it, and the plan's adjacency half
+/// ([`ramiel_serve::PlanParts`], its clustering folded to the host's
+/// cores), with the schedule and the parts read off one adjacency snapshot.
+pub struct ServingModel {
+    /// The (possibly pruned/cloned) graph the plan runs.
+    pub graph: Graph,
+    /// The paper's counts, as [`schedule`] reports them: unfolded.
+    pub report: PipelineReport,
+    /// Time the schedule stage took.
+    pub schedule_time: Duration,
+    pub parts: ramiel_serve::PlanParts,
+    /// Schedule plus parts: the part of a plan load spent before the plan
+    /// cache sees it.
+    pub prepare_time: Duration,
+}
+
+impl ServingModel {
+    /// Rewrite `graph` as `opts` asks, then schedule it and build the plan
+    /// parts over one adjacency snapshot of the result.
+    pub fn from_graph(
+        mut graph: Graph,
+        opts: &PipelineOptions,
+    ) -> Result<ServingModel, CompileError> {
+        let start = Instant::now();
+        let counts = rewrite(&mut graph, opts, &ramiel_obs::Obs::disabled())?;
+        let adj = graph.adjacency();
+        let (report, schedule_time, parts) = serving_parts(&graph, &adj, opts, counts, start)?;
+        drop(adj);
+        Ok(ServingModel {
+            graph,
+            report,
+            schedule_time,
+            parts,
+            prepare_time: start.elapsed(),
+        })
+    }
+
+    /// Import ONNX `bytes`, then as [`from_graph`](Self::from_graph). When
+    /// `opts` rewrites nothing, the schedule and the parts read the snapshot
+    /// the importer checked the graph with, so the whole path builds one;
+    /// pruning and cloning rewrite the imported graph and build their own.
+    pub fn from_onnx(bytes: &[u8], opts: &PipelineOptions) -> Result<ServingModel, CompileError> {
+        if opts.prune || opts.cloning.is_some() {
+            let graph = ramiel_onnx::import_model(bytes).map_err(CompileError::Import)?;
+            return ServingModel::from_graph(graph, opts);
+        }
+        let (graph, (planned, prepare_time)) = ramiel_onnx::import_model_with(bytes, |g, adj| {
+            let start = Instant::now();
+            let planned = serving_parts(g, adj, opts, NodeCounts::unrewritten(g), start);
+            (planned, start.elapsed())
+        })
+        .map_err(CompileError::Import)?;
+        let (report, schedule_time, parts) = planned?;
+        Ok(ServingModel {
+            graph,
+            report,
+            schedule_time,
+            parts,
+            prepare_time,
+        })
+    }
+}
+
+/// The schedule's report and time, then the plan parts from its
+/// clustering, over one snapshot. `start` is when the schedule began.
+fn serving_parts(
+    graph: &Graph,
+    adj: &Adjacency<'_>,
+    opts: &PipelineOptions,
+    counts: NodeCounts,
+    start: Instant,
+) -> Result<(PipelineReport, Duration, ramiel_serve::PlanParts), CompileError> {
+    let stages = schedule_stages(graph, adj, opts, &ramiel_obs::Obs::disabled(), counts);
+    let schedule_time = start.elapsed();
+    let parts =
+        ramiel_serve::PlanParts::with_clustering(graph, adj, &stages.clustering, &stages.distances)
+            .map_err(|e| CompileError::Invalid(e.to_string()))?;
+    Ok((stages.report, schedule_time, parts))
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@ use crate::op::{DType, OpKind};
 use crate::tensor_data::TensorData;
 use crate::Result;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Index of a node within its [`Graph`]. Stable until a structural rebuild
 /// (e.g. [`Graph::retain_nodes`]) reindexes the graph.
@@ -108,11 +109,22 @@ pub struct Adjacency<'g> {
     pub succs: Vec<Vec<NodeId>>,
 }
 
+/// Snapshots built by [`Adjacency::of`] in this process.
+static ADJACENCY_BUILDS: AtomicU64 = AtomicU64::new(0);
+
+/// How many adjacency snapshots this process has built so far. A test reads
+/// it around a load path to pin how many times that path walks the graph's
+/// edges; the count publishes no other data.
+pub fn adjacency_builds() -> u64 {
+    ADJACENCY_BUILDS.load(Ordering::Relaxed)
+}
+
 impl<'g> Adjacency<'g> {
     /// The adjacency of a node list. Borrows only the nodes, so a caller
     /// that owns the [`Graph`] can still fill its `value_info` while the
     /// snapshot is alive.
     pub fn of(nodes: &'g [Node]) -> Adjacency<'g> {
+        ADJACENCY_BUILDS.fetch_add(1, Ordering::Relaxed);
         let mut producer_of = HashMap::with_capacity(nodes.len());
         let mut consumers_of: HashMap<&str, Vec<NodeId>> = HashMap::new();
         for n in nodes {

@@ -32,12 +32,32 @@ use std::collections::{BTreeMap, HashSet};
 /// Decode ONNX bytes and lower them to a validated, shape-inferred,
 /// verifier-clean [`Graph`].
 pub fn import_model(bytes: &[u8]) -> Result<Graph> {
+    import_model_with(bytes, |_, _| ()).map(|(graph, ())| graph)
+}
+
+/// [`import_model`], then `then` over the checked graph and the adjacency
+/// snapshot the import checked it with, so a caller that goes on to
+/// schedule or plan the graph builds no snapshot of its own. Returns the
+/// graph and what `then` returned; `then` runs only on a graph that passed
+/// every check.
+pub fn import_model_with<T>(
+    bytes: &[u8],
+    then: impl FnOnce(&Graph, &Adjacency<'_>) -> T,
+) -> Result<(Graph, T)> {
     let model = ModelProto::decode(bytes)?;
-    import_graph(&model)
+    import_graph_with(&model, then)
 }
 
 /// Lower an already-decoded [`ModelProto`] (see [`import_model`]).
 pub fn import_graph(model: &ModelProto<'_>) -> Result<Graph> {
+    import_graph_with(model, |_, _| ()).map(|(graph, ())| graph)
+}
+
+/// [`import_graph`] followed by `then`, as in [`import_model_with`].
+fn import_graph_with<T>(
+    model: &ModelProto<'_>,
+    then: impl FnOnce(&Graph, &Adjacency<'_>) -> T,
+) -> Result<(Graph, T)> {
     let gp = model.graph.as_ref().ok_or_else(|| OnnxError::Model {
         reason: "model has no graph".into(),
     })?;
@@ -173,7 +193,9 @@ pub fn import_graph(model: &ModelProto<'_>) -> Result<Graph> {
             first: first.to_string(),
         });
     }
-    Ok(graph)
+    let out = then(&graph, &adj);
+    drop(adj);
+    Ok((graph, out))
 }
 
 /// The IR name of node `index`: its own, or (when the file leaves it

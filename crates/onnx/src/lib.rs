@@ -21,7 +21,7 @@ pub mod proto;
 pub mod wire;
 
 pub use export::{export_model, save_onnx};
-pub use import::import_model;
+pub use import::{import_model, import_model_with};
 pub use loader::{load_model, read_model_file, LoadError};
 
 use ramiel_ir::Graph;

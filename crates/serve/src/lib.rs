@@ -42,7 +42,7 @@ pub mod trace;
 #[cfg(test)]
 mod tests;
 
-pub use plan::{CompiledPlan, PlanCache, PlanSpec};
+pub use plan::{CompiledPlan, PlanCache, PlanParts, PlanSpec};
 pub use registry::{Fetched, ManifestEntry, Pulled, Registry, RegistryError};
 pub use server::{OverflowPolicy, ServeConfig, ServeError, ServeExecutor, Server, Ticket};
 pub use stats::{BatchBucket, LoadSummary, StatsSnapshot};

@@ -1,6 +1,7 @@
 //! Model registry and plan cache.
 //!
-//! `load()` pays every per-model cost exactly once — clustering, the
+//! `load()` pays every per-model cost exactly once — clustering (folded to
+//! at most one cluster per core, see [`PlanParts`]), the
 //! slot-resolved graph program with its in-place marks, hypercluster
 //! schedules compiled to per-worker programs at the batch sizes the
 //! micro-batcher will actually hit, the shared initializer table (whose
@@ -15,9 +16,10 @@
 use crate::server::ServeError;
 use parking_lot::Mutex;
 use ramiel_cluster::{
-    cluster_graph_with, hypercluster, switched_hypercluster, Clustering, HyperClustering,
-    StaticCost,
+    bound_clusters, cluster_over, distance_to_end_with, hypercluster, switched_hypercluster,
+    Clustering, CostModel, HyperClustering, StaticCost,
 };
+use ramiel_ir::graph::Adjacency;
 use ramiel_ir::{Graph, TensorInfo};
 use ramiel_runtime::{GraphProgram, PlannedBatch, StealPlan};
 use ramiel_tensor::{ExecCtx, Value};
@@ -26,13 +28,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// What to compile into a plan. The graph is the only required piece:
-/// callers that already ran the pipeline (the CLI's `schedule()` path) pass
-/// their clustering through so nothing is recomputed; otherwise `load()`
-/// clusters with the paper's static cost model.
+/// callers that already hold an adjacency snapshot of it (an importer that
+/// just checked it, the CLI's `schedule` path) pass the plan's
+/// [`PlanParts`] built over that snapshot, so `load()` builds none of its
+/// own; otherwise `load()` builds the parts itself.
 pub struct PlanSpec {
     pub graph: Graph,
-    /// `None` → LC+merge clustering under [`StaticCost`].
-    pub clustering: Option<Clustering>,
+    /// `None` → `load()` clusters `graph` with the paper's pipeline under
+    /// [`StaticCost`], over a snapshot of its own.
+    pub parts: Option<PlanParts>,
     /// Use switched (Fig. 9) instead of plain (Fig. 8) hyperclustering for
     /// batch > 1 schedules.
     pub switched: bool,
@@ -48,11 +52,63 @@ impl PlanSpec {
     pub fn new(graph: Graph) -> PlanSpec {
         PlanSpec {
             graph,
-            clustering: None,
+            parts: None,
             switched: false,
             batch_sizes: Vec::new(),
             init_values: None,
         }
+    }
+}
+
+/// The half of a plan that reads the graph's adjacency: the clustering the
+/// plan runs and the slot-resolved graph program. Both constructors take
+/// a snapshot of `graph` the caller holds, so an import, a schedule and a
+/// plan build share one.
+///
+/// The clustering is the paper's LC + merge folded by
+/// [`bound_clusters`] to at most `P` clusters, `P` being
+/// [`std::thread::available_parallelism`]: a plan's standing pool runs one
+/// worker per cluster, so no plan asks for more workers than the host has
+/// cores. When `P` cannot be read, the clustering is not folded.
+pub struct PlanParts {
+    clustering: Clustering,
+    program: GraphProgram,
+}
+
+impl PlanParts {
+    /// Cluster `graph` as the paper does — distances under [`StaticCost`],
+    /// LC, merging — then fold and resolve it. `adj` is a snapshot of
+    /// `graph`.
+    pub(crate) fn new(graph: &Graph, adj: &Adjacency<'_>) -> Result<PlanParts, ServeError> {
+        let dist = distance_to_end_with(graph, adj, &StaticCost);
+        let clustering = cluster_over(graph, adj, &dist);
+        PlanParts::with_clustering(graph, adj, &clustering, &dist)
+    }
+
+    /// Fold and resolve a clustering of `graph` the caller already computed
+    /// (the CLI's `schedule`), given the distance table it was built over.
+    pub fn with_clustering(
+        graph: &Graph,
+        adj: &Adjacency<'_>,
+        clustering: &Clustering,
+        dist: &[u64],
+    ) -> Result<PlanParts, ServeError> {
+        let clustering = match std::thread::available_parallelism() {
+            Ok(p) => {
+                let cost: Vec<u64> = graph
+                    .nodes
+                    .iter()
+                    .map(|n| StaticCost.node_cost(graph, n))
+                    .collect();
+                bound_clusters(clustering, dist, &cost, p.get())
+            }
+            Err(_) => clustering.clone(),
+        };
+        let program = GraphProgram::with_adjacency(graph, adj).map_err(ServeError::Runtime)?;
+        Ok(PlanParts {
+            clustering,
+            program,
+        })
     }
 }
 
@@ -68,6 +124,8 @@ pub struct CompiledPlan {
     /// dtype are in `graph.value_info` instead (`Graph::tensor_info` still
     /// answers for it). Nodes, inputs and outputs are unchanged.
     pub graph: Graph,
+    /// The paper's clustering folded to at most one cluster per core (see
+    /// [`PlanParts`]): the plan's standing pools run one worker per cluster.
     pub clustering: Clustering,
     pub switched: bool,
     /// Shared weights — every fetch is a refcount bump. Built from the
@@ -108,34 +166,33 @@ impl CompiledPlan {
     ) -> Result<CompiledPlan, ServeError> {
         let PlanSpec {
             mut graph,
-            clustering,
+            parts,
             switched,
             batch_sizes,
             init_values,
         } = spec;
-        // One adjacency snapshot serves the clustering passes and the slot
-        // resolution; every load-time schedule then compiles from that one
-        // resolution, whatever its batch size.
-        let (clustering, program, schedules) = {
-            let adj = graph.adjacency();
-            let clustering =
-                clustering.unwrap_or_else(|| cluster_graph_with(&graph, &adj, &StaticCost));
-            let program =
-                Arc::new(GraphProgram::with_adjacency(&graph, &adj).map_err(ServeError::Runtime)?);
-            let mut schedules = BTreeMap::new();
-            for b in batch_sizes.into_iter().chain([1]) {
-                if b == 0 {
-                    return Err(ServeError::Internal("batch size 0".into()));
-                }
-                if let std::collections::btree_map::Entry::Vacant(slot) = schedules.entry(b) {
-                    let hc = hyper_schedule(&clustering, switched, b);
-                    let planned =
-                        PlannedBatch::with_program(&program, hc).map_err(ServeError::Runtime)?;
-                    slot.insert(Arc::new(planned));
-                }
-            }
-            (clustering, program, schedules)
+        let PlanParts {
+            clustering,
+            program,
+        } = match parts {
+            Some(parts) => parts,
+            None => PlanParts::new(&graph, &graph.adjacency())?,
         };
+        // Every load-time schedule compiles from the one slot resolution,
+        // whatever its batch size.
+        let program = Arc::new(program);
+        let mut schedules = BTreeMap::new();
+        for b in batch_sizes.into_iter().chain([1]) {
+            if b == 0 {
+                return Err(ServeError::Internal("batch size 0".into()));
+            }
+            if let std::collections::btree_map::Entry::Vacant(slot) = schedules.entry(b) {
+                let hc = hyper_schedule(&clustering, switched, b);
+                let planned =
+                    PlannedBatch::with_program(&program, hc).map_err(ServeError::Runtime)?;
+                slot.insert(Arc::new(planned));
+            }
+        }
         let weights = take_initializers(&mut graph)?;
         let init_values = init_values.unwrap_or_else(|| Arc::new(weights));
         let ctx = if intra_op > 1 {
@@ -196,7 +253,9 @@ impl CompiledPlan {
         Ok(plan)
     }
 
-    /// Cluster count == standing worker count for this plan's pools.
+    /// Cluster count == standing worker count for this plan's pools, at
+    /// most the host's core count at every batch size (a hyperclustering
+    /// has one hypercluster per cluster).
     pub fn num_clusters(&self) -> usize {
         self.clustering.num_clusters()
     }

@@ -360,6 +360,12 @@ impl Server {
         self.load_after(name, spec, prepare)
     }
 
+    /// Count a TCP connection closed unserved because its thread could not
+    /// be spawned.
+    pub(crate) fn count_conn_spawn_failure(&self) {
+        self.admission.conn_spawn_failed.inc();
+    }
+
     /// Record the time a caller spent reading a model's bytes before
     /// importing them (`ramiel serve <file>` reading its start-up model),
     /// under the same `fetch` phase a TCP `load` records its read in.

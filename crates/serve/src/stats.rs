@@ -23,6 +23,7 @@ const BATCH_SIZE: &str = "ramiel_batch_size";
 const WINDOW: &str = "ramiel_batch_window_total";
 const QUEUE_PEAK: &str = "ramiel_queue_peak_depth";
 const LANE_BUILD: &str = "ramiel_lane_build_ns";
+pub(crate) const CONN_SPAWN_FAILED: &str = "ramiel_conn_spawn_failed_total";
 
 /// Per-lane handles into the server's metric registry, resolved once at
 /// lane spawn (label sets are fixed: the lane's model name and executor).
@@ -133,6 +134,9 @@ impl LaneMetrics {
 pub(crate) struct AdmissionMetrics {
     pub shutdown: CounterHandle,
     pub deadline: CounterHandle,
+    /// TCP connections closed unserved because no thread could be spawned
+    /// for them.
+    pub conn_spawn_failed: CounterHandle,
 }
 
 impl AdmissionMetrics {
@@ -147,6 +151,11 @@ impl AdmissionMetrics {
         AdmissionMetrics {
             shutdown: reason("shutdown"),
             deadline: reason("deadline"),
+            conn_spawn_failed: m.counter(
+                CONN_SPAWN_FAILED,
+                "connections closed unserved because their thread could not be spawned",
+                &[],
+            ),
         }
     }
 }

@@ -1,7 +1,9 @@
 //! Newline-delimited JSON over `std::net` TCP — the transport behind
 //! `ramiel serve <model.onnx> --port N`. One JSON object per line in each
 //! direction; one thread per connection (the server's own admission
-//! control is the concurrency limiter, not the transport).
+//! control is the concurrency limiter, not the transport). A connection
+//! whose thread cannot be spawned is closed and counted in
+//! `ramiel_conn_spawn_failed_total`; the listener keeps accepting.
 //!
 //! ## Wire format
 //!
@@ -27,7 +29,7 @@
 //! `error` + `code` (SV-*/RT-*) on failure. `model` is optional everywhere
 //! and defaults to the model the server was started with.
 
-use crate::plan::PlanSpec;
+use crate::plan::{PlanParts, PlanSpec};
 use crate::registry::{Registry, RegistryError};
 use crate::server::{ServeError, Server};
 use ramiel_ir::TensorData;
@@ -140,6 +142,27 @@ pub fn run_tcp_with_registry(
     listener: TcpListener,
     registry: Option<Arc<Registry>>,
 ) -> std::io::Result<()> {
+    accept_loop(server, default_model, listener, registry, |conn| {
+        std::thread::Builder::new()
+            .name("ramiel-serve-conn".into())
+            .spawn(conn)
+            .map(drop)
+    })
+}
+
+/// A connection's whole life, handed to the spawner as one job.
+type ConnJob = Box<dyn FnOnce() + Send>;
+
+/// The accept loop behind [`run_tcp_with_registry`], with the thread spawn
+/// as a parameter so a test can make it fail. A connection whose job cannot
+/// be spawned is dropped (closing its socket) and counted; the loop goes on.
+fn accept_loop(
+    server: &Arc<Server>,
+    default_model: &str,
+    listener: TcpListener,
+    registry: Option<Arc<Registry>>,
+    spawn: impl Fn(ConnJob) -> std::io::Result<()>,
+) -> std::io::Result<()> {
     let addr = listener.local_addr()?;
     println!("listening on {addr}");
     let stop = Arc::new(AtomicBool::new(false));
@@ -151,22 +174,22 @@ pub fn run_tcp_with_registry(
             Ok(s) => s,
             Err(_) => continue,
         };
-        let server = Arc::clone(server);
+        let conn_server = Arc::clone(server);
         let model = default_model.to_string();
         let stop = Arc::clone(&stop);
         let registry = registry.clone();
-        std::thread::Builder::new()
-            .name("ramiel-serve-conn".into())
-            .spawn(move || {
-                let shutdown_requested = handle_conn(&server, &model, registry.as_deref(), stream);
-                if shutdown_requested {
-                    server.shutdown();
-                    stop.store(true, Ordering::SeqCst);
-                    // Unblock the accept loop so it can observe `stop`.
-                    let _ = TcpStream::connect(addr);
-                }
-            })
-            .expect("spawn connection thread");
+        let job: ConnJob = Box::new(move || {
+            let shutdown_requested = handle_conn(&conn_server, &model, registry.as_deref(), stream);
+            if shutdown_requested {
+                conn_server.shutdown();
+                stop.store(true, Ordering::SeqCst);
+                // Unblock the accept loop so it can observe `stop`.
+                let _ = TcpStream::connect(addr);
+            }
+        });
+        if spawn(job).is_err() {
+            server.count_conn_spawn_failure();
+        }
     }
     Ok(())
 }
@@ -352,12 +375,23 @@ fn load_from_registry(
         metrics.hash.record_duration(pulled.hash);
         metrics.store.record_duration(pulled.store);
     }
+    // The plan's clustering and slot program read the adjacency snapshot
+    // the importer checked the graph with; their time is the load's
+    // compile phase, the rest its import phase.
     let start = Instant::now();
-    let graph = ramiel_onnx::import_model(fetched.data())
-        .map_err(|e| Box::new(WireResponse::err_code(id, e.code(), e.to_string())))?;
+    let (graph, (parts, planning)) = ramiel_onnx::import_model_with(fetched.data(), |g, adj| {
+        let start = Instant::now();
+        (PlanParts::new(g, adj), start.elapsed())
+    })
+    .map_err(|e| Box::new(WireResponse::err_code(id, e.code(), e.to_string())))?;
+    let import = start.elapsed().saturating_sub(planning);
     drop(fetched);
+    let spec = PlanSpec {
+        parts: Some(parts.map_err(|e| Box::new(WireResponse::err(id, &e)))?),
+        ..PlanSpec::new(graph)
+    };
     let plan = server
-        .load_prepared(name, PlanSpec::new(graph), start.elapsed(), Duration::ZERO)
+        .load_prepared(name, spec, import, planning)
         .map_err(|e| Box::new(WireResponse::err(id, &e)))?;
     Ok((plan.version, pulled.sha256))
 }
@@ -408,5 +442,52 @@ fn run_infer(
             r
         }
         Err(e) => WireResponse::err(id, &e),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::ServeConfig;
+    use std::sync::atomic::AtomicUsize;
+
+    /// A refused spawn (a full thread table) closes that one connection and
+    /// counts it; the next connection is served and the listener lives on.
+    #[test]
+    fn a_failed_connection_spawn_drops_only_that_connection() {
+        let server = Arc::new(Server::new(ServeConfig::default()));
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let attempts = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            let accepting = s.spawn(|| {
+                accept_loop(&server, "m", listener, None, |job| {
+                    if attempts.fetch_add(1, Ordering::SeqCst) == 0 {
+                        return Err(std::io::Error::other("thread table full"));
+                    }
+                    std::thread::Builder::new().spawn(job).map(drop)
+                })
+            });
+            let mut refused = BufReader::new(TcpStream::connect(addr).unwrap());
+            let mut line = String::new();
+            assert_eq!(refused.read_line(&mut line).unwrap(), 0, "{line}");
+
+            let served = TcpStream::connect(addr).unwrap();
+            let mut writer = served.try_clone().unwrap();
+            let mut reader = BufReader::new(served);
+            for (req, want) in [("ping", "\"ok\":true"), ("shutdown", "\"ok\":true")] {
+                writeln!(writer, "{{\"id\":1,\"op\":\"{req}\"}}").unwrap();
+                line.clear();
+                reader.read_line(&mut line).unwrap();
+                assert!(line.contains(want), "{req}: {line}");
+            }
+            accepting.join().unwrap().unwrap();
+        });
+        assert_eq!(attempts.load(Ordering::SeqCst), 2);
+        let failed = server
+            .metrics()
+            .read(crate::stats::CONN_SPAWN_FAILED, &[])
+            .sum;
+        assert_eq!(failed, 1);
     }
 }

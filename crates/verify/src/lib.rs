@@ -130,12 +130,16 @@ fn schedule_findings(graph: &Graph, adj: &Adjacency<'_>, view: &ScheduleView) ->
 
 /// Full verification of a graph and (optionally) a schedule for it.
 pub fn verify(graph: &Graph, view: Option<&ScheduleView>) -> Report {
-    let adj = graph.adjacency();
-    let mut diags = graph_findings(graph, &adj);
+    verify_with(graph, &graph.adjacency(), view)
+}
+
+/// [`verify`] over an adjacency snapshot of `graph` the caller already holds.
+fn verify_with(graph: &Graph, adj: &Adjacency<'_>, view: Option<&ScheduleView>) -> Report {
+    let mut diags = graph_findings(graph, adj);
     if let Some(v) = view {
         // Schedule checks only make sense against a structurally valid graph.
         if !diags.iter().any(|d| d.code == codes::GRAPH_INVALID) {
-            diags.extend(schedule_findings(graph, &adj, v));
+            diags.extend(schedule_findings(graph, adj, v));
         }
     }
     Report::new(diags)
@@ -157,8 +161,14 @@ pub fn assert_graph_invariants(graph: &Graph, stage: &str) {
 
 /// Debug-assertion harness for schedules: panic with the rendered report if
 /// the `(graph, schedule)` pair has any error-severity finding.
-pub fn assert_schedule_invariants(graph: &Graph, view: &ScheduleView, stage: &str) {
-    let report = verify(graph, Some(view));
+/// `adj` is a snapshot of `graph` the caller already holds.
+pub fn assert_schedule_invariants(
+    graph: &Graph,
+    adj: &Adjacency<'_>,
+    view: &ScheduleView,
+    stage: &str,
+) {
+    let report = verify_with(graph, adj, Some(view));
     if report.has_errors() {
         panic!(
             "schedule invariants violated {stage} (graph `{}`):\n{}",
@@ -241,7 +251,7 @@ mod tests {
         let g = diamond();
         let bad = ScheduleView::single_batch(vec![vec![0, 3, 1], vec![2]], ExecPolicy::InOrder);
         let err = std::panic::catch_unwind(|| {
-            assert_schedule_invariants(&g, &bad, "in test");
+            assert_schedule_invariants(&g, &g.adjacency(), &bad, "in test");
         })
         .unwrap_err();
         let msg = err.downcast_ref::<String>().unwrap();
@@ -253,6 +263,6 @@ mod tests {
         let g = diamond();
         let v = ScheduleView::single_batch(vec![vec![0, 1, 2, 3]], ExecPolicy::InOrder);
         assert_graph_invariants(&g, "in test");
-        assert_schedule_invariants(&g, &v, "in test");
+        assert_schedule_invariants(&g, &g.adjacency(), &v, "in test");
     }
 }

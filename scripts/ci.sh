@@ -110,6 +110,14 @@ for label in "model:" "nodes:" "clusters:" "cross-cluster edges:" \
     "potential parallelism:" "compile time:" "serving \`squeezenet\`"; do
     grep -q "^$label" target/serve-smoke.log
 done
+# The plan runs at most one standing worker per core; the banner says how
+# many it runs.
+WORKERS=$(sed -n 's/^serving .*, \([0-9][0-9]*\) workers\{0,1\}[,)].*/\1/p' \
+    target/serve-smoke.log)
+if [ -z "$WORKERS" ] || [ "$WORKERS" -gt "$(nproc)" ]; then
+    echo "serve runs ${WORKERS:-an unstated number of} workers on $(nproc) cores"
+    exit 1
+fi
 timeout 60s target/debug/ramiel request --port "$SERVE_PORT" --op ping
 timeout 60s target/debug/ramiel request --port "$SERVE_PORT" \
     --op infer_synth --count 4 > /dev/null

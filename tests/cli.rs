@@ -319,6 +319,16 @@ fn serve_banner_keeps_its_lines_and_values() {
     // Everything but the time is a count: identical to `compile`'s summary.
     let compiled: Vec<&str> = compiled.lines().take(5).collect();
     assert_eq!(banner[..5], compiled[..]);
+    // The `serving` line ends with the plan's worker count: at most one
+    // per core.
+    let workers: usize = banner[6]
+        .rsplit(", ")
+        .next()
+        .and_then(|tail| tail.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no worker count in `{}`", banner[6]));
+    let cores = std::thread::available_parallelism().map_or(usize::MAX, |n| n.get());
+    assert!((1..=cores).contains(&workers), "{}", banner[6]);
 
     assert_eq!(load["loads"].as_u64(), Some(1), "{load}");
     assert!(load["import_mean_ms"].as_f64().unwrap() > 0.0, "{load}");

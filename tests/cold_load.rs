@@ -220,9 +220,9 @@ fn assert_served_in_place(
     }
 }
 
-/// Both ways a plan is built from an imported graph: `Server::load` (the
-/// TCP verb) and the CLI start (`schedule`, then a spec with its
-/// clustering). Each plan answers bit-identically to the sequential
+/// Both ways a plan is built from an imported graph: `Server::load` and
+/// the CLI start (`ServingModel::from_onnx`, then a spec with its plan
+/// parts). Each plan answers bit-identically to the sequential
 /// executor on a graph imported from the same bytes.
 #[test]
 fn each_weight_exists_once_from_import_to_the_plan() {
@@ -238,12 +238,11 @@ fn each_weight_exists_once_from_import_to_the_plan() {
         let buffers = f32_buffers(&graph);
         let by_load = PlanSpec::new(graph);
 
-        let graph = import_model(&bytes).unwrap();
-        let cli_buffers = f32_buffers(&graph);
-        let scheduled = ramiel::schedule(graph, &ramiel::PipelineOptions::default()).unwrap();
+        let cli = ramiel::ServingModel::from_onnx(&bytes, &Default::default()).unwrap();
+        let cli_buffers = f32_buffers(&cli.graph);
         let by_cli = PlanSpec {
-            clustering: Some(scheduled.clustering),
-            ..PlanSpec::new(scheduled.graph)
+            parts: Some(cli.parts),
+            ..PlanSpec::new(cli.graph)
         };
 
         for (path, spec, buffers) in [

@@ -7,11 +7,12 @@
 mod hostile;
 
 use ramiel::{prepare, PipelineOptions};
+use ramiel_cluster::{bound_clusters, CostModel, StaticCost};
 use ramiel_models::{build, synthetic, ModelConfig, ModelKind};
 use ramiel_runtime::{run_sequential, synth_inputs};
 use ramiel_serve::{
-    run_tcp_with_registry, OverflowPolicy, PlanSpec, Registry, ServeConfig, ServeExecutor, Server,
-    Ticket,
+    run_tcp_with_registry, OverflowPolicy, PlanParts, PlanSpec, Registry, ServeConfig,
+    ServeExecutor, Server, Ticket,
 };
 use ramiel_tensor::ExecCtx;
 use std::io::{BufRead, BufReader, Write};
@@ -36,7 +37,6 @@ fn concurrent_clients_get_bit_identical_results() {
     let prepared = prepare(g, &PipelineOptions::default()).unwrap();
     let server = Arc::new(Server::new(serve_cfg()));
     let spec = PlanSpec {
-        clustering: Some(prepared.scheduled.clustering.clone()),
         batch_sizes: vec![2, 4],
         init_values: Some(Arc::clone(&prepared.init_values)),
         ..PlanSpec::new(prepared.scheduled.graph.clone())
@@ -96,7 +96,6 @@ fn stealing_executor_serves_bit_identical_results() {
         ..serve_cfg()
     }));
     let spec = PlanSpec {
-        clustering: Some(prepared.scheduled.clustering.clone()),
         init_values: Some(Arc::clone(&prepared.init_values)),
         ..PlanSpec::new(prepared.scheduled.graph.clone())
     };
@@ -123,6 +122,48 @@ fn stealing_executor_serves_bit_identical_results() {
     let s = server.stats();
     assert_eq!(s.completed, 24);
     assert_eq!(s.failed, 0);
+}
+
+/// A plan folded to two workers answers every zoo model, at batch 1 and in
+/// a coalesced batch, bit-identically to the sequential executor.
+#[test]
+fn plans_folded_to_two_workers_serve_bit_identical_results() {
+    let ctx = ExecCtx::sequential();
+    for kind in ModelKind::all() {
+        let scheduled = ramiel::schedule(
+            build(kind, &ModelConfig::tiny()),
+            &PipelineOptions::default(),
+        )
+        .unwrap();
+        let g = scheduled.graph;
+        let cost: Vec<u64> = g
+            .nodes
+            .iter()
+            .map(|n| StaticCost.node_cost(&g, n))
+            .collect();
+        let folded = bound_clusters(&scheduled.clustering, &scheduled.distances, &cost, 2);
+        let parts =
+            PlanParts::with_clustering(&g, &g.adjacency(), &folded, &scheduled.distances).unwrap();
+        let server = Server::new(serve_cfg());
+        let spec = PlanSpec {
+            parts: Some(parts),
+            ..PlanSpec::new(g.clone())
+        };
+        let plan = server.load("m", spec).unwrap();
+        assert!(plan.num_clusters() <= 2, "{}", kind.name());
+        let tickets: Vec<(_, Ticket)> = (0..3)
+            .map(|seed| {
+                let inputs = synth_inputs(&g, seed);
+                let ticket = server.submit("m", inputs.clone()).unwrap();
+                (inputs, ticket)
+            })
+            .collect();
+        for (inputs, ticket) in tickets {
+            let expected = run_sequential(&g, &inputs, &ctx).unwrap();
+            assert_eq!(ticket.wait().unwrap(), expected, "{}", kind.name());
+        }
+        server.shutdown();
+    }
 }
 
 #[test]

@@ -11,11 +11,11 @@
 use proptest::prelude::*;
 use ramiel::verify::{codes, verify, ExecPolicy, ScheduleView, Severity};
 use ramiel_cluster::{
-    cluster_graph, clustering_view, distance_to_end, hyper_view, hypercluster, linear_clustering,
-    merge_clusters_fixpoint, switched_hypercluster, StaticCost,
+    bound_clusters, cluster_graph, clustering_view, distance_to_end, hyper_view, hypercluster,
+    linear_clustering, merge_clusters_fixpoint, switched_hypercluster, CostModel, StaticCost,
 };
 use ramiel_ir::{DType, Graph, GraphBuilder, OpKind};
-use ramiel_models::synthetic;
+use ramiel_models::{build, synthetic, ModelConfig, ModelKind};
 
 fn graph_strategy() -> impl Strategy<Value = Graph> {
     (any::<u64>(), 1usize..8, 1usize..6, 1usize..4).prop_map(|(seed, layers, width, lookback)| {
@@ -44,14 +44,18 @@ fn has_code(graph: &Graph, view: &ScheduleView, code: &str) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Raw linear clustering and the merged fixpoint both verify clean.
+    /// Raw linear clustering, the merged fixpoint and its fold to `p`
+    /// clusters all verify clean.
     #[test]
-    fn lc_and_merged_verify_error_free(g in graph_strategy()) {
+    fn lc_and_merged_verify_error_free(g in graph_strategy(), p in 1usize..5) {
         let dist = distance_to_end(&g, &StaticCost);
         let lc = linear_clustering(&g, &dist);
         prop_assert_eq!(error_codes(&g, &clustering_view(&lc)), Vec::<&str>::new());
         let merged = merge_clusters_fixpoint(&lc, &dist);
         prop_assert_eq!(error_codes(&g, &clustering_view(&merged)), Vec::<&str>::new());
+        let folded = bound_clusters(&merged, &dist, &node_costs(&g), p);
+        prop_assert!(folded.num_clusters() <= p);
+        prop_assert_eq!(error_codes(&g, &clustering_view(&folded)), Vec::<&str>::new());
     }
 
     /// Clusterings over pruned + cloned graphs verify clean too — the passes
@@ -79,6 +83,52 @@ proptest! {
         let switched = switched_hypercluster(&clustering, batch);
         prop_assert_eq!(error_codes(&g, &hyper_view(&switched)), Vec::<&str>::new());
     }
+}
+
+fn node_costs(g: &Graph) -> Vec<u64> {
+    g.nodes.iter().map(|n| StaticCost.node_cost(g, n)).collect()
+}
+
+/// The fold `serve` applies, on every zoo model at full size and a range of
+/// core counts: a valid, deadlock-free partition of at most `p` clusters; a
+/// clustering already within the budget comes back as it was; and BERT's
+/// critical-path cluster is never folded into another.
+#[test]
+fn folded_zoo_clusterings_verify_within_budget() {
+    for kind in ModelKind::all() {
+        let g = build(kind, &ModelConfig::full());
+        let dist = distance_to_end(&g, &StaticCost);
+        let merged = merge_clusters_fixpoint(&linear_clustering(&g, &dist), &dist);
+        let cost = node_costs(&g);
+        let cp_entry = (0..g.num_nodes()).max_by_key(|&n| (dist[n], std::cmp::Reverse(n)));
+        let cp_cluster = |c: &ramiel_cluster::Clustering| {
+            c.clusters
+                .iter()
+                .find(|c| c.nodes.contains(&cp_entry.unwrap()))
+                .cloned()
+        };
+        for p in [1, 2, 3, 4, 8] {
+            let folded = bound_clusters(&merged, &dist, &cost, p);
+            let at = format!("{} at p = {p}", kind.name());
+            assert!(folded.num_clusters() <= p, "{at}");
+            folded.check_partition(&g).expect(&at);
+            folded.check_internal_order(&g).expect(&at);
+            assert_eq!(
+                error_codes(&g, &clustering_view(&folded)),
+                Vec::<&str>::new(),
+                "{at}"
+            );
+            if merged.num_clusters() <= p {
+                assert_eq!(folded, merged, "{at}");
+            }
+            if kind == ModelKind::Bert && p >= 2 {
+                assert_eq!(cp_cluster(&folded), cp_cluster(&merged), "{at}");
+            }
+        }
+    }
+    // SqueezeNet merges to two clusters: no budget of two or more folds it.
+    let g = build(ModelKind::Squeezenet, &ModelConfig::full());
+    assert_eq!(cluster_graph(&g, &StaticCost).num_clusters(), 2);
 }
 
 // ---- golden corruption tests ------------------------------------------------
