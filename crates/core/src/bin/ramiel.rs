@@ -69,7 +69,9 @@
 //! work-stealing pool with clusters demoted to locality hints. Chaos flags
 //! compose with it. Under `analyze`, `--executor stealing` analyzes the
 //! dynamic schedule's estimate-only view (sound first-ready memory bound,
-//! no channel lints — the executor has no channels to lint).
+//! no channel lints — the executor has no channels to lint). `serve` has
+//! one executor, the plan's standing hypercluster pool, and refuses
+//! `--executor stealing`.
 //!
 //! `ramiel check` runs the pipeline, then statically verifies the resulting
 //! `(graph, schedule)` pair with `ramiel-verify`: partition coverage, cycle
@@ -80,9 +82,7 @@
 //! pipelines.
 
 use ramiel::diag::Gate;
-use ramiel::{
-    compile, schedule, HyperMode, PipelineOptions, PipelineReport, ScheduledModel, Scheduler,
-};
+use ramiel::{compile, schedule, HyperMode, PipelineOptions, PipelineReport, ScheduledModel};
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_runtime::{
     run, run_sequential, run_sequential_opts, synth_inputs, Engine, Env, RunOptions, Schedule,
@@ -130,7 +130,6 @@ struct Flags {
     out: Option<String>,
     tiny: bool,
     mode: String,
-    scheduler: Scheduler,
     deny_warnings: bool,
     chaos_seed: Option<u64>,
     chaos_faults: usize,
@@ -165,7 +164,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         out: None,
         tiny: false,
         mode: "both".into(),
-        scheduler: Scheduler::LcMerge,
         deny_warnings: false,
         chaos_seed: None,
         chaos_faults: 3,
@@ -301,13 +299,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                     other => return Err(format!("unknown executor `{other}` (channel|stealing)")),
                 }
             }
-            "--scheduler" => {
-                f.scheduler = match value("--scheduler")?.as_str() {
-                    "lc" => Scheduler::LcMerge,
-                    "dsc" => Scheduler::Dsc,
-                    other => return Err(format!("unknown scheduler `{other}` (lc|dsc)")),
-                }
-            }
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -328,8 +319,6 @@ fn options(f: &Flags) -> PipelineOptions {
         } else {
             HyperMode::Off
         },
-        scheduler: f.scheduler,
-        ..Default::default()
     }
 }
 
@@ -640,11 +629,8 @@ fn cmd_profile(model: &str, f: &Flags) -> Result<(), String> {
 
     // Prediction accuracy: the cost model that drove clustering vs what the
     // parallel run actually measured.
-    let cost = options(f).cost.model();
-    print!(
-        "{}",
-        predict_report(&c.graph, cost.as_ref(), &par_db).render()
-    );
+    let predicted = predict_report(&c.graph, &ramiel_cluster::StaticCost, &par_db);
+    print!("{}", predicted.render());
     println!();
 
     // Profile-guided feedback: replay the measured per-node times into LC
@@ -979,6 +965,14 @@ fn cmd_serve(model: &str, f: &Flags) -> Result<(), String> {
     use std::sync::Arc;
     use std::time::Duration;
 
+    if f.stealing {
+        return Err(
+            "`--executor stealing` is for `run` and `analyze`; `serve` runs every batch on \
+             the plan's standing worker pool"
+                .into(),
+        );
+    }
+
     let cfg = if f.tiny {
         ModelConfig::tiny()
     } else {
@@ -1041,11 +1035,6 @@ fn cmd_serve(model: &str, f: &Flags) -> Result<(), String> {
             max_retries: f.max_retries,
             fallback: true,
             ..Default::default()
-        },
-        executor: if f.stealing {
-            ramiel_serve::ServeExecutor::Stealing
-        } else {
-            ramiel_serve::ServeExecutor::Hyper
         },
         ..Default::default()
     };
@@ -1222,15 +1211,14 @@ struct TopRow {
 
 /// `ramiel top`: poll a running server's `metrics` verb every
 /// `--interval-ms` and render a live per-model table (rps, windowed
-/// p50/p99, mean batch, queue depth, shed/s) plus steal-pool rates.
+/// p50/p99, mean batch, queue depth, shed/s) plus lifetime lane totals.
 /// `--frames N` stops after N scrapes (0 = until the server goes away).
 fn cmd_top(f: &Flags) -> Result<(), String> {
     use std::collections::BTreeMap;
 
-    let parse_frame = |text: &str| -> (BTreeMap<String, TopRow>, f64, f64, [f64; 4]) {
+    let parse_frame = |text: &str| -> (BTreeMap<String, TopRow>, [f64; 4]) {
         let samples = ramiel::obs::parse_prometheus(text);
         let mut rows: BTreeMap<String, TopRow> = BTreeMap::new();
-        let (mut steals, mut tasks) = (0.0, 0.0);
         // Lifetime lane totals over all models: windows opened / skipped,
         // pool builds and their summed duration (ns).
         let mut lanes = [0.0f64; 4];
@@ -1260,23 +1248,17 @@ fn cmd_top(f: &Flags) -> Result<(), String> {
                     }
                     _ => {}
                 }
-            } else {
-                match s.name.as_str() {
-                    "ramiel_steal_steals_total" => steals += s.value,
-                    "ramiel_steal_tasks_total" => tasks += s.value,
-                    _ => {}
-                }
             }
         }
         for row in rows.values_mut() {
             row.latency
                 .sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
         }
-        (rows, steals, tasks, lanes)
+        (rows, lanes)
     };
 
     let interval = std::time::Duration::from_millis(f.interval_ms.max(50));
-    let mut prev: Option<(BTreeMap<String, TopRow>, f64, f64)> = None;
+    let mut prev: Option<BTreeMap<String, TopRow>> = None;
     let mut frame = 0usize;
     loop {
         let resp = serve_roundtrip(f.port, "{\"id\":0,\"op\":\"metrics\"}")?;
@@ -1284,7 +1266,7 @@ fn cmd_top(f: &Flags) -> Result<(), String> {
             .get("metrics")
             .and_then(|m| m.as_str())
             .ok_or("metrics response has no `metrics` field")?;
-        let (rows, steals, tasks, lanes) = parse_frame(text);
+        let (rows, lanes) = parse_frame(text);
         let dt = interval.as_secs_f64();
 
         // Live terminal mode clears between frames; single-frame mode
@@ -1303,7 +1285,7 @@ fn cmd_top(f: &Flags) -> Result<(), String> {
             "MODEL", "RPS", "P50(ms)", "P99(ms)", "MEANBATCH", "DEPTH", "PEAK", "SHED/S"
         );
         for (model, row) in &rows {
-            let prev_row = prev.as_ref().and_then(|(r, _, _)| r.get(model));
+            let prev_row = prev.as_ref().and_then(|r| r.get(model));
             let rate = |cur: f64, prior: f64| ((cur - prior) / dt).max(0.0);
             let (rps, sheds) = match prev_row {
                 Some(p) => (rate(row.completed, p.completed), rate(row.shed, p.shed)),
@@ -1328,11 +1310,6 @@ fn cmd_top(f: &Flags) -> Result<(), String> {
                 model, rps, p50, p99, mean_batch, row.depth, row.peak, sheds
             );
         }
-        let (steal_rate, task_rate) = match &prev {
-            Some((_, ps, pt)) => (((steals - ps) / dt).max(0.0), ((tasks - pt) / dt).max(0.0)),
-            None => (0.0, 0.0),
-        };
-        println!("steal pool: {task_rate:.0} tasks/s, {steal_rate:.0} steals/s");
         println!(
             "lanes: batch windows {:.0} opened / {:.0} skipped, {:.0} pool builds (mean {:.2} ms)",
             lanes[0],
@@ -1341,7 +1318,7 @@ fn cmd_top(f: &Flags) -> Result<(), String> {
             lanes[3] / lanes[2].max(1.0) / 1e6
         );
 
-        prev = Some((rows, steals, tasks));
+        prev = Some(rows);
         frame += 1;
         if f.frames != 0 && frame >= f.frames {
             return Ok(());

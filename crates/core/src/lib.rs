@@ -45,7 +45,7 @@ pub use ramiel_verify as verify;
 
 pub mod diag;
 
-use ramiel_cluster::cost::{CostModel, FlopCost, StaticCost};
+use ramiel_cluster::cost::StaticCost;
 use ramiel_cluster::hyper::HyperClustering;
 use ramiel_cluster::{
     distance_to_end_with, hypercluster, linear_clustering_with, merge_clusters_fixpoint,
@@ -57,37 +57,6 @@ use ramiel_ir::Graph;
 use ramiel_passes::CloneConfig;
 use serde::Serialize;
 use std::time::{Duration, Instant};
-
-/// Which cost model prices nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CostKind {
-    /// The paper's static per-operator weights.
-    #[default]
-    Static,
-    /// Shape-aware FLOP-derived costs (ablation / simulator refinement).
-    Flop,
-}
-
-impl CostKind {
-    /// Materialize the cost model.
-    pub fn model(self) -> Box<dyn CostModel> {
-        match self {
-            CostKind::Static => Box::new(StaticCost),
-            CostKind::Flop => Box::new(FlopCost::default()),
-        }
-    }
-}
-
-/// Which clustering algorithm partitions the graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// The paper's recursive critical-path Linear Clustering + merging.
-    #[default]
-    LcMerge,
-    /// Dominant Sequence Clustering (comparison algorithm from the same
-    /// literature; see `ramiel_cluster::dsc`).
-    Dsc,
-}
 
 /// Hyperclustering mode for batch > 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -101,19 +70,18 @@ pub enum HyperMode {
     Switched,
 }
 
-/// Pipeline configuration.
+/// Pipeline configuration. Nodes are priced by the paper's static
+/// per-operator weights ([`StaticCost`]) and partitioned by its Linear
+/// Clustering + merging.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineOptions {
     /// Run constant propagation + DCE before clustering (Section III-C).
     pub prune: bool,
     /// Run task cloning before clustering (Section III-D).
     pub cloning: Option<CloneConfig>,
-    pub cost: CostKind,
     /// Inference batch size (enables hyperclustering when > 1).
     pub batch: usize,
     pub hyper: HyperMode,
-    /// Clustering algorithm (LC+merge by default).
-    pub scheduler: Scheduler,
 }
 
 impl PipelineOptions {
@@ -370,7 +338,7 @@ fn rewrite(
     let after_prune = graph.num_nodes();
     if let Some(clone_cfg) = &opts.cloning {
         let mut span = obs.span(0, "task cloning", "compile");
-        ramiel_passes::clone_nodes(graph, opts.cost.model().as_ref(), clone_cfg)?;
+        ramiel_passes::clone_nodes(graph, &StaticCost, clone_cfg)?;
         span.set_args(serde_json::json!({
             "nodes_before": after_prune,
             "nodes_after": graph.num_nodes(),
@@ -400,33 +368,22 @@ fn schedule_stages(
     obs: &ramiel_obs::Obs,
     counts: NodeCounts,
 ) -> Stages {
-    let cost = opts.cost.model();
     let distances = {
         let _span = obs.span(0, "distance-to-end pass", "compile");
-        distance_to_end_with(graph, adj, cost.as_ref())
+        distance_to_end_with(graph, adj, &StaticCost)
     };
-    let (clusters_before_merge, clustering) = match opts.scheduler {
-        Scheduler::LcMerge => {
-            let mut span = obs.span(0, "linear clustering", "compile");
-            let lc = linear_clustering_with(adj, &distances);
-            let before = lc.num_clusters();
-            span.set_args(serde_json::json!({ "clusters": before }));
-            span.finish();
-            let mut span = obs.span(0, "cluster merging", "compile");
-            let merged = merge_clusters_fixpoint(&lc, &distances);
-            span.set_args(serde_json::json!({
-                "clusters_before": before,
-                "clusters_after": merged.num_clusters(),
-            }));
-            (before, merged)
-        }
-        Scheduler::Dsc => {
-            let mut span = obs.span(0, "DSC clustering", "compile");
-            let c = ramiel_cluster::dsc_clustering(graph, cost.as_ref());
-            span.set_args(serde_json::json!({ "clusters": c.num_clusters() }));
-            (c.num_clusters(), c)
-        }
-    };
+    let mut span = obs.span(0, "linear clustering", "compile");
+    let lc = linear_clustering_with(adj, &distances);
+    let clusters_before_merge = lc.num_clusters();
+    span.set_args(serde_json::json!({ "clusters": clusters_before_merge }));
+    span.finish();
+    let mut span = obs.span(0, "cluster merging", "compile");
+    let clustering = merge_clusters_fixpoint(&lc, &distances);
+    span.set_args(serde_json::json!({
+        "clusters_before": clusters_before_merge,
+        "clusters_after": clustering.num_clusters(),
+    }));
+    span.finish();
     let report = PipelineReport {
         model: graph.name.clone(),
         nodes_before: counts.before,
@@ -435,7 +392,7 @@ fn schedule_stages(
         clusters_before_merge,
         clusters_after_merge: clustering.num_clusters(),
         cross_cluster_edges: clustering.cross_cluster_edges_with(graph, adj),
-        parallelism: parallelism_report_with(graph, adj, cost.as_ref(), &distances),
+        parallelism: parallelism_report_with(graph, adj, &StaticCost, &distances),
     };
 
     #[cfg(debug_assertions)]

@@ -79,11 +79,6 @@ pub struct RunOptions {
     /// and placement permutations); ignored by the static executors. Used
     /// by the conformance harness — see `tests/steal_conformance.rs`.
     pub steal_chaos: Option<StealChaos>,
-    /// Request ids carried by a serve batch. Attached to the stealing
-    /// executor's run span, so per-request serve traces can be joined with
-    /// steal-pool task placement on the shared obs timeline. `None`
-    /// outside the serving path.
-    pub request_ids: Option<Arc<Vec<u64>>>,
 }
 
 impl Default for RunOptions {
@@ -98,7 +93,6 @@ impl Default for RunOptions {
             init_values: None,
             reuse: true,
             steal_chaos: None,
-            request_ids: None,
         }
     }
 }

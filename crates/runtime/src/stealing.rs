@@ -114,8 +114,8 @@ impl StealPlan {
     }
 
     /// [`StealPlan::from_hyper`] over a slot resolution and a weight table
-    /// the caller already holds (a serving plan shares both with its
-    /// [`crate::PlannedBatch`] schedules): integer work only.
+    /// the caller already holds ([`crate::run`] passes the run's shared
+    /// table): integer work only.
     pub fn with_program(
         prog: &Arc<GraphProgram>,
         init_values: Arc<HashMap<String, Value>>,
@@ -982,10 +982,7 @@ impl StealPool {
                 inputs.len()
             )));
         }
-        let mut run_span = opts.obs.span(0, "steal:run", "steal");
-        if let Some(ids) = &opts.request_ids {
-            run_span.set_args(serde_json::json!({ "requests": &ids[..] }));
-        }
+        let _run_span = opts.obs.span(0, "steal:run", "steal");
         if plan.prog.nodes.is_empty() {
             let mut outs = vec![Env::new(); plan.batch];
             let init = opts.init_values.as_ref().unwrap_or(&plan.init_values);

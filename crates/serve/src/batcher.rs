@@ -7,8 +7,9 @@
 //! — only if the lane has evidence of a second caller — holds the batch
 //! open until it has `max_batch` requests or `max_delay` has elapsed since
 //! the first. The batch executes as ONE hypercluster job on a persistent
-//! [`HyperPool`] whose workers live as long as the lane's plan version.
-//! Per-sample outputs scatter back to per-request one-shot channels.
+//! [`HyperPool`], the lane's only executor, whose workers live as long as
+//! the lane's plan version. Per-sample outputs scatter back to per-request
+//! one-shot channels.
 //!
 //! ## The batch window opens only for company
 //!
@@ -61,12 +62,12 @@
 //! already-queued requests complete; new ones are rejected.
 
 use crate::plan::CompiledPlan;
-use crate::server::{LaneConfig, OverflowPolicy, ServeError, ServeExecutor};
+use crate::server::{LaneConfig, OverflowPolicy, ServeError};
 use crate::stats::LaneMetrics;
 use crate::trace::RequestTrace;
 use crossbeam::channel::Sender;
 use ramiel_obs::Metrics;
-use ramiel_runtime::{run_sequential_opts, Env, HyperPool, RunOptions, RuntimeError, StealPool};
+use ramiel_runtime::{run_sequential_opts, Env, HyperPool, RunOptions, RuntimeError};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -76,8 +77,8 @@ use std::time::Instant;
 
 /// One queued inference request.
 pub(crate) struct Request {
-    /// Server-unique id minted at admission; joins serve traces with
-    /// steal-pool spans (the stealing run span carries the batch's ids).
+    /// Server-unique id minted at admission; names the request in the
+    /// trace ring and on its batch's `serve:batch` instant.
     pub id: u64,
     pub inputs: Env,
     pub deadline: Option<Instant>,
@@ -123,7 +124,7 @@ pub(crate) struct Lane {
 impl Lane {
     pub fn spawn(plan: Arc<CompiledPlan>, cfg: LaneConfig, registry: &Metrics) -> Lane {
         let model = plan.name.clone();
-        let metrics = LaneMetrics::new(registry, &model, cfg.executor);
+        let metrics = LaneMetrics::new(registry, &model);
         let shared = Arc::new(LaneShared {
             queue: StdMutex::new(VecDeque::new()),
             not_empty: Condvar::new(),
@@ -191,7 +192,7 @@ impl Drop for Lane {
 
 impl LaneShared {
     /// What every execution on this lane runs with (pool workers at build
-    /// time, the stealing pool and the sequential fallback per batch).
+    /// time, the sequential fallback per batch).
     fn run_opts(&self, plan: &CompiledPlan) -> RunOptions {
         RunOptions {
             injector: self.cfg.injector.clone(),
@@ -319,12 +320,9 @@ struct LanePool {
 impl LanePool {
     /// Bring the pool to `plan`'s version. A version change means new
     /// graph/weights, so the standing workers are rebuilt (old ones join
-    /// first). The stealing executor has no per-model workers — its shared
-    /// pool outlives plans — so there is nothing to build.
+    /// first).
     fn sync(&mut self, sh: &LaneShared, plan: &CompiledPlan) -> Result<(), RuntimeError> {
-        if sh.cfg.executor == ServeExecutor::Stealing
-            || (self.version == plan.version && self.pool.is_some())
-        {
+        if self.version == plan.version && self.pool.is_some() {
             return Ok(());
         }
         let start = Instant::now();
@@ -382,8 +380,7 @@ fn collector(sh: Arc<LaneShared>) {
                 if sh.draining.load(Ordering::SeqCst) {
                     return; // drained: queue empty and no new admissions
                 }
-                if sh.cfg.executor == ServeExecutor::Hyper && sh.plan.lock().version != pool.version
-                {
+                if sh.plan.lock().version != pool.version {
                     break; // hot swap: rebuild before the next request
                 }
                 q = sh.not_empty.wait(q).unwrap_or_else(|e| e.into_inner());
@@ -468,18 +465,12 @@ fn execute_batch(sh: &LaneShared, pool: &mut LanePool, batch: Vec<Request>) -> I
     }
 
     let plan = Arc::clone(&sh.plan.lock());
-    let ids: Arc<Vec<u64>> = Arc::new(live.iter().map(|r| r.id).collect());
-    let run_opts = RunOptions {
-        request_ids: Some(Arc::clone(&ids)),
-        ..sh.run_opts(&plan)
-    };
-    let stealing = sh.cfg.executor == ServeExecutor::Stealing;
     // Hot reload boundary. The idle collector already rebuilt for every
     // swap it was woken for; only a swap that raced this batch leaves work
     // here. That rebuild is execution set-up, not waiting for batch-mates:
     // the execution window starts before it.
     let mut exec_start = None;
-    if !stealing && (pool.version != plan.version || pool.pool.is_none()) {
+    if pool.version != plan.version || pool.pool.is_none() {
         let t = Instant::now();
         exec_start = Some(t);
         if let Err(e) = pool.sync(sh, &plan) {
@@ -497,57 +488,33 @@ fn execute_batch(sh: &LaneShared, pool: &mut LanePool, batch: Vec<Request>) -> I
         "serve",
         serde_json::json!({
             "model": plan.name, "batch": n, "version": plan.version,
-            "requests": &ids[..],
+            "requests": live.iter().map(|r| r.id).collect::<Vec<_>>(),
         }),
     );
     obs.counter("serve:batch_size", n as f64);
 
     // Resolve the batch's schedule up front so setup errors fail the whole
-    // batch before any execution: a hypercluster schedule for the pool, or
-    // a dependency-resolved steal plan for the shared stealing pool.
-    enum BatchExec {
-        Hyper(Arc<ramiel_runtime::PlannedBatch>),
-        Stealing(Arc<ramiel_runtime::StealPlan>),
-    }
-    let exec = if stealing {
-        match plan.steal_plan_for(n) {
-            Ok(p) => BatchExec::Stealing(p),
-            Err(e) => {
-                let t = Instant::now();
-                fail_all(sh, live, &e, t, t);
-                return t;
-            }
-        }
-    } else {
-        match plan.schedule_for(n) {
-            Ok(s) => BatchExec::Hyper(s),
-            Err(e) => {
-                let t = Instant::now();
-                fail_all(sh, live, &e, t, t);
-                return t;
-            }
+    // batch before any execution.
+    let sched = match plan.schedule_for(n) {
+        Ok(s) => s,
+        Err(e) => {
+            let t = Instant::now();
+            fail_all(sh, live, &e, t, t);
+            return t;
         }
     };
     let inputs: Arc<Vec<Env>> = Arc::new(live.iter().map(|r| r.inputs.clone()).collect());
 
     // Supervised execution on the standing pool: retry transient-shaped
-    // failures with bounded backoff (both pools survive failed jobs). The
+    // failures with bounded backoff (the pool survives failed jobs). The
     // execution window charged to each request spans the whole retry loop
     // (backoff sleeps included) — that is the latency callers actually saw.
     let sup = &sh.cfg.supervisor;
     let mut attempt = 0u32;
     let exec_start = exec_start.unwrap_or_else(Instant::now);
+    let workers = pool.pool.as_mut().expect("hyper pool synced above");
     let result: Result<Vec<Env>, RuntimeError> = loop {
-        let attempt_result = match &exec {
-            BatchExec::Hyper(sched) => {
-                let pool = pool.pool.as_mut().expect("hyper pool synced above");
-                pool.run_batch(sched, &inputs)
-            }
-            BatchExec::Stealing(splan) => {
-                StealPool::global().run_plan(splan, &inputs, &plan.ctx, &run_opts)
-            }
-        };
-        match attempt_result {
+        match workers.run_batch(&sched, &inputs) {
             Ok(outs) => break Ok(outs),
             Err(e) => {
                 if !e.is_retryable() || attempt >= sup.max_retries {
@@ -586,6 +553,7 @@ fn execute_batch(sh: &LaneShared, pool: &mut LanePool, batch: Vec<Request>) -> I
                 "serve",
                 serde_json::json!({ "model": plan.name, "error": batch_err.code() }),
             );
+            let run_opts = sh.run_opts(&plan);
             for r in live {
                 let solo_start = Instant::now();
                 let res = catch_unwind(AssertUnwindSafe(|| {

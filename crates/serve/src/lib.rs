@@ -44,7 +44,7 @@ mod tests;
 
 pub use plan::{CompiledPlan, PlanCache, PlanParts, PlanSpec};
 pub use registry::{Fetched, ManifestEntry, Pulled, Registry, RegistryError};
-pub use server::{OverflowPolicy, ServeConfig, ServeError, ServeExecutor, Server, Ticket};
+pub use server::{OverflowPolicy, ServeConfig, ServeError, Server, Ticket};
 pub use stats::{BatchBucket, LoadSummary, StatsSnapshot};
 pub use tcp::{run_tcp, run_tcp_with_registry};
 pub use trace::{RequestTrace, TraceRing};

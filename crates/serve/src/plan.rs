@@ -21,7 +21,7 @@ use ramiel_cluster::{
 };
 use ramiel_ir::graph::Adjacency;
 use ramiel_ir::{Graph, TensorInfo};
-use ramiel_runtime::{GraphProgram, PlannedBatch, StealPlan};
+use ramiel_runtime::{GraphProgram, PlannedBatch};
 use ramiel_tensor::{ExecCtx, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -141,9 +141,6 @@ pub struct CompiledPlan {
     /// Hypercluster schedules compiled to per-worker programs, keyed by
     /// batch size.
     schedules: Mutex<BTreeMap<usize, Arc<PlannedBatch>>>,
-    /// Work-stealing plans, keyed by batch size (built lazily — only lanes
-    /// running [`crate::server::ServeExecutor::Stealing`] pay for them).
-    steal_plans: Mutex<BTreeMap<usize, Arc<StealPlan>>>,
 }
 
 impl std::fmt::Debug for CompiledPlan {
@@ -210,7 +207,6 @@ impl CompiledPlan {
             ctx,
             program,
             schedules: Mutex::new(schedules),
-            steal_plans: Mutex::new(BTreeMap::new()),
         })
     }
 
@@ -230,27 +226,6 @@ impl CompiledPlan {
             Arc::new(PlannedBatch::with_program(&self.program, hc).map_err(ServeError::Runtime)?);
         schedules.insert(batch, Arc::clone(&planned));
         Ok(planned)
-    }
-
-    /// The work-stealing plan for `batch` samples (built on first use, then
-    /// cached). Hints come from the same hyperclustering the hyper path
-    /// would schedule, so locality placement matches across executors.
-    pub fn steal_plan_for(&self, batch: usize) -> Result<Arc<StealPlan>, ServeError> {
-        if batch == 0 {
-            return Err(ServeError::Internal("batch size 0".into()));
-        }
-        let mut plans = self.steal_plans.lock();
-        if let Some(p) = plans.get(&batch) {
-            return Ok(Arc::clone(p));
-        }
-        // The plan's one slot resolution and one weight table, shared with
-        // `schedule_for`; only the locality hints are per batch size.
-        let hints = hyper_schedule(&self.clustering, self.switched, batch);
-        let plan = StealPlan::with_program(&self.program, Arc::clone(&self.init_values), &hints)
-            .map_err(ServeError::Runtime)?;
-        let plan = Arc::new(plan);
-        plans.insert(batch, Arc::clone(&plan));
-        Ok(plan)
     }
 
     /// Cluster count == standing worker count for this plan's pools, at

@@ -1,6 +1,8 @@
 //! The in-process serving front end: admission control, per-model lanes,
 //! and graceful shutdown. The TCP transport ([`crate::tcp`]) and the CLI's
-//! `ramiel serve` are thin wrappers over [`Server`].
+//! `ramiel serve` are thin wrappers over [`Server`]. Serving has one
+//! executor: every lane runs its batches on the plan's standing
+//! [`ramiel_runtime::HyperPool`], and a server starts no other pool.
 
 use crate::batcher::{Lane, Request};
 use crate::plan::{CompiledPlan, PlanCache, PlanSpec};
@@ -9,7 +11,7 @@ use crate::trace::TraceRing;
 use crossbeam::channel::{unbounded, Receiver};
 use ramiel_obs::metrics::{CounterHandle, HistHandle};
 use ramiel_obs::{Metrics, Obs};
-use ramiel_runtime::{Env, FaultInjector, RuntimeError, StealPool, SupervisorConfig};
+use ramiel_runtime::{Env, FaultInjector, RuntimeError, SupervisorConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,18 +26,6 @@ pub enum OverflowPolicy {
     /// Backpressure: block the submitter up to `max_wait` for space, then
     /// shed anyway (a bounded queue must stay bounded).
     Block { max_wait: Duration },
-}
-
-/// Which executor a lane uses for gathered batches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServeExecutor {
-    /// Standing per-model [`ramiel_runtime::HyperPool`] (one worker per
-    /// cluster, channel dataflow). The default.
-    #[default]
-    Hyper,
-    /// Shared work-stealing pool ([`ramiel_runtime::StealPool::global`]):
-    /// clusters become locality hints, workers are shared across models.
-    Stealing,
 }
 
 /// Serving policy knobs.
@@ -63,9 +53,6 @@ pub struct ServeConfig {
     /// Observability sink: batch/retry/fallback instants plus queue-depth
     /// and batch-size counters (disabled handle = one branch per event).
     pub obs: Obs,
-    /// Batch executor: per-model hyper pool (default) or the shared
-    /// work-stealing pool.
-    pub executor: ServeExecutor,
     /// Bound on the in-memory per-request trace ring (`0` disables
     /// tracing; the TCP `trace` verb then returns an empty trace).
     pub trace_capacity: usize,
@@ -86,7 +73,6 @@ impl Default for ServeConfig {
             recv_timeout: None,
             injector: None,
             obs: Obs::disabled(),
-            executor: ServeExecutor::default(),
             trace_capacity: 4096,
         }
     }
@@ -104,7 +90,6 @@ pub(crate) struct LaneConfig {
     pub recv_timeout: Option<Duration>,
     pub injector: Option<Arc<FaultInjector>>,
     pub obs: Obs,
-    pub executor: ServeExecutor,
     /// Server-wide trace ring shared by every lane (`None` = disabled).
     pub trace: Option<Arc<TraceRing>>,
     /// Timebase for trace-ring nanosecond offsets.
@@ -122,7 +107,6 @@ impl ServeConfig {
             recv_timeout: self.recv_timeout,
             injector: self.injector.clone(),
             obs: self.obs.clone(),
-            executor: self.executor,
             trace,
             epoch,
         }
@@ -528,9 +512,8 @@ impl Server {
         &self.metrics
     }
 
-    /// Prometheus text exposition of everything this process knows:
-    /// per-model serve series from the registry, the shared steal-pool
-    /// telemetry, and server-level gauges. Resets per-window gauges
+    /// Prometheus text exposition of the server: per-model serve series
+    /// from the registry and server-level gauges. Resets per-window gauges
     /// (scrape-interval delta semantics).
     pub fn metrics_text(&self) -> String {
         let mut out = self.metrics.render_prometheus(true);
@@ -543,9 +526,6 @@ impl Server {
             "ramiel_server_uptime_seconds {:.3}\n",
             self.epoch.elapsed().as_secs_f64()
         ));
-        StealPool::global()
-            .stats_and_reset_window()
-            .render_prometheus(&mut out);
         out
     }
 

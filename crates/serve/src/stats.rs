@@ -3,11 +3,10 @@
 //! The registry is serve's one counter and histogram store: each lane
 //! records into its [`LaneMetrics`], admission into [`AdmissionMetrics`],
 //! and [`StatsSnapshot::read`] folds the series back together — counters
-//! summed over every `model`/`executor` series (evicted models' included,
-//! so totals never go down), histograms merged, peaks maxed. A `stats` read
-//! resets no window: the `metrics` scrape is the one window owner.
+//! summed over every `model` series (evicted models' included, so totals
+//! never go down), histograms merged, peaks maxed. A `stats` read resets no
+//! window: the `metrics` scrape is the one window owner.
 
-use crate::server::ServeExecutor;
 use ramiel_obs::metrics::bucket_bounds;
 use ramiel_obs::{CounterHandle, GaugeHandle, HistHandle, Metrics, PeakHandle};
 use serde::Serialize;
@@ -26,7 +25,7 @@ const LANE_BUILD: &str = "ramiel_lane_build_ns";
 pub(crate) const CONN_SPAWN_FAILED: &str = "ramiel_conn_spawn_failed_total";
 
 /// Per-lane handles into the server's metric registry, resolved once at
-/// lane spawn (label sets are fixed: the lane's model name and executor).
+/// lane spawn (label sets are fixed: the lane's model name).
 pub(crate) struct LaneMetrics {
     pub queue_wait: HistHandle,
     pub batch_wait: HistHandle,
@@ -55,16 +54,12 @@ pub(crate) struct LaneMetrics {
 }
 
 impl LaneMetrics {
-    pub fn new(m: &Metrics, model: &str, executor: ServeExecutor) -> LaneMetrics {
-        let exec = match executor {
-            ServeExecutor::Hyper => "hyper",
-            ServeExecutor::Stealing => "stealing",
-        };
+    pub fn new(m: &Metrics, model: &str) -> LaneMetrics {
         let phase = |p: &str| {
             m.histogram(
                 PHASE,
                 "per-request phase latency, nanoseconds",
-                &[("model", model), ("executor", exec), ("phase", p)],
+                &[("model", model), ("phase", p)],
             )
         };
         let outcome = |o: &str| {
@@ -90,7 +85,7 @@ impl LaneMetrics {
             latency: m.histogram(
                 LATENCY,
                 "end-to-end request latency (enqueue to response), nanoseconds",
-                &[("model", model), ("executor", exec)],
+                &[("model", model)],
             ),
             batch_size: m.histogram(
                 BATCH_SIZE,

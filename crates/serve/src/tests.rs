@@ -106,25 +106,6 @@ fn switched_plans_serve_correctly() {
     assert_eq!(run_sequential(&g, &inputs, &ctx).unwrap(), out);
 }
 
-/// One slot resolution and one weight table per plan, whichever executor
-/// a lane runs and whatever the batch size.
-#[test]
-fn steal_plans_share_the_plans_program_and_weights() {
-    let g = build(ModelKind::Squeezenet, &ModelConfig::tiny());
-    let server = Server::new(small_cfg());
-    server.load("sq", PlanSpec::new(g)).unwrap();
-    let plan = server.plan("sq").unwrap();
-    for batch in [1usize, 3] {
-        let sched = plan.schedule_for(batch).unwrap();
-        let steal = plan.steal_plan_for(batch).unwrap();
-        assert!(Arc::ptr_eq(sched.program(), steal.program()), "b{batch}");
-        assert!(
-            Arc::ptr_eq(&plan.init_values, steal.init_values()),
-            "b{batch}"
-        );
-    }
-}
-
 #[test]
 fn shutdown_rejects_new_work() {
     let g = synthetic::chain(3);
@@ -284,9 +265,10 @@ fn metrics_and_trace_verbs_over_tcp() {
             && s.label("model") == Some("fj")),
         "per-model latency histogram missing"
     );
+    // Serve runs one executor: no steal pool, so no steal-pool series.
     assert!(
-        samples.iter().any(|s| s.name == "ramiel_steal_workers"),
-        "steal-pool telemetry missing from exposition"
+        !samples.iter().any(|s| s.name.starts_with("ramiel_steal_")),
+        "steal-pool series in a server's exposition"
     );
 
     // `trace`: a valid Chrome trace with four spans per answered request.
@@ -343,7 +325,7 @@ fn latency_histograms_and_window_reset() {
 }
 
 #[test]
-fn request_ids_are_unique_and_monotone() {
+fn admitted_ids_are_unique_and_monotone() {
     let g = synthetic::chain(3);
     let server = Server::new(small_cfg());
     server.load("c", PlanSpec::new(g.clone())).unwrap();
@@ -356,6 +338,7 @@ fn request_ids_are_unique_and_monotone() {
     sorted.sort_unstable();
     sorted.dedup();
     assert_eq!(sorted.len(), 5, "request ids must be unique: {ids:?}");
+    assert!(ids.windows(2).all(|w| w[0] < w[1]), "not monotone: {ids:?}");
 }
 
 #[test]
@@ -491,11 +474,9 @@ fn untrusted_names_mint_no_series() {
     let server = Arc::new(Server::new(small_cfg()));
     server.load("c", PlanSpec::new(g.clone())).unwrap();
     await_lane_builds(&server, 1);
-    // The steal-pool series are process-wide, shared with concurrent tests.
     let series = |server: &Server| -> Vec<(String, Vec<(String, String)>)> {
         let mut keys: Vec<_> = ramiel_obs::parse_prometheus(&server.metrics_text())
             .into_iter()
-            .filter(|s| !s.name.starts_with("ramiel_steal_"))
             .map(|s| (s.name, s.labels))
             .collect();
         keys.sort();

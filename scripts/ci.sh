@@ -85,12 +85,13 @@ grep -q "peak memory:" target/ci-analyze.log
 # with `ramiel request` — ping, a handful of batched inferences, a stats
 # snapshot, the telemetry verbs, and a graceful shutdown. The `metrics` op
 # must return Prometheus exposition carrying the per-request latency
-# histograms and the steal-pool counters; the `trace` op's Chrome trace is
-# validated client-side (the CLI exits nonzero on a malformed trace); and
-# one frame of `ramiel top` must render from the same endpoint. The server
-# process must exit 0 on its own after the shutdown op (drain, not kill),
-# all under the same hard timeout so a wedged accept loop or un-drained
-# lane fails CI instead of hanging it.
+# histograms and no steal-pool series (a server runs one executor, the
+# plan's standing pool, and starts no steal pool); the `trace` op's Chrome
+# trace is validated client-side (the CLI exits nonzero on a malformed
+# trace); and one frame of `ramiel top` must render from the same
+# endpoint. The server process must exit 0 on its own after the shutdown
+# op (drain, not kill), all under the same hard timeout so a wedged accept
+# loop or un-drained lane fails CI instead of hanging it.
 echo "==> ramiel serve smoke (TCP round-trip gate)"
 cargo build --offline -p ramiel --bin ramiel
 SERVE_PORT=7979
@@ -131,7 +132,11 @@ grep -qF 'ramiel_requests_total{model="squeezenet",outcome="completed"} 4' \
     target/serve-metrics.txt
 grep -q "ramiel_batch_size_count" target/serve-metrics.txt
 grep -q "ramiel_request_latency_ns_bucket" target/serve-metrics.txt
-grep -q "ramiel_steal_tasks_total" target/serve-metrics.txt
+# (`! grep` alone would not trip `set -e`.)
+if grep -q "ramiel_steal_" target/serve-metrics.txt; then
+    echo "a server exports steal-pool series"
+    exit 1
+fi
 timeout 60s target/debug/ramiel request --port "$SERVE_PORT" \
     --op trace > target/serve-trace.json
 timeout 60s target/debug/ramiel top --port "$SERVE_PORT" --frames 1

@@ -347,10 +347,86 @@ fn serve_banner_keeps_its_lines_and_values() {
     assert!(load["import_mean_ms"].as_f64().unwrap() > 0.0, "{load}");
 }
 
-/// Start `ramiel serve <args> --port 0`, read its banner up to `listening
-/// on`, take `stats.load`, shut it down; returns (banner, load summary).
-fn serve_start_up(args: &[&str]) -> (Vec<String>, serde_json::Value) {
+/// `serve` has one executor; asking it for the stealing one is an error
+/// that names the flag, not a silently ignored switch. A server that
+/// accepted the flag would listen forever, so it is killed after a bound.
+#[test]
+fn serve_refuses_the_stealing_executor() {
+    use std::io::Read;
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+
+    let mut child = Command::new(ramiel_bin())
+        .args(["serve", "squeezenet", "--tiny", "--executor", "stealing"])
+        .args(["--port", "0"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ramiel serve");
+    let give_up = Instant::now() + Duration::from_secs(60);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll serve") {
+            break Some(status);
+        }
+        if Instant::now() > give_up {
+            child.kill().ok();
+            child.wait().ok();
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .ok();
+    let status = status.expect("serve accepted `--executor stealing` and kept serving");
+    assert!(!status.success(), "serve accepted `--executor stealing`");
+    assert!(stderr.contains("--executor"), "{stderr}");
+}
+
+/// A server runs no steal pool: after an inference and a `metrics` scrape
+/// it has no `ramiel-steal-*` thread and exports no `ramiel_steal_*`
+/// series.
+#[test]
+#[cfg(target_os = "linux")]
+fn serve_starts_no_steal_pool() {
     use std::io::{BufRead, BufReader, Write};
+
+    let (mut child, _, addr) = spawn_serve(&["squeezenet", "--tiny"]);
+    let mut conn = std::net::TcpStream::connect(&addr).expect("connect");
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    let mut rpc = |req: &str| -> serde_json::Value {
+        writeln!(conn, "{req}").unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        serde_json::from_str(&reply).unwrap()
+    };
+    let reply = rpc(r#"{"op":"infer_synth","seed":1}"#);
+    assert_eq!(reply["ok"].as_bool(), Some(true), "{reply}");
+    let reply = rpc(r#"{"op":"metrics"}"#);
+    let metrics = reply["metrics"].as_str().expect("metrics text").to_string();
+    let threads: Vec<String> = std::fs::read_dir(format!("/proc/{}/task", child.id()))
+        .expect("server's task list")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .collect();
+    rpc(r#"{"op":"shutdown"}"#);
+    assert!(child.wait().expect("serve exits after shutdown").success());
+
+    assert!(!threads.is_empty());
+    assert!(
+        threads.iter().all(|t| !t.starts_with("ramiel-steal")),
+        "{threads:?}"
+    );
+    assert!(!metrics.contains("ramiel_steal_"), "{metrics}");
+}
+
+/// Start `ramiel serve <args> --port 0` and read its banner up to
+/// `listening on`; returns (server, banner, address).
+fn spawn_serve(args: &[&str]) -> (std::process::Child, Vec<String>, String) {
+    use std::io::{BufRead, BufReader};
     use std::process::Stdio;
 
     let mut child = Command::new(ramiel_bin())
@@ -372,7 +448,17 @@ fn serve_start_up(args: &[&str]) -> (Vec<String>, serde_json::Value) {
             None => banner.push(line),
         }
     };
+    // Keep reading: the server prints a summary when it exits.
+    std::thread::spawn(move || lines.for_each(drop));
+    (child, banner, addr)
+}
 
+/// Start `ramiel serve <args> --port 0`, read its banner, take
+/// `stats.load`, shut it down; returns (banner, load summary).
+fn serve_start_up(args: &[&str]) -> (Vec<String>, serde_json::Value) {
+    use std::io::{BufRead, BufReader, Write};
+
+    let (mut child, banner, addr) = spawn_serve(args);
     let mut conn = std::net::TcpStream::connect(&addr).expect("connect");
     let mut reply = String::new();
     writeln!(conn, r#"{{"op":"stats"}}"#).unwrap();

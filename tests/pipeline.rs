@@ -152,50 +152,40 @@ fn hyperclustering_covers_all_batch_elements() {
     }
 }
 
+/// Dominant Sequence Clustering, the comparison algorithm the
+/// clustering-strategy ablation runs, partitions every zoo model into
+/// valid, verifiable clusters that execute.
 #[test]
 fn dsc_scheduler_is_a_valid_alternative() {
-    use ramiel::Scheduler;
+    use ramiel_cluster::{clustering_view, dsc_clustering};
     use ramiel_runtime::{run, run_sequential, synth_inputs, RunOptions};
     use ramiel_tensor::ExecCtx;
     use std::slice::from_ref;
     let cfg = ModelConfig::tiny();
     for kind in ModelKind::all() {
-        let c = compile(
-            build(kind, &cfg),
-            &PipelineOptions {
-                scheduler: Scheduler::Dsc,
-                ..Default::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
-        c.clustering
-            .check_partition(&c.graph)
+        let g = build(kind, &cfg);
+        let c = dsc_clustering(&g, &StaticCost);
+        c.check_partition(&g)
             .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
-        c.clustering
-            .check_internal_order(&c.graph)
+        c.check_internal_order(&g)
             .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
+        let report = ramiel::verify::verify(&g, Some(&clustering_view(&c)));
+        assert!(
+            !report.has_errors(),
+            "{}:\n{}",
+            kind.name(),
+            report.render()
+        );
     }
     // DSC schedules execute correctly too
-    let c = compile(
-        build(ModelKind::Googlenet, &cfg),
-        &PipelineOptions {
-            scheduler: Scheduler::Dsc,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let inputs = synth_inputs(&c.graph, 77);
+    let g = build(ModelKind::Googlenet, &cfg);
+    let c = dsc_clustering(&g, &StaticCost);
+    let inputs = synth_inputs(&g, 77);
     let ctx = ExecCtx::sequential();
-    let seq = run_sequential(&c.graph, &inputs, &ctx).unwrap();
-    let par = run(
-        &c.graph,
-        &c.clustering,
-        from_ref(&inputs),
-        &ctx,
-        &RunOptions::default(),
-    )
-    .single()
-    .unwrap();
+    let seq = run_sequential(&g, &inputs, &ctx).unwrap();
+    let par = run(&g, &c, from_ref(&inputs), &ctx, &RunOptions::default())
+        .single()
+        .unwrap();
     assert_eq!(
         seq.keys().collect::<Vec<_>>(),
         par.keys().collect::<Vec<_>>()

@@ -11,8 +11,8 @@ use ramiel_cluster::{bound_clusters, CostModel, StaticCost};
 use ramiel_models::{build, synthetic, ModelConfig, ModelKind};
 use ramiel_runtime::{run_sequential, synth_inputs};
 use ramiel_serve::{
-    run_tcp_with_registry, OverflowPolicy, PlanParts, PlanSpec, Registry, ServeConfig,
-    ServeExecutor, Server, Ticket,
+    run_tcp_with_registry, OverflowPolicy, PlanParts, PlanSpec, Registry, ServeConfig, Server,
+    Ticket,
 };
 use ramiel_tensor::ExecCtx;
 use std::io::{BufRead, BufReader, Write};
@@ -82,46 +82,6 @@ fn concurrent_clients_get_bit_identical_results() {
     assert!(s.latency_p50_ms <= s.latency_p99_ms);
     assert!(s.latency_p99_ms <= s.latency_max_ms * 1.0001);
     assert!(s.peak_queue_depth >= 1);
-}
-
-/// The same acceptance contract on the work-stealing lane executor: hot
-/// batches of every size the micro-batcher forms run on the shared
-/// stealing pool and stay bit-identical to sequential.
-#[test]
-fn stealing_executor_serves_bit_identical_results() {
-    let g = build(ModelKind::Bert, &ModelConfig::tiny());
-    let prepared = prepare(g, &PipelineOptions::default()).unwrap();
-    let server = Arc::new(Server::new(ServeConfig {
-        executor: ServeExecutor::Stealing,
-        ..serve_cfg()
-    }));
-    let spec = PlanSpec {
-        init_values: Some(Arc::clone(&prepared.init_values)),
-        ..PlanSpec::new(prepared.scheduled.graph.clone())
-    };
-    server.load("bert", spec).unwrap();
-
-    let graph = Arc::new(prepared.scheduled.graph.clone());
-    let mut handles = Vec::new();
-    for t in 0..6u64 {
-        let server = Arc::clone(&server);
-        let graph = Arc::clone(&graph);
-        handles.push(std::thread::spawn(move || {
-            let ctx = ExecCtx::sequential();
-            for i in 0..4u64 {
-                let inputs = synth_inputs(&graph, t * 1000 + i);
-                let out = server.infer("bert", inputs.clone()).unwrap();
-                let seq = run_sequential(&graph, &inputs, &ctx).unwrap();
-                assert_eq!(seq, out, "thread {t} request {i} diverged");
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    let s = server.stats();
-    assert_eq!(s.completed, 24);
-    assert_eq!(s.failed, 0);
 }
 
 /// A plan folded to two workers answers every zoo model, at batch 1 and in
