@@ -5,10 +5,11 @@
 //! LC, Algorithm 1), a **cluster-merging** fixpoint pass (Algorithms 2–3),
 //! and **hyperclustering** for batch sizes > 1 (plain and *switched*).
 //!
-//! Pipeline (batch = 1):
+//! Pipeline (batch = 1), run by [`schedule_stage`] for every caller that
+//! schedules a model (`ramiel::schedule` and `serve`'s plan build):
 //!
 //! ```text
-//! Graph ──cost model──▶ distance_to_end ──▶ LC ──▶ merge ──▶ Clustering
+//! Graph ──cost model──▶ distance_to_end ──▶ LC ──▶ merge ──▶ Clustering + PipelineReport
 //! ```
 //!
 //! The serving layer adds one step the paper does not take: [`bound`] folds
@@ -46,33 +47,97 @@ pub use verify_view::{clustering_view, hyper_view, stealing_view};
 
 use ramiel_ir::graph::Adjacency;
 use ramiel_ir::Graph;
+use serde::Serialize;
 
-/// Run the full batch-1 clustering pipeline: distances → LC → merge.
-///
+/// Per-stage statistics of a schedule: the node counts around the graph
+/// rewrites (Table III) and what the schedule stage made of the result
+/// (Tables I and II).
+#[derive(Debug, Clone, Serialize)]
+pub struct PipelineReport {
+    pub model: String,
+    pub nodes_before: usize,
+    pub nodes_after_prune: usize,
+    pub nodes_after_cloning: usize,
+    /// Table II "Before Merging".
+    pub clusters_before_merge: usize,
+    /// Table II "After Merging" (== Table III/IV cluster count).
+    pub clusters_after_merge: usize,
+    pub cross_cluster_edges: usize,
+    pub parallelism: ParallelismReport,
+}
+
+/// What [`schedule_stage`] computes.
+pub struct Scheduled {
+    /// The merged clustering.
+    pub clustering: Clustering,
+    /// Distance-to-end table of the graph (reusable by simulators and by
+    /// [`bound_clusters`]).
+    pub distances: Vec<u64>,
+    /// The stage's statistics. Its node counts are the scheduled graph's
+    /// own; a caller that rewrote the graph first puts in the counts from
+    /// before the rewrites.
+    pub report: PipelineReport,
+}
+
+/// The paper's schedule stage (Fig. 10): distance pass → Linear Clustering
+/// → merge fixpoint → [`PipelineReport`], all over `adj`, a snapshot of
+/// `graph`. Every stage runs in an `obs` span carrying its cluster counts.
 /// Debug builds re-verify the partition, ordering and deadlock-freedom
-/// invariants after each stage via `ramiel-verify`.
-pub fn cluster_graph(graph: &Graph, cost: &dyn CostModel) -> Clustering {
-    cluster_graph_with(graph, &graph.adjacency(), cost)
-}
-
-/// [`cluster_graph`] over an adjacency snapshot the caller already holds:
-/// the distance pass and LC share it instead of each rebuilding their own.
-pub fn cluster_graph_with(graph: &Graph, adj: &Adjacency<'_>, cost: &dyn CostModel) -> Clustering {
-    let dist = distance_to_end_with(graph, adj, cost);
-    cluster_over(graph, adj, &dist)
-}
-
-/// LC and merging over a distance table the caller already holds (see
-/// [`cluster_graph_with`]).
-pub fn cluster_over(graph: &Graph, adj: &Adjacency<'_>, dist: &[u64]) -> Clustering {
+/// invariants after LC and after merging via `ramiel-verify`.
+pub fn schedule_stage(
+    graph: &Graph,
+    adj: &Adjacency<'_>,
+    cost: &dyn CostModel,
+    obs: &ramiel_obs::Obs,
+) -> Scheduled {
     let check = |c: &Clustering, stage: &str| {
         if cfg!(debug_assertions) {
             ramiel_verify::assert_schedule_invariants(graph, adj, &clustering_view(c), stage);
         }
     };
-    let lc = linear_clustering_with(adj, dist);
+    let distances = {
+        let _span = obs.span(0, "distance-to-end pass", "compile");
+        distance_to_end_with(graph, adj, cost)
+    };
+    let mut span = obs.span(0, "linear clustering", "compile");
+    let lc = linear_clustering_with(adj, &distances);
+    let clusters_before_merge = lc.num_clusters();
+    span.set_args(serde_json::json!({ "clusters": clusters_before_merge }));
+    span.finish();
     check(&lc, "after linear_clustering");
-    let merged = merge_clusters_fixpoint(&lc, dist);
-    check(&merged, "after merge_clusters_fixpoint");
-    merged
+    let mut span = obs.span(0, "cluster merging", "compile");
+    let clustering = merge_clusters_fixpoint(&lc, &distances);
+    span.set_args(serde_json::json!({
+        "clusters_before": clusters_before_merge,
+        "clusters_after": clustering.num_clusters(),
+    }));
+    span.finish();
+    check(&clustering, "after merge_clusters_fixpoint");
+    let nodes = graph.num_nodes();
+    let report = PipelineReport {
+        model: graph.name.clone(),
+        nodes_before: nodes,
+        nodes_after_prune: nodes,
+        nodes_after_cloning: nodes,
+        clusters_before_merge,
+        clusters_after_merge: clustering.num_clusters(),
+        cross_cluster_edges: clustering.cross_cluster_edges_with(graph, adj),
+        parallelism: parallelism_report_with(graph, adj, cost, &distances),
+    };
+    Scheduled {
+        clustering,
+        distances,
+        report,
+    }
+}
+
+/// The merged clustering of [`schedule_stage`] under any cost model: the
+/// entry the ablations use.
+pub fn cluster_graph(graph: &Graph, cost: &dyn CostModel) -> Clustering {
+    cluster_graph_with(graph, &graph.adjacency(), cost)
+}
+
+/// [`cluster_graph`] over an adjacency snapshot the caller already holds.
+pub fn cluster_graph_with(graph: &Graph, adj: &Adjacency<'_>, cost: &dyn CostModel) -> Clustering {
+    schedule_stage(graph, adj, cost, &ramiel_obs::Obs::disabled()).clustering
 }

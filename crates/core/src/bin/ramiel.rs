@@ -28,10 +28,14 @@
 //!
 //! Only `compile` (and `fuzz`) emits Python. `run`, `profile`, `simulate`,
 //! `check`, `analyze` and `serve` stop at the schedule (`ramiel::schedule` /
-//! `ramiel::prepare` / `ramiel::ServingModel`): same clustering and summary
-//! lines, no code generated; their `compile time:` line is the schedule
-//! stage alone. `serve` then folds the clustering it runs to at most one
-//! cluster per core and says how many workers that is.
+//! `ramiel::prepare`, or for `serve` the plan build, which runs the same
+//! `ramiel_cluster::schedule_stage`): same clustering and summary lines, no
+//! code generated; their `compile time:` line is the schedule stage alone.
+//! `serve` then folds the clustering it runs to at most one cluster per core
+//! and says how many workers that is. `serve` takes a model file, a URL or
+//! a built-in model to its plan by one path (`Server::load_onnx`: bytes,
+//! import, schedule, fold, plan), the one TCP `load` takes; a graph that
+//! `--prune`/`--clone` rewrote is installed with `Server::load`.
 //!
 //! `<model>` is a built-in name (`squeezenet`, `googlenet`, `inception-v3`,
 //! `inception-v4`, `yolo-v5`, `bert`, `retinanet`, `nasnet`) or a path to a
@@ -188,112 +192,45 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match a.as_str() {
+        let flag = a.as_str();
+        let it = &mut it;
+        match flag {
             "--prune" => f.prune = true,
-            "--sha256" => f.sha256 = Some(value("--sha256")?),
-            "--cache" => f.cache = Some(value("--cache")?),
-            "--source" => f.source = Some(value("--source")?),
+            "--sha256" => f.sha256 = Some(value(it, flag)?),
+            "--cache" => f.cache = Some(value(it, flag)?),
+            "--source" => f.source = Some(value(it, flag)?),
             "--deny-warnings" => f.deny_warnings = true,
             "--json" => f.json = true,
             "--clone" => f.clone = true,
             "--switched" => f.switched = true,
             "--tiny" => f.tiny = true,
-            "--batch" => {
-                f.batch = value("--batch")?
-                    .parse()
-                    .map_err(|e| format!("--batch: {e}"))?
-            }
-            "--intra-op" => {
-                f.intra_op = value("--intra-op")?
-                    .parse()
-                    .map_err(|e| format!("--intra-op: {e}"))?
-            }
-            "--iters" => {
-                f.iters = value("--iters")?
-                    .parse()
-                    .map_err(|e| format!("--iters: {e}"))?
-            }
+            "--batch" => f.batch = number(it, flag)?,
+            "--intra-op" => f.intra_op = number(it, flag)?,
+            "--iters" => f.iters = number(it, flag)?,
             "--fallback" => f.fallback = true,
-            "--chaos-seed" => {
-                f.chaos_seed = Some(
-                    value("--chaos-seed")?
-                        .parse()
-                        .map_err(|e| format!("--chaos-seed: {e}"))?,
-                )
-            }
-            "--chaos-faults" => {
-                f.chaos_faults = value("--chaos-faults")?
-                    .parse()
-                    .map_err(|e| format!("--chaos-faults: {e}"))?
-            }
-            "--max-retries" => {
-                f.max_retries = value("--max-retries")?
-                    .parse()
-                    .map_err(|e| format!("--max-retries: {e}"))?
-            }
-            "--out" => f.out = Some(value("--out")?),
+            "--chaos-seed" => f.chaos_seed = Some(number(it, flag)?),
+            "--chaos-faults" => f.chaos_faults = number(it, flag)?,
+            "--max-retries" => f.max_retries = number(it, flag)?,
+            "--out" => f.out = Some(value(it, flag)?),
             "--mode" => {
-                f.mode = match value("--mode")?.as_str() {
+                f.mode = match value(it, flag)?.as_str() {
                     m @ ("seq" | "par" | "both") => m.to_string(),
                     other => return Err(format!("unknown mode `{other}` (seq|par|both)")),
                 }
             }
             "--shed" => f.shed = true,
-            "--port" => {
-                f.port = value("--port")?
-                    .parse()
-                    .map_err(|e| format!("--port: {e}"))?
-            }
-            "--max-batch" => {
-                f.max_batch = value("--max-batch")?
-                    .parse()
-                    .map_err(|e| format!("--max-batch: {e}"))?
-            }
-            "--max-delay-ms" => {
-                f.max_delay_ms = value("--max-delay-ms")?
-                    .parse()
-                    .map_err(|e| format!("--max-delay-ms: {e}"))?
-            }
-            "--queue-cap" => {
-                f.queue_cap = value("--queue-cap")?
-                    .parse()
-                    .map_err(|e| format!("--queue-cap: {e}"))?
-            }
-            "--op" => f.op = value("--op")?,
-            "--interval-ms" => {
-                f.interval_ms = value("--interval-ms")?
-                    .parse()
-                    .map_err(|e| format!("--interval-ms: {e}"))?
-            }
-            "--frames" => {
-                f.frames = value("--frames")?
-                    .parse()
-                    .map_err(|e| format!("--frames: {e}"))?
-            }
-            "--seed" => {
-                f.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--count" => {
-                f.count = value("--count")?
-                    .parse()
-                    .map_err(|e| format!("--count: {e}"))?
-            }
-            "--deadline-ms" => {
-                f.deadline_ms = Some(
-                    value("--deadline-ms")?
-                        .parse()
-                        .map_err(|e| format!("--deadline-ms: {e}"))?,
-                )
-            }
+            "--port" => f.port = number(it, flag)?,
+            "--max-batch" => f.max_batch = number(it, flag)?,
+            "--max-delay-ms" => f.max_delay_ms = number(it, flag)?,
+            "--queue-cap" => f.queue_cap = number(it, flag)?,
+            "--op" => f.op = value(it, flag)?,
+            "--interval-ms" => f.interval_ms = number(it, flag)?,
+            "--frames" => f.frames = number(it, flag)?,
+            "--seed" => f.seed = number(it, flag)?,
+            "--count" => f.count = number(it, flag)?,
+            "--deadline-ms" => f.deadline_ms = Some(number(it, flag)?),
             "--executor" => {
-                f.stealing = match value("--executor")?.as_str() {
+                f.stealing = match value(it, flag)?.as_str() {
                     "channel" | "parallel" => false,
                     "stealing" => true,
                     other => return Err(format!("unknown executor `{other}` (channel|stealing)")),
@@ -303,6 +240,24 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         }
     }
     Ok(f)
+}
+
+/// The argument after `flag`.
+fn value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<String, String> {
+    it.next()
+        .cloned()
+        .ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// The argument after `flag`, parsed as a number.
+fn number<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value(it, flag)?.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 fn options(f: &Flags) -> PipelineOptions {
@@ -960,9 +915,9 @@ fn cmd_analyze(model: &str, f: &Flags) -> Result<Gate, String> {
 /// first batch of any other size plans it. The plan runs at most one worker
 /// per core (its clustering is folded to fit), which the banner states.
 fn cmd_serve(model: &str, f: &Flags) -> Result<(), String> {
-    use ramiel::ServingModel;
-    use ramiel_serve::{run_tcp_with_registry, OverflowPolicy, PlanSpec, ServeConfig, Server};
-    use std::sync::Arc;
+    use ramiel_serve::{
+        run_tcp_with_registry, OverflowPolicy, PlanSpec, ServeConfig, Server, Source,
+    };
     use std::time::Duration;
 
     if f.stealing {
@@ -980,46 +935,7 @@ fn cmd_serve(model: &str, f: &Flags) -> Result<(), String> {
     };
     let registry = Arc::new(registry_from_flags(f));
     let opts = options(f);
-    // A URL model reference (or a checksum-pinned local one) goes through
-    // the registry so the bytes are content-addressed and the pin verified;
-    // anything else takes the plain built-in/file path.
-    // Reading the model's bytes is the load's `fetch` phase; importing them
-    // (or building a built-in model) its `import`; scheduling and the plan
-    // parts, which read the importer's adjacency snapshot, count into its
-    // compile phase, as for a TCP `load`.
-    let (model_ready, fetch_time, import_time) = if model.contains("://") || f.sha256.is_some() {
-        // Decode the buffer the registry hashed: the blob is never re-read.
-        let registry_err = |e: ramiel_serve::RegistryError| format!("[{}] {e}", e.code());
-        let fetched = registry
-            .fetch(model, f.sha256.as_deref())
-            .map_err(registry_err)?;
-        let pulled = registry.admit(&fetched).map_err(registry_err)?;
-        println!("pulled {} (sha256 {})", pulled.source, pulled.sha256);
-        let start = Instant::now();
-        let m = ServingModel::from_onnx(fetched.data(), &opts).map_err(|e| e.to_string())?;
-        let import = start.elapsed().saturating_sub(m.prepare_time);
-        (m, Some(fetched.fetch_time()), import)
-    } else if let Some(kind) = builtin_kind(model) {
-        let start = Instant::now();
-        let g = build(kind, &cfg);
-        let import = start.elapsed();
-        let m = ServingModel::from_graph(g, &opts).map_err(|e| e.to_string())?;
-        (m, None, import)
-    } else {
-        let start = Instant::now();
-        let bytes = ramiel_onnx::read_model_file(model).map_err(|e| not_loadable(model, e))?;
-        let fetch_time = start.elapsed();
-        let start = Instant::now();
-        let m = ServingModel::from_onnx(&bytes, &opts).map_err(|e| match e {
-            ramiel::CompileError::Import(e) => not_loadable(model, e.into()),
-            e => e.to_string(),
-        })?;
-        let import = start.elapsed().saturating_sub(m.prepare_time);
-        (m, Some(fetch_time), import)
-    };
-    summarize(&model_ready.report, model_ready.schedule_time);
-
-    let serve_cfg = ServeConfig {
+    let server = Arc::new(Server::new(ServeConfig {
         max_batch: f.max_batch,
         max_delay: Duration::from_millis(f.max_delay_ms),
         queue_capacity: f.queue_cap,
@@ -1037,29 +953,53 @@ fn cmd_serve(model: &str, f: &Flags) -> Result<(), String> {
             ..Default::default()
         },
         ..Default::default()
+    }));
+    // A graph the passes rewrite is installed as it is. Everything else
+    // takes the one bytes-to-plan path: a URL (or a checksum-pinned
+    // reference) pulled through the registry, a file read as it is, or a
+    // built-in model encoded as ONNX, so `stats.load` reports every start
+    // the way it reports a TCP `load`.
+    let (plan, report) = if opts.prune || opts.cloning.is_some() {
+        let mut graph = parse_model(model, &cfg)?;
+        let counts = ramiel::rewrite(&mut graph, &opts, &ramiel::obs::Obs::disabled())
+            .map_err(|e| e.to_string())?;
+        let spec = PlanSpec {
+            switched: f.switched,
+            ..PlanSpec::new(graph)
+        };
+        let plan = server.load(model, spec).map_err(|e| e.to_string())?;
+        let mut report = plan.report.clone();
+        counts.apply(&mut report);
+        (plan, report)
+    } else {
+        let encoded;
+        let source = if model.contains("://") || f.sha256.is_some() {
+            Source::Pull {
+                registry: &registry,
+                reference: model,
+                pin: f.sha256.as_deref(),
+            }
+        } else if let Some(kind) = builtin_kind(model) {
+            encoded = ramiel_onnx::export_model(&build(kind, &cfg));
+            Source::Bytes(&encoded)
+        } else {
+            Source::File(model)
+        };
+        let is_file = matches!(source, Source::File(_));
+        let (plan, pulled) = server.load_onnx(model, source, f.switched).map_err(|e| {
+            if is_file {
+                format!("`{model}` is not a built-in model or loadable file: {e}")
+            } else {
+                e.to_string()
+            }
+        })?;
+        if let Some(pulled) = pulled {
+            println!("pulled {} (sha256 {})", pulled.source, pulled.sha256);
+        }
+        let report = plan.report.clone();
+        (plan, report)
     };
-    // Hand the plan parts to the plan cache so `load` doesn't redo pipeline
-    // work, and the time they took to the load telemetry so `stats.load`
-    // explains start-up like a TCP `load`. The graph keeps its weights: the
-    // plan converts them where a TCP `load` does, by moving the payloads.
-    let ServingModel {
-        graph,
-        parts,
-        prepare_time,
-        ..
-    } = model_ready;
-    let spec = PlanSpec {
-        parts: Some(parts),
-        switched: f.switched,
-        ..PlanSpec::new(graph)
-    };
-    let server = Arc::new(Server::new(serve_cfg));
-    if let Some(took) = fetch_time {
-        server.record_fetch(took);
-    }
-    let plan = server
-        .load_prepared(model, spec, import_time, prepare_time)
-        .map_err(|e| e.to_string())?;
+    summarize(&report, plan.schedule_time);
     let workers = plan.num_clusters();
     println!(
         "serving `{model}` (max batch {}, window {} ms, queue {}, {workers} worker{}{})",

@@ -15,9 +15,9 @@
 //! [`CompiledModel`] that also holds the generated modules and the measured
 //! compile time (the paper's Table VIII `CT` column). [`prepare`] is
 //! [`schedule`] plus the runtime initializer table: what every verb that
-//! executes a model wants, none of which reads the Python text.
-//! [`ServingModel`] is [`schedule`] plus the serving plan's adjacency half,
-//! read off one adjacency snapshot — the importer's, for a model file.
+//! executes a model wants, none of which reads the Python text. The
+//! distance pass, clustering, merging and the [`PipelineReport`] are
+//! [`ramiel_cluster::schedule_stage`], which `serve`'s plan build runs too.
 //!
 //! # Quickstart
 //!
@@ -47,16 +47,13 @@ pub mod diag;
 
 use ramiel_cluster::cost::StaticCost;
 use ramiel_cluster::hyper::HyperClustering;
-use ramiel_cluster::{
-    distance_to_end_with, hypercluster, linear_clustering_with, merge_clusters_fixpoint,
-    parallelism_report_with, switched_hypercluster, Clustering, ParallelismReport,
-};
+use ramiel_cluster::{hypercluster, schedule_stage, switched_hypercluster, Clustering, Scheduled};
 use ramiel_codegen::CodegenOptions;
-use ramiel_ir::graph::Adjacency;
 use ramiel_ir::Graph;
 use ramiel_passes::CloneConfig;
-use serde::Serialize;
 use std::time::{Duration, Instant};
+
+pub use ramiel_cluster::PipelineReport;
 
 /// Hyperclustering mode for batch > 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -93,21 +90,6 @@ impl PipelineOptions {
             ..Default::default()
         }
     }
-}
-
-/// Per-stage statistics gathered while scheduling.
-#[derive(Debug, Clone, Serialize)]
-pub struct PipelineReport {
-    pub model: String,
-    pub nodes_before: usize,
-    pub nodes_after_prune: usize,
-    pub nodes_after_cloning: usize,
-    /// Table II "Before Merging".
-    pub clusters_before_merge: usize,
-    /// Table II "After Merging" (== Table III/IV cluster count).
-    pub clusters_after_merge: usize,
-    pub cross_cluster_edges: usize,
-    pub parallelism: ParallelismReport,
 }
 
 /// Output of [`schedule`]: everything execution needs and no generated code.
@@ -152,9 +134,6 @@ pub enum CompileError {
     /// Initializer conversion failed while preparing a compiled model for
     /// execution (see [`prepare`]).
     Init(String),
-    /// The importer refused the model's ONNX bytes (see
-    /// [`ServingModel::from_onnx`]).
-    Import(ramiel_onnx::OnnxError),
 }
 
 impl std::fmt::Display for CompileError {
@@ -163,7 +142,6 @@ impl std::fmt::Display for CompileError {
             CompileError::Ir(e) => write!(f, "{e}"),
             CompileError::Invalid(m) => write!(f, "{m}"),
             CompileError::Init(m) => write!(f, "initializer conversion failed: {m}"),
-            CompileError::Import(e) => write!(f, "{e}"),
         }
     }
 }
@@ -288,40 +266,67 @@ pub fn schedule_with_obs(
     // One adjacency snapshot for every later stage (the graph is not
     // mutated past this point).
     let adj = graph.adjacency();
-    let stages = schedule_stages(&graph, &adj, opts, obs, counts);
+    let Scheduled {
+        clustering,
+        distances,
+        mut report,
+    } = schedule_stage(&graph, &adj, &StaticCost, obs);
+    counts.apply(&mut report);
+
+    let hyper = match (opts.hyper, opts.batch) {
+        (HyperMode::Off, _) | (_, 0..=1) => None,
+        (HyperMode::Plain, b) => {
+            let _span = obs.span(0, "hyperclustering (plain)", "compile");
+            Some(hypercluster(&clustering, b))
+        }
+        (HyperMode::Switched, b) => {
+            let _span = obs.span(0, "hyperclustering (switched)", "compile");
+            Some(switched_hypercluster(&clustering, b))
+        }
+    };
+    #[cfg(debug_assertions)]
+    if let Some(hc) = &hyper {
+        ramiel_verify::assert_schedule_invariants(
+            &graph,
+            &adj,
+            &ramiel_cluster::hyper_view(hc),
+            "after hyperclustering",
+        );
+    }
     drop(adj);
     Ok(ScheduledModel {
         graph,
-        clustering: stages.clustering,
-        hyper: stages.hyper,
-        distances: stages.distances,
-        report: stages.report,
+        clustering,
+        hyper,
+        distances,
+        report,
         schedule_time: start.elapsed(),
     })
 }
 
 /// Node counts before and after the graph-rewriting passes (Table III).
-#[derive(Clone, Copy)]
-struct NodeCounts {
+#[derive(Debug, Clone, Copy)]
+pub struct NodeCounts {
     before: usize,
     after_prune: usize,
     after_cloning: usize,
 }
 
 impl NodeCounts {
-    /// The counts of a graph no pass rewrote.
-    fn unrewritten(graph: &Graph) -> NodeCounts {
-        let n = graph.num_nodes();
-        NodeCounts {
-            before: n,
-            after_prune: n,
-            after_cloning: n,
-        }
+    /// Put these counts into a report the schedule stage read off the
+    /// rewritten graph.
+    pub fn apply(self, report: &mut PipelineReport) {
+        report.nodes_before = self.before;
+        report.nodes_after_prune = self.after_prune;
+        report.nodes_after_cloning = self.after_cloning;
     }
 }
 
-/// The passes that rewrite the graph: pruning and cloning, as `opts` asks.
-fn rewrite(
+/// The passes that rewrite the graph before it is scheduled: pruning and
+/// cloning, as `opts` asks, each in an `obs` span. [`schedule`] runs them
+/// first; a caller that schedules the result elsewhere (`serve`'s plan
+/// build) runs them here.
+pub fn rewrite(
     graph: &mut Graph,
     opts: &PipelineOptions,
     obs: &ramiel_obs::Obs,
@@ -349,168 +354,6 @@ fn rewrite(
         after_prune,
         after_cloning: graph.num_nodes(),
     })
-}
-
-/// What the stages after the rewrites compute.
-struct Stages {
-    clustering: Clustering,
-    hyper: Option<HyperClustering>,
-    distances: Vec<u64>,
-    report: PipelineReport,
-}
-
-/// Distance pass, clustering, merging, the report and hyperclustering, all
-/// over `adj`, a snapshot of the final `graph`.
-fn schedule_stages(
-    graph: &Graph,
-    adj: &Adjacency<'_>,
-    opts: &PipelineOptions,
-    obs: &ramiel_obs::Obs,
-    counts: NodeCounts,
-) -> Stages {
-    let distances = {
-        let _span = obs.span(0, "distance-to-end pass", "compile");
-        distance_to_end_with(graph, adj, &StaticCost)
-    };
-    let mut span = obs.span(0, "linear clustering", "compile");
-    let lc = linear_clustering_with(adj, &distances);
-    let clusters_before_merge = lc.num_clusters();
-    span.set_args(serde_json::json!({ "clusters": clusters_before_merge }));
-    span.finish();
-    let mut span = obs.span(0, "cluster merging", "compile");
-    let clustering = merge_clusters_fixpoint(&lc, &distances);
-    span.set_args(serde_json::json!({
-        "clusters_before": clusters_before_merge,
-        "clusters_after": clustering.num_clusters(),
-    }));
-    span.finish();
-    let report = PipelineReport {
-        model: graph.name.clone(),
-        nodes_before: counts.before,
-        nodes_after_prune: counts.after_prune,
-        nodes_after_cloning: counts.after_cloning,
-        clusters_before_merge,
-        clusters_after_merge: clustering.num_clusters(),
-        cross_cluster_edges: clustering.cross_cluster_edges_with(graph, adj),
-        parallelism: parallelism_report_with(graph, adj, &StaticCost, &distances),
-    };
-
-    #[cfg(debug_assertions)]
-    ramiel_verify::assert_schedule_invariants(
-        graph,
-        adj,
-        &ramiel_cluster::clustering_view(&clustering),
-        "after clustering",
-    );
-
-    let hyper = match (opts.hyper, opts.batch) {
-        (HyperMode::Off, _) | (_, 0..=1) => None,
-        (HyperMode::Plain, b) => {
-            let _span = obs.span(0, "hyperclustering (plain)", "compile");
-            Some(hypercluster(&clustering, b))
-        }
-        (HyperMode::Switched, b) => {
-            let _span = obs.span(0, "hyperclustering (switched)", "compile");
-            Some(switched_hypercluster(&clustering, b))
-        }
-    };
-    #[cfg(debug_assertions)]
-    if let Some(hc) = &hyper {
-        ramiel_verify::assert_schedule_invariants(
-            graph,
-            adj,
-            &ramiel_cluster::hyper_view(hc),
-            "after hyperclustering",
-        );
-    }
-
-    Stages {
-        clustering,
-        hyper,
-        distances,
-        report,
-    }
-}
-
-/// A model ready for `serve`'s plan cache: the graph, what [`schedule`]
-/// reports about it, and the plan's adjacency half
-/// ([`ramiel_serve::PlanParts`], its clustering folded to the host's
-/// cores), with the schedule and the parts read off one adjacency snapshot.
-pub struct ServingModel {
-    /// The (possibly pruned/cloned) graph the plan runs.
-    pub graph: Graph,
-    /// The paper's counts, as [`schedule`] reports them: unfolded.
-    pub report: PipelineReport,
-    /// Time the schedule stage took.
-    pub schedule_time: Duration,
-    pub parts: ramiel_serve::PlanParts,
-    /// Schedule plus parts: the part of a plan load spent before the plan
-    /// cache sees it.
-    pub prepare_time: Duration,
-}
-
-impl ServingModel {
-    /// Rewrite `graph` as `opts` asks, then schedule it and build the plan
-    /// parts over one adjacency snapshot of the result.
-    pub fn from_graph(
-        mut graph: Graph,
-        opts: &PipelineOptions,
-    ) -> Result<ServingModel, CompileError> {
-        let start = Instant::now();
-        let counts = rewrite(&mut graph, opts, &ramiel_obs::Obs::disabled())?;
-        let adj = graph.adjacency();
-        let (report, schedule_time, parts) = serving_parts(&graph, &adj, opts, counts, start)?;
-        drop(adj);
-        Ok(ServingModel {
-            graph,
-            report,
-            schedule_time,
-            parts,
-            prepare_time: start.elapsed(),
-        })
-    }
-
-    /// Import ONNX `bytes`, then as [`from_graph`](Self::from_graph). When
-    /// `opts` rewrites nothing, the schedule and the parts read the snapshot
-    /// the importer checked the graph with, so the whole path builds one;
-    /// pruning and cloning rewrite the imported graph and build their own.
-    pub fn from_onnx(bytes: &[u8], opts: &PipelineOptions) -> Result<ServingModel, CompileError> {
-        if opts.prune || opts.cloning.is_some() {
-            let graph = ramiel_onnx::import_model(bytes).map_err(CompileError::Import)?;
-            return ServingModel::from_graph(graph, opts);
-        }
-        let (graph, (planned, prepare_time)) = ramiel_onnx::import_model_with(bytes, |g, adj| {
-            let start = Instant::now();
-            let planned = serving_parts(g, adj, opts, NodeCounts::unrewritten(g), start);
-            (planned, start.elapsed())
-        })
-        .map_err(CompileError::Import)?;
-        let (report, schedule_time, parts) = planned?;
-        Ok(ServingModel {
-            graph,
-            report,
-            schedule_time,
-            parts,
-            prepare_time,
-        })
-    }
-}
-
-/// The schedule's report and time, then the plan parts from its
-/// clustering, over one snapshot. `start` is when the schedule began.
-fn serving_parts(
-    graph: &Graph,
-    adj: &Adjacency<'_>,
-    opts: &PipelineOptions,
-    counts: NodeCounts,
-    start: Instant,
-) -> Result<(PipelineReport, Duration, ramiel_serve::PlanParts), CompileError> {
-    let stages = schedule_stages(graph, adj, opts, &ramiel_obs::Obs::disabled(), counts);
-    let schedule_time = start.elapsed();
-    let parts =
-        ramiel_serve::PlanParts::with_clustering(graph, adj, &stages.clustering, &stages.distances)
-            .map_err(|e| CompileError::Invalid(e.to_string()))?;
-    Ok((stages.report, schedule_time, parts))
 }
 
 #[cfg(test)]

@@ -1088,7 +1088,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_matches_sequential_across_batch_sizes() {
+    fn pool_matches_sequential_at_every_batch_size() {
         let g = build(ModelKind::Squeezenet, &ModelConfig::tiny());
         let clustering = cluster_graph(&g, &StaticCost);
         let ctx = ExecCtx::sequential();

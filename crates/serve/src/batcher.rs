@@ -62,9 +62,9 @@
 //! already-queued requests complete; new ones are rejected.
 
 use crate::plan::CompiledPlan;
-use crate::server::{LaneConfig, OverflowPolicy, ServeError};
+use crate::server::{OverflowPolicy, ServeConfig, ServeError};
 use crate::stats::LaneMetrics;
-use crate::trace::RequestTrace;
+use crate::trace::{RequestTrace, TraceRing};
 use crossbeam::channel::Sender;
 use ramiel_obs::Metrics;
 use ramiel_runtime::{run_sequential_opts, Env, HyperPool, RunOptions, RuntimeError};
@@ -102,7 +102,12 @@ pub(crate) struct LaneShared {
     /// Swapped on hot reload; [`Lane::swap_plan`] wakes the collector,
     /// which rebuilds its pool for the new version.
     plan: parking_lot::Mutex<Arc<CompiledPlan>>,
-    cfg: LaneConfig,
+    /// The server's config (`max_batch` and `queue_capacity` at least 1).
+    cfg: ServeConfig,
+    /// Server-wide trace ring shared by every lane (`None` = disabled).
+    trace: Option<Arc<TraceRing>>,
+    /// Timebase for trace-ring nanosecond offsets.
+    epoch: Instant,
     /// The lane's model name (stable across hot reloads — lanes are keyed
     /// by name), used for metric labels and trace entries.
     model: String,
@@ -122,7 +127,13 @@ pub(crate) struct Lane {
 }
 
 impl Lane {
-    pub fn spawn(plan: Arc<CompiledPlan>, cfg: LaneConfig, registry: &Metrics) -> Lane {
+    pub fn spawn(
+        plan: Arc<CompiledPlan>,
+        cfg: ServeConfig,
+        trace: Option<Arc<TraceRing>>,
+        epoch: Instant,
+        registry: &Metrics,
+    ) -> Lane {
         let model = plan.name.clone();
         let metrics = LaneMetrics::new(registry, &model);
         let shared = Arc::new(LaneShared {
@@ -132,6 +143,8 @@ impl Lane {
             draining: AtomicBool::new(false),
             plan: parking_lot::Mutex::new(plan),
             cfg,
+            trace,
+            epoch,
             model,
             metrics,
         });
@@ -292,8 +305,8 @@ impl LaneShared {
             _ => {}
         }
 
-        if let Some(ring) = &self.cfg.trace {
-            let ns = |i: Instant| i.saturating_duration_since(self.cfg.epoch).as_nanos() as u64;
+        if let Some(ring) = &self.trace {
+            let ns = |i: Instant| i.saturating_duration_since(self.epoch).as_nanos() as u64;
             ring.push(RequestTrace {
                 id: r.id,
                 model: self.model.clone(),

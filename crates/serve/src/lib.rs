@@ -5,11 +5,13 @@
 //! communication slack) into a *throughput* feature instead of a
 //! compile-time constant.
 //!
-//! - [`plan`] — model registry + plan cache: [`Server::load`] compiles a
-//!   model once (clustering, hypercluster schedules at several batch sizes,
-//!   packed-weight cache, shared initializer table) into an
-//!   `Arc<CompiledPlan>` shared by every request, LRU-bounded, versioned
-//!   for hot reload.
+//! - [`plan`] — model registry + plan cache: a model is compiled once
+//!   (the paper's schedule stage folded to the host's cores, hypercluster
+//!   schedules per batch size, packed-weight cache, shared initializer
+//!   table) into an `Arc<CompiledPlan>` shared by every request,
+//!   LRU-bounded, versioned for hot reload. [`Server::load_onnx`] takes
+//!   ONNX bytes (a registry pull, a file, or bytes in memory) to an
+//!   installed plan; [`Server::load`] installs a graph the caller holds.
 //! - [`batcher`] — per-model dynamic micro-batcher: a bounded submission
 //!   queue drained by a collector thread that coalesces up to `max_batch`
 //!   requests (or a `max_delay` timeout, whichever first) into one
@@ -42,9 +44,9 @@ pub mod trace;
 #[cfg(test)]
 mod tests;
 
-pub use plan::{CompiledPlan, PlanCache, PlanParts, PlanSpec};
+pub use plan::{CompiledPlan, PlanCache, PlanSpec};
 pub use registry::{Fetched, ManifestEntry, Pulled, Registry, RegistryError};
-pub use server::{OverflowPolicy, ServeConfig, ServeError, Server, Ticket};
+pub use server::{OverflowPolicy, ServeConfig, ServeError, Server, Source, Ticket};
 pub use stats::{BatchBucket, LoadSummary, StatsSnapshot};
 pub use tcp::{run_tcp, run_tcp_with_registry};
 pub use trace::{RequestTrace, TraceRing};

@@ -1,14 +1,14 @@
 //! Model registry and plan cache.
 //!
-//! `load()` pays every per-model cost exactly once — clustering (folded to
-//! at most one cluster per core, see [`PlanParts`]), the
-//! slot-resolved graph program with its in-place marks, hypercluster
-//! schedules compiled to per-worker programs at the batch sizes the
-//! micro-batcher will actually hit, the shared initializer table (whose
-//! buffers are the graph's own payloads, moved, not copied), and a
-//! per-plan [`ExecCtx`] whose packed-weight cache persists across requests
-//! — and shares the result as an [`Arc<CompiledPlan>`]. The cache is
-//! LRU-bounded ([`PlanCache::new`]) and every (re)load gets a fresh
+//! A load pays every per-model cost exactly once — the paper's schedule
+//! stage with its clustering folded to at most one cluster per core (see
+//! `Layout`), the slot-resolved graph program with its in-place marks,
+//! the batch-1 hypercluster schedule compiled to per-worker programs (other
+//! batch sizes are compiled on their first batch), the shared initializer
+//! table (whose buffers are the graph's own payloads, moved, not copied),
+//! and a per-plan [`ExecCtx`] whose packed-weight cache persists across
+//! requests — and shares the result as an [`Arc<CompiledPlan>`]. The cache
+//! is LRU-bounded ([`PlanCache::new`]) and every (re)load gets a fresh
 //! monotonically increasing `version`, which is how lanes detect hot
 //! reloads: a collector thread compares its pool's version against the
 //! plan's and rebuilds workers when they diverge.
@@ -16,8 +16,8 @@
 use crate::server::ServeError;
 use parking_lot::Mutex;
 use ramiel_cluster::{
-    bound_clusters, cluster_over, distance_to_end_with, hypercluster, switched_hypercluster,
-    Clustering, CostModel, HyperClustering, StaticCost,
+    bound_clusters, hypercluster, schedule_stage, switched_hypercluster, Clustering, CostModel,
+    HyperClustering, PipelineReport, Scheduled, StaticCost,
 };
 use ramiel_ir::graph::Adjacency;
 use ramiel_ir::{Graph, TensorInfo};
@@ -26,73 +26,52 @@ use ramiel_tensor::{ExecCtx, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-/// What to compile into a plan. The graph is the only required piece:
-/// callers that already hold an adjacency snapshot of it (an importer that
-/// just checked it, the CLI's `schedule` path) pass the plan's
-/// [`PlanParts`] built over that snapshot, so `load()` builds none of its
-/// own; otherwise `load()` builds the parts itself.
+/// A graph to compile into a plan, as it is: [`crate::Server::load`]
+/// schedules it with the paper's pipeline and folds the result.
 pub struct PlanSpec {
     pub graph: Graph,
-    /// `None` → `load()` clusters `graph` with the paper's pipeline under
-    /// [`StaticCost`], over a snapshot of its own.
-    pub parts: Option<PlanParts>,
     /// Use switched (Fig. 9) instead of plain (Fig. 8) hyperclustering for
     /// batch > 1 schedules.
     pub switched: bool,
-    /// Batch sizes to pre-plan at load time. Batch 1 is always included;
-    /// other sizes the batcher reaches are planned lazily on first use.
-    pub batch_sizes: Vec<usize>,
-    /// Pre-converted weights to share (e.g. from `ramiel::prepare`);
-    /// `None` → the graph's own payloads become the table at load.
-    pub init_values: Option<Arc<HashMap<String, Value>>>,
 }
 
 impl PlanSpec {
     pub fn new(graph: Graph) -> PlanSpec {
         PlanSpec {
             graph,
-            parts: None,
             switched: false,
-            batch_sizes: Vec::new(),
-            init_values: None,
         }
     }
 }
 
-/// The half of a plan that reads the graph's adjacency: the clustering the
-/// plan runs and the slot-resolved graph program. Both constructors take
-/// a snapshot of `graph` the caller holds, so an import, a schedule and a
-/// plan build share one.
+/// The half of a plan that reads the graph's adjacency, built over a
+/// snapshot the caller holds so an import and a plan build share one.
 ///
-/// The clustering is the paper's LC + merge folded by
-/// [`bound_clusters`] to at most `P` clusters, `P` being
-/// [`std::thread::available_parallelism`]: a plan's standing pool runs one
-/// worker per cluster, so no plan asks for more workers than the host has
-/// cores. When `P` cannot be read, the clustering is not folded.
-pub struct PlanParts {
+/// The clustering is the paper's ([`schedule_stage`] under
+/// [`StaticCost`]) folded by [`bound_clusters`] to at most `P` clusters,
+/// `P` being [`std::thread::available_parallelism`]: a plan's standing
+/// pool runs one worker per cluster, so no plan asks for more workers than
+/// the host has cores. When `P` cannot be read, the clustering is not
+/// folded.
+pub(crate) struct Layout {
     clustering: Clustering,
     program: GraphProgram,
+    report: PipelineReport,
+    schedule_time: Duration,
 }
 
-impl PlanParts {
-    /// Cluster `graph` as the paper does — distances under [`StaticCost`],
-    /// LC, merging — then fold and resolve it. `adj` is a snapshot of
-    /// `graph`.
-    pub(crate) fn new(graph: &Graph, adj: &Adjacency<'_>) -> Result<PlanParts, ServeError> {
-        let dist = distance_to_end_with(graph, adj, &StaticCost);
-        let clustering = cluster_over(graph, adj, &dist);
-        PlanParts::with_clustering(graph, adj, &clustering, &dist)
-    }
-
-    /// Fold and resolve a clustering of `graph` the caller already computed
-    /// (the CLI's `schedule`), given the distance table it was built over.
-    pub fn with_clustering(
-        graph: &Graph,
-        adj: &Adjacency<'_>,
-        clustering: &Clustering,
-        dist: &[u64],
-    ) -> Result<PlanParts, ServeError> {
+impl Layout {
+    /// Schedule, fold and slot-resolve `graph`; `adj` is a snapshot of it.
+    pub(crate) fn new(graph: &Graph, adj: &Adjacency<'_>) -> Result<Layout, ServeError> {
+        let start = Instant::now();
+        let Scheduled {
+            clustering,
+            distances,
+            report,
+        } = schedule_stage(graph, adj, &StaticCost, &ramiel_obs::Obs::disabled());
+        let schedule_time = start.elapsed();
         let clustering = match std::thread::available_parallelism() {
             Ok(p) => {
                 let cost: Vec<u64> = graph
@@ -100,14 +79,16 @@ impl PlanParts {
                     .iter()
                     .map(|n| StaticCost.node_cost(graph, n))
                     .collect();
-                bound_clusters(clustering, dist, &cost, p.get())
+                bound_clusters(&clustering, &distances, &cost, p.get())
             }
-            Err(_) => clustering.clone(),
+            Err(_) => clustering,
         };
         let program = GraphProgram::with_adjacency(graph, adj).map_err(ServeError::Runtime)?;
-        Ok(PlanParts {
+        Ok(Layout {
             clustering,
             program,
+            report,
+            schedule_time,
         })
     }
 }
@@ -125,11 +106,15 @@ pub struct CompiledPlan {
     /// answers for it). Nodes, inputs and outputs are unchanged.
     pub graph: Graph,
     /// The paper's clustering folded to at most one cluster per core (see
-    /// [`PlanParts`]): the plan's standing pools run one worker per cluster.
+    /// `Layout`): the plan's standing pools run one worker per cluster.
     pub clustering: Clustering,
     pub switched: bool,
+    /// The schedule stage's statistics, unfolded: the paper's counts.
+    pub report: PipelineReport,
+    /// Time the schedule stage took.
+    pub schedule_time: Duration,
     /// Shared weights — every fetch is a refcount bump. Built from the
-    /// spec's graph by moving its payloads (or the spec's own table).
+    /// spec's graph by moving its payloads.
     pub init_values: Arc<HashMap<String, Value>>,
     /// Per-plan execution context: its packed-weight cache warms up on the
     /// first request and is reused by every later one (clones share it).
@@ -155,43 +140,30 @@ impl std::fmt::Debug for CompiledPlan {
 }
 
 impl CompiledPlan {
+    /// Compile `spec` over its `layout`, with batch 1 planned. The cache
+    /// sets the version when it takes the plan in.
     pub(crate) fn build(
         name: &str,
-        version: u64,
         spec: PlanSpec,
+        layout: Layout,
         intra_op: usize,
     ) -> Result<CompiledPlan, ServeError> {
         let PlanSpec {
             mut graph,
-            parts,
             switched,
-            batch_sizes,
-            init_values,
         } = spec;
-        let PlanParts {
+        let Layout {
             clustering,
             program,
-        } = match parts {
-            Some(parts) => parts,
-            None => PlanParts::new(&graph, &graph.adjacency())?,
-        };
-        // Every load-time schedule compiles from the one slot resolution,
-        // whatever its batch size.
+            report,
+            schedule_time,
+        } = layout;
+        // Every schedule compiles from the one slot resolution, whatever
+        // its batch size.
         let program = Arc::new(program);
-        let mut schedules = BTreeMap::new();
-        for b in batch_sizes.into_iter().chain([1]) {
-            if b == 0 {
-                return Err(ServeError::Internal("batch size 0".into()));
-            }
-            if let std::collections::btree_map::Entry::Vacant(slot) = schedules.entry(b) {
-                let hc = hyper_schedule(&clustering, switched, b);
-                let planned =
-                    PlannedBatch::with_program(&program, hc).map_err(ServeError::Runtime)?;
-                slot.insert(Arc::new(planned));
-            }
-        }
-        let weights = take_initializers(&mut graph)?;
-        let init_values = init_values.unwrap_or_else(|| Arc::new(weights));
+        let batch1 = PlannedBatch::with_program(&program, hyper_schedule(&clustering, switched, 1))
+            .map_err(ServeError::Runtime)?;
+        let init_values = Arc::new(take_initializers(&mut graph)?);
         let ctx = if intra_op > 1 {
             ExecCtx::with_intra_op(intra_op)
         } else {
@@ -199,20 +171,22 @@ impl CompiledPlan {
         };
         Ok(CompiledPlan {
             name: name.to_string(),
-            version,
+            version: 0,
             graph,
             clustering,
             switched,
+            report,
+            schedule_time,
             init_values,
             ctx,
             program,
-            schedules: Mutex::new(schedules),
+            schedules: Mutex::new(BTreeMap::from([(1, Arc::new(batch1))])),
         })
     }
 
     /// The schedule (plus routing table) for `batch` samples — precompiled
-    /// at load for the spec'd sizes, planned lazily (then cached) for any
-    /// other size the micro-batcher manages to collect.
+    /// at load for batch 1, planned lazily (then cached) for any other size
+    /// the micro-batcher manages to collect.
     pub fn schedule_for(&self, batch: usize) -> Result<Arc<PlannedBatch>, ServeError> {
         if batch == 0 {
             return Err(ServeError::Internal("batch size 0".into()));
@@ -284,28 +258,21 @@ impl PlanCache {
         }
     }
 
-    /// Compile `spec` under `name` and insert it. Reloading an existing
-    /// name replaces the plan (with a bumped `version`); inserting past
-    /// capacity evicts the least-recently-used plans. Returns the new plan
-    /// and whatever was evicted (so the server can drain those lanes).
-    /// Compilation runs outside the cache lock.
-    #[allow(clippy::type_complexity)]
-    pub fn load(
-        &self,
-        name: &str,
-        spec: PlanSpec,
-        intra_op: usize,
-    ) -> Result<(Arc<CompiledPlan>, Vec<Arc<CompiledPlan>>), ServeError> {
-        let version = self.next_version.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(CompiledPlan::build(name, version, spec, intra_op)?);
+    /// Insert `plan` under its name with the next version. Reloading an
+    /// existing name replaces the plan; inserting past capacity evicts the
+    /// least-recently-used plans. Returns the inserted plan and whatever
+    /// was evicted (so the server can drain those lanes).
+    pub fn insert(&self, mut plan: CompiledPlan) -> (Arc<CompiledPlan>, Vec<Arc<CompiledPlan>>) {
+        plan.version = self.next_version.fetch_add(1, Ordering::Relaxed);
+        let plan = Arc::new(plan);
         let mut inner = self.inner.lock();
-        inner.retain(|p| p.name != name);
+        inner.retain(|p| p.name != plan.name);
         inner.insert(0, Arc::clone(&plan));
         let mut evicted = Vec::new();
         while inner.len() > self.capacity {
             evicted.push(inner.pop().expect("len > capacity >= 1"));
         }
-        Ok((plan, evicted))
+        (plan, evicted)
     }
 
     /// Fetch by name, marking the plan most-recently-used.

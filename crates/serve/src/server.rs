@@ -5,12 +5,15 @@
 //! [`ramiel_runtime::HyperPool`], and a server starts no other pool.
 
 use crate::batcher::{Lane, Request};
-use crate::plan::{CompiledPlan, PlanCache, PlanSpec};
+use crate::plan::{CompiledPlan, Layout, PlanCache, PlanSpec};
+use crate::registry::{Pulled, Registry, RegistryError};
 use crate::stats::{AdmissionMetrics, LoadSummary, StatsSnapshot};
 use crate::trace::TraceRing;
 use crossbeam::channel::{unbounded, Receiver};
+use ramiel_ir::Graph;
 use ramiel_obs::metrics::{CounterHandle, HistHandle};
 use ramiel_obs::{Metrics, Obs};
+use ramiel_onnx::OnnxError;
 use ramiel_runtime::{Env, FaultInjector, RuntimeError, SupervisorConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -28,7 +31,9 @@ pub enum OverflowPolicy {
     Block { max_wait: Duration },
 }
 
-/// Serving policy knobs.
+/// Serving policy knobs. Every lane of a server runs with the server's
+/// copy, whose `max_batch` and `queue_capacity` [`Server::new`] raised to
+/// at least 1.
 #[derive(Clone)]
 pub struct ServeConfig {
     /// Most requests one hypercluster execution may coalesce.
@@ -78,41 +83,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// The per-lane slice of [`ServeConfig`] (everything the collector and
-/// admission path need).
-#[derive(Clone)]
-pub(crate) struct LaneConfig {
-    pub max_batch: usize,
-    pub max_delay: Duration,
-    pub queue_capacity: usize,
-    pub policy: OverflowPolicy,
-    pub supervisor: SupervisorConfig,
-    pub recv_timeout: Option<Duration>,
-    pub injector: Option<Arc<FaultInjector>>,
-    pub obs: Obs,
-    /// Server-wide trace ring shared by every lane (`None` = disabled).
-    pub trace: Option<Arc<TraceRing>>,
-    /// Timebase for trace-ring nanosecond offsets.
-    pub epoch: Instant,
-}
-
-impl ServeConfig {
-    pub(crate) fn lane(&self, trace: Option<Arc<TraceRing>>, epoch: Instant) -> LaneConfig {
-        LaneConfig {
-            max_batch: self.max_batch.max(1),
-            max_delay: self.max_delay,
-            queue_capacity: self.queue_capacity.max(1),
-            policy: self.policy,
-            supervisor: self.supervisor.clone(),
-            recv_timeout: self.recv_timeout,
-            injector: self.injector.clone(),
-            obs: self.obs.clone(),
-            trace,
-            epoch,
-        }
-    }
-}
-
 /// Structured serving error. `code()` mirrors the runtime's RT-codes with
 /// SV-codes for admission-level rejections.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,6 +97,11 @@ pub enum ServeError {
     ShuttingDown,
     /// Execution failed (post-retry, post-fallback).
     Runtime(RuntimeError),
+    /// A model's bytes could not be read or pulled (carries its `RG-*`
+    /// code).
+    Registry(RegistryError),
+    /// The importer refused a model's bytes (carries its `ONNX-*` code).
+    Import(OnnxError),
     /// Serving-layer invariant violation.
     Internal(String),
 }
@@ -139,6 +114,8 @@ impl ServeError {
             ServeError::DeadlineExceeded { .. } => "SV-DEADLINE",
             ServeError::ShuttingDown => "SV-SHUTDOWN",
             ServeError::Runtime(e) => e.code(),
+            ServeError::Registry(e) => e.code(),
+            ServeError::Import(e) => e.code(),
             ServeError::Internal(_) => "SV-INTERNAL",
         }
     }
@@ -156,6 +133,8 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::ShuttingDown => write!(f, "server shutting down"),
             ServeError::Runtime(e) => write!(f, "{e}"),
+            ServeError::Registry(e) => write!(f, "{e}"),
+            ServeError::Import(e) => write!(f, "{e}"),
             ServeError::Internal(m) => write!(f, "serving error: {m}"),
         }
     }
@@ -193,23 +172,20 @@ impl Ticket {
 }
 
 /// Handles into the metric registry for the load path, resolved once per
-/// server: where a `load` spends its time (`ramiel_load_phase_ns`), how the
+/// server: where a load spends its time (`ramiel_load_phase_ns`), how the
 /// registry answered (`ramiel_registry_pulls_total`) and how often the plan
-/// cache evicted (`ramiel_plan_evictions_total`). The TCP `load` verb
-/// records the registry phases that run before [`Server::load`] (fetch,
-/// hash, store), and `ramiel serve` its file read through
-/// [`Server::record_fetch`]; the server records import (handed to
-/// [`Server::load_prepared`]), compile and swap.
-pub(crate) struct LoadMetrics {
-    pub fetch: HistHandle,
-    pub hash: HistHandle,
-    pub store: HistHandle,
+/// cache evicted (`ramiel_plan_evictions_total`). [`Server::load_onnx`]
+/// records every phase from fetch on; [`Server::load`] starts at compile.
+struct LoadMetrics {
+    fetch: HistHandle,
+    hash: HistHandle,
+    store: HistHandle,
     import: HistHandle,
     compile: HistHandle,
     swap: HistHandle,
-    pub pull_hit: CounterHandle,
-    pub pull_miss: CounterHandle,
-    pub pull_checksum_refused: CounterHandle,
+    pull_hit: CounterHandle,
+    pull_miss: CounterHandle,
+    pull_checksum_refused: CounterHandle,
     evictions: CounterHandle,
 }
 
@@ -265,6 +241,22 @@ impl LoadMetrics {
     }
 }
 
+/// Where [`Server::load_onnx`] reads a model's ONNX bytes from.
+pub enum Source<'a> {
+    /// A model reference (`file://…`, `http://…` or a path) pulled through
+    /// `registry`: fetched (from the cache when `pin` is cached), hashed,
+    /// refused if it misses `pin`, and stored under its digest.
+    Pull {
+        registry: &'a Registry,
+        reference: &'a str,
+        pin: Option<&'a str>,
+    },
+    /// A local file, read as it is.
+    File(&'a str),
+    /// Bytes the caller already holds.
+    Bytes(&'a [u8]),
+}
+
 /// Multi-model inference server. Thread-safe: share it behind an `Arc` and
 /// call [`submit`](Self::submit)/[`infer`](Self::infer) from any number of
 /// client threads.
@@ -291,7 +283,9 @@ pub struct Server {
 }
 
 impl Server {
-    pub fn new(cfg: ServeConfig) -> Server {
+    pub fn new(mut cfg: ServeConfig) -> Server {
+        cfg.max_batch = cfg.max_batch.max(1);
+        cfg.queue_capacity = cfg.queue_capacity.max(1);
         let cache = PlanCache::new(cfg.plan_capacity);
         let trace = if cfg.trace_capacity > 0 {
             Some(Arc::new(TraceRing::new(cfg.trace_capacity)))
@@ -320,28 +314,86 @@ impl Server {
     /// the least-recently-used model's lane. Either way the new lane's
     /// workers are being built when this returns, and nothing here waits
     /// for a retired lane: it answers what it had admitted and exits on
-    /// its own, and a later `load` (or `shutdown`) collects it.
+    /// its own, and a later load (or `shutdown`) collects it.
     pub fn load(&self, name: &str, spec: PlanSpec) -> Result<Arc<CompiledPlan>, ServeError> {
-        self.load_after(name, spec, Duration::ZERO)
+        let start = Instant::now();
+        let layout = Layout::new(&spec.graph, &spec.graph.adjacency())?;
+        self.install(name, spec, layout, start.elapsed())
     }
 
-    /// [`load`](Self::load) for a caller that ran the front of the load path
-    /// itself: the TCP `load` verb imports the model first, and `ramiel
-    /// serve` imports *and* schedules its start-up model before a server
-    /// exists. `import` lands in the import phase and `prepare` (the time
-    /// behind the clustering handed over in `spec`, zero when there is
-    /// none) is counted into this load's compile phase,
-    /// so `stats.load` covers the same work for the start-up model as for a
-    /// TCP `load`.
-    pub fn load_prepared(
+    /// Take a model's ONNX bytes from `source` to a plan installed under
+    /// `name`, as [`load`](Self::load) installs one. The plan is laid out
+    /// over the adjacency snapshot the importer checked the graph with, so
+    /// the whole path builds one. Each phase lands in
+    /// `ramiel_load_phase_ns`: the read as `fetch`, a pull's hashing and
+    /// storing as `hash` and `store` (its answer in
+    /// `ramiel_registry_pulls_total`), the decode and checks as `import`,
+    /// and the schedule, fold and plan build as `compile`. A refused pin
+    /// stops before anything is cached, imported or installed. Returns the
+    /// plan and, for a pull, what the registry resolved.
+    pub fn load_onnx(
         &self,
         name: &str,
-        spec: PlanSpec,
-        import: Duration,
-        prepare: Duration,
-    ) -> Result<Arc<CompiledPlan>, ServeError> {
-        self.load_metrics.import.record_duration(import);
-        self.load_after(name, spec, prepare)
+        source: Source<'_>,
+        switched: bool,
+    ) -> Result<(Arc<CompiledPlan>, Option<Pulled>), ServeError> {
+        let m = &self.load_metrics;
+        // The bytes are read once and dropped once imported.
+        let ((graph, layout, planning), pulled) = match source {
+            Source::Pull {
+                registry,
+                reference,
+                pin,
+            } => {
+                let refused = |e: RegistryError| {
+                    if matches!(e, RegistryError::Checksum { .. }) {
+                        m.pull_checksum_refused.inc();
+                    }
+                    ServeError::Registry(e)
+                };
+                let fetched = registry.fetch(reference, pin).map_err(refused)?;
+                m.fetch.record_duration(fetched.fetch_time());
+                let pulled = registry.admit(&fetched).map_err(refused)?;
+                if pulled.cache_hit {
+                    m.pull_hit.inc();
+                } else {
+                    m.pull_miss.inc();
+                    m.hash.record_duration(pulled.hash);
+                    m.store.record_duration(pulled.store);
+                }
+                (self.import(fetched.data())?, Some(pulled))
+            }
+            Source::File(path) => {
+                let start = Instant::now();
+                let bytes = std::fs::read(path).map_err(|e| {
+                    ServeError::Registry(RegistryError::Io {
+                        path: path.to_string(),
+                        reason: e.to_string(),
+                    })
+                })?;
+                m.fetch.record_duration(start.elapsed());
+                (self.import(&bytes)?, None)
+            }
+            Source::Bytes(bytes) => (self.import(bytes)?, None),
+        };
+        let spec = PlanSpec { graph, switched };
+        Ok((self.install(name, spec, layout, planning)?, pulled))
+    }
+
+    /// Import ONNX `bytes` and lay the plan out inside the importer's
+    /// callback. Records the import phase; returns the layout's time, the
+    /// front of the compile phase.
+    fn import(&self, bytes: &[u8]) -> Result<(Graph, Layout, Duration), ServeError> {
+        let start = Instant::now();
+        let (graph, (layout, planning)) = ramiel_onnx::import_model_with(bytes, |g, adj| {
+            let start = Instant::now();
+            (Layout::new(g, adj), start.elapsed())
+        })
+        .map_err(ServeError::Import)?;
+        self.load_metrics
+            .import
+            .record_duration(start.elapsed().saturating_sub(planning));
+        Ok((graph, layout?, planning))
     }
 
     /// Count a TCP connection closed unserved because its thread could not
@@ -350,28 +402,24 @@ impl Server {
         self.admission.conn_spawn_failed.inc();
     }
 
-    /// Record the time a caller spent reading a model's bytes before
-    /// importing them (`ramiel serve <file>` reading its start-up model),
-    /// under the same `fetch` phase a TCP `load` records its read in.
-    pub fn record_fetch(&self, took: Duration) {
-        self.load_metrics.fetch.record_duration(took);
-    }
-
-    /// `compiled_before`: compile-phase time the caller already spent.
-    fn load_after(
+    /// Build the plan and swap it in. `laid_out` is the compile-phase time
+    /// already spent on `layout`.
+    fn install(
         &self,
         name: &str,
         spec: PlanSpec,
-        compiled_before: Duration,
+        layout: Layout,
+        laid_out: Duration,
     ) -> Result<Arc<CompiledPlan>, ServeError> {
         if self.shutting_down.load(Ordering::SeqCst) {
             return Err(ServeError::ShuttingDown);
         }
         let start = Instant::now();
-        let (plan, evicted) = self.cache.load(name, spec, self.cfg.intra_op)?;
+        let plan = CompiledPlan::build(name, spec, layout, self.cfg.intra_op)?;
+        let (plan, evicted) = self.cache.insert(plan);
         self.load_metrics
             .compile
-            .record_duration(compiled_before + start.elapsed());
+            .record_duration(laid_out + start.elapsed());
         self.load_metrics.evictions.add(evicted.len() as u64);
         let start = Instant::now();
         let mut retiring: Vec<Lane> = Vec::new();
@@ -389,7 +437,9 @@ impl Server {
                         name.to_string(),
                         Lane::spawn(
                             Arc::clone(&plan),
-                            self.cfg.lane(self.trace.clone(), self.epoch),
+                            self.cfg.clone(),
+                            self.trace.clone(),
+                            self.epoch,
                             &self.metrics,
                         ),
                     );
@@ -409,10 +459,6 @@ impl Server {
         }
         self.load_metrics.swap.record_duration(start.elapsed());
         Ok(plan)
-    }
-
-    pub(crate) fn load_metrics(&self) -> &LoadMetrics {
-        &self.load_metrics
     }
 
     /// The compiled plan for `name`, if loaded (marks it recently used).

@@ -29,9 +29,8 @@
 //! `error` + `code` (SV-*/RT-*) on failure. `model` is optional everywhere
 //! and defaults to the model the server was started with.
 
-use crate::plan::{PlanParts, PlanSpec};
-use crate::registry::{Registry, RegistryError};
-use crate::server::{ServeError, Server};
+use crate::registry::Registry;
+use crate::server::{ServeError, Server, Source};
 use ramiel_ir::TensorData;
 use ramiel_runtime::Env;
 use ramiel_tensor::Value;
@@ -104,18 +103,6 @@ impl WireResponse {
         WireResponse {
             error: Some(e.to_string()),
             code: Some(e.code().to_string()),
-            ok: false,
-            ..WireResponse::ok(id)
-        }
-    }
-
-    /// Failure with an explicit code — used for registry (`RG-*`) and
-    /// importer (`ONNX-*`) failures surfaced through the `load` op, which
-    /// have their own code namespaces.
-    fn err_code(id: u64, code: &str, message: String) -> WireResponse {
-        WireResponse {
-            error: Some(message),
-            code: Some(code.to_string()),
             ok: false,
             ..WireResponse::ok(id)
         }
@@ -341,15 +328,10 @@ fn handle_request(
     }
 }
 
-/// Pull `source` through the registry, import it as ONNX, and hot-swap it
-/// in as `name`. Returns the new plan's version and the content digest, or
-/// a ready-to-send error response (registry failures keep their `RG-*`
-/// codes, importer failures their `ONNX-*` codes).
-///
-/// The model bytes are read once: the registry hashes and stores the buffer
-/// it fetched and the importer decodes that same buffer. Each phase lands in
-/// `ramiel_load_phase_ns`; a refused pin stops before anything is cached,
-/// imported or installed.
+/// Pull `source` through the registry (with an optional `pin`) and hot-swap
+/// it in as `name`. Returns the new plan's version and the content digest,
+/// or a ready-to-send error response carrying the failure's `RG-*`,
+/// `ONNX-*`, `SV-*` or `RT-*` code.
 fn load_from_registry(
     server: &Server,
     registry: &Registry,
@@ -358,42 +340,15 @@ fn load_from_registry(
     pin: Option<&str>,
     id: u64,
 ) -> Result<(u64, String), Box<WireResponse>> {
-    let metrics = server.load_metrics();
-    let registry_err = |e: RegistryError| {
-        if matches!(e, RegistryError::Checksum { .. }) {
-            metrics.pull_checksum_refused.inc();
-        }
-        Box::new(WireResponse::err_code(id, e.code(), e.to_string()))
+    let source = Source::Pull {
+        registry,
+        reference: source,
+        pin,
     };
-    let fetched = registry.fetch(source, pin).map_err(registry_err)?;
-    metrics.fetch.record_duration(fetched.fetch_time());
-    let pulled = registry.admit(&fetched).map_err(registry_err)?;
-    if pulled.cache_hit {
-        metrics.pull_hit.inc();
-    } else {
-        metrics.pull_miss.inc();
-        metrics.hash.record_duration(pulled.hash);
-        metrics.store.record_duration(pulled.store);
+    match server.load_onnx(name, source, false) {
+        Ok((plan, pulled)) => Ok((plan.version, pulled.map(|p| p.sha256).unwrap_or_default())),
+        Err(e) => Err(Box::new(WireResponse::err(id, &e))),
     }
-    // The plan's clustering and slot program read the adjacency snapshot
-    // the importer checked the graph with; their time is the load's
-    // compile phase, the rest its import phase.
-    let start = Instant::now();
-    let (graph, (parts, planning)) = ramiel_onnx::import_model_with(fetched.data(), |g, adj| {
-        let start = Instant::now();
-        (PlanParts::new(g, adj), start.elapsed())
-    })
-    .map_err(|e| Box::new(WireResponse::err_code(id, e.code(), e.to_string())))?;
-    let import = start.elapsed().saturating_sub(planning);
-    drop(fetched);
-    let spec = PlanSpec {
-        parts: Some(parts.map_err(|e| Box::new(WireResponse::err(id, &e)))?),
-        ..PlanSpec::new(graph)
-    };
-    let plan = server
-        .load_prepared(name, spec, import, planning)
-        .map_err(|e| Box::new(WireResponse::err(id, &e)))?;
-    Ok((plan.version, pulled.sha256))
 }
 
 /// Autoload-on-first-request: if `model` isn't loaded but the server has a

@@ -96,10 +96,9 @@ fn switched_plans_serve_correctly() {
     let server = Server::new(small_cfg());
     let spec = PlanSpec {
         switched: true,
-        batch_sizes: vec![2, 4],
         ..PlanSpec::new(g.clone())
     };
-    server.load("sq", PlanSpec { ..spec }).unwrap();
+    server.load("sq", spec).unwrap();
     let ctx = ExecCtx::sequential();
     let inputs = synth_inputs(&g, 3);
     let out = server.infer("sq", inputs.clone()).unwrap();

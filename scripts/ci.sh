@@ -166,7 +166,8 @@ timeout 60s target/debug/ramiel check target/ci-bert.onnx
 # `ramiel fileserver`, pull it through the content-addressed cache with a
 # sha256 pin (a wrong pin must refuse with RG-CHECKSUM and cache nothing),
 # then hot-swap the pulled model into a *running* `ramiel serve` via the
-# `load` op and verify the plan version bump through `stats`.
+# `load` op and verify the plan version bump through `stats`, and start a
+# server from the pinned URL itself.
 echo "==> registry round-trip gate (loopback HTTP, pinned pull, hot swap)"
 RCACHE=target/ci-registry-cache
 rm -rf "$RCACHE"
@@ -230,6 +231,23 @@ timeout 60s target/debug/ramiel request --port "$SWAP_PORT" \
 grep -q '"versions":{"squeezenet":2}' target/ci-swap-stats3.json
 timeout 60s target/debug/ramiel request --port "$SWAP_PORT" --op shutdown
 wait "$SWAP_PID"
+# A start from the pinned URL takes the same path as the `load` op: the
+# model is cached by now, so `stats.load` counts one pull hit.
+URL_PORT=7982
+timeout --kill-after=30s 600s \
+    target/debug/ramiel serve "$MODEL_URL" --sha256 "$PIN" --cache "$RCACHE" \
+    --port "$URL_PORT" > target/ci-url.log 2>&1 &
+URL_PID=$!
+for _ in $(seq 1 100); do
+    grep -q "listening on" target/ci-url.log 2>/dev/null && break
+    kill -0 "$URL_PID" 2>/dev/null || { cat target/ci-url.log; exit 1; }
+    sleep 0.2
+done
+timeout 60s target/debug/ramiel request --port "$URL_PORT" \
+    --op stats > target/ci-url-stats.json
+grep -q '"pulls_hit":1' target/ci-url-stats.json
+timeout 60s target/debug/ramiel request --port "$URL_PORT" --op shutdown
+wait "$URL_PID"
 kill "$FS_PID" 2>/dev/null || true
 wait "$FS_PID" 2>/dev/null || true
 

@@ -6,15 +6,13 @@
 //! `adjacency_builds` counts for the whole process, so this binary holds
 //! one test and nothing else runs beside it.
 
-use ramiel::{PipelineOptions, ServingModel};
 use ramiel_ir::graph::adjacency_builds;
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_onnx::export_model;
-use ramiel_serve::{run_tcp_with_registry, PlanSpec, Registry, ServeConfig, Server};
+use ramiel_serve::{run_tcp_with_registry, Registry, ServeConfig, Server, Source};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
 
 #[test]
 fn start_up_and_tcp_load_build_one_adjacency_per_model() {
@@ -34,15 +32,8 @@ fn start_up_and_tcp_load_build_one_adjacency_per_model() {
     let server = Arc::new(Server::new(ServeConfig::default()));
     for (kind, path) in &files {
         let before = adjacency_builds();
-        let bytes = std::fs::read(path).unwrap();
-        let model = ServingModel::from_onnx(&bytes, &PipelineOptions::default()).unwrap();
-        let spec = PlanSpec {
-            parts: Some(model.parts),
-            ..PlanSpec::new(model.graph)
-        };
-        server
-            .load_prepared(kind.name(), spec, Duration::ZERO, model.prepare_time)
-            .unwrap();
+        let source = Source::File(path.to_str().unwrap());
+        server.load_onnx(kind.name(), source, false).unwrap();
         let reply = server
             .infer(kind.name(), synth(&server, kind.name()))
             .unwrap();

@@ -347,6 +347,35 @@ fn serve_banner_keeps_its_lines_and_values() {
     assert!(load["import_mean_ms"].as_f64().unwrap() > 0.0, "{load}");
 }
 
+/// A start from a URL pulls the model through the registry and counts the
+/// pull, its hash and its store in `stats.load`, as a TCP `load` of the same
+/// URL does.
+#[test]
+fn serve_from_a_url_counts_its_pull() {
+    let dir = std::env::temp_dir().join(format!("ramiel_cli_serve_url_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join("m.onnx");
+    let path_s = path.to_str().expect("utf8 temp path");
+    let (ok, _, stderr) = run(&["export", "squeezenet", path_s, "--tiny"]);
+    assert!(ok, "{stderr}");
+    let url = format!("file://{path_s}");
+    let cache = dir.join("cache");
+    let (banner, load) = serve_start_up(&[&url, "--cache", cache.to_str().unwrap()]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(banner[0].starts_with("pulled "), "{banner:?}");
+    assert_eq!(load["loads"].as_u64(), Some(1), "{load}");
+    assert_eq!(load["pulls_miss"].as_u64(), Some(1), "{load}");
+    assert_eq!(load["pulls_hit"].as_u64(), Some(0), "{load}");
+    for phase in [
+        "fetch_mean_ms",
+        "hash_mean_ms",
+        "import_mean_ms",
+        "compile_mean_ms",
+    ] {
+        assert!(load[phase].as_f64().unwrap() > 0.0, "{phase}: {load}");
+    }
+}
+
 /// `serve` has one executor; asking it for the stealing one is an error
 /// that names the flag, not a silently ignored switch. A server that
 /// accepted the flag would listen forever, so it is killed after a bound.

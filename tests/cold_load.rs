@@ -23,7 +23,7 @@ use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_onnx::{export_model, import_model};
 use ramiel_runtime::{run_sequential, synth_inputs, PlannedBatch};
 use ramiel_serve::{
-    run_tcp_with_registry, sha256, CompiledPlan, PlanSpec, Registry, ServeConfig, Server,
+    run_tcp_with_registry, sha256, CompiledPlan, PlanSpec, Registry, ServeConfig, Server, Source,
 };
 use ramiel_tensor::ExecCtx;
 use std::io::{BufRead, BufReader, Write};
@@ -220,10 +220,13 @@ fn assert_served_in_place(
     }
 }
 
-/// Both ways a plan is built from an imported graph: `Server::load` and
-/// the CLI start (`ServingModel::from_onnx`, then a spec with its plan
-/// parts). Each plan answers bit-identically to the sequential
-/// executor on a graph imported from the same bytes.
+/// The two entry points that take a model to a plan: `Server::load` with a
+/// graph the caller imported, and `Server::load_onnx` with the bytes. The
+/// first plan serves the caller's import's own buffers; the second imports
+/// inside the load, and its plan holds every weight in its table, none left
+/// in its graph. Both share the plan build that moves the payloads. Each
+/// plan answers bit-identically to the sequential executor on a graph
+/// imported from the same bytes.
 #[test]
 fn each_weight_exists_once_from_import_to_the_plan() {
     let ctx = ExecCtx::sequential();
@@ -234,32 +237,31 @@ fn each_weight_exists_once_from_import_to_the_plan() {
         let inputs = synth_inputs(&reference, 5);
         let expected = run_sequential(&reference, &inputs, &ctx).unwrap();
 
+        let server = Server::new(ServeConfig::default());
         let graph = import_model(&bytes).unwrap();
         let buffers = f32_buffers(&graph);
-        let by_load = PlanSpec::new(graph);
-
-        let cli = ramiel::ServingModel::from_onnx(&bytes, &Default::default()).unwrap();
-        let cli_buffers = f32_buffers(&cli.graph);
-        let by_cli = PlanSpec {
-            parts: Some(cli.parts),
-            ..PlanSpec::new(cli.graph)
-        };
-
-        for (path, spec, buffers) in [
-            ("Server::load", by_load, buffers),
-            ("the CLI start", by_cli, cli_buffers),
-        ] {
-            let server = Server::new(ServeConfig::default());
-            let plan = server.load(model, spec).unwrap();
-            assert_served_in_place(model, path, &plan, &buffers);
-            let got = server
-                .submit(model, inputs.clone())
-                .unwrap()
-                .wait()
-                .unwrap();
-            assert_eq!(got, expected, "{model} via {path}");
-            server.shutdown();
+        let by_graph = server.load("graph", PlanSpec::new(graph)).unwrap();
+        assert_served_in_place(model, "Server::load", &by_graph, &buffers);
+        let (by_bytes, _) = server
+            .load_onnx("bytes", Source::Bytes(&bytes), false)
+            .unwrap();
+        assert!(by_bytes.graph.initializers.is_empty(), "{model}");
+        for (name, _) in &buffers {
+            assert!(
+                by_bytes.init_values[name].f32().is_ok(),
+                "{model}: `{name}`"
+            );
+            assert!(
+                by_bytes.graph.tensor_info(name).is_some(),
+                "{model}: `{name}`"
+            );
         }
+
+        for (name, path) in [("graph", "Server::load"), ("bytes", "Server::load_onnx")] {
+            let got = server.submit(name, inputs.clone()).unwrap().wait().unwrap();
+            assert_eq!(got, expected, "{model} via {path}");
+        }
+        server.shutdown();
     }
 }
 

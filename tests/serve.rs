@@ -6,13 +6,12 @@
 #[path = "support/hostile.rs"]
 mod hostile;
 
-use ramiel::{prepare, PipelineOptions};
-use ramiel_cluster::{bound_clusters, CostModel, StaticCost};
+use ramiel::PipelineOptions;
+use ramiel_cluster::{bound_clusters, hypercluster, CostModel, StaticCost};
 use ramiel_models::{build, synthetic, ModelConfig, ModelKind};
-use ramiel_runtime::{run_sequential, synth_inputs};
+use ramiel_runtime::{run_sequential, synth_inputs, Env, HyperPool, PlannedBatch};
 use ramiel_serve::{
-    run_tcp_with_registry, OverflowPolicy, PlanParts, PlanSpec, Registry, ServeConfig, Server,
-    Ticket,
+    run_tcp_with_registry, OverflowPolicy, PlanSpec, Registry, ServeConfig, Server, Ticket,
 };
 use ramiel_tensor::ExecCtx;
 use std::io::{BufRead, BufReader, Write};
@@ -34,16 +33,10 @@ fn concurrent_clients_get_bit_identical_results() {
     // response equals run_sequential on the same inputs, bit for bit, no
     // matter how requests were coalesced into batches.
     let g = build(ModelKind::Squeezenet, &ModelConfig::tiny());
-    let prepared = prepare(g, &PipelineOptions::default()).unwrap();
     let server = Arc::new(Server::new(serve_cfg()));
-    let spec = PlanSpec {
-        batch_sizes: vec![2, 4],
-        init_values: Some(Arc::clone(&prepared.init_values)),
-        ..PlanSpec::new(prepared.scheduled.graph.clone())
-    };
-    server.load("sq", spec).unwrap();
+    server.load("sq", PlanSpec::new(g.clone())).unwrap();
 
-    let graph = Arc::new(prepared.scheduled.graph.clone());
+    let graph = Arc::new(g);
     let threads = 8;
     let per_thread = 4;
     let mut handles = Vec::new();
@@ -84,8 +77,10 @@ fn concurrent_clients_get_bit_identical_results() {
     assert!(s.peak_queue_depth >= 1);
 }
 
-/// A plan folded to two workers answers every zoo model, at batch 1 and in
-/// a coalesced batch, bit-identically to the sequential executor.
+/// The paper's clustering folded to two workers (the fold every `serve`
+/// plan takes on a two-core host) runs every zoo model on the standing
+/// pool, at batch 1 and at batch 2, bit-identically to the sequential
+/// executor.
 #[test]
 fn plans_folded_to_two_workers_serve_bit_identical_results() {
     let ctx = ExecCtx::sequential();
@@ -95,34 +90,22 @@ fn plans_folded_to_two_workers_serve_bit_identical_results() {
             &PipelineOptions::default(),
         )
         .unwrap();
-        let g = scheduled.graph;
-        let cost: Vec<u64> = g
-            .nodes
-            .iter()
-            .map(|n| StaticCost.node_cost(&g, n))
-            .collect();
+        let g = &scheduled.graph;
+        let cost: Vec<u64> = g.nodes.iter().map(|n| StaticCost.node_cost(g, n)).collect();
         let folded = bound_clusters(&scheduled.clustering, &scheduled.distances, &cost, 2);
-        let parts =
-            PlanParts::with_clustering(&g, &g.adjacency(), &folded, &scheduled.distances).unwrap();
-        let server = Server::new(serve_cfg());
-        let spec = PlanSpec {
-            parts: Some(parts),
-            ..PlanSpec::new(g.clone())
-        };
-        let plan = server.load("m", spec).unwrap();
-        assert!(plan.num_clusters() <= 2, "{}", kind.name());
-        let tickets: Vec<(_, Ticket)> = (0..3)
-            .map(|seed| {
-                let inputs = synth_inputs(&g, seed);
-                let ticket = server.submit("m", inputs.clone()).unwrap();
-                (inputs, ticket)
-            })
-            .collect();
-        for (inputs, ticket) in tickets {
-            let expected = run_sequential(&g, &inputs, &ctx).unwrap();
-            assert_eq!(ticket.wait().unwrap(), expected, "{}", kind.name());
+        assert!(folded.num_clusters() <= 2, "{}", kind.name());
+        let mut pool = HyperPool::new(g, folded.num_clusters(), &ctx).unwrap();
+        for batch in [1, 2] {
+            let plan = Arc::new(PlannedBatch::new(g, hypercluster(&folded, batch)).unwrap());
+            let inputs: Vec<Env> = (0..batch as u64)
+                .map(|seed| synth_inputs(g, seed))
+                .collect();
+            let outs = pool.run_batch(&plan, &Arc::new(inputs.clone())).unwrap();
+            for (inputs, out) in inputs.iter().zip(&outs) {
+                let expected = run_sequential(g, inputs, &ctx).unwrap();
+                assert_eq!(out, &expected, "{} batch {batch}", kind.name());
+            }
         }
-        server.shutdown();
     }
 }
 
