@@ -90,6 +90,44 @@ pub fn schedule_stage(
     cost: &dyn CostModel,
     obs: &ramiel_obs::Obs,
 ) -> Scheduled {
+    let (distances, clusters_before_merge, clustering) = cluster_stages(graph, adj, cost, obs);
+    let nodes = graph.num_nodes();
+    let report = PipelineReport {
+        model: graph.name.clone(),
+        nodes_before: nodes,
+        nodes_after_prune: nodes,
+        nodes_after_cloning: nodes,
+        clusters_before_merge,
+        clusters_after_merge: clustering.num_clusters(),
+        cross_cluster_edges: clustering.cross_cluster_edges_with(graph, adj),
+        parallelism: parallelism_report_with(graph, adj, cost, &distances),
+    };
+    Scheduled {
+        clustering,
+        distances,
+        report,
+    }
+}
+
+/// The merged clustering of [`schedule_stage`] under any cost model, without
+/// its report: the entry the ablations use.
+pub fn cluster_graph(graph: &Graph, cost: &dyn CostModel) -> Clustering {
+    cluster_graph_with(graph, &graph.adjacency(), cost)
+}
+
+/// [`cluster_graph`] over an adjacency snapshot the caller already holds.
+pub fn cluster_graph_with(graph: &Graph, adj: &Adjacency<'_>, cost: &dyn CostModel) -> Clustering {
+    cluster_stages(graph, adj, cost, &ramiel_obs::Obs::disabled()).2
+}
+
+/// Distances, LC and the merge fixpoint of [`schedule_stage`]: returns the
+/// distance table, LC's cluster count and the merged clustering.
+fn cluster_stages(
+    graph: &Graph,
+    adj: &Adjacency<'_>,
+    cost: &dyn CostModel,
+    obs: &ramiel_obs::Obs,
+) -> (Vec<u64>, usize, Clustering) {
     let check = |c: &Clustering, stage: &str| {
         if cfg!(debug_assertions) {
             ramiel_verify::assert_schedule_invariants(graph, adj, &clustering_view(c), stage);
@@ -113,31 +151,5 @@ pub fn schedule_stage(
     }));
     span.finish();
     check(&clustering, "after merge_clusters_fixpoint");
-    let nodes = graph.num_nodes();
-    let report = PipelineReport {
-        model: graph.name.clone(),
-        nodes_before: nodes,
-        nodes_after_prune: nodes,
-        nodes_after_cloning: nodes,
-        clusters_before_merge,
-        clusters_after_merge: clustering.num_clusters(),
-        cross_cluster_edges: clustering.cross_cluster_edges_with(graph, adj),
-        parallelism: parallelism_report_with(graph, adj, cost, &distances),
-    };
-    Scheduled {
-        clustering,
-        distances,
-        report,
-    }
-}
-
-/// The merged clustering of [`schedule_stage`] under any cost model: the
-/// entry the ablations use.
-pub fn cluster_graph(graph: &Graph, cost: &dyn CostModel) -> Clustering {
-    cluster_graph_with(graph, &graph.adjacency(), cost)
-}
-
-/// [`cluster_graph`] over an adjacency snapshot the caller already holds.
-pub fn cluster_graph_with(graph: &Graph, adj: &Adjacency<'_>, cost: &dyn CostModel) -> Clustering {
-    schedule_stage(graph, adj, cost, &ramiel_obs::Obs::disabled()).clustering
+    (distances, clusters_before_merge, clustering)
 }

@@ -32,10 +32,11 @@
 //! `ramiel_cluster::schedule_stage`): same clustering and summary lines, no
 //! code generated; their `compile time:` line is the schedule stage alone.
 //! `serve` then folds the clustering it runs to at most one cluster per core
-//! and says how many workers that is. `serve` takes a model file, a URL or
-//! a built-in model to its plan by one path (`Server::load_onnx`: bytes,
-//! import, schedule, fold, plan), the one TCP `load` takes; a graph that
-//! `--prune`/`--clone` rewrote is installed with `Server::load`.
+//! and says how many workers that is. `serve` takes a model file or a URL
+//! to its plan by one path (`Server::load_onnx`: bytes, import, schedule,
+//! fold, plan), the one TCP `load` takes; a built-in model, or a graph that
+//! `--prune`/`--clone` rewrote (its bytes read by `Server::fetch`, so a pin
+//! is still verified), is installed with `Server::load`.
 //!
 //! `<model>` is a built-in name (`squeezenet`, `googlenet`, `inception-v3`,
 //! `inception-v4`, `yolo-v5`, `bert`, `retinanet`, `nasnet`) or a path to a
@@ -954,50 +955,65 @@ fn cmd_serve(model: &str, f: &Flags) -> Result<(), String> {
         },
         ..Default::default()
     }));
-    // A graph the passes rewrite is installed as it is. Everything else
-    // takes the one bytes-to-plan path: a URL (or a checksum-pinned
-    // reference) pulled through the registry, a file read as it is, or a
-    // built-in model encoded as ONNX, so `stats.load` reports every start
-    // the way it reports a TCP `load`.
-    let (plan, report) = if opts.prune || opts.cloning.is_some() {
-        let mut graph = parse_model(model, &cfg)?;
-        let counts = ramiel::rewrite(&mut graph, &opts, &ramiel::obs::Obs::disabled())
-            .map_err(|e| e.to_string())?;
-        let spec = PlanSpec {
-            switched: f.switched,
-            ..PlanSpec::new(graph)
-        };
-        let plan = server.load(model, spec).map_err(|e| e.to_string())?;
-        let mut report = plan.report.clone();
-        counts.apply(&mut report);
-        (plan, report)
+    // A URL (or a checksum-pinned reference) is pulled through the registry
+    // and any other file read as it is, so the pin is verified and
+    // `stats.load` counts the read as a TCP `load` counts it. Bytes that
+    // need no rewrite take the one bytes-to-plan path; a built-in graph, or
+    // one that `--prune`/`--clone` rewrites, is installed as it is.
+    let source = if model.contains("://") || f.sha256.is_some() {
+        Some(Source::Pull {
+            registry: &registry,
+            reference: model,
+            pin: f.sha256.as_deref(),
+        })
+    } else if builtin_kind(model).is_some() {
+        None
     } else {
-        let encoded;
-        let source = if model.contains("://") || f.sha256.is_some() {
-            Source::Pull {
-                registry: &registry,
-                reference: model,
-                pin: f.sha256.as_deref(),
-            }
-        } else if let Some(kind) = builtin_kind(model) {
-            encoded = ramiel_onnx::export_model(&build(kind, &cfg));
-            Source::Bytes(&encoded)
+        Some(Source::File(model))
+    };
+    let is_file = matches!(source, Some(Source::File(_)));
+    let refused = |e: String| {
+        if is_file {
+            format!("`{model}` is not a built-in model or loadable file: {e}")
         } else {
-            Source::File(model)
-        };
-        let is_file = matches!(source, Source::File(_));
-        let (plan, pulled) = server.load_onnx(model, source, f.switched).map_err(|e| {
-            if is_file {
-                format!("`{model}` is not a built-in model or loadable file: {e}")
-            } else {
-                e.to_string()
-            }
-        })?;
-        if let Some(pulled) = pulled {
-            println!("pulled {} (sha256 {})", pulled.source, pulled.sha256);
+            e
         }
-        let report = plan.report.clone();
-        (plan, report)
+    };
+    let say_pulled = |pulled: Option<ramiel_serve::Pulled>| {
+        if let Some(p) = pulled {
+            println!("pulled {} (sha256 {})", p.source, p.sha256);
+        }
+    };
+    let (plan, report) = match source {
+        Some(source) if !opts.prune && opts.cloning.is_none() => {
+            let (plan, pulled) = server
+                .load_onnx(model, source, f.switched)
+                .map_err(|e| refused(e.to_string()))?;
+            say_pulled(pulled);
+            let report = plan.report.clone();
+            (plan, report)
+        }
+        source => {
+            let mut graph = match source {
+                Some(source) => {
+                    let (bytes, pulled) =
+                        server.fetch(source).map_err(|e| refused(e.to_string()))?;
+                    say_pulled(pulled);
+                    ramiel_onnx::import_model(&bytes).map_err(|e| refused(e.to_string()))?
+                }
+                None => parse_model(model, &cfg)?,
+            };
+            let counts = ramiel::rewrite(&mut graph, &opts, &ramiel::obs::Obs::disabled())
+                .map_err(|e| e.to_string())?;
+            let spec = PlanSpec {
+                switched: f.switched,
+                ..PlanSpec::new(graph)
+            };
+            let plan = server.load(model, spec).map_err(|e| e.to_string())?;
+            let mut report = plan.report.clone();
+            counts.apply(&mut report);
+            (plan, report)
+        }
     };
     summarize(&report, plan.schedule_time);
     let workers = plan.num_clusters();

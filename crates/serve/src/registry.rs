@@ -151,6 +151,10 @@ impl Fetched {
         &self.data
     }
 
+    pub fn into_data(self) -> Vec<u8> {
+        self.data
+    }
+
     /// True when the bytes are the cached blob of the pinned digest
     /// (admitted when first stored, so [`Registry::admit`] has nothing left
     /// to do).

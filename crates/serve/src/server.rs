@@ -15,6 +15,7 @@ use ramiel_obs::metrics::{CounterHandle, HistHandle};
 use ramiel_obs::{Metrics, Obs};
 use ramiel_onnx::OnnxError;
 use ramiel_runtime::{Env, FaultInjector, RuntimeError, SupervisorConfig};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -325,21 +326,36 @@ impl Server {
     /// `name`, as [`load`](Self::load) installs one. The plan is laid out
     /// over the adjacency snapshot the importer checked the graph with, so
     /// the whole path builds one. Each phase lands in
-    /// `ramiel_load_phase_ns`: the read as `fetch`, a pull's hashing and
-    /// storing as `hash` and `store` (its answer in
-    /// `ramiel_registry_pulls_total`), the decode and checks as `import`,
-    /// and the schedule, fold and plan build as `compile`. A refused pin
-    /// stops before anything is cached, imported or installed. Returns the
-    /// plan and, for a pull, what the registry resolved.
+    /// `ramiel_load_phase_ns`: the read (see [`fetch`](Self::fetch)), the
+    /// decode and checks as `import`, and the schedule, fold and plan build
+    /// as `compile`. A refused pin stops before anything is cached, imported
+    /// or installed. Returns the plan and, for a pull, what the registry
+    /// resolved.
     pub fn load_onnx(
         &self,
         name: &str,
         source: Source<'_>,
         switched: bool,
     ) -> Result<(Arc<CompiledPlan>, Option<Pulled>), ServeError> {
+        let (bytes, pulled) = self.fetch(source)?;
+        // The bytes are dropped once imported.
+        let (graph, layout, planning) = self.import(&bytes)?;
+        drop(bytes);
+        let spec = PlanSpec { graph, switched };
+        Ok((self.install(name, spec, layout, planning)?, pulled))
+    }
+
+    /// Read a model's ONNX bytes from `source`, recording the read as the
+    /// `fetch` load phase, and a pull's hashing and storing as `hash` and
+    /// `store` (its answer in `ramiel_registry_pulls_total`). A caller that
+    /// rewrites the graph before [`load`](Self::load)ing it reads its bytes
+    /// here, so its pull is verified and counted as `load_onnx` counts one.
+    pub fn fetch<'a>(
+        &self,
+        source: Source<'a>,
+    ) -> Result<(Cow<'a, [u8]>, Option<Pulled>), ServeError> {
         let m = &self.load_metrics;
-        // The bytes are read once and dropped once imported.
-        let ((graph, layout, planning), pulled) = match source {
+        match source {
             Source::Pull {
                 registry,
                 reference,
@@ -361,7 +377,7 @@ impl Server {
                     m.hash.record_duration(pulled.hash);
                     m.store.record_duration(pulled.store);
                 }
-                (self.import(fetched.data())?, Some(pulled))
+                Ok((Cow::Owned(fetched.into_data()), Some(pulled)))
             }
             Source::File(path) => {
                 let start = Instant::now();
@@ -372,12 +388,10 @@ impl Server {
                     })
                 })?;
                 m.fetch.record_duration(start.elapsed());
-                (self.import(&bytes)?, None)
+                Ok((Cow::Owned(bytes), None))
             }
-            Source::Bytes(bytes) => (self.import(bytes)?, None),
-        };
-        let spec = PlanSpec { graph, switched };
-        Ok((self.install(name, spec, layout, planning)?, pulled))
+            Source::Bytes(bytes) => Ok((Cow::Borrowed(bytes), None)),
+        }
     }
 
     /// Import ONNX `bytes` and lay the plan out inside the importer's

@@ -330,8 +330,9 @@ fn serve_banner_keeps_its_lines_and_values() {
     let cores = std::thread::available_parallelism().map_or(usize::MAX, |n| n.get());
     assert!((1..=cores).contains(&workers), "{}", banner[6]);
 
+    // A built-in graph is installed as it is built: nothing to import.
     assert_eq!(load["loads"].as_u64(), Some(1), "{load}");
-    assert!(load["import_mean_ms"].as_f64().unwrap() > 0.0, "{load}");
+    assert_eq!(load["import_mean_ms"].as_f64(), Some(0.0), "{load}");
     assert!(load["compile_mean_ms"].as_f64().unwrap() > 0.0, "{load}");
 
     // A start from a file records its read as `fetch` and its decode as
@@ -377,43 +378,39 @@ fn serve_from_a_url_counts_its_pull() {
 }
 
 /// `serve` has one executor; asking it for the stealing one is an error
-/// that names the flag, not a silently ignored switch. A server that
-/// accepted the flag would listen forever, so it is killed after a bound.
+/// that names the flag, not a silently ignored switch.
 #[test]
 fn serve_refuses_the_stealing_executor() {
-    use std::io::Read;
-    use std::process::Stdio;
-    use std::time::{Duration, Instant};
-
-    let mut child = Command::new(ramiel_bin())
-        .args(["serve", "squeezenet", "--tiny", "--executor", "stealing"])
-        .args(["--port", "0"])
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn ramiel serve");
-    let give_up = Instant::now() + Duration::from_secs(60);
-    let status = loop {
-        if let Some(status) = child.try_wait().expect("poll serve") {
-            break Some(status);
-        }
-        if Instant::now() > give_up {
-            child.kill().ok();
-            child.wait().ok();
-            break None;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    let mut stderr = String::new();
-    child
-        .stderr
-        .take()
-        .unwrap()
-        .read_to_string(&mut stderr)
-        .ok();
-    let status = status.expect("serve accepted `--executor stealing` and kept serving");
-    assert!(!status.success(), "serve accepted `--executor stealing`");
+    let stderr = serve_refused(&["squeezenet", "--tiny", "--executor", "stealing"]);
     assert!(stderr.contains("--executor"), "{stderr}");
+}
+
+/// `--prune` and `--clone` rewrite the graph before it is installed, but
+/// its bytes still come through the registry: a wrong pin is refused
+/// before anything is cached, and a `file://` start counts its pull.
+#[test]
+fn serve_rewrites_keep_the_pin_and_the_pull() {
+    let dir = std::env::temp_dir().join(format!("ramiel_cli_serve_pin_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join("m.onnx");
+    let path_s = path.to_str().expect("utf8 temp path");
+    let (ok, _, stderr) = run(&["export", "squeezenet", path_s, "--tiny"]);
+    assert!(ok, "{stderr}");
+    let cache = dir.join("cache");
+    let cache_s = cache.to_str().expect("utf8 temp path");
+    let wrong = "0".repeat(64);
+    for flag in ["--prune", "--clone"] {
+        let stderr = serve_refused(&[path_s, "--sha256", &wrong, flag, "--cache", cache_s]);
+        assert!(stderr.contains("RG-CHECKSUM"), "{flag}: {stderr}");
+    }
+    assert!(!cache.join("sha256").join(&wrong).exists());
+
+    let url = format!("file://{path_s}");
+    let (banner, load) = serve_start_up(&[&url, "--prune", "--cache", cache_s]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(banner[0].starts_with("pulled "), "{banner:?}");
+    assert_eq!(load["pulls_miss"].as_u64(), Some(1), "{load}");
+    assert!(load["fetch_mean_ms"].as_f64().unwrap() > 0.0, "{load}");
 }
 
 /// A server runs no steal pool: after an inference and a `metrics` scrape
@@ -480,6 +477,46 @@ fn spawn_serve(args: &[&str]) -> (std::process::Child, Vec<String>, String) {
     // Keep reading: the server prints a summary when it exits.
     std::thread::spawn(move || lines.for_each(drop));
     (child, banner, addr)
+}
+
+/// Run `ramiel serve <args> --port 0`, which must refuse to start: returns
+/// its stderr. A server that started instead would listen forever, so it is
+/// killed after a bound and the test fails.
+fn serve_refused(args: &[&str]) -> String {
+    use std::io::Read;
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+
+    let mut child = Command::new(ramiel_bin())
+        .arg("serve")
+        .args(args)
+        .args(["--port", "0"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ramiel serve");
+    let give_up = Instant::now() + Duration::from_secs(60);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll serve") {
+            break Some(status);
+        }
+        if Instant::now() > give_up {
+            child.kill().ok();
+            child.wait().ok();
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .ok();
+    let status = status.unwrap_or_else(|| panic!("serve {args:?} started and kept serving"));
+    assert!(!status.success(), "serve {args:?} exited 0: {stderr}");
+    stderr
 }
 
 /// Start `ramiel serve <args> --port 0`, read its banner, take
