@@ -10,7 +10,7 @@
 //!   schedules per batch size, packed-weight cache, shared initializer
 //!   table) into an `Arc<CompiledPlan>` shared by every request,
 //!   LRU-bounded, versioned for hot reload. [`Server::load_onnx`] takes
-//!   ONNX bytes (a registry pull, a file, or bytes in memory) to an
+//!   ONNX bytes (a registry pull or a file) to an
 //!   installed plan; [`Server::load`] installs a graph the caller holds.
 //! - [`batcher`] — per-model dynamic micro-batcher: a bounded submission
 //!   queue drained by a collector thread that coalesces up to `max_batch`

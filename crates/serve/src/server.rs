@@ -15,7 +15,6 @@ use ramiel_obs::metrics::{CounterHandle, HistHandle};
 use ramiel_obs::{Metrics, Obs};
 use ramiel_onnx::OnnxError;
 use ramiel_runtime::{Env, FaultInjector, RuntimeError, SupervisorConfig};
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -254,8 +253,6 @@ pub enum Source<'a> {
     },
     /// A local file, read as it is.
     File(&'a str),
-    /// Bytes the caller already holds.
-    Bytes(&'a [u8]),
 }
 
 /// Multi-model inference server. Thread-safe: share it behind an `Arc` and
@@ -350,10 +347,7 @@ impl Server {
     /// `store` (its answer in `ramiel_registry_pulls_total`). A caller that
     /// rewrites the graph before [`load`](Self::load)ing it reads its bytes
     /// here, so its pull is verified and counted as `load_onnx` counts one.
-    pub fn fetch<'a>(
-        &self,
-        source: Source<'a>,
-    ) -> Result<(Cow<'a, [u8]>, Option<Pulled>), ServeError> {
+    pub fn fetch(&self, source: Source<'_>) -> Result<(Vec<u8>, Option<Pulled>), ServeError> {
         let m = &self.load_metrics;
         match source {
             Source::Pull {
@@ -377,7 +371,7 @@ impl Server {
                     m.hash.record_duration(pulled.hash);
                     m.store.record_duration(pulled.store);
                 }
-                Ok((Cow::Owned(fetched.into_data()), Some(pulled)))
+                Ok((fetched.into_data(), Some(pulled)))
             }
             Source::File(path) => {
                 let start = Instant::now();
@@ -388,9 +382,8 @@ impl Server {
                     })
                 })?;
                 m.fetch.record_duration(start.elapsed());
-                Ok((Cow::Owned(bytes), None))
+                Ok((bytes, None))
             }
-            Source::Bytes(bytes) => Ok((Cow::Borrowed(bytes), None)),
         }
     }
 

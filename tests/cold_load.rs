@@ -221,7 +221,8 @@ fn assert_served_in_place(
 }
 
 /// The two entry points that take a model to a plan: `Server::load` with a
-/// graph the caller imported, and `Server::load_onnx` with the bytes. The
+/// graph the caller imported, and `Server::load_onnx` with the bytes (read
+/// from a file). The
 /// first plan serves the caller's import's own buffers; the second imports
 /// inside the load, and its plan holds every weight in its table, none left
 /// in its graph. Both share the plan build that moves the payloads. Each
@@ -242,9 +243,14 @@ fn each_weight_exists_once_from_import_to_the_plan() {
         let buffers = f32_buffers(&graph);
         let by_graph = server.load("graph", PlanSpec::new(graph)).unwrap();
         assert_served_in_place(model, "Server::load", &by_graph, &buffers);
-        let (by_bytes, _) = server
-            .load_onnx("bytes", Source::Bytes(&bytes), false)
-            .unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "ramiel-cold-load-once-{model}-{}.onnx",
+            std::process::id()
+        ));
+        std::fs::write(&path, &bytes).unwrap();
+        let source = Source::File(path.to_str().unwrap());
+        let (by_bytes, _) = server.load_onnx("bytes", source, false).unwrap();
+        std::fs::remove_file(&path).ok();
         assert!(by_bytes.graph.initializers.is_empty(), "{model}");
         for (name, _) in &buffers {
             assert!(
