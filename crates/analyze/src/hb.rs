@@ -203,7 +203,7 @@ pub fn happens_before(graph: &Graph, view: &ScheduleView) -> Vec<Diagnostic> {
         };
         let pw = owner[&(batch, node)];
         for t in &nd.outputs {
-            for &c in adj.consumers_of.get(t).map_or(&[][..], Vec::as_slice) {
+            for &c in adj.consumers_of.get(t).unwrap_or_default() {
                 if let Some(&cw) = owner.get(&(batch, c)) {
                     if cw != pw && sent.insert((t.as_str(), batch, cw)) {
                         *inbound.entry(cw).or_insert(0) += 1;

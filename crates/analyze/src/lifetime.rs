@@ -171,7 +171,7 @@ pub fn lifetimes(graph: &Graph, view: &ScheduleView) -> (LifetimeReport, Vec<Dia
     // RA0101: produced values nothing reads (and no output pins).
     for node in &graph.nodes {
         for t in &node.outputs {
-            let read = adj.consumers_of.get(t).map_or(0, Vec::len);
+            let read = adj.consumers_of.get(t).map_or(0, <[_]>::len);
             if read == 0 && !graph_outputs.contains(t.as_str()) {
                 diags.push(
                     Diagnostic::advice(

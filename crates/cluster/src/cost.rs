@@ -96,7 +96,7 @@ impl FlopCost {
         let in_numel = |i: usize| -> f64 {
             node.inputs
                 .get(i)
-                .and_then(|t| graph.tensor_info(t))
+                .and_then(|t| graph.tensor_ref(t))
                 .map(|v| v.numel() as f64)
                 .unwrap_or(0.0)
         };
@@ -106,7 +106,7 @@ impl FlopCost {
                 let cin = node
                     .inputs
                     .first()
-                    .and_then(|t| graph.tensor_info(t))
+                    .and_then(|t| graph.tensor_ref(t))
                     .and_then(|v| v.shape.get(1).copied())
                     .unwrap_or(1) as f64;
                 2.0 * out_numel(0) * (cin / *groups as f64) * (kernel.0 * kernel.1) as f64
@@ -116,7 +116,7 @@ impl FlopCost {
                 let k = node
                     .inputs
                     .first()
-                    .and_then(|t| graph.tensor_info(t))
+                    .and_then(|t| graph.tensor_ref(t))
                     .and_then(|v| v.shape.last().copied())
                     .unwrap_or(1) as f64;
                 2.0 * out_numel(0) * k
@@ -125,7 +125,7 @@ impl FlopCost {
                 let k = node
                     .inputs
                     .first()
-                    .and_then(|t| graph.tensor_info(t))
+                    .and_then(|t| graph.tensor_ref(t))
                     .and_then(|v| v.shape.last().copied())
                     .unwrap_or(1) as f64;
                 2.0 * out_numel(0) * k

@@ -35,7 +35,7 @@ pub fn linear_clustering_with(adj: &Adjacency<'_>, dist: &[u64]) -> Clustering {
     // The remainder graph is implicit: step 3 deletes an edge exactly when
     // one of its ends is clustered, so an edge is live iff both ends are
     // unclustered and `indegree[v]` counts v's unclustered predecessors.
-    let mut indegree: Vec<usize> = adj.preds.iter().map(Vec::len).collect();
+    let mut indegree: Vec<usize> = adj.preds.iter().map(<[_]>::len).collect();
     let mut clustered = vec![false; n];
     let mut clusters = Vec::new();
 

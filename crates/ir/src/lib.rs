@@ -37,7 +37,7 @@ pub mod validate;
 
 pub use builder::GraphBuilder;
 pub use error::IrError;
-pub use graph::{Graph, Node, NodeId, TensorInfo};
+pub use graph::{Graph, Node, NodeId, TensorInfo, TensorRef, ValueId};
 pub use op::{DType, OpKind, PoolSpec};
 pub use tensor_data::TensorData;
 

@@ -7,11 +7,10 @@
 //! relies on onnxruntime to make these operands foldable.
 
 use crate::error::IrError;
-use crate::graph::{Graph, NameMap, Node, NodeId, TensorInfo};
+use crate::graph::{Adjacency, Graph, Node, NodeId, TensorInfo, TensorRef, ValueId};
 use crate::op::{DType, OpKind};
 use crate::topo::topo_sort_with;
 use crate::Result;
-use std::collections::HashMap;
 
 /// Element count of `shape`, or `None` when the product does not fit a
 /// `usize`. Shapes reach this crate from `.onnx` files and wire requests, so
@@ -76,53 +75,61 @@ fn err(node: &Node, reason: impl Into<String>) -> IrError {
 /// What inference reads while it walks a graph: the graph, the infos derived
 /// earlier in the same walk — consulted before `graph.value_info`, so a walk
 /// writes into a side table instead of into (a clone of) the graph — and the
-/// producer index that constant-operand evaluation follows.
+/// adjacency snapshot whose value ids index that table and whose producer
+/// index constant-operand evaluation follows. Lookups lend what they find.
 pub struct ShapeScope<'a> {
     graph: &'a Graph,
-    producer_of: &'a NameMap<'a, NodeId>,
-    derived: HashMap<&'a str, TensorInfo>,
+    adj: &'a Adjacency<'a>,
+    /// Per value id: the info this walk derived, if any yet.
+    derived: Vec<Option<TensorInfo>>,
 }
 
 impl<'a> ShapeScope<'a> {
-    /// A scope with nothing derived yet. `producer_of` is
-    /// [`crate::graph::Adjacency::producer_of`] for `graph`.
-    pub fn new(graph: &'a Graph, producer_of: &'a NameMap<'a, NodeId>) -> Self {
+    /// A scope with nothing derived yet. `adj` is a snapshot of `graph`.
+    pub fn new(graph: &'a Graph, adj: &'a Adjacency<'a>) -> Self {
         ShapeScope {
             graph,
-            producer_of,
-            derived: HashMap::with_capacity(graph.num_nodes()),
+            adj,
+            derived: vec![None; adj.num_values()],
         }
     }
 
-    /// [`Graph::tensor_info`] with this walk's results ahead of the graph's
+    /// [`Graph::tensor_ref`] with this walk's results ahead of the graph's
     /// recorded `value_info`.
-    pub fn tensor_info(&self, tensor: &str) -> Option<TensorInfo> {
-        if let Some(i) = self.graph.inputs.iter().find(|i| i.name == tensor) {
-            return Some(i.clone());
+    pub fn tensor_ref(&self, tensor: &str) -> Option<TensorRef<'_>> {
+        match self.adj.value_id(tensor) {
+            Some(v) => self.value_ref(v),
+            None => self.graph.tensor_ref(tensor),
         }
-        match self.derived.get(tensor) {
-            Some(info) => Some(info.clone()),
-            None => self.graph.tensor_info(tensor),
+    }
+
+    /// [`ShapeScope::tensor_ref`] of value `v` of the snapshot.
+    fn value_ref(&self, v: ValueId) -> Option<TensorRef<'_>> {
+        let name = self.adj.value_name(v);
+        if let Some(i) = self.graph.inputs.iter().find(|i| i.name == name) {
+            return Some(i.into());
+        }
+        match &self.derived[v as usize] {
+            Some(info) => Some(info.into()),
+            None => self.graph.tensor_ref(name),
         }
     }
 
     /// Record what [`infer_node`] returned for `node` (one info per output;
     /// each is given its output's name).
     pub fn record(&mut self, node: &'a Node, infos: Vec<TensorInfo>) {
-        for (out, info) in node.outputs.iter().zip(infos) {
-            self.derived.insert(
-                out,
-                TensorInfo {
-                    name: out.clone(),
-                    ..info
-                },
-            );
+        let results = self.adj.results(node.id);
+        for ((out, &v), info) in node.outputs.iter().zip(results).zip(infos) {
+            self.derived[v as usize] = Some(TensorInfo {
+                name: out.clone(),
+                ..info
+            });
         }
     }
 
-    /// Everything derived, in no particular order.
+    /// Everything derived, in value-id order.
     pub fn into_infos(self) -> Vec<TensorInfo> {
-        self.derived.into_values().collect()
+        self.derived.into_iter().flatten().collect()
     }
 }
 
@@ -132,7 +139,7 @@ pub fn infer_shapes(graph: &mut Graph) -> Result<()> {
     let infos = {
         let adj = graph.adjacency();
         let order = topo_sort_with(graph, &adj)?;
-        infer_in_order(graph, &order, &adj.producer_of)?
+        infer_in_order(graph, &order, &adj)?
     };
     graph
         .value_info
@@ -142,13 +149,14 @@ pub fn infer_shapes(graph: &mut Graph) -> Result<()> {
 
 /// The inference walk of [`infer_shapes`] as a function of an unmodified
 /// graph: the info of every node output, for a caller that already holds the
-/// topological `order` and the producer index and installs the result itself.
+/// topological `order` and the adjacency snapshot and installs the result
+/// itself.
 pub fn infer_in_order(
     graph: &Graph,
     order: &[NodeId],
-    producer_of: &NameMap<'_, NodeId>,
+    adj: &Adjacency<'_>,
 ) -> Result<Vec<TensorInfo>> {
-    let mut scope = ShapeScope::new(graph, producer_of);
+    let mut scope = ShapeScope::new(graph, adj);
     for &id in order {
         let node = &graph.nodes[id];
         let infos = infer_node(&scope, node)?;
@@ -161,15 +169,16 @@ pub fn infer_in_order(
 }
 
 /// Look up the info of one node input.
-fn input_info(scope: &ShapeScope<'_>, node: &Node, idx: usize) -> Result<TensorInfo> {
-    let name = node.inputs.get(idx).ok_or_else(|| IrError::Arity {
+fn input_info<'s>(scope: &'s ShapeScope<'_>, node: &Node, idx: usize) -> Result<TensorRef<'s>> {
+    let arity = || IrError::Arity {
         node: node.name.clone(),
         expected: idx + 1,
         got: node.inputs.len(),
-    })?;
+    };
+    let &v = scope.adj.operands(node.id).get(idx).ok_or_else(arity)?;
     scope
-        .tensor_info(name)
-        .ok_or_else(|| IrError::UnknownTensor(name.clone()))
+        .value_ref(v)
+        .ok_or_else(|| IrError::UnknownTensor(node.inputs[idx].clone()))
 }
 
 /// Fetch a constant i64 vector operand (shape/axes style inputs). The
@@ -183,7 +192,8 @@ fn const_i64_operand(scope: &ShapeScope<'_>, node: &Node, idx: usize) -> Result<
         expected: idx + 1,
         got: node.inputs.len(),
     })?;
-    const_eval_i64(scope, name, 64).ok_or_else(|| {
+    let v = scope.adj.operands(node.id)[idx];
+    const_eval_value(scope, v, 64).ok_or_else(|| {
         err(
             node,
             format!("operand `{name}` must be a constant i64 tensor"),
@@ -199,24 +209,36 @@ fn const_i64_operand(scope: &ShapeScope<'_>, node: &Node, idx: usize) -> Result<
 /// `None` when the expression depends on runtime data. `fuel` bounds the
 /// recursion.
 pub fn const_eval_i64(scope: &ShapeScope<'_>, tensor: &str, fuel: usize) -> Option<Vec<i64>> {
+    match scope.adj.value_id(tensor) {
+        Some(v) => const_eval_value(scope, v, fuel),
+        None => scope
+            .graph
+            .initializers
+            .get(tensor)?
+            .as_i64()
+            .map(<[i64]>::to_vec),
+    }
+}
+
+/// [`const_eval_i64`] of value `v` of the scope's snapshot.
+fn const_eval_value(scope: &ShapeScope<'_>, v: ValueId, fuel: usize) -> Option<Vec<i64>> {
     if fuel == 0 {
         return None;
     }
     let graph = scope.graph;
-    if let Some(init) = graph.initializers.get(tensor) {
+    if let Some(init) = graph.initializers.get(scope.adj.value_name(v)) {
         return init.as_i64().map(|s| s.to_vec());
     }
-    let producer = *scope.producer_of.get(tensor)?;
-    let node = &graph.nodes[producer];
+    let node = &graph.nodes[scope.adj.producer(v)?];
+    let operands = scope.adj.operands(node.id);
     let arg = |i: usize| -> Option<Vec<i64>> {
-        node.inputs
+        operands
             .get(i)
-            .and_then(|t| const_eval_i64(scope, t, fuel - 1))
+            .and_then(|&t| const_eval_value(scope, t, fuel - 1))
     };
     match &node.op {
         OpKind::Shape => {
-            let input = node.inputs.first()?;
-            let info = scope.tensor_info(input)?;
+            let info = scope.value_ref(*operands.first()?)?;
             Some(info.shape.iter().map(|&d| d as i64).collect())
         }
         OpKind::Gather { axis: 0 } => {
@@ -296,12 +318,12 @@ pub fn const_eval_i64(scope: &ShapeScope<'_>, tensor: &str, fuel: usize) -> Opti
 pub fn infer_node(scope: &ShapeScope<'_>, node: &Node) -> Result<Vec<TensorInfo>> {
     let unary = |scope: &ShapeScope<'_>| -> Result<Vec<TensorInfo>> {
         let x = input_info(scope, node, 0)?;
-        Ok(vec![x])
+        Ok(vec![x.to_info("")])
     };
     let binary_bcast = |scope: &ShapeScope<'_>, dtype: Option<DType>| -> Result<Vec<TensorInfo>> {
         let a = input_info(scope, node, 0)?;
         let b = input_info(scope, node, 1)?;
-        let shape = broadcast(&a.shape, &b.shape).ok_or_else(|| {
+        let shape = broadcast(a.shape, b.shape).ok_or_else(|| {
             err(
                 node,
                 format!("cannot broadcast {:?} with {:?}", a.shape, b.shape),
@@ -410,8 +432,8 @@ pub fn infer_node(scope: &ShapeScope<'_>, node: &Node) -> Result<Vec<TensorInfo>
             let c = input_info(scope, node, 0)?;
             let a = input_info(scope, node, 1)?;
             let b = input_info(scope, node, 2)?;
-            let s1 = broadcast(&c.shape, &a.shape)
-                .and_then(|s| broadcast(&s, &b.shape))
+            let s1 = broadcast(c.shape, a.shape)
+                .and_then(|s| broadcast(&s, b.shape))
                 .ok_or_else(|| err(node, "Where operands do not broadcast"))?;
             Ok(vec![TensorInfo::new("", a.dtype, s1)])
         }
@@ -424,7 +446,7 @@ pub fn infer_node(scope: &ShapeScope<'_>, node: &Node) -> Result<Vec<TensorInfo>
                     got: node.inputs.len(),
                 });
             }
-            Ok(vec![x])
+            Ok(vec![x.to_info("")])
         }
         OpKind::LayerNorm { .. } => unary(scope),
         OpKind::ReduceMean { axes, keepdims } => {
@@ -477,7 +499,7 @@ pub fn infer_node(scope: &ShapeScope<'_>, node: &Node) -> Result<Vec<TensorInfo>
             let first = input_info(scope, node, 0)?;
             let rank = first.shape.len();
             let ax = norm_axis(*axis, rank)?;
-            let mut shape = first.shape.clone();
+            let mut shape = first.shape.to_vec();
             for i in 1..node.inputs.len() {
                 let t = input_info(scope, node, i)?;
                 if t.shape.len() != rank {
@@ -504,7 +526,7 @@ pub fn infer_node(scope: &ShapeScope<'_>, node: &Node) -> Result<Vec<TensorInfo>
             Ok(parts
                 .iter()
                 .map(|&p| {
-                    let mut s = x.shape.clone();
+                    let mut s = x.shape.to_vec();
                     s[ax] = p;
                     TensorInfo::new("", x.dtype, s)
                 })
@@ -517,7 +539,7 @@ pub fn infer_node(scope: &ShapeScope<'_>, node: &Node) -> Result<Vec<TensorInfo>
             steps,
         } => {
             let x = input_info(scope, node, 0)?;
-            let mut shape = x.shape.clone();
+            let mut shape = x.shape.to_vec();
             if axes.len() != starts.len() || starts.len() != ends.len() || ends.len() != steps.len()
             {
                 return Err(err(node, "Slice attribute lengths disagree"));
@@ -545,7 +567,7 @@ pub fn infer_node(scope: &ShapeScope<'_>, node: &Node) -> Result<Vec<TensorInfo>
             let ax = norm_axis(*axis, data.shape.len())?;
             let mut shape = Vec::new();
             shape.extend_from_slice(&data.shape[..ax]);
-            shape.extend_from_slice(&idx.shape);
+            shape.extend_from_slice(idx.shape);
             shape.extend_from_slice(&data.shape[ax + 1..]);
             Ok(vec![TensorInfo::new("", data.dtype, shape)])
         }
@@ -553,7 +575,7 @@ pub fn infer_node(scope: &ShapeScope<'_>, node: &Node) -> Result<Vec<TensorInfo>
             let x = input_info(scope, node, 0)?;
             let spec = const_i64_operand(scope, node, 1)?;
             let overflow = || err(node, "Reshape element count overflows");
-            let numel = checked_numel(&x.shape).ok_or_else(overflow)?;
+            let numel = checked_numel(x.shape).ok_or_else(overflow)?;
             let mut shape: Vec<usize> = Vec::with_capacity(spec.len());
             let mut infer_at = None;
             for (i, &d) in spec.iter().enumerate() {
@@ -648,7 +670,7 @@ pub fn infer_node(scope: &ShapeScope<'_>, node: &Node) -> Result<Vec<TensorInfo>
             let x = input_info(scope, node, 0)?;
             let spec = const_i64_operand(scope, node, 1)?;
             let target: Vec<usize> = spec.iter().map(|&d| d.max(0) as usize).collect();
-            let shape = broadcast(&x.shape, &target)
+            let shape = broadcast(x.shape, &target)
                 .ok_or_else(|| err(node, "Expand target does not broadcast"))?;
             Ok(vec![TensorInfo::new("", x.dtype, shape)])
         }
@@ -690,7 +712,7 @@ pub fn infer_node(scope: &ShapeScope<'_>, node: &Node) -> Result<Vec<TensorInfo>
         }
         OpKind::Cast { to } => {
             let x = input_info(scope, node, 0)?;
-            Ok(vec![TensorInfo::new("", *to, x.shape)])
+            Ok(vec![TensorInfo::new("", *to, x.shape.to_vec())])
         }
         OpKind::Constant => {
             let out = &node.outputs[0];
@@ -925,7 +947,7 @@ mod tests {
         b.output(&spec);
         let g = b.finish().unwrap();
         let adj = g.adjacency();
-        let scope = ShapeScope::new(&g, &adj.producer_of);
+        let scope = ShapeScope::new(&g, &adj);
         assert_eq!(const_eval_i64(&scope, &spec, 64), Some(vec![3, 8]));
     }
 
@@ -937,7 +959,7 @@ mod tests {
         b.output(&y);
         let g = b.finish().unwrap();
         let adj = g.adjacency();
-        let scope = ShapeScope::new(&g, &adj.producer_of);
+        let scope = ShapeScope::new(&g, &adj);
         assert_eq!(const_eval_i64(&scope, &y, 64), None);
     }
 

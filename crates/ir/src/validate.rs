@@ -33,18 +33,25 @@ pub fn validate(graph: &Graph) -> Result<()> {
 /// the topological order that check 5 computes, so a stage that validates
 /// and then walks the graph sorts it once.
 pub fn validate_with(graph: &Graph, adj: &Adjacency<'_>) -> Result<Vec<NodeId>> {
-    let mut defined: HashSet<&str> = HashSet::new();
-    for inp in &graph.inputs {
-        if !defined.insert(&inp.name) {
+    // Definitions are marked per value id of the snapshot's table; a graph
+    // input or initializer no node reads has no id and cannot clash with a
+    // node result, only with another such name.
+    let mut defined = vec![false; adj.num_values()];
+    let mut define = |name: &str| match adj.value_id(name) {
+        Some(v) => !std::mem::replace(&mut defined[v as usize], true),
+        None => true,
+    };
+    for (i, inp) in graph.inputs.iter().enumerate() {
+        if !define(&inp.name) || graph.inputs[..i].iter().any(|p| p.name == inp.name) {
             return Err(IrError::DuplicateTensor(inp.name.clone()));
         }
     }
     for name in graph.initializers.keys() {
-        if !defined.insert(name) {
+        if !define(name) || graph.is_graph_input(name) {
             return Err(IrError::DuplicateTensor(name.clone()));
         }
     }
-    let mut names: HashSet<&str> = HashSet::new();
+    let mut names: HashSet<&str> = HashSet::with_capacity(graph.nodes.len());
     for (i, node) in graph.nodes.iter().enumerate() {
         if node.id != i {
             return Err(IrError::Invalid(format!(
@@ -100,26 +107,30 @@ pub fn validate_with(graph: &Graph, adj: &Adjacency<'_>) -> Result<Vec<NodeId>> 
                 node.outputs.len()
             )));
         }
-        for out in &node.outputs {
+        for (out, &v) in node.outputs.iter().zip(adj.results(node.id)) {
             // A `Constant` node's payload lives in the initializer table
             // under its output name by design — that pairing is the one
             // permitted "double definition".
             let constant_payload =
                 matches!(node.op, crate::op::OpKind::Constant) && graph.is_initializer(out);
-            if !defined.insert(out) && !constant_payload {
+            if std::mem::replace(&mut defined[v as usize], true) && !constant_payload {
                 return Err(IrError::DuplicateTensor(out.clone()));
             }
         }
     }
     for node in &graph.nodes {
-        for inp in &node.inputs {
-            if !defined.contains(inp.as_str()) {
+        for (inp, &v) in node.inputs.iter().zip(adj.operands(node.id)) {
+            if !defined[v as usize] {
                 return Err(IrError::UnknownTensor(inp.clone()));
             }
         }
     }
     for out in &graph.outputs {
-        if !defined.contains(out.as_str()) {
+        let is_defined = match adj.value_id(out) {
+            Some(v) => defined[v as usize],
+            None => graph.is_graph_input(out) || graph.is_initializer(out),
+        };
+        if !is_defined {
             return Err(IrError::UnknownTensor(out.clone()));
         }
     }

@@ -169,20 +169,19 @@ fn import_graph_with<T>(
     // longer referenced; drop them. (Serialized value_info is deliberately
     // ignored — shapes are re-derived below, so stale or hostile shape
     // annotations in the file cannot skew the pipeline.)
-    graph.initializers.retain(|name, _| {
-        adj.consumers_of.contains_key(name)
-            || adj.producer_of.contains_key(name)
-            || graph.outputs.contains(name)
-    });
+    // Every name a node reads or writes has an id in the snapshot's table.
+    graph
+        .initializers
+        .retain(|name, _| adj.value_id(name).is_some() || graph.outputs.contains(name));
     let invalid = |e: ramiel_ir::IrError| OnnxError::Validate {
         reason: e.to_string(),
     };
     let order = ramiel_ir::validate::validate_with(&graph, &adj).map_err(invalid)?;
-    let infos =
-        ramiel_ir::shape::infer_in_order(&graph, &order, &adj.producer_of).map_err(invalid)?;
-    graph
-        .value_info
-        .extend(infos.into_iter().map(|i| (i.name.clone(), i)));
+    let infos = ramiel_ir::shape::infer_in_order(&graph, &order, &adj).map_err(invalid)?;
+    // `value_info` is empty here (serialized annotations are ignored), so
+    // it is built in one sorted bulk load rather than by a search per
+    // insert.
+    graph.value_info = infos.into_iter().map(|i| (i.name.clone(), i)).collect();
     let errors: Vec<_> = ramiel_verify::lint_validated_graph(&graph, &adj, &order)
         .into_iter()
         .filter(|d| d.severity == Severity::Error)

@@ -37,7 +37,7 @@ pub fn fold_batch_norms(graph: &mut Graph) -> Result<PassReport> {
         if !matches!(conv.op, OpKind::Conv { .. }) {
             continue;
         }
-        if adj.consumers_of.get(&bn.inputs[0]).map(Vec::len) != Some(1)
+        if adj.consumers_of.get(&bn.inputs[0]).map(<[_]>::len) != Some(1)
             || graph.outputs.contains(&bn.inputs[0])
         {
             continue;

@@ -13,7 +13,6 @@
 
 use ramiel_ir::graph::Adjacency;
 use ramiel_ir::{Graph, NodeId, OpKind};
-use std::collections::{HashMap, HashSet};
 
 /// Which input slots of an op the kernel layer can overwrite in place.
 /// Mirrors the fast paths in `ramiel_tensor::eval_op_inplace`.
@@ -38,7 +37,8 @@ pub fn inplace_slots(op: &OpKind) -> &'static [usize] {
 /// node may consume in place.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InPlaceMarks {
-    slots: HashMap<NodeId, usize>,
+    /// `(node, slot)`, in node order.
+    slots: Vec<(NodeId, usize)>,
 }
 
 impl InPlaceMarks {
@@ -49,7 +49,8 @@ impl InPlaceMarks {
 
     /// The marked input slot for `node`, if any.
     pub fn slot(&self, node: NodeId) -> Option<usize> {
-        self.slots.get(&node).copied()
+        let i = self.slots.binary_search_by_key(&node, |&(n, _)| n).ok()?;
+        Some(self.slots[i].1)
     }
 
     pub fn len(&self) -> usize {
@@ -60,9 +61,9 @@ impl InPlaceMarks {
         self.slots.is_empty()
     }
 
-    /// All `(node, slot)` marks, for reporting.
+    /// All `(node, slot)` marks, in node order, for reporting.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, usize)> + '_ {
-        self.slots.iter().map(|(&n, &s)| (n, s))
+        self.slots.iter().copied()
     }
 }
 
@@ -72,42 +73,52 @@ pub fn inplace_marks(graph: &Graph) -> InPlaceMarks {
     inplace_marks_with(graph, &graph.adjacency())
 }
 
-/// [`inplace_marks`] over an adjacency snapshot the caller already holds.
+/// [`inplace_marks`] over an adjacency snapshot the caller already holds:
+/// operands are read by value id, so no name is hashed.
 pub fn inplace_marks_with(graph: &Graph, adj: &Adjacency<'_>) -> InPlaceMarks {
-    let outputs: HashSet<&str> = graph.outputs.iter().map(String::as_str).collect();
-    let mut slots = HashMap::new();
+    let mut is_output = vec![false; adj.num_values()];
+    for out in &graph.outputs {
+        if let Some(v) = adj.value_id(out) {
+            is_output[v as usize] = true;
+        }
+    }
+    let mut slots = Vec::new();
     for node in &graph.nodes {
+        let operands = adj.operands(node.id);
         for &s in inplace_slots(&node.op) {
-            let Some(name) = node.inputs.get(s) else {
+            let Some(&v) = operands.get(s) else {
                 continue;
             };
             // Model inputs and initializers are owned by the caller / the
             // shared weight table; overwriting them is never sound.
-            if !adj.producer_of.contains_key(name) {
+            if adj.producer(v).is_none() {
                 continue;
             }
             // Sole consumer, consumed exactly once (Add(x, x) lists x twice
-            // in consumers_of, so duplicate operands are excluded here).
-            match adj.consumers_of.get(name) {
-                Some(cons) if cons.len() == 1 && cons[0] == node.id => {}
-                _ => continue,
+            // in its consumers, so duplicate operands are excluded here).
+            if adj.consumers(v) != [node.id] {
+                continue;
             }
             // Graph outputs stay live past their last consumer.
-            if outputs.contains(name.as_str()) {
+            if is_output[v as usize] {
                 continue;
             }
             // When shape metadata is present, only mark operands whose
             // extent matches the output (broadcasts allocate anyway, so a
-            // mark on the broadcast operand would be dead weight).
-            if let (Some(a), Some(b)) = (
-                graph.tensor_info(name),
-                node.outputs.first().and_then(|o| graph.tensor_info(o)),
-            ) {
-                if a.shape != b.shape || a.dtype != b.dtype {
-                    continue;
+            // mark on the broadcast operand would be dead weight). A
+            // one-operand elementwise op cannot broadcast: its output has
+            // its operand's extent and type.
+            if operands.len() > 1 {
+                if let (Some(a), Some(b)) = (
+                    graph.tensor_ref(&node.inputs[s]),
+                    node.outputs.first().and_then(|o| graph.tensor_ref(o)),
+                ) {
+                    if a != b {
+                        continue;
+                    }
                 }
             }
-            slots.insert(node.id, s);
+            slots.push((node.id, s));
             break;
         }
     }

@@ -21,8 +21,9 @@
 //! slot)`, the per-job read-count template and, per slot, the ops waiting
 //! on it. Running a job is then index work: a message is `(job, slot)`,
 //! its arrival decrements the waiting ops' missing-operand counters, and
-//! an op whose counter reaches zero joins the ready set. Only graph inputs
-//! and initializers are still looked up by name.
+//! an op whose counter reaches zero joins the ready set. A weight operand
+//! is an index into the pool's weight table; only graph inputs are still
+//! looked up by name, in the request.
 //!
 //! Workers execute their op list **first-ready-first** (lowest ready index
 //! first). For linear/merged clusters (ordered by decreasing
@@ -57,7 +58,7 @@
 use crate::fault::{node_error, panic_to_error, Armed, FaultInjector, INJECT_MARKER};
 use crate::limits::default_recv_timeout;
 use crate::profile::{OpRecord, ProfileDb, WorkerSpan};
-use crate::program::{GraphProgram, InSrc};
+use crate::program::{weight_table, GraphProgram, InSrc};
 use crate::reuse::charge_bytes;
 use crate::run::RunOptions;
 use crate::{value_bytes, Env, Result, RuntimeError};
@@ -68,7 +69,7 @@ use ramiel_ir::{Graph, OpKind};
 use ramiel_obs::{ChannelEdgeStats, ChannelMeter, Obs};
 use ramiel_tensor::{eval_op, eval_op_inplace, ExecCtx, ExecError, MemGauge, Value};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashSet};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -113,8 +114,8 @@ struct ProgOp {
 struct WorkerProgram {
     ops: Vec<ProgOp>,
     /// Local slot per operand position; [`UNASSIGNED`] where the node reads
-    /// a graph input or initializer (fetched by the name the
-    /// [`GraphProgram`] node keeps at that position).
+    /// a graph input or a weight (fetched as the [`GraphProgram`] node's
+    /// operand at that position says).
     operands: Vec<u32>,
     outs: Vec<OutSpec>,
     /// `(consumer worker, the consumer's local slot)` per cross-worker edge.
@@ -161,7 +162,7 @@ impl PlannedBatch {
     /// once in `prog`, so planning another batch size is integer work only.
     pub fn with_program(prog: &Arc<GraphProgram>, hc: HyperClustering) -> Result<PlannedBatch> {
         let nn = prog.nodes.len();
-        let ns = prog.slot_names.len();
+        let ns = prog.num_slots();
         let batch = hc.batch.max(1);
         let mut owner = vec![UNASSIGNED; batch * nn];
         for (w, ops) in hc.hyperclusters.iter().enumerate() {
@@ -187,7 +188,7 @@ impl PlannedBatch {
             let mut wp = WorkerProgram::default();
             for op in ops {
                 let outs_start = wp.outs.len() as u32;
-                for &base in &prog.nodes[op.node].out_slots {
+                for &base in prog.out_slots(op.node) {
                     let inst = op.batch * ns + base as usize;
                     if local[inst] != UNASSIGNED {
                         return Err(RuntimeError::Setup(format!(
@@ -218,7 +219,7 @@ impl PlannedBatch {
             let mut reads_of: Vec<(u32, u32)> = Vec::new();
             for (i, op) in ops.iter().enumerate() {
                 let ins_start = wp.operands.len() as u32;
-                for src in &prog.nodes[op.node].inputs {
+                for src in prog.inputs(op.node) {
                     let InSrc::Slot(base) = src else {
                         wp.operands.push(UNASSIGNED);
                         continue;
@@ -350,7 +351,8 @@ pub struct HyperPool {
     handles: Vec<JoinHandle<()>>,
     next_job: u64,
     workers: usize,
-    init_values: Arc<HashMap<String, Value>>,
+    /// The weight table the programs' `InSrc::Weight` operands index.
+    weights: Arc<Vec<Value>>,
     recv_timeout: Duration,
     meter: Arc<ChannelMeter>,
     /// Timebase of worker-side profiling records, and where it sits on the
@@ -370,18 +372,29 @@ impl HyperPool {
     /// table, fault injection, recv timeout, obs sink). Workers take what
     /// they execute from each job's [`PlannedBatch`], so this is channel
     /// set-up plus thread spawns: nothing of `graph` is copied but its
-    /// output names (and its weights, when `opts` brings no shared table).
+    /// weights, when `opts` brings no shared table (a shared table is
+    /// indexed in the order of `graph.initializers`, one lookup per weight).
     pub fn with_options(
         graph: &Graph,
         workers: usize,
         ctx: &ExecCtx,
         opts: &RunOptions,
     ) -> Result<HyperPool> {
+        let weights = weight_table(graph, opts.init_values.as_deref())?;
+        HyperPool::with_weights(workers, ctx, opts, weights)
+    }
+
+    /// [`HyperPool::with_options`] over a weight table the caller already
+    /// holds: entry `k` is the `k`-th initializer of the graph the
+    /// submitted schedules were planned from. `opts.init_values` is not
+    /// read.
+    pub fn with_weights(
+        workers: usize,
+        ctx: &ExecCtx,
+        opts: &RunOptions,
+        weights: Arc<Vec<Value>>,
+    ) -> Result<HyperPool> {
         let recv_timeout = opts.recv_timeout.unwrap_or_else(default_recv_timeout);
-        let init_values = match &opts.init_values {
-            Some(iv) => Arc::clone(iv),
-            None => crate::initializer_values(graph)?,
-        };
 
         // Worker inboxes are bounded (capacity from `limits`, shared with
         // the ramiel-analyze RA0401 lint); the done channel stays unbounded
@@ -398,7 +411,7 @@ impl HyperPool {
         for (w, (_, rx)) in channels.iter().enumerate() {
             let rx = rx.clone();
             let peer_txs = worker_txs.clone();
-            let init_values = Arc::clone(&init_values);
+            let weights = Arc::clone(&weights);
             let done_tx = done_tx.clone();
             let ctx = ctx.clone();
             let injector = opts.injector.clone();
@@ -408,7 +421,7 @@ impl HyperPool {
             handles.push(std::thread::spawn(move || {
                 worker_main(WorkerState {
                     me: w,
-                    init_values: &init_values,
+                    weights: &weights,
                     rx,
                     peer_txs: &peer_txs,
                     done_tx,
@@ -429,7 +442,7 @@ impl HyperPool {
             handles,
             next_job: 0,
             workers,
-            init_values,
+            weights,
             recv_timeout,
             meter,
             epoch,
@@ -478,6 +491,13 @@ impl HyperPool {
                 "schedule has {} hyperclusters but the pool has {} workers",
                 plan.num_workers(),
                 self.workers
+            )));
+        }
+        if plan.prog.num_weights() != self.weights.len() {
+            return Err(RuntimeError::Setup(format!(
+                "schedule reads {} weights but the pool holds {}",
+                plan.prog.num_weights(),
+                self.weights.len()
             )));
         }
         if inputs.len() != plan.batch() {
@@ -547,7 +567,7 @@ impl HyperPool {
                 }
             }
             for (b, base, v) in done.outputs {
-                outs[b].insert(plan.prog.slot_names[base as usize].clone(), v);
+                outs[b].insert(plan.prog.value_name(base).to_string(), v);
             }
         }
         if let Some(db) = db.as_mut() {
@@ -562,8 +582,9 @@ impl HyperPool {
         {
             return Err(e);
         }
+        let weights = &self.weights;
         plan.prog
-            .backfill_outputs(&mut outs, inputs, &self.init_values);
+            .backfill_outputs(&mut outs, inputs, |k| weights.get(k as usize));
         Ok((outs, db))
     }
 }
@@ -581,7 +602,7 @@ impl Drop for HyperPool {
 
 struct WorkerState<'a> {
     me: usize,
-    init_values: &'a HashMap<String, Value>,
+    weights: &'a [Value],
     rx: Receiver<PoolMsg>,
     peer_txs: &'a [Sender<PoolMsg>],
     done_tx: Sender<PoolDone>,
@@ -928,12 +949,10 @@ fn run_job(
 
         let op_start = records.is_some().then(Instant::now);
         let result = if matches!(node.op, OpKind::Constant) {
-            // A Constant's payload is already in the shared initializer
-            // table under its output name — share it, don't re-convert
-            // (so an armed kernel fault has no kernel to travel through).
-            let payload = st
-                .init_values
-                .get(&prog.slot_names[node.out_slots[0] as usize]);
+            // A Constant's payload is already in the shared weight table —
+            // share it, don't re-convert (so an armed kernel fault has no
+            // kernel to travel through).
+            let payload = node.payload.and_then(|k| st.weights.get(k as usize));
             match payload {
                 _ if armed.kernel_fault => Err(ExecError(INJECT_MARKER.into())),
                 Some(v) => Ok(vec![v.clone()]),
@@ -946,9 +965,14 @@ fn run_job(
             let mark = if st.reuse { node.mark } else { None };
             let mut owned_slot = None;
             let mut ins: Vec<Value> = Vec::with_capacity(operands.len());
-            for (pos, (src, &slot)) in node.inputs.iter().zip(operands).enumerate() {
-                let (found, tensor) = match src {
-                    InSrc::Slot(base) => {
+            for (pos, (src, &slot)) in prog
+                .inputs(op.node as usize)
+                .iter()
+                .zip(operands)
+                .enumerate()
+            {
+                let found = match *src {
+                    InSrc::Slot(_) => {
                         let s = slot as usize;
                         if mark == Some(pos) && state.remaining[s] == 1 {
                             if let Some(v) = state.vals[s].take() {
@@ -957,19 +981,18 @@ fn run_job(
                                 continue;
                             }
                         }
-                        (state.vals[s].clone(), &prog.slot_names[*base as usize])
+                        state.vals[s].clone()
                     }
-                    InSrc::External(name) => (
-                        inputs[batch]
-                            .get(name)
-                            .or_else(|| st.init_values.get(name))
-                            .cloned(),
-                        name,
-                    ),
+                    InSrc::Weight(k) => st.weights.get(k as usize).cloned(),
+                    InSrc::Input(v) => inputs[batch].get(prog.value_name(v)).cloned(),
                 };
                 match found {
                     Some(v) => ins.push(v),
                     None => {
+                        let tensor = match *src {
+                            InSrc::Slot(v) | InSrc::Input(v) => prog.value_name(v),
+                            InSrc::Weight(k) => prog.weight_name(k),
+                        };
                         return (
                             outputs,
                             Some(RuntimeError::Setup(format!(
@@ -990,7 +1013,10 @@ fn run_job(
         };
         let outs = match result {
             Ok(o) => o,
-            Err(e) => return (outputs, Some(node_error(Some(me), node.id, &node.name, e))),
+            Err(e) => {
+                let name = prog.node_name(op.node as usize);
+                return (outputs, Some(node_error(Some(me), node.id, name, e)));
+            }
         };
         if let (Some(records), Some(start)) = (records.as_mut(), op_start) {
             records.push(OpRecord {

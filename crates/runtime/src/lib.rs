@@ -57,7 +57,7 @@ pub use hyperpool::{HyperPool, PlannedBatch};
 pub use memory::{clustering_peak_memory, sequential_peak_memory, MemoryReport};
 pub use predict::{predict_report, ClusterPrediction, KindPrediction, PredictionReport};
 pub use profile::{OpRecord, ProfileDb, SlackReport, WorkerSpan};
-pub use program::GraphProgram;
+pub use program::{GraphProgram, Operand};
 pub use run::{run, Engine, Run, RunOptions, Schedule};
 pub use sim::{
     simulate_clustering, simulate_hyper, simulate_sequential, SimConfig, SimEvent, SimResult,

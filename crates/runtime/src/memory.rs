@@ -80,13 +80,13 @@ impl<'g> Walker<'g> {
         for b in 0..batch {
             for n in &graph.nodes {
                 for out in &n.outputs {
-                    let consumers = adj.consumers_of.get(out).map(Vec::len).unwrap_or(0);
+                    let consumers = adj.consumers_of.get(out).map(<[_]>::len).unwrap_or(0);
                     let pinned = graph.outputs.contains(out) as usize;
                     refcount.insert((out.clone(), b), consumers + pinned);
                 }
             }
             for inp in &graph.inputs {
-                let consumers = adj.consumers_of.get(&inp.name).map(Vec::len).unwrap_or(0);
+                let consumers = adj.consumers_of.get(&inp.name).map(<[_]>::len).unwrap_or(0);
                 refcount.insert((inp.name.clone(), b), consumers);
             }
         }

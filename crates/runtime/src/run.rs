@@ -66,7 +66,9 @@ pub struct RunOptions {
     /// Pre-converted initializer table (see [`crate::initializer_values`]).
     /// When set, runs reuse these shared `Value`s instead of re-converting
     /// the graph's `TensorData` — the win for repeated inference, since the
-    /// conversion is the only remaining deep copy of the weights.
+    /// conversion is the only remaining deep copy of the weights. A
+    /// [`crate::HyperPool`] takes its weights out of it by name once, when
+    /// it is built, and indexes them from then on.
     pub init_values: Option<Arc<HashMap<String, Value>>>,
     /// Lifetime-driven buffer reuse (on by default): evict tensors from
     /// worker environments after their last consumer and honor the

@@ -36,7 +36,7 @@
 //! Everything the static executors honor is threaded through: RunOptions
 //! (obs, fault injection, in-place reuse marks gated by `Arc::get_mut`,
 //! shared `init_values`), MemGauge accounting identical to the
-//! [`crate::reuse::Liveness`] model (so the analyze first-ready resident-sum
+//! `reuse::Liveness` model (so the analyze first-ready resident-sum
 //! bound stays sound), supervisor retry/fallback ([`crate::run`] with
 //! [`crate::Engine::Stealing`]), and batch execution for serve. `FaultKind::DropMessage` is a no-op here, as in the
 //! sequential executor: there are no channels to drop from.
@@ -255,7 +255,7 @@ impl JobInner {
     }
 
     fn slot(&self, batch: usize, base: u32) -> &Mutex<Slot> {
-        &self.slots[batch * self.plan.prog.slot_names.len() + base as usize]
+        &self.slots[batch * self.plan.prog.num_slots() + base as usize]
     }
 
     fn notify(&self) {
@@ -606,7 +606,7 @@ impl PoolShared {
         // Release successors whose last dependency this was, newly-ready
         // tasks going LIFO to the executor's own deque.
         let mut ready: Vec<u32> = Vec::new();
-        for &s in &job.plan.prog.nodes[n].succs {
+        for &s in job.plan.prog.succs(n) {
             let st = (b * nn + s as usize) as u32;
             if job.pending[st as usize].fetch_sub(1, Ordering::SeqCst) == 1 {
                 ready.push(st);
@@ -698,12 +698,14 @@ fn run_node(job: &JobInner, b: usize, n: usize, exec_idx: usize) -> Result<()> {
     let outputs = if matches!(node.op, OpKind::Constant) {
         if armed.kernel_fault {
             let e = ExecError(INJECT_MARKER.into());
-            return Err(node_error(Some(exec_idx), node.id, &node.name, e));
+            return Err(node_error(Some(exec_idx), node.id, plan.node_name(n), e));
         }
-        let name = &plan.slot_names[node.out_slots[0] as usize];
-        let v = init_values.get(name).ok_or_else(|| {
-            RuntimeError::Setup(format!("Constant `{}` missing payload", node.name))
-        })?;
+        let v = node
+            .payload
+            .and_then(|k| init_values.get(plan.weight_name(k)))
+            .ok_or_else(|| {
+                RuntimeError::Setup(format!("Constant `{}` missing payload", plan.node_name(n)))
+            })?;
         vec![v.clone()]
     } else {
         // A node marked by the in-place pass takes its dying operand *out*
@@ -711,13 +713,18 @@ fn run_node(job: &JobInner, b: usize, n: usize, exec_idx: usize) -> Result<()> {
         // gate can overwrite the buffer in place.
         let mark = if job.reuse { node.mark } else { None };
         let mut owned_slot = None;
-        let ins: Result<Vec<Value>> = node
-            .inputs
+        let fetch = |found: Option<&Value>, name: &str| {
+            found.cloned().ok_or_else(|| {
+                RuntimeError::Setup(format!("task ({b}, {n}): tensor `{name}` unavailable"))
+            })
+        };
+        let ins: Result<Vec<Value>> = plan
+            .inputs(n)
             .iter()
             .enumerate()
-            .map(|(i, src)| match src {
+            .map(|(i, src)| match *src {
                 InSrc::Slot(base) => {
-                    let mut sl = job.slot(b, *base).lock();
+                    let mut sl = job.slot(b, base).lock();
                     if mark == Some(i) && sl.remaining == 1 {
                         if let Some(v) = sl.val.take() {
                             owned_slot = Some(i);
@@ -727,17 +734,14 @@ fn run_node(job: &JobInner, b: usize, n: usize, exec_idx: usize) -> Result<()> {
                     sl.val.clone().ok_or_else(|| {
                         RuntimeError::Setup(format!(
                             "task ({b}, {n}): operand `{}` missing from its slot",
-                            plan.slot_names[*base as usize]
+                            plan.value_name(base)
                         ))
                     })
                 }
-                InSrc::External(name) => job.inputs[b]
-                    .get(name)
-                    .or_else(|| init_values.get(name))
-                    .cloned()
-                    .ok_or_else(|| {
-                        RuntimeError::Setup(format!("task ({b}, {n}): tensor `{name}` unavailable"))
-                    }),
+                InSrc::Weight(k) => {
+                    fetch(init_values.get(plan.weight_name(k)), plan.weight_name(k))
+                }
+                InSrc::Input(v) => fetch(job.inputs[b].get(plan.value_name(v)), plan.value_name(v)),
             })
             .collect();
         let hooked = armed
@@ -748,7 +752,7 @@ fn run_node(job: &JobInner, b: usize, n: usize, exec_idx: usize) -> Result<()> {
             Some(s) => eval_op_inplace(eval_ctx, &node.op, ins?, s),
             None => eval_op(eval_ctx, &node.op, &ins?),
         }
-        .map_err(|e| node_error(Some(exec_idx), node.id, &node.name, e))?
+        .map_err(|e| node_error(Some(exec_idx), node.id, plan.node_name(n), e))?
     };
 
     if !armed.send_delay.is_zero() {
@@ -757,10 +761,10 @@ fn run_node(job: &JobInner, b: usize, n: usize, exec_idx: usize) -> Result<()> {
     if job.dead.load(Ordering::SeqCst) {
         return Ok(()); // a peer already failed the job; don't publish
     }
-    for (&base, v) in node.out_slots.iter().zip(outputs) {
+    for (&base, v) in plan.out_slots(n).iter().zip(outputs) {
         let bytes = charge_bytes(&node.op, &v);
         if plan.slot_is_output[base as usize] {
-            job.out_envs.lock()[b].insert(plan.slot_names[base as usize].clone(), v.clone());
+            job.out_envs.lock()[b].insert(plan.value_name(base).to_string(), v.clone());
         }
         let mut sl = job.slot(b, base).lock();
         if let Some(g) = &job.gauge {
@@ -783,7 +787,7 @@ fn run_node(job: &JobInner, b: usize, n: usize, exec_idx: usize) -> Result<()> {
         }
     }
     if job.reuse {
-        for src in &node.inputs {
+        for src in plan.inputs(n) {
             if let InSrc::Slot(base) = src {
                 let mut sl = job.slot(b, *base).lock();
                 sl.remaining = sl.remaining.saturating_sub(1);
@@ -986,7 +990,8 @@ impl StealPool {
         if plan.prog.nodes.is_empty() {
             let mut outs = vec![Env::new(); plan.batch];
             let init = opts.init_values.as_ref().unwrap_or(&plan.init_values);
-            plan.prog.backfill_outputs(&mut outs, inputs, init);
+            let prog = &plan.prog;
+            prog.backfill_outputs(&mut outs, inputs, |k| init.get(prog.weight_name(k)));
             return Ok(outs);
         }
 
@@ -1081,7 +1086,8 @@ impl StealPool {
         result?;
         let mut outs = std::mem::take(&mut *job.out_envs.lock());
         job.finalize();
-        plan.prog.backfill_outputs(&mut outs, inputs, &job.init);
+        let prog = &plan.prog;
+        prog.backfill_outputs(&mut outs, inputs, |k| job.init.get(prog.weight_name(k)));
         Ok(outs)
     }
 }

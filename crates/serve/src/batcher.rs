@@ -34,7 +34,7 @@
 //!
 //! The collector builds its pool when the lane is spawned — before any
 //! request, overlapping the `load` reply — and rebuilds it when
-//! [`Lane::swap_plan`] wakes it with a new plan version. A request that
+//! `Lane::swap_plan` wakes it with a new plan version. A request that
 //! races a swap still finds the rebuild on its path; that time is recorded
 //! under `ramiel_lane_build_ns` and counted as execution, not batch-wait.
 //!
@@ -204,14 +204,14 @@ impl Drop for Lane {
 }
 
 impl LaneShared {
-    /// What every execution on this lane runs with (pool workers at build
-    /// time, the sequential fallback per batch).
-    fn run_opts(&self, plan: &CompiledPlan) -> RunOptions {
+    /// What every execution on this lane runs with: pool workers at build
+    /// time (which index the plan's weight table) and the sequential
+    /// fallback per batch (which looks weights up by name).
+    fn run_opts(&self) -> RunOptions {
         RunOptions {
             injector: self.cfg.injector.clone(),
             recv_timeout: self.cfg.recv_timeout,
             obs: self.cfg.obs.clone(),
-            init_values: Some(Arc::clone(&plan.init_values)),
             ..RunOptions::default()
         }
     }
@@ -341,11 +341,11 @@ impl LanePool {
         let start = Instant::now();
         self.pool = None;
         self.version = plan.version;
-        let built = HyperPool::with_options(
-            &plan.graph,
+        let built = HyperPool::with_weights(
             plan.num_clusters(),
             &plan.ctx,
-            &sh.run_opts(plan),
+            &sh.run_opts(),
+            Arc::clone(&plan.weights),
         );
         sh.metrics.lane_build.record_duration(start.elapsed());
         self.pool = Some(built?);
@@ -566,7 +566,7 @@ fn execute_batch(sh: &LaneShared, pool: &mut LanePool, batch: Vec<Request>) -> I
                 "serve",
                 serde_json::json!({ "model": plan.name, "error": batch_err.code() }),
             );
-            let run_opts = sh.run_opts(&plan);
+            let run_opts = sh.run_opts().init_values(Arc::clone(plan.named_weights()));
             for r in live {
                 let solo_start = Instant::now();
                 let res = catch_unwind(AssertUnwindSafe(|| {

@@ -4,8 +4,9 @@
 //! stage with its clustering folded to at most one cluster per core (see
 //! `Layout`), the slot-resolved graph program with its in-place marks,
 //! the batch-1 hypercluster schedule compiled to per-worker programs (other
-//! batch sizes are compiled on their first batch), the shared initializer
-//! table (whose buffers are the graph's own payloads, moved, not copied),
+//! batch sizes are compiled on their first batch), the shared weight
+//! table (whose buffers are the graph's own payloads, moved, not copied,
+//! and indexed by the slot program's weight operands),
 //! and a per-plan [`ExecCtx`] whose packed-weight cache persists across
 //! requests — and shares the result as an [`Arc<CompiledPlan>`]. The cache
 //! is LRU-bounded ([`PlanCache::new`]) and every (re)load gets a fresh
@@ -20,12 +21,12 @@ use ramiel_cluster::{
     HyperClustering, PipelineReport, Scheduled, StaticCost,
 };
 use ramiel_ir::graph::Adjacency;
-use ramiel_ir::{Graph, TensorInfo};
+use ramiel_ir::Graph;
 use ramiel_runtime::{GraphProgram, PlannedBatch};
 use ramiel_tensor::{ExecCtx, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A graph to compile into a plan, as it is: [`crate::Server::load`]
@@ -100,10 +101,10 @@ pub struct CompiledPlan {
     /// of the same name (hot reload).
     pub version: u64,
     /// The graph the plan was compiled from, minus its weights: `load`
-    /// moves every initializer payload into [`init_values`](Self::init_values),
-    /// so `graph.initializers` is empty and each initializer's shape and
-    /// dtype are in `graph.value_info` instead (`Graph::tensor_info` still
-    /// answers for it). Nodes, inputs and outputs are unchanged.
+    /// moves every initializer payload into [`weights`](Self::weights),
+    /// so `graph.initializers` is empty ([`weight`](Self::weight) answers
+    /// for an initializer by name). Nodes, inputs, outputs and `value_info`
+    /// are unchanged.
     pub graph: Graph,
     /// The paper's clustering folded to at most one cluster per core (see
     /// `Layout`): the plan's standing pools run one worker per cluster.
@@ -113,9 +114,17 @@ pub struct CompiledPlan {
     pub report: PipelineReport,
     /// Time the schedule stage took.
     pub schedule_time: Duration,
-    /// Shared weights — every fetch is a refcount bump. Built from the
-    /// spec's graph by moving its payloads.
-    pub init_values: Arc<HashMap<String, Value>>,
+    /// Shared weights — every fetch is a refcount bump. Entry `k` is the
+    /// `k`-th initializer of the spec's graph (in `Graph::initializers`
+    /// order), its payload moved in; the slot program's weight operands
+    /// index it.
+    pub weights: Arc<Vec<Value>>,
+    /// `weight_names[k]` names `weights[k]`; sorted, since it keeps the
+    /// order of `Graph::initializers`.
+    weight_names: Vec<String>,
+    /// The weights keyed by name, for the name-keyed sequential fallback:
+    /// built on the first fallback, never on the load path.
+    named_weights: OnceLock<Arc<HashMap<String, Value>>>,
     /// Per-plan execution context: its packed-weight cache warms up on the
     /// first request and is reused by every later one (clones share it).
     pub ctx: ExecCtx,
@@ -163,7 +172,7 @@ impl CompiledPlan {
         let program = Arc::new(program);
         let batch1 = PlannedBatch::with_program(&program, hyper_schedule(&clustering, switched, 1))
             .map_err(ServeError::Runtime)?;
-        let init_values = Arc::new(take_initializers(&mut graph)?);
+        let (weight_names, weights) = take_initializers(&mut graph)?;
         let ctx = if intra_op > 1 {
             ExecCtx::with_intra_op(intra_op)
         } else {
@@ -177,7 +186,9 @@ impl CompiledPlan {
             switched,
             report,
             schedule_time,
-            init_values,
+            weights: Arc::new(weights),
+            weight_names,
+            named_weights: OnceLock::new(),
             ctx,
             program,
             schedules: Mutex::new(BTreeMap::from([(1, Arc::new(batch1))])),
@@ -209,6 +220,24 @@ impl CompiledPlan {
         self.clustering.num_clusters()
     }
 
+    /// The weight an initializer of the spec's graph became.
+    pub fn weight(&self, name: &str) -> Option<&Value> {
+        let k = self
+            .weight_names
+            .binary_search_by(|n| n.as_str().cmp(name))
+            .ok()?;
+        self.weights.get(k)
+    }
+
+    /// The weights keyed by name, as the sequential executor takes them.
+    /// Built on the first call (refcount bumps, no payload copied).
+    pub fn named_weights(&self) -> &Arc<HashMap<String, Value>> {
+        self.named_weights.get_or_init(|| {
+            let named = self.weight_names.iter().cloned();
+            Arc::new(named.zip(self.weights.iter().cloned()).collect())
+        })
+    }
+
     /// Batch sizes with a planned schedule (load-time + lazily added).
     pub fn planned_batches(&self) -> Vec<usize> {
         self.schedules.lock().keys().copied().collect()
@@ -216,19 +245,18 @@ impl CompiledPlan {
 }
 
 /// Move `graph`'s initializer payloads into a runtime table, each buffer
-/// wrapped as it is (no element copied), leaving the shape and dtype of
-/// every initializer in `graph.value_info`.
-fn take_initializers(graph: &mut Graph) -> Result<HashMap<String, Value>, ServeError> {
+/// wrapped as it is (no element copied), in `graph.initializers` order:
+/// the names, and the weights the slot program's weight indices address.
+fn take_initializers(graph: &mut Graph) -> Result<(Vec<String>, Vec<Value>), ServeError> {
     let initializers = std::mem::take(&mut graph.initializers);
-    let mut table = HashMap::with_capacity(initializers.len());
+    let mut names = Vec::with_capacity(initializers.len());
+    let mut weights = Vec::with_capacity(initializers.len());
     for (name, data) in initializers {
-        let info = TensorInfo::new(name.clone(), data.dtype(), data.shape.clone());
-        graph.value_info.insert(name.clone(), info);
-        let value =
-            Value::from_owned_tensor_data(data).map_err(|e| ServeError::Runtime(e.into()))?;
-        table.insert(name, value);
+        names.push(name);
+        weights
+            .push(Value::from_owned_tensor_data(data).map_err(|e| ServeError::Runtime(e.into()))?);
     }
-    Ok(table)
+    Ok((names, weights))
 }
 
 /// Plain (Fig. 8) or switched (Fig. 9) hyperclustering of `clustering`.

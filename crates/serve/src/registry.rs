@@ -478,7 +478,10 @@ fn http_get(url: &str) -> Result<Vec<u8>, RegistryError> {
         .lines()
         .find(|l| l.to_ascii_lowercase().starts_with("content-length:"))
     {
-        let expected: usize = len_line[15..].trim().parse().unwrap_or(body.len());
+        let value = len_line[15..].trim();
+        let expected: usize = value
+            .parse()
+            .map_err(|_| err(format!("unparsable Content-Length `{value}`")))?;
         if body.len() != expected {
             return Err(err(format!(
                 "truncated body: Content-Length {expected}, got {} bytes",
@@ -544,4 +547,49 @@ fn serve_file_conn(mut stream: TcpStream, root: &Path) {
     };
     let _ = stream.write_all(&response);
     let _ = stream.flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::BufRead;
+
+    /// `http_get` against a listener that answers one request with
+    /// `response`, whatever was asked.
+    fn get_from_stub(response: &'static [u8]) -> Result<Vec<u8>, RegistryError> {
+        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stub = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+            let mut line = String::new();
+            while reader.read_line(&mut line).is_ok_and(|n| n > 0) && line.trim() != "" {
+                line.clear();
+            }
+            stream.write_all(response).unwrap();
+        });
+        let got = http_get(&format!("http://{addr}/model.onnx"));
+        stub.join().unwrap();
+        got
+    }
+
+    #[test]
+    fn a_body_shorter_than_its_content_length_is_refused() {
+        let e = get_from_stub(b"HTTP/1.0 200 OK\r\nContent-Length: 12\r\n\r\nshort").unwrap_err();
+        assert_eq!(e.code(), "RG-HTTP");
+        assert!(e.to_string().contains("truncated body"), "{e}");
+    }
+
+    #[test]
+    fn an_unparsable_content_length_is_refused() {
+        let e = get_from_stub(b"HTTP/1.0 200 OK\r\nContent-Length: 12x\r\n\r\nshort").unwrap_err();
+        assert_eq!(e.code(), "RG-HTTP");
+        assert!(e.to_string().contains("Content-Length `12x`"), "{e}");
+    }
+
+    #[test]
+    fn a_body_matching_its_content_length_is_returned() {
+        let body = get_from_stub(b"HTTP/1.0 200 OK\r\nContent-Length: 5\r\n\r\nwhole").unwrap();
+        assert_eq!(body, b"whole");
+    }
 }

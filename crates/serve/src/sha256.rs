@@ -7,7 +7,7 @@
 //!
 //! Two block functions sit behind [`digest`]:
 //!
-//! - [`compress_portable`], the textbook rounds over a rolling 16-word
+//! - `compress_portable`, the textbook rounds over a rolling 16-word
 //!   schedule — the only path off x86-64 and the reference the hardware
 //!   path is tested against;
 //! - `compress_sha_ni`, built on the x86 SHA extensions, chosen when the

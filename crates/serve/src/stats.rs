@@ -1,8 +1,8 @@
 //! Serve's series in the metric registry, and the `stats` view of them.
 //!
 //! The registry is serve's one counter and histogram store: each lane
-//! records into its [`LaneMetrics`], admission into [`AdmissionMetrics`],
-//! and [`StatsSnapshot::read`] folds the series back together — counters
+//! records into its `LaneMetrics`, admission into `AdmissionMetrics`,
+//! and `StatsSnapshot::read` folds the series back together — counters
 //! summed over every `model` series (evicted models' included, so totals
 //! never go down), histograms merged, peaks maxed. A `stats` read resets no
 //! window: the `metrics` scrape is the one window owner.

@@ -59,7 +59,7 @@ fn graph_findings(graph: &Graph, adj: &Adjacency<'_>) -> Vec<Diagnostic> {
 }
 
 fn graph_lints(graph: &Graph, adj: &Adjacency<'_>, order: &[NodeId]) -> Vec<Diagnostic> {
-    let mut diags = lints::lint_foldable_consts(graph, order);
+    let mut diags = lints::lint_foldable_consts(graph, adj, order);
     diags.extend(lints::lint_unfused_bn(graph, adj));
     diags
 }

@@ -6,34 +6,44 @@ use crate::diag::{codes, Diagnostic, Span};
 use crate::schedule::ScheduleView;
 use ramiel_ir::graph::Adjacency;
 use ramiel_ir::{Graph, NodeId, OpKind};
-use std::collections::HashSet;
 
 /// RV0601: nodes whose every operand is a compile-time constant — the
 /// prune pipeline (`passes::prune`) would fold them away. Aggregated into a
 /// single finding with a count and one example. `order` is a topological
-/// order of `graph`.
-pub fn lint_foldable_consts(graph: &Graph, order: &[NodeId]) -> Vec<Diagnostic> {
-    let mut static_tensors: HashSet<&str> = graph.initializers.keys().map(String::as_str).collect();
+/// order of `graph` and `adj` its adjacency, whose value ids index the
+/// constant set.
+pub fn lint_foldable_consts(
+    graph: &Graph,
+    adj: &Adjacency<'_>,
+    order: &[NodeId],
+) -> Vec<Diagnostic> {
+    let mut is_static = vec![false; adj.num_values()];
+    for name in graph.initializers.keys() {
+        if let Some(v) = adj.value_id(name) {
+            is_static[v as usize] = true;
+        }
+    }
     let mut foldable: Vec<&str> = Vec::new();
     for &id in order {
         let node = &graph.nodes[id];
         // `Shape` of any statically-described tensor also folds, matching
         // constfold's "horizontal branch reduction".
         let shape_of_known = matches!(node.op, OpKind::Shape)
-            && node.inputs.iter().all(|t| graph.tensor_info(t).is_some());
-        let all_static = !node.inputs.is_empty()
-            && node
-                .inputs
-                .iter()
-                .all(|t| static_tensors.contains(t.as_str()));
+            && node.inputs.iter().all(|t| graph.tensor_ref(t).is_some());
+        let all_static =
+            !node.inputs.is_empty() && adj.operands(id).iter().all(|&v| is_static[v as usize]);
         if (all_static || shape_of_known) && node.op.is_pure() {
             if !matches!(node.op, OpKind::Constant) {
                 foldable.push(&node.name);
             }
-            static_tensors.extend(node.outputs.iter().map(String::as_str));
+            for &v in adj.results(id) {
+                is_static[v as usize] = true;
+            }
         } else if matches!(node.op, OpKind::Constant) {
             // payload lives in the initializer table: output is static
-            static_tensors.extend(node.outputs.iter().map(String::as_str));
+            for &v in adj.results(id) {
+                is_static[v as usize] = true;
+            }
         }
     }
     if foldable.is_empty() {
@@ -149,7 +159,7 @@ mod tests {
         let s = b.op("s", OpKind::Add, vec![x, c2]);
         b.output(&s);
         let g = b.finish().unwrap();
-        let diags = lint_foldable_consts(&g, &topo_sort(&g).unwrap());
+        let diags = lint_foldable_consts(&g, &g.adjacency(), &topo_sort(&g).unwrap());
         assert_eq!(diags.len(), 1);
         assert!(diags[0].message.contains("2 node(s)"));
         assert!(diags[0].message.contains("`c_0`"));
@@ -162,7 +172,7 @@ mod tests {
         let r = b.op("r", OpKind::Relu, vec![x]);
         b.output(&r);
         let g = b.finish().unwrap();
-        assert!(lint_foldable_consts(&g, &topo_sort(&g).unwrap()).is_empty());
+        assert!(lint_foldable_consts(&g, &g.adjacency(), &topo_sort(&g).unwrap()).is_empty());
     }
 
     #[test]

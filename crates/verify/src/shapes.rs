@@ -21,7 +21,7 @@ use std::collections::HashSet;
 /// `order` is a topological order of `graph` and `adj` its adjacency (the
 /// pair `ir::validate::validate_with` hands back).
 pub fn check_shapes(graph: &Graph, adj: &Adjacency<'_>, order: &[NodeId]) -> Vec<Diagnostic> {
-    let mut scope = ShapeScope::new(graph, &adj.producer_of);
+    let mut scope = ShapeScope::new(graph, adj);
     let mut poisoned: HashSet<&str> = HashSet::new();
     let mut diags = Vec::new();
 

@@ -13,9 +13,10 @@ echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets --offline -- -D warnings
 
 # Rustdoc link gate: a deleted or renamed item must not leave a dead
-# intra-doc link behind in the crates whose docs name the executors.
-echo "==> cargo doc (broken intra-doc links denied)"
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+# intra-doc link behind in the crates whose docs name the executors, and a
+# public doc must not link to a private item (the link renders dead).
+echo "==> cargo doc (broken and private intra-doc links denied)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
     cargo doc --no-deps --offline -p ramiel-runtime -p ramiel-serve -p ramiel
 
 echo "==> cargo test (--no-fail-fast: one red binary must not hide the ones after it)"
@@ -32,10 +33,11 @@ cargo test --offline --release -p ramiel-tensor
 # times bounds checks, not the code under guard, so the debug suite above
 # compiles them out. The tensor step just ran `gemm_speed` (`gemm::mm` at
 # least 2x a naive triple loop); this runs the rest: program compilation no
-# slower than the name-keyed table it replaced, and batch-1 work stealing no
-# slower than sequential on every model.
-echo "==> release-only guards (program compile time, stealing at batch 1)"
-cargo test --offline --release -p ramiel --test hyper_programs --test steal_speed
+# slower than the name-keyed table it replaced, batch-1 work stealing no
+# slower than sequential on every model, and a NASNet or BERT load within
+# its allocation budget (debug builds add invariant checks to the load).
+echo "==> release-only guards (program compile time, stealing at batch 1, load allocations)"
+cargo test --offline --release -p ramiel --test hyper_programs --test steal_speed --test load_alloc
 
 # Liveness gate: the differential + chaos suites exercise every executor's
 # failure paths (worker panics, dropped messages, timeouts). Their contract

@@ -198,7 +198,7 @@ fn f32_buffers(graph: &Graph) -> Vec<(String, *const f32)> {
 }
 
 /// `plan` serves each of `buffers` from the very allocation the importer
-/// made, and its graph still describes every weight.
+/// made, and its weight table answers for every weight by name.
 fn assert_served_in_place(
     model: &str,
     path: &str,
@@ -208,14 +208,10 @@ fn assert_served_in_place(
     assert!(!buffers.is_empty(), "{model}: no f32 weights");
     assert!(plan.graph.initializers.is_empty(), "{model} via {path}");
     for (name, ptr) in buffers {
-        let served = plan.init_values[name].f32().unwrap().data().as_ptr();
+        let served = plan.weight(name).unwrap().f32().unwrap().data().as_ptr();
         assert_eq!(
             served, *ptr,
             "{model} via {path}: `{name}` was copied into the plan"
-        );
-        assert!(
-            plan.graph.tensor_info(name).is_some(),
-            "{model} via {path}: `{name}`"
         );
     }
 }
@@ -254,11 +250,7 @@ fn each_weight_exists_once_from_import_to_the_plan() {
         assert!(by_bytes.graph.initializers.is_empty(), "{model}");
         for (name, _) in &buffers {
             assert!(
-                by_bytes.init_values[name].f32().is_ok(),
-                "{model}: `{name}`"
-            );
-            assert!(
-                by_bytes.graph.tensor_info(name).is_some(),
+                by_bytes.weight(name).unwrap().f32().is_ok(),
                 "{model}: `{name}`"
             );
         }
