@@ -15,9 +15,10 @@
 //!
 //! Anything outside the subset fails with a structured [`OnnxError`] naming
 //! the operator and node. Every successful import is pushed through
-//! `ir::validate`, `ir::shape` inference and `ramiel_verify` — once each, over
-//! one adjacency snapshot and one topological order — so an imported file
-//! meets exactly the invariants natively built graphs do.
+//! `ir::validate` and `ir::shape` inference — once each, over one adjacency
+//! snapshot and one topological order — so an imported file meets exactly
+//! the invariants natively built graphs do. It runs no lint: their findings
+//! are advice, which `ramiel check` reports.
 
 use crate::proto::{attr_type, data_type, AttributeProto, Dim, ModelProto, NodeProto, TensorProto};
 use crate::{OnnxError, Result};
@@ -25,12 +26,11 @@ use ramiel_ir::graph::Adjacency;
 use ramiel_ir::shape::checked_numel;
 use ramiel_ir::tensor_data::Payload;
 use ramiel_ir::{DType, Graph, OpKind, PoolSpec, TensorData, TensorInfo};
-use ramiel_verify::Severity;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
 
-/// Decode ONNX bytes and lower them to a validated, shape-inferred,
-/// verifier-clean [`Graph`].
+/// Decode ONNX bytes and lower them to a validated, shape-inferred
+/// [`Graph`].
 pub fn import_model(bytes: &[u8]) -> Result<Graph> {
     import_model_with(bytes, |_, _| ()).map(|(graph, ())| graph)
 }
@@ -182,16 +182,6 @@ fn import_graph_with<T>(
     // it is built in one sorted bulk load rather than by a search per
     // insert.
     graph.value_info = infos.into_iter().map(|i| (i.name.clone(), i)).collect();
-    let errors: Vec<_> = ramiel_verify::lint_validated_graph(&graph, &adj, &order)
-        .into_iter()
-        .filter(|d| d.severity == Severity::Error)
-        .collect();
-    if let Some(first) = errors.first() {
-        return Err(OnnxError::Verify {
-            count: errors.len(),
-            first: first.to_string(),
-        });
-    }
     let out = then(&graph, &adj);
     drop(adj);
     Ok((graph, out))

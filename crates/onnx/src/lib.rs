@@ -8,9 +8,10 @@
 //! model-file loader ([`loader`]). ONNX is the only model encoding: every
 //! path from bytes to a [`Graph`] runs [`import_model`].
 //!
-//! Every import is routed through `ir::validate`, `ir::shape::infer_shapes`
-//! and `ramiel-verify`, so untrusted `.onnx` files get the same RV-coded
-//! diagnostics as natively built models. Anything the importer cannot
+//! Every import is routed through `ir::validate` and `ir::shape`
+//! inference, so an untrusted `.onnx` file meets the invariants natively
+//! built models do (`ramiel check` then lints and verifies it like any
+//! other model). Anything the importer cannot
 //! express fails with a structured `ONNX-*` error naming the operator and
 //! node — never a panic, never a silently wrong graph.
 
@@ -57,9 +58,6 @@ pub enum OnnxError {
     Shape { name: String, reason: String },
     /// The imported graph failed `ir::validate` / shape inference.
     Validate { reason: String },
-    /// The imported graph produced error-severity `ramiel-verify`
-    /// diagnostics (the first is quoted; `count` is the total).
-    Verify { count: usize, first: String },
 }
 
 impl OnnxError {
@@ -74,7 +72,6 @@ impl OnnxError {
             OnnxError::Tensor { .. } => "ONNX-TENSOR",
             OnnxError::Shape { .. } => "ONNX-SHAPE",
             OnnxError::Validate { .. } => "ONNX-VALIDATE",
-            OnnxError::Verify { .. } => "ONNX-VERIFY",
         }
     }
 }
@@ -106,9 +103,6 @@ impl std::fmt::Display for OnnxError {
             OnnxError::Validate { reason } => {
                 write!(f, "imported graph failed IR validation: {reason}")
             }
-            OnnxError::Verify { count, first } => {
-                write!(f, "imported graph has {count} verifier error(s), first: {first}")
-            }
         }
     }
 }
@@ -119,7 +113,7 @@ impl std::error::Error for OnnxError {}
 pub type Result<T> = std::result::Result<T, OnnxError>;
 
 /// Round-trip helper used by tests and CI: export `graph` to ONNX bytes and
-/// import them back through the full validate/verify pipeline.
+/// import them back through validation and shape inference.
 pub fn round_trip(graph: &Graph) -> Result<Graph> {
     import_model(&export_model(graph))
 }

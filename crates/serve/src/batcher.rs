@@ -78,7 +78,7 @@ use std::time::Instant;
 /// One queued inference request.
 pub(crate) struct Request {
     /// Server-unique id minted at admission; names the request in the
-    /// trace ring and on its batch's `serve:batch` instant.
+    /// trace ring.
     pub id: u64,
     pub inputs: Env,
     pub deadline: Option<Instant>,
@@ -211,7 +211,6 @@ impl LaneShared {
         RunOptions {
             injector: self.cfg.injector.clone(),
             recv_timeout: self.cfg.recv_timeout,
-            obs: self.cfg.obs.clone(),
             ..RunOptions::default()
         }
     }
@@ -259,7 +258,6 @@ impl LaneShared {
         self.metrics.admitted.inc();
         self.metrics.queue_depth.set(depth as u64);
         self.metrics.queue_peak.observe(depth as u64);
-        self.cfg.obs.counter("serve:queue_depth", depth as f64);
         self.not_empty.notify_one();
         Ok(())
     }
@@ -457,7 +455,6 @@ fn fail_all(
 /// went out): a request enqueued earlier than that arrived while the lane
 /// was busy.
 fn execute_batch(sh: &LaneShared, pool: &mut LanePool, batch: Vec<Request>) -> Instant {
-    let obs = &sh.cfg.obs;
     // Dead-on-arrival filter: reject expired work *before* spending any
     // execution on it.
     let now = Instant::now();
@@ -495,16 +492,6 @@ fn execute_batch(sh: &LaneShared, pool: &mut LanePool, batch: Vec<Request>) -> I
 
     let n = live.len();
     sh.metrics.batch_size.record(n as u64);
-    obs.instant(
-        0,
-        format!("serve:batch x{n}"),
-        "serve",
-        serde_json::json!({
-            "model": plan.name, "batch": n, "version": plan.version,
-            "requests": live.iter().map(|r| r.id).collect::<Vec<_>>(),
-        }),
-    );
-    obs.counter("serve:batch_size", n as f64);
 
     // Resolve the batch's schedule up front so setup errors fail the whole
     // batch before any execution.
@@ -534,12 +521,6 @@ fn execute_batch(sh: &LaneShared, pool: &mut LanePool, batch: Vec<Request>) -> I
                     break Err(e);
                 }
                 sh.metrics.retries.inc();
-                obs.instant(
-                    0,
-                    format!("serve:retry (attempt {})", attempt + 2),
-                    "serve",
-                    serde_json::json!({ "model": plan.name, "error": e.code() }),
-                );
                 std::thread::sleep(sup.backoff(attempt));
                 attempt += 1;
             }
@@ -555,17 +536,11 @@ fn execute_batch(sh: &LaneShared, pool: &mut LanePool, batch: Vec<Request>) -> I
                 let _ = r.resp.send(Ok(out));
             }
         }
-        Err(batch_err) if sup.fallback => {
+        Err(_) if sup.fallback => {
             // Degrade, don't die: re-run each sample alone on the reference
             // sequential executor. A poisoned sample fails alone; its
             // batch-mates still get answers.
             sh.metrics.fallbacks.inc();
-            obs.instant(
-                0,
-                "serve:fallback to per-request sequential".to_string(),
-                "serve",
-                serde_json::json!({ "model": plan.name, "error": batch_err.code() }),
-            );
             let run_opts = sh.run_opts().init_values(Arc::clone(plan.named_weights()));
             for r in live {
                 let solo_start = Instant::now();

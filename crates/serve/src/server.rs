@@ -12,7 +12,7 @@ use crate::trace::TraceRing;
 use crossbeam::channel::{unbounded, Receiver};
 use ramiel_ir::Graph;
 use ramiel_obs::metrics::{CounterHandle, HistHandle};
-use ramiel_obs::{Metrics, Obs};
+use ramiel_obs::Metrics;
 use ramiel_onnx::OnnxError;
 use ramiel_runtime::{Env, FaultInjector, RuntimeError, SupervisorConfig};
 use std::collections::HashMap;
@@ -55,9 +55,6 @@ pub struct ServeConfig {
     pub recv_timeout: Option<Duration>,
     /// Fault injection shared by every lane (chaos tests).
     pub injector: Option<Arc<FaultInjector>>,
-    /// Observability sink: batch/retry/fallback instants plus queue-depth
-    /// and batch-size counters (disabled handle = one branch per event).
-    pub obs: Obs,
     /// Bound on the in-memory per-request trace ring (`0` disables
     /// tracing; the TCP `trace` verb then returns an empty trace).
     pub trace_capacity: usize,
@@ -77,7 +74,6 @@ impl Default for ServeConfig {
             supervisor: SupervisorConfig::default(),
             recv_timeout: None,
             injector: None,
-            obs: Obs::disabled(),
             trace_capacity: 4096,
         }
     }
@@ -102,6 +98,8 @@ pub enum ServeError {
     Registry(RegistryError),
     /// The importer refused a model's bytes (carries its `ONNX-*` code).
     Import(OnnxError),
+    /// A request line ran past the transport's `limit` bytes.
+    LineTooLong { limit: usize },
     /// Serving-layer invariant violation.
     Internal(String),
 }
@@ -116,6 +114,7 @@ impl ServeError {
             ServeError::Runtime(e) => e.code(),
             ServeError::Registry(e) => e.code(),
             ServeError::Import(e) => e.code(),
+            ServeError::LineTooLong { .. } => "SV-LIMIT",
             ServeError::Internal(_) => "SV-INTERNAL",
         }
     }
@@ -135,6 +134,12 @@ impl std::fmt::Display for ServeError {
             ServeError::Runtime(e) => write!(f, "{e}"),
             ServeError::Registry(e) => write!(f, "{e}"),
             ServeError::Import(e) => write!(f, "{e}"),
+            ServeError::LineTooLong { limit } => {
+                write!(
+                    f,
+                    "request line longer than {limit} bytes; connection closed"
+                )
+            }
             ServeError::Internal(m) => write!(f, "serving error: {m}"),
         }
     }

@@ -28,6 +28,10 @@
 //! Response: `{"id":1,"ok":true,...}` with `outputs` / `stats` on success,
 //! `error` + `code` (SV-*/RT-*) on failure. `model` is optional everywhere
 //! and defaults to the model the server was started with.
+//!
+//! A request line may hold at most [`MAX_LINE_BYTES`]; a longer one is
+//! answered with `SV-LIMIT` and its connection closed, so no client can
+//! make a connection thread buffer an unbounded line.
 
 use crate::registry::Registry;
 use crate::server::{ServeError, Server, Source};
@@ -36,11 +40,15 @@ use ramiel_runtime::Env;
 use ramiel_tensor::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The longest request line (newline excluded) a connection may send:
+/// 64 MiB, about a thousand times the largest request the benchmark sends.
+pub const MAX_LINE_BYTES: usize = 64 << 20;
 
 #[derive(Debug, Deserialize)]
 struct WireRequest {
@@ -166,7 +174,13 @@ fn accept_loop(
         let stop = Arc::clone(&stop);
         let registry = registry.clone();
         let job: ConnJob = Box::new(move || {
-            let shutdown_requested = handle_conn(&conn_server, &model, registry.as_deref(), stream);
+            let shutdown_requested = handle_conn(
+                &conn_server,
+                &model,
+                registry.as_deref(),
+                stream,
+                MAX_LINE_BYTES,
+            );
             if shutdown_requested {
                 conn_server.shutdown();
                 stop.store(true, Ordering::SeqCst);
@@ -181,39 +195,58 @@ fn accept_loop(
     Ok(())
 }
 
-/// Serve one connection; returns true if the client requested shutdown.
+/// Serve one connection, reading lines of at most `max_line` bytes; returns
+/// true if the client requested shutdown.
 fn handle_conn(
     server: &Server,
     default_model: &str,
     registry: Option<&Registry>,
     stream: TcpStream,
+    max_line: usize,
 ) -> bool {
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return false,
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break, // client hung up
-        };
-        if line.trim().is_empty() {
-            continue;
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the cap tells a line that overran it from one that
+        // filled it.
+        let limit = (max_line as u64).saturating_add(1);
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break, // client hung up
+            Ok(_) => {}
         }
-        let (resp, shutdown) = match serde_json::from_str::<WireRequest>(&line) {
-            Ok(req) => handle_request(server, default_model, registry, req),
-            Err(e) => (
-                WireResponse::err(0, &ServeError::Internal(format!("bad request: {e}"))),
+        let overran = buf.last() != Some(&b'\n') && buf.len() > max_line;
+        let (resp, shutdown) = if overran {
+            let limit = max_line;
+            (
+                WireResponse::err(0, &ServeError::LineTooLong { limit }),
                 false,
-            ),
+            )
+        } else {
+            let Ok(line) = std::str::from_utf8(&buf) else {
+                break; // not text: hang up, as on a read error
+            };
+            if line.trim().is_empty() {
+                continue;
+            }
+            match serde_json::from_str::<WireRequest>(line) {
+                Ok(req) => handle_request(server, default_model, registry, req),
+                Err(e) => (
+                    WireResponse::err(0, &ServeError::Internal(format!("bad request: {e}"))),
+                    false,
+                ),
+            }
         };
         let mut out = serde_json::to_string(&resp).unwrap_or_else(|_| {
             r#"{"id":0,"ok":false,"error":"response serialization failed","code":"SV-INTERNAL"}"#
                 .to_string()
         });
         out.push('\n');
-        if writer.write_all(out.as_bytes()).is_err() || writer.flush().is_err() {
+        if writer.write_all(out.as_bytes()).is_err() || writer.flush().is_err() || overran {
             break;
         }
         if shutdown {
@@ -444,5 +477,50 @@ mod tests {
             .read(crate::stats::CONN_SPAWN_FAILED, &[])
             .sum;
         assert_eq!(failed, 1);
+    }
+
+    /// A request line may fill the cap but not overrun it: lines of cap - 1
+    /// and cap bytes are answered; one of cap + 1 bytes is refused with
+    /// `SV-LIMIT` and its connection closed, and the server keeps serving.
+    #[test]
+    fn a_line_past_the_cap_is_refused_and_closes_its_connection() {
+        const CAP: usize = 64;
+        let server = Server::new(ServeConfig::default());
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let ping = r#"{"id":1,"op":"ping"}"#;
+        for (len, answered) in [(CAP - 1, true), (CAP, true), (CAP + 1, false)] {
+            let mut client = TcpStream::connect(addr).unwrap();
+            client
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let (conn, _) = listener.accept().unwrap();
+            let (reply, closed, shutdown) = std::thread::scope(|s| {
+                let serving = s.spawn(|| handle_conn(&server, "m", None, conn, CAP));
+                // The ping, padded with spaces to `len` bytes, in one write.
+                let line = format!("{ping:<len$}\n");
+                client.write_all(line.as_bytes()).unwrap();
+                let mut reader = BufReader::new(client.try_clone().unwrap());
+                let mut reply = String::new();
+                reader.read_line(&mut reply).ok();
+                // A refused line's connection is closed by the server: EOF
+                // (or a reset), not the read timeout.
+                let closed = (!answered).then(|| match reader.read_line(&mut String::new()) {
+                    Ok(n) => n == 0,
+                    Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
+                });
+                // Hang up so a server that kept the connection returns.
+                client.shutdown(std::net::Shutdown::Write).ok();
+                (reply, closed, serving.join().unwrap())
+            });
+            let want = if answered {
+                r#""ok":true"#
+            } else {
+                r#""code":"SV-LIMIT""#
+            };
+            assert!(reply.contains(want), "{len} bytes: {reply}");
+            assert_ne!(closed, Some(false), "{len} bytes: connection left open");
+            assert!(!shutdown, "{len} bytes: shutdown requested");
+        }
     }
 }

@@ -36,7 +36,7 @@ pub use diag::{codes, Diagnostic, Report, Severity, Span};
 pub use schedule::{ExecPolicy, Op, ScheduleView};
 
 use ramiel_ir::graph::Adjacency;
-use ramiel_ir::{Graph, NodeId};
+use ramiel_ir::Graph;
 
 /// Graph-only verification: structural validity, shape/dtype abstract
 /// interpretation, and graph-level lints.
@@ -54,12 +54,7 @@ fn graph_findings(graph: &Graph, adj: &Adjacency<'_>) -> Vec<Diagnostic> {
         Err(e) => return vec![invalid_graph(graph, &e)],
     };
     let mut diags = shapes::check_shapes(graph, adj, &order);
-    diags.extend(graph_lints(graph, adj, &order));
-    diags
-}
-
-fn graph_lints(graph: &Graph, adj: &Adjacency<'_>, order: &[NodeId]) -> Vec<Diagnostic> {
-    let mut diags = lints::lint_foldable_consts(graph, adj, order);
+    diags.extend(lints::lint_foldable_consts(graph, adj, &order));
     diags.extend(lints::lint_unfused_bn(graph, adj));
     diags
 }
@@ -86,26 +81,6 @@ fn invalid_graph(graph: &Graph, e: &ramiel_ir::IrError) -> Diagnostic {
             format!("ir::validate failed: {e}"),
         ),
     }
-}
-
-/// What [`verify_graph`] can still find on a graph its caller has just put
-/// through `ir::validate::validate_with` (which returned `order` for `adj`)
-/// and whose `value_info` is the output of `ir::shape::infer_in_order` on
-/// that same pair: the graph lints. RV0001/RV0002 cannot fire on a graph
-/// that validated, and RV05xx compares the recorded shapes with a fresh
-/// inference — which here would be the walk that recorded them. Debug
-/// builds re-run that walk and assert it is clean.
-pub fn lint_validated_graph(
-    graph: &Graph,
-    adj: &Adjacency<'_>,
-    order: &[NodeId],
-) -> Vec<Diagnostic> {
-    debug_assert!(
-        shapes::check_shapes(graph, adj, order).is_empty(),
-        "value_info of `{}` is not what shape inference derives",
-        graph.name
-    );
-    graph_lints(graph, adj, order)
 }
 
 /// Schedule verification against `graph`. Assumes nothing about the

@@ -97,6 +97,18 @@ grep -q "peak memory:" target/ci-analyze.log
 echo "==> ramiel serve smoke (TCP round-trip gate)"
 cargo build --offline -p ramiel --bin ramiel
 SERVE_PORT=7979
+# Each verb takes only the flags it reads: `serve` has no `--iters`, so it
+# must exit non-zero naming the flag, before it binds a port. (A server that
+# started instead is cut by the timeout, prints `listening on` and leaves
+# no `--iters` on stderr.)
+if timeout 60s target/debug/ramiel serve squeezenet --tiny --iters 3 \
+    --port "$SERVE_PORT" > target/serve-refused.log 2> target/serve-refused.err; then
+    echo "serve accepted a flag it does not read"; exit 1
+fi
+grep -q -- "--iters" target/serve-refused.err
+if grep -q "listening on" target/serve-refused.log; then
+    echo "serve bound a port despite a flag it does not read"; exit 1
+fi
 timeout --kill-after=30s 600s \
     target/debug/ramiel serve squeezenet --tiny --port "$SERVE_PORT" \
     > target/serve-smoke.log 2>&1 &

@@ -385,6 +385,15 @@ fn serve_refuses_the_stealing_executor() {
     assert!(stderr.contains("--executor"), "{stderr}");
 }
 
+/// `serve` plans every batch size it meets, so `--batch` is a flag it would
+/// ignore: it is refused by name, with the verb, before anything starts.
+#[test]
+fn serve_refuses_flags_it_would_ignore() {
+    let stderr = serve_refused(&["squeezenet", "--tiny", "--batch", "8"]);
+    assert!(stderr.contains("--batch"), "{stderr}");
+    assert!(stderr.contains("`serve`"), "{stderr}");
+}
+
 /// `--prune` and `--clone` rewrite the graph before it is installed, but
 /// its bytes still come through the registry: a wrong pin is refused
 /// before anything is cached, and a `file://` start counts its pull.

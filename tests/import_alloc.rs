@@ -54,10 +54,9 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Bytes per node the import may allocate besides the payload: the decoded
-/// message vectors, the graph's own strings and vectors, and the validate,
-/// shape and lint passes' temporaries. Measured past 1.15x the payload at
-/// 2.0 KB per node on BERT and 3.2 KB on NASNet in a debug build (1.7 and
-/// 3.0 KB in release, where the lints skip their debug-only shape walk). A
+/// message vectors, the graph's own strings and vectors, and the validate
+/// and shape passes' temporaries. Measured past 1.15x the payload at 2.0
+/// KB per node on BERT and 2.7 KB on NASNet, debug and release alike. A
 /// decoder that owns a `String` per name and an inline tensor per attribute
 /// needs 3.8 KB on NASNet.
 const PER_NODE: usize = 3584;

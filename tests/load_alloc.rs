@@ -2,8 +2,8 @@
 //! from the read to the installed plan, counted by a global allocator.
 //!
 //! A load resolves every tensor name once — the importer's adjacency gives
-//! each a dense id that validation, shape inference, the lints and the
-//! plan's slot program all index — and moves each weight into the plan's
+//! each a dense id that validation, shape inference and the plan's slot
+//! program all index — and moves each weight into the plan's
 //! table once. A pass that builds its own name map or set again, clones a
 //! `TensorInfo` per operand, or re-keys the weights by name pays about one
 //! allocation per tensor and breaks the budget on NASNet's 1,356 nodes.
