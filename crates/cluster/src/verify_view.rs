@@ -60,8 +60,8 @@ pub fn hyper_view(hc: &HyperClustering) -> ScheduleView {
 /// statically — any ready task may run on any worker in any steal order —
 /// so this is deliberately an *estimate-only* view: the memory estimator's
 /// first-ready path degrades to the resident-sum bound (sound for every
-/// interleaving, `exact == false`), and the channel/happens-before lints
-/// see no cross-worker edges to lint, because the executor has none.
+/// interleaving, `exact == false`), and the channel lints (RV0401 replay,
+/// RA0401 capacity) see no cross-worker edges, because the executor has none.
 pub fn stealing_view(graph: &Graph, batch: usize) -> ScheduleView {
     let batch = batch.max(1);
     ScheduleView {

@@ -1,7 +1,7 @@
-//! `ramiel analyze <model|all>`: tensor lifetimes, static peak memory per
-//! worker and happens-before channel lints for the compiled schedule
-//! (`all`: every built-in model with the same flags). Exit code as for
-//! `check`.
+//! `ramiel analyze <model|all>`: coverage and channel replay, then tensor
+//! lifetimes, static peak memory per worker and the channel-capacity lint
+//! for the compiled schedule (`ramiel::verify::analyze`; `all`: every
+//! built-in model with the same flags). Exit code as for `check`.
 //!
 //! Flags: the model group, `--json`, `--deny-warnings` and `--executor
 //! <channel|stealing>` (`stealing`: the dynamic schedule's estimate-only
@@ -32,7 +32,7 @@ fn analyze_one(label: &str, g: Graph, a: &Args) -> Result<Gate, String> {
     } else {
         view
     };
-    let an = ramiel::analyze::analyze(&c.graph, &view);
+    let an = ramiel::verify::analyze(&c.graph, &view);
     if a.json {
         let diagnostics: Vec<_> = (an.report.diagnostics.iter())
             .map(|d| {

@@ -31,7 +31,6 @@
 //! println!("{}", compiled.parallel_code);
 //! ```
 
-pub use ramiel_analyze as analyze;
 pub use ramiel_cluster as cluster;
 pub use ramiel_codegen as codegen;
 pub use ramiel_ios as ios;

@@ -24,12 +24,15 @@
 //! - [`validate`] — structural well-formedness checks
 //! - [`dot`] — Graphviz export used for the paper's figures
 //! - [`tensor_data`] — constant tensor payloads (initializers)
+//! - [`runtime_model`] — byte charges and the inbox bound the executors and
+//!   the static checker share
 
 pub mod builder;
 pub mod dot;
 pub mod error;
 pub mod graph;
 pub mod op;
+pub mod runtime_model;
 pub mod shape;
 pub mod tensor_data;
 pub mod topo;

@@ -20,7 +20,7 @@ use std::path::Path;
 
 /// The default-domain opset version stamped on exported models. The
 /// attribute-form encodings used here are all legal at this version except
-/// where noted in DESIGN §18 (the importer accepts both generations, so
+/// where noted in DESIGN §17 (the importer accepts both generations, so
 /// the stamp is informational).
 pub const EXPORT_OPSET: i64 = 13;
 

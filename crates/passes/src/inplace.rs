@@ -1,4 +1,4 @@
-//! In-place buffer-reuse marking (fed by `ramiel-analyze`'s lifetime pass).
+//! In-place buffer-reuse marking.
 //!
 //! A node may overwrite one of its input buffers with its output when three
 //! static facts hold: the op is an elementwise kernel whose output has the

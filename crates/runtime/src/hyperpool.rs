@@ -396,11 +396,10 @@ impl HyperPool {
     ) -> Result<HyperPool> {
         let recv_timeout = opts.recv_timeout.unwrap_or_else(default_recv_timeout);
 
-        // Worker inboxes are bounded (capacity from `limits`, shared with
-        // the ramiel-analyze RA0401 lint); the done channel stays unbounded
-        // control plane.
+        // Worker inboxes are bounded (capacity shared with ramiel-verify's
+        // RA0401 lint); the done channel stays unbounded control plane.
         let channels: Vec<(Sender<PoolMsg>, Receiver<PoolMsg>)> = (0..workers)
-            .map(|_| bounded(crate::limits::DATA_CHANNEL_CAPACITY))
+            .map(|_| bounded(ramiel_ir::runtime_model::DATA_CHANNEL_CAPACITY))
             .collect();
         let worker_txs: Vec<Sender<PoolMsg>> = channels.iter().map(|(s, _)| s.clone()).collect();
         let (done_tx, done_rx) = unbounded::<PoolDone>();

@@ -32,8 +32,8 @@
 //!   consults per node.
 //! - [`reuse`] / [`memory`] — liveness bookkeeping behind buffer reuse, and
 //!   the peak-memory accounting it has to agree with.
-//! - [`limits`] — channel capacity and timeout constants, shared with the
-//!   `ramiel-analyze` lints.
+//! - [`limits`] — recv timeout constants (the inbox capacity is
+//!   [`ramiel_ir::runtime_model::DATA_CHANNEL_CAPACITY`]).
 //! - [`sim`] — a deterministic discrete-event simulator over a cost model,
 //!   used to regenerate the paper's tables bit-for-bit without timing noise.
 

@@ -1,20 +1,8 @@
-//! Central home for the runtime's channel and timeout constants.
-//!
-//! They live here so the static capacity-deadlock lint in `ramiel-analyze`
-//! and the channel executor ([`crate::hyperpool`]) provably agree on the
-//! values being analyzed: the lint imports these constants instead of
-//! guessing.
+//! Central home for the runtime's timeout constants. The data-plane inbox
+//! capacity lives in [`ramiel_ir::runtime_model`], where the static
+//! capacity lint in `ramiel-verify` reads the same value.
 
 use std::time::Duration;
-
-/// Capacity of the bounded data-plane channels carrying cross-cluster
-/// tensors (the [`crate::HyperPool`] worker inboxes). A full inbox applies
-/// backpressure to producers; `ramiel-analyze` RA0401 flags schedules whose worst-case in-flight message count can reach this bound
-/// inside a cluster cycle, which is the shape that can deadlock. Sized far
-/// above any real schedule (the largest model ships a few hundred
-/// cross-cluster messages per batch) so backpressure never engages in
-/// practice.
-pub const DATA_CHANNEL_CAPACITY: usize = 4096;
 
 /// Default worker recv timeout, overridable via [`RECV_TIMEOUT_ENV`].
 pub const DEFAULT_RECV_TIMEOUT_MS: u64 = 30_000;

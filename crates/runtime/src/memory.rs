@@ -14,8 +14,9 @@ use crate::Result;
 use ramiel_cluster::cost::CostModel;
 use ramiel_cluster::hyper::HyperClustering;
 use ramiel_cluster::Clustering;
+use ramiel_ir::runtime_model::{dtype_bytes, tensor_bytes};
 use ramiel_ir::topo::topo_sort;
-use ramiel_ir::{DType, Graph};
+use ramiel_ir::Graph;
 use serde::Serialize;
 use std::collections::HashMap;
 
@@ -35,22 +36,6 @@ impl MemoryReport {
     pub fn peak_total_bytes(&self) -> usize {
         self.static_bytes + self.peak_activation_bytes
     }
-}
-
-fn dtype_bytes(d: DType) -> usize {
-    match d {
-        DType::F32 => 4,
-        DType::I64 => 8,
-        DType::Bool => 1,
-    }
-}
-
-/// Size in bytes of a (shape-inferred) tensor; 0 when unknown.
-pub fn tensor_bytes(graph: &Graph, tensor: &str) -> usize {
-    graph
-        .tensor_info(tensor)
-        .map(|i| i.numel().saturating_mul(dtype_bytes(i.dtype)))
-        .unwrap_or(0)
 }
 
 fn static_bytes(graph: &Graph) -> usize {

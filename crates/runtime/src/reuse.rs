@@ -7,36 +7,19 @@
 //! in-place rewrite (`ramiel_passes::inplace`) find a uniquely-owned buffer
 //! at its last use. The tracker also charges/discharges the optional
 //! [`MemGauge`] on the [`ramiel_tensor::ExecCtx`], so measured peak live
-//! bytes line up with the accounting model `ramiel-analyze` uses for its
-//! static estimate: a value is charged from the step that materializes it
-//! in an environment to the step after its last read, graph outputs stay
-//! charged to the end, and alias-producing ops (reshape family,
-//! `Identity`/`Dropout`, `Constant` fetches) charge zero because they share
-//! an existing buffer.
+//! bytes line up with the accounting model `ramiel-verify` uses for its
+//! static estimate (both read [`ramiel_ir::runtime_model`]): a value is
+//! charged from the step that materializes it in an environment to the
+//! step after its last read, graph outputs stay charged to the end, and
+//! alias-producing ops (reshape family, `Identity`/`Dropout`, `Constant`
+//! fetches) charge zero because they share an existing buffer.
 
+use ramiel_ir::runtime_model::is_alias_op;
 use ramiel_ir::OpKind;
 use ramiel_tensor::{MemGauge, Value};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
-
-/// True for ops whose output shares its input buffer (`Tensor::reshaped` /
-/// `clone` paths in `eval_op`): their outputs are refcount bumps, not
-/// allocations, so liveness accounting charges them zero bytes.
-pub fn is_alias_op(op: &OpKind) -> bool {
-    matches!(
-        op,
-        OpKind::Reshape
-            | OpKind::Flatten { .. }
-            | OpKind::Squeeze { .. }
-            | OpKind::Unsqueeze { .. }
-            | OpKind::Identity
-            | OpKind::Dropout
-            // Constant outputs are fetched from the shared initializer
-            // table, so the env entry is another handle, not new bytes.
-            | OpKind::Constant
-    )
-}
 
 /// Bytes to charge for one produced output of `op`.
 pub(crate) fn charge_bytes(op: &OpKind, v: &Value) -> u64 {

@@ -23,7 +23,7 @@
 //!   slots and consumers are released by atomic dependency counters. This
 //!   is why `ramiel analyze` reports the stealing variant as estimate-only
 //!   (sound first-ready memory bound, no channel lints): there is no static
-//!   per-edge structure for RA03xx/RA0401 to check, and no static schedule
+//!   per-edge structure for RA0401 to check, and no static schedule
 //!   to replay.
 //!
 //! Schedules are therefore *not replayable*: which worker runs which node

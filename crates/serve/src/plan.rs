@@ -17,8 +17,8 @@
 use crate::server::ServeError;
 use parking_lot::Mutex;
 use ramiel_cluster::{
-    bound_clusters, hypercluster, schedule_stage, switched_hypercluster, Clustering, CostModel,
-    HyperClustering, PipelineReport, Scheduled, StaticCost,
+    bound_clusters, clustering_view, hypercluster, schedule_stage, switched_hypercluster,
+    Clustering, CostModel, HyperClustering, PipelineReport, Scheduled, StaticCost,
 };
 use ramiel_ir::graph::Adjacency;
 use ramiel_ir::Graph;
@@ -55,7 +55,8 @@ impl PlanSpec {
 /// `P` being [`std::thread::available_parallelism`]: a plan's standing
 /// pool runs one worker per cluster, so no plan asks for more workers than
 /// the host has cores. When `P` cannot be read, the clustering is not
-/// folded.
+/// folded. Debug builds verify the result, as the schedule stage verifies
+/// its own clusterings.
 pub(crate) struct Layout {
     clustering: Clustering,
     program: GraphProgram,
@@ -84,6 +85,10 @@ impl Layout {
             }
             Err(_) => clustering,
         };
+        if cfg!(debug_assertions) {
+            let view = clustering_view(&clustering);
+            ramiel_verify::assert_schedule_invariants(graph, adj, &view, "after bound_clusters");
+        }
         let program = GraphProgram::with_adjacency(graph, adj).map_err(ServeError::Runtime)?;
         Ok(Layout {
             clustering,

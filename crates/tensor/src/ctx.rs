@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Allocation gauge for live activation bytes. Executors charge it when they
 /// insert a value into an environment and discharge it when liveness analysis
 /// evicts the value, so `peak_bytes` is the measured high-water mark the
-/// static estimate in `ramiel-analyze` must upper-bound. Thread-safe: all
+/// static estimate in `ramiel-verify` must upper-bound. Thread-safe: all
 /// workers of one run share a gauge through the [`ExecCtx`].
 #[derive(Debug, Default)]
 pub struct MemGauge {

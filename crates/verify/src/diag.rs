@@ -12,6 +12,9 @@
 //! | RV04xx | channel deadlock (abstract execution)       |
 //! | RV05xx | shape/dtype abstract interpretation         |
 //! | RV06xx | advisory lints (missed optimizations)       |
+//! | RA01xx | lifetime / aliasing lints                   |
+//! | RA02xx | memory estimation lints                     |
+//! | RA04xx | channel capacity / backpressure             |
 
 use ramiel_ir::NodeId;
 use std::fmt;
@@ -56,6 +59,20 @@ pub mod codes {
     /// Cheap fan-out node feeding other workers (task cloning would remove
     /// the cross-worker messages).
     pub const LINT_CLONE_CANDIDATE: &str = "RV0603";
+    /// A produced tensor no scheduled op (and no graph output) ever reads.
+    pub const DEAD_VALUE: &str = "RA0101";
+    /// An alias op (reshape family) is scheduled on a different worker than
+    /// its input's producer: the "zero-copy" view crosses a channel.
+    pub const ALIAS_CROSS_WORKER: &str = "RA0102";
+    /// One worker's peak resident set dominates the schedule (memory
+    /// imbalance hotspot).
+    pub const MEM_HOTSPOT: &str = "RA0201";
+    /// Worst-case in-flight messages into one worker can reach the bounded
+    /// channel capacity (`ramiel_ir::runtime_model::DATA_CHANNEL_CAPACITY`);
+    /// escalated to an error when that worker also sits on a cyclic
+    /// worker-to-worker dependence loop, which is the backpressure-deadlock
+    /// shape.
+    pub const CAPACITY_EXCEEDED: &str = "RA0401";
 }
 
 /// How bad a finding is. Ordering: `Advice < Warning < Error`.

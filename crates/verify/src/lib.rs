@@ -1,15 +1,19 @@
 //! # ramiel-verify
 //!
-//! Static verifier for `(graph, schedule)` pairs: proves — before anything
-//! runs — that a clustering is a sound partition, that its replay cannot
-//! deadlock on the runtime's channels, and that the IR's shape metadata is
-//! honest; plus an advisory lint layer for pipeline stages left unapplied.
+//! The static checker for `(graph, schedule)` pairs. It proves — before
+//! anything runs — that a clustering is a sound partition, that its replay
+//! cannot deadlock on the runtime's channels, and that the IR's shape
+//! metadata is honest; it lints pipeline stages left unapplied; and it
+//! analyzes what a sound schedule will cost: tensor lifetimes, peak memory
+//! and channel pressure.
 //!
-//! The crate deliberately depends only on `ramiel-ir`. Schedules arrive as
-//! a neutral [`ScheduleView`]; `ramiel-cluster` supplies the conversions
-//! from its `Clustering` / `HyperClustering` types, which lets the
-//! clustering and pass crates call back into the verifier as a
-//! debug-assertion harness without a dependency cycle.
+//! The crate depends on `ramiel-ir` alone (plus `serde` for the memory
+//! estimate's JSON form). Schedules arrive as a neutral [`ScheduleView`];
+//! `ramiel-cluster` supplies the conversions from its `Clustering` /
+//! `HyperClustering` types, which lets the clustering and pass crates call
+//! back into the verifier as a debug-assertion harness without a
+//! dependency cycle. The byte charges and the inbox bound the analysis
+//! shares with the executors come from [`ramiel_ir::runtime_model`].
 //!
 //! Entry points:
 //! - [`verify_graph`] — graph-only checks: `ir::validate` (RV0001, with
@@ -19,6 +23,11 @@
 //!   (RV01xx), cycle analysis (RV02xx), in-order soundness (RV0301),
 //!   abstract channel execution (RV0401), schedule lints (RV0603).
 //! - [`verify`] — both, aggregated into a [`Report`].
+//! - [`analyze`] — the cost analyses behind `ramiel analyze`, gated on the
+//!   same coverage and channel-execution proofs: per-buffer lifetimes and
+//!   alias classes (RA01xx), a per-worker peak-memory estimate that
+//!   upper-bounds the executors' measured peak (RA0201), and the bounded
+//!   inbox check (RA0401).
 //! - [`assert_graph_invariants`] / [`assert_schedule_invariants`] — the
 //!   debug-assertion harness: panic with a rendered report on any error.
 
@@ -28,11 +37,16 @@ pub mod schedule;
 mod coverage;
 mod cycles;
 mod exec;
+mod hb;
+mod lifetime;
 mod lints;
+mod memory;
 mod order;
 mod shapes;
 
 pub use diag::{codes, Diagnostic, Report, Severity, Span};
+pub use lifetime::{Interval, LifetimeReport};
+pub use memory::{estimate_memory, MemoryEstimate, WorkerMemory};
 pub use schedule::{ExecPolicy, Op, ScheduleView};
 
 use ramiel_ir::graph::Adjacency;
@@ -118,6 +132,44 @@ fn verify_with(graph: &Graph, adj: &Adjacency<'_>, view: Option<&ScheduleView>) 
         }
     }
     Report::new(diags)
+}
+
+/// The result of [`analyze`].
+#[derive(Debug, Clone)]
+pub struct Analysis {
+    /// Per-buffer def/last-use intervals and alias classes.
+    pub lifetimes: LifetimeReport,
+    /// Static per-worker and whole-schedule peak-memory estimate.
+    pub memory: MemoryEstimate,
+    /// All findings, errors first (rendered as `ramiel check` renders).
+    pub report: Report,
+}
+
+/// Analyze one schedule. Coverage runs first and, as in
+/// [`verify_schedule`], its errors skip every deeper pass (the lifetimes
+/// and memory estimate are then empty); abstract channel execution
+/// (RV0401) follows, then the lifetime, memory and channel-capacity passes.
+pub fn analyze(graph: &Graph, view: &ScheduleView) -> Analysis {
+    let mut diags = coverage::check_coverage(graph, view);
+    if diags.iter().any(|d| d.severity == Severity::Error) {
+        return Analysis {
+            lifetimes: LifetimeReport::default(),
+            memory: MemoryEstimate::default(),
+            report: Report::new(diags),
+        };
+    }
+    let adj = graph.adjacency();
+    diags.extend(exec::check_execution(graph, &adj, view));
+    let (lifetimes, d) = lifetime::lifetimes(graph, &adj, view);
+    diags.extend(d);
+    let (memory, d) = memory::estimate_memory(graph, &adj, view);
+    diags.extend(d);
+    diags.extend(hb::check_capacity(graph, &adj, view));
+    Analysis {
+        lifetimes,
+        memory,
+        report: Report::new(diags),
+    }
 }
 
 /// Debug-assertion harness: panic with the rendered report if the graph has
@@ -219,6 +271,17 @@ mod tests {
         let v = ScheduleView::single_batch(vec![vec![0, 1, 3]], ExecPolicy::InOrder);
         let diags = verify_schedule(&g, &v);
         assert!(diags.iter().all(|d| d.code == codes::OP_MISSING));
+    }
+
+    #[test]
+    fn analyze_reports_only_the_missing_instance() {
+        let g = diamond();
+        let v = ScheduleView::single_batch(vec![vec![0, 1, 3]], ExecPolicy::InOrder);
+        let a = analyze(&g, &v);
+        let found: Vec<&str> = a.report.diagnostics.iter().map(|d| d.code).collect();
+        assert_eq!(found, [codes::OP_MISSING]);
+        assert!(a.lifetimes.intervals.is_empty());
+        assert!(a.memory.per_worker.is_empty());
     }
 
     #[test]

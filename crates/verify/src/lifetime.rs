@@ -12,12 +12,15 @@
 //! copies. Intervals carry the root of their alias class so downstream
 //! passes (and the in-place rewrite) can reason about the *buffer*, not
 //! the name.
+//!
+//! Like every pass after [`crate::coverage`], this one assumes a view that
+//! schedules each instance exactly once.
 
-use crate::codes;
+use crate::diag::{codes, Diagnostic, Span};
+use crate::schedule::ScheduleView;
+use ramiel_ir::graph::Adjacency;
+use ramiel_ir::runtime_model::{is_alias_op, tensor_bytes};
 use ramiel_ir::{Graph, NodeId};
-use ramiel_runtime::memory::tensor_bytes;
-use ramiel_runtime::reuse::is_alias_op;
-use ramiel_verify::{Diagnostic, ScheduleView, Span};
 use std::collections::{HashMap, HashSet};
 
 /// The lifetime of one tensor instance on one worker.
@@ -48,16 +51,9 @@ pub struct LifetimeReport {
     pub alias_classes: usize,
 }
 
-impl LifetimeReport {
-    /// Intervals resident on `worker`.
-    pub fn on_worker(&self, worker: usize) -> impl Iterator<Item = &Interval> {
-        self.intervals.iter().filter(move |i| i.worker == worker)
-    }
-}
-
 /// Map every tensor to the root of its alias chain (tensors that are not
 /// views map to themselves and are omitted).
-pub(crate) fn alias_roots(graph: &Graph) -> HashMap<String, String> {
+fn alias_roots(graph: &Graph) -> HashMap<String, String> {
     // Direct view edges: alias-op output → its data input. `Constant` is
     // alias-charged by the executors (it shares the initializer table) but
     // has no tensor input to root at, so it is skipped here.
@@ -83,38 +79,34 @@ pub(crate) fn alias_roots(graph: &Graph) -> HashMap<String, String> {
     roots
 }
 
-/// (batch, node) → worker lookup for every scheduled instance.
-pub(crate) fn instance_workers(view: &ScheduleView) -> HashMap<(usize, NodeId), usize> {
-    let mut map = HashMap::new();
-    for (w, ops) in view.workers.iter().enumerate() {
-        for op in ops {
-            map.insert((op.batch, op.node), w);
-        }
-    }
-    map
-}
-
-/// Compute every worker's intervals plus the lifetime lints.
-pub fn lifetimes(graph: &Graph, view: &ScheduleView) -> (LifetimeReport, Vec<Diagnostic>) {
-    let adj = graph.adjacency();
-    let roots = alias_roots(graph);
-    let owner = instance_workers(view);
-    let graph_outputs: HashSet<&str> = graph.outputs.iter().map(String::as_str).collect();
-    let externals: HashSet<&str> = graph
+/// Graph inputs and initializers: caller-owned, never charged to a worker.
+pub(crate) fn externals(graph: &Graph) -> HashSet<&str> {
+    graph
         .inputs
         .iter()
         .map(|i| i.name.as_str())
         .chain(graph.initializers.keys().map(String::as_str))
-        .collect();
+        .collect()
+}
+
+/// Compute every worker's intervals plus the lifetime lints.
+pub(crate) fn lifetimes(
+    graph: &Graph,
+    adj: &Adjacency<'_>,
+    view: &ScheduleView,
+) -> (LifetimeReport, Vec<Diagnostic>) {
+    let n = graph.num_nodes();
+    let roots = alias_roots(graph);
+    let owner = view.worker_of(n);
+    let graph_outputs: HashSet<&str> = graph.outputs.iter().map(String::as_str).collect();
+    let externals = externals(graph);
 
     let mut intervals = Vec::new();
     for (w, ops) in view.workers.iter().enumerate() {
         // (tensor, batch) → (def step, last-use step) on this worker.
         let mut seen: HashMap<(String, usize), (usize, usize)> = HashMap::new();
         for (step, op) in ops.iter().enumerate() {
-            let Some(node) = graph.nodes.get(op.node) else {
-                continue; // coverage errors are ramiel-verify's RV0103
-            };
+            let node = &graph.nodes[op.node];
             for t in &node.inputs {
                 if externals.contains(t.as_str()) {
                     continue;
@@ -122,12 +114,11 @@ pub fn lifetimes(graph: &Graph, view: &ScheduleView) -> (LifetimeReport, Vec<Dia
                 let produced_here = adj
                     .producer_of
                     .get(t)
-                    .is_some_and(|p| owner.get(&(op.batch, *p)) == Some(&w));
+                    .is_some_and(|p| owner[op.batch * n + p] == Some(w));
                 let entry = seen
                     .entry((t.clone(), op.batch))
                     // First sight through a *read* means the value arrives
-                    // over a channel (or the schedule is corrupt — hb
-                    // reports that); it can be resident from step 0.
+                    // over a channel; it can be resident from step 0.
                     .or_insert((if produced_here { step } else { 0 }, step));
                 entry.1 = step;
             }
@@ -192,14 +183,12 @@ pub fn lifetimes(graph: &Graph, view: &ScheduleView) -> (LifetimeReport, Vec<Dia
     let mut flagged: HashSet<NodeId> = HashSet::new();
     for (w, ops) in view.workers.iter().enumerate() {
         for op in ops {
-            let Some(node) = graph.nodes.get(op.node) else {
-                continue;
-            };
+            let node = &graph.nodes[op.node];
             if !is_alias_op(&node.op) || node.inputs.is_empty() || flagged.contains(&node.id) {
                 continue;
             }
             if let Some(&p) = adj.producer_of.get(&node.inputs[0]) {
-                if owner.get(&(op.batch, p)).is_some_and(|pw| *pw != w) {
+                if let Some(pw) = owner[op.batch * n + p].filter(|&pw| pw != w) {
                     flagged.insert(node.id);
                     diags.push(Diagnostic::advice(
                         codes::ALIAS_CROSS_WORKER,
@@ -213,8 +202,7 @@ pub fn lifetimes(graph: &Graph, view: &ScheduleView) -> (LifetimeReport, Vec<Dia
                             "view over `{}` is scheduled on worker {w} but its buffer \
                              is produced on worker {}; the zero-copy alias becomes a \
                              channel payload",
-                            node.inputs[0],
-                            owner[&(op.batch, p)]
+                            node.inputs[0], pw
                         ),
                     ));
                 }
@@ -227,8 +215,8 @@ pub fn lifetimes(graph: &Graph, view: &ScheduleView) -> (LifetimeReport, Vec<Dia
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::ExecPolicy;
     use ramiel_ir::{DType, GraphBuilder, OpKind, TensorData};
-    use ramiel_verify::{ExecPolicy, ScheduleView};
 
     /// x → Relu(0) → Reshape(1, via spec) → Neg(2) → output.
     /// Returns the graph plus the relu/reshape/neg output tensor names.
@@ -247,7 +235,7 @@ mod tests {
     fn intervals_cover_def_and_last_use() {
         let (g, r, _, y) = chain_graph();
         let view = ScheduleView::single_batch(vec![vec![0, 1, 2]], ExecPolicy::InOrder);
-        let (rep, diags) = lifetimes(&g, &view);
+        let (rep, diags) = lifetimes(&g, &g.adjacency(), &view);
         assert!(diags.is_empty(), "{diags:?}");
         let relu = rep.intervals.iter().find(|i| i.tensor == r).unwrap();
         assert_eq!((relu.def, relu.last_use), (0, 1));
@@ -260,7 +248,7 @@ mod tests {
     fn views_carry_their_alias_root() {
         let (g, r, s, _) = chain_graph();
         let view = ScheduleView::single_batch(vec![vec![0, 1, 2]], ExecPolicy::InOrder);
-        let (rep, _) = lifetimes(&g, &view);
+        let (rep, _) = lifetimes(&g, &g.adjacency(), &view);
         let view_iv = rep.intervals.iter().find(|i| i.tensor == s).unwrap();
         assert_eq!(view_iv.alias_of.as_deref(), Some(r.as_str()));
         assert_eq!(rep.alias_classes, 1);
@@ -271,7 +259,7 @@ mod tests {
         let (g, r, _, _) = chain_graph();
         // producer of the relu output on worker 0, the rest on worker 1
         let view = ScheduleView::single_batch(vec![vec![0], vec![1, 2]], ExecPolicy::InOrder);
-        let (rep, _) = lifetimes(&g, &view);
+        let (rep, _) = lifetimes(&g, &g.adjacency(), &view);
         let recv = rep
             .intervals
             .iter()
@@ -284,7 +272,7 @@ mod tests {
     fn cross_worker_view_is_flagged() {
         let (g, ..) = chain_graph();
         let view = ScheduleView::single_batch(vec![vec![0], vec![1, 2]], ExecPolicy::InOrder);
-        let (_, diags) = lifetimes(&g, &view);
+        let (_, diags) = lifetimes(&g, &g.adjacency(), &view);
         assert!(diags.iter().any(|d| d.code == codes::ALIAS_CROSS_WORKER));
     }
 
@@ -297,7 +285,7 @@ mod tests {
         b.output(&r);
         let g = b.finish().unwrap();
         let view = ScheduleView::single_batch(vec![vec![0, 1]], ExecPolicy::InOrder);
-        let (_, diags) = lifetimes(&g, &view);
+        let (_, diags) = lifetimes(&g, &g.adjacency(), &view);
         assert!(diags.iter().any(|d| d.code == codes::DEAD_VALUE));
     }
 }

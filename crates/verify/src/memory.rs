@@ -21,13 +21,16 @@
 //! world where nothing is ever discharged). The whole-schedule peak is
 //! the sum of per-worker peaks: the runtime gauge is shared across
 //! workers, and the per-worker maxima cannot all be exceeded at once.
+//!
+//! The view must schedule each instance exactly once (a clean
+//! [`crate::coverage`]); [`crate::analyze`] runs this pass only then.
 
-use crate::codes;
-use crate::lifetime::instance_workers;
+use crate::diag::{codes, Diagnostic, Span};
+use crate::lifetime::externals;
+use crate::schedule::{ExecPolicy, ScheduleView};
+use ramiel_ir::graph::Adjacency;
+use ramiel_ir::runtime_model::{is_alias_op, tensor_bytes};
 use ramiel_ir::Graph;
-use ramiel_runtime::memory::tensor_bytes;
-use ramiel_runtime::reuse::is_alias_op;
-use ramiel_verify::{Diagnostic, ExecPolicy, ScheduleView, Span};
 use serde::Serialize;
 use std::collections::{HashMap, HashSet};
 
@@ -65,17 +68,17 @@ impl Default for MemoryEstimate {
     }
 }
 
-/// Estimate peak memory for every worker plus the memory lints.
-pub fn estimate_memory(graph: &Graph, view: &ScheduleView) -> (MemoryEstimate, Vec<Diagnostic>) {
-    let adj = graph.adjacency();
-    let owner = instance_workers(view);
+/// Estimate peak memory for every worker plus the memory lints; `adj` is a
+/// snapshot of `graph`.
+pub fn estimate_memory(
+    graph: &Graph,
+    adj: &Adjacency<'_>,
+    view: &ScheduleView,
+) -> (MemoryEstimate, Vec<Diagnostic>) {
+    let n = graph.num_nodes();
+    let owner = view.worker_of(n);
     let graph_outputs: HashSet<&str> = graph.outputs.iter().map(String::as_str).collect();
-    let externals: HashSet<&str> = graph
-        .inputs
-        .iter()
-        .map(|i| i.name.as_str())
-        .chain(graph.initializers.keys().map(String::as_str))
-        .collect();
+    let externals = externals(graph);
     let exact_order = view.policy == ExecPolicy::InOrder;
 
     let mut per_worker = Vec::with_capacity(view.workers.len());
@@ -85,9 +88,7 @@ pub fn estimate_memory(graph: &Graph, view: &ScheduleView) -> (MemoryEstimate, V
         let mut uses: HashMap<(&str, usize), usize> = HashMap::new();
         let mut received: HashSet<(&str, usize)> = HashSet::new();
         for op in ops {
-            let Some(node) = graph.nodes.get(op.node) else {
-                continue;
-            };
+            let node = &graph.nodes[op.node];
             for t in &node.inputs {
                 if externals.contains(t.as_str()) {
                     continue;
@@ -96,7 +97,7 @@ pub fn estimate_memory(graph: &Graph, view: &ScheduleView) -> (MemoryEstimate, V
                 let local = adj
                     .producer_of
                     .get(t)
-                    .is_some_and(|p| owner.get(&(op.batch, *p)) == Some(&w));
+                    .is_some_and(|p| owner[op.batch * n + p] == Some(w));
                 if !local {
                     received.insert((t.as_str(), op.batch));
                 }
@@ -122,14 +123,9 @@ pub fn estimate_memory(graph: &Graph, view: &ScheduleView) -> (MemoryEstimate, V
         peak = peak.max(cur);
 
         for op in ops {
-            let Some(node) = graph.nodes.get(op.node) else {
-                continue;
-            };
+            let node = &graph.nodes[op.node];
             for t in &node.outputs {
                 let key = (t.as_str(), op.batch);
-                if charge.contains_key(&key) {
-                    continue; // double-write; hb reports RA0302
-                }
                 let bytes = if is_alias_op(&node.op) {
                     0
                 } else {
@@ -142,11 +138,11 @@ pub fn estimate_memory(graph: &Graph, view: &ScheduleView) -> (MemoryEstimate, V
             peak = peak.max(cur);
             for t in &node.inputs {
                 let key = (t.as_str(), op.batch);
-                let Some(n) = uses.get_mut(&key) else {
-                    continue; // external (or unscheduled; hb reports RA0301)
+                let Some(left) = uses.get_mut(&key) else {
+                    continue; // external: never charged
                 };
-                *n -= 1;
-                if *n == 0 {
+                *left -= 1;
+                if *left == 0 {
                     cur -= charge.get(&key).copied().unwrap_or(0);
                 }
             }
@@ -177,10 +173,9 @@ pub fn estimate_memory(graph: &Graph, view: &ScheduleView) -> (MemoryEstimate, V
 
     let mut diags = Vec::new();
     // RA0201: one worker's peak dominates the schedule.
-    let n = estimate.per_worker.len();
-    if n > 1 {
-        let total: u64 = estimate.per_worker.iter().map(|m| m.peak_bytes).sum();
-        let avg = total / n as u64;
+    let workers = estimate.per_worker.len();
+    if workers > 1 {
+        let avg = estimate.peak_bytes / workers as u64;
         if let Some(hot) = estimate
             .per_worker
             .iter()
@@ -208,7 +203,6 @@ pub fn estimate_memory(graph: &Graph, view: &ScheduleView) -> (MemoryEstimate, V
 mod tests {
     use super::*;
     use ramiel_ir::{DType, GraphBuilder, OpKind};
-    use ramiel_verify::{ExecPolicy, ScheduleView};
 
     /// x(24B) → Relu → Neg → Sqrt → output; every intermediate is 24 bytes.
     fn chain() -> Graph {
@@ -225,7 +219,7 @@ mod tests {
     fn in_order_chain_peaks_at_two_live_values() {
         let g = chain();
         let view = ScheduleView::single_batch(vec![vec![0, 1, 2]], ExecPolicy::InOrder);
-        let (est, diags) = estimate_memory(&g, &view);
+        let (est, diags) = estimate_memory(&g, &g.adjacency(), &view);
         assert!(diags.is_empty(), "{diags:?}");
         // at each step the producing op's input and output coexist: 48 bytes
         assert_eq!(est.peak_bytes, 48);
@@ -237,7 +231,7 @@ mod tests {
     fn first_ready_falls_back_to_sum_bound() {
         let g = chain();
         let view = ScheduleView::single_batch(vec![vec![0, 1, 2]], ExecPolicy::FirstReady);
-        let (est, _) = estimate_memory(&g, &view);
+        let (est, _) = estimate_memory(&g, &g.adjacency(), &view);
         assert_eq!(est.peak_bytes, 72);
         assert!(!est.exact);
     }
@@ -246,7 +240,7 @@ mod tests {
     fn received_values_are_charged_on_the_consumer() {
         let g = chain();
         let view = ScheduleView::single_batch(vec![vec![0], vec![1, 2]], ExecPolicy::InOrder);
-        let (est, _) = estimate_memory(&g, &view);
+        let (est, _) = estimate_memory(&g, &g.adjacency(), &view);
         // worker 0: relu out lives alone (input x is never charged)
         assert_eq!(est.per_worker[0].peak_bytes, 24);
         // worker 1: received relu + neg out coexist at step 0
@@ -259,7 +253,7 @@ mod tests {
         let g = chain();
         let view =
             ScheduleView::single_batch(vec![vec![0, 1, 2], vec![], vec![]], ExecPolicy::InOrder);
-        let (_, diags) = estimate_memory(&g, &view);
+        let (_, diags) = estimate_memory(&g, &g.adjacency(), &view);
         assert!(diags.iter().any(|d| d.code == codes::MEM_HOTSPOT));
     }
 }

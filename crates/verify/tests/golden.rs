@@ -1,11 +1,10 @@
 //! Golden corruption tests: seeded schedule defects on a real model must
-//! trip exactly the intended `RA-*` codes, and the pristine schedules of
-//! every built-in model must analyze clean of errors.
+//! trip exactly the intended codes under [`analyze`], and the pristine
+//! schedules of every built-in model must analyze clean of errors.
 
-use ramiel_analyze::{analyze, codes};
 use ramiel_cluster::{cluster_graph, clustering_view, stealing_view, StaticCost};
 use ramiel_models::{build, ModelConfig, ModelKind};
-use ramiel_verify::Severity;
+use ramiel_verify::{analyze, codes, Severity};
 
 fn codes_of(report: &ramiel_verify::Report) -> Vec<&'static str> {
     report.diagnostics.iter().map(|d| d.code).collect()
@@ -30,16 +29,16 @@ fn pristine_schedules_have_no_errors_on_any_model() {
 /// The work-stealing executor's analyze story: it has no static per-edge
 /// channels, so its view must analyze as *estimate-only* — a sound (inexact)
 /// first-ready memory bound and **zero** channel-shaped diagnostics
-/// (RA03xx happens-before lints, RA0401 capacity). Emitting those against a
+/// (coverage, RV0401 replay stalls, RA0401 capacity). Emitting those against a
 /// schedule that has no channels would be vacuous noise; this test pins
 /// their absence on every model, at batch 1 and batch 4.
 #[test]
 fn stealing_views_are_estimate_only_with_no_channel_lints() {
     let cfg = ModelConfig::tiny();
     let channel_codes = [
-        codes::RECV_NO_SEND,
-        codes::WRITE_WRITE,
-        codes::HB_CYCLE,
+        codes::OP_MISSING,
+        codes::OP_DUPLICATE,
+        codes::CHANNEL_DEADLOCK,
         codes::CAPACITY_EXCEEDED,
     ];
     for kind in ModelKind::all() {
@@ -84,12 +83,7 @@ fn dropping_a_producer_trips_recv_no_send() {
     let w = view.workers.iter().position(|w| !w.is_empty()).unwrap();
     view.workers[w].remove(0);
     let a = analyze(&g, &view);
-    assert!(
-        codes_of(&a.report).contains(&codes::RECV_NO_SEND),
-        "expected {} after dropping a producer, got {:?}",
-        codes::RECV_NO_SEND,
-        codes_of(&a.report)
-    );
+    assert_eq!(codes_of(&a.report), [codes::OP_MISSING]);
     assert!(a.report.has_errors());
 }
 
@@ -103,12 +97,7 @@ fn duplicating_an_instance_trips_write_write() {
     let dup = view.workers[w][0];
     view.workers.push(vec![dup]);
     let a = analyze(&g, &view);
-    assert!(
-        codes_of(&a.report).contains(&codes::WRITE_WRITE),
-        "expected {} after duplicating an instance, got {:?}",
-        codes::WRITE_WRITE,
-        codes_of(&a.report)
-    );
+    assert_eq!(codes_of(&a.report), [codes::OP_DUPLICATE]);
     assert!(a.report.has_errors());
 }
 
@@ -126,9 +115,9 @@ fn reversing_a_worker_trips_hb_cycle_under_in_order_replay() {
     view.workers[w].reverse();
     let a = analyze(&g, &view);
     assert!(
-        codes_of(&a.report).contains(&codes::HB_CYCLE),
+        codes_of(&a.report).contains(&codes::CHANNEL_DEADLOCK),
         "expected {} after reversing a worker, got {:?}",
-        codes::HB_CYCLE,
+        codes::CHANNEL_DEADLOCK,
         codes_of(&a.report)
     );
 }
@@ -141,7 +130,7 @@ fn error_codes_carry_error_severity() {
     view.workers[w].remove(0);
     let a = analyze(&g, &view);
     for d in &a.report.diagnostics {
-        if d.code == codes::RECV_NO_SEND {
+        if d.code == codes::OP_MISSING {
             assert_eq!(d.severity, Severity::Error);
         }
     }

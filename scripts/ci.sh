@@ -13,11 +13,18 @@ echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets --offline -- -D warnings
 
 # Rustdoc link gate: a deleted or renamed item must not leave a dead
-# intra-doc link behind in the crates whose docs name the executors, and a
-# public doc must not link to a private item (the link renders dead).
+# intra-doc link behind in the crates whose docs name the executors and the
+# checker's passes, and a public doc must not link to a private item (the
+# link renders dead).
 echo "==> cargo doc (broken and private intra-doc links denied)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
-    cargo doc --no-deps --offline -p ramiel-runtime -p ramiel-serve -p ramiel
+    cargo doc --no-deps --offline -p ramiel-runtime -p ramiel-serve -p ramiel -p ramiel-verify
+# The `ramiel` binary shares the library's name, so `cargo doc` skips it;
+# its per-verb module docs (each verb's flag list) are checked on their
+# own. After the library step: both write target/doc/ramiel.
+echo "==> cargo rustdoc --bin ramiel (same link gate over the CLI's verb docs)"
+cargo rustdoc --offline -p ramiel --bin ramiel -- \
+    -D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links
 
 echo "==> cargo test (--no-fail-fast: one red binary must not hide the ones after it)"
 cargo test --offline --no-fail-fast
@@ -72,11 +79,12 @@ timeout --kill-after=30s 600s \
     profile squeezenet --tiny --out target/ci-profile
 test -s target/ci-profile/squeezenet-trace.json
 
-# Static-analysis gate: lifetime, peak-memory, and happens-before channel
-# analysis over every built-in model's default schedule. --deny-warnings
-# turns any RA-coded warning (e.g. a channel-capacity overrun) into exit 1
-# and any race/deadlock finding into exit 2, so a pipeline regression that
-# produces an unsound schedule fails CI here before it flakes at runtime.
+# Static-analysis gate: coverage, channel replay, lifetime, peak-memory and
+# channel-capacity analysis over every built-in model's default schedule.
+# --deny-warnings turns any warning (e.g. a channel-capacity overrun) into
+# exit 1 and any coverage/deadlock finding into exit 2, so a pipeline
+# regression that produces an unsound schedule fails CI here before it
+# flakes at runtime.
 echo "==> ramiel analyze gate (all models, warnings denied)"
 timeout --kill-after=30s 600s \
     cargo run --offline -p ramiel --bin ramiel -- \

@@ -1,7 +1,7 @@
 //! The static peak-memory estimate is a *true upper bound*, and in-place
 //! buffer reuse never changes results.
 //!
-//! Two contracts from `ramiel-analyze` / the reuse rewrite:
+//! Two contracts from `ramiel-verify`'s memory estimate / the reuse rewrite:
 //!
 //! 1. For every built-in model and every executor, the measured high-water
 //!    mark of an allocation-tracking [`MemGauge`] never exceeds
@@ -16,7 +16,7 @@
 //!    And reuse pays: on SqueezeNet and BERT it cuts the measured
 //!    sequential peak by at least a quarter.
 
-use ramiel::analyze::memory::estimate_memory;
+use ramiel::verify::estimate_memory;
 use ramiel_cluster::{
     cluster_graph, hyper_view, hypercluster, stealing_view, switched_hypercluster, StaticCost,
 };
@@ -85,7 +85,7 @@ fn estimate_upper_bounds_measured_peak_on_every_executor() {
         // sequential: single worker, the executor's own topological order
         let order = ramiel_ir::topo::topo_sort(&g).unwrap();
         let view = ScheduleView::single_batch(vec![order], ExecPolicy::InOrder);
-        let (est, _) = estimate_memory(&g, &view);
+        let (est, _) = estimate_memory(&g, &g.adjacency(), &view);
         let (gauge, ctx) = gauge_ctx();
         run_sequential(&g, &inputs[0], &ctx).unwrap();
         assert_bound(model, "sequential", est.peak_bytes, &gauge);
@@ -109,7 +109,7 @@ fn estimate_upper_bounds_measured_peak_on_every_executor() {
                     // interleaving the pool picks)
                     _ => stealing_view(&g, hc.batch),
                 };
-                let (est, _) = estimate_memory(&g, &view);
+                let (est, _) = estimate_memory(&g, &g.adjacency(), &view);
                 if engine == Engine::Stealing {
                     assert!(!est.exact, "stealing view must be estimate-only");
                 }
@@ -262,7 +262,7 @@ mod prop {
 
             let order = ramiel_ir::topo::topo_sort(&g).unwrap();
             let view = ScheduleView::single_batch(vec![order], ExecPolicy::InOrder);
-            let (est, _) = estimate_memory(&g, &view);
+            let (est, _) = estimate_memory(&g, &g.adjacency(), &view);
             let (gauge, ctx) = gauge_ctx();
             run_sequential(&g, &inputs, &ctx).unwrap();
             prop_assert!(gauge.peak_bytes() <= est.peak_bytes);
@@ -271,7 +271,7 @@ mod prop {
             view.policy = ExecPolicy::FirstReady;
             let stealing = stealing_view(&g, 1);
             for (view, (_, engine)) in [view, stealing].iter().zip(ENGINES) {
-                let (est, _) = estimate_memory(&g, view);
+                let (est, _) = estimate_memory(&g, &g.adjacency(), view);
                 let (gauge, ctx) = gauge_ctx();
                 let opts = RunOptions::default().engine(engine);
                 run(&g, &clustering, std::slice::from_ref(&inputs), &ctx, &opts)

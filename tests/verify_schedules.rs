@@ -9,7 +9,7 @@
 //! timeout (or not at all).
 
 use proptest::prelude::*;
-use ramiel::verify::{codes, verify, ExecPolicy, ScheduleView, Severity};
+use ramiel::verify::{analyze, codes, verify, ExecPolicy, ScheduleView, Severity};
 use ramiel_cluster::{
     bound_clusters, cluster_graph, clustering_view, distance_to_end, hyper_view, hypercluster,
     linear_clustering, merge_clusters_fixpoint, switched_hypercluster, CostModel, StaticCost,
@@ -90,9 +90,10 @@ fn node_costs(g: &Graph) -> Vec<u64> {
 }
 
 /// The fold `serve` applies, on every zoo model at full size and a range of
-/// core counts: a valid, deadlock-free partition of at most `p` clusters; a
-/// clustering already within the budget comes back as it was; and BERT's
-/// critical-path cluster is never folded into another.
+/// core counts: a valid, deadlock-free partition of at most `p` clusters
+/// whose analysis (memory estimate, channel capacity) finds no error and a
+/// non-zero peak; a clustering already within the budget comes back as it
+/// was; and BERT's critical-path cluster is never folded into another.
 #[test]
 fn folded_zoo_clusterings_verify_within_budget() {
     for kind in ModelKind::all() {
@@ -113,11 +114,11 @@ fn folded_zoo_clusterings_verify_within_budget() {
             assert!(folded.num_clusters() <= p, "{at}");
             folded.check_partition(&g).expect(&at);
             folded.check_internal_order(&g).expect(&at);
-            assert_eq!(
-                error_codes(&g, &clustering_view(&folded)),
-                Vec::<&str>::new(),
-                "{at}"
-            );
+            let view = clustering_view(&folded);
+            assert_eq!(error_codes(&g, &view), Vec::<&str>::new(), "{at}");
+            let a = analyze(&g, &view);
+            assert!(!a.report.has_errors(), "{at}: {}", a.report.render());
+            assert!(a.memory.peak_bytes > 0, "{at}");
             if merged.num_clusters() <= p {
                 assert_eq!(folded, merged, "{at}");
             }
