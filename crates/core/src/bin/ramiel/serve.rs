@@ -9,11 +9,12 @@
 //!
 //! Flags: `--tiny`, `--prune`, `--clone` and `--switched` (every batch
 //! size is planned when met, so no `--batch`), `--port N` (default 7878, 0
-//! = ephemeral), `--max-batch N` (default 8), `--max-delay-ms N` (batch
-//! window, default 2), `--queue-cap N` (default 128), `--shed` (reject on
-//! a full queue instead of blocking), `--intra-op N`, `--max-retries N`
-//! (default 2), `--sha256 H` (pin the digest; pulls through the registry)
-//! and `--cache DIR` (as for `pull`).
+//! = ephemeral), `--max-batch N` (default 8; a batch is whatever queued
+//! while the previous one ran, never a timed wait), `--queue-cap N`
+//! (default 128), `--shed` (reject on a full queue instead of blocking),
+//! `--max-retries N` (default 2), `--sha256 H` (pin the digest; pulls
+//! through the registry) and `--cache DIR` (as for `pull`). Kernels run
+//! sequentially on the standing workers: `serve` starts no intra-op pool.
 
 use crate::model::{builtin_kind, not_loadable, summarize, ModelArgs};
 use ramiel_serve::{
@@ -25,10 +26,8 @@ use std::time::Duration;
 args!(Args "serve", model: ModelArgs ["--tiny", "--prune", "--clone", "--switched"];
     port: u16 = 7878, "--port";
     max_batch: usize = 8, "--max-batch";
-    max_delay_ms: u64 = 2, "--max-delay-ms";
     queue_cap: usize = 128, "--queue-cap";
     shed: bool = false, "--shed";
-    intra_op: usize = 1, "--intra-op";
     max_retries: u32 = 2, "--max-retries";
     sha256: Option<String> = None, "--sha256";
     cache: Option<String> = None, "--cache";
@@ -40,7 +39,6 @@ pub fn main(model: &str, flags: &[String]) -> Result<(), String> {
     let opts = a.model.options();
     let server = Arc::new(Server::new(ServeConfig {
         max_batch: a.max_batch,
-        max_delay: Duration::from_millis(a.max_delay_ms),
         queue_capacity: a.queue_cap,
         policy: if a.shed {
             OverflowPolicy::Shed
@@ -49,7 +47,6 @@ pub fn main(model: &str, flags: &[String]) -> Result<(), String> {
                 max_wait: Duration::from_secs(1),
             }
         },
-        intra_op: a.intra_op,
         supervisor: ramiel_runtime::SupervisorConfig {
             max_retries: a.max_retries,
             fallback: true,
@@ -114,9 +111,8 @@ pub fn main(model: &str, flags: &[String]) -> Result<(), String> {
     summarize(&report, plan.schedule_time);
     let workers = plan.num_clusters();
     println!(
-        "serving `{model}` (max batch {}, window {} ms, queue {}, {workers} worker{}{})",
+        "serving `{model}` (max batch {}, queue {}, {workers} worker{}{})",
         a.max_batch,
-        a.max_delay_ms,
         a.queue_cap,
         if workers == 1 { "" } else { "s" },
         if a.shed { ", shedding" } else { "" },

@@ -27,21 +27,17 @@ struct TopRow {
 }
 
 /// One scrape's rows by model, plus lifetime lane totals over all models:
-/// windows opened / skipped, pool builds and their summed duration (ns).
-fn parse_frame(text: &str) -> (BTreeMap<String, TopRow>, [f64; 4]) {
+/// pool builds and their summed duration (ns).
+fn parse_frame(text: &str) -> (BTreeMap<String, TopRow>, [f64; 2]) {
     let samples = ramiel::obs::parse_prometheus(text);
     let mut rows: BTreeMap<String, TopRow> = BTreeMap::new();
-    let mut lanes = [0.0f64; 4];
+    let mut lanes = [0.0f64; 2];
     for s in &samples {
         if let Some(model) = s.label("model") {
             let row = rows.entry(model.to_string()).or_default();
             match s.name.as_str() {
-                "ramiel_batch_window_total" => match s.label("decision") {
-                    Some("opened") => lanes[0] += s.value,
-                    _ => lanes[1] += s.value,
-                },
-                "ramiel_lane_build_ns_count" => lanes[2] += s.value,
-                "ramiel_lane_build_ns_sum" => lanes[3] += s.value,
+                "ramiel_lane_build_ns_count" => lanes[0] += s.value,
+                "ramiel_lane_build_ns_sum" => lanes[1] += s.value,
                 "ramiel_requests_total" => match s.label("outcome") {
                     Some("completed") => row.completed += s.value,
                     Some(o) if o.starts_with("shed") => row.shed += s.value,
@@ -116,9 +112,9 @@ pub fn main(flags: &[String]) -> Result<(), String> {
                 model, rps, p50, p99, mean_batch, row.depth, row.peak, sheds
             );
         }
-        let [opened, skipped, builds, build_ns] = lanes;
+        let [builds, build_ns] = lanes;
         println!(
-            "lanes: batch windows {opened:.0} opened / {skipped:.0} skipped, {builds:.0} pool builds (mean {:.2} ms)",
+            "lanes: {builds:.0} pool builds (mean {:.2} ms)",
             build_ns / builds.max(1.0) / 1e6
         );
 

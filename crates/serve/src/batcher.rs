@@ -3,32 +3,20 @@
 //! Each loaded model gets one *lane*: a bounded submission queue
 //! (`std::sync::Mutex` + `Condvar` — the vendored `parking_lot` has no
 //! condvar) drained by a dedicated collector thread. The collector blocks
-//! for the first request, takes whatever else is already queued, and then
-//! — only if the lane has evidence of a second caller — holds the batch
-//! open until it has `max_batch` requests or `max_delay` has elapsed since
-//! the first. The batch executes as ONE hypercluster job on a persistent
-//! [`HyperPool`], the lane's only executor, whose workers live as long as
-//! the lane's plan version. Per-sample outputs scatter back to per-request
-//! one-shot channels.
+//! for the first request, takes whatever else is already queued behind it
+//! (up to `max_batch`), and runs them at once as ONE hypercluster job on a
+//! persistent [`HyperPool`], the lane's only executor, whose workers live
+//! as long as the lane's plan version. Per-sample outputs scatter back to
+//! per-request one-shot channels.
 //!
-//! ## The batch window opens only for company
+//! ## A lane dispatches on arrival
 //!
-//! Waiting `max_delay` buys nothing when nobody else is calling, and it is
-//! the largest part of a small model's latency. So the window opens iff
-//! the lane itself has seen concurrency:
-//!
-//! 1. the previous batch coalesced more than one request, **or**
-//! 2. this batch's first request was enqueued before the previous batch
-//!    stopped executing (it arrived during execution; the caller being
-//!    served then was still waiting for its reply), **or**
-//! 3. the immediate drain of the queue already found more than one.
-//!
-//! Otherwise the batch runs at once. A window that expires with a single
-//! request clears (1), so a caller that leaves costs the one who stays at
-//! most one wasted wait, and a caller that joins goes un-coalesced for at
-//! most one batch: two closed-loop callers phase-lock into batch-2 runs (A
-//! runs alone, B arrives during A's execution, B's window catches A's next
-//! request). `max_delay` keeps its meaning as the window's upper bound.
+//! The collector never holds a batch open for requests that have not
+//! arrived yet: batches form only from requests that queued while the
+//! previous batch executed. Waiting for a partner does not pay on a CPU
+//! whose cores the standing workers already hold: a batch-2 NASNet run
+//! takes nearly twice as long as a batch-1 run, so a 2 ms window saved
+//! about 1 ms of execution per pair of requests.
 //!
 //! ## Lane lifecycle
 //!
@@ -43,9 +31,7 @@
 //! ```text
 //!        ┌──── idle: sync pool to plan version, wait(not_empty) ────┐
 //!        ▼                                                          │
-//!   pop first + everything queued ──▶ company? ──yes──▶ window: pop │
-//!        │                               │no            until max_batch
-//!        │◀──────────────────────────────┘              or max_delay │
+//!   pop first + everything queued behind it, up to max_batch        │
 //!        ▼                                                          │
 //!   drop dead-on-arrival (deadline passed in queue)                 │
 //!        ▼                                                          │
@@ -351,7 +337,7 @@ impl LanePool {
     }
 }
 
-/// The collector thread: sync pool → idle-wait → gather → execute, until
+/// The collector thread: sync pool → idle-wait → pop → execute, until
 /// drained. The pool is a local, so the thread finishes only after the
 /// pool's workers joined: a finished collector is a lane with no threads.
 fn collector(sh: Arc<LaneShared>) {
@@ -359,78 +345,41 @@ fn collector(sh: Arc<LaneShared>) {
         version: 0,
         pool: None,
     };
-    // Evidence of a second caller (see the module docs): the previous
-    // batch coalesced, or a request was enqueued before it stopped
-    // executing — which its own caller, still waiting for the reply then,
-    // cannot have done.
-    let mut coalesced = false;
-    let mut busy_until: Option<Instant> = None;
     loop {
         // Off the request path: at spawn, and when a swap woke us. A failed
         // build is retried — and reported — by the next batch.
         let _ = pool.sync(&sh, &Arc::clone(&sh.plan.lock()));
-        let mut batch: Vec<Request> = Vec::new();
-        let take = |q: &mut VecDeque<Request>, batch: &mut Vec<Request>| {
-            while batch.len() < sh.cfg.max_batch {
-                let Some(mut r) = q.pop_front() else { break };
-                r.popped = Some(Instant::now());
-                sh.metrics.queue_depth.set(q.len() as u64);
-                sh.space.notify_one();
-                batch.push(r);
-            }
-        };
-        {
+        let batch: Vec<Request> = {
             // Idle: block for the first request of the next batch, and take
             // whatever queued up behind it.
             let mut q = lock(&sh.queue);
             loop {
-                take(&mut q, &mut batch);
-                if !batch.is_empty() {
-                    break;
+                let n = q.len().min(sh.cfg.max_batch);
+                if n > 0 {
+                    let popped = Instant::now();
+                    let batch = q
+                        .drain(..n)
+                        .map(|mut r| {
+                            r.popped = Some(popped);
+                            r
+                        })
+                        .collect();
+                    sh.metrics.queue_depth.set(q.len() as u64);
+                    sh.space.notify_all();
+                    break batch;
                 }
                 if sh.draining.load(Ordering::SeqCst) {
                     return; // drained: queue empty and no new admissions
                 }
                 if sh.plan.lock().version != pool.version {
-                    break; // hot swap: rebuild before the next request
+                    break Vec::new(); // hot swap: rebuild before the next request
                 }
                 q = sh.not_empty.wait(q).unwrap_or_else(|e| e.into_inner());
             }
-        }
-        if batch.is_empty() {
-            continue;
-        }
-        // Gather: hold the batch open — up to max_batch, up to max_delay
-        // after the first — only for company.
-        let arrived_during_execution = busy_until.is_some_and(|t| batch[0].enqueued < t);
-        let company = coalesced || arrived_during_execution || batch.len() > 1;
-        let full = |batch: &Vec<Request>| {
-            batch.len() >= sh.cfg.max_batch || sh.draining.load(Ordering::SeqCst)
         };
-        if company && !full(&batch) {
-            sh.metrics.window_opened.inc();
-            let batch_deadline = Instant::now() + sh.cfg.max_delay;
-            let mut q = lock(&sh.queue);
-            loop {
-                take(&mut q, &mut batch);
-                if full(&batch) {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= batch_deadline {
-                    break;
-                }
-                q = sh
-                    .not_empty
-                    .wait_timeout(q, batch_deadline - now)
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0;
-            }
-        } else {
-            sh.metrics.window_skipped.inc();
+        if !batch.is_empty() {
+            execute_batch(&sh, &mut pool, batch);
         }
-        coalesced = batch.len() > 1;
-        busy_until = Some(execute_batch(&sh, &mut pool, batch));
     }
 }
 
@@ -451,10 +400,8 @@ fn fail_all(
 /// Execute one gathered batch: deadline-filter, rebuild the pool if a hot
 /// swap raced this batch, run with supervised retries, degrade to
 /// per-request sequential execution if the batch stays poisoned, scatter
-/// results. Returns when the batch stopped executing (before any reply
-/// went out): a request enqueued earlier than that arrived while the lane
-/// was busy.
-fn execute_batch(sh: &LaneShared, pool: &mut LanePool, batch: Vec<Request>) -> Instant {
+/// results.
+fn execute_batch(sh: &LaneShared, pool: &mut LanePool, batch: Vec<Request>) {
     // Dead-on-arrival filter: reject expired work *before* spending any
     // execution on it.
     let now = Instant::now();
@@ -471,7 +418,7 @@ fn execute_batch(sh: &LaneShared, pool: &mut LanePool, batch: Vec<Request>) -> I
         }
     }
     if live.is_empty() {
-        return now;
+        return;
     }
 
     let plan = Arc::clone(&sh.plan.lock());
@@ -484,9 +431,8 @@ fn execute_batch(sh: &LaneShared, pool: &mut LanePool, batch: Vec<Request>) -> I
         let t = Instant::now();
         exec_start = Some(t);
         if let Err(e) = pool.sync(sh, &plan) {
-            let failed = Instant::now();
-            fail_all(sh, live, &ServeError::Runtime(e), t, failed);
-            return failed;
+            fail_all(sh, live, &ServeError::Runtime(e), t, Instant::now());
+            return;
         }
     }
 
@@ -500,7 +446,7 @@ fn execute_batch(sh: &LaneShared, pool: &mut LanePool, batch: Vec<Request>) -> I
         Err(e) => {
             let t = Instant::now();
             fail_all(sh, live, &e, t, t);
-            return t;
+            return;
         }
     };
     let inputs: Arc<Vec<Env>> = Arc::new(live.iter().map(|r| r.inputs.clone()).collect());
@@ -567,5 +513,4 @@ fn execute_batch(sh: &LaneShared, pool: &mut LanePool, batch: Vec<Request>) -> I
             fail_all(sh, live, &ServeError::Runtime(e), exec_start, exec_end);
         }
     }
-    exec_end
 }

@@ -13,8 +13,8 @@
 //!   ONNX bytes (a registry pull or a file) to an
 //!   installed plan; [`Server::load`] installs a graph the caller holds.
 //! - [`batcher`] — per-model dynamic micro-batcher: a bounded submission
-//!   queue drained by a collector thread that coalesces up to `max_batch`
-//!   requests (or a `max_delay` timeout, whichever first) into one
+//!   queue drained by a collector thread that coalesces whatever is
+//!   queued, up to `max_batch` requests, into one
 //!   hypercluster execution on a persistent
 //!   [`ramiel_runtime::HyperPool`], then scatters per-sample outputs back
 //!   to per-request one-shot channels.

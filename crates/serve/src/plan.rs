@@ -130,8 +130,10 @@ pub struct CompiledPlan {
     /// The weights keyed by name, for the name-keyed sequential fallback:
     /// built on the first fallback, never on the load path.
     named_weights: OnceLock<Arc<HashMap<String, Value>>>,
-    /// Per-plan execution context: its packed-weight cache warms up on the
-    /// first request and is reused by every later one (clones share it).
+    /// Per-plan execution context, with sequential kernels: the lane's
+    /// standing workers are the plan's only threads. Its packed-weight
+    /// cache warms up on the first request and is reused by every later
+    /// one (clones share it).
     pub ctx: ExecCtx,
     /// The graph with every tensor name resolved to a slot (and the
     /// in-place marks): built once here, shared by every schedule below and
@@ -160,7 +162,6 @@ impl CompiledPlan {
         name: &str,
         spec: PlanSpec,
         layout: Layout,
-        intra_op: usize,
     ) -> Result<CompiledPlan, ServeError> {
         let PlanSpec {
             mut graph,
@@ -178,11 +179,6 @@ impl CompiledPlan {
         let batch1 = PlannedBatch::with_program(&program, hyper_schedule(&clustering, switched, 1))
             .map_err(ServeError::Runtime)?;
         let (weight_names, weights) = take_initializers(&mut graph)?;
-        let ctx = if intra_op > 1 {
-            ExecCtx::with_intra_op(intra_op)
-        } else {
-            ExecCtx::sequential()
-        };
         Ok(CompiledPlan {
             name: name.to_string(),
             version: 0,
@@ -194,7 +190,7 @@ impl CompiledPlan {
             weights: Arc::new(weights),
             weight_names,
             named_weights: OnceLock::new(),
-            ctx,
+            ctx: ExecCtx::sequential(),
             program,
             schedules: Mutex::new(BTreeMap::from([(1, Arc::new(batch1))])),
         })

@@ -36,19 +36,14 @@ pub enum OverflowPolicy {
 /// at least 1.
 #[derive(Clone)]
 pub struct ServeConfig {
-    /// Most requests one hypercluster execution may coalesce.
+    /// Most requests one hypercluster execution may coalesce: the
+    /// collector takes whatever is queued when it pops, up to this many.
     pub max_batch: usize,
-    /// Longest the collector waits after a batch's first request before
-    /// executing whatever it has.
-    pub max_delay: Duration,
     /// Bound on each model's submission queue.
     pub queue_capacity: usize,
     pub policy: OverflowPolicy,
     /// LRU bound on concurrently loaded plans.
     pub plan_capacity: usize,
-    /// Intra-op threads for each plan's [`ramiel_tensor::ExecCtx`]
-    /// (1 = sequential kernels).
-    pub intra_op: usize,
     /// Retry/backoff/fallback policy for batch execution.
     pub supervisor: SupervisorConfig,
     /// Worker recv timeout; `None` uses `RAMIEL_RECV_TIMEOUT_MS` or 30s.
@@ -64,13 +59,11 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_batch: 8,
-            max_delay: Duration::from_millis(2),
             queue_capacity: 128,
             policy: OverflowPolicy::Block {
                 max_wait: Duration::from_secs(1),
             },
             plan_capacity: 4,
-            intra_op: 1,
             supervisor: SupervisorConfig::default(),
             recv_timeout: None,
             injector: None,
@@ -427,7 +420,7 @@ impl Server {
             return Err(ServeError::ShuttingDown);
         }
         let start = Instant::now();
-        let plan = CompiledPlan::build(name, spec, layout, self.cfg.intra_op)?;
+        let plan = CompiledPlan::build(name, spec, layout)?;
         let (plan, evicted) = self.cache.insert(plan);
         self.load_metrics
             .compile

@@ -19,7 +19,6 @@ const FALLBACKS: &str = "ramiel_batch_fallbacks_total";
 const PHASE: &str = "ramiel_request_phase_ns";
 const LATENCY: &str = "ramiel_request_latency_ns";
 const BATCH_SIZE: &str = "ramiel_batch_size";
-const WINDOW: &str = "ramiel_batch_window_total";
 const QUEUE_PEAK: &str = "ramiel_queue_peak_depth";
 const LANE_BUILD: &str = "ramiel_lane_build_ns";
 pub(crate) const CONN_SPAWN_FAILED: &str = "ramiel_conn_spawn_failed_total";
@@ -48,8 +47,6 @@ pub(crate) struct LaneMetrics {
     pub fallbacks: CounterHandle,
     pub queue_depth: GaugeHandle,
     pub queue_peak: PeakHandle,
-    pub window_opened: CounterHandle,
-    pub window_skipped: CounterHandle,
     pub lane_build: HistHandle,
 }
 
@@ -67,13 +64,6 @@ impl LaneMetrics {
                 REQUESTS,
                 "requests by final outcome",
                 &[("model", model), ("outcome", o)],
-            )
-        };
-        let window = |d: &str| {
-            m.counter(
-                WINDOW,
-                "batches by whether the collector held them open for company",
-                &[("model", model), ("decision", d)],
             )
         };
         let per_model = |name: &str, help: &str| m.counter(name, help, &[("model", model)]);
@@ -113,8 +103,6 @@ impl LaneMetrics {
                 "queue-depth high-water mark (per scrape window)",
                 &[("model", model)],
             ),
-            window_opened: window("opened"),
-            window_skipped: window("skipped"),
             lane_build: m.histogram(
                 LANE_BUILD,
                 "time to (re)build a lane's worker pool, nanoseconds",
@@ -196,9 +184,6 @@ pub struct StatsSnapshot {
     pub batches: u64,
     pub retries: u64,
     pub fallbacks: u64,
-    /// Batches held open for company vs. run at once (the window rule).
-    pub windows_opened: u64,
-    pub windows_skipped: u64,
     /// Lane collector threads alive (serving, or retired and draining).
     pub live_lanes: u64,
     /// Worker-pool (re)builds, and their mean duration.
@@ -250,8 +235,6 @@ impl StatsSnapshot {
             batches: sizes.count,
             retries: sum(RETRIES, &[]),
             fallbacks: sum(FALLBACKS, &[]),
-            windows_opened: sum(WINDOW, &[("decision", "opened")]),
-            windows_skipped: sum(WINDOW, &[("decision", "skipped")]),
             live_lanes,
             lane_builds: lane_build.count,
             lane_build_mean_ms: lane_build.mean() / 1e6,

@@ -11,7 +11,6 @@ use std::time::{Duration, Instant};
 fn small_cfg() -> ServeConfig {
     ServeConfig {
         max_batch: 4,
-        max_delay: Duration::from_millis(1),
         ..ServeConfig::default()
     }
 }
@@ -451,11 +450,6 @@ fn stats_is_a_view_of_the_registry() {
     assert_eq!(s.batches, sum("ramiel_batch_size_count", &[]));
     assert_eq!(s.retries, sum("ramiel_batch_retries_total", &[]));
     assert_eq!(s.fallbacks, sum("ramiel_batch_fallbacks_total", &[]));
-    let window = |d| sum("ramiel_batch_window_total", &[("decision", d)]);
-    assert_eq!(
-        (s.windows_opened, s.windows_skipped),
-        (window("opened"), window("skipped"))
-    );
     assert_eq!(s.lane_builds, sum("ramiel_lane_build_ns_count", &[]));
     // ... and the workload reached every one of those counters.
     assert_eq!((s.submitted, s.completed, s.failed), (9, 8, 0));
@@ -568,8 +562,6 @@ fn stats_wire_shape_is_pinned() {
             "shed_queue_full",
             "submitted",
             "window_peak_queue_depth",
-            "windows_opened",
-            "windows_skipped",
         ]
     );
     assert_eq!(
@@ -590,23 +582,7 @@ fn stats_wire_shape_is_pinned() {
     );
 }
 
-// ---- the batch window opens only for company --------------------------------
-
-/// `(opened, skipped)` from the registry's `ramiel_batch_window_total`.
-fn window_counts(server: &Server, model: &str) -> (u64, u64) {
-    let samples = ramiel_obs::parse_prometheus(&server.metrics().render_prometheus(false));
-    let count = |decision: &str| {
-        samples
-            .iter()
-            .find(|s| {
-                s.name == "ramiel_batch_window_total"
-                    && s.label("model") == Some(model)
-                    && s.label("decision") == Some(decision)
-            })
-            .map_or(0, |s| s.value as u64)
-    };
-    (count("opened"), count("skipped"))
-}
+// ---- a lane dispatches on arrival -------------------------------------------
 
 /// A server whose first execution of node 0 stalls for `millis`: whatever
 /// is submitted meanwhile is queued before the collector comes back.
@@ -626,92 +602,41 @@ fn server_with_first_run_stalled(cfg: ServeConfig, millis: u64) -> Server {
     })
 }
 
+/// A batch is whatever queued while the previous one ran, never a timed
+/// wait: after two requests leave together as one batch of 2, a lone
+/// request executes as soon as the collector pops it.
 #[test]
-fn lone_caller_never_opens_the_window() {
-    let g = synthetic::fork_join(2, 2, 2);
-    let window = Duration::from_millis(200);
-    let server = Server::new(ServeConfig {
-        max_delay: window,
-        ..small_cfg()
-    });
-    server.load("fj", PlanSpec::new(g.clone())).unwrap();
-    let start = Instant::now();
-    for seed in 0..10u64 {
-        server.infer("fj", synth_inputs(&g, seed)).unwrap();
-    }
-    let elapsed = start.elapsed();
-    assert_eq!(window_counts(&server, "fj"), (0, 10));
-    let snap = server.stats();
-    assert_eq!((snap.windows_opened, snap.windows_skipped), (0, 10));
-    assert_eq!(snap.mean_batch, 1.0);
-    assert!(
-        elapsed < window,
-        "ten lone requests took {elapsed:?}: one of them waited for company"
-    );
-}
-
-/// Two closed-loop callers, each sending its next request only once its
-/// previous reply is in, driven from this thread in a fixed order so no
-/// thread schedule decides the outcome: the lane starts busy (a stalled
-/// warm-up run), both first requests queue behind it and leave as one
-/// batch, and from then on every window the lane opens on that evidence is
-/// closed by the partner's request. Nothing here depends on timing but the
-/// 300 ms stall and the 200 ms window each outlasting two back-to-back
-/// `submit` calls.
-#[test]
-fn two_callers_phase_lock_and_a_leaver_costs_one_window() {
-    let g = synthetic::fork_join(2, 2, 2);
-    let server = server_with_first_run_stalled(
-        ServeConfig {
-            max_batch: 2,
-            max_delay: Duration::from_millis(200),
-            ..ServeConfig::default()
-        },
-        300,
-    );
-    server.load("fj", PlanSpec::new(g.clone())).unwrap();
-    let call = |t: u64, i: u64| server.submit("fj", synth_inputs(&g, t * 1000 + i)).unwrap();
-    let warm_up = call(2, 0);
+fn lone_request_after_a_coalesced_batch_runs_at_once() {
+    let g = synthetic::chain(3);
+    let server = server_with_first_run_stalled(ServeConfig::default(), 300);
+    server.load("c", PlanSpec::new(g.clone())).unwrap();
+    // The first request runs alone and stalls; the pair queues behind it.
+    let first = server.submit("c", synth_inputs(&g, 0)).unwrap();
     while server.stats().batches == 0 {
         std::thread::yield_now();
     }
-    let rounds = 50u64;
-    let [mut a, mut b] = [call(0, 0), call(1, 0)];
-    warm_up.wait().unwrap();
-    for i in 1..rounds {
-        a.wait().unwrap();
-        a = call(0, i);
-        b.wait().unwrap();
-        b = call(1, i);
+    let pair = [1u64, 2].map(|seed| server.submit("c", synth_inputs(&g, seed)).unwrap());
+    first.wait().unwrap();
+    for t in pair {
+        t.wait().unwrap();
     }
-    a.wait().unwrap();
-    b.wait().unwrap();
-    let snap = server.stats();
-    assert_eq!(snap.completed, 2 * rounds + 1);
-    let of_size = |n: usize| {
-        snap.batch_histogram
-            .iter()
-            .find(|b| b.size == n)
-            .map_or(0, |b| b.count)
-    };
-    assert_eq!(
-        (of_size(1), of_size(2)),
-        (1, rounds),
-        "the warm-up runs alone and every round coalesces: {:?}",
-        snap.batch_histogram
-    );
+    server.infer("c", synth_inputs(&g, 3)).unwrap();
 
-    // One caller is gone. The survivor pays exactly one expired window
-    // before the lane stops waiting for a partner that left.
-    let before = window_counts(&server, "fj");
-    for seed in 0..5u64 {
-        server.infer("fj", synth_inputs(&g, 9000 + seed)).unwrap();
-    }
-    let after = window_counts(&server, "fj");
-    assert_eq!(
-        (after.0 - before.0, after.1 - before.1),
-        (1, 4),
-        "(opened, skipped) windows for a lone survivor after its partner left"
+    let ring = server
+        .trace_ring()
+        .expect("tracing on by default")
+        .snapshot();
+    let batches: Vec<usize> = {
+        let mut by_id: Vec<_> = ring.iter().map(|t| (t.id, t.batch)).collect();
+        by_id.sort();
+        by_id.into_iter().map(|(_, batch)| batch).collect()
+    };
+    assert_eq!(batches, [1, 2, 2, 1]);
+    let lone = ring.iter().max_by_key(|t| t.id).unwrap();
+    let gap = Duration::from_nanos(lone.exec_start_ns - lone.popped_ns);
+    assert!(
+        gap < Duration::from_millis(1),
+        "the lone request waited {gap:?} between pop and execution"
     );
 }
 
@@ -721,7 +646,6 @@ fn queued_burst_still_coalesces_to_max_batch() {
     let server = server_with_first_run_stalled(
         ServeConfig {
             max_batch: 4,
-            max_delay: Duration::from_millis(1),
             ..ServeConfig::default()
         },
         300,
@@ -752,7 +676,6 @@ fn queued_burst_still_coalesces_to_max_batch() {
         "{:?}",
         snap.batch_histogram
     );
-    assert_eq!(snap.windows_opened, 0, "a full batch never waits");
 }
 
 // ---- lane lifecycle ----------------------------------------------------------

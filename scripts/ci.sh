@@ -105,18 +105,22 @@ grep -q "peak memory:" target/ci-analyze.log
 echo "==> ramiel serve smoke (TCP round-trip gate)"
 cargo build --offline -p ramiel --bin ramiel
 SERVE_PORT=7979
-# Each verb takes only the flags it reads: `serve` has no `--iters`, so it
-# must exit non-zero naming the flag, before it binds a port. (A server that
-# started instead is cut by the timeout, prints `listening on` and leaves
-# no `--iters` on stderr.)
-if timeout 60s target/debug/ramiel serve squeezenet --tiny --iters 3 \
-    --port "$SERVE_PORT" > target/serve-refused.log 2> target/serve-refused.err; then
-    echo "serve accepted a flag it does not read"; exit 1
-fi
-grep -q -- "--iters" target/serve-refused.err
-if grep -q "listening on" target/serve-refused.log; then
-    echo "serve bound a port despite a flag it does not read"; exit 1
-fi
+# Each verb takes only the flags it reads: `serve` has no `--iters`, and no
+# batch window or intra-op pool to set, so each of these must exit non-zero
+# naming the flag, before it binds a port. (A server that started instead
+# is cut by the timeout, prints `listening on` and leaves no flag on stderr.)
+for refused in "--iters 3" "--max-delay-ms 2" "--intra-op 2"; do
+    flag=${refused%% *}
+    # shellcheck disable=SC2086 # the flag and its value are two words
+    if timeout 60s target/debug/ramiel serve squeezenet --tiny $refused \
+        --port "$SERVE_PORT" > target/serve-refused.log 2> target/serve-refused.err; then
+        echo "serve accepted $flag, a flag it does not read"; exit 1
+    fi
+    grep -q -- "$flag" target/serve-refused.err
+    if grep -q "listening on" target/serve-refused.log; then
+        echo "serve bound a port despite $flag, a flag it does not read"; exit 1
+    fi
+done
 timeout --kill-after=30s 600s \
     target/debug/ramiel serve squeezenet --tiny --port "$SERVE_PORT" \
     > target/serve-smoke.log 2>&1 &

@@ -22,7 +22,6 @@ use std::time::Duration;
 fn serve_cfg() -> ServeConfig {
     ServeConfig {
         max_batch: 4,
-        max_delay: Duration::from_millis(5),
         ..ServeConfig::default()
     }
 }
@@ -117,9 +116,6 @@ fn shutdown_drains_in_flight_requests() {
     let g = synthetic::fork_join(3, 2, 2);
     let server = Arc::new(Server::new(ServeConfig {
         max_batch: 4,
-        // Wide batching window: most of the burst is still queued when
-        // shutdown lands, which is exactly the case under test.
-        max_delay: Duration::from_millis(50),
         ..ServeConfig::default()
     }));
     server.load("fj", PlanSpec::new(g.clone())).unwrap();
@@ -151,7 +147,6 @@ fn deadlines_shed_dead_on_arrival_work() {
     let g = synthetic::chain(3);
     let server = Server::new(ServeConfig {
         max_batch: 2,
-        max_delay: Duration::from_millis(20),
         policy: OverflowPolicy::Shed,
         ..ServeConfig::default()
     });

@@ -39,7 +39,6 @@ fn chaos_server(g: &ramiel_ir::Graph, fseed: u64, nfaults: usize) -> Server {
     let plan = FaultPlan::random(fseed, g.num_nodes(), 1, nfaults);
     Server::new(ServeConfig {
         max_batch: 4,
-        max_delay: Duration::from_millis(2),
         injector: Some(FaultInjector::new(plan)),
         supervisor: SupervisorConfig {
             max_retries: 2,
