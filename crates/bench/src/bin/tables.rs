@@ -185,17 +185,29 @@ fn fig14(iters: usize) {
 }
 
 fn memory() {
-    println!("== Memory — peak activations, sequential vs LC-parallel (extension) ==");
     println!(
-        "{:<14} {:>12} {:>13} {:>13} {:>10}",
-        "Model", "Weights KiB", "SeqPeak KiB", "ParPeak KiB", "Overhead"
+        "== Memory — peak activations, sequential estimate vs measured HyperPool (extension) =="
+    );
+    println!(
+        "{:<14} {:>13} {:>13} {:>15} {:>10}",
+        "Model", "SeqPeak KiB", "ParPeak KiB", "ParRange KiB", "Overhead"
     );
     for r in b::memory_table() {
+        let [median, min, max] = r.par_peak_kib;
         println!(
-            "{:<14} {:>12.1} {:>13.1} {:>13.1} {:>9.1}%",
-            r.model, r.static_kib, r.seq_peak_kib, r.par_peak_kib, r.overhead_pct
+            "{:<14} {:>13.1} {:>13.1} {:>15} {:>9.1}%",
+            r.model,
+            r.seq_peak_kib,
+            median,
+            format!("{min:.1}–{max:.1}"),
+            r.overhead_pct
         );
     }
+    println!(
+        "(SeqPeak: static in-order estimate, equal to the sequential gauge; \
+         ParPeak: median of {} runs)",
+        b::MEMORY_RUNS
+    );
 }
 
 /// Figs. 5/8/9: dump SqueezeNet's clusters and hyperclusters — as DOT files

@@ -11,17 +11,19 @@
 //!   simulator under the paper's static cost model (bit-for-bit
 //!   reproducible anywhere).
 
+use ramiel::verify::{estimate_memory, ExecPolicy, ScheduleView};
 use ramiel::{compile, CompiledModel, PipelineOptions};
 use ramiel_cluster::{hypercluster, switched_hypercluster, HyperClustering, StaticCost};
 use ramiel_ios::{ios_makespan, ios_schedule, IosConfig};
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_runtime::{
-    clustering_peak_memory, run, run_sequential, sequential_peak_memory, simulate_clustering,
-    simulate_hyper, simulate_sequential, synth_inputs, Env, RunOptions, SimConfig,
+    run, run_sequential, simulate_clustering, simulate_hyper, simulate_sequential, synth_inputs,
+    Env, HyperPool, PlannedBatch, RunOptions, SimConfig,
 };
-use ramiel_tensor::ExecCtx;
+use ramiel_tensor::{ExecCtx, MemGauge};
 use std::fmt::Write as _;
 use std::slice::from_ref;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Simulator configuration used across tables. A communication latency of 4
@@ -613,30 +615,54 @@ pub fn fig14(iters: usize) -> Vec<HyperRow> {
 
 pub struct MemoryRow {
     pub model: String,
-    pub static_kib: f64,
+    /// Static in-order estimate of the sequential executor's gauge peak
+    /// (`ramiel analyze`'s sweep; `tests/analyze_bounds.rs` pins it equal
+    /// to the measured peak).
     pub seq_peak_kib: f64,
-    pub par_peak_kib: f64,
+    /// Measured gauge peak of a standing `HyperPool` over the paper's
+    /// clustering: median, min and max of [`MEMORY_RUNS`] runs.
+    pub par_peak_kib: [f64; 3],
+    /// Median parallel peak over the sequential one, in percent.
     pub overhead_pct: f64,
 }
 
-/// Peak activation memory: sequential vs LC-parallel schedule, per model.
+/// Runs behind each measured parallel peak.
+pub const MEMORY_RUNS: usize = 5;
+
+/// Peak activation memory: the sequential estimate vs the measured peak of
+/// the LC-parallel schedule on its standing channel workers, per model.
 pub fn memory_table() -> Vec<MemoryRow> {
     ModelKind::all()
         .into_iter()
         .map(|k| {
             let c =
                 compile(build(k, &model_config()), &PipelineOptions::default()).expect("pipeline");
-            let seq = sequential_peak_memory(&c.graph);
-            let par = clustering_peak_memory(&c.graph, &c.clustering, &StaticCost, &sim_config())
-                .expect("memory sim");
+            let g = &c.graph;
+            let order = ramiel_ir::topo::topo_sort(g).expect("compiled graph is acyclic");
+            let view = ScheduleView::single_batch(vec![order], ExecPolicy::InOrder);
+            let seq = estimate_memory(g, &g.adjacency(), &view).0.peak_bytes;
+
+            let plan =
+                Arc::new(PlannedBatch::new(g, hypercluster(&c.clustering, 1)).expect("plan"));
+            let gauge = MemGauge::new();
+            let ctx = ExecCtx::sequential().with_mem_gauge(gauge.clone());
+            let mut pool = HyperPool::new(g, plan.num_workers(), &ctx).expect("pool");
+            let inputs = Arc::new(vec![synth_inputs(g, 42)]);
+            let mut peaks: Vec<u64> = (0..MEMORY_RUNS)
+                .map(|_| {
+                    gauge.reset();
+                    pool.run_batch(&plan, &inputs).expect("parallel run");
+                    gauge.peak_bytes()
+                })
+                .collect();
+            peaks.sort_unstable();
+            let median = peaks[MEMORY_RUNS / 2];
+            let kib = |b: u64| b as f64 / 1024.0;
             MemoryRow {
                 model: k.name().into(),
-                static_kib: seq.static_bytes as f64 / 1024.0,
-                seq_peak_kib: seq.peak_activation_bytes as f64 / 1024.0,
-                par_peak_kib: par.peak_activation_bytes as f64 / 1024.0,
-                overhead_pct: 100.0
-                    * (par.peak_activation_bytes as f64 / seq.peak_activation_bytes.max(1) as f64
-                        - 1.0),
+                seq_peak_kib: kib(seq),
+                par_peak_kib: [kib(median), kib(peaks[0]), kib(peaks[MEMORY_RUNS - 1])],
+                overhead_pct: 100.0 * (median as f64 / seq.max(1) as f64 - 1.0),
             }
         })
         .collect()

@@ -21,14 +21,12 @@
 //! input/output equivalence by executing before/after graphs on random
 //! inputs.
 
-pub mod bn_fold;
 pub mod clone;
 pub mod constfold;
 pub mod dce;
 pub mod identity;
 pub mod inplace;
 
-pub use bn_fold::fold_batch_norms;
 pub use clone::{clone_nodes, CloneConfig};
 pub use constfold::constant_fold;
 pub use dce::dead_code_elimination;

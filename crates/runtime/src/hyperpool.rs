@@ -56,7 +56,7 @@
 //! jobs pay one untaken branch per op and per blocking wait.
 
 use crate::fault::{node_error, panic_to_error, Armed, FaultInjector, INJECT_MARKER};
-use crate::limits::default_recv_timeout;
+use crate::limits::DEFAULT_RECV_TIMEOUT;
 use crate::profile::{OpRecord, ProfileDb, WorkerSpan};
 use crate::program::{weight_table, GraphProgram, InSrc};
 use crate::reuse::charge_bytes;
@@ -394,7 +394,7 @@ impl HyperPool {
         opts: &RunOptions,
         weights: Arc<Vec<Value>>,
     ) -> Result<HyperPool> {
-        let recv_timeout = opts.recv_timeout.unwrap_or_else(default_recv_timeout);
+        let recv_timeout = opts.recv_timeout.unwrap_or(DEFAULT_RECV_TIMEOUT);
 
         // Worker inboxes are bounded (capacity shared with ramiel-verify's
         // RA0401 lint); the done channel stays unbounded control plane.

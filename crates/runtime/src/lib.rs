@@ -30,8 +30,10 @@
 //!   [`predict`] compares it with the cost model that drove clustering.
 //! - [`fault`] — deterministic fault plans and the injector every engine
 //!   consults per node.
-//! - [`reuse`] / [`memory`] — liveness bookkeeping behind buffer reuse, and
-//!   the peak-memory accounting it has to agree with.
+//! - [`reuse`] — liveness bookkeeping behind buffer reuse: what each
+//!   executor charges to and discharges from the `MemGauge` in its
+//!   `ExecCtx`, the measured peak `ramiel-verify`'s static estimate
+//!   (`ramiel analyze`) sweeps the same lifetimes for.
 //! - [`limits`] — recv timeout constants (the inbox capacity is
 //!   [`ramiel_ir::runtime_model::DATA_CHANNEL_CAPACITY`]).
 //! - [`sim`] — a deterministic discrete-event simulator over a cost model,
@@ -41,7 +43,6 @@ pub mod exec;
 pub mod fault;
 pub mod hyperpool;
 pub mod limits;
-pub mod memory;
 pub mod predict;
 pub mod profile;
 pub mod program;
@@ -54,7 +55,6 @@ pub mod supervisor;
 pub use exec::{run_sequential, run_sequential_opts, run_sequential_profiled};
 pub use fault::{Fault, FaultInjector, FaultKind, FaultPlan};
 pub use hyperpool::{HyperPool, PlannedBatch};
-pub use memory::{clustering_peak_memory, sequential_peak_memory, MemoryReport};
 pub use predict::{predict_report, ClusterPrediction, KindPrediction, PredictionReport};
 pub use profile::{OpRecord, ProfileDb, SlackReport, WorkerSpan};
 pub use program::{GraphProgram, Operand};

@@ -58,7 +58,7 @@ pub struct RunOptions {
     pub supervisor: Option<SupervisorConfig>,
     /// Fault injector shared across workers (and across supervised retries).
     pub injector: Option<Arc<FaultInjector>>,
-    /// Worker recv timeout; `None` uses `RAMIEL_RECV_TIMEOUT_MS` or 30s.
+    /// Worker recv timeout; `None` uses [`crate::limits::DEFAULT_RECV_TIMEOUT_MS`].
     pub recv_timeout: Option<Duration>,
     /// Observability sink for structured fault/abort/supervisor events;
     /// disabled by default (one null check per event).

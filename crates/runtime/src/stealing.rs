@@ -42,7 +42,7 @@
 //! sequential executor: there are no channels to drop from.
 
 use crate::fault::{node_error, panic_to_error, Armed, FaultInjector, INJECT_MARKER};
-use crate::limits::default_recv_timeout;
+use crate::limits::DEFAULT_RECV_TIMEOUT;
 use crate::program::{GraphProgram, InSrc};
 use crate::reuse::charge_bytes;
 use crate::run::RunOptions;
@@ -853,19 +853,9 @@ pub struct StealPool {
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
-/// Background worker count: `RAMIEL_STEAL_WORKERS` or
-/// `available_parallelism - 1` (the caller participates), clamped to
-/// [1, 8].
+/// Background worker count: `available_parallelism - 1` (the caller
+/// participates), clamped to [1, 8].
 fn default_workers() -> usize {
-    if let Ok(v) = std::env::var("RAMIEL_STEAL_WORKERS") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n.clamp(1, 64);
-        }
-        ramiel_obs::warn(
-            "RT-ENV",
-            format!("ignoring unparsable RAMIEL_STEAL_WORKERS=`{v}`"),
-        );
-    }
     std::thread::available_parallelism()
         .map(|n| n.get().saturating_sub(1))
         .unwrap_or(3)
@@ -995,7 +985,7 @@ impl StealPool {
             return Ok(outs);
         }
 
-        let timeout = opts.recv_timeout.unwrap_or_else(default_recv_timeout);
+        let timeout = opts.recv_timeout.unwrap_or(DEFAULT_RECV_TIMEOUT);
         let deadline = Instant::now() + timeout;
         let job = Arc::new(JobInner::new(plan, inputs.to_vec(), ctx, opts, deadline));
 

@@ -238,11 +238,6 @@ impl CompiledPlan {
             Arc::new(named.zip(self.weights.iter().cloned()).collect())
         })
     }
-
-    /// Batch sizes with a planned schedule (load-time + lazily added).
-    pub fn planned_batches(&self) -> Vec<usize> {
-        self.schedules.lock().keys().copied().collect()
-    }
 }
 
 /// Move `graph`'s initializer payloads into a runtime table, each buffer

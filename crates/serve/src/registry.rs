@@ -19,10 +19,11 @@
 //! conventions elsewhere in the stack.
 
 use crate::sha256;
+use ramiel_runtime::limits;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -428,8 +429,23 @@ fn fetch_source(reference: &str) -> Result<Vec<u8>, RegistryError> {
 
 /// Minimal HTTP/1.0 GET over `std::net` (`Connection: close`, body read to
 /// EOF — no chunked encoding to handle). Enough for the loopback fixture
-/// server and any plain static file host.
+/// server and any plain static file host. Connecting and every read are
+/// bounded by [`limits::FETCH_TIMEOUT_MS`], the body by
+/// [`limits::FETCH_MAX_BYTES`].
 fn http_get(url: &str) -> Result<Vec<u8>, RegistryError> {
+    http_get_within(
+        url,
+        limits::FETCH_MAX_BYTES,
+        Duration::from_millis(limits::FETCH_TIMEOUT_MS),
+    )
+}
+
+/// [`http_get`] with an explicit body ceiling and per-operation timeout.
+fn http_get_within(
+    url: &str,
+    max_body: usize,
+    timeout: Duration,
+) -> Result<Vec<u8>, RegistryError> {
     let err = |reason: String| RegistryError::Http {
         url: url.to_string(),
         reason,
@@ -444,8 +460,30 @@ fn http_get(url: &str) -> Result<Vec<u8>, RegistryError> {
     } else {
         format!("{host_port}:80")
     };
-    let mut stream =
-        TcpStream::connect(&host_port).map_err(|e| err(format!("connect {host_port}: {e}")))?;
+    let connect_err = |e: std::io::Error| err(format!("connect {host_port}: {e}"));
+    let mut last = None;
+    let mut stream = None;
+    for addr in host_port.to_socket_addrs().map_err(connect_err)? {
+        match TcpStream::connect_timeout(&addr, timeout) {
+            Ok(s) => {
+                stream = Some(s);
+                break;
+            }
+            Err(e) => last = Some(e),
+        }
+    }
+    let mut stream = stream
+        .ok_or_else(|| connect_err(last.unwrap_or_else(|| std::io::ErrorKind::NotFound.into())))?;
+    let io_err = |what: &str, e: std::io::Error| match e.kind() {
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
+            err(format!("{what}: timed out after {timeout:?}"))
+        }
+        _ => err(format!("{what}: {e}")),
+    };
+    stream
+        .set_read_timeout(Some(timeout))
+        .and_then(|()| stream.set_write_timeout(Some(timeout)))
+        .map_err(|e| io_err("set socket timeouts", e))?;
     let host = host_port
         .rsplit_once(':')
         .map(|(h, _)| h)
@@ -454,17 +492,30 @@ fn http_get(url: &str) -> Result<Vec<u8>, RegistryError> {
         .write_all(
             format!("GET {path} HTTP/1.0\r\nHost: {host}\r\nConnection: close\r\n\r\n").as_bytes(),
         )
-        .map_err(|e| err(format!("send request: {e}")))?;
-    let mut response = Vec::new();
-    stream
-        .read_to_end(&mut response)
-        .map_err(|e| err(format!("read response: {e}")))?;
+        .map_err(|e| io_err("send request", e))?;
 
-    let header_end = response
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(|| err("malformed response (no header terminator)".into()))?;
-    let head = String::from_utf8_lossy(&response[..header_end]);
+    // The head, read in chunks until its terminator; it may not run past
+    // the body ceiling either.
+    let mut response = Vec::new();
+    let mut chunk = [0u8; 8192];
+    let header_end = loop {
+        if response.len() > max_body {
+            return Err(err(format!(
+                "response head runs past the {max_body} byte ceiling"
+            )));
+        }
+        let from = response.len().saturating_sub(3);
+        match stream.read(&mut chunk) {
+            Ok(0) => return Err(err("malformed response (no header terminator)".into())),
+            Ok(n) => response.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(io_err("read response", e)),
+        }
+        if let Some(i) = response[from..].windows(4).position(|w| w == b"\r\n\r\n") {
+            break from + i;
+        }
+    };
+    let head = String::from_utf8_lossy(&response[..header_end]).into_owned();
     let status_line = head.lines().next().unwrap_or_default();
     let status = status_line
         .split_whitespace()
@@ -473,23 +524,47 @@ fn http_get(url: &str) -> Result<Vec<u8>, RegistryError> {
     if status != "200" {
         return Err(err(format!("status {status}")));
     }
-    let body = response[header_end + 4..].to_vec();
-    if let Some(len_line) = head
+    let expected = match head
         .lines()
         .find(|l| l.to_ascii_lowercase().starts_with("content-length:"))
     {
-        let value = len_line[15..].trim();
-        let expected: usize = value
-            .parse()
-            .map_err(|_| err(format!("unparsable Content-Length `{value}`")))?;
-        if body.len() != expected {
-            return Err(err(format!(
-                "truncated body: Content-Length {expected}, got {} bytes",
-                body.len()
-            )));
+        Some(len_line) => {
+            let value = len_line[15..].trim();
+            let n: usize = value
+                .parse()
+                .map_err(|_| err(format!("unparsable Content-Length `{value}`")))?;
+            if n > max_body {
+                return Err(err(format!(
+                    "Content-Length {n} exceeds the {max_body} byte ceiling"
+                )));
+            }
+            Some(n)
         }
+        None => None,
+    };
+
+    // The body, in place behind the head's bytes: one byte past what may
+    // arrive is enough to tell an overlong body.
+    let limit = expected.unwrap_or(max_body);
+    let mut body = response;
+    body.drain(..header_end + 4);
+    body.reserve(expected.map_or(0, |n| (n + 1).saturating_sub(body.len())));
+    let unread = (limit + 1).saturating_sub(body.len()) as u64;
+    stream
+        .take(unread)
+        .read_to_end(&mut body)
+        .map_err(|e| io_err("read response", e))?;
+    match expected {
+        Some(n) if body.len() < n => Err(err(format!(
+            "truncated body: Content-Length {n}, got {} bytes",
+            body.len()
+        ))),
+        Some(n) if body.len() > n => Err(err(format!("body longer than its Content-Length {n}"))),
+        None if body.len() > max_body => {
+            Err(err(format!("body exceeds the {max_body} byte ceiling")))
+        }
+        _ => Ok(body),
     }
-    Ok(body)
 }
 
 /// A loopback static-file HTTP server for tests and the CI registry
@@ -554,9 +629,14 @@ mod tests {
     use super::*;
     use std::io::BufRead;
 
-    /// `http_get` against a listener that answers one request with
-    /// `response`, whatever was asked.
-    fn get_from_stub(response: &'static [u8]) -> Result<Vec<u8>, RegistryError> {
+    /// `http_get_within` against a listener that answers one request with
+    /// `response`, whatever was asked (`None`: it answers nothing and holds
+    /// the connection open until the client leaves).
+    fn get_from_stub_within(
+        response: Option<&'static [u8]>,
+        max_body: usize,
+        timeout: Duration,
+    ) -> Result<Vec<u8>, RegistryError> {
         let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let addr = listener.local_addr().unwrap();
         let stub = std::thread::spawn(move || {
@@ -566,11 +646,57 @@ mod tests {
             while reader.read_line(&mut line).is_ok_and(|n| n > 0) && line.trim() != "" {
                 line.clear();
             }
-            stream.write_all(response).unwrap();
+            match response {
+                // The client may hang up before reading all of it.
+                Some(response) => {
+                    let _ = stream.write_all(response);
+                }
+                None => while reader.read_line(&mut line).is_ok_and(|n| n > 0) {},
+            }
         });
-        let got = http_get(&format!("http://{addr}/model.onnx"));
+        let got = http_get_within(&format!("http://{addr}/model.onnx"), max_body, timeout);
         stub.join().unwrap();
         got
+    }
+
+    /// [`get_from_stub_within`] under the shipped ceiling and timeout.
+    fn get_from_stub(response: &'static [u8]) -> Result<Vec<u8>, RegistryError> {
+        get_from_stub_within(
+            Some(response),
+            limits::FETCH_MAX_BYTES,
+            Duration::from_millis(limits::FETCH_TIMEOUT_MS),
+        )
+    }
+
+    #[test]
+    fn a_silent_server_fails_within_the_timeout() {
+        let timeout = Duration::from_millis(200);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let client = std::thread::spawn(move || tx.send(get_from_stub_within(None, 16, timeout)));
+        let e = (rx.recv_timeout(10 * timeout))
+            .expect("a silent server must fail the fetch within its timeout")
+            .unwrap_err();
+        client.join().unwrap().unwrap();
+        assert_eq!(e.code(), "RG-HTTP");
+        assert!(e.to_string().contains("timed out"), "{e}");
+    }
+
+    #[test]
+    fn a_body_at_the_ceiling_passes_and_one_byte_more_fails() {
+        let short = Duration::from_secs(5);
+        let at = get_from_stub_within(Some(b"HTTP/1.0 200 OK\r\n\r\nwhole"), 5, short);
+        assert_eq!(at.unwrap(), b"whole");
+        let e = get_from_stub_within(Some(b"HTTP/1.0 200 OK\r\n\r\nwholes"), 5, short).unwrap_err();
+        assert_eq!(e.code(), "RG-HTTP");
+        assert!(e.to_string().contains("5 byte ceiling"), "{e}");
+    }
+
+    #[test]
+    fn a_content_length_past_the_ceiling_is_refused_unread() {
+        let response = b"HTTP/1.0 200 OK\r\nContent-Length: 6\r\n\r\nwholes";
+        let e = get_from_stub_within(Some(response), 5, Duration::from_secs(5)).unwrap_err();
+        assert_eq!(e.code(), "RG-HTTP");
+        assert!(e.to_string().contains("Content-Length 6 exceeds"), "{e}");
     }
 
     #[test]

@@ -46,7 +46,8 @@ pub struct ServeConfig {
     pub plan_capacity: usize,
     /// Retry/backoff/fallback policy for batch execution.
     pub supervisor: SupervisorConfig,
-    /// Worker recv timeout; `None` uses `RAMIEL_RECV_TIMEOUT_MS` or 30s.
+    /// Worker recv timeout; `None` uses
+    /// [`ramiel_runtime::limits::DEFAULT_RECV_TIMEOUT_MS`].
     pub recv_timeout: Option<Duration>,
     /// Fault injection shared by every lane (chaos tests).
     pub injector: Option<Arc<FaultInjector>>,

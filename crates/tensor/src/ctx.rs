@@ -110,15 +110,6 @@ impl ExecCtx {
         }
     }
 
-    /// Share an existing pool (lets several cluster workers draw from one
-    /// bounded pool, mimicking a process-wide OpenMP runtime).
-    pub fn with_pool(pool: Arc<rayon::ThreadPool>) -> Self {
-        ExecCtx {
-            pool: Some(pool),
-            ..ExecCtx::default()
-        }
-    }
-
     /// Same context with a pre-kernel hook attached (fault injection). The
     /// packed-weight cache stays shared with the original context.
     pub fn with_kernel_hook(&self, hook: KernelHook) -> Self {

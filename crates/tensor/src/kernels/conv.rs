@@ -328,8 +328,9 @@ fn conv2d_on(
 /// im2col + GEMM formulation of the same convolution. Lowers each (batch,
 /// group) to a `[M/g, C/g·kh·kw] × [C/g·kh·kw, Ho·Wo]` matrix product —
 /// trades memory for the cache behaviour of `mm`. Exact same results as
-/// [`conv2d`] (pinned by a property test); the ablation bench compares the
-/// two.
+/// [`conv2d`] (pinned by a property test); the exact reference the 1×1
+/// fast path is checked against, in this module's tests and in
+/// `kernel_props.rs`.
 pub fn conv2d_im2col(
     ctx: &ExecCtx,
     x: &Tensor<f32>,

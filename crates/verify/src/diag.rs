@@ -54,8 +54,8 @@ pub mod codes {
     pub const SHAPE_CONFLICT: &str = "RV0502";
     /// Constant subgraphs left unfolded (run the prune pipeline).
     pub const LINT_FOLDABLE_CONST: &str = "RV0601";
-    /// Conv → BatchNormalization pair left unfused.
-    pub const LINT_UNFUSED_BN: &str = "RV0602";
+    // RV0602 (Conv → BatchNormalization left unfused) is retired with the
+    // fold pass it advised; the number stays unused.
     /// Cheap fan-out node feeding other workers (task cloning would remove
     /// the cross-worker messages).
     pub const LINT_CLONE_CANDIDATE: &str = "RV0603";
@@ -229,11 +229,6 @@ impl Report {
         self.has_errors() || (deny_warnings && self.count(Severity::Warning) > 0)
     }
 
-    /// All diagnostics carrying `code`.
-    pub fn with_code(&self, code: &str) -> Vec<&Diagnostic> {
-        self.diagnostics.iter().filter(|d| d.code == code).collect()
-    }
-
     /// Human-readable multi-line rendering (one finding per paragraph, plus
     /// a summary line).
     pub fn render(&self) -> String {
@@ -292,7 +287,7 @@ mod tests {
         assert!(!warn_only.fails(false));
         assert!(warn_only.fails(true));
         let advice_only = Report::new(vec![Diagnostic::advice(
-            codes::LINT_UNFUSED_BN,
+            codes::LINT_FOLDABLE_CONST,
             Span::Graph,
             "?",
         )]);

@@ -18,7 +18,7 @@
 //! Entry points:
 //! - [`verify_graph`] — graph-only checks: `ir::validate` (RV0001, with
 //!   degenerate operator attributes split out as RV0002), abstract shape
-//!   interpretation (RV05xx), graph lints (RV0601/RV0602).
+//!   interpretation (RV05xx), the foldable-constants lint (RV0601).
 //! - [`verify_schedule`] — schedule checks against a graph: coverage
 //!   (RV01xx), cycle analysis (RV02xx), in-order soundness (RV0301),
 //!   abstract channel execution (RV0401), schedule lints (RV0603).
@@ -69,7 +69,6 @@ fn graph_findings(graph: &Graph, adj: &Adjacency<'_>) -> Vec<Diagnostic> {
     };
     let mut diags = shapes::check_shapes(graph, adj, &order);
     diags.extend(lints::lint_foldable_consts(graph, adj, &order));
-    diags.extend(lints::lint_unfused_bn(graph, adj));
     diags
 }
 
@@ -162,7 +161,7 @@ pub fn analyze(graph: &Graph, view: &ScheduleView) -> Analysis {
     diags.extend(exec::check_execution(graph, &adj, view));
     let (lifetimes, d) = lifetime::lifetimes(graph, &adj, view);
     diags.extend(d);
-    let (memory, d) = memory::estimate_memory(graph, &adj, view);
+    let (memory, d) = memory::sweep(&lifetimes.intervals, view);
     diags.extend(d);
     diags.extend(hb::check_capacity(graph, &adj, view));
     Analysis {

@@ -5,7 +5,12 @@
 //! at runtime: values the worker produces (def = producing step) and values
 //! it receives over a channel (def = step 0, the earliest they can arrive).
 //! Graph inputs and initializers are excluded — the executors never charge
-//! them, the caller and the shared weight table own those buffers.
+//! them, the caller and the shared weight table own those buffers. A value
+//! is live until its last local read; a graph output produced on the
+//! worker is pinned to the end of its list, and a value nothing reads
+//! locally lives for its producing step alone. Each interval carries the
+//! bytes the executors' liveness gauge charges for it, so
+//! [`crate::memory`]'s peak estimate is a sweep over these intervals.
 //!
 //! Aliasing: ops on the `Arc`-sharing path (`Reshape`, `Flatten`,
 //! `Squeeze`, `Unsqueeze`, `Identity`, `Dropout`) produce views, not
@@ -36,7 +41,10 @@ pub struct Interval {
     /// Step index of the last local read. Graph outputs are pinned to the
     /// end of the worker's list (`ops.len()`).
     pub last_use: usize,
-    /// Statically-known payload size (0 when shape inference failed).
+    /// Bytes the executors' liveness gauge charges for this value on this
+    /// worker: 0 for a locally produced alias-op or `Constant` output (a
+    /// handle on a buffer that already exists), the statically known
+    /// payload otherwise (0 when shape inference failed).
     pub bytes: u64,
     /// Root tensor of this value's alias class, when the value is a view
     /// that shares another buffer.
@@ -79,16 +87,6 @@ fn alias_roots(graph: &Graph) -> HashMap<String, String> {
     roots
 }
 
-/// Graph inputs and initializers: caller-owned, never charged to a worker.
-pub(crate) fn externals(graph: &Graph) -> HashSet<&str> {
-    graph
-        .inputs
-        .iter()
-        .map(|i| i.name.as_str())
-        .chain(graph.initializers.keys().map(String::as_str))
-        .collect()
-}
-
 /// Compute every worker's intervals plus the lifetime lints.
 pub(crate) fn lifetimes(
     graph: &Graph,
@@ -99,12 +97,16 @@ pub(crate) fn lifetimes(
     let roots = alias_roots(graph);
     let owner = view.worker_of(n);
     let graph_outputs: HashSet<&str> = graph.outputs.iter().map(String::as_str).collect();
-    let externals = externals(graph);
+    // Graph inputs and initializers: caller-owned, never charged.
+    let externals: HashSet<&str> = (graph.inputs.iter().map(|i| i.name.as_str()))
+        .chain(graph.initializers.keys().map(String::as_str))
+        .collect();
 
     let mut intervals = Vec::new();
     for (w, ops) in view.workers.iter().enumerate() {
-        // (tensor, batch) → (def step, last-use step) on this worker.
-        let mut seen: HashMap<(String, usize), (usize, usize)> = HashMap::new();
+        // (tensor, batch) → (def step, last-use step, produced here by an
+        // alias op) on this worker.
+        let mut seen: HashMap<(String, usize), (usize, usize, bool)> = HashMap::new();
         for (step, op) in ops.iter().enumerate() {
             let node = &graph.nodes[op.node];
             for t in &node.inputs {
@@ -119,20 +121,28 @@ pub(crate) fn lifetimes(
                     .entry((t.clone(), op.batch))
                     // First sight through a *read* means the value arrives
                     // over a channel; it can be resident from step 0.
-                    .or_insert((if produced_here { step } else { 0 }, step));
-                entry.1 = step;
+                    .or_insert((if produced_here { step } else { 0 }, step, false));
+                // A pinned graph output stays pinned past its local reads.
+                entry.1 = entry.1.max(step);
             }
             for t in &node.outputs {
                 let pinned = graph_outputs.contains(t.as_str());
-                let entry = seen.entry((t.clone(), op.batch)).or_insert((step, step));
+                let entry = seen
+                    .entry((t.clone(), op.batch))
+                    .or_insert((step, step, false));
                 entry.0 = step;
+                entry.2 = is_alias_op(&node.op);
                 if pinned {
                     entry.1 = ops.len();
                 }
             }
         }
-        for ((tensor, batch), (def, last_use)) in seen {
-            let bytes = tensor_bytes(graph, &tensor) as u64;
+        for ((tensor, batch), (def, last_use, alias)) in seen {
+            let bytes = if alias {
+                0
+            } else {
+                tensor_bytes(graph, &tensor) as u64
+            };
             let alias_of = roots.get(&tensor).cloned();
             intervals.push(Interval {
                 tensor,
@@ -242,6 +252,21 @@ mod tests {
         // graph output pinned to end of the worker list
         let out = rep.intervals.iter().find(|i| i.tensor == y).unwrap();
         assert_eq!(out.last_use, 3);
+    }
+
+    #[test]
+    fn a_graph_output_read_locally_stays_pinned() {
+        let mut b = GraphBuilder::new("t");
+        let x = b.input("x", DType::F32, vec![2, 3]);
+        let r = b.op("r", OpKind::Relu, vec![x]);
+        let y = b.op("y", OpKind::Neg, vec![r.clone()]);
+        b.output(&r);
+        b.output(&y);
+        let g = b.finish().unwrap();
+        let view = ScheduleView::single_batch(vec![vec![0, 1]], ExecPolicy::InOrder);
+        let (rep, _) = lifetimes(&g, &g.adjacency(), &view);
+        let relu = rep.intervals.iter().find(|i| i.tensor == r).unwrap();
+        assert_eq!((relu.def, relu.last_use), (0, 2));
     }
 
     #[test]

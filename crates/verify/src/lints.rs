@@ -1,4 +1,4 @@
-//! Advisory lints (RV0601–RV0603): the graph/schedule is sound, but a
+//! Advisory lints (RV0601, RV0603): the graph/schedule is sound, but a
 //! pipeline stage the paper describes was skipped or left money on the
 //! table. Advice never fails `ramiel check`, even under `--deny-warnings`.
 
@@ -59,39 +59,6 @@ pub fn lint_foldable_consts(
         ),
     )
     .with_suggestion("run the prune pipeline (constant folding + DCE) before clustering")]
-}
-
-/// RV0602: a `BatchNormalization` applied directly to a `Conv` output —
-/// `passes::fold_batch_norms` would fuse it into the conv weights.
-pub fn lint_unfused_bn(graph: &Graph, adj: &Adjacency<'_>) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    for node in &graph.nodes {
-        if !matches!(node.op, OpKind::BatchNorm { .. }) {
-            continue;
-        }
-        let Some(data) = node.inputs.first() else {
-            continue;
-        };
-        if let Some(&p) = adj.producer_of.get(data) {
-            if matches!(graph.nodes[p].op, OpKind::Conv { .. }) {
-                diags.push(
-                    Diagnostic::advice(
-                        codes::LINT_UNFUSED_BN,
-                        Span::Node {
-                            id: node.id,
-                            name: node.name.clone(),
-                        },
-                        format!(
-                            "BatchNormalization follows `{}` (Conv) unfused",
-                            graph.nodes[p].name
-                        ),
-                    )
-                    .with_suggestion("run fold_batch_norms to fold it into the conv weights"),
-                );
-            }
-        }
-    }
-    diags
 }
 
 /// RV0603: cheap fan-out nodes (elementwise / shape ops) whose output
@@ -173,19 +140,6 @@ mod tests {
         b.output(&r);
         let g = b.finish().unwrap();
         assert!(lint_foldable_consts(&g, &g.adjacency(), &topo_sort(&g).unwrap()).is_empty());
-    }
-
-    #[test]
-    fn conv_bn_pair_detected() {
-        let mut b = GraphBuilder::new("g");
-        let x = b.input("x", DType::F32, vec![1, 3, 8, 8]);
-        let y = b.conv(&x, 3, 4, (3, 3), (1, 1), (1, 1), 1);
-        let bn = b.batch_norm(&y, 4);
-        b.output(&bn);
-        let g = b.finish().unwrap();
-        let diags = lint_unfused_bn(&g, &g.adjacency());
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, codes::LINT_UNFUSED_BN);
     }
 
     #[test]

@@ -1,38 +1,32 @@
-//! Static peak-memory estimation.
+//! Static peak-memory estimation: a per-worker sweep over the lifetime
+//! intervals of [`crate::lifetime`].
 //!
-//! Replays each worker's schedule against the same accounting model the
-//! executors' liveness gauge uses at runtime:
+//! Each interval carries the bytes the executors' liveness gauge charges
+//! for its value on its worker (zero for a locally produced alias-op or
+//! `Constant` output, the full payload otherwise, received values
+//! included) and is live over `[def, last_use]`. A step's sample therefore
+//! holds the values produced at that step next to the inputs it reads last
+//! — which also upper-bounds the in-place path, where the two share one
+//! buffer — and a value nothing reads locally lives for its producing
+//! step alone.
 //!
-//! - op outputs are charged when produced — zero bytes for alias ops
-//!   (reshape family shares the input `Arc`), full payload otherwise;
-//! - values received over a channel are charged with their full payload,
-//!   and conservatively from step 0 (a message may arrive before the
-//!   worker has executed anything);
-//! - graph inputs and initializers are never charged (caller-owned);
-//! - a value is discharged after its last local read; graph outputs are
-//!   pinned for the whole schedule;
-//! - the producing step's peak is sampled *after* charging outputs and
-//!   *before* discharging inputs, so inputs and outputs coexist — which
-//!   also upper-bounds the in-place path, where they share one buffer.
-//!
-//! For in-order workers this replay is exact with respect to that model.
-//! First-ready workers execute in a data-dependent order, so the bound
-//! falls back to the sum of all charges (no interleaving can exceed a
-//! world where nothing is ever discharged). The whole-schedule peak is
-//! the sum of per-worker peaks: the runtime gauge is shared across
-//! workers, and the per-worker maxima cannot all be exceeded at once.
+//! For in-order workers the peak is the maximum running sum of that sweep,
+//! exact with respect to the gauge's model. First-ready workers execute in
+//! a data-dependent order, so the bound falls back to the sum of all
+//! charges (no interleaving can exceed a world where nothing is ever
+//! discharged). The whole-schedule peak is the sum of per-worker peaks:
+//! the runtime gauge is shared across workers, and the per-worker maxima
+//! cannot all be exceeded at once.
 //!
 //! The view must schedule each instance exactly once (a clean
 //! [`crate::coverage`]); [`crate::analyze`] runs this pass only then.
 
 use crate::diag::{codes, Diagnostic, Span};
-use crate::lifetime::externals;
+use crate::lifetime::{lifetimes, Interval};
 use crate::schedule::{ExecPolicy, ScheduleView};
 use ramiel_ir::graph::Adjacency;
-use ramiel_ir::runtime_model::{is_alias_op, tensor_bytes};
 use ramiel_ir::Graph;
 use serde::Serialize;
-use std::collections::{HashMap, HashSet};
 
 /// Peak-memory estimate for one worker.
 #[derive(Debug, Clone, Serialize)]
@@ -42,7 +36,7 @@ pub struct WorkerMemory {
     pub peak_bytes: u64,
     /// Sum of every charge the worker ever makes (the no-eviction bound).
     pub resident_bytes: u64,
-    /// True when `peak_bytes` came from an exact in-order replay rather
+    /// True when `peak_bytes` came from the exact in-order sweep rather
     /// than the first-ready sum bound.
     pub exact: bool,
     /// Scheduled ops on this worker.
@@ -75,95 +69,42 @@ pub fn estimate_memory(
     adj: &Adjacency<'_>,
     view: &ScheduleView,
 ) -> (MemoryEstimate, Vec<Diagnostic>) {
-    let n = graph.num_nodes();
-    let owner = view.worker_of(n);
-    let graph_outputs: HashSet<&str> = graph.outputs.iter().map(String::as_str).collect();
-    let externals = externals(graph);
+    sweep(&lifetimes(graph, adj, view).0.intervals, view)
+}
+
+/// [`estimate_memory`] over the intervals [`lifetimes`] computed for `view`.
+pub(crate) fn sweep(
+    intervals: &[Interval],
+    view: &ScheduleView,
+) -> (MemoryEstimate, Vec<Diagnostic>) {
     let exact_order = view.policy == ExecPolicy::InOrder;
-
-    let mut per_worker = Vec::with_capacity(view.workers.len());
-    for (w, ops) in view.workers.iter().enumerate() {
-        // Local read counts per instance; graph outputs get a pin that
-        // never drains, exactly like the executors' `uses + 1`.
-        let mut uses: HashMap<(&str, usize), usize> = HashMap::new();
-        let mut received: HashSet<(&str, usize)> = HashSet::new();
-        for op in ops {
-            let node = &graph.nodes[op.node];
-            for t in &node.inputs {
-                if externals.contains(t.as_str()) {
-                    continue;
-                }
-                *uses.entry((t.as_str(), op.batch)).or_insert(0) += 1;
-                let local = adj
-                    .producer_of
-                    .get(t)
-                    .is_some_and(|p| owner[op.batch * n + p] == Some(w));
-                if !local {
-                    received.insert((t.as_str(), op.batch));
-                }
-            }
-            for t in &node.outputs {
-                if graph_outputs.contains(t.as_str()) {
-                    *uses.entry((t.as_str(), op.batch)).or_insert(0) += 1;
-                }
-            }
-        }
-
-        // charge size per charged instance, for discharging later
-        let mut charge: HashMap<(&str, usize), u64> = HashMap::new();
-        let mut cur: u64 = 0;
-        let mut resident: u64 = 0;
-        let mut peak: u64 = 0;
-        for &(t, b) in &received {
-            let bytes = tensor_bytes(graph, t) as u64;
-            charge.insert((t, b), bytes);
-            cur += bytes;
-            resident += bytes;
-        }
-        peak = peak.max(cur);
-
-        for op in ops {
-            let node = &graph.nodes[op.node];
-            for t in &node.outputs {
-                let key = (t.as_str(), op.batch);
-                let bytes = if is_alias_op(&node.op) {
-                    0
-                } else {
-                    tensor_bytes(graph, t) as u64
-                };
-                charge.insert(key, bytes);
-                cur += bytes;
-                resident += bytes;
-            }
-            peak = peak.max(cur);
-            for t in &node.inputs {
-                let key = (t.as_str(), op.batch);
-                let Some(left) = uses.get_mut(&key) else {
-                    continue; // external: never charged
-                };
-                *left -= 1;
-                if *left == 0 {
-                    cur -= charge.get(&key).copied().unwrap_or(0);
-                }
-            }
-            for t in &node.outputs {
-                // produced-but-never-read-locally values (sent remotely or
-                // dead) are evicted right after production
-                let key = (t.as_str(), op.batch);
-                if uses.get(&key).copied().unwrap_or(0) == 0 {
-                    cur -= charge.get(&key).copied().unwrap_or(0);
-                }
-            }
-        }
-
-        per_worker.push(WorkerMemory {
-            worker: w,
-            peak_bytes: if exact_order { peak } else { resident },
-            resident_bytes: resident,
-            exact: exact_order,
-            ops: ops.len(),
-        });
+    // Per worker and step: bytes charged before the step's sample, and
+    // bytes discharged after it.
+    let mut charge: Vec<Vec<u64>> = view.workers.iter().map(|ops| vec![0; ops.len()]).collect();
+    let mut discharge = charge.clone();
+    for iv in intervals {
+        let last = charge[iv.worker].len() - 1;
+        charge[iv.worker][iv.def] += iv.bytes;
+        discharge[iv.worker][iv.last_use.clamp(iv.def, last)] += iv.bytes;
     }
+    let per_worker: Vec<WorkerMemory> = (charge.iter().zip(&discharge).enumerate())
+        .map(|(w, (adds, drops))| {
+            let (mut cur, mut peak) = (0u64, 0u64);
+            for (add, drop) in adds.iter().zip(drops) {
+                cur += add;
+                peak = peak.max(cur);
+                cur -= drop;
+            }
+            let resident: u64 = adds.iter().sum();
+            WorkerMemory {
+                worker: w,
+                peak_bytes: if exact_order { peak } else { resident },
+                resident_bytes: resident,
+                exact: exact_order,
+                ops: adds.len(),
+            }
+        })
+        .collect();
 
     let estimate = MemoryEstimate {
         peak_bytes: per_worker.iter().map(|m| m.peak_bytes).sum(),
@@ -202,7 +143,7 @@ pub fn estimate_memory(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ramiel_ir::{DType, GraphBuilder, OpKind};
+    use ramiel_ir::{DType, GraphBuilder, OpKind, TensorData};
 
     /// x(24B) → Relu → Neg → Sqrt → output; every intermediate is 24 bytes.
     fn chain() -> Graph {
@@ -245,6 +186,54 @@ mod tests {
         assert_eq!(est.per_worker[0].peak_bytes, 24);
         // worker 1: received relu + neg out coexist at step 0
         assert_eq!(est.per_worker[1].peak_bytes, 48);
+    }
+
+    /// The sweep's edge rules on two workers. `x` is a graph input and
+    /// `spec` an initializer, neither charged; `o` is 48 bytes (twelve f32),
+    /// every other activation 24 (six f32).
+    ///
+    /// ```text
+    /// worker 0: 0 k = Constant          k [0, 0]  0 B, reads of k free
+    ///           1 a = Add(x, k)         a [1, 3] 24 B
+    ///           2 d = Neg(a)            d [2, 2] 24 B: dead, its own step
+    ///           3 s = Reshape(a, spec)  s [3, 4]  0 B: a local view
+    ///           4 o = Concat(s, s)      o [4, 5] 48 B: graph output, pinned
+    /// worker 1: 0 t = Sigmoid(o)        o [0, 0] 48 B received, t [0, 1] 48 B
+    /// ```
+    ///
+    /// In order, worker 0 holds 0, 24, 48 (a + d), 24 (a + s), 48 (s + o)
+    /// bytes at steps 0–4: peak 48 of 96 charged (72 at step 4 if `d`
+    /// stayed, 72 at step 3 if `s` were charged). Worker 1 holds the
+    /// received `o` and `t` together: peak 96 of 96. First-ready peaks are
+    /// the charge sums, 96 and 96.
+    #[test]
+    fn sweep_charges_views_constants_received_and_dead_values() {
+        let mut b = GraphBuilder::new("edges");
+        let x = b.input("x", DType::F32, vec![2, 3]);
+        let k = b.op("k", OpKind::Constant, vec![]);
+        b.graph_mut()
+            .initializers
+            .insert(k.clone(), TensorData::f32(vec![2, 3], vec![1.0; 6]));
+        let a = b.op("a", OpKind::Add, vec![x, k]);
+        let spec = b.init("spec", TensorData::vec_i64(vec![-1]));
+        let s = b.op("s", OpKind::Reshape, vec![a.clone(), spec]);
+        let o = b.op("o", OpKind::Concat { axis: 0 }, vec![s.clone(), s]);
+        let _dead = b.op("d", OpKind::Neg, vec![a]);
+        let t = b.op("t", OpKind::Sigmoid, vec![o.clone()]);
+        b.output(&o);
+        b.output(&t);
+        let g = b.finish().unwrap();
+        let workers = vec![vec![0, 1, 4, 2, 3], vec![5]];
+        for (policy, w0_peak) in [(ExecPolicy::InOrder, 48), (ExecPolicy::FirstReady, 96)] {
+            let view = ScheduleView::single_batch(workers.clone(), policy);
+            let (est, diags) = estimate_memory(&g, &g.adjacency(), &view);
+            assert!(diags.is_empty(), "{diags:?}");
+            let got: Vec<(u64, u64)> = (est.per_worker.iter())
+                .map(|m| (m.peak_bytes, m.resident_bytes))
+                .collect();
+            assert_eq!(got, [(w0_peak, 96), (96, 96)], "{policy:?}");
+            assert_eq!(est.peak_bytes, w0_peak + 96);
+        }
     }
 
     #[test]

@@ -13,12 +13,11 @@ echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets --offline -- -D warnings
 
 # Rustdoc link gate: a deleted or renamed item must not leave a dead
-# intra-doc link behind in the crates whose docs name the executors and the
-# checker's passes, and a public doc must not link to a private item (the
-# link renders dead).
+# intra-doc link behind in any crate of the workspace, and a public doc
+# must not link to a private item (the link renders dead).
 echo "==> cargo doc (broken and private intra-doc links denied)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
-    cargo doc --no-deps --offline -p ramiel-runtime -p ramiel-serve -p ramiel -p ramiel-verify
+    cargo doc --no-deps --offline --workspace
 # The `ramiel` binary shares the library's name, so `cargo doc` skips it;
 # its per-verb module docs (each verb's flag list) are checked on their
 # own. After the library step: both write target/doc/ramiel.

@@ -7,6 +7,7 @@
 //!    mark of an allocation-tracking [`MemGauge`] never exceeds
 //!    `estimate_memory`'s static bound — when the analysis view matches the
 //!    executor's real replay policy (in-order for the sequential walk,
+//!    where the bound is exact and equals the measured peak;
 //!    first-ready for the channel engine — per-run or a standing
 //!    `HyperPool` — whose workers may legally reorder around a blocked op,
 //!    the estimate-only resident sum for work stealing).
@@ -89,6 +90,12 @@ fn estimate_upper_bounds_measured_peak_on_every_executor() {
         let (gauge, ctx) = gauge_ctx();
         run_sequential(&g, &inputs[0], &ctx).unwrap();
         assert_bound(model, "sequential", est.peak_bytes, &gauge);
+        // In order, the estimate is exact: it is the gauge's high-water mark.
+        assert_eq!(
+            gauge.peak_bytes(),
+            est.peak_bytes,
+            "{model}/sequential: measured peak differs from the in-order estimate"
+        );
 
         for (schedule, hc) in [
             ("clusters", hypercluster(&clustering, 1)),
