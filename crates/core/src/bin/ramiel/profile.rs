@@ -28,7 +28,6 @@ pub fn main(model: &str, flags: &[String]) -> Result<(), String> {
 
     // One shared timeline; pids keep the stories apart in the trace UI.
     let obs = Obs::enabled();
-    obs.with_pid(0).name_process("diagnostics");
     obs.with_pid(1).name_process("compile pipeline");
     obs.with_pid(2).name_process("sequential executor");
     obs.with_pid(3).name_process("parallel executor");
@@ -148,8 +147,8 @@ pub fn main(model: &str, flags: &[String]) -> Result<(), String> {
     println!();
     print!("{}", obs.text_report());
     println!(
-        "trace: {} events ({} spans, {} instants, {} counters) -> {path}",
-        stats.total_events, stats.complete_spans, stats.instants, stats.counters
+        "trace: {} events ({} spans, {} instants) -> {path}",
+        stats.total_events, stats.complete_spans, stats.instants
     );
     println!("open it at https://ui.perfetto.dev (Open trace file) or chrome://tracing");
     Ok(())

@@ -6,7 +6,6 @@
 //! blocked time to the edge the message finally arrived on. Everything is
 //! lock-free so metering never perturbs the schedule it measures.
 
-use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 #[derive(Default)]
@@ -21,7 +20,7 @@ struct Cell {
 }
 
 /// Aggregated statistics for one directed cluster edge.
-#[derive(Debug, Clone, Serialize, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChannelEdgeStats {
     pub from: usize,
     pub to: usize,

@@ -2,10 +2,11 @@
 //!
 //! The export speaks the Trace Event Format's JSON-object flavour:
 //! `{"traceEvents": [...]}` with `ph: "X"` complete spans, `ph: "i"`
-//! instants, `ph: "C"` counters, and `ph: "M"` `process_name` /
-//! `thread_name` metadata so Perfetto labels every lane. Timestamps and
-//! durations are microseconds (floating point, so nanosecond precision
-//! survives).
+//! instants, and `ph: "M"` `process_name` / `thread_name` metadata so
+//! Perfetto labels every lane. Timestamps and durations are microseconds
+//! (floating point, so nanosecond precision survives). This module is the
+//! only writer of the format: the profiler's executor tracks and serve's
+//! per-request ring both replay into an [`Obs`] and export through it.
 //!
 //! [`validate_chrome_trace`] is the inverse gate: CI runs the profiler and
 //! feeds its output back through the validator, failing on unparseable
@@ -24,9 +25,10 @@ fn obj(entries: Vec<(&str, Value)>) -> Value {
     )
 }
 
-/// Build the trace JSON for everything recorded in `obs`, folding in the
-/// global warning log as instant events on pid 0 / tid 0.
-pub fn export(obs: &Obs) -> String {
+/// The trace JSON for everything recorded in `obs`: process and thread
+/// metadata first, then every event in recording order. A disabled sink
+/// builds `{"traceEvents": []}`.
+pub fn export_value(obs: &Obs) -> Value {
     let mut events: Vec<Value> = Vec::new();
     let (procs, threads) = obs.tracks_snapshot();
     for (pid, name) in &procs {
@@ -64,39 +66,18 @@ pub fn export(obs: &Obs) -> String {
                 entries.push(("ph", json!("i")));
                 entries.push(("s", json!("t")));
             }
-            Phase::Counter => {
-                entries.push(("ph", json!("C")));
-            }
         }
         if !e.args.is_null() {
             entries.push(("args", e.args));
-        } else if e.phase == Phase::Counter {
-            entries.push(("args", json!({ "value": 0.0 })));
         }
         events.push(obj(entries));
     }
-    // Warnings ride along as instants on the diagnostics track (pid 0) so
-    // the trace and stderr tell the same story.
-    if let Some(epoch) = obs.epoch() {
-        for w in crate::warn::warnings_snapshot() {
-            let ts_ns =
-                w.at.checked_duration_since(epoch)
-                    .map(|d| d.as_nanos() as u64)
-                    .unwrap_or(0);
-            events.push(obj(vec![
-                ("ph", json!("i")),
-                ("s", json!("t")),
-                ("name", json!(format!("warning[{}]", w.code))),
-                ("cat", json!("warning")),
-                ("pid", json!(0u32)),
-                ("tid", json!(0u32)),
-                ("ts", json!(ts_ns as f64 / 1e3)),
-                ("args", json!({ "message": w.message.as_str() })),
-            ]));
-        }
-    }
-    serde_json::to_string_pretty(&obj(vec![("traceEvents", Value::Array(events))]))
-        .expect("trace serialization cannot fail")
+    obj(vec![("traceEvents", Value::Array(events))])
+}
+
+/// [`export_value`] as pretty-printed JSON text.
+pub fn export(obs: &Obs) -> String {
+    serde_json::to_string_pretty(&export_value(obs)).expect("trace serialization cannot fail")
 }
 
 /// Summary returned by a successful [`validate_chrome_trace`] pass.
@@ -276,12 +257,10 @@ mod tests {
             let _inner = obs.span(0, "inner", "stage");
         }
         obs.instant(0, "note", "event", serde_json::Value::Null);
-        obs.counter("queue", 3.0);
         let trace = obs.to_chrome_trace();
         let stats = validate_chrome_trace(&trace).expect("valid trace");
         assert_eq!(stats.complete_spans, 2);
-        assert!(stats.instants >= 1);
-        assert_eq!(stats.counters, 1);
+        assert_eq!(stats.instants, 1);
         assert_eq!(stats.named_processes, 1);
         assert_eq!(stats.named_threads, 1);
     }
@@ -314,5 +293,24 @@ mod tests {
             {"ph":"X","name":"b","cat":"c","pid":1,"tid":0,"ts":4.999,"dur":5.0}
         ]}"#;
         validate_chrome_trace(trace).expect("epsilon-adjacent spans accepted");
+    }
+
+    /// Nothing in the workspace writes counters, but traces from other
+    /// producers carry them; the validator still counts and checks them.
+    #[test]
+    fn validator_counts_counter_events() {
+        let trace = r#"{"traceEvents":[
+            {"ph":"M","name":"process_name","pid":1,"tid":0,"args":{"name":"p"}},
+            {"ph":"C","name":"queue","pid":1,"tid":0,"ts":1.0,"args":{"depth":3}},
+            {"ph":"C","name":"queue","pid":1,"tid":0,"ts":2.0,"args":{"depth":1}}
+        ]}"#;
+        let stats = validate_chrome_trace(trace).expect("counters are valid events");
+        assert_eq!(stats.counters, 2);
+        assert_eq!(stats.total_events, 3);
+        let argless = r#"{"traceEvents":[
+            {"ph":"C","name":"queue","pid":1,"tid":0,"ts":1.0}
+        ]}"#;
+        let err = validate_chrome_trace(argless).unwrap_err();
+        assert!(err.contains("no args object"), "{err}");
     }
 }

@@ -1,9 +1,10 @@
 //! # ramiel-obs
 //!
-//! Observability for the whole pipeline: lightweight spans/instants/counters
+//! Observability for the whole pipeline: lightweight spans and instants
 //! that render as a Chrome/Perfetto trace or a plain-text report, per-channel
-//! metrics for the cluster executors, and structured warnings that agree with
-//! what lands on stderr.
+//! metrics for the cluster executors, and the metric registry behind every
+//! Prometheus exposition. [`chrome`] is the one writer of Trace Event JSON and
+//! [`Metrics`] the one writer of Prometheus text.
 //!
 //! Design constraints, in order:
 //!
@@ -25,7 +26,6 @@
 pub mod channel;
 pub mod chrome;
 pub mod metrics;
-pub mod warn;
 
 pub use channel::{ChannelEdgeStats, ChannelMeter};
 pub use chrome::{validate_chrome_trace, TraceStats};
@@ -33,7 +33,6 @@ pub use metrics::{
     parse_prometheus, quantile_from_buckets, window_buckets, CounterHandle, GaugeHandle,
     HistHandle, Histogram, HistogramSnapshot, Metrics, ParsedSample, PeakHandle,
 };
-pub use warn::{warn, warnings_snapshot, WarnEvent};
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -47,8 +46,6 @@ pub enum Phase {
     Complete,
     /// A point-in-time event (`ph: "i"`).
     Instant,
-    /// A counter sample (`ph: "C"`).
-    Counter,
 }
 
 /// One recorded event. `ts_ns`/`dur_ns` are nanoseconds since the sink's
@@ -132,12 +129,6 @@ impl Obs {
         }
     }
 
-    /// The sink's epoch, if enabled — lets callers who already timestamp
-    /// with `Instant`s translate onto the shared timeline.
-    pub fn epoch(&self) -> Option<Instant> {
-        self.inner.as_ref().map(|i| i.epoch)
-    }
-
     /// Name this handle's process track (Perfetto lane group).
     pub fn name_process(&self, name: impl Into<String>) {
         if let Some(i) = &self.inner {
@@ -200,25 +191,6 @@ impl Obs {
         }
     }
 
-    /// Record a counter sample (rendered as a stacked area in Perfetto).
-    pub fn counter(&self, name: impl Into<String>, value: f64) {
-        if let Some(i) = &self.inner {
-            let name = name.into();
-            let ts_ns = i.epoch.elapsed().as_nanos() as u64;
-            let args = serde_json::json!({ "value": value });
-            i.events.lock().push(TraceEvent {
-                phase: Phase::Counter,
-                name,
-                cat: "counter",
-                pid: self.pid,
-                tid: 0,
-                ts_ns,
-                dur_ns: 0,
-                args,
-            });
-        }
-    }
-
     /// Start a scoped span; the span records itself when dropped (or when
     /// [`Span::finish`] is called). Disabled sinks hand out inert guards.
     pub fn span(&self, tid: u32, name: impl Into<String>, cat: &'static str) -> Span {
@@ -262,14 +234,14 @@ impl Obs {
         }
     }
 
-    /// Export everything (plus the global warning log) as Chrome trace JSON.
+    /// Export everything as Chrome trace JSON.
     pub fn to_chrome_trace(&self) -> String {
         chrome::export(self)
     }
 
-    /// Render a plain-text summary: per-track span counts and busy time,
-    /// instants by category, and the warning log — the "logs" view of the
-    /// same data the trace shows.
+    /// Render a plain-text summary: per-track span counts and busy time and
+    /// instants by category — the "logs" view of the same data the trace
+    /// shows.
     pub fn text_report(&self) -> String {
         use std::fmt::Write as _;
         let (procs, threads) = self.tracks_snapshot();
@@ -285,7 +257,6 @@ impl Obs {
                     slot.1 += e.dur_ns;
                 }
                 Phase::Instant => *instants.entry(e.cat).or_default() += 1,
-                Phase::Counter => {}
             }
         }
         let mut out = String::new();
@@ -310,11 +281,6 @@ impl Obs {
         if !instants.is_empty() {
             let cats: Vec<String> = instants.iter().map(|(c, n)| format!("{c}: {n}")).collect();
             let _ = writeln!(out, "  instant events: {}", cats.join(", "));
-        }
-        let warnings = warn::warnings_snapshot();
-        let _ = writeln!(out, "  warnings: {}", warnings.len());
-        for w in &warnings {
-            let _ = writeln!(out, "    [{}] {}", w.code, w.message);
         }
         out
     }
@@ -377,7 +343,6 @@ mod tests {
         let obs = Obs::disabled();
         assert!(!obs.is_enabled());
         obs.instant(0, "x", "test", serde_json::Value::Null);
-        obs.counter("c", 1.0);
         {
             let _sp = obs.span(0, "span", "test");
         }
@@ -415,7 +380,7 @@ mod tests {
     }
 
     #[test]
-    fn text_report_mentions_tracks_and_warnings() {
+    fn text_report_mentions_tracks() {
         let obs = Obs::enabled();
         obs.name_process("p");
         obs.name_thread(0, "t");
@@ -424,7 +389,6 @@ mod tests {
         }
         let report = obs.text_report();
         assert!(report.contains("process 0 \"p\""));
-        assert!(report.contains("thread 0 \"t\""));
-        assert!(report.contains("warnings:"));
+        assert!(report.contains("thread 0 \"t\": 1 spans"));
     }
 }

@@ -409,13 +409,10 @@ impl Metrics {
             return match get(&s.kind) {
                 Some(t) => Some(t),
                 None => {
-                    crate::warn(
-                        "metrics",
-                        format!(
-                            "series {name} re-registered as a different kind; \
-                             handing out a detached {}",
-                            s.kind.type_name()
-                        ),
+                    eprintln!(
+                        "warning[metrics]: series {name} re-registered as a different kind; \
+                         handing out a detached {}",
+                        s.kind.type_name()
                     );
                     None
                 }
@@ -608,27 +605,6 @@ fn render_series(out: &mut String, s: &Series, reset_windows: bool) {
             render_histogram_samples(out, &s.name, &s.labels, &h.snapshot());
         }
     }
-}
-
-/// Render one histogram snapshot as Prometheus exposition lines (TYPE
-/// header, cumulative non-empty buckets, `+Inf`, `_sum`, `_count`). For
-/// code that holds snapshots outside a [`Metrics`] registry (e.g. the
-/// steal-pool telemetry, which snapshots shared state rather than
-/// registering per-pool series).
-pub fn render_histogram_text(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    labels: &[(&str, &str)],
-    snap: &HistogramSnapshot,
-) {
-    let owned: Vec<(String, String)> = labels
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect();
-    out.push_str(&format!("# HELP {name} {help}\n"));
-    out.push_str(&format!("# TYPE {name} histogram\n"));
-    render_histogram_samples(out, name, &owned, snap);
 }
 
 fn render_histogram_samples(

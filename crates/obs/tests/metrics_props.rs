@@ -7,8 +7,8 @@
 //! deterministic per case, varied across cases.
 
 use proptest::prelude::*;
-use ramiel_obs::metrics::{bucket_bounds, bucket_index, render_histogram_text, Histogram};
-use ramiel_obs::{parse_prometheus, quantile_from_buckets};
+use ramiel_obs::metrics::{bucket_bounds, bucket_index, Histogram};
+use ramiel_obs::{parse_prometheus, quantile_from_buckets, Metrics};
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -126,13 +126,13 @@ proptest! {
     #[test]
     fn render_parse_roundtrip(seed in any::<u64>(), n in 1usize..120) {
         let values = samples(seed, n, 40);
-        let h = Histogram::new();
+        let m = Metrics::enabled();
+        let h = m.histogram("t_ns", "test series", &[("model", "m")]);
         for &v in &values {
             h.record(v);
         }
         let snap = h.snapshot();
-        let mut text = String::new();
-        render_histogram_text(&mut text, "t_ns", "test series", &[("model", "m")], &snap);
+        let text = m.render_prometheus(false);
         let parsed = parse_prometheus(&text);
 
         let count = parsed.iter().find(|s| s.name == "t_ns_count").expect("count");

@@ -62,7 +62,7 @@ pub use run::{run, Engine, Run, RunOptions, Schedule};
 pub use sim::{
     simulate_clustering, simulate_hyper, simulate_sequential, SimConfig, SimEvent, SimResult,
 };
-pub use stealing::{StealChaos, StealPlan, StealPool, StealPoolStats, StealSlotStats};
+pub use stealing::{StealChaos, StealPlan, StealPool, StealPoolStats};
 pub use supervisor::{RunReport, SupervisorConfig};
 
 use ramiel_tensor::Value;

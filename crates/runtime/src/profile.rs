@@ -5,10 +5,9 @@
 //! motivate hyperclustering and to hand-tune switched hyperclusters.
 
 use ramiel_obs::ChannelEdgeStats;
-use serde::Serialize;
 
 /// One executed operation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct OpRecord {
     pub worker: usize,
     pub batch: usize,
@@ -22,7 +21,7 @@ pub struct OpRecord {
 /// One worker's wall-clock window: from entering its loop to finishing its
 /// last op. Busy + recorded slack is bounded by this window (the remainder
 /// is scheduling overhead and waits not attributable to a finished op).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct WorkerSpan {
     pub worker: usize,
     pub start_ns: u64,
@@ -30,7 +29,7 @@ pub struct WorkerSpan {
 }
 
 /// Collected trace of a parallel run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ProfileDb {
     workers: usize,
     batch: usize,
@@ -43,7 +42,7 @@ pub struct ProfileDb {
 }
 
 /// Per-worker slack aggregation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SlackReport {
     pub worker: usize,
     pub busy_ns: u64,
@@ -100,13 +99,6 @@ impl ProfileDb {
         self.batch
     }
 
-    /// Wall-clock span of the run (max end − min start).
-    pub fn makespan_ns(&self) -> u64 {
-        let start = self.records.iter().map(|r| r.start_ns).min().unwrap_or(0);
-        let end = self.records.iter().map(|r| r.end_ns).max().unwrap_or(0);
-        end.saturating_sub(start)
-    }
-
     /// Aggregate busy/slack time per worker.
     pub fn slack_report(&self) -> Vec<SlackReport> {
         let mut busy = vec![0u64; self.workers];
@@ -123,11 +115,6 @@ impl ProfileDb {
                 slack_fraction: slack[w] as f64 / (busy[w] + slack[w]).max(1) as f64,
             })
             .collect()
-    }
-
-    /// Serialize to JSON for offline analysis.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("profile serialization cannot fail")
     }
 
     /// Replay this profile into an obs sink: one thread track per worker
@@ -204,43 +191,6 @@ impl ProfileDb {
             .collect();
         ramiel_cluster::MeasuredCost::from_node_ns(graph, &samples)
     }
-
-    /// Export as a Chrome trace (`chrome://tracing` / Perfetto) — one lane
-    /// per cluster worker, one slice per op, plus explicit slack slices so
-    /// the communication gaps that motivate hyperclustering are visible.
-    pub fn to_chrome_trace(&self, graph: &ramiel_ir::Graph) -> String {
-        let mut events = Vec::with_capacity(self.records.len() * 2);
-        for r in &self.records {
-            let name = graph
-                .nodes
-                .get(r.node)
-                .map(|n| format!("{} ({})", n.name, n.op.name()))
-                .unwrap_or_else(|| format!("node {}", r.node));
-            events.push(serde_json::json!({
-                "name": name,
-                "cat": "op",
-                "ph": "X",
-                "ts": r.start_ns as f64 / 1e3,
-                "dur": (r.end_ns - r.start_ns) as f64 / 1e3,
-                "pid": 0,
-                "tid": r.worker,
-                "args": {"batch": r.batch}
-            }));
-            if r.slack_after_ns > 0 {
-                events.push(serde_json::json!({
-                    "name": "slack (blocked on queue.get)",
-                    "cat": "slack",
-                    "ph": "X",
-                    "ts": r.end_ns as f64 / 1e3,
-                    "dur": r.slack_after_ns as f64 / 1e3,
-                    "pid": 0,
-                    "tid": r.worker,
-                }));
-            }
-        }
-        serde_json::to_string(&serde_json::json!({ "traceEvents": events }))
-            .expect("trace serialization cannot fail")
-    }
 }
 
 #[cfg(test)]
@@ -276,7 +226,6 @@ mod tests {
                 slack_after_ns: 0,
             },
         ]);
-        assert_eq!(db.makespan_ns(), 300);
         let rep = db.slack_report();
         assert_eq!(rep[0].busy_ns, 150);
         assert_eq!(rep[0].slack_ns, 50);
@@ -302,20 +251,34 @@ mod tests {
             end_ns: 3000,
             slack_after_ns: 500,
         }]);
-        let trace = db.to_chrome_trace(&g);
-        assert!(trace.contains("traceEvents"));
-        assert!(trace.contains("relu0 (Relu)"));
-        assert!(trace.contains("slack (blocked on queue.get)"));
-        // valid JSON
-        let parsed: serde_json::Value = serde_json::from_str(&trace).unwrap();
-        assert_eq!(parsed["traceEvents"].as_array().unwrap().len(), 2);
+        db.set_epoch_offset_ns(10_000);
+        let obs = ramiel_obs::Obs::enabled();
+        obs.name_process("executor");
+        db.export_to_obs(&obs, &g);
+        let spans: Vec<_> = obs.events();
+        let found: Vec<_> = spans
+            .iter()
+            .map(|e| (e.name.as_str(), e.cat, e.tid, e.ts_ns, e.dur_ns))
+            .collect();
+        assert_eq!(
+            found,
+            [
+                ("relu0 (Relu)", "op", 0, 11_000, 2000),
+                ("slack (blocked on recv)", "slack", 0, 13_000, 500),
+            ]
+        );
+        let stats = ramiel_obs::validate_chrome_trace(&obs.to_chrome_trace()).unwrap();
+        assert_eq!(stats.complete_spans, 2);
+        assert_eq!(stats.named_threads, 1);
     }
 
     #[test]
     fn empty_db_is_sane() {
         let db = ProfileDb::new(1, 1);
-        assert_eq!(db.makespan_ns(), 0);
         assert_eq!(db.slack_report()[0].busy_ns, 0);
-        assert!(db.to_json().contains("records"));
+        assert_eq!(db.slack_report()[0].slack_fraction, 0.0);
+        let obs = ramiel_obs::Obs::enabled();
+        db.export_to_obs(&obs, &ramiel_ir::Graph::new("t"));
+        assert!(obs.is_empty(), "an empty profile replays no events");
     }
 }

@@ -51,7 +51,7 @@ use parking_lot::Mutex;
 use ramiel_cluster::hyper::HyperClustering;
 use ramiel_cluster::Clustering;
 use ramiel_ir::{Graph, OpKind};
-use ramiel_obs::metrics::{render_histogram_text, Histogram, HistogramSnapshot, PeakGauge};
+use ramiel_obs::metrics::{Histogram, HistogramSnapshot};
 use ramiel_obs::Obs;
 use ramiel_tensor::{eval_op, eval_op_inplace, ExecCtx, ExecError, MemGauge, Value};
 use std::collections::{HashMap, VecDeque};
@@ -333,8 +333,6 @@ struct SlotTelemetry {
     steals: AtomicU64,
     /// Nanoseconds parked/waiting for work.
     idle_ns: AtomicU64,
-    /// Deepest local deque observed at push (window + lifetime).
-    peak_depth: PeakGauge,
 }
 
 /// Pool-wide telemetry shared by all slots.
@@ -359,24 +357,8 @@ impl PoolTelemetry {
     }
 }
 
-/// Telemetry of one deque slot (or the slotless-caller aggregate) inside a
-/// [`StealPoolStats`] snapshot.
-#[derive(Debug, Clone)]
-pub struct StealSlotStats {
-    pub slot: usize,
-    /// `"worker"` for pool threads, `"caller"` for participating callers.
-    pub kind: &'static str,
-    pub tasks: u64,
-    pub steals: u64,
-    pub idle_ns: u64,
-    /// Peak local-deque depth this window (reset by
-    /// [`StealPool::stats_and_reset_window`]).
-    pub peak_depth_window: u64,
-    pub peak_depth_lifetime: u64,
-}
-
-/// Point-in-time aggregate of a pool's telemetry: lifetime counters plus
-/// per-window deque-depth peaks and the per-task execution histogram.
+/// Point-in-time aggregate of a pool's telemetry: lifetime counters summed
+/// over slots and the per-task execution histogram.
 #[derive(Debug, Clone)]
 pub struct StealPoolStats {
     pub workers: usize,
@@ -388,82 +370,10 @@ pub struct StealPoolStats {
     pub injector_pops: u64,
     /// Nanoseconds spent parked waiting for work, summed over slots.
     pub idle_ns: u64,
-    /// Slots that have ever executed, stolen, or idled (workers and
-    /// callers), in slot order.
-    pub per_slot: Vec<StealSlotStats>,
     pub exec_ns: HistogramSnapshot,
 }
 
 impl StealPoolStats {
-    /// Prometheus text exposition of every pool series, appended to `out`.
-    pub fn render_prometheus(&self, out: &mut String) {
-        out.push_str("# HELP ramiel_steal_workers background worker threads in the pool\n");
-        out.push_str("# TYPE ramiel_steal_workers gauge\n");
-        out.push_str(&format!("ramiel_steal_workers {}\n", self.workers));
-        let per_slot =
-            |out: &mut String, name: &str, help: &str, get: fn(&StealSlotStats) -> u64| {
-                out.push_str(&format!("# HELP {name} {help}\n"));
-                out.push_str(&format!("# TYPE {name} counter\n"));
-                for s in &self.per_slot {
-                    out.push_str(&format!(
-                        "{name}{{slot=\"{}\",kind=\"{}\"}} {}\n",
-                        s.slot,
-                        s.kind,
-                        get(s)
-                    ));
-                }
-            };
-        per_slot(
-            out,
-            "ramiel_steal_tasks_total",
-            "tasks executed per deque slot",
-            |s| s.tasks,
-        );
-        per_slot(
-            out,
-            "ramiel_steal_steals_total",
-            "successful peer-deque steals per slot",
-            |s| s.steals,
-        );
-        per_slot(
-            out,
-            "ramiel_steal_idle_ns_total",
-            "nanoseconds parked waiting for work per slot",
-            |s| s.idle_ns,
-        );
-        out.push_str("# HELP ramiel_steal_deque_peak_depth peak local-deque depth this window\n");
-        out.push_str("# TYPE ramiel_steal_deque_peak_depth gauge\n");
-        for s in &self.per_slot {
-            out.push_str(&format!(
-                "ramiel_steal_deque_peak_depth{{slot=\"{}\",kind=\"{}\"}} {}\n",
-                s.slot, s.kind, s.peak_depth_window
-            ));
-        }
-        out.push_str(
-            "# HELP ramiel_steal_injector_pushes_total tasks pushed to the global injector\n",
-        );
-        out.push_str("# TYPE ramiel_steal_injector_pushes_total counter\n");
-        out.push_str(&format!(
-            "ramiel_steal_injector_pushes_total {}\n",
-            self.injector_pushes
-        ));
-        out.push_str(
-            "# HELP ramiel_steal_injector_pops_total tasks popped from the global injector\n",
-        );
-        out.push_str("# TYPE ramiel_steal_injector_pops_total counter\n");
-        out.push_str(&format!(
-            "ramiel_steal_injector_pops_total {}\n",
-            self.injector_pops
-        ));
-        render_histogram_text(
-            out,
-            "ramiel_steal_task_exec_ns",
-            "per-task execution time, nanoseconds",
-            &[],
-            &self.exec_ns,
-        );
-    }
-
     /// One-line human summary for CLI output.
     pub fn text_summary(&self) -> String {
         let steal_pct = if self.tasks > 0 {
@@ -548,13 +458,9 @@ impl PoolShared {
         }
     }
 
-    /// Push onto a specific deque, tracking its depth high-water mark.
+    /// Push onto a specific deque.
     fn push_deque(&self, slot: usize, t: Task) {
-        let mut dq = self.deques[slot].lock();
-        dq.push_back(t);
-        let depth = dq.len() as u64;
-        drop(dq);
-        self.telemetry.slots[slot].peak_depth.observe(depth);
+        self.deques[slot].lock().push_back(t);
     }
 
     fn wake(&self) {
@@ -901,58 +807,22 @@ impl StealPool {
         self.shared.workers
     }
 
-    /// Telemetry snapshot: lifetime counters, current-window deque-depth
-    /// peaks, per-task execution histogram.
+    /// Telemetry snapshot: lifetime counters summed over slots, per-task
+    /// execution histogram.
     pub fn stats(&self) -> StealPoolStats {
-        self.snapshot_stats(false)
-    }
-
-    /// [`StealPool::stats`], additionally starting a fresh window on every
-    /// per-window gauge (interval-delta semantics for periodic scrapes).
-    pub fn stats_and_reset_window(&self) -> StealPoolStats {
-        self.snapshot_stats(true)
-    }
-
-    fn snapshot_stats(&self, reset_windows: bool) -> StealPoolStats {
         let tel = &self.shared.telemetry;
-        let workers = self.shared.workers;
-        let mut per_slot = Vec::new();
-        let (mut tasks, mut steals, mut idle_ns) = (0u64, 0u64, 0u64);
-        for (slot, s) in tel.slots.iter().enumerate() {
-            let (t, st, idle) = (
-                s.tasks.load(Ordering::Relaxed),
-                s.steals.load(Ordering::Relaxed),
-                s.idle_ns.load(Ordering::Relaxed),
-            );
-            tasks += t;
-            steals += st;
-            idle_ns += idle;
-            let lifetime = s.peak_depth.lifetime();
-            if t == 0 && st == 0 && idle == 0 && lifetime == 0 {
-                continue; // slot never used (most caller slots)
-            }
-            per_slot.push(StealSlotStats {
-                slot,
-                kind: if slot < workers { "worker" } else { "caller" },
-                tasks: t,
-                steals: st,
-                idle_ns: idle,
-                peak_depth_window: if reset_windows {
-                    s.peak_depth.take_window()
-                } else {
-                    s.peak_depth.window()
-                },
-                peak_depth_lifetime: lifetime,
-            });
-        }
+        let sum = |get: fn(&SlotTelemetry) -> &AtomicU64| {
+            (tel.slots.iter())
+                .map(|s| get(s).load(Ordering::Relaxed))
+                .sum()
+        };
         StealPoolStats {
-            workers,
-            tasks,
-            steals,
+            workers: self.shared.workers,
+            tasks: sum(|s| &s.tasks),
+            steals: sum(|s| &s.steals),
             injector_pushes: tel.injector_pushes.load(Ordering::Relaxed),
             injector_pops: tel.injector_pops.load(Ordering::Relaxed),
-            idle_ns,
-            per_slot,
+            idle_ns: sum(|s| &s.idle_ns),
             exec_ns: tel.exec_ns.snapshot(),
         }
     }
@@ -1279,7 +1149,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_counts_tasks_and_window_resets() {
+    fn telemetry_counts_every_task_once() {
         let g = build(ModelKind::Googlenet, &ModelConfig::tiny());
         let clustering = cluster_graph(&g, &StaticCost);
         let ctx = ExecCtx::sequential();
@@ -1294,33 +1164,15 @@ mod tests {
             &RunOptions::default(),
         )
         .unwrap();
-        let after = pool.stats_and_reset_window();
+        let after = pool.stats();
         let ran = after.tasks - before.tasks;
         assert_eq!(ran as usize, plan.num_tasks(), "every task counted once");
         assert_eq!(after.exec_ns.count, after.tasks, "one exec sample per task");
         assert!(after.exec_ns.sum > 0);
         assert!(after.exec_ns.percentile(0.99) >= after.exec_ns.percentile(0.5));
-        // Seeding spread work across worker deques and/or the injector.
-        assert!(after.injector_pushes + after.per_slot.iter().map(|s| s.tasks).sum::<u64>() > 0);
-        // Windows were reset by the snapshot above; lifetime peaks persist.
-        let again = pool.stats();
-        assert!(again.per_slot.iter().all(|s| s.peak_depth_window == 0));
-        assert_eq!(
-            again.per_slot.iter().map(|s| s.peak_depth_lifetime).max(),
-            after.per_slot.iter().map(|s| s.peak_depth_lifetime).max()
-        );
-        // Prometheus rendering carries the counters and the histogram.
-        let mut text = String::new();
-        after.render_prometheus(&mut text);
-        assert!(text.contains("ramiel_steal_tasks_total"));
-        assert!(text.contains("ramiel_steal_task_exec_ns_count"));
-        let parsed = ramiel_obs::parse_prometheus(&text);
-        let total: f64 = parsed
-            .iter()
-            .filter(|s| s.name == "ramiel_steal_tasks_total")
-            .map(|s| s.value)
-            .sum();
-        assert_eq!(total as u64, after.tasks);
+        // A finished run leaves the injector empty, and a steal is a task.
+        assert_eq!(after.injector_pops, after.injector_pushes);
+        assert!(after.steals <= after.tasks);
     }
 
     #[test]

@@ -403,10 +403,7 @@ fn checked_pin(reference: &str, pin: Option<&str>) -> Result<Option<String>, Reg
 /// Fetch the raw bytes behind a reference.
 fn fetch_source(reference: &str) -> Result<Vec<u8>, RegistryError> {
     if let Some(rest) = reference.strip_prefix("file://") {
-        return std::fs::read(rest).map_err(|e| RegistryError::Io {
-            path: rest.to_string(),
-            reason: e.to_string(),
-        });
+        return read_file(rest);
     }
     if reference.starts_with("http://") {
         return http_get(reference);
@@ -421,10 +418,34 @@ fn fetch_source(reference: &str) -> Result<Vec<u8>, RegistryError> {
         });
     }
     // No scheme: a plain local path.
-    std::fs::read(reference).map_err(|e| RegistryError::Io {
-        path: reference.to_string(),
-        reason: e.to_string(),
-    })
+    read_file(reference)
+}
+
+/// Read a local model file of at most [`limits::FETCH_MAX_BYTES`]: the one
+/// reader of `file://` and plain-path sources, for the registry and for
+/// [`Server::fetch`](crate::Server::fetch).
+pub(crate) fn read_file(path: &str) -> Result<Vec<u8>, RegistryError> {
+    read_file_within(path, limits::FETCH_MAX_BYTES)
+}
+
+/// [`read_file`] with an explicit ceiling. It reads at most `max + 1` bytes
+/// instead of trusting the file's length, which a special file such as
+/// `/dev/zero` reports as 0; the length only sizes the buffer.
+fn read_file_within(path: &str, max: usize) -> Result<Vec<u8>, RegistryError> {
+    let err = |reason: String| RegistryError::Io {
+        path: path.to_string(),
+        reason,
+    };
+    let file = std::fs::File::open(path).map_err(|e| err(e.to_string()))?;
+    let hint = file.metadata().map_or(0, |m| m.len()).min(max as u64);
+    let mut data = Vec::with_capacity(hint as usize);
+    file.take(max as u64 + 1)
+        .read_to_end(&mut data)
+        .map_err(|e| err(e.to_string()))?;
+    if data.len() > max {
+        return Err(err(format!("file runs past the {max} byte ceiling")));
+    }
+    Ok(data)
 }
 
 /// Minimal HTTP/1.0 GET over `std::net` (`Connection: close`, body read to
@@ -711,6 +732,51 @@ mod tests {
         let e = get_from_stub(b"HTTP/1.0 200 OK\r\nContent-Length: 12x\r\n\r\nshort").unwrap_err();
         assert_eq!(e.code(), "RG-HTTP");
         assert!(e.to_string().contains("Content-Length `12x`"), "{e}");
+    }
+
+    /// A scratch file of `len` bytes, removed when the guard drops.
+    struct ScratchFile(PathBuf);
+
+    impl ScratchFile {
+        fn of_len(tag: &str, len: usize) -> ScratchFile {
+            let path = std::env::temp_dir().join(format!(
+                "ramiel_read_within_{tag}_{}.bin",
+                std::process::id()
+            ));
+            std::fs::write(&path, vec![7u8; len]).unwrap();
+            ScratchFile(path)
+        }
+
+        fn path(&self) -> &str {
+            self.0.to_str().unwrap()
+        }
+    }
+
+    impl Drop for ScratchFile {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+
+    #[test]
+    fn a_file_at_the_ceiling_loads_and_one_byte_more_fails() {
+        let at = ScratchFile::of_len("at", 64);
+        assert_eq!(read_file_within(at.path(), 64).unwrap(), vec![7u8; 64]);
+        let past = ScratchFile::of_len("past", 65);
+        let e = read_file_within(past.path(), 64).unwrap_err();
+        assert_eq!(e.code(), "RG-IO");
+        assert!(e.to_string().contains("64 byte ceiling"), "{e}");
+        // `file://` and plain paths both go through the shipped ceiling.
+        assert_eq!(fetch_source(at.path()).unwrap().len(), 64);
+        let url = format!("file://{}", past.path());
+        assert_eq!(fetch_source(&url).unwrap().len(), 65);
+    }
+
+    #[test]
+    fn an_endless_file_fails_at_the_ceiling() {
+        let e = read_file_within("/dev/zero", 4096).unwrap_err();
+        assert_eq!(e.code(), "RG-IO");
+        assert!(e.to_string().contains("4096 byte ceiling"), "{e}");
     }
 
     #[test]

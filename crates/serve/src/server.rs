@@ -6,13 +6,13 @@
 
 use crate::batcher::{Lane, Request};
 use crate::plan::{CompiledPlan, Layout, PlanCache, PlanSpec};
-use crate::registry::{Pulled, Registry, RegistryError};
+use crate::registry::{self, Pulled, Registry, RegistryError};
 use crate::stats::{AdmissionMetrics, LoadSummary, StatsSnapshot};
 use crate::trace::TraceRing;
 use crossbeam::channel::{unbounded, Receiver};
 use ramiel_ir::Graph;
 use ramiel_obs::metrics::{CounterHandle, HistHandle};
-use ramiel_obs::Metrics;
+use ramiel_obs::{chrome, Metrics, Obs};
 use ramiel_onnx::OnnxError;
 use ramiel_runtime::{Env, FaultInjector, RuntimeError, SupervisorConfig};
 use std::collections::HashMap;
@@ -374,12 +374,7 @@ impl Server {
             }
             Source::File(path) => {
                 let start = Instant::now();
-                let bytes = std::fs::read(path).map_err(|e| {
-                    ServeError::Registry(RegistryError::Io {
-                        path: path.to_string(),
-                        reason: e.to_string(),
-                    })
-                })?;
+                let bytes = registry::read_file(path).map_err(ServeError::Registry)?;
                 m.fetch.record_duration(start.elapsed());
                 Ok((bytes, None))
             }
@@ -586,12 +581,12 @@ impl Server {
         self.trace.as_ref()
     }
 
-    /// Chrome trace JSON of the most recent requests (empty `traceEvents`
-    /// when tracing is disabled or nothing has been served yet).
+    /// Chrome trace JSON of the most recent requests (no events when
+    /// tracing is disabled or nothing has been served yet).
     pub fn trace_chrome(&self) -> serde_json::Value {
         match &self.trace {
             Some(ring) => ring.to_chrome_trace(),
-            None => serde_json::json!({ "traceEvents": [] }),
+            None => chrome::export_value(&Obs::disabled()),
         }
     }
 

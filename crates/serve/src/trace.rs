@@ -10,11 +10,13 @@
 //!
 //! The Chrome export puts every request on its own thread track (tid =
 //! request id) inside one "requests" process track, with four adjacent
-//! `X` spans per request. The output passes
+//! `X` spans per request, and is written by [`ramiel_obs::chrome`] like
+//! every other trace. The output passes
 //! [`ramiel_obs::validate_chrome_trace`], which the CLI `trace` op checks
 //! client-side.
 
 use parking_lot::Mutex;
+use ramiel_obs::{chrome, Obs};
 use serde_json::json;
 use std::collections::VecDeque;
 
@@ -79,25 +81,19 @@ impl TraceRing {
         self.entries.lock().iter().cloned().collect()
     }
 
-    /// Chrome trace JSON (`{"traceEvents": [...]}`): one process track,
-    /// one thread track per request, four `X` spans per request. Passes
-    /// [`ramiel_obs::validate_chrome_trace`].
+    /// Chrome trace JSON of the snapshot, written by
+    /// [`ramiel_obs::chrome`]: the entries replay into a local [`Obs`] as
+    /// one process track, one thread track per request and four `complete`
+    /// spans per request on the ring's own timestamps.
     pub fn to_chrome_trace(&self) -> serde_json::Value {
+        let obs = Obs::enabled();
         let entries = self.snapshot();
-        let mut events = Vec::with_capacity(entries.len() * 4 + 2);
         if !entries.is_empty() {
-            events.push(json!({
-                "ph": "M", "name": "process_name", "pid": 0, "tid": 0,
-                "args": { "name": "ramiel-serve requests" }
-            }));
+            obs.name_process("ramiel-serve requests");
         }
-        let us = |ns: u64| ns as f64 / 1_000.0;
         for t in &entries {
             let tid = t.id as u32;
-            events.push(json!({
-                "ph": "M", "name": "thread_name", "pid": 0, "tid": tid,
-                "args": { "name": format!("req {} ({})", t.id, t.model) }
-            }));
+            obs.name_thread(tid, format!("req {} ({})", t.id, t.model));
             let spans = [
                 ("queue", t.enqueued_ns, t.popped_ns),
                 ("batch", t.popped_ns, t.exec_start_ns),
@@ -105,18 +101,13 @@ impl TraceRing {
                 ("respond", t.exec_end_ns, t.responded_ns),
             ];
             for (name, start, end) in spans {
-                events.push(json!({
-                    "ph": "X", "name": name, "cat": "request",
-                    "pid": 0, "tid": tid,
-                    "ts": us(start), "dur": us(end.saturating_sub(start)),
-                    "args": {
-                        "id": t.id, "model": t.model,
-                        "batch": t.batch, "outcome": t.outcome,
-                    }
-                }));
+                let args = json!({
+                    "id": t.id, "model": t.model, "batch": t.batch, "outcome": t.outcome,
+                });
+                obs.complete(tid, name, "request", start, end, args);
             }
         }
-        json!({ "traceEvents": events })
+        chrome::export_value(&obs)
     }
 }
 
@@ -155,9 +146,49 @@ mod tests {
         for i in 0..5 {
             ring.push(entry(i, i * 1_000_000));
         }
-        let trace = ring.to_chrome_trace().to_string();
-        let stats = ramiel_obs::validate_chrome_trace(&trace).expect("valid trace");
+        let trace = ring.to_chrome_trace();
+        let stats = ramiel_obs::validate_chrome_trace(&trace.to_string()).expect("valid trace");
         assert_eq!(stats.complete_spans, 5 * 4);
+        let events = trace["traceEvents"].as_array().unwrap();
+        let meta = |kind: &str, tid: u64| {
+            let m = events.iter().find(|e| {
+                e["ph"] == "M"
+                    && e["name"] == kind
+                    && e["pid"] == json!(0)
+                    && e["tid"] == json!(tid)
+            });
+            m.map(|m| m["args"]["name"].as_str().unwrap().to_string())
+        };
+        assert_eq!(
+            meta("process_name", 0).as_deref(),
+            Some("ramiel-serve requests")
+        );
+        for t in ring.snapshot() {
+            let name = format!("req {} ({})", t.id, t.model);
+            assert_eq!(meta("thread_name", t.id), Some(name));
+            let spans: Vec<_> = (events.iter())
+                .filter(|e| e["ph"] == "X" && e["tid"] == json!(t.id))
+                .collect();
+            let want = [
+                ("queue", t.enqueued_ns, t.popped_ns),
+                ("batch", t.popped_ns, t.exec_start_ns),
+                ("execute", t.exec_start_ns, t.exec_end_ns),
+                ("respond", t.exec_end_ns, t.responded_ns),
+            ];
+            assert_eq!(spans.len(), want.len());
+            for (e, (name, start, end)) in spans.iter().zip(want) {
+                assert_eq!(e["name"], name);
+                assert_eq!(e["cat"], "request");
+                assert_eq!(e["pid"], json!(0));
+                assert_eq!(e["ts"].as_f64(), Some(start as f64 / 1e3));
+                assert_eq!(e["dur"].as_f64(), Some((end - start) as f64 / 1e3));
+                let args = &e["args"];
+                assert_eq!(args["id"], json!(t.id));
+                assert_eq!(args["model"], t.model.as_str());
+                assert_eq!(args["batch"], json!(t.batch));
+                assert_eq!(args["outcome"], t.outcome);
+            }
+        }
     }
 
     #[test]

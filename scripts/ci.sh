@@ -97,7 +97,7 @@ grep -q "peak memory:" target/ci-analyze.log
 # histograms and no steal-pool series (a server runs one executor, the
 # plan's standing pool, and starts no steal pool); the `trace` op's Chrome
 # trace is validated client-side (the CLI exits nonzero on a malformed
-# trace); and one frame of `ramiel top` must render from the same
+# trace) and must hold 4 × 4 request spans; and one frame of `ramiel top` must render from the same
 # endpoint. The server process must exit 0 on its own after the shutdown
 # op (drain, not kill), all under the same hard timeout so a wedged accept
 # loop or un-drained lane fails CI instead of hanging it.
@@ -162,8 +162,17 @@ if grep -q "ramiel_steal_" target/serve-metrics.txt; then
     echo "a server exports steal-pool series"
     exit 1
 fi
+# The trace must hold the four requests' four phases each; an empty
+# `traceEvents` validates too, so count the spans the client reports.
 timeout 60s target/debug/ramiel request --port "$SERVE_PORT" \
-    --op trace > target/serve-trace.json
+    --op trace > target/serve-trace.json 2> target/serve-trace.err
+SPANS=$(sed -n 's/^# valid Chrome trace: [0-9]* events, \([0-9]*\) spans$/\1/p' \
+    target/serve-trace.err)
+if [ -z "$SPANS" ] || [ "$SPANS" -lt 16 ]; then
+    echo "the trace dump holds ${SPANS:-no} complete spans, not the 16 of four requests"
+    cat target/serve-trace.err
+    exit 1
+fi
 timeout 60s target/debug/ramiel top --port "$SERVE_PORT" --frames 1
 timeout 60s target/debug/ramiel request --port "$SERVE_PORT" --op shutdown
 wait "$SERVE_PID"
