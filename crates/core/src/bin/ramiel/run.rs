@@ -134,6 +134,8 @@ fn chaos(
     a: &Args,
 ) -> Result<(), String> {
     use ramiel_runtime::{FaultInjector, FaultPlan, SupervisorConfig};
+    // Injected panics are caught and reported below as `RT-INJECT`.
+    ramiel_runtime::fault::quiet_injected_panics();
     let plan = FaultPlan::random(seed, c.graph.num_nodes(), inputs.len(), a.chaos_faults);
     println!("chaos plan (seed {seed}):");
     for fault in &plan.faults {
@@ -148,7 +150,6 @@ fn chaos(
         .supervisor(SupervisorConfig {
             max_retries: a.max_retries,
             fallback: a.fallback,
-            ..Default::default()
         });
     opts.injector = Some(FaultInjector::new(plan));
     let start = Instant::now();

@@ -50,7 +50,6 @@ pub fn main(model: &str, flags: &[String]) -> Result<(), String> {
         supervisor: ramiel_runtime::SupervisorConfig {
             max_retries: a.max_retries,
             fallback: true,
-            ..Default::default()
         },
         ..Default::default()
     }));

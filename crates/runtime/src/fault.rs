@@ -358,9 +358,11 @@ impl std::fmt::Debug for FaultInjector {
     }
 }
 
-/// Keep injected panics out of test output: they are the expected chaos.
-#[cfg(test)]
-pub(crate) fn quiet_injected_panics() {
+/// Keep injected panics off stderr: they are the expected chaos, caught
+/// and turned into `RT-INJECT` errors, yet the default panic hook would
+/// still print each one. Other panics reach the previous hook. Installed
+/// once per process, however often it is called.
+pub fn quiet_injected_panics() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         let prev = std::panic::take_hook();

@@ -4,9 +4,9 @@
 //!
 //! [`HyperPool`] keeps the workers alive across jobs, each job shipping an
 //! [`Arc`]'d schedule ([`PlannedBatch`]) so consecutive jobs can run at
-//! different batch sizes (whatever the serving micro-batcher collected
-//! before its delay budget ran out) without respawning threads or
-//! recomputing routing tables. Batch 1 is a hyperclustering of width 1.
+//! different batch sizes (whatever queued at a serving lane while its
+//! previous batch ran) without respawning threads or recomputing routing
+//! tables. Batch 1 is a hyperclustering of width 1.
 //! The per-run placement the generated Python mirrors — threads spawned for
 //! one inference and joined at its end — is the same pool built, used for
 //! one job and dropped ([`crate::run`] with [`crate::Engine::Channels`]).
@@ -42,9 +42,9 @@
 //! immediately instead of waiting out the recv timeout; the collector then
 //! reports the *root cause* (kernel error, panic, injected fault, timeout)
 //! rather than a peer's secondary teardown error. The pool stays
-//! serviceable for the next job — which is what lets the serving layer
-//! retry a poisoned batch (or degrade it to per-request sequential
-//! execution) without tearing the server down. Fault injection
+//! serviceable for the next job — which is what lets the supervisor
+//! ([`crate::supervisor::supervise`]) retry a failed batch on it, or run
+//! its requests alone, without tearing the server down. Fault injection
 //! ([`crate::fault`]) and the recv timeout come from [`RunOptions`].
 //!
 //! ## Profiling

@@ -18,8 +18,9 @@
 //! - [`run`] — the one-shot entry point: pick an [`Engine`] in
 //!   [`RunOptions`], get outputs, a [`RunReport`] and (with `profile`) a
 //!   [`ProfileDb`]; the channel engine is a [`HyperPool`] spawned for the
-//!   run and joined at its end. [`supervisor`] is the retry / backoff /
-//!   sequential-fallback policy `run` applies when asked to.
+//!   run and joined at its end. [`supervisor`] holds the one retry /
+//!   backoff / per-sample sequential-fallback loop, which `run` and
+//!   `ramiel-serve`'s lanes both call.
 //!
 //! Around them:
 //!

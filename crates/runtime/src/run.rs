@@ -12,7 +12,7 @@
 //! - [`Engine::Sequential`] ignores the schedule and walks each batch
 //!   element on the calling thread (the supervisor's fallback).
 
-use crate::exec::run_sequential_batch;
+use crate::exec::{run_sequential_batch, run_sequential_opts};
 use crate::fault::FaultInjector;
 use crate::hyperpool::{HyperPool, PlannedBatch};
 use crate::profile::ProfileDb;
@@ -180,12 +180,14 @@ impl<'a> From<&'a HyperClustering> for Schedule<'a> {
 /// (attempts made, the errors that ended them, the faults that fired).
 #[derive(Debug)]
 pub struct Run {
-    /// One output environment per input environment, or the root-cause
-    /// error of the last attempt.
+    /// One output environment per input environment, or the error of the
+    /// first sample that failed (the last attempt's root cause when there
+    /// was no fallback).
     pub outputs: Result<Vec<Env>>,
     pub report: RunReport,
-    /// Present when [`RunOptions::profile`] was set, the run succeeded and
-    /// the engine that produced the outputs records one.
+    /// Present when [`RunOptions::profile`] was set, an attempt at the whole
+    /// batch succeeded and its engine records one (the fallback records
+    /// none).
     pub profile: Option<ProfileDb>,
 }
 
@@ -203,10 +205,11 @@ impl Run {
 }
 
 /// Execute `schedule` over `inputs` (one env per batch element) on
-/// [`RunOptions::engine`]. With [`RunOptions::supervisor`] set, retryable
-/// failures are retried with backoff and finally re-executed sequentially;
-/// one initializer table (the caller's, or converted here) is shared by
-/// every attempt and the fallback.
+/// [`RunOptions::engine`] under [`crate::supervisor::supervise`]: with
+/// [`RunOptions::supervisor`] set, its retry and per-sample sequential
+/// fallback apply; unset, it is one attempt. One initializer table (the
+/// caller's, or converted here) is shared by every attempt and the
+/// fallback.
 pub fn run<'a>(
     graph: &Graph,
     schedule: impl Into<Schedule<'a>>,
@@ -221,11 +224,9 @@ pub fn run<'a>(
         Schedule::Hyper(hc) => Cow::Borrowed(hc),
     };
     let mut opts = opts.clone();
-    // Unsupervised is the same code path with one attempt and no fallback.
     let cfg = opts.supervisor.take().unwrap_or(SupervisorConfig {
         max_retries: 0,
         fallback: false,
-        ..SupervisorConfig::default()
     });
     if opts.init_values.is_none() {
         // One conversion for every attempt, batch element and the fallback.
@@ -233,24 +234,45 @@ pub fn run<'a>(
         // same error with run context attached.
         opts.init_values = crate::initializer_values(graph).ok();
     }
-    supervise(&opts, &cfg, |engine| match engine {
-        Engine::Sequential => run_sequential_batch(graph, inputs, ctx, &opts, opts.profile),
-        Engine::Channels => {
-            let plan = Arc::new(PlannedBatch::new(graph, hc.as_ref().clone())?);
-            let mut pool = HyperPool::with_options(graph, plan.num_workers(), ctx, &opts)?;
-            pool.submit(&plan, &Arc::new(inputs.to_vec()), opts.profile)
-        }
-        Engine::Stealing => {
-            let init = match &opts.init_values {
-                Some(init) => Arc::clone(init),
-                None => crate::initializer_values(graph)?,
+    let mut profile = None;
+    let (results, mut report) = supervise(
+        inputs.len(),
+        &cfg,
+        &opts.obs,
+        || {
+            let (outs, db) = match opts.engine {
+                Engine::Sequential => {
+                    run_sequential_batch(graph, inputs, ctx, &opts, opts.profile)?
+                }
+                Engine::Channels => {
+                    let plan = Arc::new(PlannedBatch::new(graph, hc.as_ref().clone())?);
+                    let mut pool = HyperPool::with_options(graph, plan.num_workers(), ctx, &opts)?;
+                    pool.submit(&plan, &Arc::new(inputs.to_vec()), opts.profile)?
+                }
+                Engine::Stealing => {
+                    let init = match &opts.init_values {
+                        Some(init) => Arc::clone(init),
+                        None => crate::initializer_values(graph)?,
+                    };
+                    let prog = Arc::new(GraphProgram::new(graph)?);
+                    let plan = Arc::new(StealPlan::with_program(&prog, init, &hc)?);
+                    let outs = StealPool::global().run_plan(&plan, inputs, ctx, &opts)?;
+                    (outs, None)
+                }
             };
-            let prog = Arc::new(GraphProgram::new(graph)?);
-            let plan = Arc::new(StealPlan::with_program(&prog, init, &hc)?);
-            let outs = StealPool::global().run_plan(&plan, inputs, ctx, &opts)?;
-            Ok((outs, None))
-        }
-    })
+            profile = db;
+            Ok(outs)
+        },
+        |i| run_sequential_opts(graph, &inputs[i], ctx, &opts),
+    );
+    if let Some(inj) = &opts.injector {
+        report.faults_fired = inj.fired();
+    }
+    Run {
+        outputs: results.into_iter().collect(),
+        report,
+        profile,
+    }
 }
 
 #[cfg(test)]

@@ -35,11 +35,12 @@
 //!        ▼                                                          │
 //!   drop dead-on-arrival (deadline passed in queue)                 │
 //!        ▼                                                          │
-//!   run batch on HyperPool ──retry (retryable, ≤N)──┐               │
-//!        │                                          │               │
-//!        ├── ok: scatter per-sample outputs ────────┼───────────────┘
-//!        └── still failing: per-request sequential
-//!            fallback (isolates a poisoned sample) ─┘
+//!   supervise(batch on HyperPool, one request on the sequential     │
+//!             executor): retry retryable failures (≤ max_retries);  │
+//!             with fallback, after that or after a deterministic    │
+//!             failure of a batch of 2+, re-run each request alone   │
+//!        ▼                                                          │
+//!   scatter one result per request ─────────────────────────────────┘
 //! ```
 //!
 //! Draining: shutdown flips `draining` *under the queue lock* (so
@@ -53,9 +54,9 @@ use crate::stats::LaneMetrics;
 use crate::trace::{RequestTrace, TraceRing};
 use crossbeam::channel::Sender;
 use ramiel_obs::Metrics;
+use ramiel_runtime::supervisor::supervise;
 use ramiel_runtime::{run_sequential_opts, Env, HyperPool, RunOptions, RuntimeError};
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -398,8 +399,8 @@ fn fail_all(
 }
 
 /// Execute one gathered batch: deadline-filter, rebuild the pool if a hot
-/// swap raced this batch, run with supervised retries, degrade to
-/// per-request sequential execution if the batch stays poisoned, scatter
+/// swap raced this batch, run it under
+/// [`ramiel_runtime::supervisor::supervise`], scatter the per-request
 /// results.
 fn execute_batch(sh: &LaneShared, pool: &mut LanePool, batch: Vec<Request>) {
     // Dead-on-arrival filter: reject expired work *before* spending any
@@ -451,66 +452,32 @@ fn execute_batch(sh: &LaneShared, pool: &mut LanePool, batch: Vec<Request>) {
     };
     let inputs: Arc<Vec<Env>> = Arc::new(live.iter().map(|r| r.inputs.clone()).collect());
 
-    // Supervised execution on the standing pool: retry transient-shaped
-    // failures with bounded backoff (the pool survives failed jobs). The
-    // execution window charged to each request spans the whole retry loop
-    // (backoff sleeps included) — that is the latency callers actually saw.
-    let sup = &sh.cfg.supervisor;
-    let mut attempt = 0u32;
+    // The standing pool survives failed jobs, so the supervisor retries
+    // the batch on it and, when it gives up, re-runs each request alone on
+    // the sequential executor. Every request is charged the whole
+    // supervised window, retries, backoff and fallback included: that is
+    // the latency callers actually saw.
     let exec_start = exec_start.unwrap_or_else(Instant::now);
     let workers = pool.pool.as_mut().expect("hyper pool synced above");
-    let result: Result<Vec<Env>, RuntimeError> = loop {
-        match workers.run_batch(&sched, &inputs) {
-            Ok(outs) => break Ok(outs),
-            Err(e) => {
-                if !e.is_retryable() || attempt >= sup.max_retries {
-                    break Err(e);
-                }
-                sh.metrics.retries.inc();
-                std::thread::sleep(sup.backoff(attempt));
-                attempt += 1;
-            }
-        }
-    };
-
+    let opts = sh.run_opts();
+    let (results, report) = supervise(
+        n,
+        &sh.cfg.supervisor,
+        &opts.obs,
+        || workers.run_batch(&sched, &inputs),
+        |i| {
+            let opts = opts.clone().init_values(Arc::clone(plan.named_weights()));
+            run_sequential_opts(&plan.graph, &inputs[i], &plan.ctx, &opts)
+        },
+    );
     let exec_end = Instant::now();
-
-    match result {
-        Ok(outs) => {
-            for (r, out) in live.into_iter().zip(outs) {
-                sh.observe_done(&r, "completed", n, exec_start, exec_end);
-                let _ = r.resp.send(Ok(out));
-            }
-        }
-        Err(_) if sup.fallback => {
-            // Degrade, don't die: re-run each sample alone on the reference
-            // sequential executor. A poisoned sample fails alone; its
-            // batch-mates still get answers.
-            sh.metrics.fallbacks.inc();
-            let run_opts = sh.run_opts().init_values(Arc::clone(plan.named_weights()));
-            for r in live {
-                let solo_start = Instant::now();
-                let res = catch_unwind(AssertUnwindSafe(|| {
-                    run_sequential_opts(&plan.graph, &r.inputs, &plan.ctx, &run_opts)
-                }))
-                .unwrap_or_else(|payload| {
-                    Err(ramiel_runtime::fault::panic_to_error(None, payload))
-                });
-                let solo_end = Instant::now();
-                match res {
-                    Ok(out) => {
-                        sh.observe_done(&r, "completed", 1, solo_start, solo_end);
-                        let _ = r.resp.send(Ok(out));
-                    }
-                    Err(e) => {
-                        sh.observe_done(&r, "failed", 1, solo_start, solo_end);
-                        let _ = r.resp.send(Err(ServeError::Runtime(e)));
-                    }
-                }
-            }
-        }
-        Err(e) => {
-            fail_all(sh, live, &ServeError::Runtime(e), exec_start, exec_end);
-        }
+    sh.metrics.retries.add(u64::from(report.attempts - 1));
+    if report.fell_back {
+        sh.metrics.fallbacks.inc();
+    }
+    for (r, res) in live.into_iter().zip(results) {
+        let outcome = if res.is_ok() { "completed" } else { "failed" };
+        sh.observe_done(&r, outcome, n, exec_start, exec_end);
+        let _ = r.resp.send(res.map_err(ServeError::Runtime));
     }
 }

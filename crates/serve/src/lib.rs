@@ -20,8 +20,9 @@
 //!   to per-request one-shot channels.
 //! - [`server`] — the in-process [`Server`] API: admission control
 //!   (bounded queues, shed-vs-backpressure policy, per-request deadlines),
-//!   supervised execution (retry → per-request sequential fallback, so a
-//!   poisoned batch degrades instead of killing the server), and graceful
+//!   supervised execution (the runtime's one retry → per-request
+//!   sequential fallback loop, so a poisoned batch degrades instead of
+//!   killing the server), and graceful
 //!   drain-on-shutdown.
 //! - [`tcp`] — newline-delimited JSON over `std::net` TCP, the transport
 //!   behind `ramiel serve <model.onnx> --port N`.

@@ -41,7 +41,7 @@ pub(crate) struct LaneMetrics {
     pub shed_queue_full: CounterHandle,
     pub shed_deadline: CounterHandle,
     pub rejected_shutdown: CounterHandle,
-    /// Batch retries on the standing pool.
+    /// Batch retries on the standing pool (a supervised run's attempts − 1).
     pub retries: CounterHandle,
     /// Batches that degraded to per-request sequential execution.
     pub fallbacks: CounterHandle,

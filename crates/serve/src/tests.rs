@@ -1,8 +1,8 @@
 use crate::plan::PlanSpec;
 use crate::server::{OverflowPolicy, ServeConfig, ServeError, Server};
 use ramiel_models::{build, synthetic, ModelConfig, ModelKind};
-use ramiel_runtime::{run_sequential, synth_inputs};
-use ramiel_tensor::ExecCtx;
+use ramiel_runtime::{run_sequential, synth_inputs, Env, RuntimeError};
+use ramiel_tensor::{ExecCtx, Value};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -676,6 +676,68 @@ fn queued_burst_still_coalesces_to_max_batch() {
         "{:?}",
         snap.batch_histogram
     );
+}
+
+// ---- failure routing ---------------------------------------------------------
+
+/// `g`'s synthetic inputs with the image cut to 2 channels: SqueezeNet's
+/// first convolution refuses it, a deterministic `RT-KERNEL`.
+fn two_channel_inputs(g: &ramiel_ir::Graph, seed: u64) -> Env {
+    let mut inputs = synth_inputs(g, seed);
+    let image = inputs.values_mut().next().expect("one image input");
+    let mut shape = image.shape().to_vec();
+    shape[1] = 2;
+    *image = Value::random_f32(shape, seed);
+    inputs
+}
+
+/// A deterministic failure at batch 1 is the request's own: it is neither
+/// retried nor re-run on the sequential executor, and comes back as the
+/// pool reported it, cluster included.
+#[test]
+fn batch_1_deterministic_failures_come_back_as_the_pool_reported_them() {
+    let g = build(ModelKind::Squeezenet, &ModelConfig::tiny());
+    let server = Server::new(small_cfg());
+    server.load("sq", PlanSpec::new(g.clone())).unwrap();
+    let err = server.infer("sq", two_channel_inputs(&g, 0)).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ServeError::Runtime(RuntimeError::Kernel {
+                cluster: Some(_),
+                ..
+            })
+        ),
+        "{err}"
+    );
+    let err = server.infer("sq", Env::new()).unwrap_err();
+    assert_eq!(err.code(), "RT-SETUP", "{err}");
+    let s = server.stats();
+    assert_eq!((s.failed, s.retries, s.fallbacks), (2, 0, 0));
+}
+
+/// A poisoned request coalesced with a good one fails alone: the batch's
+/// deterministic failure is re-run per request, once, without a retry.
+#[test]
+fn a_poisoned_request_fails_alone_in_its_batch() {
+    let g = build(ModelKind::Squeezenet, &ModelConfig::tiny());
+    let server = server_with_first_run_stalled(small_cfg(), 300);
+    server.load("sq", PlanSpec::new(g.clone())).unwrap();
+    // The first request runs alone and stalls; the pair queues behind it.
+    let first = server.submit("sq", synth_inputs(&g, 0)).unwrap();
+    while server.stats().batches == 0 {
+        std::thread::yield_now();
+    }
+    let poisoned = server.submit("sq", two_channel_inputs(&g, 1)).unwrap();
+    let good_inputs = synth_inputs(&g, 2);
+    let good = server.submit("sq", good_inputs.clone()).unwrap();
+    first.wait().unwrap();
+    let err = poisoned.wait().unwrap_err();
+    assert_eq!(err.code(), "RT-KERNEL", "{err}");
+    let seq = run_sequential(&g, &good_inputs, &ExecCtx::sequential()).unwrap();
+    assert_eq!(good.wait().unwrap(), seq);
+    let s = server.stats();
+    assert_eq!((s.batches, s.retries, s.fallbacks), (2, 0, 1));
 }
 
 // ---- lane lifecycle ----------------------------------------------------------

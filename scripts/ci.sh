@@ -177,6 +177,29 @@ timeout 60s target/debug/ramiel top --port "$SERVE_PORT" --frames 1
 timeout 60s target/debug/ramiel request --port "$SERVE_PORT" --op shutdown
 wait "$SERVE_PID"
 
+# Supervised chaos smoke: seed 20's fault plan fails the first attempt and
+# the one retry retryably, so the run falls back to the sequential executor
+# and must still match it. (Seed 17 drops a message, so each attempt would
+# wait out the 30 s recv timeout.) Seed 4's plan panics a worker in each
+# attempt and in the fallback, so that run fails with RT-INJECT; the
+# injected panics are caught, and none may reach stderr as `panicked at`.
+echo "==> ramiel run --chaos-seed smoke (retry, fallback, quiet panics)"
+timeout 60s target/debug/ramiel run squeezenet --tiny --chaos-seed 20 \
+    --chaos-faults 4 --max-retries 1 --fallback \
+    > target/ci-chaos.log 2> target/ci-chaos.err
+grep -q "^attempts: *2$" target/ci-chaos.log
+grep -q "^fell back: *true$" target/ci-chaos.log
+grep -qF "(matches sequential)" target/ci-chaos.log
+if timeout 60s target/debug/ramiel run squeezenet --tiny --chaos-seed 4 \
+    --chaos-faults 4 --max-retries 1 --fallback \
+    > /dev/null 2>> target/ci-chaos.err; then
+    echo "seed 4's panicking fallback did not fail the run"; exit 1
+fi
+grep -q "RT-INJECT" target/ci-chaos.err
+if grep -q "panicked at" target/ci-chaos.err; then
+    echo "an injected panic reached stderr"; cat target/ci-chaos.err; exit 1
+fi
+
 # ONNX ingestion gates. Import smoke: the checked-in golden fixtures must
 # import through the full validate/verify pipeline (`ramiel check` compiles
 # and statically verifies the schedule), the deliberately clipped fixture

@@ -12,6 +12,7 @@ use proptest::prelude::*;
 use ramiel_cluster::{cluster_graph, Clustering, StaticCost};
 use ramiel_ir::Graph;
 use ramiel_models::synthetic;
+use ramiel_runtime::fault::quiet_injected_panics;
 use ramiel_runtime::{
     run, run_sequential, run_sequential_opts, synth_inputs, Engine, Env, FaultInjector, FaultKind,
     FaultPlan, Run, RunOptions, RunReport, RuntimeError, SupervisorConfig,
@@ -34,26 +35,6 @@ fn supervised(
         outputs, report, ..
     } = run(g, clustering, from_ref(inputs), &ctx, &opts.supervisor(cfg));
     (outputs.map(|mut outs| outs.remove(0)), report)
-}
-
-/// Suppress backtrace spam from *expected* injected panics (they are caught
-/// and converted to errors; the default hook would still print them).
-fn quiet_injected_panics() {
-    use std::sync::Once;
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info
-                .payload()
-                .downcast_ref::<ramiel_runtime::fault::InjectedPanic>()
-                .is_some()
-            {
-                return;
-            }
-            prev(info);
-        }));
-    });
 }
 
 fn one_fault(node: usize, exec_index: u32, kind: FaultKind) -> Arc<FaultInjector> {
@@ -110,9 +91,7 @@ proptest! {
         let inj = FaultInjector::new(plan);
         let cfg = SupervisorConfig {
             max_retries: 2,
-            backoff_base: Duration::from_millis(1),
             fallback: true,
-            ..Default::default()
         };
         // Short enough that dropped messages resolve quickly, long enough
         // that injected delays (≤ ~30ms) never false-positive.
@@ -159,9 +138,7 @@ proptest! {
             .recv_timeout(Duration::from_secs(2));
         let cfg = SupervisorConfig {
             max_retries: 2,
-            backoff_base: Duration::from_millis(1),
             fallback: true,
-            ..Default::default()
         };
         let (res, report) = supervised(&g, &clustering, &inputs, opts, cfg);
         prop_assert!(report.attempts >= 1);
@@ -311,9 +288,7 @@ fn golden_supervised_retry_then_success() {
     let expect = run_sequential(&g, &inputs, &ctx).unwrap();
     let cfg = SupervisorConfig {
         max_retries: 2,
-        backoff_base: Duration::from_millis(1),
         fallback: false,
-        ..Default::default()
     };
     let opts = RunOptions::with_injector(one_fault(0, 0, FaultKind::KernelError))
         .recv_timeout(Duration::from_secs(5));
@@ -342,9 +317,7 @@ fn golden_stealing_supervised_retry_then_success() {
         .recv_timeout(Duration::from_secs(5));
     let cfg = SupervisorConfig {
         max_retries: 2,
-        backoff_base: Duration::from_millis(1),
         fallback: false,
-        ..Default::default()
     };
     let (res, report) = supervised(&g, &clustering, &inputs, opts, cfg);
     assert_eq!(res.unwrap(), expect);
@@ -370,9 +343,7 @@ fn golden_stealing_fallback_isolates_the_failure() {
         .recv_timeout(Duration::from_secs(5));
     let cfg = SupervisorConfig {
         max_retries: 0,
-        backoff_base: Duration::from_millis(1),
         fallback: true,
-        ..Default::default()
     };
     let (res, report) = supervised(&g, &clustering, &inputs, opts, cfg);
     assert_eq!(res.unwrap(), expect);

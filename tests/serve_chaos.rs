@@ -9,31 +9,12 @@
 //! server keeps serving correct results.
 
 use ramiel_models::{build, ModelConfig, ModelKind};
+use ramiel_runtime::fault::quiet_injected_panics;
 use ramiel_runtime::{run_sequential, synth_inputs, FaultInjector, FaultPlan, SupervisorConfig};
 use ramiel_serve::{PlanSpec, ServeConfig, ServeError, Server};
 use ramiel_tensor::ExecCtx;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Suppress backtrace spam from *expected* injected panics (they are caught
-/// by the pool workers / fallback path; the default hook would still print).
-fn quiet_injected_panics() {
-    use std::sync::Once;
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info
-                .payload()
-                .downcast_ref::<ramiel_runtime::fault::InjectedPanic>()
-                .is_some()
-            {
-                return;
-            }
-            prev(info);
-        }));
-    });
-}
 
 fn chaos_server(g: &ramiel_ir::Graph, fseed: u64, nfaults: usize) -> Server {
     let plan = FaultPlan::random(fseed, g.num_nodes(), 1, nfaults);
@@ -42,9 +23,7 @@ fn chaos_server(g: &ramiel_ir::Graph, fseed: u64, nfaults: usize) -> Server {
         injector: Some(FaultInjector::new(plan)),
         supervisor: SupervisorConfig {
             max_retries: 2,
-            backoff_base: Duration::from_millis(1),
             fallback: true,
-            ..Default::default()
         },
         // Bounded: a dropped cross-cluster message must surface RT-TIMEOUT
         // quickly instead of stalling the lane.
