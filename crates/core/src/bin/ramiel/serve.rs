@@ -17,9 +17,7 @@
 //! sequentially on the standing workers: `serve` starts no intra-op pool.
 
 use crate::model::{builtin_kind, not_loadable, summarize, ModelArgs};
-use ramiel_serve::{
-    run_tcp_with_registry, OverflowPolicy, PlanSpec, Pulled, ServeConfig, Server, Source,
-};
+use ramiel_serve::{run_tcp, OverflowPolicy, PlanSpec, Pulled, ServeConfig, Server, Source};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -118,7 +116,7 @@ pub fn main(model: &str, flags: &[String]) -> Result<(), String> {
     );
     let listener = std::net::TcpListener::bind(("127.0.0.1", a.port))
         .map_err(|e| format!("bind 127.0.0.1:{}: {e}", a.port))?;
-    run_tcp_with_registry(&server, model, listener, Some(registry)).map_err(|e| e.to_string())?;
+    run_tcp(&server, model, listener, registry).map_err(|e| e.to_string())?;
     let s = server.stats();
     println!(
         "served {} requests in {} batches (mean batch {:.2}, {} shed, {} failed)",

@@ -156,8 +156,7 @@ impl From<ramiel_ir::IrError> for CompileError {
 /// A [`ScheduledModel`] paired with its runtime initializer table, built
 /// exactly once. Every executor invocation on the same prepared model
 /// shares the converted weights (a refcount bump per run instead of a deep
-/// copy) — the shape `ramiel run`, `ramiel profile` and the serving layer's
-/// plan cache all want.
+/// copy) — the shape `ramiel run` and `ramiel profile` want.
 pub struct PreparedModel {
     pub scheduled: ScheduledModel,
     /// Shared pre-converted weights (see

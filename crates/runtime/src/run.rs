@@ -209,7 +209,8 @@ impl Run {
 /// [`RunOptions::supervisor`] set, its retry and per-sample sequential
 /// fallback apply; unset, it is one attempt. One initializer table (the
 /// caller's, or converted here) is shared by every attempt and the
-/// fallback.
+/// fallback. `inputs` must hold one env per batch element of `schedule`:
+/// any other count is `RT-SETUP` on every engine, before any attempt.
 pub fn run<'a>(
     graph: &Graph,
     schedule: impl Into<Schedule<'a>>,
@@ -223,6 +224,22 @@ pub fn run<'a>(
         Schedule::Clusters(c) => Cow::Owned(ramiel_cluster::hypercluster(c, 1)),
         Schedule::Hyper(hc) => Cow::Borrowed(hc),
     };
+    if inputs.len() != hc.batch {
+        let e = RuntimeError::Setup(format!(
+            "schedule has batch {} but {} input envs were given",
+            hc.batch,
+            inputs.len()
+        ));
+        let report = RunReport {
+            errors: vec![e.clone()],
+            ..RunReport::default()
+        };
+        return Run {
+            outputs: Err(e),
+            report,
+            profile: None,
+        };
+    }
     let mut opts = opts.clone();
     let cfg = opts.supervisor.take().unwrap_or(SupervisorConfig {
         max_retries: 0,
@@ -558,6 +575,40 @@ mod tests {
         .outputs
         .unwrap_err();
         assert_eq!(err.code(), "RT-SETUP");
+    }
+
+    /// A miscounted batch is refused before the supervisor sees it, so its
+    /// sequential fallback cannot paper over it: a batch-2 schedule over 3
+    /// inputs and a batch-1 schedule over 2, on every engine.
+    #[test]
+    fn miscounted_inputs_are_setup_errors_even_with_fallback() {
+        let g = synthetic::chain(3);
+        let clustering = cluster_graph(&g, &StaticCost);
+        let hc = ramiel_cluster::hypercluster(&clustering, 2);
+        let inputs: Vec<Env> = (0..3).map(|b| synth_inputs(&g, b)).collect();
+        let cases: [(Schedule, &[Env], &str); 2] = [
+            ((&hc).into(), &inputs, "batch 2 but 3 input envs"),
+            (
+                (&clustering).into(),
+                &inputs[..2],
+                "batch 1 but 2 input envs",
+            ),
+        ];
+        for engine in [Engine::Sequential, Engine::Channels, Engine::Stealing] {
+            let opts = RunOptions::default()
+                .engine(engine)
+                .supervisor(SupervisorConfig {
+                    max_retries: 1,
+                    fallback: true,
+                });
+            for (schedule, inputs, want) in cases {
+                let r = run(&g, schedule, inputs, &ExecCtx::sequential(), &opts);
+                let err = r.outputs.unwrap_err();
+                assert_eq!(err.code(), "RT-SETUP", "{engine:?}: {err}");
+                assert!(err.to_string().contains(want), "{engine:?}: {err}");
+                assert!(!r.report.fell_back, "{engine:?}");
+            }
+        }
     }
 
     /// Find a node whose output crosses clusters (so dropping its message

@@ -57,7 +57,7 @@ use ramiel_obs::Metrics;
 use ramiel_runtime::supervisor::supervise;
 use ramiel_runtime::{run_sequential_opts, Env, HyperPool, RunOptions, RuntimeError};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -89,10 +89,13 @@ pub(crate) struct LaneShared {
     /// Swapped on hot reload; [`Lane::swap_plan`] wakes the collector,
     /// which rebuilds its pool for the new version.
     plan: parking_lot::Mutex<Arc<CompiledPlan>>,
+    /// The server's recency tick of the last load or admitted submission;
+    /// the model table retires the lane with the oldest.
+    pub last_used: AtomicU64,
     /// The server's config (`max_batch` and `queue_capacity` at least 1).
     cfg: ServeConfig,
-    /// Server-wide trace ring shared by every lane (`None` = disabled).
-    trace: Option<Arc<TraceRing>>,
+    /// Server-wide trace ring shared by every lane.
+    trace: Arc<TraceRing>,
     /// Timebase for trace-ring nanosecond offsets.
     epoch: Instant,
     /// The lane's model name (stable across hot reloads — lanes are keyed
@@ -117,7 +120,7 @@ impl Lane {
     pub fn spawn(
         plan: Arc<CompiledPlan>,
         cfg: ServeConfig,
-        trace: Option<Arc<TraceRing>>,
+        trace: Arc<TraceRing>,
         epoch: Instant,
         registry: &Metrics,
     ) -> Lane {
@@ -129,6 +132,7 @@ impl Lane {
             space: Condvar::new(),
             draining: AtomicBool::new(false),
             plan: parking_lot::Mutex::new(plan),
+            last_used: AtomicU64::new(0),
             cfg,
             trace,
             epoch,
@@ -191,6 +195,11 @@ impl Drop for Lane {
 }
 
 impl LaneShared {
+    /// The plan the lane serves now.
+    pub fn plan(&self) -> Arc<CompiledPlan> {
+        Arc::clone(&self.plan.lock())
+    }
+
     /// What every execution on this lane runs with: pool workers at build
     /// time (which index the plan's weight table) and the sequential
     /// fallback per batch (which looks weights up by name).
@@ -251,8 +260,8 @@ impl LaneShared {
 
     /// Record everything about an answered request in one place: the four
     /// phase histograms (queue-wait, batch-wait, execute, respond), the
-    /// end-to-end latency, the per-model outcome counter, and — when
-    /// tracing is on — one [`RequestTrace`] ring entry.
+    /// end-to-end latency, the per-model outcome counter, and one
+    /// [`RequestTrace`] ring entry.
     ///
     /// `exec_start..exec_end` is the batch's execution window (equal
     /// instants for requests that never executed). Phase deltas use
@@ -290,20 +299,18 @@ impl LaneShared {
             _ => {}
         }
 
-        if let Some(ring) = &self.trace {
-            let ns = |i: Instant| i.saturating_duration_since(self.epoch).as_nanos() as u64;
-            ring.push(RequestTrace {
-                id: r.id,
-                model: self.model.clone(),
-                batch,
-                outcome,
-                enqueued_ns: ns(r.enqueued),
-                popped_ns: ns(popped),
-                exec_start_ns: ns(exec_start),
-                exec_end_ns: ns(exec_end),
-                responded_ns: ns(responded),
-            });
-        }
+        let ns = |i: Instant| i.saturating_duration_since(self.epoch).as_nanos() as u64;
+        self.trace.push(RequestTrace {
+            id: r.id,
+            model: self.model.clone(),
+            batch,
+            outcome,
+            enqueued_ns: ns(r.enqueued),
+            popped_ns: ns(popped),
+            exec_start_ns: ns(exec_start),
+            exec_end_ns: ns(exec_end),
+            responded_ns: ns(responded),
+        });
     }
 }
 
@@ -349,7 +356,7 @@ fn collector(sh: Arc<LaneShared>) {
     loop {
         // Off the request path: at spawn, and when a swap woke us. A failed
         // build is retried — and reported — by the next batch.
-        let _ = pool.sync(&sh, &Arc::clone(&sh.plan.lock()));
+        let _ = pool.sync(&sh, &sh.plan());
         let batch: Vec<Request> = {
             // Idle: block for the first request of the next batch, and take
             // whatever queued up behind it.
@@ -422,7 +429,7 @@ fn execute_batch(sh: &LaneShared, pool: &mut LanePool, batch: Vec<Request>) {
         return;
     }
 
-    let plan = Arc::clone(&sh.plan.lock());
+    let plan = sh.plan();
     // Hot reload boundary. The idle collector already rebuilt for every
     // swap it was woken for; only a swap that raced this batch leaves work
     // here. That rebuild is execution set-up, not waiting for batch-mates:

@@ -5,13 +5,15 @@
 //! communication slack) into a *throughput* feature instead of a
 //! compile-time constant.
 //!
-//! - [`plan`] — model registry + plan cache: a model is compiled once
-//!   (the paper's schedule stage folded to the host's cores, hypercluster
-//!   schedules per batch size, packed-weight cache, shared initializer
-//!   table) into an `Arc<CompiledPlan>` shared by every request,
-//!   LRU-bounded, versioned for hot reload. [`Server::load_onnx`] takes
-//!   ONNX bytes (a registry pull or a file) to an
-//!   installed plan; [`Server::load`] installs a graph the caller holds.
+//! - [`plan`] — compiled plans: a model is compiled once (the paper's
+//!   schedule stage folded to the host's cores, hypercluster schedules per
+//!   batch size, packed-weight cache, shared initializer table) into an
+//!   `Arc<CompiledPlan>` shared by every request. The server's one model
+//!   table maps each name to its lane, which holds the plan; a (re)load
+//!   gets a fresh version, and a load past `plan_capacity` retires the
+//!   least recently used model. [`Server::load_onnx`] takes ONNX bytes (a
+//!   registry pull or a file) to an installed plan; [`Server::load`]
+//!   installs a graph the caller holds.
 //! - [`batcher`] — per-model dynamic micro-batcher: a bounded submission
 //!   queue drained by a collector thread that coalesces whatever is
 //!   queued, up to `max_batch` requests, into one
@@ -45,9 +47,9 @@ pub mod trace;
 #[cfg(test)]
 mod tests;
 
-pub use plan::{CompiledPlan, PlanCache, PlanSpec};
+pub use plan::{CompiledPlan, PlanSpec};
 pub use registry::{Fetched, ManifestEntry, Pulled, Registry, RegistryError};
 pub use server::{OverflowPolicy, ServeConfig, ServeError, Server, Source, Ticket};
 pub use stats::{BatchBucket, LoadSummary, StatsSnapshot};
-pub use tcp::{run_tcp, run_tcp_with_registry};
+pub use tcp::run_tcp;
 pub use trace::{RequestTrace, TraceRing};

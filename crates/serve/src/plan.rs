@@ -1,4 +1,4 @@
-//! Model registry and plan cache.
+//! Compiled plans.
 //!
 //! A load pays every per-model cost exactly once — the paper's schedule
 //! stage with its clustering folded to at most one cluster per core (see
@@ -8,8 +8,8 @@
 //! table (whose buffers are the graph's own payloads, moved, not copied,
 //! and indexed by the slot program's weight operands),
 //! and a per-plan [`ExecCtx`] whose packed-weight cache persists across
-//! requests — and shares the result as an [`Arc<CompiledPlan>`]. The cache
-//! is LRU-bounded ([`PlanCache::new`]) and every (re)load gets a fresh
+//! requests — and shares the result as an [`Arc<CompiledPlan>`]. The
+//! server's model table hands it to the model's lane with a fresh,
 //! monotonically increasing `version`, which is how lanes detect hot
 //! reloads: a collector thread compares its pool's version against the
 //! plan's and rebuilds workers when they diverge.
@@ -25,7 +25,6 @@ use ramiel_ir::Graph;
 use ramiel_runtime::{GraphProgram, PlannedBatch};
 use ramiel_tensor::{ExecCtx, Value};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -102,8 +101,8 @@ impl Layout {
 /// A fully compiled, execution-ready model plan, shared by every request.
 pub struct CompiledPlan {
     pub name: String,
-    /// Monotonic across the owning [`PlanCache`]; bumped on every reload
-    /// of the same name (hot reload).
+    /// Minted by the owning [`crate::Server`]'s model table, monotonic
+    /// across it; bumped on every reload of the same name (hot reload).
     pub version: u64,
     /// The graph the plan was compiled from, minus its weights: `load`
     /// moves every initializer payload into [`weights`](Self::weights),
@@ -156,8 +155,8 @@ impl std::fmt::Debug for CompiledPlan {
 }
 
 impl CompiledPlan {
-    /// Compile `spec` over its `layout`, with batch 1 planned. The cache
-    /// sets the version when it takes the plan in.
+    /// Compile `spec` over its `layout`, with batch 1 planned. The model
+    /// table sets the version when it takes the plan in.
     pub(crate) fn build(
         name: &str,
         spec: PlanSpec,
@@ -261,73 +260,5 @@ fn hyper_schedule(clustering: &Clustering, switched: bool, batch: usize) -> Hype
         switched_hypercluster(clustering, batch)
     } else {
         hypercluster(clustering, batch)
-    }
-}
-
-/// LRU-bounded registry of compiled plans, keyed by model name.
-pub struct PlanCache {
-    capacity: usize,
-    /// Most-recently-used first.
-    inner: Mutex<Vec<Arc<CompiledPlan>>>,
-    next_version: AtomicU64,
-}
-
-impl PlanCache {
-    /// `capacity` is clamped to at least 1.
-    pub fn new(capacity: usize) -> PlanCache {
-        PlanCache {
-            capacity: capacity.max(1),
-            inner: Mutex::new(Vec::new()),
-            next_version: AtomicU64::new(1),
-        }
-    }
-
-    /// Insert `plan` under its name with the next version. Reloading an
-    /// existing name replaces the plan; inserting past capacity evicts the
-    /// least-recently-used plans. Returns the inserted plan and whatever
-    /// was evicted (so the server can drain those lanes).
-    pub fn insert(&self, mut plan: CompiledPlan) -> (Arc<CompiledPlan>, Vec<Arc<CompiledPlan>>) {
-        plan.version = self.next_version.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(plan);
-        let mut inner = self.inner.lock();
-        inner.retain(|p| p.name != plan.name);
-        inner.insert(0, Arc::clone(&plan));
-        let mut evicted = Vec::new();
-        while inner.len() > self.capacity {
-            evicted.push(inner.pop().expect("len > capacity >= 1"));
-        }
-        (plan, evicted)
-    }
-
-    /// Fetch by name, marking the plan most-recently-used.
-    pub fn get(&self, name: &str) -> Option<Arc<CompiledPlan>> {
-        let mut inner = self.inner.lock();
-        let idx = inner.iter().position(|p| p.name == name)?;
-        let plan = inner.remove(idx);
-        inner.insert(0, Arc::clone(&plan));
-        Some(plan)
-    }
-
-    /// Loaded model names, most-recently-used first.
-    pub fn names(&self) -> Vec<String> {
-        self.inner.lock().iter().map(|p| p.name.clone()).collect()
-    }
-
-    /// `(name, version)` for every loaded plan, most-recently-used first —
-    /// the observable a hot-swap verifier polls for the version bump.
-    pub fn versions(&self) -> Vec<(String, u64)> {
-        self.inner
-            .lock()
-            .iter()
-            .map(|p| (p.name.clone(), p.version))
-            .collect()
-    }
-
-    pub fn len(&self) -> usize {
-        self.inner.lock().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
     }
 }

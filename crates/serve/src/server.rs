@@ -4,15 +4,15 @@
 //! executor: every lane runs its batches on the plan's standing
 //! [`ramiel_runtime::HyperPool`], and a server starts no other pool.
 
-use crate::batcher::{Lane, Request};
-use crate::plan::{CompiledPlan, Layout, PlanCache, PlanSpec};
+use crate::batcher::{Lane, LaneShared, Request};
+use crate::plan::{CompiledPlan, Layout, PlanSpec};
 use crate::registry::{self, Pulled, Registry, RegistryError};
 use crate::stats::{AdmissionMetrics, LoadSummary, StatsSnapshot};
 use crate::trace::TraceRing;
 use crossbeam::channel::{unbounded, Receiver};
 use ramiel_ir::Graph;
 use ramiel_obs::metrics::{CounterHandle, HistHandle};
-use ramiel_obs::{chrome, Metrics, Obs};
+use ramiel_obs::Metrics;
 use ramiel_onnx::OnnxError;
 use ramiel_runtime::{Env, FaultInjector, RuntimeError, SupervisorConfig};
 use std::collections::HashMap;
@@ -32,8 +32,8 @@ pub enum OverflowPolicy {
 }
 
 /// Serving policy knobs. Every lane of a server runs with the server's
-/// copy, whose `max_batch` and `queue_capacity` [`Server::new`] raised to
-/// at least 1.
+/// copy, whose `max_batch`, `queue_capacity` and `plan_capacity`
+/// [`Server::new`] raised to at least 1.
 #[derive(Clone)]
 pub struct ServeConfig {
     /// Most requests one hypercluster execution may coalesce: the
@@ -42,7 +42,8 @@ pub struct ServeConfig {
     /// Bound on each model's submission queue.
     pub queue_capacity: usize,
     pub policy: OverflowPolicy,
-    /// LRU bound on concurrently loaded plans.
+    /// Bound on loaded models: a load past it retires the least recently
+    /// used model's lane.
     pub plan_capacity: usize,
     /// Retry/backoff/fallback policy for batch execution.
     pub supervisor: SupervisorConfig,
@@ -51,10 +52,10 @@ pub struct ServeConfig {
     pub recv_timeout: Option<Duration>,
     /// Fault injection shared by every lane (chaos tests).
     pub injector: Option<Arc<FaultInjector>>,
-    /// Bound on the in-memory per-request trace ring (`0` disables
-    /// tracing; the TCP `trace` verb then returns an empty trace).
-    pub trace_capacity: usize,
 }
+
+/// Entries the per-request trace ring keeps: the most recent requests.
+const TRACE_CAPACITY: usize = 4096;
 
 impl Default for ServeConfig {
     fn default() -> Self {
@@ -68,7 +69,6 @@ impl Default for ServeConfig {
             supervisor: SupervisorConfig::default(),
             recv_timeout: None,
             injector: None,
-            trace_capacity: 4096,
         }
     }
 }
@@ -172,9 +172,10 @@ impl Ticket {
 
 /// Handles into the metric registry for the load path, resolved once per
 /// server: where a load spends its time (`ramiel_load_phase_ns`), how the
-/// registry answered (`ramiel_registry_pulls_total`) and how often the plan
-/// cache evicted (`ramiel_plan_evictions_total`). [`Server::load_onnx`]
-/// records every phase from fetch on; [`Server::load`] starts at compile.
+/// registry answered (`ramiel_registry_pulls_total`) and how often the
+/// model table retired a model (`ramiel_plan_evictions_total`).
+/// [`Server::load_onnx`] records every phase from fetch on; [`Server::load`]
+/// starts at compile.
 struct LoadMetrics {
     fetch: HistHandle,
     hash: HistHandle,
@@ -216,7 +217,7 @@ impl LoadMetrics {
             pull_checksum_refused: pulls("checksum_refused"),
             evictions: m.counter(
                 "ramiel_plan_evictions_total",
-                "plans evicted from the LRU plan cache",
+                "models retired from the model table, least recently used first",
                 &[],
             ),
         }
@@ -254,13 +255,29 @@ pub enum Source<'a> {
     File(&'a str),
 }
 
+/// The model table: each loaded name's lane, which holds its plan. A
+/// load changes it under its lock, minting the plan's version there, so
+/// the version order is the order the lanes took their plans in.
+struct ModelTable {
+    lanes: HashMap<String, Lane>,
+    /// The version the next installed plan gets.
+    next_version: u64,
+}
+
 /// Multi-model inference server. Thread-safe: share it behind an `Arc` and
 /// call [`submit`](Self::submit)/[`infer`](Self::infer) from any number of
 /// client threads.
+///
+/// Recency: a load or an admitted submission makes a model the most
+/// recently used; a lookup ([`plan`](Self::plan), [`models`](Self::models),
+/// [`stats`](Self::stats)) does not. A load past `plan_capacity` retires
+/// the least recently used model.
 pub struct Server {
     cfg: ServeConfig,
-    cache: PlanCache,
-    lanes: parking_lot::Mutex<HashMap<String, Lane>>,
+    models: parking_lot::Mutex<ModelTable>,
+    /// Recency clock: [`touch`](Self::touch) stamps a lane with its next
+    /// tick.
+    clock: AtomicU64,
     /// Evicted lanes, told to drain but not yet joined: `load` never waits
     /// for a drain. Reaped once their collector has exited (next `load`);
     /// `shutdown` moves every lane here and joins it.
@@ -272,7 +289,7 @@ pub struct Server {
     admission: AdmissionMetrics,
     shutting_down: AtomicBool,
     /// Bounded per-request trace ring, shared by all lanes.
-    trace: Option<Arc<TraceRing>>,
+    trace: Arc<TraceRing>,
     /// Timebase for trace offsets and rate windows.
     epoch: Instant,
     /// RequestId mint: ids are unique per server, starting at 1.
@@ -283,23 +300,21 @@ impl Server {
     pub fn new(mut cfg: ServeConfig) -> Server {
         cfg.max_batch = cfg.max_batch.max(1);
         cfg.queue_capacity = cfg.queue_capacity.max(1);
-        let cache = PlanCache::new(cfg.plan_capacity);
-        let trace = if cfg.trace_capacity > 0 {
-            Some(Arc::new(TraceRing::new(cfg.trace_capacity)))
-        } else {
-            None
-        };
+        cfg.plan_capacity = cfg.plan_capacity.max(1);
         let metrics = Metrics::enabled();
         Server {
             load_metrics: LoadMetrics::new(&metrics),
             admission: AdmissionMetrics::new(&metrics),
             metrics,
             cfg,
-            cache,
-            lanes: parking_lot::Mutex::new(HashMap::new()),
+            models: parking_lot::Mutex::new(ModelTable {
+                lanes: HashMap::new(),
+                next_version: 1,
+            }),
+            clock: AtomicU64::new(1),
             retired: parking_lot::Mutex::new(Vec::new()),
             shutting_down: AtomicBool::new(false),
-            trace,
+            trace: Arc::new(TraceRing::new(TRACE_CAPACITY)),
             epoch: Instant::now(),
             next_id: AtomicU64::new(1),
         }
@@ -307,8 +322,8 @@ impl Server {
 
     /// Compile `spec` under `name` and start (or hot-reload) its lane.
     /// Reloading an existing name swaps the plan and wakes the lane to
-    /// rebuild its workers; loading past the plan-cache capacity retires
-    /// the least-recently-used model's lane. Either way the new lane's
+    /// rebuild its workers; loading past `plan_capacity` retires the least
+    /// recently used model's lane. Either way the new lane's
     /// workers are being built when this returns, and nothing here waits
     /// for a retired lane: it answers what it had admitted and exits on
     /// its own, and a later load (or `shutdown`) collects it.
@@ -403,8 +418,10 @@ impl Server {
         self.admission.conn_spawn_failed.inc();
     }
 
-    /// Build the plan and swap it in. `laid_out` is the compile-phase time
-    /// already spent on `layout`.
+    /// Build the plan, then, under the table lock, give it its version
+    /// and swap it into its lane (or spawn one) and retire the least
+    /// recently used lanes past `plan_capacity`. `laid_out` is the
+    /// compile-phase time already spent on `layout`.
     fn install(
         &self,
         name: &str,
@@ -412,41 +429,49 @@ impl Server {
         layout: Layout,
         laid_out: Duration,
     ) -> Result<Arc<CompiledPlan>, ServeError> {
-        if self.shutting_down.load(Ordering::SeqCst) {
-            return Err(ServeError::ShuttingDown);
-        }
         let start = Instant::now();
-        let plan = CompiledPlan::build(name, spec, layout)?;
-        let (plan, evicted) = self.cache.insert(plan);
+        let mut plan = CompiledPlan::build(name, spec, layout)?;
         self.load_metrics
             .compile
             .record_duration(laid_out + start.elapsed());
-        self.load_metrics.evictions.add(evicted.len() as u64);
         let start = Instant::now();
         let mut retiring: Vec<Lane> = Vec::new();
-        {
-            let mut lanes = self.lanes.lock();
-            for old in &evicted {
-                if let Some(lane) = lanes.remove(&old.name) {
-                    retiring.push(lane);
-                }
+        let plan = {
+            let mut table = self.models.lock();
+            // Under the lock `shutdown` drains the table with: no lane is
+            // spawned after it.
+            if self.shutting_down.load(Ordering::SeqCst) {
+                return Err(ServeError::ShuttingDown);
             }
-            match lanes.get(name) {
+            plan.version = table.next_version;
+            table.next_version += 1;
+            let plan = Arc::new(plan);
+            match table.lanes.get(name) {
                 Some(lane) => lane.swap_plan(Arc::clone(&plan)),
                 None => {
-                    lanes.insert(
-                        name.to_string(),
-                        Lane::spawn(
-                            Arc::clone(&plan),
-                            self.cfg.clone(),
-                            self.trace.clone(),
-                            self.epoch,
-                            &self.metrics,
-                        ),
+                    let trace = Arc::clone(&self.trace);
+                    let lane = Lane::spawn(
+                        Arc::clone(&plan),
+                        self.cfg.clone(),
+                        trace,
+                        self.epoch,
+                        &self.metrics,
                     );
+                    table.lanes.insert(name.to_string(), lane);
                 }
             }
-        }
+            self.touch(&table.lanes[name].shared);
+            while table.lanes.len() > self.cfg.plan_capacity {
+                let oldest = (table.lanes.iter())
+                    .filter(|(n, _)| *n != name)
+                    .min_by_key(|(_, l)| l.shared.last_used.load(Ordering::Relaxed))
+                    .map(|(n, _)| n.clone())
+                    .expect("more lanes than plan_capacity >= 1");
+                retiring.extend(table.lanes.remove(&oldest));
+            }
+            plan
+        };
+        self.load_metrics.evictions.add(retiring.len() as u64);
         for lane in &retiring {
             lane.begin_drain();
         }
@@ -462,20 +487,34 @@ impl Server {
         Ok(plan)
     }
 
-    /// The compiled plan for `name`, if loaded (marks it recently used).
-    pub fn plan(&self, name: &str) -> Option<Arc<CompiledPlan>> {
-        self.cache.get(name)
+    /// Make `lane`'s model the most recently used.
+    fn touch(&self, lane: &LaneShared) {
+        let tick = self.clock.fetch_add(1, Ordering::Relaxed);
+        lane.last_used.fetch_max(tick, Ordering::Relaxed);
     }
 
-    /// Loaded model names, most-recently-used first.
+    /// The compiled plan `name` serves now, if loaded.
+    pub fn plan(&self, name: &str) -> Option<Arc<CompiledPlan>> {
+        self.models.lock().lanes.get(name).map(|l| l.shared.plan())
+    }
+
+    /// Loaded model names, most recently used first.
     pub fn models(&self) -> Vec<String> {
-        self.cache.names()
+        let table = self.models.lock();
+        let mut lanes: Vec<_> = table.lanes.iter().collect();
+        lanes.sort_by_key(|(_, l)| std::cmp::Reverse(l.shared.last_used.load(Ordering::Relaxed)));
+        lanes.into_iter().map(|(name, _)| name.clone()).collect()
     }
 
     /// Plan version per loaded model — bumped by every (re)load, so a
     /// client can verify a hot swap took effect via the `stats` verb.
     pub fn model_versions(&self) -> std::collections::BTreeMap<String, u64> {
-        self.cache.versions().into_iter().collect()
+        let table = self.models.lock();
+        let versions = table
+            .lanes
+            .iter()
+            .map(|(n, l)| (n.clone(), l.shared.plan().version));
+        versions.collect()
     }
 
     /// Submit one inference without a deadline.
@@ -491,33 +530,43 @@ impl Server {
         inputs: Env,
         deadline: Option<Instant>,
     ) -> Result<Ticket, ServeError> {
+        self.admit(model, deadline, |_| Ok(inputs))
+    }
+
+    /// Admission for one request to `model`, which is looked up once:
+    /// refused after shutdown or past `deadline`, else its inputs are built
+    /// from the plan the lane serves and queued, which makes the model the
+    /// most recently used.
+    pub(crate) fn admit(
+        &self,
+        model: &str,
+        deadline: Option<Instant>,
+        inputs: impl FnOnce(&CompiledPlan) -> Result<Env, ServeError>,
+    ) -> Result<Ticket, ServeError> {
         if self.shutting_down.load(Ordering::SeqCst) {
             self.admission.shutdown.inc();
             return Err(ServeError::ShuttingDown);
         }
-        let now = Instant::now();
-        if deadline.is_some_and(|d| d < now) {
+        if deadline.is_some_and(|d| d < Instant::now()) {
             self.admission.deadline.inc();
             return Err(ServeError::DeadlineExceeded { stage: "admission" });
         }
         // Clone the lane's shared state out so admission (which may block
-        // under the backpressure policy) never holds the lane map lock.
-        let shared = {
-            let lanes = self.lanes.lock();
-            match lanes.get(model) {
-                Some(lane) => Arc::clone(&lane.shared),
-                None => return Err(ServeError::UnknownModel(model.to_string())),
-            }
-        };
+        // under the backpressure policy) never holds the table lock.
+        let lane = (self.models.lock().lanes.get(model))
+            .map(|l| Arc::clone(&l.shared))
+            .ok_or_else(|| ServeError::UnknownModel(model.to_string()))?;
+        let inputs = inputs(&lane.plan())?;
         let (tx, rx) = unbounded();
-        shared.enqueue(Request {
+        lane.enqueue(Request {
             id: self.next_id.fetch_add(1, Ordering::Relaxed),
             inputs,
             deadline,
-            enqueued: now,
+            enqueued: Instant::now(),
             popped: None,
             resp: tx,
         })?;
+        self.touch(&lane);
         Ok(Ticket { rx })
     }
 
@@ -539,10 +588,7 @@ impl Server {
     /// Lane collector threads alive: serving, or retired and still draining.
     /// A collector exits only after its pool's workers joined.
     fn live_lanes(&self) -> u64 {
-        let serving = self
-            .lanes
-            .lock()
-            .values()
+        let serving = (self.models.lock().lanes.values())
             .filter(|l| !l.is_finished())
             .count();
         let retired = self
@@ -576,18 +622,15 @@ impl Server {
         out
     }
 
-    /// The bounded per-request trace ring, if tracing is enabled.
-    pub fn trace_ring(&self) -> Option<&Arc<TraceRing>> {
-        self.trace.as_ref()
+    /// The bounded per-request trace ring.
+    pub fn trace_ring(&self) -> &TraceRing {
+        &self.trace
     }
 
-    /// Chrome trace JSON of the most recent requests (no events when
-    /// tracing is disabled or nothing has been served yet).
+    /// Chrome trace JSON of the most recent requests (no events before
+    /// anything has been served).
     pub fn trace_chrome(&self) -> serde_json::Value {
-        match &self.trace {
-            Some(ring) => ring.to_chrome_trace(),
-            None => chrome::export_value(&Obs::disabled()),
-        }
+        self.trace.to_chrome_trace()
     }
 
     /// Graceful drain: reject new submissions, execute everything already
@@ -598,7 +641,7 @@ impl Server {
     pub fn shutdown(&self) {
         self.shutting_down.store(true, Ordering::SeqCst);
         let mut retired = self.retired.lock();
-        retired.extend(self.lanes.lock().drain().map(|(_, lane)| lane));
+        retired.extend(self.models.lock().lanes.drain().map(|(_, lane)| lane));
         // All drain concurrently; then wait for each.
         for lane in retired.iter() {
             lane.begin_drain();

@@ -21,9 +21,9 @@
 //! the response carries the new plan `version` and the content digest),
 //! `shutdown` (graceful drain, then the accept loop exits).
 //!
-//! When the server runs with a registry ([`run_tcp_with_registry`]), an
-//! `infer`/`infer_synth` naming an unknown model whose name parses as a
-//! model reference (a path or URL) is *autoloaded* on first request.
+//! An `infer`/`infer_synth` looks its model up once; one naming an unknown
+//! model whose name parses as a model reference (a path or URL) is
+//! *autoloaded* through the registry on first request.
 //!
 //! Response: `{"id":1,"ok":true,...}` with `outputs` / `stats` on success,
 //! `error` + `code` (SV-*/RT-*) on failure. `model` is optional everywhere
@@ -33,8 +33,9 @@
 //! answered with `SV-LIMIT` and its connection closed, so no client can
 //! make a connection thread buffer an unbounded line.
 
-use crate::registry::Registry;
-use crate::server::{ServeError, Server, Source};
+use crate::plan::CompiledPlan;
+use crate::registry::{Pulled, Registry};
+use crate::server::{ServeError, Server, Source, Ticket};
 use ramiel_ir::TensorData;
 use ramiel_runtime::Env;
 use ramiel_tensor::Value;
@@ -120,22 +121,12 @@ impl WireResponse {
 /// Serve `server` on `listener` until a client sends `{"op":"shutdown"}`.
 /// Prints `listening on ADDR` so callers binding port 0 can discover the
 /// port. Blocks the calling thread; connections each get their own.
+/// `registry` is where the `load` op and autoload pull models through.
 pub fn run_tcp(
     server: &Arc<Server>,
     default_model: &str,
     listener: TcpListener,
-) -> std::io::Result<()> {
-    run_tcp_with_registry(server, default_model, listener, None)
-}
-
-/// [`run_tcp`] with an attached model registry: enables the `load` op and
-/// autoload-on-first-request for unknown model names that parse as model
-/// references.
-pub fn run_tcp_with_registry(
-    server: &Arc<Server>,
-    default_model: &str,
-    listener: TcpListener,
-    registry: Option<Arc<Registry>>,
+    registry: Arc<Registry>,
 ) -> std::io::Result<()> {
     accept_loop(server, default_model, listener, registry, |conn| {
         std::thread::Builder::new()
@@ -148,14 +139,14 @@ pub fn run_tcp_with_registry(
 /// A connection's whole life, handed to the spawner as one job.
 type ConnJob = Box<dyn FnOnce() + Send>;
 
-/// The accept loop behind [`run_tcp_with_registry`], with the thread spawn
-/// as a parameter so a test can make it fail. A connection whose job cannot
-/// be spawned is dropped (closing its socket) and counted; the loop goes on.
+/// The accept loop behind [`run_tcp`], with the thread spawn as a
+/// parameter so a test can make it fail. A connection whose job cannot be
+/// spawned is dropped (closing its socket) and counted; the loop goes on.
 fn accept_loop(
     server: &Arc<Server>,
     default_model: &str,
     listener: TcpListener,
-    registry: Option<Arc<Registry>>,
+    registry: Arc<Registry>,
     spawn: impl Fn(ConnJob) -> std::io::Result<()>,
 ) -> std::io::Result<()> {
     let addr = listener.local_addr()?;
@@ -172,15 +163,10 @@ fn accept_loop(
         let conn_server = Arc::clone(server);
         let model = default_model.to_string();
         let stop = Arc::clone(&stop);
-        let registry = registry.clone();
+        let registry = Arc::clone(&registry);
         let job: ConnJob = Box::new(move || {
-            let shutdown_requested = handle_conn(
-                &conn_server,
-                &model,
-                registry.as_deref(),
-                stream,
-                MAX_LINE_BYTES,
-            );
+            let shutdown_requested =
+                handle_conn(&conn_server, &model, &registry, stream, MAX_LINE_BYTES);
             if shutdown_requested {
                 conn_server.shutdown();
                 stop.store(true, Ordering::SeqCst);
@@ -200,7 +186,7 @@ fn accept_loop(
 fn handle_conn(
     server: &Server,
     default_model: &str,
-    registry: Option<&Registry>,
+    registry: &Registry,
     stream: TcpStream,
     max_line: usize,
 ) -> bool {
@@ -259,7 +245,7 @@ fn handle_conn(
 fn handle_request(
     server: &Server,
     default_model: &str,
-    registry: Option<&Registry>,
+    registry: &Registry,
     req: WireRequest,
 ) -> (WireResponse, bool) {
     let id = req.id.unwrap_or(0);
@@ -291,25 +277,16 @@ fn handle_request(
                     false,
                 );
             };
-            let Some(registry) = registry else {
-                return (
-                    WireResponse::err(
-                        id,
-                        &ServeError::Internal("server is running without a registry".into()),
-                    ),
-                    false,
-                );
-            };
             // The `model` name the plan is installed under defaults to the
             // lane the server was started with — a hot *swap*, not a new lane.
-            match load_from_registry(server, registry, model, source, req.sha256.as_deref(), id) {
-                Ok((version, digest)) => {
+            match load(server, registry, model, source, req.sha256.as_deref()) {
+                Ok((plan, pulled)) => {
                     let mut r = WireResponse::ok(id);
-                    r.version = Some(version);
-                    r.sha256 = Some(digest);
+                    r.version = Some(plan.version);
+                    r.sha256 = Some(pulled.map(|p| p.sha256).unwrap_or_default());
                     (r, false)
                 }
-                Err(resp) => (*resp, false),
+                Err(e) => (WireResponse::err(id, &e), false),
             }
         }
         "infer" => {
@@ -319,40 +296,15 @@ fn handle_request(
                     false,
                 );
             };
-            let mut env = Env::new();
-            for (name, td) in &wire_inputs {
-                match Value::from_tensor_data(td) {
-                    Ok(v) => {
-                        env.insert(name.clone(), v);
-                    }
-                    Err(e) => {
-                        return (
-                            WireResponse::err(
-                                id,
-                                &ServeError::Internal(format!("bad tensor `{name}`: {e}")),
-                            ),
-                            false,
-                        )
-                    }
-                }
-            }
-            if let Err(resp) = autoload(server, registry, model, id) {
-                return (*resp, false);
-            }
-            (run_infer(server, model, env, req.deadline_ms, id), false)
+            let decode = |_: &CompiledPlan| decode_inputs(&wire_inputs);
+            let ticket = submit(server, registry, model, req.deadline_ms, decode);
+            (respond(ticket, id), false)
         }
         "infer_synth" => {
-            if let Err(resp) = autoload(server, registry, model, id) {
-                return (*resp, false);
-            }
-            let Some(plan) = server.plan(model) else {
-                return (
-                    WireResponse::err(id, &ServeError::UnknownModel(model.to_string())),
-                    false,
-                );
-            };
-            let env = ramiel_runtime::synth_inputs(&plan.graph, req.seed.unwrap_or(0));
-            (run_infer(server, model, env, req.deadline_ms, id), false)
+            let seed = req.seed.unwrap_or(0);
+            let synth = |plan: &CompiledPlan| Ok(ramiel_runtime::synth_inputs(&plan.graph, seed));
+            let ticket = submit(server, registry, model, req.deadline_ms, synth);
+            (respond(ticket, id), false)
         }
         other => (
             WireResponse::err(id, &ServeError::Internal(format!("unknown op `{other}`"))),
@@ -362,63 +314,61 @@ fn handle_request(
 }
 
 /// Pull `source` through the registry (with an optional `pin`) and hot-swap
-/// it in as `name`. Returns the new plan's version and the content digest,
-/// or a ready-to-send error response carrying the failure's `RG-*`,
-/// `ONNX-*`, `SV-*` or `RT-*` code.
-fn load_from_registry(
+/// it in as `name`.
+fn load(
     server: &Server,
     registry: &Registry,
     name: &str,
-    source: &str,
+    reference: &str,
     pin: Option<&str>,
-    id: u64,
-) -> Result<(u64, String), Box<WireResponse>> {
+) -> Result<(Arc<CompiledPlan>, Option<Pulled>), ServeError> {
     let source = Source::Pull {
         registry,
-        reference: source,
+        reference,
         pin,
     };
-    match server.load_onnx(name, source, false) {
-        Ok((plan, pulled)) => Ok((plan.version, pulled.map(|p| p.sha256).unwrap_or_default())),
-        Err(e) => Err(Box::new(WireResponse::err(id, &e))),
-    }
+    server.load_onnx(name, source, false)
 }
 
-/// Autoload-on-first-request: if `model` isn't loaded but the server has a
-/// registry and the name parses as a model reference (a URL or an existing
-/// path), pull and load it before the request proceeds. Missing models whose
-/// names are *not* references fall through to the usual SV-MODEL error.
-fn autoload(
+/// Admit one request to `model`, its inputs built from the plan it is
+/// served by, with a deadline `deadline_ms` from admission. A miss on a
+/// name that parses as a model reference (a URL or an existing path)
+/// autoloads it through the registry and admits again; any other miss is
+/// the usual `SV-MODEL`.
+fn submit(
     server: &Server,
-    registry: Option<&Registry>,
+    registry: &Registry,
     model: &str,
-    id: u64,
-) -> Result<(), Box<WireResponse>> {
-    if server.plan(model).is_some() {
-        return Ok(());
-    }
-    let Some(registry) = registry else {
-        return Ok(());
-    };
-    let is_reference = model.contains("://") || std::path::Path::new(model).exists();
-    if !is_reference {
-        return Ok(());
-    }
-    load_from_registry(server, registry, model, model, None, id).map(|_| ())
-}
-
-fn run_infer(
-    server: &Server,
-    model: &str,
-    env: Env,
     deadline_ms: Option<u64>,
-    id: u64,
-) -> WireResponse {
-    let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    let result = server
-        .submit_with_deadline(model, env, deadline)
-        .and_then(|ticket| ticket.wait());
-    match result {
+    inputs: impl Fn(&CompiledPlan) -> Result<Env, ServeError>,
+) -> Result<Ticket, ServeError> {
+    let admit = || {
+        let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
+        server.admit(model, deadline, &inputs)
+    };
+    match admit() {
+        Err(ServeError::UnknownModel(_))
+            if model.contains("://") || std::path::Path::new(model).exists() =>
+        {
+            load(server, registry, model, model, None)?;
+            admit()
+        }
+        admitted => admitted,
+    }
+}
+
+/// The named input tensors of an `infer` request.
+fn decode_inputs(wire: &BTreeMap<String, TensorData>) -> Result<Env, ServeError> {
+    let decode = |(name, td): (&String, &TensorData)| match Value::from_tensor_data(td) {
+        Ok(v) => Ok((name.clone(), v)),
+        Err(e) => Err(ServeError::Internal(format!("bad tensor `{name}`: {e}"))),
+    };
+    wire.iter().map(decode).collect()
+}
+
+/// Wait for an admitted request and answer with its outputs.
+fn respond(ticket: Result<Ticket, ServeError>, id: u64) -> WireResponse {
+    match ticket.and_then(Ticket::wait) {
         Ok(outputs) => {
             let mut r = WireResponse::ok(id);
             r.outputs = Some(
@@ -439,6 +389,13 @@ mod tests {
     use crate::server::ServeConfig;
     use std::sync::atomic::AtomicUsize;
 
+    /// A registry under the temporary directory; these tests pull nothing,
+    /// so it is never created.
+    fn scratch_registry() -> Arc<Registry> {
+        let root = std::env::temp_dir().join(format!("ramiel-tcp-{}", std::process::id()));
+        Arc::new(Registry::new(root))
+    }
+
     /// A refused spawn (a full thread table) closes that one connection and
     /// counts it; the next connection is served and the listener lives on.
     #[test]
@@ -449,7 +406,7 @@ mod tests {
         let attempts = AtomicUsize::new(0);
         std::thread::scope(|s| {
             let accepting = s.spawn(|| {
-                accept_loop(&server, "m", listener, None, |job| {
+                accept_loop(&server, "m", listener, scratch_registry(), |job| {
                     if attempts.fetch_add(1, Ordering::SeqCst) == 0 {
                         return Err(std::io::Error::other("thread table full"));
                     }
@@ -486,6 +443,7 @@ mod tests {
     fn a_line_past_the_cap_is_refused_and_closes_its_connection() {
         const CAP: usize = 64;
         let server = Server::new(ServeConfig::default());
+        let registry = scratch_registry();
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let addr = listener.local_addr().unwrap();
         let ping = r#"{"id":1,"op":"ping"}"#;
@@ -496,7 +454,7 @@ mod tests {
                 .unwrap();
             let (conn, _) = listener.accept().unwrap();
             let (reply, closed, shutdown) = std::thread::scope(|s| {
-                let serving = s.spawn(|| handle_conn(&server, "m", None, conn, CAP));
+                let serving = s.spawn(|| handle_conn(&server, "m", &registry, conn, CAP));
                 // The ping, padded with spaces to `len` bytes, in one write.
                 let line = format!("{ping:<len$}\n");
                 client.write_all(line.as_bytes()).unwrap();

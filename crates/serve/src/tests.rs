@@ -1,4 +1,5 @@
 use crate::plan::PlanSpec;
+use crate::registry::Registry;
 use crate::server::{OverflowPolicy, ServeConfig, ServeError, Server};
 use ramiel_models::{build, synthetic, ModelConfig, ModelKind};
 use ramiel_runtime::{run_sequential, synth_inputs, Env, RuntimeError};
@@ -13,6 +14,25 @@ fn small_cfg() -> ServeConfig {
         max_batch: 4,
         ..ServeConfig::default()
     }
+}
+
+/// Serve `server` over loopback TCP with a registry under the temporary
+/// directory (these tests pull nothing, so it is never created).
+fn spawn_tcp(
+    server: &Arc<Server>,
+    default_model: &'static str,
+) -> (
+    std::net::SocketAddr,
+    std::thread::JoinHandle<std::io::Result<()>>,
+) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let root = std::env::temp_dir().join(format!("ramiel-serve-unit-{}", std::process::id()));
+    let registry = Arc::new(Registry::new(root));
+    let srv = Arc::clone(server);
+    let accept =
+        std::thread::spawn(move || crate::tcp::run_tcp(&srv, default_model, listener, registry));
+    (addr, accept)
 }
 
 #[test]
@@ -71,6 +91,61 @@ fn plan_cache_evicts_lru_and_drains_its_lane() {
     server
         .infer("b", synth_inputs(&synthetic::fork_join(2, 2, 1), 0))
         .unwrap();
+}
+
+/// A load or an admitted submission makes a model the most recent, and a
+/// lookup does not: in process, the model just served outlives one only
+/// loaded.
+#[test]
+fn admitted_submissions_keep_a_model_recent() {
+    let server = Server::new(ServeConfig {
+        plan_capacity: 2,
+        ..small_cfg()
+    });
+    let a = synthetic::chain(3);
+    server.load("a", PlanSpec::new(a.clone())).unwrap();
+    server
+        .load("b", PlanSpec::new(synthetic::fork_join(2, 2, 1)))
+        .unwrap();
+    for seed in 0..3 {
+        server.infer("a", synth_inputs(&a, seed)).unwrap();
+    }
+    // Lookups leave recency alone.
+    assert!(server.plan("b").is_some());
+    server
+        .load("c", PlanSpec::new(synthetic::chain(4)))
+        .unwrap();
+    assert_eq!(server.models(), ["c", "a"]);
+}
+
+/// Concurrent reloads of one name leave one answer: the plan `plan`
+/// reports, its version in `model_versions`, and the graph `infer` runs
+/// are the same one after every round.
+#[test]
+fn concurrent_reloads_agree_on_the_served_plan() {
+    let graphs = [synthetic::chain(3), synthetic::chain(4)];
+    let server = Server::new(small_cfg());
+    let ctx = ExecCtx::sequential();
+    let start = std::sync::Barrier::new(4);
+    for round in 0..300 {
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (server, start, g) = (&server, &start, &graphs[(round + t) % 2]);
+                s.spawn(move || {
+                    start.wait();
+                    server.load("m", PlanSpec::new(g.clone())).unwrap()
+                });
+            }
+        });
+        let plan = server.plan("m").unwrap();
+        assert_eq!(server.model_versions()["m"], plan.version, "round {round}");
+        let g = (graphs.iter())
+            .find(|g| g.num_nodes() == plan.graph.num_nodes())
+            .unwrap();
+        let inputs = synth_inputs(g, round as u64);
+        let want = run_sequential(g, &inputs, &ctx).unwrap();
+        assert_eq!(server.infer("m", inputs).unwrap(), want, "round {round}");
+    }
 }
 
 #[test]
@@ -158,10 +233,7 @@ fn tcp_round_trip_ping_infer_stats_shutdown() {
     let g = synthetic::fork_join(2, 2, 2);
     let server = Arc::new(Server::new(small_cfg()));
     server.load("fj", PlanSpec::new(g.clone())).unwrap();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let srv = Arc::clone(&server);
-    let accept = std::thread::spawn(move || crate::tcp::run_tcp(&srv, "fj", listener));
+    let (addr, accept) = spawn_tcp(&server, "fj");
 
     let stream = TcpStream::connect(addr).unwrap();
     let mut writer = stream.try_clone().unwrap();
@@ -218,10 +290,7 @@ fn metrics_and_trace_verbs_over_tcp() {
     let g = synthetic::fork_join(2, 2, 2);
     let server = Arc::new(Server::new(small_cfg()));
     server.load("fj", PlanSpec::new(g.clone())).unwrap();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let srv = Arc::clone(&server);
-    let accept = std::thread::spawn(move || crate::tcp::run_tcp(&srv, "fj", listener));
+    let (addr, accept) = spawn_tcp(&server, "fj");
 
     let stream = TcpStream::connect(addr).unwrap();
     let mut writer = stream.try_clone().unwrap();
@@ -284,6 +353,9 @@ fn metrics_and_trace_verbs_over_tcp() {
 fn latency_histograms_and_window_reset() {
     let g = synthetic::fork_join(2, 2, 2);
     let server = Server::new(small_cfg());
+    // An idle server's trace is empty and valid.
+    let idle = server.trace_chrome().to_string();
+    ramiel_obs::validate_chrome_trace(&idle).expect("idle trace is valid");
     server.load("fj", PlanSpec::new(g.clone())).unwrap();
     for seed in 0..6u64 {
         server.infer("fj", synth_inputs(&g, seed)).unwrap();
@@ -315,7 +387,7 @@ fn latency_histograms_and_window_reset() {
     assert_eq!(next.peak_queue_depth, snap.peak_queue_depth);
 
     // The trace ring saw every answered request, newest retained.
-    let ring = server.trace_ring().expect("tracing on by default");
+    let ring = server.trace_ring();
     assert_eq!(ring.len(), 6);
     let chrome = server.trace_chrome().to_string();
     let stats = ramiel_obs::validate_chrome_trace(&chrome).expect("valid trace");
@@ -330,33 +402,13 @@ fn admitted_ids_are_unique_and_monotone() {
     for seed in 0..5u64 {
         server.infer("c", synth_inputs(&g, seed)).unwrap();
     }
-    let ring = server.trace_ring().unwrap();
+    let ring = server.trace_ring();
     let ids: Vec<u64> = ring.snapshot().iter().map(|t| t.id).collect();
     let mut sorted = ids.clone();
     sorted.sort_unstable();
     sorted.dedup();
     assert_eq!(sorted.len(), 5, "request ids must be unique: {ids:?}");
     assert!(ids.windows(2).all(|w| w[0] < w[1]), "not monotone: {ids:?}");
-}
-
-#[test]
-fn disabled_trace_still_serves() {
-    let g = synthetic::chain(3);
-    let server = Server::new(ServeConfig {
-        trace_capacity: 0,
-        ..small_cfg()
-    });
-    server.load("c", PlanSpec::new(g.clone())).unwrap();
-    server.infer("c", synth_inputs(&g, 1)).unwrap();
-    assert!(server.trace_ring().is_none());
-    // Metrics do not depend on the trace ring.
-    let text = server.metrics_text();
-    assert!(text.contains("ramiel_request_latency_ns"));
-    assert!(text.contains("ramiel_server_models"));
-    assert_eq!(server.stats().completed, 1);
-    // Chrome trace degrades to a valid empty trace.
-    let chrome = server.trace_chrome().to_string();
-    ramiel_obs::validate_chrome_trace(&chrome).expect("empty trace is valid");
 }
 
 // ---- `stats` is a view of the metric registry -------------------------------
@@ -477,10 +529,7 @@ fn untrusted_names_mint_no_series() {
     };
     let before = series(&server);
 
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let srv = Arc::clone(&server);
-    let accept = std::thread::spawn(move || crate::tcp::run_tcp(&srv, "c", listener));
+    let (addr, accept) = spawn_tcp(&server, "c");
     let stream = TcpStream::connect(addr).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
@@ -622,10 +671,7 @@ fn lone_request_after_a_coalesced_batch_runs_at_once() {
     }
     server.infer("c", synth_inputs(&g, 3)).unwrap();
 
-    let ring = server
-        .trace_ring()
-        .expect("tracing on by default")
-        .snapshot();
+    let ring = server.trace_ring().snapshot();
     let batches: Vec<usize> = {
         let mut by_id: Vec<_> = ring.iter().map(|t| (t.id, t.batch)).collect();
         by_id.sort();

@@ -151,6 +151,10 @@ timeout 60s target/debug/ramiel request --port "$SERVE_PORT" \
 timeout 60s target/debug/ramiel request --port "$SERVE_PORT" \
     --op stats > target/serve-stats.json
 grep -qF '"completed":4' target/serve-stats.json
+# The model table is what `stats` lists: one model, at its first version
+# (the benchmark counts evictions from the length of `models`).
+grep -qF '"models":["squeezenet"]' target/serve-stats.json
+grep -qF '"versions":{"squeezenet":1}' target/serve-stats.json
 timeout 60s target/debug/ramiel request --port "$SERVE_PORT" \
     --op metrics > target/serve-metrics.txt
 grep -qF 'ramiel_requests_total{model="squeezenet",outcome="completed"} 4' \

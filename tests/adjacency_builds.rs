@@ -9,7 +9,7 @@
 use ramiel_ir::graph::adjacency_builds;
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_onnx::export_model;
-use ramiel_serve::{run_tcp_with_registry, Registry, ServeConfig, Server, Source};
+use ramiel_serve::{run_tcp, Registry, ServeConfig, Server, Source};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -52,7 +52,7 @@ fn start_up_and_tcp_load_build_one_adjacency_per_model() {
     let registry = Arc::new(Registry::new(dir.join("cache")));
     let accepting = {
         let server = Arc::clone(&server);
-        std::thread::spawn(move || run_tcp_with_registry(&server, "", listener, Some(registry)))
+        std::thread::spawn(move || run_tcp(&server, "", listener, registry))
     };
     let stream = TcpStream::connect(addr).unwrap();
     let mut writer = stream.try_clone().unwrap();

@@ -23,7 +23,7 @@ use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_onnx::{export_model, import_model};
 use ramiel_runtime::{run_sequential, synth_inputs, PlannedBatch};
 use ramiel_serve::{
-    run_tcp_with_registry, sha256, CompiledPlan, PlanSpec, Registry, ServeConfig, Server, Source,
+    run_tcp, sha256, CompiledPlan, PlanSpec, Registry, ServeConfig, Server, Source,
 };
 use ramiel_tensor::ExecCtx;
 use std::io::{BufRead, BufReader, Write};
@@ -289,8 +289,7 @@ impl Harness {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let (srv, reg) = (Arc::clone(&server), Arc::new(registry.clone()));
-        let accept =
-            std::thread::spawn(move || run_tcp_with_registry(&srv, "base", listener, Some(reg)));
+        let accept = std::thread::spawn(move || run_tcp(&srv, "base", listener, reg));
         let stream = TcpStream::connect(addr).unwrap();
         Harness {
             server,

@@ -10,9 +10,7 @@ use ramiel::PipelineOptions;
 use ramiel_cluster::{bound_clusters, hypercluster, CostModel, StaticCost};
 use ramiel_models::{build, synthetic, ModelConfig, ModelKind};
 use ramiel_runtime::{run_sequential, synth_inputs, Env, HyperPool, PlannedBatch};
-use ramiel_serve::{
-    run_tcp_with_registry, OverflowPolicy, PlanSpec, Registry, ServeConfig, Server, Ticket,
-};
+use ramiel_serve::{run_tcp, OverflowPolicy, PlanSpec, Registry, ServeConfig, Server, Ticket};
 use ramiel_tensor::ExecCtx;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -189,8 +187,7 @@ fn hostile_models_are_refused_at_every_entry() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let srv = Arc::clone(&server);
-    let accept =
-        std::thread::spawn(move || run_tcp_with_registry(&srv, "base", listener, Some(registry)));
+    let accept = std::thread::spawn(move || run_tcp(&srv, "base", listener, registry));
     let stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
