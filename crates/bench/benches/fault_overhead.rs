@@ -10,7 +10,7 @@
 //! wrapper, zero faults, retries never triggered).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ramiel::{compile, PipelineOptions};
+use ramiel::{schedule, PipelineOptions};
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_runtime::{
     run, run_sequential, run_sequential_opts, synth_inputs, FaultInjector, FaultPlan, RunOptions,
@@ -23,7 +23,7 @@ use std::slice::from_ref;
 fn bench_sequential_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("fault_overhead_sequential");
     group.sample_size(20);
-    let compiled = compile(
+    let compiled = schedule(
         build(ModelKind::Squeezenet, &ModelConfig::full()),
         &PipelineOptions::default(),
     )
@@ -45,7 +45,7 @@ fn bench_sequential_overhead(c: &mut Criterion) {
 fn bench_parallel_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("fault_overhead_parallel");
     group.sample_size(20);
-    let compiled = compile(
+    let compiled = schedule(
         build(ModelKind::Squeezenet, &ModelConfig::full()),
         &PipelineOptions::default(),
     )

@@ -6,15 +6,15 @@
 //! path when batch > 1).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ramiel::{compile, PipelineOptions};
+use ramiel::{schedule, PipelineOptions};
 use ramiel_cluster::{hypercluster, switched_hypercluster};
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_runtime::{run, run_sequential, synth_inputs, Env, RunOptions};
 use ramiel_tensor::ExecCtx;
 use std::hint::black_box;
 
-fn squeezenet() -> ramiel::CompiledModel {
-    compile(
+fn squeezenet() -> ramiel::ScheduledModel {
+    schedule(
         build(ModelKind::Squeezenet, &ModelConfig::full()),
         &PipelineOptions::default(),
     )

@@ -11,7 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ramiel::obs::Obs;
-use ramiel::{compile, compile_with_obs, PipelineOptions};
+use ramiel::{schedule, PipelineOptions};
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_runtime::{run, synth_inputs, RunOptions};
 use ramiel_tensor::ExecCtx;
@@ -21,7 +21,7 @@ use std::slice::from_ref;
 fn bench_parallel_obs_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_overhead_parallel");
     group.sample_size(20);
-    let compiled = compile(
+    let compiled = schedule(
         build(ModelKind::Squeezenet, &ModelConfig::full()),
         &PipelineOptions::default(),
     )
@@ -80,18 +80,22 @@ fn bench_compile_obs_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_overhead_compile");
     group.sample_size(20);
     let g = build(ModelKind::Googlenet, &ModelConfig::full());
-    let opts = PipelineOptions::all_optimizations();
-    group.bench_function(BenchmarkId::from_parameter("baseline"), |b| {
-        b.iter(|| compile(black_box(g.clone()), &opts).expect("compile"));
-    });
-    let disabled = Obs::disabled();
+    // Schedule + emission, every stage recording into `opts.obs`. The
+    // default sink is the disabled one, so `disabled` is also the baseline.
+    let compile = |opts: &PipelineOptions| {
+        let s = schedule(black_box(g.clone()), opts).expect("compile");
+        s.emit(&opts.obs)
+    };
+    let disabled = PipelineOptions::all_optimizations();
     group.bench_function(BenchmarkId::from_parameter("disabled"), |b| {
-        b.iter(|| compile_with_obs(black_box(g.clone()), &opts, &disabled).expect("compile"));
+        b.iter(|| compile(&disabled));
     });
     group.bench_function(BenchmarkId::from_parameter("enabled"), |b| {
         b.iter(|| {
-            let obs = Obs::enabled();
-            compile_with_obs(black_box(g.clone()), &opts, &obs).expect("compile")
+            compile(&PipelineOptions {
+                obs: Obs::enabled(),
+                ..PipelineOptions::all_optimizations()
+            })
         });
     });
     group.finish();

@@ -8,7 +8,7 @@
 //! `tables` binary.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ramiel::{compile, PipelineOptions};
+use ramiel::{schedule, PipelineOptions};
 use ramiel_cluster::{hypercluster, StaticCost};
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_runtime::{
@@ -33,7 +33,7 @@ fn bench_sequential_execution(c: &mut Criterion) {
     let mut group = c.benchmark_group("table4_sequential");
     group.sample_size(10);
     for kind in MODELS {
-        let compiled = compile(
+        let compiled = schedule(
             build(kind, &ModelConfig::full()),
             &PipelineOptions::default(),
         )
@@ -55,7 +55,7 @@ fn bench_parallel_execution(c: &mut Criterion) {
     let mut group = c.benchmark_group("table4_parallel");
     group.sample_size(10);
     for kind in MODELS {
-        let compiled = compile(
+        let compiled = schedule(
             build(kind, &ModelConfig::full()),
             &PipelineOptions::default(),
         )
@@ -87,7 +87,7 @@ fn bench_intra_op(c: &mut Criterion) {
     // Table V: the intra-op knob (rayon pool size) on one conv-heavy model.
     let mut group = c.benchmark_group("table5_intra_op");
     group.sample_size(10);
-    let compiled = compile(
+    let compiled = schedule(
         build(ModelKind::InceptionV3, &ModelConfig::full()),
         &PipelineOptions::default(),
     )
@@ -108,7 +108,7 @@ fn bench_pruned_execution(c: &mut Criterion) {
     group.sample_size(10);
     for kind in [ModelKind::YoloV5, ModelKind::Bert] {
         for (label, prune) in [("lc", false), ("lc_dce", true)] {
-            let compiled = compile(
+            let compiled = schedule(
                 build(kind, &ModelConfig::full()),
                 &PipelineOptions {
                     prune,
@@ -140,7 +140,7 @@ fn bench_simulator(c: &mut Criterion) {
     // The simulator itself must stay cheap — it is run inside every table.
     let mut group = c.benchmark_group("simulator");
     for kind in [ModelKind::Squeezenet, ModelKind::NasNet] {
-        let compiled = compile(
+        let compiled = schedule(
             build(kind, &ModelConfig::full()),
             &PipelineOptions::default(),
         )
@@ -167,7 +167,7 @@ fn bench_simulator(c: &mut Criterion) {
 fn bench_pool_vs_spawn(c: &mut Criterion) {
     // serving-shape ablation: a standing batch-1 HyperPool (the paper's
     // long-lived processes) vs the same pool spawned per inference
-    let compiled = compile(
+    let compiled = schedule(
         build(ModelKind::Squeezenet, &ModelConfig::full()),
         &PipelineOptions::default(),
     )

@@ -213,12 +213,12 @@ fn memory() {
 /// Figs. 5/8/9: dump SqueezeNet's clusters and hyperclusters — as DOT files
 /// (colored by cluster) plus a textual structure summary.
 fn shapes() {
-    use ramiel::{compile, PipelineOptions};
+    use ramiel::{schedule, PipelineOptions};
     use ramiel_cluster::{hypercluster, switched_hypercluster};
     use ramiel_models::{build, ModelConfig, ModelKind};
 
     println!("== Figs. 5/8/9 — SqueezeNet cluster & hypercluster shapes ==");
-    let c = compile(
+    let c = schedule(
         build(ModelKind::Squeezenet, &ModelConfig::full()),
         &PipelineOptions::default(),
     )

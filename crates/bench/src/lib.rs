@@ -11,8 +11,9 @@
 //!   simulator under the paper's static cost model (bit-for-bit
 //!   reproducible anywhere).
 
+use ramiel::obs::Obs;
 use ramiel::verify::{estimate_memory, ExecPolicy, ScheduleView};
-use ramiel::{compile, CompiledModel, PipelineOptions};
+use ramiel::{schedule, PipelineOptions, ScheduledModel};
 use ramiel_cluster::{hypercluster, switched_hypercluster, HyperClustering, StaticCost};
 use ramiel_ios::{ios_makespan, ios_schedule, IosConfig};
 use ramiel_models::{build, ModelConfig, ModelKind};
@@ -25,17 +26,6 @@ use std::fmt::Write as _;
 use std::slice::from_ref;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Simulator configuration used across tables. A communication latency of 4
-/// cost units reflects the paper's observation that Python-process queues
-/// are expensive relative to small ops (it is what pushes SqueezeNet below
-/// 1×, as in Table IV).
-pub fn sim_config() -> SimConfig {
-    SimConfig {
-        comm_latency: 8,
-        dispatch_overhead: 0,
-    }
-}
 
 /// Vision/transformer models at paper-faithful topology.
 pub fn model_config() -> ModelConfig {
@@ -68,26 +58,26 @@ pub fn time_ms(iters: usize, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_secs_f64() * 1e3 / iters as f64
 }
 
-/// Simulated makespan of a compiled model's clustering.
-pub fn simulated_makespan(c: &CompiledModel) -> u64 {
-    simulate_clustering(&c.graph, &c.clustering, &StaticCost, &sim_config())
+/// Simulated makespan of a scheduled model's clustering.
+pub fn simulated_makespan(c: &ScheduledModel) -> u64 {
+    simulate_clustering(&c.graph, &c.clustering, &StaticCost, &SimConfig::PAPER)
         .expect("simulation")
         .makespan
 }
 
-/// Simulated speedup of a compiled model's clustering vs sequential.
-pub fn simulated_speedup(c: &CompiledModel) -> f64 {
+/// Simulated speedup of a scheduled model's clustering vs sequential.
+pub fn simulated_speedup(c: &ScheduledModel) -> f64 {
     simulate_sequential(&c.graph, &StaticCost, 1) as f64 / simulated_makespan(c) as f64
 }
 
 /// Simulated speedup against a *fixed* sequential baseline cost (used for
 /// Table VI/VII where all variants compare to the unoptimized model).
-pub fn simulated_speedup_vs(c: &CompiledModel, baseline_seq: u64) -> f64 {
+pub fn simulated_speedup_vs(c: &ScheduledModel, baseline_seq: u64) -> f64 {
     baseline_seq as f64 / simulated_makespan(c) as f64
 }
 
 /// Measured (real-execution) sequential and parallel times in ms.
-pub fn measured_times(c: &CompiledModel, iters: usize, intra_op: usize) -> (f64, f64) {
+pub fn measured_times(c: &ScheduledModel, iters: usize, intra_op: usize) -> (f64, f64) {
     let inputs = synth_inputs(&c.graph, 42);
     let ctx = ExecCtx::with_intra_op(intra_op);
     let seq = time_ms(iters, || {
@@ -151,7 +141,7 @@ pub fn table2() -> Vec<Table2Row> {
         .into_iter()
         .map(|k| {
             let c =
-                compile(build(k, &model_config()), &PipelineOptions::default()).expect("pipeline");
+                schedule(build(k, &model_config()), &PipelineOptions::default()).expect("pipeline");
             Table2Row {
                 model: k.name().into(),
                 before: c.report.clusters_before_merge,
@@ -180,8 +170,8 @@ pub fn table3() -> Vec<Table3Row> {
         .into_iter()
         .map(|k| {
             let plain =
-                compile(build(k, &model_config()), &PipelineOptions::default()).expect("pipeline");
-            let pruned = compile(
+                schedule(build(k, &model_config()), &PipelineOptions::default()).expect("pipeline");
+            let pruned = schedule(
                 build(k, &model_config()),
                 &PipelineOptions {
                     prune: true,
@@ -221,7 +211,7 @@ pub fn table4(iters: usize) -> Vec<Table4Row> {
         .into_iter()
         .map(|k| {
             let c =
-                compile(build(k, &model_config()), &PipelineOptions::default()).expect("pipeline");
+                schedule(build(k, &model_config()), &PipelineOptions::default()).expect("pipeline");
             let (seq_ms, par_ms) = measured_times(&c, iters, 1);
             Table4Row {
                 model: k.name().into(),
@@ -263,7 +253,7 @@ pub fn table5(iters: usize) -> Vec<Table5Row> {
     ]
     .into_iter()
     .map(|k| {
-        let c = compile(build(k, &model_config()), &PipelineOptions::default()).expect("pipeline");
+        let c = schedule(build(k, &model_config()), &PipelineOptions::default()).expect("pipeline");
         let (seq2, par2) = measured_times(&c, iters, 2);
         let (seq4, par4) = measured_times(&c, iters, 4);
         Table5Row {
@@ -297,8 +287,8 @@ pub fn table6(iters: usize) -> Vec<Table6Row> {
         .into_iter()
         .map(|k| {
             let plain =
-                compile(build(k, &model_config()), &PipelineOptions::default()).expect("pipeline");
-            let pruned = compile(
+                schedule(build(k, &model_config()), &PipelineOptions::default()).expect("pipeline");
+            let pruned = schedule(
                 build(k, &model_config()),
                 &PipelineOptions {
                     prune: true,
@@ -372,11 +362,11 @@ pub fn table7() -> Vec<Table7Row> {
         .into_iter()
         .map(|k| {
             let plain =
-                compile(build(k, &model_config()), &PipelineOptions::default()).expect("pipeline");
+                schedule(build(k, &model_config()), &PipelineOptions::default()).expect("pipeline");
             let baseline = simulate_sequential(&plain.graph, &StaticCost, 1);
             let s_lc = simulated_speedup_vs(&plain, baseline);
             let s_dce = prunable.contains(&k).then(|| {
-                let c = compile(
+                let c = schedule(
                     build(k, &model_config()),
                     &PipelineOptions {
                         prune: true,
@@ -387,7 +377,7 @@ pub fn table7() -> Vec<Table7Row> {
                 simulated_speedup_vs(&c, baseline)
             });
             let s_clone = clonable.contains(&k).then(|| {
-                let c = compile(
+                let c = schedule(
                     build(k, &model_config()),
                     &PipelineOptions {
                         cloning: Some(clone_config_for(k)),
@@ -439,7 +429,8 @@ pub fn table8() -> Vec<Table8Row> {
         let g = build(k, &model_config());
         let baseline = simulate_sequential(&g, &StaticCost, 1);
         let t = Instant::now();
-        let c = compile(g.clone(), &PipelineOptions::all_optimizations()).expect("pipeline");
+        let c = schedule(g.clone(), &PipelineOptions::all_optimizations()).expect("pipeline");
+        c.emit(&Obs::disabled());
         let ours_ct = t.elapsed();
         let ios_cfg = IosConfig::default();
         let (sched, stats) = ios_schedule(&g, &StaticCost, &ios_cfg);
@@ -482,9 +473,9 @@ pub fn fig12() -> Vec<Fig12Row> {
     .into_iter()
     .map(|k| {
         let plain =
-            compile(build(k, &model_config()), &PipelineOptions::default()).expect("pipeline");
+            schedule(build(k, &model_config()), &PipelineOptions::default()).expect("pipeline");
         let baseline = simulate_sequential(&plain.graph, &StaticCost, 1);
-        let cloned = compile(
+        let cloned = schedule(
             build(k, &model_config()),
             &PipelineOptions {
                 cloning: Some(clone_config_for(k)),
@@ -519,7 +510,7 @@ pub struct HyperRow {
 
 /// The hyperclustering of `c` at `batch`, plain (Fig. 8) or switched
 /// (Fig. 9).
-fn hyper_schedule(c: &CompiledModel, batch: usize, switched: bool) -> HyperClustering {
+fn hyper_schedule(c: &ScheduledModel, batch: usize, switched: bool) -> HyperClustering {
     if switched {
         switched_hypercluster(&c.clustering, batch)
     } else {
@@ -529,9 +520,9 @@ fn hyper_schedule(c: &CompiledModel, batch: usize, switched: bool) -> HyperClust
 
 /// Simulated `(hypercluster makespan, sequential makespan)` of a batch:
 /// the deterministic half of a [`HyperRow`].
-pub fn hyper_sim(c: &CompiledModel, batch: usize, switched: bool) -> (u64, u64) {
+pub fn hyper_sim(c: &ScheduledModel, batch: usize, switched: bool) -> (u64, u64) {
     let hc = hyper_schedule(c, batch, switched);
-    let sim = simulate_hyper(&c.graph, &hc, &StaticCost, &sim_config()).expect("sim");
+    let sim = simulate_hyper(&c.graph, &hc, &StaticCost, &SimConfig::PAPER).expect("sim");
     (
         sim.makespan,
         simulate_sequential(&c.graph, &StaticCost, batch),
@@ -547,7 +538,7 @@ pub fn hyper_row(
     intra_op: usize,
     iters: usize,
 ) -> HyperRow {
-    let c = compile(build(kind, &model_config()), &PipelineOptions::default()).expect("pipeline");
+    let c = schedule(build(kind, &model_config()), &PipelineOptions::default()).expect("pipeline");
     let hc = hyper_schedule(&c, batch, switched);
     let inputs: Vec<Env> = (0..batch)
         .map(|b| synth_inputs(&c.graph, b as u64))
@@ -636,7 +627,7 @@ pub fn memory_table() -> Vec<MemoryRow> {
         .into_iter()
         .map(|k| {
             let c =
-                compile(build(k, &model_config()), &PipelineOptions::default()).expect("pipeline");
+                schedule(build(k, &model_config()), &PipelineOptions::default()).expect("pipeline");
             let g = &c.graph;
             let order = ramiel_ir::topo::topo_sort(g).expect("compiled graph is acyclic");
             let view = ScheduleView::single_batch(vec![order], ExecPolicy::InOrder);
@@ -685,14 +676,14 @@ pub fn paper_golden() -> String {
         out.push('\n');
     };
     let plain = |k: ModelKind| {
-        compile(build(k, &model_config()), &PipelineOptions::default()).expect("pipeline")
+        schedule(build(k, &model_config()), &PipelineOptions::default()).expect("pipeline")
     };
     let pruned = |k: ModelKind| {
         let opts = PipelineOptions {
             prune: true,
             ..Default::default()
         };
-        compile(build(k, &model_config()), &opts).expect("pipeline")
+        schedule(build(k, &model_config()), &opts).expect("pipeline")
     };
     for r in table1() {
         line(format_args!(

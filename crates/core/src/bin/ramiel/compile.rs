@@ -4,7 +4,9 @@
 //! `report.json` there.
 
 use crate::model::{summarize, ModelArgs};
+use ramiel::obs::Obs;
 use std::path::Path;
+use std::time::Instant;
 
 args!(Args "compile", model: ModelArgs ["--tiny", "--prune", "--clone", "--batch", "--switched"];
     out: Option<String> = None, "--out";
@@ -12,9 +14,11 @@ args!(Args "compile", model: ModelArgs ["--tiny", "--prune", "--clone", "--batch
 
 pub fn main(model: &str, flags: &[String]) -> Result<(), String> {
     let a = Args::parse(flags)?;
-    let c =
-        ramiel::compile(a.model.graph(model)?, &a.model.options()).map_err(|e| e.to_string())?;
-    summarize(&c.report, c.compile_time);
+    let g = a.model.graph(model)?;
+    let start = Instant::now();
+    let c = ramiel::schedule(g, &a.model.options()).map_err(|e| e.to_string())?;
+    let code = c.emit(&Obs::disabled());
+    summarize(&c.report, start.elapsed());
     let Some(dir) = &a.out else {
         return Ok(());
     };
@@ -22,9 +26,9 @@ pub fn main(model: &str, flags: &[String]) -> Result<(), String> {
         std::fs::write(Path::new(dir).join(file), contents).map_err(|e| e.to_string())
     };
     std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-    write("parallel.py", &c.parallel_code)?;
-    write("sequential.py", &c.sequential_code)?;
-    if let Some(hyper_code) = &c.hyper_code {
+    write("parallel.py", &code.parallel)?;
+    write("sequential.py", &code.sequential)?;
+    if let Some(hyper_code) = &code.hyper {
         write("hyper.py", hyper_code)?;
     }
     let assignment = c.clustering.assignment();

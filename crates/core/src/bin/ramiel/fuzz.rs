@@ -3,6 +3,7 @@
 //! against plain sequential execution of the original. Flags: `--iters N`
 //! (10 graphs per iteration, default 3).
 
+use ramiel::obs::Obs;
 use ramiel::PipelineOptions;
 use ramiel_models::synthetic;
 use ramiel_runtime::{run, run_sequential, synth_inputs, RunOptions};
@@ -24,11 +25,17 @@ pub fn main(flags: &[String]) -> Result<(), String> {
         let ctx = ExecCtx::sequential();
         let baseline = run_sequential(&g, &inputs, &ctx)
             .map_err(|e| format!("seed {seed}: sequential: {e}"))?;
-        let c = ramiel::compile(g, &PipelineOptions::all_optimizations())
+        let c = ramiel::schedule(g, &PipelineOptions::all_optimizations())
             .map_err(|e| format!("seed {seed}: compile: {e}"))?;
         c.clustering
             .check_partition(&c.graph)
             .map_err(|e| format!("seed {seed}: partition: {e}"))?;
+        let code = c.emit(&Obs::disabled());
+        if let Some(ci) = (0..c.clustering.num_clusters())
+            .find(|ci| !code.parallel.contains(&format!("def cluster_{ci}(")))
+        {
+            return Err(format!("seed {seed}: emitted Python lacks cluster {ci}"));
+        }
         let par = run(
             &c.graph,
             &c.clustering,

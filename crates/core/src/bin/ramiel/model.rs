@@ -44,6 +44,7 @@ impl ModelArgs {
                 (true, false) => HyperMode::Plain,
                 (true, true) => HyperMode::Switched,
             },
+            ..Default::default()
         }
     }
 }

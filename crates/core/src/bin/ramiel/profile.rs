@@ -1,6 +1,6 @@
-//! `ramiel profile <model>`: compile with stage tracing, run the model on
-//! four lanes with profiling on (sequential; the channel engine per run at
-//! batch 1 and over the hyperclustering; a standing pool), merge
+//! `ramiel profile <model>`: schedule with stage tracing, run the model on
+//! three lanes with profiling on (sequential; the channel engine at batch 1
+//! and over the hyperclustering, each on a `HyperPool` of its own), merge
 //! everything onto one Chrome/Perfetto trace, and print a cost-model
 //! prediction-accuracy table plus a profile-guided reclustering comparison.
 //! Flags: the model group, `--intra-op N` and `--out DIR` (where
@@ -8,14 +8,14 @@
 
 use crate::model::{summarize, ModelArgs};
 use ramiel::obs::{validate_chrome_trace, Obs};
+use ramiel::PipelineOptions;
 use ramiel_cluster::{distance_to_end, linear_clustering, merge_clusters_fixpoint};
 use ramiel_runtime::{
-    predict_report, run, run_sequential_profiled, simulate_clustering, synth_inputs, Env,
-    HyperPool, PlannedBatch, Schedule, SimConfig,
+    predict_report, run, run_sequential_profiled, simulate_clustering, synth_inputs, Env, Schedule,
+    SimConfig,
 };
 use ramiel_tensor::ExecCtx;
 use std::slice::from_ref;
-use std::sync::Arc;
 
 args!(Args "profile", model: ModelArgs ["--tiny", "--prune", "--clone", "--batch", "--switched"];
     intra_op: usize = 1, "--intra-op";
@@ -32,12 +32,14 @@ pub fn main(model: &str, flags: &[String]) -> Result<(), String> {
     obs.with_pid(2).name_process("sequential executor");
     obs.with_pid(3).name_process("parallel executor");
     obs.with_pid(4).name_process("hypercluster executor");
-    obs.with_pid(5).name_process("cluster pool");
 
-    // prepare_with_obs() converts the initializer table once; each profiled
-    // executor run shares it through its RunOptions.
-    let prepared = ramiel::prepare_with_obs(g, &a.model.options(), &obs.with_pid(1))
-        .map_err(|e| e.to_string())?;
+    // prepare() converts the initializer table once; each profiled executor
+    // run shares it through its RunOptions.
+    let opts = PipelineOptions {
+        obs: obs.with_pid(1),
+        ..a.model.options()
+    };
+    let prepared = ramiel::prepare(g, &opts).map_err(|e| e.to_string())?;
     let c = &prepared.scheduled;
     summarize(&c.report, c.schedule_time);
     println!();
@@ -74,22 +76,6 @@ pub fn main(model: &str, flags: &[String]) -> Result<(), String> {
         .collect();
     profiled("hyper", (&hc).into(), &batch_inputs, 4)?;
 
-    // The standing pool: one profiled job on workers that outlive it.
-    let pool_opts = prepared.run_options().obs(obs.with_pid(5));
-    let plan1 = PlannedBatch::new(&c.graph, ramiel_cluster::hypercluster(&c.clustering, 1))
-        .map(Arc::new)
-        .map_err(|e| format!("pool: {e}"))?;
-    let mut pool = HyperPool::with_options(&c.graph, plan1.num_workers(), &ctx, &pool_opts)
-        .map_err(|e| format!("pool: {e}"))?;
-    let (pool_out, pool_db) = pool
-        .run_batch_profiled(&plan1, &Arc::new(vec![inputs.clone()]))
-        .map_err(|e| format!("pool: {e}"))?;
-    pool_db.export_to_obs(&obs.with_pid(5), &c.graph);
-    if pool_out[0] != seq_out {
-        return Err("pool output diverged from sequential".into());
-    }
-    drop(pool);
-
     // Prediction accuracy: the cost model that drove clustering vs what the
     // parallel run actually measured.
     let predicted = predict_report(&c.graph, &ramiel_cluster::StaticCost, &par_db);
@@ -101,13 +87,9 @@ pub fn main(model: &str, flags: &[String]) -> Result<(), String> {
     let measured = par_db.measured_cost(&c.graph);
     let dist = distance_to_end(&c.graph, &measured);
     let reclustered = merge_clusters_fixpoint(&linear_clustering(&c.graph, &dist), &dist);
-    let sim_cfg = SimConfig {
-        comm_latency: 8,
-        dispatch_overhead: 0,
-    };
-    let base = simulate_clustering(&c.graph, &c.clustering, &measured, &sim_cfg)
+    let base = simulate_clustering(&c.graph, &c.clustering, &measured, &SimConfig::PAPER)
         .map_err(|e| e.to_string())?;
-    let tuned = simulate_clustering(&c.graph, &reclustered, &measured, &sim_cfg)
+    let tuned = simulate_clustering(&c.graph, &reclustered, &measured, &SimConfig::PAPER)
         .map_err(|e| e.to_string())?;
     println!(
         "profile-guided reclustering ({} of {} nodes sampled, {} ns/unit):",

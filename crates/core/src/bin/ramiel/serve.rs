@@ -93,8 +93,7 @@ pub fn main(model: &str, flags: &[String]) -> Result<(), String> {
                 }
                 None => a.model.graph(model)?,
             };
-            let counts = ramiel::rewrite(&mut graph, &opts, &ramiel::obs::Obs::disabled())
-                .map_err(|e| e.to_string())?;
+            let counts = ramiel::rewrite(&mut graph, &opts).map_err(|e| e.to_string())?;
             let spec = PlanSpec {
                 switched: a.model.switched,
                 ..PlanSpec::new(graph)

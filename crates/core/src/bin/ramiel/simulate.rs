@@ -12,16 +12,12 @@ pub fn main(model: &str, flags: &[String]) -> Result<(), String> {
     let c =
         ramiel::schedule(a.model.graph(model)?, &a.model.options()).map_err(|e| e.to_string())?;
     summarize(&c.report, c.schedule_time);
-    let sim_cfg = SimConfig {
-        comm_latency: 8,
-        dispatch_overhead: 0,
-    };
     let cost = ramiel_cluster::StaticCost;
     let batch = a.model.batch.max(1);
     let seq = simulate_sequential(&c.graph, &cost, batch);
     let sim = match &c.hyper {
-        Some(hc) => simulate_hyper(&c.graph, hc, &cost, &sim_cfg),
-        None => simulate_clustering(&c.graph, &c.clustering, &cost, &sim_cfg),
+        Some(hc) => simulate_hyper(&c.graph, hc, &cost, &SimConfig::PAPER),
+        None => simulate_clustering(&c.graph, &c.clustering, &cost, &SimConfig::PAPER),
     }
     .map_err(|e| e.to_string())?;
     println!("simulated sequential:  {seq} units (batch {batch})");

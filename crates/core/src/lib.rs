@@ -8,27 +8,27 @@
 //!       ─▶ parallel + sequential PyTorch/Python codegen                 emit
 //! ```
 //!
-//! The pipeline has two stages. [`schedule`] stops where execution stops
-//! needing it and returns a [`ScheduledModel`]: the optimized graph, the
-//! clustering, the optional hyperclustering and per-stage statistics.
-//! [`compile`] is [`schedule`] plus code emission and returns a
-//! [`CompiledModel`] that also holds the generated modules and the measured
-//! compile time (the paper's Table VIII `CT` column). [`prepare`] is
-//! [`schedule`] plus the runtime initializer table: what every verb that
-//! executes a model wants, none of which reads the Python text. The
-//! distance pass, clustering, merging and the [`PipelineReport`] are
-//! [`ramiel_cluster::schedule_stage`], which `serve`'s plan build runs too.
+//! [`schedule`] runs the pipeline up to the schedule and returns a
+//! [`ScheduledModel`]: the optimized graph, the clustering, the optional
+//! hyperclustering and per-stage statistics. That is the one result of the
+//! pipeline; [`ScheduledModel::emit`] is its last stage and generates the
+//! Python modules from it. [`prepare`] is [`schedule`] plus the runtime
+//! initializer table: what every verb that executes a model wants, none of
+//! which reads the Python text. The distance pass, clustering, merging and
+//! the [`PipelineReport`] are [`ramiel_cluster::schedule_stage`], which
+//! `serve`'s plan build runs too.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use ramiel::{compile, PipelineOptions};
+//! use ramiel::obs::Obs;
+//! use ramiel::{schedule, PipelineOptions};
 //! use ramiel_models::{build, ModelKind, ModelConfig};
 //!
 //! let graph = build(ModelKind::Squeezenet, &ModelConfig::tiny());
-//! let compiled = compile(graph, &PipelineOptions::default()).unwrap();
-//! assert!(compiled.clustering.num_clusters() >= 1);
-//! println!("{}", compiled.parallel_code);
+//! let scheduled = schedule(graph, &PipelineOptions::default()).unwrap();
+//! assert!(scheduled.clustering.num_clusters() >= 1);
+//! println!("{}", scheduled.emit(&Obs::disabled()).parallel);
 //! ```
 
 pub use ramiel_cluster as cluster;
@@ -49,6 +49,7 @@ use ramiel_cluster::hyper::HyperClustering;
 use ramiel_cluster::{hypercluster, schedule_stage, switched_hypercluster, Clustering, Scheduled};
 use ramiel_codegen::CodegenOptions;
 use ramiel_ir::Graph;
+use ramiel_obs::Obs;
 use ramiel_passes::CloneConfig;
 use std::time::{Duration, Instant};
 
@@ -78,6 +79,11 @@ pub struct PipelineOptions {
     /// Inference batch size (enables hyperclustering when > 1).
     pub batch: usize,
     pub hyper: HyperMode,
+    /// Observability sink: every stage (prune, cloning, distances,
+    /// clustering, merging, hyperclustering) records a trace span carrying
+    /// graph-size/cluster-count deltas in its args. The default sink is
+    /// disabled and costs one branch per stage.
+    pub obs: Obs,
 }
 
 impl PipelineOptions {
@@ -91,7 +97,8 @@ impl PipelineOptions {
     }
 }
 
-/// Output of [`schedule`]: everything execution needs and no generated code.
+/// Output of [`schedule`]: everything execution needs. Python is generated
+/// from it on demand by [`ScheduledModel::emit`].
 pub struct ScheduledModel {
     /// The (possibly pruned/cloned) graph the clusters refer to.
     pub graph: Graph,
@@ -105,24 +112,38 @@ pub struct ScheduledModel {
     pub schedule_time: Duration,
 }
 
-/// Output of [`compile`]: a [`ScheduledModel`]'s fields plus the emitted
-/// modules.
-pub struct CompiledModel {
-    /// The (possibly pruned/cloned) graph the clusters refer to.
-    pub graph: Graph,
-    pub clustering: Clustering,
-    /// Present when `batch > 1` and a hyper mode is selected.
-    pub hyper: Option<HyperClustering>,
-    /// Generated hypercluster Python (present alongside `hyper`).
-    pub hyper_code: Option<String>,
-    /// Distance-to-end table for `graph` (reusable by simulators).
-    pub distances: Vec<u64>,
-    pub parallel_code: String,
-    pub sequential_code: String,
-    pub report: PipelineReport,
-    /// End-to-end pipeline time, schedule and emission (the paper's
-    /// compile-time metric).
-    pub compile_time: Duration,
+/// The Python modules [`ScheduledModel::emit`] generates.
+pub struct PythonModules {
+    /// One process per cluster, exchanging tensors over queues.
+    pub parallel: String,
+    /// The single-core reference module, the paper's baseline.
+    pub sequential: String,
+    /// One process per hypercluster; present when the model is
+    /// hyperclustered.
+    pub hyper: Option<String>,
+}
+
+impl ScheduledModel {
+    /// The pipeline's last stage: emit the parallel, sequential and (when
+    /// hyperclustered) hypercluster modules, recording one `codegen` span
+    /// in `obs`.
+    pub fn emit(&self, obs: &Obs) -> PythonModules {
+        let cg = CodegenOptions::default();
+        let mut span = obs.span(0, "codegen", "compile");
+        let modules = PythonModules {
+            parallel: ramiel_codegen::generate_parallel(&self.graph, &self.clustering, &cg),
+            sequential: ramiel_codegen::generate_sequential(&self.graph, &cg),
+            hyper: self
+                .hyper
+                .as_ref()
+                .map(|hc| ramiel_codegen::generate_hyper_parallel(&self.graph, hc, &cg)),
+        };
+        span.set_args(serde_json::json!({
+            "parallel_bytes": modules.parallel.len(),
+            "sequential_bytes": modules.sequential.len(),
+        }));
+        modules
+    }
 }
 
 /// Errors from the end-to-end pipeline.
@@ -130,7 +151,7 @@ pub struct CompiledModel {
 pub enum CompileError {
     Ir(ramiel_ir::IrError),
     Invalid(String),
-    /// Initializer conversion failed while preparing a compiled model for
+    /// Initializer conversion failed while preparing a scheduled model for
     /// execution (see [`prepare`]).
     Init(String),
 }
@@ -175,16 +196,7 @@ impl PreparedModel {
 /// single entry point for "schedule this graph and get it ready to execute
 /// repeatedly". No Python is generated on this path.
 pub fn prepare(graph: Graph, opts: &PipelineOptions) -> Result<PreparedModel, CompileError> {
-    prepare_with_obs(graph, opts, &ramiel_obs::Obs::disabled())
-}
-
-/// [`prepare`] with an observability sink (see [`schedule_with_obs`]).
-pub fn prepare_with_obs(
-    graph: Graph,
-    opts: &PipelineOptions,
-    obs: &ramiel_obs::Obs,
-) -> Result<PreparedModel, CompileError> {
-    let scheduled = schedule_with_obs(graph, opts, obs)?;
+    let scheduled = schedule(graph, opts)?;
     let init_values = ramiel_runtime::initializer_values(&scheduled.graph)
         .map_err(|e| CompileError::Init(e.to_string()))?;
     Ok(PreparedModel {
@@ -193,74 +205,14 @@ pub fn prepare_with_obs(
     })
 }
 
-/// Run the full Ramiel pipeline on a graph: [`schedule`], then emit the
-/// parallel, sequential and (when hyperclustered) hypercluster modules.
-pub fn compile(graph: Graph, opts: &PipelineOptions) -> Result<CompiledModel, CompileError> {
-    compile_with_obs(graph, opts, &ramiel_obs::Obs::disabled())
-}
-
-/// [`compile`] with an observability sink: the stages of
-/// [`schedule_with_obs`] plus one `codegen` span.
-pub fn compile_with_obs(
-    graph: Graph,
-    opts: &PipelineOptions,
-    obs: &ramiel_obs::Obs,
-) -> Result<CompiledModel, CompileError> {
-    let start = Instant::now();
-    let ScheduledModel {
-        graph,
-        clustering,
-        hyper,
-        distances,
-        report,
-        schedule_time: _,
-    } = schedule_with_obs(graph, opts, obs)?;
-
-    let cg = CodegenOptions::default();
-    let mut span = obs.span(0, "codegen", "compile");
-    let parallel_code = ramiel_codegen::generate_parallel(&graph, &clustering, &cg);
-    let sequential_code = ramiel_codegen::generate_sequential(&graph, &cg);
-    let hyper_code = hyper
-        .as_ref()
-        .map(|hc| ramiel_codegen::generate_hyper_parallel(&graph, hc, &cg));
-    span.set_args(serde_json::json!({
-        "parallel_bytes": parallel_code.len(),
-        "sequential_bytes": sequential_code.len(),
-    }));
-    span.finish();
-
-    Ok(CompiledModel {
-        graph,
-        clustering,
-        hyper,
-        hyper_code,
-        distances,
-        parallel_code,
-        sequential_code,
-        report,
-        compile_time: start.elapsed(),
-    })
-}
-
 /// Run the pipeline up to the schedule: prune → clone → distance pass →
 /// clustering → merging → hyperclustering, with the [`PipelineReport`] read
 /// off the adjacency and distance table the stage already holds.
-pub fn schedule(graph: Graph, opts: &PipelineOptions) -> Result<ScheduledModel, CompileError> {
-    schedule_with_obs(graph, opts, &ramiel_obs::Obs::disabled())
-}
-
-/// [`schedule`] with an observability sink: every stage (prune, cloning,
-/// distances, clustering, merging, hyperclustering) is wrapped in a trace
-/// span carrying graph-size/cluster-count deltas in its args. A disabled
-/// [`ramiel_obs::Obs`] (the [`schedule`] path) costs one branch per stage.
-pub fn schedule_with_obs(
-    mut graph: Graph,
-    opts: &PipelineOptions,
-    obs: &ramiel_obs::Obs,
-) -> Result<ScheduledModel, CompileError> {
+pub fn schedule(mut graph: Graph, opts: &PipelineOptions) -> Result<ScheduledModel, CompileError> {
     let start = Instant::now();
+    let obs = &opts.obs;
     obs.name_thread(0, "pipeline");
-    let counts = rewrite(&mut graph, opts, obs)?;
+    let counts = rewrite(&mut graph, opts)?;
     // One adjacency snapshot for every later stage (the graph is not
     // mutated past this point).
     let adj = graph.adjacency();
@@ -321,14 +273,11 @@ impl NodeCounts {
 }
 
 /// The passes that rewrite the graph before it is scheduled: pruning and
-/// cloning, as `opts` asks, each in an `obs` span. [`schedule`] runs them
-/// first; a caller that schedules the result elsewhere (`serve`'s plan
+/// cloning, as `opts` asks, each in a span of `opts.obs`. [`schedule`] runs
+/// them first; a caller that schedules the result elsewhere (`serve`'s plan
 /// build) runs them here.
-pub fn rewrite(
-    graph: &mut Graph,
-    opts: &PipelineOptions,
-    obs: &ramiel_obs::Obs,
-) -> Result<NodeCounts, CompileError> {
+pub fn rewrite(graph: &mut Graph, opts: &PipelineOptions) -> Result<NodeCounts, CompileError> {
+    let obs = &opts.obs;
     let before = graph.num_nodes();
     if opts.prune {
         let mut span = obs.span(0, "prune (const-prop + DCE)", "compile");
@@ -362,18 +311,20 @@ mod tests {
     #[test]
     fn compile_squeezenet_end_to_end() {
         let g = build(ModelKind::Squeezenet, &ModelConfig::tiny());
-        let c = compile(g, &PipelineOptions::default()).unwrap();
-        assert!(c.report.clusters_before_merge >= c.report.clusters_after_merge);
-        assert!(c.parallel_code.contains("def cluster_0"));
-        assert!(c.sequential_code.contains("def run_sequential"));
-        c.clustering.check_partition(&c.graph).unwrap();
+        let s = schedule(g, &PipelineOptions::default()).unwrap();
+        assert!(s.report.clusters_before_merge >= s.report.clusters_after_merge);
+        let code = s.emit(&Obs::disabled());
+        assert!(code.parallel.contains("def cluster_0"));
+        assert!(code.sequential.contains("def run_sequential"));
+        assert!(code.hyper.is_none());
+        s.clustering.check_partition(&s.graph).unwrap();
     }
 
     #[test]
     fn prune_shrinks_models_with_shape_chains() {
         let g = build(ModelKind::YoloV5, &ModelConfig::tiny());
-        let no_prune = compile(g.clone(), &PipelineOptions::default()).unwrap();
-        let pruned = compile(
+        let no_prune = schedule(g.clone(), &PipelineOptions::default()).unwrap();
+        let pruned = schedule(
             g,
             &PipelineOptions {
                 prune: true,
@@ -392,17 +343,18 @@ mod tests {
             hyper: HyperMode::Switched,
             ..Default::default()
         };
-        let c = compile(g, &opts).unwrap();
-        let hc = c.hyper.expect("hyperclustering requested");
+        let s = schedule(g, &opts).unwrap();
+        assert!(s.emit(&Obs::disabled()).hyper.is_some());
+        let hc = s.hyper.expect("hyperclustering requested");
         assert!(hc.switched);
         assert_eq!(hc.batch, 4);
-        hc.check_coverage(c.graph.num_nodes()).unwrap();
+        hc.check_coverage(s.graph.num_nodes()).unwrap();
     }
 
     #[test]
     fn compile_time_is_measured() {
         let g = build(ModelKind::Googlenet, &ModelConfig::tiny());
-        let c = compile(g, &PipelineOptions::all_optimizations()).unwrap();
-        assert!(c.compile_time.as_nanos() > 0);
+        let s = schedule(g, &PipelineOptions::all_optimizations()).unwrap();
+        assert!(s.schedule_time.as_nanos() > 0);
     }
 }

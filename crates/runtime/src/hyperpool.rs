@@ -49,11 +49,12 @@
 //!
 //! ## Profiling
 //!
-//! A job submitted through [`HyperPool::run_batch_profiled`] returns a
-//! [`ProfileDb`]: one [`OpRecord`] per executed op (time blocked in `recv`
-//! charged as slack to the op before the wait), one [`WorkerSpan`] per
-//! worker, the pool's cumulative per-edge channel statistics. Unprofiled
-//! jobs pay one untaken branch per op and per blocking wait.
+//! A job submitted with profiling on (what [`crate::run`] does under
+//! [`RunOptions::profile`]) returns a [`ProfileDb`]: one [`OpRecord`] per
+//! executed op (time blocked in `recv` charged as slack to the op before
+//! the wait), one [`WorkerSpan`] per worker, the pool's cumulative
+//! per-edge channel statistics. Unprofiled jobs pay one untaken branch per
+//! op and per blocking wait.
 
 use crate::fault::{node_error, panic_to_error, Armed, FaultInjector, INJECT_MARKER};
 use crate::limits::DEFAULT_RECV_TIMEOUT;
@@ -467,16 +468,6 @@ impl HyperPool {
         inputs: &Arc<Vec<Env>>,
     ) -> Result<Vec<Env>> {
         self.submit(plan, inputs, false).map(|(outs, _)| outs)
-    }
-
-    /// [`run_batch`](Self::run_batch) plus the job's [`ProfileDb`].
-    pub fn run_batch_profiled(
-        &mut self,
-        plan: &Arc<PlannedBatch>,
-        inputs: &Arc<Vec<Env>>,
-    ) -> Result<(Vec<Env>, ProfileDb)> {
-        let (outs, db) = self.submit(plan, inputs, true)?;
-        Ok((outs, db.expect("profiled job builds a db")))
     }
 
     pub(crate) fn submit(
@@ -1301,7 +1292,8 @@ mod tests {
         let inputs: Vec<Env> = (0..2).map(|b| synth_inputs(&g, 70 + b as u64)).collect();
         let shared = Arc::new(inputs.clone());
         pool.run_batch(&plan, &shared).unwrap(); // the pool is standing
-        let (outs, db) = pool.run_batch_profiled(&plan, &shared).unwrap();
+        let (outs, db) = pool.submit(&plan, &shared, true).unwrap();
+        let db = db.expect("a profiled job builds a db");
         for (b, inp) in inputs.iter().enumerate() {
             assert_eq!(run_sequential(&g, inp, &ctx).unwrap(), outs[b], "batch {b}");
         }

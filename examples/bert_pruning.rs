@@ -11,7 +11,7 @@
 //! cargo run --release --example bert_pruning
 //! ```
 
-use ramiel::{compile, PipelineOptions};
+use ramiel::{schedule, PipelineOptions};
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_runtime::{run_sequential, synth_inputs};
 use ramiel_tensor::{ExecCtx, Value};
@@ -23,9 +23,9 @@ fn main() {
         ..ModelConfig::full()
     };
 
-    let plain = compile(build(ModelKind::Bert, &cfg), &PipelineOptions::default())
+    let plain = schedule(build(ModelKind::Bert, &cfg), &PipelineOptions::default())
         .expect("baseline pipeline");
-    let pruned = compile(
+    let pruned = schedule(
         build(ModelKind::Bert, &cfg),
         &PipelineOptions {
             prune: true,

@@ -9,7 +9,7 @@
 //! cargo run --release --example inception_cloning
 //! ```
 
-use ramiel::{compile, PipelineOptions};
+use ramiel::{schedule, PipelineOptions};
 use ramiel_cluster::StaticCost;
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_passes::CloneConfig;
@@ -19,12 +19,12 @@ fn main() {
     let cfg = ModelConfig::full();
     let sim_cfg = SimConfig::default();
 
-    let baseline = compile(
+    let baseline = schedule(
         build(ModelKind::InceptionV3, &cfg),
         &PipelineOptions::default(),
     )
     .expect("baseline pipeline");
-    let cloned = compile(
+    let cloned = schedule(
         build(ModelKind::InceptionV3, &cfg),
         &PipelineOptions {
             cloning: Some(CloneConfig::default()),

@@ -4,7 +4,7 @@
 //! streams inferences through them. [`ramiel_runtime::HyperPool`] is the
 //! same shape in-process: workers spawn once, weights are converted and
 //! shared once, and each request flows through the standing cluster
-//! workers as one job of a compiled batch-1 schedule. This example compares
+//! workers as one job of a batch-1 schedule. This example compares
 //! request latency against the same pool spawned per inference
 //! (`run` on the channel engine) and validates every response.
 //!
@@ -12,7 +12,7 @@
 //! cargo run --release --example serving_pool
 //! ```
 
-use ramiel::{compile, PipelineOptions};
+use ramiel::{schedule, PipelineOptions};
 use ramiel_cluster::hypercluster;
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_runtime::{run, run_sequential, synth_inputs, HyperPool, PlannedBatch, RunOptions};
@@ -22,34 +22,34 @@ use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
-    let compiled = compile(
+    let scheduled = schedule(
         build(ModelKind::Googlenet, &ModelConfig::full()),
         &PipelineOptions::default(),
     )
     .expect("pipeline");
     println!(
         "GoogleNet: {} nodes across {} standing cluster workers",
-        compiled.graph.num_nodes(),
-        compiled.clustering.num_clusters()
+        scheduled.graph.num_nodes(),
+        scheduled.clustering.num_clusters()
     );
 
     let ctx = ExecCtx::sequential();
     let requests: Vec<_> = (0..16u64)
-        .map(|s| synth_inputs(&compiled.graph, s))
+        .map(|s| synth_inputs(&scheduled.graph, s))
         .collect();
 
     // golden responses from the reference interpreter
     let golden: Vec<_> = requests
         .iter()
-        .map(|r| run_sequential(&compiled.graph, r, &ctx).expect("sequential"))
+        .map(|r| run_sequential(&scheduled.graph, r, &ctx).expect("sequential"))
         .collect();
 
     // strategy 1: spawn threads per request
     let t = Instant::now();
     for (i, r) in requests.iter().enumerate() {
         let out = run(
-            &compiled.graph,
-            &compiled.clustering,
+            &scheduled.graph,
+            &scheduled.clustering,
             from_ref(r),
             &ctx,
             &RunOptions::default(),
@@ -61,10 +61,10 @@ fn main() {
     let spawn_ms = t.elapsed().as_secs_f64() * 1e3 / requests.len() as f64;
 
     // strategy 2: standing pool
-    let plan = PlannedBatch::new(&compiled.graph, hypercluster(&compiled.clustering, 1))
+    let plan = PlannedBatch::new(&scheduled.graph, hypercluster(&scheduled.clustering, 1))
         .map(Arc::new)
         .expect("schedule");
-    let mut pool = HyperPool::new(&compiled.graph, plan.num_workers(), &ctx).expect("pool spawn");
+    let mut pool = HyperPool::new(&scheduled.graph, plan.num_workers(), &ctx).expect("pool spawn");
     let t = Instant::now();
     for (i, r) in requests.iter().enumerate() {
         let out = pool

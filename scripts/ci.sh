@@ -45,6 +45,15 @@ cargo test --offline --release -p ramiel-tensor
 echo "==> release-only guards (program compile time, stealing at batch 1, load allocations)"
 cargo test --offline --release -p ramiel --test hyper_programs --test steal_speed --test load_alloc
 
+# The examples: clippy above only compiles them. Each runs to completion
+# (a panic or a failed assert is a failing exit code) under a hard timeout.
+echo "==> examples (release, each run to completion)"
+for example in quickstart inception_cloning bert_pruning squeezenet_hyperclustering \
+    serving_pool; do
+    timeout --kill-after=30s 300s \
+        cargo run --offline --release -q -p ramiel --example "$example" > /dev/null
+done
+
 # Liveness gate: the differential + chaos suites exercise every executor's
 # failure paths (worker panics, dropped messages, timeouts). Their contract
 # is bounded termination, so a hang IS the regression — run them again
@@ -67,9 +76,8 @@ RAMIEL_CONFORMANCE_CASES="${RAMIEL_CONFORMANCE_CASES:-250}" \
     timeout --kill-after=30s 600s \
     cargo test --offline -p ramiel --test steal_conformance
 
-# Observability smoke: `ramiel profile` runs the model on its four lanes
-# (sequential, per-run channels at batch 1 and hyperclustered, a standing
-# pool) and validates the merged Chrome/Perfetto trace before writing it — a
+# Observability smoke: `ramiel profile` runs the model on its three lanes
+# (sequential, channels at batch 1 and hyperclustered) and validates the merged Chrome/Perfetto trace before writing it — a
 # malformed trace (or any executor divergence) is a failing exit code. Same
 # hard timeout discipline as the chaos gate.
 echo "==> ramiel profile smoke (trace validity gate)"

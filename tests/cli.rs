@@ -149,7 +149,6 @@ fn profile_emits_valid_trace_and_reports() {
         "sequential executor",
         "parallel executor",
         "hypercluster executor",
-        "cluster pool",
     ] {
         assert!(trace.contains(name), "missing process `{name}` in trace");
     }

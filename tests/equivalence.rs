@@ -2,7 +2,7 @@
 //! strategy must compute the same function as the plain sequential
 //! interpreter.
 
-use ramiel::{compile, PipelineOptions};
+use ramiel::{schedule, PipelineOptions};
 use ramiel_cluster::{cluster_graph, hypercluster, switched_hypercluster, StaticCost};
 use ramiel_models::{build, synthetic, ModelConfig, ModelKind};
 use ramiel_passes::CloneConfig;
@@ -38,7 +38,7 @@ fn optimized_pipeline_preserves_model_semantics() {
         let inputs = synth_inputs(&original, 99);
         let baseline = run_sequential(&original, &inputs, &ctx)
             .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
-        let c = compile(original, &PipelineOptions::all_optimizations()).unwrap();
+        let c = schedule(original, &PipelineOptions::all_optimizations()).unwrap();
         let optimized = run_sequential(&c.graph, &inputs, &ctx)
             .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
         // prune may rename an output only if it was an identity; our models
@@ -52,7 +52,7 @@ fn parallel_execution_of_optimized_graphs_matches_sequential() {
     let cfg = ModelConfig::tiny();
     let ctx = ExecCtx::sequential();
     for kind in ModelKind::all() {
-        let c = compile(build(kind, &cfg), &PipelineOptions::all_optimizations()).unwrap();
+        let c = schedule(build(kind, &cfg), &PipelineOptions::all_optimizations()).unwrap();
         let inputs = synth_inputs(&c.graph, 123);
         let seq = run_sequential(&c.graph, &inputs, &ctx).unwrap();
         let par = run(
@@ -130,7 +130,7 @@ fn random_layered_graphs_survive_the_whole_stack() {
         let inputs = synth_inputs(&g, seed);
         let baseline = run_sequential(&g, &inputs, &ctx).unwrap();
 
-        let c = compile(
+        let c = schedule(
             g,
             &PipelineOptions {
                 prune: true,

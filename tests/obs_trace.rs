@@ -104,25 +104,27 @@ proptest! {
     }
 }
 
-/// Golden path: compile stages + the sequential executor and three
-/// channel-engine lanes (per-run batch 1, per-run hypercluster, standing
-/// pool) merged onto one trace.
+/// Golden path: compile stages + the sequential executor and two
+/// channel-engine lanes (batch 1, hypercluster) merged onto one trace.
 #[test]
 fn full_profile_trace_parses_and_references_valid_tracks() {
     use ramiel::models::{build, ModelConfig, ModelKind};
-    use ramiel::{compile_with_obs, PipelineOptions};
-    use ramiel_runtime::{run_sequential_profiled, HyperPool, PlannedBatch};
-    use std::sync::Arc;
+    use ramiel::{schedule, PipelineOptions};
+    use ramiel_runtime::run_sequential_profiled;
 
     let obs = Obs::enabled();
     obs.with_pid(1).name_process("compile pipeline");
     obs.with_pid(2).name_process("sequential executor");
     obs.with_pid(3).name_process("parallel executor");
     obs.with_pid(4).name_process("hypercluster executor");
-    obs.with_pid(5).name_process("cluster pool");
 
     let g = build(ModelKind::Squeezenet, &ModelConfig::tiny());
-    let c = compile_with_obs(g, &PipelineOptions::default(), &obs.with_pid(1)).unwrap();
+    let opts = PipelineOptions {
+        obs: obs.with_pid(1),
+        ..Default::default()
+    };
+    let c = schedule(g, &opts).unwrap();
+    c.emit(&opts.obs);
     let ctx = ExecCtx::sequential();
     let inputs = synth_inputs(&c.graph, 42);
 
@@ -159,27 +161,13 @@ fn full_profile_trace_parses_and_references_valid_tracks() {
     .unwrap();
     hyper_db.export_to_obs(&obs.with_pid(4), &c.graph);
 
-    let plan1 = Arc::new(PlannedBatch::new(&c.graph, hypercluster(&c.clustering, 1)).unwrap());
-    let mut pool = HyperPool::with_options(
-        &c.graph,
-        plan1.num_workers(),
-        &ctx,
-        &RunOptions::default().obs(obs.with_pid(5)),
-    )
-    .unwrap();
-    let (_, pool_db) = pool
-        .run_batch_profiled(&plan1, &Arc::new(vec![inputs.clone()]))
-        .unwrap();
-    pool_db.export_to_obs(&obs.with_pid(5), &c.graph);
-    drop(pool);
-
     let trace = obs.to_chrome_trace();
     let stats = validate_chrome_trace(&trace).expect("merged trace validates");
     assert!(stats.complete_spans > 0, "no spans in trace");
     assert!(stats.metadata > 0, "no track metadata in trace");
     assert!(
-        stats.named_processes >= 5,
-        "expected all five processes named, got {}",
+        stats.named_processes >= 4,
+        "expected all four processes named, got {}",
         stats.named_processes
     );
 
@@ -192,12 +180,13 @@ fn full_profile_trace_parses_and_references_valid_tracks() {
     );
 }
 
-/// `prepare` stops at the schedule: its trace has the clustering stages and
-/// no `codegen` span; `compile` adds exactly that one.
+/// `schedule` (and `prepare`, which runs it) stops at the schedule: its
+/// trace has the clustering stages and no `codegen` span; `emit` adds
+/// exactly that one.
 #[test]
-fn only_compile_emits_a_codegen_span() {
+fn only_emit_records_a_codegen_span() {
     use ramiel::models::{build, ModelConfig, ModelKind};
-    use ramiel::{compile_with_obs, prepare_with_obs, PipelineOptions};
+    use ramiel::{prepare, schedule, PipelineOptions};
 
     let stage_names = |obs: &Obs| -> Vec<String> {
         obs.events()
@@ -208,18 +197,25 @@ fn only_compile_emits_a_codegen_span() {
     };
     let g = build(ModelKind::Squeezenet, &ModelConfig::tiny());
 
-    let obs = Obs::enabled();
-    prepare_with_obs(g.clone(), &PipelineOptions::default(), &obs).unwrap();
-    let prepared = stage_names(&obs);
-    assert!(prepared.iter().any(|n| n == "linear clustering"));
-    assert!(!prepared.iter().any(|n| n == "codegen"), "{prepared:?}");
+    let traced = || PipelineOptions {
+        obs: Obs::enabled(),
+        ..Default::default()
+    };
 
-    let obs = Obs::enabled();
-    compile_with_obs(g, &PipelineOptions::default(), &obs).unwrap();
-    let mut compiled = stage_names(&obs);
-    assert_eq!(compiled.iter().filter(|n| *n == "codegen").count(), 1);
-    compiled.retain(|n| n != "codegen");
-    assert_eq!(compiled, prepared);
+    let opts = traced();
+    let s = schedule(g.clone(), &opts).unwrap();
+    let scheduled = stage_names(&opts.obs);
+    assert!(scheduled.iter().any(|n| n == "linear clustering"));
+    assert!(!scheduled.iter().any(|n| n == "codegen"), "{scheduled:?}");
+    s.emit(&opts.obs);
+    let mut emitted = stage_names(&opts.obs);
+    assert_eq!(emitted.iter().filter(|n| *n == "codegen").count(), 1);
+    emitted.retain(|n| n != "codegen");
+    assert_eq!(emitted, scheduled);
+
+    let opts = traced();
+    prepare(g, &opts).unwrap();
+    assert_eq!(stage_names(&opts.obs), scheduled);
 }
 
 /// Injected faults surface as structured instant events on the trace.

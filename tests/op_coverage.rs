@@ -3,7 +3,8 @@
 //! execution, Python lowering and an ONNX export/import round trip — from
 //! a single graph that uses all of them.
 
-use ramiel::{compile, PipelineOptions};
+use ramiel::obs::Obs;
+use ramiel::{schedule, PipelineOptions};
 use ramiel_ir::{DType, Graph, GraphBuilder, OpKind, PoolSpec, TensorData};
 use ramiel_runtime::{run, run_sequential, synth_inputs, RunOptions};
 use ramiel_tensor::ExecCtx;
@@ -239,7 +240,7 @@ fn kitchen_sink_runs_sequentially_and_in_parallel() {
     let inputs = synth_inputs(&g, 3);
     let ctx = ExecCtx::sequential();
     let seq = run_sequential(&g, &inputs, &ctx).expect("sequential");
-    let c = compile(g, &PipelineOptions::default()).expect("pipeline");
+    let c = schedule(g, &PipelineOptions::default()).expect("pipeline");
     let par = run(
         &c.graph,
         &c.clustering,
@@ -258,7 +259,7 @@ fn kitchen_sink_survives_pruning_and_codegen() {
     let inputs = synth_inputs(&g, 4);
     let ctx = ExecCtx::sequential();
     let baseline = run_sequential(&g, &inputs, &ctx).expect("sequential");
-    let c = compile(g, &PipelineOptions::all_optimizations()).expect("pipeline");
+    let c = schedule(g, &PipelineOptions::all_optimizations()).expect("pipeline");
     let after = run_sequential(&c.graph, &inputs, &ctx).expect("pruned sequential");
     // pruning folds the Shape/Cast chain; compare surviving outputs by name
     for (name, v) in &after {
@@ -266,7 +267,7 @@ fn kitchen_sink_survives_pruning_and_codegen() {
             assert_eq!(orig, v, "{name}");
         }
     }
-    assert!(c.parallel_code.contains("def cluster_0("));
+    assert!(c.emit(&Obs::disabled()).parallel.contains("def cluster_0("));
 }
 
 #[test]

@@ -5,7 +5,8 @@
 //! tests pin the *shape* of every result: who wins, roughly by how much,
 //! and where the crossovers are.
 
-use ramiel::{compile, PipelineOptions};
+use ramiel::obs::Obs;
+use ramiel::{schedule, PipelineOptions};
 use ramiel_cluster::{parallelism_report, StaticCost};
 use ramiel_ios::{ios_makespan, ios_schedule, IosConfig};
 use ramiel_models::{build, ModelConfig, ModelKind};
@@ -13,26 +14,17 @@ use ramiel_passes::CloneConfig;
 use ramiel_runtime::{simulate_clustering, simulate_hyper, simulate_sequential, SimConfig};
 use std::time::Instant;
 
-/// Simulator knobs used for calibration: comm latency 8 models the paper's
-/// expensive Python-process queues relative to small ops.
-fn sim_cfg() -> SimConfig {
-    SimConfig {
-        comm_latency: 8,
-        dispatch_overhead: 0,
-    }
-}
-
-fn sim_speedup(c: &ramiel::CompiledModel) -> f64 {
-    let sim =
-        simulate_clustering(&c.graph, &c.clustering, &StaticCost, &sim_cfg()).expect("simulation");
+fn sim_speedup(c: &ramiel::ScheduledModel) -> f64 {
+    let sim = simulate_clustering(&c.graph, &c.clustering, &StaticCost, &SimConfig::PAPER)
+        .expect("simulation");
     simulate_sequential(&c.graph, &StaticCost, 1) as f64 / sim.makespan as f64
 }
 
 /// Speedup against a fixed (unoptimized-graph) sequential baseline, the way
 /// Tables VI/VII compare optimization variants.
-fn sim_speedup_vs(c: &ramiel::CompiledModel, baseline: u64) -> f64 {
-    let sim =
-        simulate_clustering(&c.graph, &c.clustering, &StaticCost, &sim_cfg()).expect("simulation");
+fn sim_speedup_vs(c: &ramiel::ScheduledModel, baseline: u64) -> f64 {
+    let sim = simulate_clustering(&c.graph, &c.clustering, &StaticCost, &SimConfig::PAPER)
+        .expect("simulation");
     baseline as f64 / sim.makespan as f64
 }
 
@@ -70,7 +62,7 @@ fn table1_parallelism_ordering() {
 fn table4_lc_speedup_shape() {
     let cfg = ModelConfig::full();
     let sp =
-        |k: ModelKind| sim_speedup(&compile(build(k, &cfg), &PipelineOptions::default()).unwrap());
+        |k: ModelKind| sim_speedup(&schedule(build(k, &cfg), &PipelineOptions::default()).unwrap());
     let squeeze = sp(ModelKind::Squeezenet);
     let inception4 = sp(ModelKind::InceptionV4);
     let nasnet = sp(ModelKind::NasNet);
@@ -96,8 +88,8 @@ fn table4_lc_speedup_shape() {
 fn table6_pruning_helps_the_three_prunable_models() {
     let cfg = ModelConfig::full();
     for kind in [ModelKind::YoloV5, ModelKind::Bert, ModelKind::NasNet] {
-        let plain = compile(build(kind, &cfg), &PipelineOptions::default()).unwrap();
-        let pruned = compile(
+        let plain = schedule(build(kind, &cfg), &PipelineOptions::default()).unwrap();
+        let pruned = schedule(
             build(kind, &cfg),
             &PipelineOptions {
                 prune: true,
@@ -121,8 +113,8 @@ fn table6_pruning_helps_the_three_prunable_models() {
     }
     // and it does nothing for constant-free models (Table VI omits them)
     for kind in [ModelKind::Squeezenet, ModelKind::Googlenet] {
-        let plain = compile(build(kind, &cfg), &PipelineOptions::default()).unwrap();
-        let pruned = compile(
+        let plain = schedule(build(kind, &cfg), &PipelineOptions::default()).unwrap();
+        let pruned = schedule(
             build(kind, &cfg),
             &PipelineOptions {
                 prune: true,
@@ -155,9 +147,9 @@ fn fig12_cloning_improves_vision_models() {
         ModelKind::InceptionV3,
         ModelKind::InceptionV4,
     ] {
-        let plain = compile(build(kind, &cfg), &PipelineOptions::default()).unwrap();
+        let plain = schedule(build(kind, &cfg), &PipelineOptions::default()).unwrap();
         let baseline = simulate_sequential(&plain.graph, &StaticCost, 1);
-        let cloned = compile(
+        let cloned = schedule(
             build(kind, &cfg),
             &PipelineOptions {
                 cloning: Some(CloneConfig::default()),
@@ -190,7 +182,7 @@ fn fig12_cloning_improves_vision_models() {
 #[test]
 fn fig13_hypercluster_speedup_grows_with_batch() {
     let cfg = ModelConfig::full();
-    let c = compile(
+    let c = schedule(
         build(ModelKind::Googlenet, &cfg),
         &PipelineOptions::default(),
     )
@@ -216,7 +208,7 @@ fn fig13_hypercluster_speedup_grows_with_batch() {
 #[test]
 fn fig14_switched_balances_squeezenet() {
     let cfg = ModelConfig::full();
-    let c = compile(
+    let c = schedule(
         build(ModelKind::Squeezenet, &cfg),
         &PipelineOptions::default(),
     )
@@ -258,7 +250,8 @@ fn table8_compile_time_gap_vs_ios() {
         let mut compiled = None;
         for _ in 0..3 {
             let t = Instant::now();
-            let c = compile(g.clone(), &PipelineOptions::all_optimizations()).unwrap();
+            let c = schedule(g.clone(), &PipelineOptions::all_optimizations()).unwrap();
+            c.emit(&Obs::disabled());
             ramiel_ct = ramiel_ct.min(t.elapsed());
             compiled = Some(c);
         }

@@ -1,7 +1,8 @@
 //! Cross-crate integration tests: the full Ramiel pipeline on every model,
 //! checking structural invariants after each stage.
 
-use ramiel::{compile, schedule, HyperMode, PipelineOptions};
+use ramiel::obs::Obs;
+use ramiel::{schedule, HyperMode, PipelineOptions};
 use ramiel_cluster::StaticCost;
 use ramiel_ir::validate::validate;
 use ramiel_models::{build, ModelConfig, ModelKind};
@@ -11,7 +12,7 @@ fn pipeline_invariants_hold_for_every_model() {
     let cfg = ModelConfig::tiny();
     for kind in ModelKind::all() {
         let g = build(kind, &cfg);
-        let c = compile(g, &PipelineOptions::all_optimizations())
+        let c = schedule(g, &PipelineOptions::all_optimizations())
             .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
         validate(&c.graph).unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
         c.clustering
@@ -36,14 +37,15 @@ fn full_scale_pipeline_on_all_models() {
     for kind in ModelKind::all() {
         let g = build(kind, &cfg);
         let nodes = g.num_nodes();
-        let c = compile(g, &PipelineOptions::default())
+        let c = schedule(g, &PipelineOptions::default())
             .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
         assert_eq!(c.report.nodes_before, nodes);
         assert!(c.report.clusters_after_merge >= 1);
         // generated code mentions every cluster
+        let code = c.emit(&Obs::disabled());
         for ci in 0..c.report.clusters_after_merge {
             assert!(
-                c.parallel_code.contains(&format!("def cluster_{ci}(")),
+                code.parallel.contains(&format!("def cluster_{ci}(")),
                 "{}: missing cluster {ci} in codegen",
                 kind.name()
             );
@@ -93,33 +95,35 @@ fn schedule_report_equals_the_standalone_helpers() {
     }
 }
 
-/// `compile` is `schedule` plus emission: same graph, clustering and report.
+/// Compiling is `schedule` then `emit`, and the modules follow the schedule
+/// they were emitted from: one `def cluster_i(` per cluster, and a hyper
+/// module exactly when the schedule is hyperclustered.
 #[test]
 fn compile_extends_schedule() {
     let g = build(ModelKind::Googlenet, &ModelConfig::tiny());
-    let opts = PipelineOptions {
-        batch: 2,
-        hyper: HyperMode::Plain,
-        ..PipelineOptions::all_optimizations()
-    };
-    let s = schedule(g.clone(), &opts).unwrap();
-    let c = compile(g, &opts).unwrap();
-    assert_eq!(s.graph, c.graph);
-    assert_eq!(s.clustering, c.clustering);
-    assert_eq!(s.distances, c.distances);
-    assert!(s.hyper.is_some());
-    assert_eq!(s.hyper, c.hyper);
-    assert_eq!(
-        serde_json::to_string(&s.report).unwrap(),
-        serde_json::to_string(&c.report).unwrap()
-    );
+    for (batch, hyper) in [(1, HyperMode::Off), (2, HyperMode::Plain)] {
+        let opts = PipelineOptions {
+            batch,
+            hyper,
+            ..PipelineOptions::all_optimizations()
+        };
+        let s = schedule(g.clone(), &opts).unwrap();
+        let code = s.emit(&Obs::disabled());
+        let n = s.clustering.num_clusters();
+        for ci in 0..=n {
+            let def = format!("def cluster_{ci}(");
+            assert_eq!(code.parallel.contains(&def), ci < n, "batch {batch}: {def}");
+        }
+        assert_eq!(s.hyper.is_some(), batch > 1);
+        assert_eq!(code.hyper.is_some(), s.hyper.is_some());
+    }
 }
 
 #[test]
 fn pruning_then_clustering_reduces_both_nodes_and_clusters_on_yolo() {
     let cfg = ModelConfig::full();
-    let plain = compile(build(ModelKind::YoloV5, &cfg), &PipelineOptions::default()).unwrap();
-    let pruned = compile(
+    let plain = schedule(build(ModelKind::YoloV5, &cfg), &PipelineOptions::default()).unwrap();
+    let pruned = schedule(
         build(ModelKind::YoloV5, &cfg),
         &PipelineOptions {
             prune: true,
@@ -136,7 +140,7 @@ fn hyperclustering_covers_all_batch_elements() {
     let cfg = ModelConfig::tiny();
     for batch in [2usize, 4, 8, 12] {
         for mode in [HyperMode::Plain, HyperMode::Switched] {
-            let c = compile(
+            let c = schedule(
                 build(ModelKind::Squeezenet, &cfg),
                 &PipelineOptions {
                     batch,
@@ -196,10 +200,15 @@ fn dsc_scheduler_is_a_valid_alternative() {
 fn compile_is_deterministic() {
     let cfg = ModelConfig::tiny();
     for kind in [ModelKind::Squeezenet, ModelKind::NasNet, ModelKind::Bert] {
-        let c1 = compile(build(kind, &cfg), &PipelineOptions::all_optimizations()).unwrap();
-        let c2 = compile(build(kind, &cfg), &PipelineOptions::all_optimizations()).unwrap();
+        let c1 = schedule(build(kind, &cfg), &PipelineOptions::all_optimizations()).unwrap();
+        let c2 = schedule(build(kind, &cfg), &PipelineOptions::all_optimizations()).unwrap();
         assert_eq!(c1.clustering, c2.clustering, "{}", kind.name());
-        assert_eq!(c1.parallel_code, c2.parallel_code, "{}", kind.name());
+        assert_eq!(
+            c1.emit(&Obs::disabled()).parallel,
+            c2.emit(&Obs::disabled()).parallel,
+            "{}",
+            kind.name()
+        );
         assert_eq!(c1.distances, c2.distances, "{}", kind.name());
     }
 }
@@ -217,7 +226,7 @@ fn cluster_counts_shrink_like_table_ii() {
         ModelKind::Bert,
         ModelKind::NasNet,
     ] {
-        let c = compile(build(kind, &cfg), &PipelineOptions::default()).unwrap();
+        let c = schedule(build(kind, &cfg), &PipelineOptions::default()).unwrap();
         assert!(
             c.report.clusters_after_merge * 2 <= c.report.clusters_before_merge,
             "{}: {} → {} is not a ≥2x reduction",

@@ -66,11 +66,7 @@ fn lc_merge(g: &Graph, cost: &dyn CostModel) -> Clustering {
 }
 
 fn sim(g: &Graph, clustering: &Clustering, cost: &dyn CostModel) -> SimResult {
-    let cfg = SimConfig {
-        comm_latency: 8,
-        dispatch_overhead: 0,
-    };
-    simulate_clustering(g, clustering, cost, &cfg).unwrap()
+    simulate_clustering(g, clustering, cost, &SimConfig::PAPER).unwrap()
 }
 
 /// Canonical form for comparing clusterings independent of cluster order.
