@@ -26,7 +26,7 @@ fn module_header(graph: &Graph, kind: &str, extra: &str) -> String {
     format!(
         "# Auto-generated by Ramiel — {kind} inference code for `{}`.\n\
          # {} nodes, {} edges{extra}\n\
-         # Regenerate with: ramiel codegen — do not edit by hand (it is,\n\
+         # Regenerate with: ramiel compile — do not edit by hand (it is,\n\
          # however, meant to be readable and debuggable).\n\
          import torch\n\
          import torch.nn.functional as F\n\n{PY_HELPERS}\n",

@@ -22,7 +22,9 @@ pub fn main(model: &str, flags: &[String]) -> Result<(), String> {
     let Some(dir) = &a.out else {
         return Ok(());
     };
-    let write = |file: &str, contents: &str| {
+    let mut wrote = Vec::new();
+    let mut write = |file: &'static str, contents: &str| {
+        wrote.push(file);
         std::fs::write(Path::new(dir).join(file), contents).map_err(|e| e.to_string())
     };
     std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
@@ -38,6 +40,6 @@ pub fn main(model: &str, flags: &[String]) -> Result<(), String> {
     )?;
     let report = serde_json::to_string_pretty(&c.report).map_err(|e| e.to_string())?;
     write("report.json", &report)?;
-    println!("wrote parallel.py, sequential.py, clusters.dot, report.json to {dir}");
+    println!("wrote {} to {dir}", wrote.join(", "));
     Ok(())
 }

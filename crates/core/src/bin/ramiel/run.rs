@@ -13,6 +13,7 @@ use crate::model::{summarize, ModelArgs};
 use crate::FlagValue;
 use ramiel::ScheduledModel;
 use ramiel_runtime::{run, run_sequential_opts, synth_inputs, Engine, Env, RunOptions, Schedule};
+use ramiel_runtime::{GraphProgram, StealPlan};
 use ramiel_tensor::ExecCtx;
 use std::slice::Iter;
 use std::sync::Arc;
@@ -101,12 +102,11 @@ pub fn main(model: &str, flags: &[String]) -> Result<(), String> {
     }
     if a.mode != Mode::Seq {
         if a.executor == Engine::Stealing {
-            // Plan once (it is reusable and what a serving deployment would
-            // cache); time only the pool executions.
-            let plan = match schedule {
-                Schedule::Hyper(hc) => ramiel_runtime::StealPlan::from_hyper(&c.graph, hc),
-                Schedule::Clusters(cl) => ramiel_runtime::StealPlan::new(&c.graph, cl, 1),
-            };
+            // Plan once over the prepared weights (it is reusable and what a
+            // serving deployment would cache); time only the pool executions.
+            let prog = Arc::new(GraphProgram::new(&c.graph).map_err(|e| e.to_string())?);
+            let weights = Arc::clone(&prepared.init_values);
+            let plan = StealPlan::with_program(&prog, weights, &schedule.hyper());
             let plan = Arc::new(plan.map_err(|e| e.to_string())?);
             let pool = ramiel_runtime::StealPool::global();
             time_it("stealing  ", &|| {

@@ -174,15 +174,14 @@ impl From<ramiel_ir::IrError> for CompileError {
     }
 }
 
-/// A [`ScheduledModel`] paired with its runtime initializer table, built
+/// A [`ScheduledModel`] paired with its runtime weight table, converted
 /// exactly once. Every executor invocation on the same prepared model
-/// shares the converted weights (a refcount bump per run instead of a deep
-/// copy) — the shape `ramiel run` and `ramiel profile` want.
+/// shares the converted weights (a refcount bump per fetch instead of a
+/// deep copy) — the shape `ramiel run` and `ramiel profile` want.
 pub struct PreparedModel {
     pub scheduled: ScheduledModel,
-    /// Shared pre-converted weights (see
-    /// [`ramiel_runtime::initializer_values`]).
-    pub init_values: std::sync::Arc<std::collections::HashMap<String, ramiel_tensor::Value>>,
+    /// The model's weights (see [`ramiel_runtime::initializer_values`]).
+    pub init_values: std::sync::Arc<ramiel_runtime::Weights>,
 }
 
 impl PreparedModel {

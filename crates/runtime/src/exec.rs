@@ -95,13 +95,8 @@ fn run_sequential_inner(
 
     // Weights are converted to `Value`s at most once per run (or zero times
     // when the caller shares a table via `RunOptions::init_values`); each
-    // fetch afterwards is a refcount bump. The per-fetch
-    // `Value::from_tensor_data` this replaces deep-copied a weight every
-    // time a node consumed it.
-    let init_values = match &opts.init_values {
-        Some(iv) => std::sync::Arc::clone(iv),
-        None => crate::initializer_values(graph)?,
-    };
+    // fetch afterwards is a binary search by name and a refcount bump.
+    let init_values = opts.weights(graph)?;
 
     let fetch = |env: &HashMap<&str, Value>, name: &str| -> Result<Value> {
         if let Some(v) = env.get(name) {

@@ -59,10 +59,10 @@
 use crate::fault::{node_error, panic_to_error, Armed, FaultInjector, INJECT_MARKER};
 use crate::limits::DEFAULT_RECV_TIMEOUT;
 use crate::profile::{OpRecord, ProfileDb, WorkerSpan};
-use crate::program::{weight_table, GraphProgram, InSrc};
+use crate::program::{GraphProgram, InSrc};
 use crate::reuse::charge_bytes;
 use crate::run::RunOptions;
-use crate::{value_bytes, Env, Result, RuntimeError};
+use crate::{value_bytes, Env, Result, RuntimeError, Weights};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
 use ramiel_cluster::hyper::HyperClustering;
 use ramiel_ir::graph::Adjacency;
@@ -353,7 +353,7 @@ pub struct HyperPool {
     next_job: u64,
     workers: usize,
     /// The weight table the programs' `InSrc::Weight` operands index.
-    weights: Arc<Vec<Value>>,
+    weights: Arc<Weights>,
     recv_timeout: Duration,
     meter: Arc<ChannelMeter>,
     /// Timebase of worker-side profiling records, and where it sits on the
@@ -369,32 +369,20 @@ impl HyperPool {
         HyperPool::with_options(graph, workers, ctx, &RunOptions::default())
     }
 
-    /// [`HyperPool::new`] with explicit [`RunOptions`] (shared initializer
+    /// [`HyperPool::new`] with explicit [`RunOptions`] (shared weight
     /// table, fault injection, recv timeout, obs sink). Workers take what
     /// they execute from each job's [`PlannedBatch`], so this is channel
-    /// set-up plus thread spawns: nothing of `graph` is copied but its
-    /// weights, when `opts` brings no shared table (a shared table is
-    /// indexed in the order of `graph.initializers`, one lookup per weight).
+    /// set-up plus thread spawns: nothing of `graph` is read but its
+    /// weights, and only when `opts` brings no [`Weights`] table (a shared
+    /// table must be the one of the graph the submitted schedules were
+    /// planned from: a serve plan's graph keeps no initializers of its own).
     pub fn with_options(
         graph: &Graph,
         workers: usize,
         ctx: &ExecCtx,
         opts: &RunOptions,
     ) -> Result<HyperPool> {
-        let weights = weight_table(graph, opts.init_values.as_deref())?;
-        HyperPool::with_weights(workers, ctx, opts, weights)
-    }
-
-    /// [`HyperPool::with_options`] over a weight table the caller already
-    /// holds: entry `k` is the `k`-th initializer of the graph the
-    /// submitted schedules were planned from. `opts.init_values` is not
-    /// read.
-    pub fn with_weights(
-        workers: usize,
-        ctx: &ExecCtx,
-        opts: &RunOptions,
-        weights: Arc<Vec<Value>>,
-    ) -> Result<HyperPool> {
+        let weights = opts.weights(graph)?;
         let recv_timeout = opts.recv_timeout.unwrap_or(DEFAULT_RECV_TIMEOUT);
 
         // Worker inboxes are bounded (capacity shared with ramiel-verify's
@@ -574,7 +562,7 @@ impl HyperPool {
         }
         let weights = &self.weights;
         plan.prog
-            .backfill_outputs(&mut outs, inputs, |k| weights.get(k as usize));
+            .backfill_outputs(&mut outs, inputs, |k| weights.at(k));
         Ok((outs, db))
     }
 }
@@ -592,7 +580,7 @@ impl Drop for HyperPool {
 
 struct WorkerState<'a> {
     me: usize,
-    weights: &'a [Value],
+    weights: &'a Weights,
     rx: Receiver<PoolMsg>,
     peer_txs: &'a [Sender<PoolMsg>],
     done_tx: Sender<PoolDone>,
@@ -942,7 +930,7 @@ fn run_job(
             // A Constant's payload is already in the shared weight table —
             // share it, don't re-convert (so an armed kernel fault has no
             // kernel to travel through).
-            let payload = node.payload.and_then(|k| st.weights.get(k as usize));
+            let payload = node.payload.and_then(|k| st.weights.at(k));
             match payload {
                 _ if armed.kernel_fault => Err(ExecError(INJECT_MARKER.into())),
                 Some(v) => Ok(vec![v.clone()]),
@@ -973,7 +961,7 @@ fn run_job(
                         }
                         state.vals[s].clone()
                     }
-                    InSrc::Weight(k) => st.weights.get(k as usize).cloned(),
+                    InSrc::Weight(k) => st.weights.at(k).cloned(),
                     InSrc::Input(v) => inputs[batch].get(prog.value_name(v)).cloned(),
                 };
                 match found {

@@ -24,6 +24,11 @@
 //!
 //! Around them:
 //!
+//! - [`Weights`] — a model's weights as runtime values, converted once
+//!   ([`initializer_values`], or [`Weights::from_initializers`] over
+//!   payloads moved out of a graph) and shared through
+//!   [`RunOptions::init_values`] by every engine: the sequential walk looks
+//!   a weight up by name, the standing executors by index.
 //! - [`program`] — [`GraphProgram`], the slot-resolved form of a graph both
 //!   standing executors consume.
 //! - [`profile`] — the paper's profiling database: per-node times plus the
@@ -66,8 +71,10 @@ pub use sim::{
 pub use stealing::{StealChaos, StealPlan, StealPool, StealPoolStats};
 pub use supervisor::{RunReport, SupervisorConfig};
 
+use ramiel_ir::{Graph, TensorData};
 use ramiel_tensor::Value;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Named tensor environment used for graph inputs and outputs.
 pub type Env = BTreeMap<String, Value>;
@@ -92,22 +99,57 @@ pub(crate) fn value_copied_bytes(v: &Value) -> u64 {
     (std::mem::size_of::<Value>() + std::mem::size_of_val(v.shape())) as u64
 }
 
-/// Convert a graph's initializer table into runtime `Value`s **once** and
-/// share the result. Every executor needs the weights as `Value`s; before
-/// this helper each of them rebuilt (deep-copied) the table per run — and
-/// the channel workers re-copied entries per fetch. Build it once, hand the
-/// `Arc` to [`RunOptions`](RunOptions::init_values) (or let each
-/// run build its own), and every weight fetch becomes a refcount bump on
-/// the shared buffers.
-pub fn initializer_values(
-    graph: &ramiel_ir::Graph,
-) -> Result<std::sync::Arc<std::collections::HashMap<String, Value>>> {
-    let map: std::collections::HashMap<String, Value> = graph
-        .initializers
-        .iter()
-        .map(|(name, td)| Ok((name.clone(), Value::from_tensor_data(td)?)))
-        .collect::<Result<_>>()?;
-    Ok(std::sync::Arc::new(map))
+/// A model's weights as runtime `Value`s: the one table every executor
+/// reads. Entry `k` is the `k`-th initializer of `Graph::initializers`, so
+/// the slot program's weight index `k` addresses it directly and the names
+/// are sorted: the sequential executor finds a weight by name with a binary
+/// search. Built once per model and shared by `Arc`, so every weight fetch
+/// is a refcount bump on the weight's buffer.
+#[derive(Debug)]
+pub struct Weights {
+    names: Vec<String>,
+    values: Vec<Value>,
+}
+
+impl Weights {
+    /// Wrap a graph's initializers as runtime values: each payload becomes
+    /// its value's buffer as it is, no element copied. The one conversion
+    /// of initializers to runtime values ([`initializer_values`] feeds it
+    /// a copy of a graph's; a serve plan build moves its graph's in).
+    pub fn from_initializers(initializers: BTreeMap<String, TensorData>) -> Result<Weights> {
+        let mut names = Vec::with_capacity(initializers.len());
+        let mut values = Vec::with_capacity(initializers.len());
+        for (name, data) in initializers {
+            values.push(Value::from_owned_tensor_data(data)?);
+            names.push(name);
+        }
+        Ok(Weights { names, values })
+    }
+
+    /// The weight named `name`.
+    pub fn get(&self, name: &str) -> Option<&Value> {
+        let k = self.names.binary_search_by(|n| n.as_str().cmp(name)).ok()?;
+        self.values.get(k)
+    }
+
+    /// Weight `k`: what the slot program's `InSrc::Weight(k)` reads.
+    pub(crate) fn at(&self, k: u32) -> Option<&Value> {
+        self.values.get(k as usize)
+    }
+
+    /// Number of weights.
+    pub(crate) fn len(&self) -> usize {
+        self.values.len()
+    }
+}
+
+/// Convert `graph`'s initializers into a shared [`Weights`] table (a copy
+/// of each payload). Build it once, hand the `Arc` to
+/// [`RunOptions`](RunOptions::init_values), and every run, pool and
+/// fallback shares it instead of converting again.
+pub fn initializer_values(graph: &Graph) -> Result<Arc<Weights>> {
+    let copies = graph.initializers.clone();
+    Ok(Arc::new(Weights::from_initializers(copies)?))
 }
 
 /// Structured runtime error. Every variant names where the failure happened
@@ -274,7 +316,7 @@ pub type Result<T> = std::result::Result<T, RuntimeError>;
 
 /// Fabricate deterministic inputs for a graph (random f32 activations,
 /// small non-negative i64 ids) — used by tests, examples and benches.
-pub fn synth_inputs(graph: &ramiel_ir::Graph, seed: u64) -> Env {
+pub fn synth_inputs(graph: &Graph, seed: u64) -> Env {
     use ramiel_ir::DType;
     let mut env = Env::new();
     for (i, inp) in graph.inputs.iter().enumerate() {
@@ -314,4 +356,60 @@ pub fn synth_inputs(graph: &ramiel_ir::Graph, seed: u64) -> Env {
         env.insert(inp.name.clone(), v);
     }
     env
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn weight(v: f32) -> TensorData {
+        TensorData::f32(vec![1], vec![v])
+    }
+
+    fn table(names: &[&str]) -> Weights {
+        let initializers = names.iter().enumerate();
+        let initializers = initializers.map(|(i, n)| (n.to_string(), weight(i as f32)));
+        Weights::from_initializers(initializers.collect()).unwrap()
+    }
+
+    fn value_of(w: Option<&Value>) -> Option<f32> {
+        w.map(|v| v.f32().unwrap().data()[0])
+    }
+
+    #[test]
+    fn empty_table_answers_none() {
+        let w = table(&[]);
+        assert_eq!(w.len(), 0);
+        assert!(w.get("").is_none());
+        assert!(w.get("w").is_none());
+        assert!(w.at(0).is_none());
+    }
+
+    #[test]
+    fn names_and_indices_find_their_weight() {
+        let w = table(&["a", "m", "z"]);
+        assert_eq!(w.len(), 3);
+        assert_eq!(value_of(w.get("a")), Some(0.0));
+        assert_eq!(value_of(w.get("z")), Some(2.0));
+        assert_eq!(value_of(w.at(1)), Some(1.0));
+        for absent in ["", "b", "zz", "A"] {
+            assert!(w.get(absent).is_none(), "`{absent}`");
+        }
+        assert!(w.at(3).is_none());
+        assert!(w.at(u32::MAX).is_none());
+    }
+
+    #[test]
+    fn graph_table_keeps_initializer_order() {
+        use ramiel_models::{build, ModelConfig, ModelKind};
+        let g = build(ModelKind::Squeezenet, &ModelConfig::tiny());
+        let w = initializer_values(&g).unwrap();
+        assert!(w.len() > 0);
+        assert_eq!(w.len(), g.initializers.len());
+        for (k, (name, td)) in g.initializers.iter().enumerate() {
+            let v = w.get(name).unwrap();
+            assert!(std::ptr::eq(v, w.at(k as u32).unwrap()), "{name}");
+            assert_eq!(v.dtype(), td.dtype());
+        }
+    }
 }

@@ -4,9 +4,10 @@
 //! value table, where each name already has a dense id: a produced tensor's
 //! *base slot* is its value id, each node's operands become
 //! `InSrc::Slot`, `InSrc::Weight` (an initializer, by its index in the
-//! plan's weight table) or `InSrc::Input` (a graph input, the only name
-//! still looked up at run time, in the request), and the in-place mark,
-//! read counts and successor lists sit next to the node they belong to.
+//! model's [`crate::Weights`] table) or `InSrc::Input` (a graph input,
+//! the only name still looked up at run time, in the request), and the
+//! in-place mark, read counts and successor lists sit next to the node
+//! they belong to.
 //! The names a run reports — node names, produced and input tensor names,
 //! weight names — are copied into one buffer each, so a program is a
 //! handful of allocations however many nodes it has. It is
@@ -21,8 +22,6 @@ use ramiel_ir::graph::Adjacency;
 use ramiel_ir::{Graph, OpKind};
 use ramiel_passes::inplace_marks_with;
 use ramiel_tensor::Value;
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Where one input operand of a node comes from.
 #[derive(Debug, PartialEq)]
@@ -359,30 +358,4 @@ impl GraphProgram {
             }
         }
     }
-}
-
-/// The weight table a [`GraphProgram`] of `graph` indexes: entry `k` is the
-/// `k`-th initializer of `graph.initializers`, shared from `named` when the
-/// caller brings a table (a refcount bump each), converted otherwise.
-pub(crate) fn weight_table(
-    graph: &Graph,
-    named: Option<&HashMap<String, Value>>,
-) -> Result<Arc<Vec<Value>>> {
-    let weights = match named {
-        Some(named) => graph
-            .initializers
-            .keys()
-            .map(|name| {
-                named.get(name).cloned().ok_or_else(|| {
-                    RuntimeError::Setup(format!("initializer `{name}` missing from the weights"))
-                })
-            })
-            .collect::<Result<_>>()?,
-        None => graph
-            .initializers
-            .values()
-            .map(|td| Ok(Value::from_tensor_data(td)?))
-            .collect::<Result<_>>()?,
-    };
-    Ok(Arc::new(weights))
 }

@@ -19,14 +19,13 @@ use crate::profile::ProfileDb;
 use crate::program::GraphProgram;
 use crate::stealing::{StealChaos, StealPlan, StealPool};
 use crate::supervisor::{supervise, RunReport, SupervisorConfig};
-use crate::{Env, Result, RuntimeError};
+use crate::{Env, Result, RuntimeError, Weights};
 use ramiel_cluster::hyper::HyperClustering;
 use ramiel_cluster::Clustering;
 use ramiel_ir::Graph;
 use ramiel_obs::Obs;
-use ramiel_tensor::{ExecCtx, Value};
+use ramiel_tensor::ExecCtx;
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -63,13 +62,12 @@ pub struct RunOptions {
     /// Observability sink for structured fault/abort/supervisor events;
     /// disabled by default (one null check per event).
     pub obs: Obs,
-    /// Pre-converted initializer table (see [`crate::initializer_values`]).
-    /// When set, runs reuse these shared `Value`s instead of re-converting
-    /// the graph's `TensorData` — the win for repeated inference, since the
-    /// conversion is the only remaining deep copy of the weights. A
-    /// [`crate::HyperPool`] takes its weights out of it by name once, when
-    /// it is built, and indexes them from then on.
-    pub init_values: Option<Arc<HashMap<String, Value>>>,
+    /// The model's converted weights (see [`crate::initializer_values`]).
+    /// When set, every engine reads this one table instead of converting
+    /// the graph's `TensorData` again — the only deep copy of the weights.
+    /// The sequential walk looks a weight up by name, a [`crate::HyperPool`]
+    /// and the [`crate::StealPlan`] `run` builds over it by index.
+    pub init_values: Option<Arc<Weights>>,
     /// Lifetime-driven buffer reuse (on by default): evict tensors from
     /// worker environments after their last consumer and honor the
     /// `ramiel_passes::inplace` marks via `Arc::get_mut`. Outputs are
@@ -142,9 +140,18 @@ impl RunOptions {
     }
 
     /// Reuse a shared initializer table across runs.
-    pub fn init_values(mut self, init_values: Arc<HashMap<String, Value>>) -> Self {
+    pub fn init_values(mut self, init_values: Arc<Weights>) -> Self {
         self.init_values = Some(init_values);
         self
+    }
+
+    /// The shared weight table, or `graph`'s, converted here when none is
+    /// set.
+    pub(crate) fn weights(&self, graph: &Graph) -> Result<Arc<Weights>> {
+        match &self.init_values {
+            Some(weights) => Ok(Arc::clone(weights)),
+            None => crate::initializer_values(graph),
+        }
     }
 
     /// Arm the work-stealing scheduling adversary (no-op on the static
@@ -162,6 +169,17 @@ impl RunOptions {
 pub enum Schedule<'a> {
     Clusters(&'a Clustering),
     Hyper(&'a HyperClustering),
+}
+
+impl<'a> Schedule<'a> {
+    /// The schedule as a hyperclustering: a clustering is its own batch-1
+    /// hyperclustering (hypercluster `i` is cluster `i`).
+    pub fn hyper(self) -> Cow<'a, HyperClustering> {
+        match self {
+            Schedule::Clusters(c) => Cow::Owned(ramiel_cluster::hypercluster(c, 1)),
+            Schedule::Hyper(hc) => Cow::Borrowed(hc),
+        }
+    }
 }
 
 impl<'a> From<&'a Clustering> for Schedule<'a> {
@@ -218,12 +236,7 @@ pub fn run<'a>(
     ctx: &ExecCtx,
     opts: &RunOptions,
 ) -> Run {
-    // A clustering is its own batch-1 hyperclustering: hypercluster `i` is
-    // cluster `i`.
-    let hc = match schedule.into() {
-        Schedule::Clusters(c) => Cow::Owned(ramiel_cluster::hypercluster(c, 1)),
-        Schedule::Hyper(hc) => Cow::Borrowed(hc),
-    };
+    let hc = schedule.into().hyper();
     if inputs.len() != hc.batch {
         let e = RuntimeError::Setup(format!(
             "schedule has batch {} but {} input envs were given",
@@ -267,12 +280,9 @@ pub fn run<'a>(
                     pool.submit(&plan, &Arc::new(inputs.to_vec()), opts.profile)?
                 }
                 Engine::Stealing => {
-                    let init = match &opts.init_values {
-                        Some(init) => Arc::clone(init),
-                        None => crate::initializer_values(graph)?,
-                    };
                     let prog = Arc::new(GraphProgram::new(graph)?);
-                    let plan = Arc::new(StealPlan::with_program(&prog, init, &hc)?);
+                    let plan = StealPlan::with_program(&prog, opts.weights(graph)?, &hc)?;
+                    let plan = Arc::new(plan);
                     let outs = StealPool::global().run_plan(&plan, inputs, ctx, &opts)?;
                     (outs, None)
                 }
@@ -300,6 +310,7 @@ mod tests {
     use crate::synth_inputs;
     use ramiel_cluster::{cluster_graph, switched_hypercluster, StaticCost};
     use ramiel_models::{build, synthetic, ModelConfig, ModelKind};
+    use ramiel_tensor::Value;
     use std::slice::from_ref;
     use std::time::Instant;
 
@@ -440,28 +451,30 @@ mod tests {
         let inputs = synth_inputs(&g, 21);
         let ctx = ExecCtx::sequential();
         let iv = crate::initializer_values(&g).unwrap();
-        let opts = RunOptions::default().init_values(Arc::clone(&iv));
-        let a = run(&g, &clustering, from_ref(&inputs), &ctx, &opts)
-            .single()
-            .unwrap();
-        let b = run(&g, &clustering, from_ref(&inputs), &ctx, &opts)
-            .single()
-            .unwrap();
-        let fresh = run(
-            &g,
-            &clustering,
-            from_ref(&inputs),
-            &ctx,
-            &RunOptions::default(),
-        )
-        .single()
-        .unwrap();
-        // Same table, same inputs, deterministic kernels → identical envs.
-        assert_eq!(a, b);
-        assert_eq!(a, fresh);
+        let shared = RunOptions::default().init_values(Arc::clone(&iv));
+        let once = |opts: &RunOptions| {
+            run(&g, &clustering, from_ref(&inputs), &ctx, opts)
+                .single()
+                .unwrap()
+        };
+        let expect = once(&RunOptions::default().engine(Engine::Sequential));
+        for engine in [Engine::Sequential, Engine::Channels, Engine::Stealing] {
+            let opts = shared.clone().engine(engine);
+            let a = once(&opts);
+            let b = once(&opts);
+            let fresh = once(&RunOptions::default().engine(engine));
+            // Same table, same inputs, deterministic kernels → identical envs.
+            assert_eq!(a, b, "{engine:?}");
+            assert_eq!(a, fresh, "{engine:?}");
+            assert_eq!(a, expect, "{engine:?}");
+        }
         // The shared table survives the runs untouched (COW means a run can
         // never mutate the weights in place).
         assert_eq!(iv.len(), g.initializers.len());
+        let fresh = crate::initializer_values(&g).unwrap();
+        for name in g.initializers.keys() {
+            assert_eq!(iv.get(name), fresh.get(name), "{name}");
+        }
     }
 
     #[test]

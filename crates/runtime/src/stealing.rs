@@ -34,8 +34,9 @@
 //! bit-identical outputs and liveness.
 //!
 //! Everything the static executors honor is threaded through: RunOptions
-//! (obs, fault injection, in-place reuse marks gated by `Arc::get_mut`,
-//! shared `init_values`), MemGauge accounting identical to the
+//! (obs, fault injection, in-place reuse marks gated by `Arc::get_mut`),
+//! the model's one [`crate::Weights`] table (fixed when the plan is
+//! built, indexed per fetch), MemGauge accounting identical to the
 //! `reuse::Liveness` model (so the analyze first-ready resident-sum
 //! bound stays sound), supervisor retry/fallback ([`crate::run`] with
 //! [`crate::Engine::Stealing`]), and batch execution for serve. `FaultKind::DropMessage` is a no-op here, as in the
@@ -46,7 +47,7 @@ use crate::limits::DEFAULT_RECV_TIMEOUT;
 use crate::program::{GraphProgram, InSrc};
 use crate::reuse::charge_bytes;
 use crate::run::RunOptions;
-use crate::{Env, Result, RuntimeError};
+use crate::{Env, Result, RuntimeError, Weights};
 use parking_lot::Mutex;
 use ramiel_cluster::hyper::HyperClustering;
 use ramiel_cluster::Clustering;
@@ -54,7 +55,7 @@ use ramiel_ir::{Graph, OpKind};
 use ramiel_obs::metrics::{Histogram, HistogramSnapshot};
 use ramiel_obs::Obs;
 use ramiel_tensor::{eval_op, eval_op_inplace, ExecCtx, ExecError, MemGauge, Value};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
@@ -83,9 +84,8 @@ pub struct StealChaos {
 }
 
 /// A dependency-resolved execution plan for one (graph, batch) pair:
-/// everything [`StealPool::run_plan`] needs, fully owned. Build once and
-/// reuse across runs — construction converts the weights unless the run
-/// supplies `RunOptions::init_values`.
+/// everything [`StealPool::run_plan`] needs, its weight table included,
+/// fully owned. Build once and reuse across runs.
 pub struct StealPlan {
     batch: usize,
     /// The slot-resolved graph (shared with the hypercluster pool's
@@ -93,37 +93,43 @@ pub struct StealPlan {
     prog: Arc<GraphProgram>,
     /// Locality hint (cluster id) per task `b * nodes.len() + n`.
     hints: Vec<u32>,
-    init_values: Arc<HashMap<String, Value>>,
+    /// The weights the program's `InSrc::Weight` operands index.
+    weights: Arc<Weights>,
 }
 
 impl StealPlan {
     /// Plan a batch-1..n run using a clustering's assignment as locality
-    /// hints (the same hint for every batch element of a node).
+    /// hints (the same hint for every batch element of a node), over
+    /// `graph`'s weights, converted here.
     pub fn new(graph: &Graph, clustering: &Clustering, batch: usize) -> Result<StealPlan> {
         if batch == 0 {
             return Err(RuntimeError::Setup("steal plan needs batch >= 1".into()));
         }
-        Self::from_hyper(graph, &ramiel_cluster::hypercluster(clustering, batch))
-    }
-
-    /// Plan from a hyperclustering: per-(batch, node) hints from the
-    /// hypercluster worker assignment.
-    pub fn from_hyper(graph: &Graph, hc: &HyperClustering) -> Result<StealPlan> {
         let prog = Arc::new(GraphProgram::new(graph)?);
-        Self::with_program(&prog, crate::initializer_values(graph)?, hc)
+        let hc = ramiel_cluster::hypercluster(clustering, batch);
+        Self::with_program(&prog, crate::initializer_values(graph)?, &hc)
     }
 
-    /// [`StealPlan::from_hyper`] over a slot resolution and a weight table
-    /// the caller already holds ([`crate::run`] passes the run's shared
-    /// table): integer work only.
+    /// Plan from a hyperclustering (per-(batch, node) hints from the
+    /// hypercluster worker assignment) over a slot resolution and the
+    /// weight table of its graph, both already held by the caller
+    /// ([`crate::run`] and `ramiel run` pass the model's shared table):
+    /// integer work only.
     pub fn with_program(
         prog: &Arc<GraphProgram>,
-        init_values: Arc<HashMap<String, Value>>,
+        weights: Arc<Weights>,
         hints: &HyperClustering,
     ) -> Result<StealPlan> {
         let (batch, nn) = (hints.batch, prog.nodes.len());
         if batch == 0 {
             return Err(RuntimeError::Setup("steal plan needs batch >= 1".into()));
+        }
+        if prog.num_weights() != weights.len() {
+            return Err(RuntimeError::Setup(format!(
+                "steal plan reads {} weights but was given {}",
+                prog.num_weights(),
+                weights.len()
+            )));
         }
         let mut hint = vec![u32::MAX; batch * nn];
         for (w, ops) in hints.hyperclusters.iter().enumerate() {
@@ -135,7 +141,7 @@ impl StealPlan {
             batch,
             prog: Arc::clone(prog),
             hints: hint,
-            init_values,
+            weights,
         })
     }
 
@@ -145,12 +151,6 @@ impl StealPlan {
 
     pub fn num_tasks(&self) -> usize {
         self.batch * self.prog.nodes.len()
-    }
-
-    /// The plan's own pre-converted weight table (shared across runs unless
-    /// the caller overrides it via `RunOptions::init_values`).
-    pub fn init_values(&self) -> &Arc<HashMap<String, Value>> {
-        &self.init_values
     }
 
     /// The slot-resolved graph this plan executes.
@@ -174,9 +174,6 @@ struct Slot {
 struct JobInner {
     plan: Arc<StealPlan>,
     inputs: Vec<Env>,
-    /// Effective weight table: `RunOptions::init_values` override or the
-    /// plan's own pre-converted table.
-    init: Arc<HashMap<String, Value>>,
     ctx: ExecCtx,
     injector: Option<Arc<FaultInjector>>,
     obs: Obs,
@@ -229,10 +226,6 @@ impl JobInner {
         JobInner {
             plan: Arc::clone(plan),
             inputs,
-            init: opts
-                .init_values
-                .clone()
-                .unwrap_or_else(|| Arc::clone(&plan.init_values)),
             ctx: ctx.clone(),
             injector: opts.injector.clone(),
             obs: opts.obs.clone(),
@@ -583,7 +576,7 @@ fn bounded_stall(job: &JobInner, d: Duration) -> Result<()> {
 fn run_node(job: &JobInner, b: usize, n: usize, exec_idx: usize) -> Result<()> {
     let plan = &*job.plan.prog;
     let node = &plan.nodes[n];
-    let init_values = &*job.init;
+    let weights = &job.plan.weights;
 
     // Fault injection: arm this execution's faults, if any. DropMessage is
     // a no-op (no channels to drop from), as in the sequential executor.
@@ -606,12 +599,9 @@ fn run_node(job: &JobInner, b: usize, n: usize, exec_idx: usize) -> Result<()> {
             let e = ExecError(INJECT_MARKER.into());
             return Err(node_error(Some(exec_idx), node.id, plan.node_name(n), e));
         }
-        let v = node
-            .payload
-            .and_then(|k| init_values.get(plan.weight_name(k)))
-            .ok_or_else(|| {
-                RuntimeError::Setup(format!("Constant `{}` missing payload", plan.node_name(n)))
-            })?;
+        let v = node.payload.and_then(|k| weights.at(k)).ok_or_else(|| {
+            RuntimeError::Setup(format!("Constant `{}` missing payload", plan.node_name(n)))
+        })?;
         vec![v.clone()]
     } else {
         // A node marked by the in-place pass takes its dying operand *out*
@@ -644,9 +634,7 @@ fn run_node(job: &JobInner, b: usize, n: usize, exec_idx: usize) -> Result<()> {
                         ))
                     })
                 }
-                InSrc::Weight(k) => {
-                    fetch(init_values.get(plan.weight_name(k)), plan.weight_name(k))
-                }
+                InSrc::Weight(k) => fetch(weights.at(k), plan.weight_name(k)),
                 InSrc::Input(v) => fetch(job.inputs[b].get(plan.value_name(v)), plan.value_name(v)),
             })
             .collect();
@@ -849,9 +837,8 @@ impl StealPool {
         let _run_span = opts.obs.span(0, "steal:run", "steal");
         if plan.prog.nodes.is_empty() {
             let mut outs = vec![Env::new(); plan.batch];
-            let init = opts.init_values.as_ref().unwrap_or(&plan.init_values);
-            let prog = &plan.prog;
-            prog.backfill_outputs(&mut outs, inputs, |k| init.get(prog.weight_name(k)));
+            plan.prog
+                .backfill_outputs(&mut outs, inputs, |k| plan.weights.at(k));
             return Ok(outs);
         }
 
@@ -946,8 +933,8 @@ impl StealPool {
         result?;
         let mut outs = std::mem::take(&mut *job.out_envs.lock());
         job.finalize();
-        let prog = &plan.prog;
-        prog.backfill_outputs(&mut outs, inputs, |k| job.init.get(prog.weight_name(k)));
+        plan.prog
+            .backfill_outputs(&mut outs, inputs, |k| plan.weights.at(k));
         Ok(outs)
     }
 }
@@ -1191,5 +1178,17 @@ mod tests {
         .outputs
         .unwrap_err();
         assert_eq!(err.code(), "RT-SETUP");
+    }
+
+    #[test]
+    fn a_plan_over_another_graphs_weights_is_refused() {
+        let g = build(ModelKind::Squeezenet, &ModelConfig::tiny());
+        let prog = Arc::new(GraphProgram::new(&g).unwrap());
+        let hc = ramiel_cluster::hypercluster(&cluster_graph(&g, &StaticCost), 1);
+        let other = crate::initializer_values(&synthetic::chain(3)).unwrap();
+        let Err(err) = StealPlan::with_program(&prog, other, &hc) else {
+            panic!("a plan over the wrong weight table was built");
+        };
+        assert_eq!(err.code(), "RT-SETUP", "got {err}");
     }
 }

@@ -200,13 +200,15 @@ impl LaneShared {
         Arc::clone(&self.plan.lock())
     }
 
-    /// What every execution on this lane runs with: pool workers at build
-    /// time (which index the plan's weight table) and the sequential
-    /// fallback per batch (which looks weights up by name).
-    fn run_opts(&self) -> RunOptions {
+    /// What every execution of `plan` on this lane runs with, over the
+    /// plan's one weight table: pool workers at build time (which index
+    /// it) and the sequential fallback per batch (which looks weights up
+    /// by name).
+    fn run_opts(&self, plan: &CompiledPlan) -> RunOptions {
         RunOptions {
             injector: self.cfg.injector.clone(),
             recv_timeout: self.cfg.recv_timeout,
+            init_values: Some(Arc::clone(&plan.weights)),
             ..RunOptions::default()
         }
     }
@@ -333,11 +335,11 @@ impl LanePool {
         let start = Instant::now();
         self.pool = None;
         self.version = plan.version;
-        let built = HyperPool::with_weights(
+        let built = HyperPool::with_options(
+            &plan.graph,
             plan.num_clusters(),
             &plan.ctx,
-            &sh.run_opts(),
-            Arc::clone(&plan.weights),
+            &sh.run_opts(plan),
         );
         sh.metrics.lane_build.record_duration(start.elapsed());
         self.pool = Some(built?);
@@ -466,16 +468,13 @@ fn execute_batch(sh: &LaneShared, pool: &mut LanePool, batch: Vec<Request>) {
     // the latency callers actually saw.
     let exec_start = exec_start.unwrap_or_else(Instant::now);
     let workers = pool.pool.as_mut().expect("hyper pool synced above");
-    let opts = sh.run_opts();
+    let opts = sh.run_opts(&plan);
     let (results, report) = supervise(
         n,
         &sh.cfg.supervisor,
         &opts.obs,
         || workers.run_batch(&sched, &inputs),
-        |i| {
-            let opts = opts.clone().init_values(Arc::clone(plan.named_weights()));
-            run_sequential_opts(&plan.graph, &inputs[i], &plan.ctx, &opts)
-        },
+        |i| run_sequential_opts(&plan.graph, &inputs[i], &plan.ctx, &opts),
     );
     let exec_end = Instant::now();
     sh.metrics.retries.add(u64::from(report.attempts - 1));

@@ -4,11 +4,12 @@
 //! stage with its clustering folded to at most one cluster per core (see
 //! `Layout`), the slot-resolved graph program with its in-place marks,
 //! the batch-1 hypercluster schedule compiled to per-worker programs (other
-//! batch sizes are compiled on their first batch), the shared weight
-//! table (whose buffers are the graph's own payloads, moved, not copied,
-//! and indexed by the slot program's weight operands),
-//! and a per-plan [`ExecCtx`] whose packed-weight cache persists across
-//! requests — and shares the result as an [`Arc<CompiledPlan>`]. The
+//! batch sizes are compiled on their first batch), the model's one
+//! [`Weights`] table (whose buffers are the graph's own payloads, moved,
+//! not copied: the lane's workers index it by the slot program's weight
+//! operands, the sequential fallback looks it up by name), and a per-plan
+//! [`ExecCtx`] whose packed-weight cache persists across requests — and
+//! shares the result as an [`Arc<CompiledPlan>`]. The
 //! server's model table hands it to the model's lane with a fresh,
 //! monotonically increasing `version`, which is how lanes detect hot
 //! reloads: a collector thread compares its pool's version against the
@@ -22,10 +23,10 @@ use ramiel_cluster::{
 };
 use ramiel_ir::graph::Adjacency;
 use ramiel_ir::Graph;
-use ramiel_runtime::{GraphProgram, PlannedBatch};
-use ramiel_tensor::{ExecCtx, Value};
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, OnceLock};
+use ramiel_runtime::{GraphProgram, PlannedBatch, Weights};
+use ramiel_tensor::ExecCtx;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A graph to compile into a plan, as it is: [`crate::Server::load`]
@@ -106,9 +107,8 @@ pub struct CompiledPlan {
     pub version: u64,
     /// The graph the plan was compiled from, minus its weights: `load`
     /// moves every initializer payload into [`weights`](Self::weights),
-    /// so `graph.initializers` is empty ([`weight`](Self::weight) answers
-    /// for an initializer by name). Nodes, inputs, outputs and `value_info`
-    /// are unchanged.
+    /// so `graph.initializers` is empty. Nodes, inputs, outputs and
+    /// `value_info` are unchanged.
     pub graph: Graph,
     /// The paper's clustering folded to at most one cluster per core (see
     /// `Layout`): the plan's standing pools run one worker per cluster.
@@ -118,17 +118,10 @@ pub struct CompiledPlan {
     pub report: PipelineReport,
     /// Time the schedule stage took.
     pub schedule_time: Duration,
-    /// Shared weights — every fetch is a refcount bump. Entry `k` is the
-    /// `k`-th initializer of the spec's graph (in `Graph::initializers`
-    /// order), its payload moved in; the slot program's weight operands
-    /// index it.
-    pub weights: Arc<Vec<Value>>,
-    /// `weight_names[k]` names `weights[k]`; sorted, since it keeps the
-    /// order of `Graph::initializers`.
-    weight_names: Vec<String>,
-    /// The weights keyed by name, for the name-keyed sequential fallback:
-    /// built on the first fallback, never on the load path.
-    named_weights: OnceLock<Arc<HashMap<String, Value>>>,
+    /// The spec graph's initializers, their payloads moved in: every fetch
+    /// is a refcount bump. The lane's pool and its sequential fallback both
+    /// read this one table.
+    pub weights: Arc<Weights>,
     /// Per-plan execution context, with sequential kernels: the lane's
     /// standing workers are the plan's only threads. Its packed-weight
     /// cache warms up on the first request and is reused by every later
@@ -177,7 +170,8 @@ impl CompiledPlan {
         let program = Arc::new(program);
         let batch1 = PlannedBatch::with_program(&program, hyper_schedule(&clustering, switched, 1))
             .map_err(ServeError::Runtime)?;
-        let (weight_names, weights) = take_initializers(&mut graph)?;
+        let initializers = std::mem::take(&mut graph.initializers);
+        let weights = Weights::from_initializers(initializers).map_err(ServeError::Runtime)?;
         Ok(CompiledPlan {
             name: name.to_string(),
             version: 0,
@@ -187,8 +181,6 @@ impl CompiledPlan {
             report,
             schedule_time,
             weights: Arc::new(weights),
-            weight_names,
-            named_weights: OnceLock::new(),
             ctx: ExecCtx::sequential(),
             program,
             schedules: Mutex::new(BTreeMap::from([(1, Arc::new(batch1))])),
@@ -219,39 +211,6 @@ impl CompiledPlan {
     pub fn num_clusters(&self) -> usize {
         self.clustering.num_clusters()
     }
-
-    /// The weight an initializer of the spec's graph became.
-    pub fn weight(&self, name: &str) -> Option<&Value> {
-        let k = self
-            .weight_names
-            .binary_search_by(|n| n.as_str().cmp(name))
-            .ok()?;
-        self.weights.get(k)
-    }
-
-    /// The weights keyed by name, as the sequential executor takes them.
-    /// Built on the first call (refcount bumps, no payload copied).
-    pub fn named_weights(&self) -> &Arc<HashMap<String, Value>> {
-        self.named_weights.get_or_init(|| {
-            let named = self.weight_names.iter().cloned();
-            Arc::new(named.zip(self.weights.iter().cloned()).collect())
-        })
-    }
-}
-
-/// Move `graph`'s initializer payloads into a runtime table, each buffer
-/// wrapped as it is (no element copied), in `graph.initializers` order:
-/// the names, and the weights the slot program's weight indices address.
-fn take_initializers(graph: &mut Graph) -> Result<(Vec<String>, Vec<Value>), ServeError> {
-    let initializers = std::mem::take(&mut graph.initializers);
-    let mut names = Vec::with_capacity(initializers.len());
-    let mut weights = Vec::with_capacity(initializers.len());
-    for (name, data) in initializers {
-        names.push(name);
-        weights
-            .push(Value::from_owned_tensor_data(data).map_err(|e| ServeError::Runtime(e.into()))?);
-    }
-    Ok((names, weights))
 }
 
 /// Plain (Fig. 8) or switched (Fig. 9) hyperclustering of `clustering`.

@@ -786,6 +786,38 @@ fn a_poisoned_request_fails_alone_in_its_batch() {
     assert_eq!((s.batches, s.retries, s.fallbacks), (2, 0, 1));
 }
 
+/// A lane's per-sample fallback runs the sequential executor over the
+/// plan's graph, which keeps no initializers, and the plan's one weight
+/// table: its answer is the standing pool's, bit for bit.
+#[test]
+fn lane_fallback_over_the_weightless_graph_gives_the_pools_bits() {
+    use ramiel_runtime::{Fault, FaultInjector, FaultKind, FaultPlan};
+    let g = build(ModelKind::Squeezenet, &ModelConfig::tiny());
+    let inputs = synth_inputs(&g, 3);
+    let clean = Server::new(small_cfg());
+    clean.load("sq", PlanSpec::new(g.clone())).unwrap();
+    let pooled = clean.infer("sq", inputs.clone()).unwrap();
+    // Node 0 fails the first attempt and both retries (an injected fault
+    // is retryable); the fallback's walk is its fourth execution, unfaulted.
+    let faults = (0..3)
+        .map(|exec_index| Fault {
+            node: 0,
+            batch: 0,
+            exec_index,
+            kind: FaultKind::KernelError,
+        })
+        .collect();
+    let server = Server::new(ServeConfig {
+        injector: Some(FaultInjector::new(FaultPlan { seed: 0, faults })),
+        ..small_cfg()
+    });
+    let plan = server.load("sq", PlanSpec::new(g)).unwrap();
+    assert!(plan.graph.initializers.is_empty());
+    assert_eq!(server.infer("sq", inputs).unwrap(), pooled);
+    let s = server.stats();
+    assert_eq!((s.completed, s.retries, s.fallbacks), (1, 2, 1));
+}
+
 // ---- lane lifecycle ----------------------------------------------------------
 
 /// Poll `stats().lane_builds` until it reaches `want` (bounded).

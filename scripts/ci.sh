@@ -202,6 +202,16 @@ timeout 60s target/debug/ramiel run squeezenet --tiny --chaos-seed 20 \
 grep -q "^attempts: *2$" target/ci-chaos.log
 grep -q "^fell back: *true$" target/ci-chaos.log
 grep -qF "(matches sequential)" target/ci-chaos.log
+# The same supervision on the work-stealing executor, whose plan reads the
+# prepared weight table: seed 6's plan fires a kernel error at node 4 on
+# the first attempt (and a drop-message, a no-op without channels), so the
+# one retry runs and succeeds, with no fallback.
+timeout 60s target/debug/ramiel run squeezenet --tiny --executor stealing \
+    --chaos-seed 6 --chaos-faults 4 --max-retries 1 \
+    > target/ci-chaos-steal.log 2>> target/ci-chaos.err
+grep -q "^attempts: *2$" target/ci-chaos-steal.log
+grep -q "^fell back: *false$" target/ci-chaos-steal.log
+grep -qF "(matches sequential)" target/ci-chaos-steal.log
 if timeout 60s target/debug/ramiel run squeezenet --tiny --chaos-seed 4 \
     --chaos-faults 4 --max-retries 1 --fallback \
     > /dev/null 2>> target/ci-chaos.err; then

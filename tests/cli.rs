@@ -230,7 +230,7 @@ fn simulate_prints_speedup() {
 fn compile_with_batch_writes_hyper_module() {
     let dir = std::env::temp_dir().join(format!("ramiel_cli_hyper_{}", std::process::id()));
     let dir_s = dir.to_str().expect("utf8 temp dir");
-    let (ok, _, stderr) = run(&[
+    let (ok, stdout, stderr) = run(&[
         "compile",
         "squeezenet",
         "--tiny",
@@ -241,6 +241,9 @@ fn compile_with_batch_writes_hyper_module() {
         dir_s,
     ]);
     assert!(ok, "stderr: {stderr}");
+    let wrote =
+        format!("wrote parallel.py, sequential.py, hyper.py, clusters.dot, report.json to {dir_s}");
+    assert_eq!(stdout.lines().last(), Some(wrote.as_str()), "{stdout}");
     let hyper = std::fs::read_to_string(dir.join("hyper.py")).expect("hyper.py written");
     assert!(hyper.contains("SWITCHED"));
     assert!(hyper.contains("def hypercluster_0("));

@@ -208,7 +208,14 @@ fn assert_served_in_place(
     assert!(!buffers.is_empty(), "{model}: no f32 weights");
     assert!(plan.graph.initializers.is_empty(), "{model} via {path}");
     for (name, ptr) in buffers {
-        let served = plan.weight(name).unwrap().f32().unwrap().data().as_ptr();
+        let served = plan
+            .weights
+            .get(name)
+            .unwrap()
+            .f32()
+            .unwrap()
+            .data()
+            .as_ptr();
         assert_eq!(
             served, *ptr,
             "{model} via {path}: `{name}` was copied into the plan"
@@ -250,7 +257,7 @@ fn each_weight_exists_once_from_import_to_the_plan() {
         assert!(by_bytes.graph.initializers.is_empty(), "{model}");
         for (name, _) in &buffers {
             assert!(
-                by_bytes.weight(name).unwrap().f32().is_ok(),
+                by_bytes.weights.get(name).unwrap().f32().is_ok(),
                 "{model}: `{name}`"
             );
         }

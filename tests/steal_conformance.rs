@@ -28,7 +28,8 @@ use proptest::prelude::*;
 use ramiel_cluster::{cluster_graph, switched_hypercluster, Clustering, StaticCost};
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_runtime::{
-    run_sequential, synth_inputs, Env, RunOptions, StealChaos, StealPlan, StealPool,
+    initializer_values, run_sequential, synth_inputs, Env, GraphProgram, RunOptions, StealChaos,
+    StealPlan, StealPool,
 };
 use ramiel_tensor::{ExecCtx, Value};
 use std::sync::{Arc, OnceLock};
@@ -79,7 +80,9 @@ fn matrix() -> &'static Vec<Fixture> {
                 let clustering = cluster_graph(&graph, &StaticCost);
                 let plan = Arc::new(StealPlan::new(&graph, &clustering, 1).unwrap());
                 let hc = switched_hypercluster(&clustering, 3);
-                let plan3 = Arc::new(StealPlan::from_hyper(&graph, &hc).unwrap());
+                let prog = Arc::new(GraphProgram::new(&graph).unwrap());
+                let weights = initializer_values(&graph).unwrap();
+                let plan3 = Arc::new(StealPlan::with_program(&prog, weights, &hc).unwrap());
                 let inputs = synth_inputs(&graph, 42);
                 let batch3: Vec<Env> = (0..3)
                     .map(|b| synth_inputs(&graph, 42 + b as u64))
