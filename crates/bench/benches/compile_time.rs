@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ramiel::obs::Obs;
 use ramiel::{schedule, CompileError, PipelineOptions};
-use ramiel_cluster::StaticCost;
+use ramiel_cluster::{hypercluster, StaticCost};
 use ramiel_ios::{ios_schedule, IosConfig};
 use ramiel_ir::Graph;
 use ramiel_models::{build, ModelConfig, ModelKind};
@@ -77,17 +77,12 @@ fn bench_codegen_only(c: &mut Criterion) {
             &PipelineOptions::default(),
         )
         .expect("pipeline");
+        let hc = hypercluster(&compiled.clustering, 1);
         group.bench_with_input(
             BenchmarkId::from_parameter(kind.name()),
             &compiled,
             |b, c| {
-                b.iter(|| {
-                    ramiel_codegen::generate_parallel(
-                        black_box(&c.graph),
-                        &c.clustering,
-                        &ramiel_codegen::CodegenOptions::default(),
-                    )
-                });
+                b.iter(|| ramiel_codegen::generate_parallel(black_box(&c.graph), &hc));
             },
         );
     }

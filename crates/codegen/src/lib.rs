@@ -4,43 +4,46 @@
 //! dataflow graph — the paper's headline differentiator ("contrary to other
 //! work, we generate readable and executable parallel Pytorch+Python code").
 //!
-//! [`generate_parallel`] implements Algorithm 4: each cluster becomes a
-//! Python method; every cross-cluster tensor dependence becomes a
-//! `queues[...].put(...)` in the producer and a matching
+//! [`generate_parallel`] implements Algorithm 4 over a
+//! [`HyperClustering`](ramiel_cluster::HyperClustering): each
+//! (hyper)cluster becomes a Python method; every cross-cluster tensor
+//! instance becomes a `queues[...].put(...)` in the producer and a matching
 //! `queues[...].get()` in the consumer; node outputs get fresh SSA names;
 //! each node lowers to the equivalent `torch` call. A `__main__` harness
 //! forks one `multiprocessing.Process` per cluster (the paper avoids Python
-//! threads because of the GIL).
+//! threads because of the GIL). It is the one parallel generator: a
+//! clustering is emitted as its batch-1 hyperclustering
+//! (`hypercluster(&c, 1)`), whose module names no sample; past batch 1
+//! (Section III-E) every SSA name, queue key, input and result carries its
+//! sample index.
 //!
 //! [`generate_sequential`] emits the single-core reference version the paper
 //! uses as its baseline ("to ensure completeness … a single core
 //! non-parallel version of the code is also generated").
 
-pub mod hyper;
 mod pyop;
 mod python;
 
-pub use hyper::generate_hyper_parallel;
-pub use python::{generate_parallel, generate_sequential, CodegenOptions};
+pub use python::{generate_parallel, generate_sequential};
 
 use std::collections::HashMap;
 
 /// Maps IR tensor names to valid, unique Python identifiers (the paper's
 /// "new SSA-name for the output variable").
 #[derive(Debug, Default)]
-pub struct SsaNamer {
+struct SsaNamer {
     assigned: HashMap<String, String>,
     used: std::collections::HashSet<String>,
     counter: usize,
 }
 
 impl SsaNamer {
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self::default()
     }
 
     /// The Python identifier for an IR tensor name (stable per name).
-    pub fn name(&mut self, tensor: &str) -> String {
+    fn name(&mut self, tensor: &str) -> String {
         if let Some(n) = self.assigned.get(tensor) {
             return n.clone();
         }

@@ -47,7 +47,6 @@ pub mod diag;
 use ramiel_cluster::cost::StaticCost;
 use ramiel_cluster::hyper::HyperClustering;
 use ramiel_cluster::{hypercluster, schedule_stage, switched_hypercluster, Clustering, Scheduled};
-use ramiel_codegen::CodegenOptions;
 use ramiel_ir::Graph;
 use ramiel_obs::Obs;
 use ramiel_passes::CloneConfig;
@@ -126,17 +125,15 @@ pub struct PythonModules {
 impl ScheduledModel {
     /// The pipeline's last stage: emit the parallel, sequential and (when
     /// hyperclustered) hypercluster modules, recording one `codegen` span
-    /// in `obs`.
+    /// in `obs`. The parallel module is the clustering's batch-1
+    /// hyperclustering through the same generator as the hyper one.
     pub fn emit(&self, obs: &Obs) -> PythonModules {
-        let cg = CodegenOptions::default();
         let mut span = obs.span(0, "codegen", "compile");
+        let generate = |hc: &HyperClustering| ramiel_codegen::generate_parallel(&self.graph, hc);
         let modules = PythonModules {
-            parallel: ramiel_codegen::generate_parallel(&self.graph, &self.clustering, &cg),
-            sequential: ramiel_codegen::generate_sequential(&self.graph, &cg),
-            hyper: self
-                .hyper
-                .as_ref()
-                .map(|hc| ramiel_codegen::generate_hyper_parallel(&self.graph, hc, &cg)),
+            parallel: generate(&hypercluster(&self.clustering, 1)),
+            sequential: ramiel_codegen::generate_sequential(&self.graph),
+            hyper: self.hyper.as_ref().map(generate),
         };
         span.set_args(serde_json::json!({
             "parallel_bytes": modules.parallel.len(),

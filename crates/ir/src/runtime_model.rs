@@ -16,6 +16,13 @@ use crate::{DType, Graph, OpKind};
 /// per batch) so backpressure never engages in practice.
 pub const DATA_CHANNEL_CAPACITY: usize = 4096;
 
+/// Largest model, in bytes, that any read takes (1 GiB): a model file
+/// (`ramiel_onnx::read_model_file`, which the CLI and serve's local reads
+/// share) and a registry fetch's body (`ramiel_runtime::limits`'s
+/// `FETCH_MAX_BYTES` is this value). Past it the read fails without
+/// reading further.
+pub const MODEL_MAX_BYTES: usize = 1 << 30;
+
 /// Bytes per element of `d`.
 #[inline]
 pub fn dtype_bytes(d: DType) -> usize {

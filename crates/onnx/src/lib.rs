@@ -23,7 +23,7 @@ pub mod wire;
 
 pub use export::{export_model, save_onnx};
 pub use import::{import_model, import_model_with};
-pub use loader::{load_model, read_model_file, LoadError};
+pub use loader::{load_model, read_model_file, read_model_file_within, LoadError};
 
 use ramiel_ir::Graph;
 

@@ -9,7 +9,10 @@
 //! code whatever its name.
 
 use crate::{import_model, OnnxError};
+use ramiel_ir::runtime_model::MODEL_MAX_BYTES;
 use ramiel_ir::Graph;
+use std::fs::File;
+use std::io::Read;
 use std::path::Path;
 
 /// A failure from [`load_model`]: the read or the import.
@@ -46,13 +49,37 @@ pub fn load_model(path: impl AsRef<Path>) -> Result<Graph, LoadError> {
 }
 
 /// The read half of [`load_model`], for callers that time the read and the
-/// import apart.
+/// import apart: the one model-file reader, bounded by
+/// [`MODEL_MAX_BYTES`].
 pub fn read_model_file(path: impl AsRef<Path>) -> Result<Vec<u8>, LoadError> {
+    read_model_file_within(path, MODEL_MAX_BYTES)
+}
+
+/// [`read_model_file`] with an explicit ceiling of `max` bytes. A regular
+/// file longer than `max` is refused before any byte is read; any other
+/// file is read to at most `max + 1` bytes instead of trusting its length,
+/// which a special file such as `/dev/zero` reports as 0.
+pub fn read_model_file_within(path: impl AsRef<Path>, max: usize) -> Result<Vec<u8>, LoadError> {
     let path = path.as_ref();
-    std::fs::read(path).map_err(|e| LoadError::Io {
+    let err = |reason: String| LoadError::Io {
         path: path.display().to_string(),
-        reason: e.to_string(),
-    })
+        reason,
+    };
+    let past = || err(format!("file runs past the {max} byte ceiling"));
+    let file = File::open(path).map_err(|e| err(e.to_string()))?;
+    let len = match file.metadata() {
+        Ok(m) if m.is_file() && m.len() > max as u64 => return Err(past()),
+        Ok(m) => m.len(),
+        Err(_) => 0,
+    };
+    let mut data = Vec::with_capacity(len.min(max as u64) as usize);
+    file.take(max as u64 + 1)
+        .read_to_end(&mut data)
+        .map_err(|e| err(e.to_string()))?;
+    if data.len() > max {
+        return Err(past());
+    }
+    Ok(data)
 }
 
 #[cfg(test)]
@@ -97,6 +124,45 @@ mod tests {
         std::fs::write(&path, crate::export_model(&g)).unwrap();
         assert_eq!(load_model(&path).unwrap(), g);
         std::fs::remove_file(path).ok();
+    }
+
+    /// A `len`-byte file under the temp dir, removed on drop.
+    struct ScratchFile(std::path::PathBuf);
+
+    impl ScratchFile {
+        fn new(len: u64) -> ScratchFile {
+            let path = std::env::temp_dir()
+                .join(format!("ramiel_loader_len{len}_{}.bin", std::process::id()));
+            std::fs::write(&path, vec![7u8; len as usize]).unwrap();
+            ScratchFile(path)
+        }
+    }
+
+    impl Drop for ScratchFile {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+
+    #[test]
+    fn a_file_up_to_the_ceiling_is_read_and_one_byte_more_is_refused() {
+        for len in [63, 64] {
+            let f = ScratchFile::new(len);
+            assert_eq!(read_model_file_within(&f.0, 64).unwrap().len() as u64, len);
+        }
+        let past = ScratchFile::new(65);
+        match read_model_file_within(&past.0, 64) {
+            Err(e @ LoadError::Io { .. }) => {
+                assert!(e.to_string().contains("past the 64 byte ceiling"), "{e}")
+            }
+            other => panic!("expected an Io error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_endless_file_is_refused_at_the_ceiling() {
+        let e = read_model_file_within("/dev/zero", 4096).unwrap_err();
+        assert!(e.to_string().contains("past the 4096 byte ceiling"), "{e}");
     }
 
     #[test]

@@ -23,5 +23,7 @@ pub const COLLECTOR_GRACE_MS: u64 = 2_000;
 pub const FETCH_TIMEOUT_MS: u64 = 10_000;
 
 /// Largest response body a registry fetch reads (1 GiB); a longer body
-/// fails the pull without being read past this many bytes.
-pub const FETCH_MAX_BYTES: usize = 1 << 30;
+/// fails the pull without being read past this many bytes. The same
+/// ceiling as a model file read
+/// ([`ramiel_ir::runtime_model::MODEL_MAX_BYTES`]).
+pub const FETCH_MAX_BYTES: usize = ramiel_ir::runtime_model::MODEL_MAX_BYTES;

@@ -421,31 +421,23 @@ fn fetch_source(reference: &str) -> Result<Vec<u8>, RegistryError> {
     read_file(reference)
 }
 
-/// Read a local model file of at most [`limits::FETCH_MAX_BYTES`]: the one
+/// Read a local model file through [`ramiel_onnx::read_model_file`], the
+/// one model-file reader, bounded by [`limits::FETCH_MAX_BYTES`]: the
 /// reader of `file://` and plain-path sources, for the registry and for
 /// [`Server::fetch`](crate::Server::fetch).
 pub(crate) fn read_file(path: &str) -> Result<Vec<u8>, RegistryError> {
     read_file_within(path, limits::FETCH_MAX_BYTES)
 }
 
-/// [`read_file`] with an explicit ceiling. It reads at most `max + 1` bytes
-/// instead of trusting the file's length, which a special file such as
-/// `/dev/zero` reports as 0; the length only sizes the buffer.
+/// [`read_file`] with an explicit ceiling.
 fn read_file_within(path: &str, max: usize) -> Result<Vec<u8>, RegistryError> {
-    let err = |reason: String| RegistryError::Io {
+    ramiel_onnx::read_model_file_within(path, max).map_err(|e| RegistryError::Io {
         path: path.to_string(),
-        reason,
-    };
-    let file = std::fs::File::open(path).map_err(|e| err(e.to_string()))?;
-    let hint = file.metadata().map_or(0, |m| m.len()).min(max as u64);
-    let mut data = Vec::with_capacity(hint as usize);
-    file.take(max as u64 + 1)
-        .read_to_end(&mut data)
-        .map_err(|e| err(e.to_string()))?;
-    if data.len() > max {
-        return Err(err(format!("file runs past the {max} byte ceiling")));
-    }
-    Ok(data)
+        reason: match e {
+            ramiel_onnx::LoadError::Io { reason, .. } => reason,
+            other => other.to_string(),
+        },
+    })
 }
 
 /// Minimal HTTP/1.0 GET over `std::net` (`Connection: close`, body read to

@@ -222,6 +222,35 @@ if grep -q "panicked at" target/ci-chaos.err; then
     echo "an injected panic reached stderr"; cat target/ci-chaos.err; exit 1
 fi
 
+# Compile smoke: `ramiel compile` is the one verb that emits Python. At
+# batch 1 it writes the parallel and sequential modules, the cluster graph
+# and the report; under `--batch 2 --switched` it adds `hyper.py`, emitted
+# by the same generator as `parallel.py`. The `wrote` line must list what
+# was written, and every module must be valid Python (`py_compile`, when a
+# python3 is present).
+echo "==> ramiel compile smoke (files written, wrote line, py_compile)"
+CDIR=target/ci-compile
+rm -rf "$CDIR" "$CDIR-b2"
+timeout 60s target/debug/ramiel compile squeezenet --tiny --out "$CDIR" \
+    > target/ci-compile.log
+grep -qxF "wrote parallel.py, sequential.py, clusters.dot, report.json to $CDIR" \
+    target/ci-compile.log
+timeout 60s target/debug/ramiel compile squeezenet --tiny --batch 2 --switched \
+    --out "$CDIR-b2" > target/ci-compile-b2.log
+grep -qxF "wrote parallel.py, sequential.py, hyper.py, clusters.dot, report.json to $CDIR-b2" \
+    target/ci-compile-b2.log
+for f in parallel.py sequential.py clusters.dot report.json; do
+    test -s "$CDIR/$f"
+    test -s "$CDIR-b2/$f"
+done
+test ! -e "$CDIR/hyper.py"
+test -s "$CDIR-b2/hyper.py"
+if command -v python3 > /dev/null; then
+    for f in "$CDIR"/*.py "$CDIR-b2"/*.py; do
+        timeout 60s python3 -m py_compile "$f"
+    done
+fi
+
 # ONNX ingestion gates. Import smoke: the checked-in golden fixtures must
 # import through the full validate/verify pipeline (`ramiel check` compiles
 # and statically verifies the schedule), the deliberately clipped fixture

@@ -218,6 +218,27 @@ fn hostile_files_fail_cleanly() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A model file one byte past the model ceiling is refused before any of
+/// it is read: the file is sparse, so reading it would allocate the whole
+/// gigabyte.
+#[test]
+fn a_model_file_past_the_ceiling_is_refused_unread() {
+    let max = ramiel_ir::runtime_model::MODEL_MAX_BYTES;
+    let path = std::env::temp_dir().join(format!("ramiel_cli_huge_{}.onnx", std::process::id()));
+    let file = std::fs::File::create(&path).expect("create model file");
+    file.set_len(max as u64 + 1)
+        .expect("size sparse model file");
+    drop(file);
+    let (ok, _, stderr) = run(&["check", path.to_str().expect("utf8 path")]);
+    std::fs::remove_file(&path).ok();
+    assert!(!ok, "a file past the ceiling was accepted");
+    assert!(
+        stderr.contains(&format!("past the {max} byte ceiling")),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
 #[test]
 fn simulate_prints_speedup() {
     let (ok, stdout, stderr) = run(&["simulate", "googlenet", "--tiny"]);
@@ -245,8 +266,9 @@ fn compile_with_batch_writes_hyper_module() {
         format!("wrote parallel.py, sequential.py, hyper.py, clusters.dot, report.json to {dir_s}");
     assert_eq!(stdout.lines().last(), Some(wrote.as_str()), "{stdout}");
     let hyper = std::fs::read_to_string(dir.join("hyper.py")).expect("hyper.py written");
-    assert!(hyper.contains("SWITCHED"));
-    assert!(hyper.contains("def hypercluster_0("));
+    assert!(hyper.contains("WARNING: switched hyperclusters"));
+    assert!(hyper.contains("def cluster_0("));
+    assert!(hyper.contains("inputs[3]['"), "every sample is indexed");
     std::fs::remove_dir_all(&dir).ok();
 }
 

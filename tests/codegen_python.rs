@@ -79,67 +79,80 @@ fn optimized_codegen_also_compiles() {
 
 #[test]
 fn generated_hypercluster_python_compiles() {
-    use ramiel::HyperMode;
-    for (mode, batch) in [(HyperMode::Plain, 4), (HyperMode::Switched, 3)] {
-        let c = schedule(
-            build(ModelKind::Squeezenet, &ModelConfig::tiny()),
-            &PipelineOptions {
-                batch,
-                hyper: mode,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let code = c
-            .emit(&Obs::disabled())
-            .hyper
-            .expect("hyper code generated");
-        assert_valid_python(&code, &format!("squeezenet_hyper_{mode:?}_{batch}"));
+    for kind in ModelKind::all() {
+        for opts in batch2_configs() {
+            let c = schedule(build(kind, &ModelConfig::tiny()), &opts).unwrap();
+            let code = c
+                .emit(&Obs::disabled())
+                .hyper
+                .expect("hyper code generated");
+            let what = format!("{}_hyper_{:?}_2", kind.name(), opts.hyper);
+            assert_valid_python(&code, &what);
+        }
     }
+}
+
+/// Batch 2 under plain and under switched hyperclustering.
+fn batch2_configs() -> [PipelineOptions; 2] {
+    use ramiel::HyperMode;
+    [HyperMode::Plain, HyperMode::Switched].map(|hyper| PipelineOptions {
+        batch: 2,
+        hyper,
+        ..Default::default()
+    })
 }
 
 #[test]
 fn puts_and_gets_match_cross_cluster_edge_count() {
     // structural consistency: the number of distinct (tensor, consumer)
-    // queue keys equals both the puts and the gets emitted
+    // queue keys — (tensor, sample, consumer) in a hyper module — equals
+    // both the puts and the gets emitted
     let cfg = ModelConfig::tiny();
     for kind in [ModelKind::Squeezenet, ModelKind::NasNet] {
-        let c = schedule(build(kind, &cfg), &PipelineOptions::default()).unwrap();
-        let code = c.emit(&Obs::disabled());
-        let puts = code.parallel.matches(".put(").count();
-        let gets = code.parallel.matches(".get()").count();
-        let keys = code
-            .parallel
-            .lines()
-            .skip_while(|l| !l.starts_with("MESSAGE_KEYS"))
-            .take_while(|l| !l.starts_with(']'))
-            .filter(|l| l.trim_start().starts_with('('))
-            .count();
-        assert_eq!(puts, gets, "{}", kind.name());
-        assert_eq!(puts, keys, "{}", kind.name());
+        for opts in batch2_configs() {
+            let c = schedule(build(kind, &cfg), &opts).unwrap();
+            let code = c.emit(&Obs::disabled());
+            let hyper = code.hyper.expect("hyper code generated");
+            for (module, code) in [("parallel", &code.parallel), ("hyper", &hyper)] {
+                let what = format!("{} {module} {:?}", kind.name(), opts.hyper);
+                let puts = code.matches(".put(").count();
+                let gets = code.matches(".get()").count();
+                let keys = code
+                    .lines()
+                    .skip_while(|l| !l.starts_with("MESSAGE_KEYS"))
+                    .take_while(|l| !l.starts_with(']'))
+                    .filter(|l| l.trim_start().starts_with('('))
+                    .count();
+                assert_eq!(puts, gets, "{what}");
+                assert_eq!(puts, keys, "{what}");
+            }
+        }
     }
 }
 
 #[test]
 fn generated_code_references_every_graph_input_and_output() {
-    let c = schedule(
-        build(ModelKind::Bert, &ModelConfig::tiny()),
-        &PipelineOptions::default(),
-    )
-    .unwrap();
-    let code = c.emit(&Obs::disabled());
-    for inp in &c.graph.inputs {
-        assert!(
-            code.parallel.contains(&format!("inputs['{}']", inp.name)),
-            "missing input {}",
-            inp.name
-        );
-    }
-    for out in &c.graph.outputs {
-        assert!(
-            code.parallel.contains(&format!("results['{out}']")),
-            "missing output {out}"
-        );
+    for opts in batch2_configs() {
+        let c = schedule(build(ModelKind::Bert, &ModelConfig::tiny()), &opts).unwrap();
+        let code = c.emit(&Obs::disabled());
+        let hyper = code.hyper.expect("hyper code generated");
+        // the parallel module names no sample; the hyper one indexes each
+        let samples = [
+            (&code.parallel, vec![String::new()]),
+            (&hyper, (0..opts.batch).map(|b| format!("[{b}]")).collect()),
+        ];
+        for (code, ats) in samples {
+            for at in ats {
+                for inp in &c.graph.inputs {
+                    let want = format!("inputs{at}['{}']", inp.name);
+                    assert!(code.contains(&want), "missing {want}");
+                }
+                for out in &c.graph.outputs {
+                    let want = format!("results{at}['{out}']");
+                    assert!(code.contains(&want), "missing {want}");
+                }
+            }
+        }
     }
 }
 
